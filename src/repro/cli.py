@@ -8,7 +8,6 @@ Examples::
     python -m repro chaos --quick --svg chaos.svg --trace-out chaos.jsonl
     python -m repro chaos --profile transport --quick
     python -m repro all --quick --out-dir figures/ --jobs 4
-    python -m repro bench --quick --profiler-overhead
     python -m repro report --quick --svg dashboard.svg
     python -m repro report saved-trace.jsonl --prom metrics.prom
 """
@@ -24,17 +23,8 @@ from typing import Callable, Optional
 from .analysis import (chaos_chart, figure3_chart, figure4_chart,
                        figure5_chart, figure6_chart,
                        transport_chaos_chart)
-from .experiments import (BenchResult, bench_medium, chaos,
-                          check_regression, figure3, figure4, figure5,
-                          figure6, table1, transport_chaos)
-from .experiments.bench import (BASELINE_FILENAME,
-                                ENGINE_BASELINE_FILENAME,
-                                MTP_BASELINE_FILENAME, EngineBenchResult,
-                                MtpBenchResult, OVERHEAD_FACTOR,
-                                bench_engine, bench_mtp,
-                                bench_telemetry_overhead,
-                                check_engine_regression,
-                                check_mtp_regression)
+from .experiments import (chaos, figure3, figure4, figure5, figure6,
+                          table1, transport_chaos)
 
 EXPERIMENTS = ("figure3", "figure4", "table1", "figure5", "figure6",
                "chaos")
@@ -45,14 +35,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Reproduce the EnviroTrack (ICDCS 2004) evaluation: "
                     "Figures 3-6 and Table 1; check/format EnviroTrack "
-                    "programs with 'compile <file>'; run the medium "
-                    "microbenchmark with 'bench'; or render a run "
+                    "programs with 'compile <file>'; or render a run "
                     "report with 'report'.")
     parser.add_argument("experiment",
-                        choices=EXPERIMENTS + ("all", "compile", "bench",
-                                               "report"),
-                        help="which experiment to run, 'compile', "
-                             "'bench', or 'report'")
+                        choices=EXPERIMENTS + ("all", "compile", "report"),
+                        help="which experiment to run, 'compile', or "
+                             "'report'")
     parser.add_argument("source", nargs="?", default=None,
                         help="EnviroTrack program file (compile) or a "
                              "saved JSONL trace (report; omit to report "
@@ -89,33 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--prom", metavar="PATH", default=None,
                         help="report: also write the metrics registry "
                              "in Prometheus text format")
-    parser.add_argument("--baseline", metavar="PATH",
-                        default=BASELINE_FILENAME,
-                        help="bench: baseline JSON to compare against")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="bench: rewrite the baseline file from this "
-                             "run instead of checking against it")
-    parser.add_argument("--profiler-overhead", action="store_true",
-                        help="bench: also measure telemetry overhead "
-                             "with the profiler disabled and fail if it "
-                             f"exceeds {OVERHEAD_FACTOR:.2f}x")
-    parser.add_argument("--mtp", action="store_true",
-                        help="bench: also run the reliable-vs-raw MTP "
-                             "frame-overhead bench and gate it against "
-                             "its baseline (deterministic counts)")
-    parser.add_argument("--mtp-baseline", metavar="PATH",
-                        default=MTP_BASELINE_FILENAME,
-                        help="bench --mtp: baseline JSON to compare "
-                             "against")
-    parser.add_argument("--engine", action="store_true",
-                        help="bench: also run the event-engine "
-                             "timer-churn bench (lazy vs heap scheduler, "
-                             "digests verified equal) and gate it "
-                             "against its baseline")
-    parser.add_argument("--engine-baseline", metavar="PATH",
-                        default=ENGINE_BASELINE_FILENAME,
-                        help="bench --engine: baseline JSON to compare "
-                             "against")
     return parser
 
 
@@ -215,75 +176,6 @@ def _run_compile(args, out: Callable[[str], None]) -> int:
     return 0
 
 
-def _run_bench(args, out: Callable[[str], None]) -> int:
-    """Run the medium microbench; gate on the committed baseline."""
-    result = bench_medium(quick=args.quick, trace_out=args.trace_out)
-    out(result.format_table())
-    if args.trace_out:
-        out(f"[wrote trace {args.trace_out}]")
-    status = 0
-    if args.update_baseline:
-        result.save(args.baseline)
-        out(f"[wrote baseline {args.baseline}]")
-    elif not os.path.exists(args.baseline):
-        out(f"[no baseline at {args.baseline}; run with "
-            f"--update-baseline to create one]")
-    else:
-        ok, message = check_regression(result,
-                                       BenchResult.load(args.baseline))
-        out(f"[baseline {args.baseline}: {message}]")
-        status = 0 if ok else 1
-    if args.mtp:
-        mtp_result = bench_mtp()
-        out(mtp_result.format_table())
-        if args.update_baseline:
-            mtp_result.save(args.mtp_baseline)
-            out(f"[wrote baseline {args.mtp_baseline}]")
-        elif not os.path.exists(args.mtp_baseline):
-            out(f"[no baseline at {args.mtp_baseline}; run with "
-                f"--update-baseline to create one]")
-        else:
-            ok, message = check_mtp_regression(
-                mtp_result, MtpBenchResult.load(args.mtp_baseline))
-            out(f"[baseline {args.mtp_baseline}: {message}]")
-            if not ok:
-                status = 1
-    if args.engine:
-        engine_result = bench_engine(quick=args.quick)
-        out(engine_result.format_table())
-        if args.update_baseline:
-            engine_result.save(args.engine_baseline)
-            out(f"[wrote baseline {args.engine_baseline}]")
-        elif not os.path.exists(args.engine_baseline):
-            out(f"[no baseline at {args.engine_baseline}; run with "
-                f"--update-baseline to create one]")
-        else:
-            ok, message = check_engine_regression(
-                engine_result,
-                EngineBenchResult.load(args.engine_baseline))
-            out(f"[baseline {args.engine_baseline}: {message}]")
-            if not ok:
-                status = 1
-    if args.profiler_overhead:
-        # Wall-clock gate on a shared machine: retry before failing so a
-        # noisy-neighbour burst does not flag a phantom regression.
-        for attempt in range(3):
-            overhead = bench_telemetry_overhead()
-            out(overhead.format_table())
-            if overhead.within():
-                out(f"[telemetry overhead ok: {overhead.ratio:.3f}x <= "
-                    f"{OVERHEAD_FACTOR:.2f}x]")
-                break
-            if attempt < 2:
-                out(f"[telemetry overhead {overhead.ratio:.3f}x > "
-                    f"{OVERHEAD_FACTOR:.2f}x; retrying]")
-            else:
-                out(f"[TELEMETRY OVERHEAD REGRESSION: "
-                    f"{overhead.ratio:.3f}x > {OVERHEAD_FACTOR:.2f}x]")
-                status = 1
-    return status
-
-
 def _run_report(args, out: Callable[[str], None]) -> int:
     """Render a run report from a saved trace or a fresh live run."""
     from .telemetry.report import RunReport
@@ -328,8 +220,6 @@ def main(argv=None, out: Callable[[str], None] = print) -> int:
     args = build_parser().parse_args(argv)
     if args.experiment == "compile":
         return _run_compile(args, out)
-    if args.experiment == "bench":
-        return _run_bench(args, out)
     if args.experiment == "report":
         return _run_report(args, out)
     if args.experiment == "all":

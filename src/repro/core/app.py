@@ -68,10 +68,6 @@ class EnviroTrackApp:
         Passed to the :class:`Simulator`; False turns the metrics
         registry and span tracker into null objects.  Either way the
         run's trace (and so its digest) is identical.
-    scheduler:
-        Passed to the :class:`Simulator`; ``"lazy"`` (default) or
-        ``"heap"`` — traces are byte-identical across both (see the
-        scheduler equivalence suite).
     """
 
     def __init__(self, seed: int = 0, communication_radius: float = 6.0,
@@ -81,17 +77,13 @@ class EnviroTrackApp:
                  soft_edge_start: float = 1.0, soft_edge_loss: float = 0.0,
                  enable_directory: bool = True, enable_mtp: bool = True,
                  registry: Optional[AggregationRegistry] = None,
-                 medium_index: str = "grid",
-                 telemetry: bool = True,
-                 scheduler: str = "lazy") -> None:
-        self.sim = Simulator(seed=seed, telemetry=telemetry,
-                             scheduler=scheduler)
+                 telemetry: bool = True) -> None:
+        self.sim = Simulator(seed=seed, telemetry=telemetry)
         self.field = SensorField(
             self.sim, communication_radius=communication_radius,
             base_loss_rate=base_loss_rate, bitrate=bitrate, mac=mac,
             task_cost=task_cost, cpu_queue_limit=cpu_queue_limit,
-            soft_edge_start=soft_edge_start, soft_edge_loss=soft_edge_loss,
-            index=medium_index)
+            soft_edge_start=soft_edge_start, soft_edge_loss=soft_edge_loss)
         self.registry = registry or default_registry()
         self.enable_directory = enable_directory
         self.enable_mtp = enable_mtp

@@ -175,13 +175,12 @@ def _chaos_run(seed: int, heartbeat_period: float, crash_period: float,
                crashes: int, base_loss_rate: float,
                mote_count: int, sensing_count: int,
                trace_out: Optional[str] = None,
-               telemetry: bool = True,
-               scheduler: str = "lazy") -> RecoveryReport:
+               telemetry: bool = True) -> RecoveryReport:
     """One chaos run: build the line deployment, arm the plan, measure."""
     # Frame ids restart per run so traces depend only on this run's
     # parameters — not on prior runs or on which sweep worker ran it.
     reset_frame_ids()
-    sim = Simulator(seed=seed, telemetry=telemetry, scheduler=scheduler)
+    sim = Simulator(seed=seed, telemetry=telemetry)
     field = SensorField(sim, communication_radius=10.0,
                         base_loss_rate=base_loss_rate)
     sensing_ids = set(range(sensing_count))

@@ -69,15 +69,9 @@ class TankScenario:
     enable_directory: bool = False
     enable_mtp: bool = False
     leader_kill_times: Tuple[float, ...] = field(default_factory=tuple)
-    #: Medium spatial index ("grid" or "bruteforce"); results are
-    #: byte-identical either way — see the equivalence suite.
-    medium_index: str = "grid"
     #: Run with the metrics registry + span tracker live (True) or as
     #: null objects (False); trace digests are identical either way.
     telemetry: bool = True
-    #: Event-engine scheduler ("lazy" or "heap"); results are
-    #: byte-identical either way — see the scheduler equivalence suite.
-    scheduler: str = "lazy"
     seed: int = 0
 
     @property
@@ -172,9 +166,7 @@ def build_app(scenario: TankScenario) -> EnviroTrackApp:
         cpu_queue_limit=scenario.cpu_queue_limit,
         enable_directory=scenario.enable_directory,
         enable_mtp=scenario.enable_mtp,
-        medium_index=scenario.medium_index,
         telemetry=scenario.telemetry,
-        scheduler=scenario.scheduler,
     )
     if scenario.deployment_jitter > 0:
         app.field.deploy_jittered_grid(scenario.columns, scenario.rows,

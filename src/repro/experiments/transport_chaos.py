@@ -81,9 +81,6 @@ class TransportChaosSpec:
     max_retries: int = 2
     max_escalations: int = 4
     lookup_timeout: float = 1.0
-    #: Event-engine scheduler ("lazy" or "heap"); outcomes and trace
-    #: digests are byte-identical either way.
-    scheduler: str = "lazy"
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -178,8 +175,7 @@ def _transport_run(spec: TransportChaosSpec,
                    telemetry: bool = True) -> TransportOutcome:
     """One run: build the grid, stream invocations, inject faults."""
     reset_frame_ids()
-    sim = Simulator(seed=spec.seed, telemetry=telemetry,
-                    scheduler=spec.scheduler)
+    sim = Simulator(seed=spec.seed, telemetry=telemetry)
     field = SensorField(sim, communication_radius=spec.communication_radius,
                         base_loss_rate=spec.base_loss_rate)
     motes = field.deploy_grid(spec.columns, spec.rows)

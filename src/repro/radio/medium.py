@@ -21,15 +21,13 @@ everything in range but only delivers frames addressed to it.
 
 Spatial index
 -------------
-With thousands of motes the naive implementation is O(N) per delivery and
-O(N·active) per collision check.  The default ``index="grid"`` keeps every
-port in a uniform-grid bucket (cell size = ``communication_radius``) so
+With thousands of motes a full scan is O(N) per delivery and
+O(N·active) per collision check.  The medium keeps every port in a
+uniform-grid bucket (cell size = ``communication_radius``) so
 :meth:`transmit`, :meth:`channel_busy` and :meth:`neighbors_of` only
-examine the cells that can possibly contain an in-range node.  The
-original full-scan path is preserved behind ``Medium(index="bruteforce")``
-for differential testing; both paths draw from the loss RNG streams in the
-exact same order (attach order), so a given seed produces byte-identical
-traces under either index (see ``docs/PROTOCOL.md`` §7 for the
+examine the cells that can possibly contain an in-range node.  Candidates
+are visited in attach order, so the loss RNG streams are drawn exactly as
+a full scan would draw them (see ``docs/PROTOCOL.md`` §7 for the
 invariants — in particular, a node that moves must notify the medium via
 :meth:`refresh_position`, which :meth:`repro.node.Mote.move_to` does).
 """
@@ -49,9 +47,6 @@ Position = Tuple[float, float]
 
 #: MICA mote channel capacity used throughout the paper's Table 1.
 DEFAULT_BITRATE = 50_000.0
-
-#: Supported spatial-index strategies.
-INDEX_MODES = ("grid", "bruteforce")
 
 
 def distance(a: Position, b: Position) -> float:
@@ -106,8 +101,8 @@ class _Transmission:
     src_pos: Position
     start: float
     end: float
+    cell: Tuple[int, int]
     src_port: Optional["TransceiverPort"] = None
-    cell: Optional[Tuple[int, int]] = None
     receptions: List[_Reception] = field(default_factory=list)
 
     def overlaps(self, other: "_Transmission") -> bool:
@@ -220,10 +215,6 @@ class Medium:
     propagation_delay:
         Fixed additional delivery latency (signal flight time), usually
         negligible next to airtime.
-    index:
-        ``"grid"`` (default) uses the uniform-grid spatial index;
-        ``"bruteforce"`` scans every attached port — kept for
-        differential testing, byte-identical for a given seed.
     """
 
     def __init__(self, sim: Simulator, communication_radius: float,
@@ -232,8 +223,7 @@ class Medium:
                  bitrate: float = DEFAULT_BITRATE,
                  propagation_delay: float = 0.0,
                  soft_edge_start: float = 1.0,
-                 soft_edge_loss: float = 0.0,
-                 index: str = "grid") -> None:
+                 soft_edge_loss: float = 0.0) -> None:
         if communication_radius <= 0:
             raise ValueError("communication radius must be positive")
         if not 0.0 <= base_loss_rate < 1.0:
@@ -245,10 +235,6 @@ class Medium:
         if not 0.0 <= soft_edge_loss <= 1.0:
             raise ValueError(
                 f"soft edge loss must be in [0, 1]: {soft_edge_loss}")
-        if index not in INDEX_MODES:
-            raise ValueError(
-                f"unknown index mode {index!r} (expected one of "
-                f"{INDEX_MODES})")
         self.sim = sim
         self.communication_radius = communication_radius
         self.interference_radius = (communication_radius
@@ -264,7 +250,6 @@ class Medium:
         # rather than binary (the Figure 4 speed effect depends on it).
         self.soft_edge_start = soft_edge_start
         self.soft_edge_loss = soft_edge_loss
-        self.index_mode = index
         self.stats = RadioStats(started_at=sim.now)
         # Telemetry: the same accounting RadioStats keeps, republished as
         # registry instruments for dashboards and the Prometheus export.
@@ -294,14 +279,12 @@ class Medium:
         # Separate stream so adding a disturbance never perturbs the
         # baseline loss draws of an otherwise identical run.
         self._jam_rng = sim.rng.stream("radio.jam")
-        # Attach order per node id: the grid index sorts its candidate
-        # sets by it so both index modes draw loss randomness in the
-        # same (dict-insertion) order — the determinism the equivalence
-        # suite locks down.
+        # Attach order per node id: candidate sets are sorted by it so
+        # loss randomness is drawn in the same order as a full scan of
+        # ``_ports`` — the determinism the equivalence suite locks down.
         self._attach_order: Dict[int, int] = {}
         self._attach_counter = 0
-        self._index: Optional[_GridIndex] = (
-            _GridIndex(communication_radius) if index == "grid" else None)
+        self._index = _GridIndex(communication_radius)
         self._active_cells: Dict[Tuple[int, int], List[_Transmission]] = {}
 
     # ------------------------------------------------------------------
@@ -314,8 +297,7 @@ class Medium:
         self._ports[port.node_id] = port
         self._attach_order[port.node_id] = self._attach_counter
         self._attach_counter += 1
-        if self._index is not None:
-            self._index.add(port)
+        self._index.add(port)
 
     def detach(self, node_id: int) -> None:
         """Remove a transceiver from the channel.
@@ -327,8 +309,7 @@ class Medium:
         """
         self._ports.pop(node_id, None)
         self._attach_order.pop(node_id, None)
-        if self._index is not None:
-            self._index.remove(node_id)
+        self._index.remove(node_id)
 
     def refresh_position(self, node_id: int) -> None:
         """Re-bucket a node after it moved (no-op for unknown nodes).
@@ -340,7 +321,7 @@ class Medium:
         flight (airtime is milliseconds; field motes are static).
         """
         port = self._ports.get(node_id)
-        if port is not None and self._index is not None:
+        if port is not None:
             self._index.refresh(port)
 
     def port(self, node_id: int) -> TransceiverPort:
@@ -362,11 +343,9 @@ class Medium:
     def _ports_near(self, position: Position,
                     radius: float) -> Iterable[TransceiverPort]:
         """Ports that *may* be within ``radius`` of ``position``, in
-        attach order.  Callers still apply the exact distance test; both
-        index modes enumerate the true in-range subset in the same order.
+        attach order.  Callers still apply the exact distance test, so the
+        in-range subset comes out in the order a full scan would give.
         """
-        if self._index is None:
-            return self._ports.values()
         order = self._attach_order
         return sorted(self._index.near(position, radius),
                       key=lambda port: order[port.node_id])
@@ -375,8 +354,6 @@ class Medium:
                      radius: float) -> Iterable[_Transmission]:
         """In-flight transmissions whose (snapshotted) source may be
         within ``radius`` of ``position``."""
-        if self._index is None:
-            return self._active
         candidates: List[_Transmission] = []
         for key in self._index.cells_covering(position, radius):
             candidates.extend(self._active_cells.get(key, ()))
@@ -455,6 +432,7 @@ class Medium:
         src_pos = src_port.position
         tx = _Transmission(frame=frame, src_pos=src_pos, start=now,
                            end=now + self.airtime(frame),
+                           cell=self._index.cell_of(src_pos),
                            src_port=src_port)
         self._prune()
         disturbances = self.active_disturbances()
@@ -497,9 +475,7 @@ class Medium:
                         <= self.interference_radius:
                     reception.corrupt("collision")
         self._active.append(tx)
-        if self._index is not None:
-            tx.cell = self._index.cell_of(src_pos)
-            self._active_cells.setdefault(tx.cell, []).append(tx)
+        self._active_cells.setdefault(tx.cell, []).append(tx)
         self.stats.on_send(frame.kind, frame.size_bits, frame.src, now)
         airtime = self.airtime(frame)
         self._frames_sent.inc(1.0, frame.kind)
@@ -563,10 +539,9 @@ class Medium:
         for tx in self._active:
             if tx.end > now:
                 kept.append(tx)
-            elif tx.cell is not None:
-                bucket = self._active_cells.get(tx.cell)
-                if bucket is not None:
-                    bucket.remove(tx)
-                    if not bucket:
-                        del self._active_cells[tx.cell]
+                continue
+            bucket = self._active_cells[tx.cell]
+            bucket.remove(tx)
+            if not bucket:
+                del self._active_cells[tx.cell]
         self._active = kept

@@ -43,8 +43,6 @@ class SensorField:
         MAC installed on every mote (``"csma"`` or ``"null"``).
     task_cost / cpu_queue_limit:
         CPU model for every mote.
-    index:
-        Medium spatial-index strategy (``"grid"`` or ``"bruteforce"``).
     """
 
     def __init__(self, sim: Simulator, communication_radius: float = 6.0,
@@ -55,16 +53,14 @@ class SensorField:
                  cpu_queue_limit: int = 64,
                  propagation_delay: float = 0.0,
                  soft_edge_start: float = 1.0,
-                 soft_edge_loss: float = 0.0,
-                 index: str = "grid") -> None:
+                 soft_edge_loss: float = 0.0) -> None:
         self.sim = sim
         self.medium = Medium(sim, communication_radius=communication_radius,
                              interference_radius=interference_radius,
                              base_loss_rate=base_loss_rate, bitrate=bitrate,
                              propagation_delay=propagation_delay,
                              soft_edge_start=soft_edge_start,
-                             soft_edge_loss=soft_edge_loss,
-                             index=index)
+                             soft_edge_loss=soft_edge_loss)
         self.mac = mac
         self.task_cost = task_cost
         self.cpu_queue_limit = cpu_queue_limit

@@ -5,8 +5,7 @@ laptop-scale model: a single virtual clock, an event heap with stable
 tie-breaking, named seeded random streams and a structured trace log.
 """
 
-from .engine import (SCHEDULER_MODES, SimulationError, Simulator, TimerHandle,
-                     TimerService)
+from .engine import SimulationError, Simulator, TimerHandle, TimerService
 from .events import Event, TraceRecord
 from .rng import RandomStreams, derive_seed
 from .timers import OneShotTimer, PeriodicTimer, WatchdogTimer
@@ -18,7 +17,6 @@ __all__ = [
     "OneShotTimer",
     "PeriodicTimer",
     "RandomStreams",
-    "SCHEDULER_MODES",
     "SimulationError",
     "Simulator",
     "TimerHandle",

@@ -10,20 +10,17 @@ Scheduler
 ---------
 The engine is *cancellation-aware*: EnviroTrack's group management is
 timer-dominated (every heartbeat kicks receive/wait watchdogs), so at
-scale most heap entries are lazily-cancelled garbage.  The default
-``scheduler="lazy"`` keeps the engine fast under that churn:
+scale most heap entries are lazily-cancelled garbage.  The scheduler
+stays fast under that churn:
 
 * a live-event counter makes :meth:`pending` O(1);
 * :meth:`peek_time` lazily discards cancelled heap heads instead of
   scanning (let alone sorting) the heap;
-* the heap is compacted when cancelled entries exceed a configurable
-  fraction of it;
+* the heap is compacted when cancelled entries exceed
+  :data:`COMPACT_RATIO` of it;
 * :class:`TimerHandle` re-arms watchdog/periodic timers by mutating one
-  heap entry's deadline instead of cancel-and-reschedule.
-
-``Simulator(scheduler="heap")`` keeps the original cancel-and-reschedule
-path for differential testing; both schedulers produce byte-identical
-traces (see ``docs/ENGINE.md`` and the scheduler equivalence suite).
+  heap entry's deadline instead of cancel-and-reschedule, yet fires
+  them exactly when cancel-and-reschedule would (see ``docs/ENGINE.md``).
 
 Example
 -------
@@ -49,15 +46,10 @@ from ..telemetry.spans import NullSpanTracker, SpanTracker
 from .events import Event, EventSequencer, TraceRecord
 from .rng import RandomStreams
 
-#: Supported scheduler strategies.  ``"lazy"`` (default) is the
-#: cancellation-aware scheduler; ``"heap"`` is the original
-#: cancel-and-reschedule path, kept for differential testing.
-SCHEDULER_MODES = ("lazy", "heap")
-
 #: Compact once cancelled entries exceed this fraction of the heap…
-DEFAULT_COMPACT_RATIO = 0.5
+COMPACT_RATIO = 0.5
 #: …but never bother below this many cancelled entries.
-DEFAULT_COMPACT_MIN = 64
+COMPACT_MIN = 64
 
 
 class SimulationError(RuntimeError):
@@ -76,7 +68,7 @@ class TimerHandle:
 
     Every re-arm consumes one sequence number — exactly like the
     cancel-and-reschedule it replaces — so tie-breaking, and therefore
-    the whole trace, is byte-identical across schedulers.
+    the whole trace, is what cancel-and-reschedule would produce.
     """
 
     __slots__ = ("callback", "label", "deadline", "seq", "span", "event")
@@ -97,16 +89,13 @@ class TimerHandle:
 class TimerService:
     """Arms, re-arms and cancels :class:`TimerHandle` slots.
 
-    Under the lazy scheduler a re-arm of an already-armed handle is three
-    attribute writes and a sequence-number bump — no allocation, no heap
-    operation.  Under ``scheduler="heap"`` every arm falls back to the
-    original cancel-and-reschedule so the two modes stay differentially
-    comparable.
+    A re-arm of an already-armed handle whose heap entry pops no later
+    than the new deadline is three attribute writes and a sequence-number
+    bump — no allocation, no heap operation.
     """
 
-    def __init__(self, sim: "Simulator", rearm: bool) -> None:
+    def __init__(self, sim: "Simulator") -> None:
         self._sim = sim
-        self._rearm = rearm
 
     def create(self, callback: Callable[[], Any],
                label: str = "timer") -> TimerHandle:
@@ -119,11 +108,6 @@ class TimerService:
         if delay < 0:
             raise SimulationError(
                 f"cannot arm timer {delay!r}s in the past (now={sim._now})")
-        if not self._rearm:
-            self.cancel(handle)
-            handle.event = sim.schedule(delay, self._legacy_fire, handle,
-                                        label=handle.label)
-            return
         deadline = sim._now + delay
         spans = sim._live_spans
         handle.deadline = deadline
@@ -152,16 +136,7 @@ class TimerService:
         if entry is None:
             return
         handle.event = None
-        if not self._rearm:
-            entry.cancel()  # owner callback keeps the counters exact
-            return
         self._sim._note_cancelled()
-
-    @staticmethod
-    def _legacy_fire(handle: TimerHandle) -> None:
-        """heap-mode trampoline: clear the slot, then fire."""
-        handle.event = None
-        handle.callback()
 
 
 class Simulator:
@@ -183,32 +158,15 @@ class Simulator:
         record nothing.  Telemetry is pure side-state either way: the
         event order, RNG streams and trace — hence ``trace_digest`` —
         are identical for both settings.
-    scheduler:
-        ``"lazy"`` (default) enables in-place timer re-arms and heap
-        compaction; ``"heap"`` keeps the original cancel-and-reschedule
-        path.  Traces are byte-identical across both.
-    compact_ratio / compact_min:
-        Lazy-scheduler compaction trigger: the heap is rebuilt without
-        garbage once cancelled entries exceed ``compact_ratio`` of the
-        heap *and* number at least ``compact_min``.
+
+    The heap is rebuilt without garbage once cancelled entries exceed
+    :data:`COMPACT_RATIO` of it *and* number at least :data:`COMPACT_MIN`.
     """
 
     def __init__(self, seed: int = 0,
                  trace_capacity: Optional[int] = None,
-                 telemetry: bool = True,
-                 scheduler: str = "lazy",
-                 compact_ratio: float = DEFAULT_COMPACT_RATIO,
-                 compact_min: int = DEFAULT_COMPACT_MIN) -> None:
-        if scheduler not in SCHEDULER_MODES:
-            raise ValueError(f"unknown scheduler {scheduler!r} "
-                             f"(expected one of {SCHEDULER_MODES})")
-        if not 0.0 < compact_ratio <= 1.0:
-            raise ValueError(
-                f"compact_ratio must be in (0, 1]: {compact_ratio}")
+                 telemetry: bool = True) -> None:
         self.seed = seed
-        self.scheduler = scheduler
-        self.compact_ratio = compact_ratio
-        self.compact_min = max(1, compact_min)
         self._now = 0.0
         self._heap: List[Event] = []
         self._seq = EventSequencer()
@@ -248,7 +206,7 @@ class Simulator:
         self._compactions_counter = self.metrics.counter(
             "repro_sim_compactions_total",
             "Heap compactions (garbage-triggered rebuilds).")
-        self.timers = TimerService(self, rearm=(scheduler == "lazy"))
+        self.timers = TimerService(self)
         self._profiler: Optional[EventLoopProfiler] = None
 
     # ------------------------------------------------------------------
@@ -329,9 +287,8 @@ class Simulator:
         """One live heap entry just became garbage (cancel or stale re-arm)."""
         self._live -= 1
         self._cancelled += 1
-        if (self.scheduler == "lazy"
-                and self._cancelled >= self.compact_min
-                and self._cancelled > self.compact_ratio * len(self._heap)):
+        if (self._cancelled >= COMPACT_MIN
+                and self._cancelled > COMPACT_RATIO * len(self._heap)):
             self._compact()
 
     def _compact(self) -> None:
@@ -362,7 +319,7 @@ class Simulator:
         self._publish_engine_metrics()
 
     def _publish_engine_metrics(self) -> None:
-        """Refresh the heap gauges (called on compaction and run exit)."""
+        """Refresh the heap gauges (on compaction and run/step exit)."""
         self._heap_gauge.set(len(self._heap))
         self._cancelled_gauge.set(self._cancelled)
 
@@ -463,6 +420,7 @@ class Simulator:
             return event
         finally:
             self._running = False
+            self._publish_engine_metrics()
 
     def _dispatch(self, event: Event) -> None:
         """Fire one event inside its causal span, optionally profiled."""

@@ -6,10 +6,9 @@ on every heartbeat, fire on silence), and leader heartbeats / member report
 schedules are :class:`PeriodicTimer`s.
 
 All three ride on the engine's :class:`~repro.sim.engine.TimerService`, so
-under the default lazy scheduler a restart (``kick``) mutates the timer's
-single heap entry instead of cancelling it and pushing a new one — the
-dominant cost at scale, since group management kicks a watchdog per
-heartbeat per node.
+a restart (``kick``) mutates the timer's single heap entry instead of
+cancelling it and pushing a new one — the dominant cost at scale, since
+group management kicks a watchdog per heartbeat per node.
 """
 
 from __future__ import annotations

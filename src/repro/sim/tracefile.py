@@ -53,9 +53,9 @@ def trace_digest(source: Union[Simulator, Iterable[TraceRecord]]) -> str:
 
     Two runs are behaviourally identical exactly when their digests match:
     every record's time, category, node and detail participate.  The
-    determinism suite uses this to compare whole runs across repeats,
-    worker processes and medium index modes without shipping full traces
-    around.
+    determinism suite uses this to compare whole runs across repeats and
+    worker processes, and the golden table pins one per scenario family,
+    without shipping full traces around.
     """
     records = source.trace if isinstance(source, Simulator) else source
     digest = hashlib.sha256()

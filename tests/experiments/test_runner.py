@@ -1,13 +1,11 @@
 """Determinism and parity tests for the parallel sweep runner.
 
 The contract under test: a sweep's results are a pure function of its
-scenario descriptions — repeating a run, moving it to a worker process,
-or switching the medium's spatial index must never change a single trace
-record.
+scenario descriptions — repeating a run or moving it to a worker process
+must never change a single trace record.
 """
 
 import pickle
-from dataclasses import replace
 
 from repro.experiments import (TankScenario, chaos, derive_run_seed,
                                parallel_map, run_scenario_outcome,
@@ -35,21 +33,6 @@ def test_run_scenarios_parallel_equals_serial():
     assert [outcome.trace_digest for outcome in serial] == \
         [outcome.trace_digest for outcome in parallel]
     assert serial == parallel
-
-
-def test_grid_and_bruteforce_full_stack_agree():
-    # The spatial index must be invisible to the whole application stack:
-    # same seed, same trace, same analysis results.
-    grid = run_scenario_outcome(CANNED)
-    brute = run_scenario_outcome(replace(CANNED,
-                                         medium_index="bruteforce"))
-    assert grid.trace_digest == brute.trace_digest
-    assert grid.successful_handovers == brute.successful_handovers
-    assert grid.failed_handovers == brute.failed_handovers
-    assert grid.labels_created == brute.labels_created
-    assert grid.coherent == brute.coherent
-    assert grid.coverage == brute.coverage
-    assert grid.communication == brute.communication
 
 
 def test_parallel_map_inline_and_pooled():

@@ -1,12 +1,9 @@
-"""Tests for --trace-out plumbing, the report CLI, and the overhead gate."""
+"""Tests for --trace-out plumbing and the report CLI."""
 
 import xml.dom.minidom
 
-import pytest
-
 from repro.cli import main
 from repro.experiments import TankScenario, dump_scenario_trace
-from repro.experiments.bench import OVERHEAD_FACTOR, OverheadResult
 from repro.experiments.scenarios import run_tank_scenario
 from repro.sim import load_trace, trace_digest
 
@@ -63,29 +60,3 @@ class TestCliTraceOut:
         assert load_trace(str(trace_path))
         output = "\n".join(lines)
         assert "handler" in output  # live runs profile the event loop
-
-
-class TestOverheadGate:
-    def test_ratio_and_within(self):
-        result = OverheadResult(nodes=1, frames=1, repeats=1,
-                                off_seconds=1.0, on_seconds=1.04)
-        assert result.ratio == pytest.approx(1.04)
-        assert result.within()
-        assert not OverheadResult(nodes=1, frames=1, repeats=1,
-                                  off_seconds=1.0,
-                                  on_seconds=1.2).within()
-
-    def test_zero_off_time_is_neutral(self):
-        result = OverheadResult(nodes=1, frames=1, repeats=1,
-                                off_seconds=0.0, on_seconds=0.5)
-        assert result.ratio == 1.0
-
-    def test_factor_is_five_percent(self):
-        assert OVERHEAD_FACTOR == pytest.approx(1.05)
-
-    def test_format_table_mentions_ratio(self):
-        result = OverheadResult(nodes=100, frames=200, repeats=5,
-                                off_seconds=1.0, on_seconds=1.03)
-        table = result.format_table()
-        assert "1.030x" in table
-        assert "telemetry" in table

@@ -208,33 +208,14 @@ def test_stats_reset():
 
 
 # ----------------------------------------------------------------------
-# Spatial index modes and detach semantics
+# Detach semantics
 # ----------------------------------------------------------------------
 
-def test_invalid_index_mode_rejected():
-    sim = Simulator(seed=1)
-    with pytest.raises(ValueError):
-        Medium(sim, communication_radius=2.0, index="quadtree")
-
-
-@pytest.mark.parametrize("index", ["grid", "bruteforce"])
-def test_basic_delivery_in_both_index_modes(index):
-    sim, medium = setup_medium(radius=2.0, index=index)
-    inbox = []
-    make_port(medium, 0, (0.0, 0.0), inbox)
-    make_port(medium, 1, (1.0, 0.0), inbox)
-    make_port(medium, 2, (5.0, 0.0), inbox)
-    medium.transmit(Frame(src=0, dst=BROADCAST, kind="x"))
-    sim.run()
-    assert [node for node, _ in inbox] == [1]
-
-
-@pytest.mark.parametrize("index", ["grid", "bruteforce"])
-def test_detached_receiver_mid_flight_gets_nothing(index):
+def test_detached_receiver_mid_flight_gets_nothing():
     # Regression: a node detached while a frame is in flight must not
     # receive it (its radio is gone), and since no other receiver exists
     # the frame counts as lost.
-    sim, medium = setup_medium(radius=5.0, index=index)
+    sim, medium = setup_medium(radius=5.0)
     inbox = []
     make_port(medium, 0, (0.0, 0.0), inbox)
     make_port(medium, 1, (1.0, 0.0), inbox)
@@ -247,11 +228,10 @@ def test_detached_receiver_mid_flight_gets_nothing(index):
     assert medium.stats.reception_attempts_by_kind["x"] == 0
 
 
-@pytest.mark.parametrize("index", ["grid", "bruteforce"])
-def test_detached_sender_clears_channel_busy(index):
+def test_detached_sender_clears_channel_busy():
     # Regression: an in-flight transmission whose sender has been
     # detached must not keep the channel busy via its stale position.
-    sim, medium = setup_medium(radius=5.0, index=index)
+    sim, medium = setup_medium(radius=5.0)
     make_port(medium, 0, (0.0, 0.0), [])
     make_port(medium, 1, (1.0, 0.0), [])
     medium.transmit(Frame(src=0, dst=BROADCAST, kind="x"))
@@ -260,9 +240,8 @@ def test_detached_sender_clears_channel_busy(index):
     assert not medium.channel_busy((1.0, 0.0))
 
 
-@pytest.mark.parametrize("index", ["grid", "bruteforce"])
-def test_neighbors_of_skips_detached(index):
-    _, medium = setup_medium(radius=2.0, index=index)
+def test_neighbors_of_skips_detached():
+    _, medium = setup_medium(radius=2.0)
     make_port(medium, 0, (0.0, 0.0), [])
     make_port(medium, 1, (1.0, 0.0), [])
     make_port(medium, 2, (1.5, 0.0), [])

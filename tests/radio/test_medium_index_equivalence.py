@@ -1,13 +1,15 @@
-"""Differential suite: grid-indexed medium ≡ brute-force medium.
+"""Differential suite: grid-indexed medium ≡ full-scan reference model.
 
-Two media built from identically seeded simulators — one with the
-uniform-grid spatial index, one with the original full scan — are driven
-through the same randomized program of broadcasts, unicasts, quiesce
-steps, detaches and (quiescent) moves, under random layouts, loss rates
-and disturbances.  Everything observable must match **exactly**:
-delivery logs, carrier sense, neighbor queries, radio statistics and the
-whole-trace digest.  Any divergence means the index changed physics (or
-RNG draw order), not just speed.
+Two media built from identically seeded simulators — the real,
+grid-indexed :class:`Medium` and :class:`FullScanMedium`, a reference
+model kept here whose candidate queries scan every port and every
+in-flight transmission — are driven through the same randomized program
+of broadcasts, unicasts, quiesce steps, detaches and (quiescent) moves,
+under random layouts, loss rates and disturbances.  Everything
+observable must match **exactly**: delivery logs, carrier sense,
+neighbor queries, radio statistics and the whole-trace digest.  Any
+divergence means the index changed physics (or RNG draw order), not
+just speed.
 
 Frames are created with explicit ``frame_id``s so both media transmit
 literally identical frames regardless of module-global counter state.
@@ -22,6 +24,17 @@ from repro.radio import BROADCAST, Frame, Medium, TransceiverPort
 from repro.sim import Simulator, trace_digest
 
 FIELD = 40.0
+
+
+class FullScanMedium(Medium):
+    """Reference model: no spatial index, every query is a full scan in
+    attach order."""
+
+    def _ports_near(self, position, radius):
+        return list(self._ports.values())
+
+    def _active_near(self, position, radius):
+        return list(self._active)
 
 
 def positions_strategy():
@@ -56,13 +69,13 @@ def ops_strategy(node_count: int):
 class _Rig:
     """One medium plus the mutable state the op program manipulates."""
 
-    def __init__(self, index, seed, positions, loss, soft_start,
+    def __init__(self, medium_class, seed, positions, loss, soft_start,
                  soft_loss, disturbances):
         self.sim = Simulator(seed=seed)
-        self.medium = Medium(self.sim, communication_radius=6.0,
-                             base_loss_rate=loss,
-                             soft_edge_start=soft_start,
-                             soft_edge_loss=soft_loss, index=index)
+        self.medium = medium_class(self.sim, communication_radius=6.0,
+                                   base_loss_rate=loss,
+                                   soft_edge_start=soft_start,
+                                   soft_edge_loss=soft_loss)
         for extra, start, end in disturbances:
             self.medium.add_disturbance(extra, start, end)
         self.positions = {i: pos for i, pos in enumerate(positions)}
@@ -125,21 +138,21 @@ class _Rig:
            max_size=2),
        seed=st.integers(min_value=0, max_value=2**31),
        data=st.data())
-def test_grid_equals_bruteforce(positions, loss, soft, disturbances,
-                                seed, data):
+def test_grid_equals_full_scan(positions, loss, soft, disturbances,
+                               seed, data):
     ops = data.draw(ops_strategy(len(positions)))
     soft_start, soft_loss = soft
     results = []
-    for index in ("grid", "bruteforce"):
-        rig = _Rig(index, seed, positions, loss, soft_start, soft_loss,
-                   disturbances)
+    for medium_class in (Medium, FullScanMedium):
+        rig = _Rig(medium_class, seed, positions, loss, soft_start,
+                   soft_loss, disturbances)
         probes = rig.run(ops)
         results.append(rig.observations(probes))
-    grid, brute = results
-    assert grid[0] == brute[0], "delivery logs diverged"
-    assert grid[1] == brute[1], "busy/neighbor probes diverged"
-    assert grid[2] == brute[2], "radio stats diverged"
-    assert grid[3] == brute[3], "trace digests diverged"
+    grid, scan = results
+    assert grid[0] == scan[0], "delivery logs diverged"
+    assert grid[1] == scan[1], "busy/neighbor probes diverged"
+    assert grid[2] == scan[2], "radio stats diverged"
+    assert grid[3] == scan[3], "trace digests diverged"
 
 
 @settings(max_examples=50, deadline=None)
@@ -150,21 +163,15 @@ def test_grid_equals_bruteforce(positions, loss, soft, disturbances,
            st.floats(min_value=-FIELD, max_value=FIELD, allow_nan=False)))
 def test_neighbor_queries_match_any_radius(positions, radius, origin):
     """neighbors_of with an explicit radius — larger or smaller than the
-    cell size — returns the same set under both index modes, and exactly
-    the closed-disk membership (boundary inclusive)."""
-    media = []
-    for index in ("grid", "bruteforce"):
-        sim = Simulator(seed=1)
-        medium = Medium(sim, communication_radius=6.0, index=index)
-        for i, pos in enumerate(positions):
-            medium.attach(TransceiverPort(i, (lambda p=pos: p),
-                                          lambda frame: None))
-        medium.attach(TransceiverPort(999, (lambda: origin),
+    cell size — returns exactly the closed-disk membership (boundary
+    inclusive)."""
+    medium = Medium(Simulator(seed=1), communication_radius=6.0)
+    for i, pos in enumerate(positions):
+        medium.attach(TransceiverPort(i, (lambda p=pos: p),
                                       lambda frame: None))
-        media.append(medium)
-    grid, brute = media
+    medium.attach(TransceiverPort(999, (lambda: origin),
+                                  lambda frame: None))
     expected = sorted(
         i for i, pos in enumerate(positions)
         if math.hypot(pos[0] - origin[0], pos[1] - origin[1]) <= radius)
-    assert grid.neighbors_of(999, radius=radius) == expected
-    assert brute.neighbors_of(999, radius=radius) == expected
+    assert medium.neighbors_of(999, radius=radius) == expected

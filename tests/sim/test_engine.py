@@ -5,8 +5,13 @@ import inspect
 import pytest
 
 import repro.sim.engine as engine_module
-from repro.sim import (SCHEDULER_MODES, SimulationError, Simulator,
-                       WatchdogTimer)
+from repro.sim import SimulationError, Simulator, WatchdogTimer
+
+
+def compact_early(monkeypatch, minimum, ratio):
+    """Lower the compaction trigger so a small test heap reaches it."""
+    monkeypatch.setattr(engine_module, "COMPACT_MIN", minimum)
+    monkeypatch.setattr(engine_module, "COMPACT_RATIO", ratio)
 
 
 def test_events_fire_in_time_order():
@@ -175,20 +180,6 @@ def test_events_fired_counter():
 # ----------------------------------------------------------------------
 # Cancellation-aware scheduler
 # ----------------------------------------------------------------------
-def test_unknown_scheduler_rejected():
-    with pytest.raises(ValueError):
-        Simulator(scheduler="fifo")
-    for mode in SCHEDULER_MODES:
-        assert Simulator(scheduler=mode).scheduler == mode
-
-
-def test_bad_compact_ratio_rejected():
-    with pytest.raises(ValueError):
-        Simulator(compact_ratio=0.0)
-    with pytest.raises(ValueError):
-        Simulator(compact_ratio=1.5)
-
-
 def test_peek_time_does_not_sort_the_heap():
     # Regression guard for the original O(n log n) implementation:
     # peeking must lazily discard cancelled heads, never sort.
@@ -197,9 +188,8 @@ def test_peek_time_does_not_sort_the_heap():
     assert "sorted(" not in inspect.getsource(engine_module.Simulator.pending)
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULER_MODES)
-def test_pending_counter_exact_under_cancel_churn(scheduler):
-    sim = Simulator(seed=5, scheduler=scheduler)
+def test_pending_counter_exact_under_cancel_churn():
+    sim = Simulator(seed=5)
     rng = sim.rng.stream("test.churn")
     events = []
     expected = 0
@@ -221,9 +211,8 @@ def test_pending_counter_exact_under_cancel_churn(scheduler):
     assert sim.cancelled_pending() == 0
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULER_MODES)
-def test_peek_time_exact_under_cancel_churn(scheduler):
-    sim = Simulator(seed=6, scheduler=scheduler)
+def test_peek_time_exact_under_cancel_churn():
+    sim = Simulator(seed=6)
     rng = sim.rng.stream("test.churn")
     events = {}
     for i in range(300):
@@ -288,8 +277,9 @@ def test_step_skips_cancelled_and_reports_none_when_drained():
     assert sim.step() is None
 
 
-def test_compaction_reclaims_garbage_and_keeps_order():
-    sim = Simulator(seed=1, compact_min=8, compact_ratio=0.25)
+def test_compaction_reclaims_garbage_and_keeps_order(monkeypatch):
+    compact_early(monkeypatch, 8, 0.25)
+    sim = Simulator(seed=1)
     fired = []
     doomed = [sim.schedule(5.0 + i * 0.01, fired.append, f"dead{i}")
               for i in range(40)]
@@ -301,27 +291,18 @@ def test_compaction_reclaims_garbage_and_keeps_order():
     assert sim.compactions > 0
     # Residual garbage stays below the compaction trigger floor, and the
     # heap holds exactly live + residual-garbage entries.
-    assert sim.cancelled_pending() < sim.compact_min
+    assert sim.cancelled_pending() < engine_module.COMPACT_MIN
     assert sim.pending() == 3
     assert sim.heap_size() == sim.pending() + sim.cancelled_pending()
     sim.run()
     assert fired == ["live0", "live1", "live2"]
 
 
-def test_heap_scheduler_never_compacts():
-    sim = Simulator(scheduler="heap", compact_min=4, compact_ratio=0.1)
-    for i in range(50):
-        sim.schedule(1.0, lambda: None).cancel()
-    assert sim.compactions == 0
-    assert sim.cancelled_pending() == 50
-    sim.run()
-    assert sim.cancelled_pending() == 0
-
-
-def test_compaction_normalizes_rearmed_timer_entries():
+def test_compaction_normalizes_rearmed_timer_entries(monkeypatch):
     # A deferred (in-place re-armed) watchdog entry must survive
     # compaction at its *true* deadline, not the stale heap key.
-    sim = Simulator(seed=2, compact_min=4, compact_ratio=0.1)
+    compact_early(monkeypatch, 4, 0.1)
+    sim = Simulator(seed=2)
     fired = []
     dog = WatchdogTimer(sim, timeout=1.0, callback=lambda: fired.append(
         sim.now), label="dog")
@@ -335,8 +316,9 @@ def test_compaction_normalizes_rearmed_timer_entries():
     assert fired == [1.5]
 
 
-def test_engine_gauges_published_after_run():
-    sim = Simulator(seed=3, compact_min=4, compact_ratio=0.1)
+def test_engine_gauges_published_after_run(monkeypatch):
+    compact_early(monkeypatch, 4, 0.1)
+    sim = Simulator(seed=3)
     for i in range(10):
         sim.schedule(1.0, lambda: None).cancel()
     sim.schedule(2.0, lambda: None)
@@ -350,8 +332,19 @@ def test_engine_gauges_published_after_run():
     assert sim.compactions > 0
 
 
+def test_engine_gauges_published_after_step():
+    sim = Simulator(seed=3)
+    for delay in (1.0, 2.0, 3.0):
+        sim.schedule(delay, lambda: None)
+    sim.step()
+    assert sim.heap_size() == 2
+    assert sim.metrics.gauge("repro_sim_heap_size", "").value() == 2.0
+    assert sim.metrics.gauge("repro_sim_cancelled_pending",
+                             "").value() == 0.0
+
+
 def test_heap_size_and_cancelled_pending_track_garbage():
-    sim = Simulator(scheduler="heap")
+    sim = Simulator()
     live = sim.schedule(1.0, lambda: None)
     dead = sim.schedule(2.0, lambda: None)
     dead.cancel()

@@ -1,42 +1,76 @@
-"""The lazy scheduler must be trace-equivalent to cancel-and-reschedule.
+"""In-place timer re-arms must be trace-equivalent to cancel-and-reschedule.
 
 Random programs of schedules, cancellations, watchdog kicks and periodic
-stop/starts are run under both ``Simulator(scheduler="lazy")`` and
-``Simulator(scheduler="heap")``; fire order, trace digest and the
-events-fired count must match exactly.  A separate property pins the
-lazy scheduler's raison d'être: the heap stays bounded by the number of
-*live* timers under sustained watchdog churn, instead of growing with
-the kick count.
+stop/starts are run twice: once on the engine's :class:`TimerService`,
+once on :class:`RescheduleTimers`, a reference model kept here that
+cancels the pending event and schedules a fresh one on every arm.  Fire
+order, trace digest and the events-fired count must match exactly.  A
+separate property pins why the engine re-arms in place: the heap stays
+bounded by the number of *live* timers under sustained watchdog churn,
+instead of growing with the kick count.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.engine as engine_module
 from repro.sim import (OneShotTimer, PeriodicTimer, Simulator,
-                       WatchdogTimer, trace_digest)
+                       TimerService, WatchdogTimer, trace_digest)
+
+
+class RescheduleTimers(TimerService):
+    """Reference model: every arm is a cancel plus a plain ``schedule``."""
+
+    def arm(self, handle, delay):
+        self.cancel(handle)
+        handle.event = self._sim.schedule(delay, self._fire, handle,
+                                          label=handle.label)
+
+    def cancel(self, handle):
+        if handle.event is not None:
+            handle.event.cancel()
+            handle.event = None
+
+    @staticmethod
+    def _fire(handle):
+        handle.event = None
+        handle.callback()
+
+
+@pytest.fixture
+def early_compaction(monkeypatch):
+    """Compact small heaps too, so compaction runs inside the programs."""
+    monkeypatch.setattr(engine_module, "COMPACT_MIN", 4)
+    monkeypatch.setattr(engine_module, "COMPACT_RATIO", 0.25)
+
+
+def ticks(low, high):
+    """Multiples of 1/16 s: exact in binary floating point, so deadlines
+    often tie and the ``(time, seq)`` tie-break decides the fire order."""
+    return st.integers(min_value=low, max_value=high).map(
+        lambda k: k / 16.0)
+
 
 # One program step: advance a little, then apply one action to one of the
 # program's timers/events.  Both runs consume the identical step list.
 steps = st.lists(
     st.tuples(
-        st.floats(min_value=0.01, max_value=0.4,
-                  allow_nan=False, allow_infinity=False),  # dt
+        ticks(1, 6),                                       # dt
         st.integers(min_value=0, max_value=5),             # action
         st.integers(min_value=0, max_value=7),             # target index
-        st.floats(min_value=0.05, max_value=1.5,
-                  allow_nan=False, allow_infinity=False),  # delay param
+        ticks(1, 24),                                      # delay param
     ),
     min_size=1, max_size=40)
 
-timeouts = st.lists(st.floats(min_value=0.1, max_value=1.0,
-                              allow_nan=False, allow_infinity=False),
-                    min_size=3, max_size=3)
+timeouts = st.lists(ticks(2, 16), min_size=3, max_size=3)
 
 
-def _run_program(scheduler, program, dog_timeouts, seed):
+def _run_program(reference, program, dog_timeouts, seed):
     """Execute one generated program; return (fire log, digest, fired)."""
-    sim = Simulator(seed=seed, scheduler=scheduler,
-                    compact_min=4, compact_ratio=0.25)
+    sim = Simulator(seed=seed)
+    if reference:
+        sim.timers = RescheduleTimers(sim)
     log = []
 
     def note(kind, idx):
@@ -47,12 +81,20 @@ def _run_program(scheduler, program, dog_timeouts, seed):
                           callback=lambda i=i: note("dog", i),
                           label=f"dog{i}")
             for i, timeout in enumerate(dog_timeouts)]
-    ticker = PeriodicTimer(sim, 0.3, lambda: note("tick", 0),
+    ticker = PeriodicTimer(sim, 0.25, lambda: note("tick", 0),
                            label="tick")
     shot = OneShotTimer(sim, lambda: note("shot", 0), label="shot")
     plain = []
 
-    def apply(action, idx, param):
+    def apply(step):
+        _, action, idx, param = program[step]
+        # Each step schedules the next, so step events draw sequence
+        # numbers between timer arms, and records itself, so the digest
+        # sees which of two simultaneous events ran first.
+        if step + 1 < len(program):
+            sim.schedule(program[step + 1][0], apply, step + 1,
+                         label="step")
+        sim.record("step", action=action, idx=idx)
         if action == 0:
             plain.append(sim.schedule(param, note, "plain", len(plain),
                                       label="plain"))
@@ -70,20 +112,18 @@ def _run_program(scheduler, program, dog_timeouts, seed):
         else:
             shot.start(param)
 
-    when = 0.0
-    for dt, action, idx, param in program:
-        when += dt
-        sim.schedule_at(when, apply, action, idx, param)
-    sim.run(until=when + 3.0)
+    sim.schedule(program[0][0], apply, 0, label="step")
+    sim.run(until=sum(step[0] for step in program) + 3.0)
     return log, trace_digest(sim), sim.events_fired
 
 
+@pytest.mark.usefixtures("early_compaction")
 @given(steps, timeouts, st.integers(min_value=0, max_value=2 ** 16))
 @settings(max_examples=120, deadline=None)
 def test_random_programs_fire_identically(program, dog_timeouts, seed):
-    lazy = _run_program("lazy", program, dog_timeouts, seed)
-    heap = _run_program("heap", program, dog_timeouts, seed)
-    assert lazy == heap
+    rearmed = _run_program(False, program, dog_timeouts, seed)
+    rescheduled = _run_program(True, program, dog_timeouts, seed)
+    assert rearmed == rescheduled
 
 
 @given(st.integers(min_value=1, max_value=30),
@@ -114,9 +154,10 @@ def test_heap_bounded_under_sustained_watchdog_churn(dog_count, period):
     assert kicks * dog_count > 10 * bound  # the bound actually bites
 
 
-def test_compaction_bounds_plain_cancel_churn():
+def test_compaction_bounds_plain_cancel_churn(monkeypatch):
     """Cancel-heavy plain-event load stays bounded via compaction."""
-    sim = Simulator(seed=8, compact_min=32, compact_ratio=0.25)
+    monkeypatch.setattr(engine_module, "COMPACT_MIN", 32)
+    sim = Simulator(seed=8)
     peak = [0]
 
     def churn(round_no):
