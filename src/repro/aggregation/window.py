@@ -17,11 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..telemetry.registry import NullRegistry
+from ..telemetry.registry import MetricsRegistry
 from .functions import AggregationFn
-
-#: Shared sink for stores constructed without a metrics registry.
-_NULL_METRICS = NullRegistry()
 
 
 @dataclass(frozen=True)
@@ -128,16 +125,13 @@ class AggregateStore:
     """All sliding windows of one context label, owned by its leader."""
 
     def __init__(self, specs: List[AggregateVarSpec],
-                 registry, metrics=None) -> None:
+                 registry, metrics: MetricsRegistry) -> None:
         self._windows: Dict[str, SlidingWindow] = {}
         for spec in specs:
             if spec.name in self._windows:
                 raise ValueError(f"duplicate aggregate var {spec.name!r}")
             self._windows[spec.name] = SlidingWindow(
                 spec, registry.get(spec.function))
-        # Telemetry: leaders pass the run's MetricsRegistry; stores built
-        # without one (unit tests, ad-hoc scripts) count into a null sink.
-        metrics = metrics if metrics is not None else _NULL_METRICS
         self._reports_metric = metrics.counter(
             "repro_agg_reports_total",
             "Member readings folded into aggregate windows, by variable.",

@@ -64,10 +64,9 @@ class EnviroTrackApp:
         core works without them).
     registry:
         Custom aggregation registry; defaults to a fresh stock registry.
-    telemetry:
-        Passed to the :class:`Simulator`; False turns the metrics
-        registry and span tracker into null objects.  Either way the
-        run's trace (and so its digest) is identical.
+
+    The simulator's metrics registry and span tracker are always live
+    (``app.sim.metrics``, ``app.sim.spans``); neither changes the trace.
     """
 
     def __init__(self, seed: int = 0, communication_radius: float = 6.0,
@@ -76,9 +75,8 @@ class EnviroTrackApp:
                  cpu_queue_limit: int = 64,
                  soft_edge_start: float = 1.0, soft_edge_loss: float = 0.0,
                  enable_directory: bool = True, enable_mtp: bool = True,
-                 registry: Optional[AggregationRegistry] = None,
-                 telemetry: bool = True) -> None:
-        self.sim = Simulator(seed=seed, telemetry=telemetry)
+                 registry: Optional[AggregationRegistry] = None) -> None:
+        self.sim = Simulator(seed=seed)
         self.field = SensorField(
             self.sim, communication_radius=communication_radius,
             base_loss_rate=base_loss_rate, bitrate=bitrate, mac=mac,

@@ -69,9 +69,6 @@ class TankScenario:
     enable_directory: bool = False
     enable_mtp: bool = False
     leader_kill_times: Tuple[float, ...] = field(default_factory=tuple)
-    #: Run with the metrics registry + span tracker live (True) or as
-    #: null objects (False); trace digests are identical either way.
-    telemetry: bool = True
     seed: int = 0
 
     @property
@@ -166,7 +163,6 @@ def build_app(scenario: TankScenario) -> EnviroTrackApp:
         cpu_queue_limit=scenario.cpu_queue_limit,
         enable_directory=scenario.enable_directory,
         enable_mtp=scenario.enable_mtp,
-        telemetry=scenario.telemetry,
     )
     if scenario.deployment_jitter > 0:
         app.field.deploy_jittered_grid(scenario.columns, scenario.rows,

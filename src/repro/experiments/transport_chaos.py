@@ -171,11 +171,10 @@ class TransportChaosResult:
 
 
 def _transport_run(spec: TransportChaosSpec,
-                   trace_out: Optional[str] = None,
-                   telemetry: bool = True) -> TransportOutcome:
+                   trace_out: Optional[str] = None) -> TransportOutcome:
     """One run: build the grid, stream invocations, inject faults."""
     reset_frame_ids()
-    sim = Simulator(seed=spec.seed, telemetry=telemetry)
+    sim = Simulator(seed=spec.seed)
     field = SensorField(sim, communication_radius=spec.communication_radius,
                         base_loss_rate=spec.base_loss_rate)
     motes = field.deploy_grid(spec.columns, spec.rows)

@@ -158,7 +158,7 @@ class GroupManager(Component):
         self._listeners: List[GroupListener] = []
         self._rng = self.sim.rng.stream("gm.jitter")
         mote.add_reboot_hook(self._on_reboot)
-        # Telemetry (side-state only; no-ops when telemetry is off).
+        # Telemetry (side-state only).
         metrics = self.sim.metrics
         self._leadership_gauge = metrics.gauge(
             "repro_gm_active_leaderships",

@@ -120,7 +120,7 @@ class DirectoryService(Component):
         self._entries: Dict[str, DirectoryEntry] = {}
         self._pending_queries: Dict[int, _PendingLookup] = {}
         self._query_seq = 0
-        # Telemetry counters (no-ops when telemetry is disabled).
+        # Telemetry counters (side-state only).
         self._ops_metric = self.sim.metrics.counter(
             "repro_directory_ops_total",
             "Directory operations by kind.", ("op",))

@@ -130,7 +130,9 @@ class Cpu:
     # ------------------------------------------------------------------
     def _begin(self, task: _Task) -> None:
         self._busy = True
-        self.sim.schedule(task.cost, self._finish, task, label="cpu.service")
+        # The service event carries the task's own label (``rx.<kind>``,
+        # ``timer.<label>`` …) so the profiler files handler work under it.
+        self.sim.schedule(task.cost, self._finish, task, label=task.label)
 
     def _finish(self, task: _Task) -> None:
         self.busy_time += task.cost

@@ -114,7 +114,7 @@ class EnergyMeter:
         self.ledgers: Dict[int, EnergyLedger] = {}
         self._cpu_seen: Dict[int, float] = {}
         self._motes: Dict[int, object] = {}
-        # Telemetry (no-ops when the simulator's telemetry is disabled):
+        # Telemetry (side-state only):
         # tx/rx counters accrue as frames move; the by-activity gauge is
         # refreshed whenever a readout computes the breakdown.
         metrics = sim.metrics

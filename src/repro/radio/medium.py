@@ -254,7 +254,7 @@ class Medium:
         # Telemetry: the same accounting RadioStats keeps, republished as
         # registry instruments for dashboards and the Prometheus export.
         # RadioStats stays canonical (collectors and tests read it); the
-        # registry is side-state and no-ops when telemetry is disabled.
+        # registry is side-state.
         metrics = sim.metrics
         self._frames_sent = metrics.counter(
             "repro_radio_frames_sent_total",

@@ -22,6 +22,13 @@ stays fast under that churn:
   heap entry's deadline instead of cancel-and-reschedule, yet fires
   them exactly when cancel-and-reschedule would (see ``docs/ENGINE.md``).
 
+Telemetry
+---------
+Every simulator owns a metrics registry (``.metrics``) and a causal span
+tracker (``.spans``); there is no off switch.  Each scheduled event
+captures the current span and the dispatcher restores it around the
+callback.  Neither touches the RNG streams or the trace.
+
 Example
 -------
 >>> sim = Simulator(seed=7)
@@ -41,8 +48,8 @@ from collections import deque
 from typing import Any, Callable, Deque, Iterable, List, Optional
 
 from ..telemetry.profiler import EventLoopProfiler
-from ..telemetry.registry import MetricsRegistry, NullRegistry
-from ..telemetry.spans import NullSpanTracker, SpanTracker
+from ..telemetry.registry import MetricsRegistry
+from ..telemetry.spans import SpanTracker
 from .events import Event, EventSequencer, TraceRecord
 from .rng import RandomStreams
 
@@ -109,10 +116,9 @@ class TimerService:
             raise SimulationError(
                 f"cannot arm timer {delay!r}s in the past (now={sim._now})")
         deadline = sim._now + delay
-        spans = sim._live_spans
         handle.deadline = deadline
         handle.seq = sim._seq.next()
-        handle.span = None if spans is None else spans.current
+        handle.span = sim.spans.current
         entry = handle.event
         if entry is not None and entry.time <= deadline:
             # Fast path: the pending entry pops no later than the new
@@ -150,22 +156,19 @@ class Simulator:
     trace_capacity:
         Maximum number of retained trace records (oldest dropped first);
         ``None`` retains everything.
-    telemetry:
-        When True (default) the simulator owns a live
-        :class:`~repro.telemetry.registry.MetricsRegistry` (``.metrics``)
-        and :class:`~repro.telemetry.spans.SpanTracker` (``.spans``).
-        When False both are null objects that accept every call and
-        record nothing.  Telemetry is pure side-state either way: the
-        event order, RNG streams and trace — hence ``trace_digest`` —
-        are identical for both settings.
+
+    Every simulator owns a
+    :class:`~repro.telemetry.registry.MetricsRegistry` (``.metrics``) and
+    a :class:`~repro.telemetry.spans.SpanTracker` (``.spans``).  Both are
+    pure side-state: they never touch the event order, the RNG streams or
+    the trace, so they do not affect ``trace_digest``.
 
     The heap is rebuilt without garbage once cancelled entries exceed
     :data:`COMPACT_RATIO` of it *and* number at least :data:`COMPACT_MIN`.
     """
 
     def __init__(self, seed: int = 0,
-                 trace_capacity: Optional[int] = None,
-                 telemetry: bool = True) -> None:
+                 trace_capacity: Optional[int] = None) -> None:
         self.seed = seed
         self._now = 0.0
         self._heap: List[Event] = []
@@ -182,18 +185,8 @@ class Simulator:
         self.trace_capacity = trace_capacity
         self.trace: Deque[TraceRecord] = deque(maxlen=trace_capacity)
         self._events_fired = 0
-        self.telemetry_enabled = telemetry
-        if telemetry:
-            self.metrics = MetricsRegistry()
-            self.spans = SpanTracker(clock=lambda: self._now)
-        else:
-            self.metrics = NullRegistry()
-            self.spans = NullSpanTracker()
-        # Hot-path alias: the event loop touches span context on every
-        # schedule and dispatch, so it branches on one None check and
-        # plain attribute access instead of calling through self.spans.
-        self._live_spans: Optional[SpanTracker] = \
-            self.spans if telemetry else None
+        self.metrics = MetricsRegistry()
+        self.spans = SpanTracker(clock=lambda: self._now)
         self._trace_counter = self.metrics.counter(
             "repro_trace_records_total",
             "Trace records written, by category.", ("category",))
@@ -265,11 +258,9 @@ class Simulator:
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule at {when!r} before now={self._now}")
-        spans = self._live_spans
         event = Event(time=when, seq=self._seq.next(), callback=callback,
                       args=args, kwargs=kwargs, label=label,
-                      span=None if spans is None else spans.current,
-                      owner=self)
+                      span=self.spans.current, owner=self)
         heapq.heappush(self._heap, event)
         self._live += 1
         return event
@@ -424,19 +415,8 @@ class Simulator:
 
     def _dispatch(self, event: Event) -> None:
         """Fire one event inside its causal span, optionally profiled."""
-        spans = self._live_spans
+        spans = self.spans
         profiler = self._profiler
-        if spans is None:
-            if profiler is None:
-                event.fire()
-                return
-            started = _time.perf_counter()
-            try:
-                event.fire()
-            finally:
-                profiler.note(event.label,
-                              _time.perf_counter() - started)
-            return
         previous = spans.current
         spans.current = event.span
         if profiler is None:

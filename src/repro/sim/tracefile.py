@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Union
 
+from ..telemetry.spans import SpanTracker
 from .engine import Simulator
 from .events import TraceRecord
 
@@ -116,7 +117,7 @@ class TraceQuery:
     """
 
     records: List[TraceRecord]
-    spans: Optional[object] = None
+    spans: Optional[SpanTracker] = None
 
     def _chain(self, records: List[TraceRecord]) -> "TraceQuery":
         return TraceQuery(records, spans=self.spans)
@@ -151,11 +152,11 @@ class TraceQuery:
 
     # -- causal filters (need the run's span tracker) --------------------
     def _tracker(self, method: str):
-        if self.spans is None or not getattr(self.spans, "enabled", False):
+        if self.spans is None:
             raise ValueError(
                 f"TraceQuery.{method}() needs the run's span tracker; "
-                "build the query with query(sim) on a simulator created "
-                "with telemetry=True (loaded trace files carry no spans)")
+                "build the query with query(sim) on a live simulator "
+                "(loaded trace files carry no spans)")
         return self.spans
 
     def span(self, span_id: int) -> "TraceQuery":
@@ -206,7 +207,4 @@ class TraceQuery:
 
 def query(sim: Simulator) -> TraceQuery:
     """Entry point: ``query(sim).category("gm.takeover").count()``."""
-    spans = getattr(sim, "spans", None)
-    if spans is not None and not getattr(spans, "enabled", False):
-        spans = None
-    return TraceQuery(list(sim.trace), spans=spans)
+    return TraceQuery(list(sim.trace), spans=sim.spans)

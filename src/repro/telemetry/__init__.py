@@ -1,8 +1,9 @@
 """Telemetry substrate: metrics, causal spans, profiling, reports.
 
 Four pieces, all strictly outside the deterministic simulation state
-(no RNG draws, no scheduled events, no trace records — ``trace_digest``
-is byte-identical with telemetry on or off):
+(no RNG draws, no scheduled events, no trace records, so they never
+change ``trace_digest``).  Every simulator carries a live registry and
+span tracker; there is no off switch:
 
 * :mod:`~repro.telemetry.registry` — labelled Counter/Gauge/Histogram
   instruments with Prometheus text export, owned per-``Simulator``;
@@ -21,8 +22,8 @@ package for the registry and span tracker.
 
 from .profiler import EventLoopProfiler, HandlerProfile, normalize_label
 from .registry import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
-                       MetricsRegistry, NullRegistry)
-from .spans import NullSpanTracker, SpanRecord, SpanTracker
+                       MetricsRegistry)
+from .spans import SpanRecord, SpanTracker
 
 __all__ = [
     "Counter",
@@ -32,8 +33,6 @@ __all__ = [
     "HandlerProfile",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NullSpanTracker",
     "SpanRecord",
     "SpanTracker",
     "normalize_label",

@@ -6,17 +6,12 @@ manager, transport, naming, aggregation, energy meters) publish counters,
 gauges and histograms into it as they run.  The registry is *pure
 side-state*: reading or writing a metric never draws randomness, never
 schedules an event and never writes a trace record, so a run's
-``trace_digest`` is byte-identical with telemetry enabled or disabled.
+``trace_digest`` does not depend on it.
 
 Instruments follow the Prometheus data model — a metric family has a
 name, a help string and a fixed tuple of label names; each distinct label
 value combination is a separate child series.  :meth:`MetricsRegistry.render_prometheus`
 emits the standard text exposition format.
-
-When telemetry is switched off (``Simulator(telemetry=False)``) the
-simulator holds a :class:`NullRegistry` instead, whose instruments accept
-every call and record nothing — instrumentation sites never need to
-check a flag.
 """
 
 from __future__ import annotations
@@ -265,8 +260,6 @@ class MetricsRegistry:
     subsystems can share a family safely.
     """
 
-    enabled = True
-
     def __init__(self) -> None:
         self._metrics: Dict[str, object] = {}
 
@@ -339,97 +332,3 @@ class MetricsRegistry:
             out[name] = {"kind": metric.kind,  # type: ignore[dict-item]
                          "series": metric.series()}
         return out
-
-
-class _NullInstrument:
-    """Accepts the full Counter/Gauge/Histogram API and records nothing."""
-
-    kind = "null"
-    name = ""
-    help = ""
-    label_names: LabelValues = ()
-    buckets: Tuple[float, ...] = ()
-
-    def inc(self, amount: float = 1.0, *label_values: str) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0, *label_values: str) -> None:
-        pass
-
-    def set(self, value: float, *label_values: str) -> None:
-        pass
-
-    def observe(self, value: float, *label_values: str) -> None:
-        pass
-
-    def labels(self, *label_values: str) -> "_NullInstrument":
-        return self
-
-    def value(self, *label_values: str) -> float:
-        return 0.0
-
-    def total(self) -> float:
-        return 0.0
-
-    def count(self, *label_values: str) -> int:
-        return 0
-
-    def sum(self, *label_values: str) -> float:
-        return 0.0
-
-    def mean(self, *label_values: str) -> float:
-        return 0.0
-
-    def quantile(self, q: float, *label_values: str) -> float:
-        return 0.0
-
-    def series(self) -> dict:
-        return {}
-
-    def render(self) -> List[str]:
-        return []
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry:
-    """Drop-in registry used when telemetry is disabled.
-
-    Every factory returns the shared no-op instrument, so instrumented
-    code pays one dict-free method call and nothing else.
-    """
-
-    enabled = False
-
-    def counter(self, name: str, help: str = "",
-                label_names: Sequence[str] = ()) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, help: str = "",
-              label_names: Sequence[str] = ()) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, help: str = "",
-                  label_names: Sequence[str] = (),
-                  buckets: Sequence[float] = DEFAULT_BUCKETS
-                  ) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def get(self, name: str) -> None:
-        return None
-
-    def names(self) -> List[str]:
-        return []
-
-    def __contains__(self, name: str) -> bool:
-        return False
-
-    def __iter__(self) -> Iterable[str]:
-        return iter(())
-
-    def render_prometheus(self) -> str:
-        return ""
-
-    def snapshot(self) -> dict:
-        return {}

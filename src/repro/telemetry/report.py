@@ -64,21 +64,18 @@ class RunReport:
     @classmethod
     def from_sim(cls, sim, title: str = "simulation run") -> "RunReport":
         """Build a report from a live simulator (full telemetry)."""
-        metrics = sim.metrics if sim.telemetry_enabled else None
-        report = cls(title=title, source="live run",
-                     records=list(sim.trace), metrics=metrics,
-                     profiler=sim.profiler)
         spans = sim.spans
-        if getattr(spans, "enabled", False):
-            names: Dict[str, int] = {}
-            for record in spans.spans():
-                key = record.name.split(".", 1)[0]
-                names[key] = names.get(key, 0) + 1
-            report.span_count = len(spans)
-            report.span_root_count = len(spans.roots())
-            report.span_top_names = sorted(
-                names.items(), key=lambda item: (-item[1], item[0]))[:8]
-        return report
+        names: Dict[str, int] = {}
+        for record in spans.spans():
+            key = record.name.split(".", 1)[0]
+            names[key] = names.get(key, 0) + 1
+        return cls(title=title, source="live run",
+                   records=list(sim.trace), metrics=sim.metrics,
+                   profiler=sim.profiler, span_count=len(spans),
+                   span_root_count=len(spans.roots()),
+                   span_top_names=sorted(
+                       names.items(),
+                       key=lambda item: (-item[1], item[0]))[:8])
 
     @classmethod
     def from_trace_file(cls, path: str,

@@ -19,8 +19,8 @@ Propagation works through two channels:
   and restores it around dispatch.
 
 Like the metrics registry, the tracker is pure side-state: it never draws
-randomness, schedules events or writes trace records, so ``trace_digest``
-is unaffected by tracing being on or off.  Span ids come from a plain
+randomness, schedules events or writes trace records, so it leaves
+``trace_digest`` unaffected.  Span ids come from a plain
 deterministic counter, so they are reproducible run-to-run as well.
 """
 
@@ -60,8 +60,6 @@ class SpanTracker:
     :meth:`span`; the engine moves the context across asynchronous gaps
     with :meth:`swap`.
     """
-
-    enabled = True
 
     def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
@@ -233,54 +231,3 @@ class SpanTracker:
 
         visit(span_id, 0)
         return "\n".join(lines)
-
-
-class NullSpanTracker:
-    """Drop-in tracker used when telemetry is disabled — records nothing."""
-
-    enabled = False
-    current: Optional[int] = None
-
-    def swap(self, span_id: Optional[int]) -> Optional[int]:
-        return None
-
-    @contextmanager
-    def activate(self, span_id: Optional[int]) -> Iterator[None]:
-        yield None
-
-    def start(self, name: str, node: Optional[int] = None,
-              parent: Optional[int] = None, root: bool = False) -> None:
-        return None
-
-    def finish(self, span_id) -> None:
-        pass
-
-    @contextmanager
-    def span(self, name: str, node: Optional[int] = None,
-             parent: Optional[int] = None,
-             root: bool = False) -> Iterator[None]:
-        yield None
-
-    def note_frame(self, span_id, frame_id) -> None:
-        pass
-
-    def __contains__(self, span_id) -> bool:
-        return False
-
-    def __len__(self) -> int:
-        return 0
-
-    def spans(self) -> List[SpanRecord]:
-        return []
-
-    def roots(self) -> List[SpanRecord]:
-        return []
-
-    def children(self, span_id) -> List[SpanRecord]:
-        return []
-
-    def find(self, name_prefix: str) -> List[SpanRecord]:
-        return []
-
-    def span_of_frame(self, frame_id) -> Optional[int]:
-        return None

@@ -199,7 +199,7 @@ class MtpAgent(Component):
         self.acked = 0
         self.retransmitted = 0
         self.dead_lettered = 0
-        # Telemetry counters (no-ops when telemetry is disabled).
+        # Telemetry counters (side-state only).
         metrics = self.sim.metrics
         self._messages_metric = metrics.counter(
             "repro_mtp_messages_total",

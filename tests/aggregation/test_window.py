@@ -5,6 +5,7 @@ import pytest
 from repro.aggregation import (AggregateStore, AggregateVarSpec,
                                default_registry)
 from repro.aggregation.window import SlidingWindow
+from repro.telemetry import MetricsRegistry
 
 
 def make_window(confidence=2, freshness=1.0, function="avg"):
@@ -98,7 +99,7 @@ class TestAggregateStore:
             AggregateVarSpec("heat", "max", "temperature",
                              confidence=1, freshness=2.0),
         ]
-        return AggregateStore(specs, default_registry())
+        return AggregateStore(specs, default_registry(), MetricsRegistry())
 
     def test_report_fans_out_to_windows(self):
         store = self.build()
@@ -126,7 +127,7 @@ class TestAggregateStore:
         specs = [AggregateVarSpec("x", "avg", "s"),
                  AggregateVarSpec("x", "sum", "s")]
         with pytest.raises(ValueError):
-            AggregateStore(specs, default_registry())
+            AggregateStore(specs, default_registry(), MetricsRegistry())
 
     def test_max_freshness(self):
         assert self.build().max_freshness() == pytest.approx(2.0)

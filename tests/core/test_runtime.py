@@ -5,12 +5,13 @@ import pytest
 from repro.aggregation import (AggregateStore, AggregateVarSpec,
                                default_registry)
 from repro.core.runtime import ObjectContext
+from repro.telemetry import MetricsRegistry
 
 
 def make_ctx(specs=None, now=5.0):
     specs = specs or [AggregateVarSpec("location", "avg", "position",
                                        confidence=2, freshness=1.0)]
-    store = AggregateStore(specs, default_registry())
+    store = AggregateStore(specs, default_registry(), MetricsRegistry())
     sent = []
     invoked = []
     state = {"value": None}

@@ -11,6 +11,7 @@ from repro.lang import CompileError, compile_source, default_library
 from repro.node import Mote
 from repro.radio import Medium
 from repro.sim import Simulator
+from repro.telemetry import MetricsRegistry
 
 FIGURE2 = """
 begin context tracker
@@ -40,7 +41,7 @@ def make_ctx(specs=None, reports=None):
     """An ObjectContext wired to in-memory sinks for testing bodies."""
     specs = specs or [AggregateVarSpec("location", "avg", "position",
                                        confidence=1, freshness=10.0)]
-    store = AggregateStore(specs, default_registry())
+    store = AggregateStore(specs, default_registry(), MetricsRegistry())
     sent = []
     invoked = []
     state_box = {"state": None}

@@ -115,3 +115,13 @@ def test_validation():
         Cpu(sim, 0, task_cost=-1.0)
     with pytest.raises(ValueError):
         Cpu(sim, 0, queue_limit=0)
+
+
+def test_profiler_files_service_under_the_task_label():
+    sim = Simulator()
+    profiler = sim.enable_profiler()
+    cpu = Cpu(sim, 0, task_cost=0.01)
+    cpu.post(lambda: None, label="x.y")
+    sim.run()
+    assert "x.y" in profiler
+    assert "cpu.service" not in profiler

@@ -96,10 +96,3 @@ class TestEngineIntegration:
         assert sim.enable_profiler() is p
         sim.disable_profiler()
         assert sim.profiler is None
-
-    def test_profiler_works_with_telemetry_off(self):
-        sim = Simulator(seed=5, telemetry=False)
-        sim.enable_profiler()
-        sim.schedule(1.0, lambda: None, label="x.y")
-        sim.run()
-        assert sim.profiler.events_profiled == 1

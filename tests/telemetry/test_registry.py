@@ -3,7 +3,7 @@
 import pytest
 
 from repro.telemetry.registry import (Counter, Gauge, Histogram,
-                                      MetricsRegistry, NullRegistry)
+                                      MetricsRegistry)
 
 
 class TestCounter:
@@ -158,28 +158,3 @@ class TestRegistry:
         snap = reg.snapshot()
         assert snap["c_total"]["kind"] == "counter"
         assert snap["c_total"]["series"] == {("hb",): 2.0}
-
-
-class TestNullRegistry:
-    def test_accepts_everything_records_nothing(self):
-        reg = NullRegistry()
-        c = reg.counter("n", "", ("kind",))
-        c.inc(5.0, "anything", "even", "wrong", "arity")
-        g = reg.gauge("g")
-        g.set(3.0)
-        g.dec()
-        h = reg.histogram("h")
-        h.observe(1.0)
-        assert c.value() == 0.0
-        assert c.total() == 0.0
-        assert h.count() == 0
-        assert h.quantile(0.5) == 0.0
-        assert reg.names() == []
-        assert "n" not in reg
-        assert reg.render_prometheus() == ""
-        assert reg.snapshot() == {}
-        assert reg.get("n") is None
-
-    def test_labels_chain(self):
-        reg = NullRegistry()
-        reg.counter("n").labels("x").inc()

@@ -2,8 +2,10 @@
 
 from dataclasses import replace
 
+import pytest
+
 from repro.experiments import TankScenario, run_tank_scenario
-from repro.sim import query
+from repro.sim import TraceQuery, dump_trace, load_trace, query
 
 
 def run_quick(**overrides):
@@ -79,12 +81,22 @@ class TestDirectoryLookupStory:
         assert causes.count() >= 0
 
 
-class TestQueryGuards:
-    def test_span_query_requires_live_tracker(self):
-        import pytest
+class TestLiveTelemetry:
+    def test_trace_counter_and_spans_populate(self):
+        sim = run_quick()
+        assert sim.metrics.get("repro_trace_records_total").total() == \
+            len(sim.trace)
+        assert len(sim.spans) > 0
 
-        sim = run_quick(telemetry=False)
+
+class TestQueryGuards:
+    def test_span_query_requires_live_tracker(self, tmp_path):
+        # A loaded trace file carries no spans, so its query has no
+        # tracker and the causal filters must refuse to run.
+        path = str(tmp_path / "run.jsonl")
+        dump_trace(run_quick(), path)
+        loaded = TraceQuery(load_trace(path))
         with pytest.raises(ValueError, match="span tracker"):
-            query(sim).span(1)
+            loaded.span(1)
         with pytest.raises(ValueError, match="span tracker"):
-            query(sim).causes(1)
+            loaded.causes(1)

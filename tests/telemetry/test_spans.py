@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.telemetry.spans import NullSpanTracker, SpanTracker
+from repro.telemetry.spans import SpanTracker
 
 
 def make_tracker(times=None):
@@ -148,25 +148,3 @@ class TestTreeQueries:
         assert lines[0].startswith("r ")
         assert any(line.startswith("    c") and "frames=[5]" in line
                    for line in lines)
-
-
-class TestNullTracker:
-    def test_api_surface_records_nothing(self):
-        tracker = NullSpanTracker()
-        assert tracker.enabled is False
-        assert tracker.start("a") is None
-        tracker.finish(None)
-        tracker.note_frame(None, 1)
-        with tracker.activate(5) as active:
-            assert active is None
-        with tracker.span("x") as sid:
-            assert sid is None
-        assert tracker.swap(3) is None
-        assert tracker.current is None
-        assert len(tracker) == 0
-        assert 1 not in tracker
-        assert tracker.spans() == []
-        assert tracker.roots() == []
-        assert tracker.children(1) == []
-        assert tracker.find("a") == []
-        assert tracker.span_of_frame(1) is None

@@ -80,7 +80,8 @@ ROWS = {
     "tank/plain/seed=11": lambda mp: tank(),
     "tank/directory+mtp/seed=11":
         lambda mp: tank(enable_directory=True, enable_mtp=True),
-    "tank/leader-kill/seed=11": lambda mp: tank(leader_kill_times=(1.0,)),
+    # The tank enters at t=5.0, so the kill must come later to hit a leader.
+    "tank/leader-kill/seed=11": lambda mp: tank(leader_kill_times=(8.0,)),
     "chaos/line/seed=3": lambda mp: captured(
         mp, chaos, lambda: chaos._chaos_run(3, 0.25, 2.0, 1, 0.05, 8, 3)),
     "transport-chaos/reliable/seed=5": lambda mp: captured(
@@ -103,6 +104,11 @@ def load_table() -> dict:
 
 def test_table_has_exactly_the_measured_rows():
     assert sorted(load_table()) == sorted(ROWS)
+
+
+def test_leader_kill_row_differs_from_plain_row():
+    table = load_table()
+    assert table["tank/leader-kill/seed=11"] != table["tank/plain/seed=11"]
 
 
 @pytest.mark.parametrize("name", sorted(ROWS))
