@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 from ..node import Component, Mote
@@ -540,9 +541,9 @@ class GroupManager(Component):
             forwarded_by=self.node_id)
         delay = self._rng.uniform(0, state.config.rebroadcast_jitter)
         self.sim.schedule(
-            delay, self.broadcast, HEARTBEAT_KIND, forwarded.to_payload(),
-            tx_range=state.config.heartbeat_tx_range,
-            label="gm.rebroadcast")
+            delay, partial(self.broadcast,
+                           tx_range=state.config.heartbeat_tx_range),
+            HEARTBEAT_KIND, forwarded.to_payload(), label="gm.rebroadcast")
 
     # ------------------------------------------------------------------
     # Relinquish / claim

@@ -13,8 +13,7 @@ relinquish) run late, and tracking breaks exactly as in the paper.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable, Deque, Optional
+from typing import Any, Callable, Deque, Optional, Tuple
 
 from ..sim import Simulator
 
@@ -26,14 +25,9 @@ DEFAULT_TASK_COST = 0.001
 DEFAULT_QUEUE_LIMIT = 64
 
 
-@dataclass
-class _Task:
-    fn: Callable[..., Any]
-    args: tuple
-    kwargs: dict
-    cost: float
-    label: str
-    posted_at: float
+#: A posted task: ``(fn, args, cost, label, posted_at)``.  A plain tuple,
+#: so a post allocates nothing beyond it and the ``args`` tuple.
+_Task = Tuple[Callable[..., Any], tuple, float, str, float]
 
 
 class Cpu:
@@ -98,9 +92,8 @@ class Cpu:
 
     # ------------------------------------------------------------------
     def post(self, fn: Callable[..., Any], *args: Any,
-             cost: Optional[float] = None, label: str = "task",
-             **kwargs: Any) -> bool:
-        """Enqueue a task; returns False when the task was dropped.
+             cost: Optional[float] = None, label: str = "task") -> bool:
+        """Enqueue ``fn(*args)``; returns False when the task was dropped.
 
         The task runs when the CPU reaches it, *after* its service time —
         so a backlogged CPU delays protocol reactions, which is the effect
@@ -108,9 +101,8 @@ class Cpu:
         """
         if not self.enabled:
             return False
-        task = _Task(fn=fn, args=args, kwargs=kwargs,
-                     cost=self.task_cost if cost is None else cost,
-                     label=label, posted_at=self.sim.now)
+        task = (fn, args, self.task_cost if cost is None else cost, label,
+                self.sim.now)
         if self._busy:
             if len(self._queue) >= self.queue_limit:
                 self.dropped += 1
@@ -132,17 +124,18 @@ class Cpu:
         self._busy = True
         # The service event carries the task's own label (``rx.<kind>``,
         # ``timer.<label>`` …) so the profiler files handler work under it.
-        self.sim.schedule(task.cost, self._finish, task, label=task.label)
+        self.sim.schedule(task[2], self._finish, task, label=task[3])
 
     def _finish(self, task: _Task) -> None:
-        self.busy_time += task.cost
+        fn, args, cost, _, posted_at = task
+        self.busy_time += cost
         if not self.enabled:
             self._busy = False
             return
         self.executed += 1
-        self.total_latency += self.sim.now - task.posted_at
+        self.total_latency += self.sim.now - posted_at
         try:
-            task.fn(*task.args, **task.kwargs)
+            fn(*args)
         finally:
             if self._queue and self.enabled:
                 self._begin(self._queue.popleft())

@@ -62,6 +62,10 @@ class Mote:
         self.rx_cost = task_cost if rx_cost is None else rx_cost
         self.tx_cost = task_cost if tx_cost is None else tx_cost
         self._handlers: Dict[str, List[FrameHandler]] = {}
+        #: CPU task labels ``tx.<kind>`` / ``rx.<kind>``, built once per
+        #: frame kind rather than once per frame.
+        self._tx_labels: Dict[str, str] = {}
+        self._rx_labels: Dict[str, str] = {}
         self._sensors: Dict[str, Callable[[], Any]] = {}
         self._timers: List[Any] = []
         self._reboot_hooks: List[Callable[[], None]] = []
@@ -119,8 +123,11 @@ class Mote:
         """Queue a frame for transmission (charges CPU tx cost first)."""
         if not self.alive:
             return
-        self.cpu.post(self._do_send, frame, cost=self.tx_cost,
-                      label=f"tx.{frame.kind}")
+        kind = frame.kind
+        label = self._tx_labels.get(kind)
+        if label is None:
+            label = self._tx_labels[kind] = "tx." + kind
+        self.cpu.post(self._do_send, frame, cost=self.tx_cost, label=label)
 
     def _do_send(self, frame: Frame) -> None:
         if not self.alive:
@@ -146,8 +153,11 @@ class Mote:
         # the mote only processes frames addressed to it or broadcast.
         if not frame.addressed_to(self.node_id):
             return
-        self.cpu.post(self._dispatch, frame, cost=self.rx_cost,
-                      label=f"rx.{frame.kind}")
+        kind = frame.kind
+        label = self._rx_labels.get(kind)
+        if label is None:
+            label = self._rx_labels[kind] = "rx." + kind
+        self.cpu.post(self._dispatch, frame, cost=self.rx_cost, label=label)
 
     def _dispatch(self, frame: Frame) -> None:
         if not self.alive:
@@ -170,9 +180,10 @@ class Mote:
                  initial_delay: Optional[float] = None,
                  cost: Optional[float] = None) -> PeriodicTimer:
         """A periodic timer whose callback is executed on this mote's CPU."""
+        task_label = "timer." + label
         timer = PeriodicTimer(
             self.sim, period * self.clock_scale,
-            lambda: self._timer_fire(callback, cost, label),
+            lambda: self._timer_fire(callback, cost, task_label),
             label=f"{label}@{self.node_id}",
             initial_delay=(None if initial_delay is None
                            else initial_delay * self.clock_scale))
@@ -183,9 +194,10 @@ class Mote:
                  label: str = "watchdog",
                  cost: Optional[float] = None) -> WatchdogTimer:
         """A watchdog whose expiry handler runs on this mote's CPU."""
+        task_label = "timer." + label
         timer = WatchdogTimer(
             self.sim, timeout * self.clock_scale,
-            lambda: self._timer_fire(callback, cost, label),
+            lambda: self._timer_fire(callback, cost, task_label),
             label=f"{label}@{self.node_id}")
         self._timers.append(timer)
         return timer
@@ -196,18 +208,19 @@ class Mote:
         """An unarmed one-shot timer; arm with ``start(delay)``.  The
         callback runs on this mote's CPU."""
         from ..sim import OneShotTimer
+        task_label = "timer." + label
         timer = OneShotTimer(
             self.sim,
-            lambda: self._timer_fire(callback, cost, label),
+            lambda: self._timer_fire(callback, cost, task_label),
             label=f"{label}@{self.node_id}")
         self._timers.append(timer)
         return timer
 
     def _timer_fire(self, callback: Callable[[], None],
-                    cost: Optional[float], label: str) -> None:
+                    cost: Optional[float], task_label: str) -> None:
         if not self.alive:
             return
-        self.cpu.post(callback, cost=cost, label=f"timer.{label}")
+        self.cpu.post(callback, cost=cost, label=task_label)
 
     # ------------------------------------------------------------------
     # Failure injection

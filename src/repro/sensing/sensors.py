@@ -22,7 +22,7 @@ Models provided:
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .target import Target
 
@@ -35,15 +35,35 @@ def binary_detection_sensor(clock: Clock, position: Position,
                             targets: TargetSource,
                             kinds: Optional[Iterable[str]] = None
                             ) -> Callable[[], bool]:
-    """True iff some (matching) target is within its signature radius."""
+    """True iff some (matching) target is within its signature radius.
+
+    Each target's :meth:`~repro.sensing.target.Target.detection_window`
+    for ``position`` is computed on first sight and cached for the life
+    of the sensor, keyed by target identity (targets are unhashable).
+    A read skips a target whose window does not hold the current time and
+    runs the unchanged :meth:`~repro.sensing.target.Target.detectable_from`
+    test otherwise.  Exactness contract: the window is a filter, not an
+    approximation — it never excludes a time at which the target is
+    detectable, so every read returns the same boolean as testing every
+    target.  A target's trajectory, radius and active window must
+    therefore not change after it has been read.
+    """
     kind_set = None if kinds is None else set(kinds)
+    # id(target) -> (target, lo, hi); holding the target keeps its id
+    # from being reused by another object while the entry exists.
+    windows: Dict[int, Tuple[Target, float, float]] = {}
 
     def read() -> bool:
         t = clock()
         for target in targets():
             if kind_set is not None and target.kind not in kind_set:
                 continue
-            if target.detectable_from(position, t):
+            entry = windows.get(id(target))
+            if entry is None:
+                entry = windows[id(target)] = (
+                    target, *target.detection_window(position))
+            if entry[1] <= t <= entry[2] and target.detectable_from(
+                    position, t):
                 return True
         return False
 

@@ -73,6 +73,20 @@ class Target:
         return (self.active_at(t)
                 and self.distance_to(point, t) <= self.signature_radius)
 
+    def detection_window(self, point: Position) -> Tuple[float, float]:
+        """A closed interval ``(lo, hi)`` outside which
+        :meth:`detectable_from` is False for ``point``.
+
+        Exactness contract: a filter, not an approximation.  The interval
+        is the trajectory's :meth:`~Trajectory.times_within` window for
+        the signature radius, cut to the active window; it may be wider
+        than the true detection window but never narrower.  ``lo > hi``
+        means the target is never detectable from ``point``.
+        """
+        lo, hi = self.trajectory.times_within(point, self.signature_radius)
+        until = math.inf if self.active_until is None else self.active_until
+        return (max(lo, self.active_from), min(hi, until))
+
 
 def fire_target(name: str, point: Position, radius: float = 1.0,
                 temperature: float = 400.0,
@@ -105,3 +119,9 @@ class GrowingTarget(Target):
     def detectable_from(self, point: Position, t: float) -> bool:
         return (self.active_at(t)
                 and self.distance_to(point, t) <= self.radius_at(t))
+
+    def detection_window(self, point: Position) -> Tuple[float, float]:
+        """The active window: the radius grows, so the trajectory's
+        fixed-radius window would be too narrow."""
+        until = math.inf if self.active_until is None else self.active_until
+        return (self.active_from, until)

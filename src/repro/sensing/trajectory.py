@@ -16,12 +16,32 @@ from typing import List, Sequence, Tuple
 
 Position = Tuple[float, float]
 
+#: Relative and absolute widening of the radius in
+#: :meth:`LineTrajectory.times_within`, and of the roots it returns.  Far
+#: above float rounding in positions and distances, far below anything a
+#: sensor read could resolve.
+WINDOW_RTOL = 1e-9
+WINDOW_ATOL = 1e-9
+
 
 class Trajectory:
     """Base: a position-valued function of time."""
 
     def position(self, t: float) -> Position:
         raise NotImplementedError
+
+    def times_within(self, point: Position,
+                     radius: float) -> Tuple[float, float]:
+        """A closed interval ``(lo, hi)`` of times holding every ``t`` at
+        which ``position(t)`` may lie within ``radius`` of ``point``.
+
+        Exactness contract: this is a filter, not an approximation.  The
+        interval may be wider than the true one but never narrower, so a
+        caller may skip any distance test outside it and run the exact
+        test inside it.  ``lo > hi`` means "never".  The base class knows
+        nothing about the path and returns the whole time line.
+        """
+        return (-math.inf, math.inf)
 
     def speed_at(self, t: float, dt: float = 1e-3) -> float:
         """Numerical instantaneous speed (grid units / second)."""
@@ -68,6 +88,39 @@ class LineTrajectory(Trajectory):
     def position(self, t: float) -> Position:
         return (self.start[0] + self.speed * t * math.cos(self.heading),
                 self.start[1] + self.speed * t * math.sin(self.heading))
+
+    def times_within(self, point: Position,
+                     radius: float) -> Tuple[float, float]:
+        """Solve ``|start - point + v t| = radius`` for ``t``.
+
+        The radius is widened by :data:`WINDOW_RTOL` and
+        :data:`WINDOW_ATOL` before solving and the roots are padded by
+        the same tolerances, so rounding in :meth:`position` and in the
+        caller's distance test can only make the interval too wide (see
+        :meth:`Trajectory.times_within` for the contract).
+        """
+        vx = self.speed * math.cos(self.heading)
+        vy = self.speed * math.sin(self.heading)
+        dx = self.start[0] - point[0]
+        dy = self.start[1] - point[1]
+        reach = radius * (1.0 + WINDOW_RTOL) + WINDOW_ATOL
+        v_sq = vx * vx + vy * vy
+        if v_sq == 0.0:
+            # Standing still: within reach always or never.
+            if dx * dx + dy * dy <= reach * reach:
+                return (-math.inf, math.inf)
+            return (math.inf, -math.inf)
+        # Closest approach at t_mid, at distance |cross| / |v|; solving
+        # around it avoids the cancellation of the textbook quadratic.
+        t_mid = -(dx * vx + dy * vy) / v_sq
+        cross = dx * vy - dy * vx
+        half_sq = (reach * reach - cross * cross / v_sq) / v_sq
+        if half_sq < 0.0:
+            return (math.inf, -math.inf)
+        half = math.sqrt(half_sq)
+        lo, hi = t_mid - half, t_mid + half
+        return (lo - WINDOW_ATOL - WINDOW_RTOL * abs(lo),
+                hi + WINDOW_ATOL + WINDOW_RTOL * abs(hi))
 
 
 class WaypointTrajectory(Trajectory):

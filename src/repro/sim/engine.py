@@ -45,7 +45,7 @@ from __future__ import annotations
 import heapq
 import time as _time
 from collections import deque
-from typing import Any, Callable, Deque, Iterable, List, Optional
+from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 
 from ..telemetry.profiler import EventLoopProfiler
 from ..telemetry.registry import MetricsRegistry
@@ -59,6 +59,18 @@ COMPACT_RATIO = 0.5
 COMPACT_MIN = 64
 
 
+def _catch_up(event: Event, handle: TimerHandle) -> Tuple[float, int, Event]:
+    """Move a re-armed timer's entry to its handle's true key.
+
+    Every re-arm draws a fresh ``seq``, so an entry whose ``seq`` equals
+    its handle's is current; any other live entry lags behind.
+    """
+    event.time = handle.deadline
+    event.seq = handle.seq
+    event.span = handle.span
+    return (event.time, event.seq, event)
+
+
 class SimulationError(RuntimeError):
     """Raised for invalid scheduling requests (e.g. scheduling in the past)."""
 
@@ -70,7 +82,7 @@ class TimerHandle:
     authoritative firing point is ``(deadline, seq)``; the heap entry's
     ``(time, seq)`` may lag behind after in-place re-arms.  The engine
     reconciles on pop: an entry that is no longer ``handle.event`` is
-    stale garbage; an entry whose ``(time, seq)`` trails the handle's is
+    stale garbage; an entry whose ``seq`` trails the handle's is
     re-pushed at the true deadline; a matching entry fires.
 
     Every re-arm consumes one sequence number — exactly like the
@@ -112,9 +124,9 @@ class TimerService:
     def arm(self, handle: TimerHandle, delay: float) -> None:
         """(Re)arm ``handle`` to fire ``delay`` seconds from now."""
         sim = self._sim
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(
-                f"cannot arm timer {delay!r}s in the past (now={sim._now})")
+                f"cannot arm timer {delay!r}s from now (now={sim._now})")
         deadline = sim._now + delay
         handle.deadline = deadline
         handle.seq = sim._seq.next()
@@ -129,11 +141,11 @@ class TimerService:
             # ever catch up — abandon it and push a fresh one.
             handle.event = None
             sim._note_cancelled()
-        event = Event(time=deadline, seq=handle.seq,
-                      callback=handle.callback, label=handle.label,
+        seq = handle.seq
+        event = Event(deadline, seq, handle.callback, label=handle.label,
                       span=handle.span, handle=handle)
         handle.event = event
-        heapq.heappush(sim._heap, event)
+        heapq.heappush(sim._heap, (deadline, seq, event))
         sim._live += 1
 
     def cancel(self, handle: TimerHandle) -> None:
@@ -163,7 +175,9 @@ class Simulator:
     pure side-state: they never touch the event order, the RNG streams or
     the trace, so they do not affect ``trace_digest``.
 
-    The heap is rebuilt without garbage once cancelled entries exceed
+    The heap holds ``(time, seq, event)`` tuples.  ``seq`` is unique per
+    entry, so heap compares run in C and never reach the event.  The heap
+    is rebuilt without garbage once cancelled entries exceed
     :data:`COMPACT_RATIO` of it *and* number at least :data:`COMPACT_MIN`.
     """
 
@@ -171,7 +185,7 @@ class Simulator:
                  trace_capacity: Optional[int] = None) -> None:
         self.seed = seed
         self._now = 0.0
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = EventSequencer()
         self._running = False
         self._stopped = False
@@ -241,35 +255,35 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[..., Any],
-                 *args: Any, label: str = "", **kwargs: Any) -> Event:
-        """Schedule ``callback(*args, **kwargs)`` after ``delay`` seconds.
+                 *args: Any, label: str = "") -> Event:
+        """Schedule ``callback(*args)`` after ``delay`` seconds.
 
         Returns the :class:`Event`, which may be cancelled.
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(
-                f"cannot schedule {delay!r}s in the past (now={self._now})")
+                f"cannot schedule {delay!r}s from now (now={self._now})")
         return self.schedule_at(self._now + delay, callback, *args,
-                                label=label, **kwargs)
+                                label=label)
 
     def schedule_at(self, when: float, callback: Callable[..., Any],
-                    *args: Any, label: str = "", **kwargs: Any) -> Event:
-        """Schedule ``callback`` at absolute simulation time ``when``."""
-        if when < self._now:
+                    *args: Any, label: str = "") -> Event:
+        """Schedule ``callback(*args)`` at absolute sim time ``when``."""
+        if not when >= self._now:  # also rejects NaN
             raise SimulationError(
-                f"cannot schedule at {when!r} before now={self._now}")
-        event = Event(time=when, seq=self._seq.next(), callback=callback,
-                      args=args, kwargs=kwargs, label=label,
-                      span=self.spans.current, owner=self)
-        heapq.heappush(self._heap, event)
+                f"cannot schedule at {when!r}: now={self._now}")
+        seq = self._seq.next()
+        event = Event(when, seq, callback, args, label, self.spans.current,
+                      self)
+        heapq.heappush(self._heap, (when, seq, event))
         self._live += 1
         return event
 
     def call_soon(self, callback: Callable[..., Any], *args: Any,
-                  label: str = "", **kwargs: Any) -> Event:
-        """Schedule ``callback`` at the current time (after pending events
-        at this time that were scheduled earlier)."""
-        return self.schedule(0.0, callback, *args, label=label, **kwargs)
+                  label: str = "") -> Event:
+        """Schedule ``callback(*args)`` at the current time (after pending
+        events at this time that were scheduled earlier)."""
+        return self.schedule(0.0, callback, *args, label=label)
 
     # ------------------------------------------------------------------
     # Cancellation bookkeeping & compaction
@@ -291,17 +305,17 @@ class Simulator:
         and therefore the trace — is identical with or without
         compaction.
         """
-        live: List[Event] = []
-        for event in self._heap:
+        live: List[Tuple[float, int, Event]] = []
+        for entry in self._heap:
+            event = entry[2]
             handle = event.handle
             if handle is not None:
                 if event is handle.event:
-                    event.time = handle.deadline
-                    event.seq = handle.seq
-                    event.span = handle.span
-                    live.append(event)
+                    if entry[1] != handle.seq:
+                        entry = _catch_up(event, handle)
+                    live.append(entry)
             elif not event.cancelled:
-                live.append(event)
+                live.append(entry)
         heapq.heapify(live)
         self._heap = live
         self._cancelled = 0
@@ -326,8 +340,8 @@ class Simulator:
         """
         heap = self._heap
         while heap:
-            event = heap[0]
-            if until is not None and event.time > until:
+            when, seq, event = heap[0]
+            if until is not None and when > until:
                 # A deferred timer entry's stale time only *understates*
                 # its true deadline, so crossing the horizon here is
                 # definitive for every entry kind.
@@ -338,12 +352,9 @@ class Simulator:
                 if event is not handle.event:
                     self._cancelled -= 1  # stale slot: lazily discarded
                     continue
-                if event.time != handle.deadline or event.seq != handle.seq:
+                if seq != handle.seq:
                     # Re-armed in place: catch up to the true deadline.
-                    event.time = handle.deadline
-                    event.seq = handle.seq
-                    event.span = handle.span
-                    heapq.heappush(heap, event)
+                    heapq.heappush(heap, _catch_up(event, handle))
                     continue
                 handle.event = None  # fires now; callback may re-arm
             elif event.cancelled:
@@ -421,13 +432,13 @@ class Simulator:
         spans.current = event.span
         if profiler is None:
             try:
-                event.fire()
+                event.callback(*event.args)
             finally:
                 spans.current = previous
             return
         started = _time.perf_counter()
         try:
-            event.fire()
+            event.callback(*event.args)
         finally:
             profiler.note(event.label, _time.perf_counter() - started)
             spans.current = previous
@@ -458,25 +469,21 @@ class Simulator:
         """
         heap = self._heap
         while heap:
-            event = heap[0]
+            when, seq, event = heap[0]
             handle = event.handle
             if handle is not None:
                 if event is not handle.event:
                     heapq.heappop(heap)
                     self._cancelled -= 1
                     continue
-                if event.time != handle.deadline or event.seq != handle.seq:
-                    heapq.heappop(heap)
-                    event.time = handle.deadline
-                    event.seq = handle.seq
-                    event.span = handle.span
-                    heapq.heappush(heap, event)
+                if seq != handle.seq:
+                    heapq.heapreplace(heap, _catch_up(event, handle))
                     continue
             elif event.cancelled:
                 heapq.heappop(heap)
                 self._cancelled -= 1
                 continue
-            return event.time
+            return when
         return None
 
     # ------------------------------------------------------------------

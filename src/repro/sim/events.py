@@ -10,35 +10,47 @@ traces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 
-@dataclass(order=True)
 class Event:
     """A scheduled callback.
 
-    Events compare by ``(time, seq)`` which makes them directly usable in a
-    binary heap.  The payload fields are excluded from comparison.
+    The engine's heap holds ``(time, seq, event)`` tuples, so ordering is
+    decided by the tuple's ``(time, seq)`` prefix and never reaches the
+    event itself: an event has no ordering of its own.  ``time`` and
+    ``seq`` mirror the key of the event's heap entry.
     """
 
-    time: float
-    seq: int
-    callback: Callable[..., Any] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    kwargs: dict = field(compare=False, default_factory=dict)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
-    #: Causal span current when the event was scheduled; the engine
-    #: restores it around dispatch (telemetry only, never traced).
-    span: Optional[int] = field(compare=False, default=None)
-    #: Owning simulator while the event sits in the heap; cancellation
-    #: reports back to it so live/cancelled counts stay O(1)-exact.  The
-    #: engine disowns the event once it leaves the heap.
-    owner: Optional[Any] = field(compare=False, default=None, repr=False)
-    #: Re-armable timer handle backing this entry, or None for plain
-    #: events (see :class:`repro.sim.engine.TimerHandle`).
-    handle: Optional[Any] = field(compare=False, default=None, repr=False)
+    __slots__ = ("time", "seq", "callback", "args", "label", "cancelled",
+                 "span", "owner", "handle")
+
+    def __init__(self, time: float, seq: int,
+                 callback: Callable[..., Any], args: tuple = (),
+                 label: str = "", span: Optional[int] = None,
+                 owner: Optional[Any] = None,
+                 handle: Optional[Any] = None) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.args = args
+        self.label = label
+        self.cancelled = False
+        #: Causal span current when the event was scheduled; the engine
+        #: restores it around dispatch (telemetry only, never traced).
+        self.span = span
+        #: Owning simulator while the event sits in the heap; cancellation
+        #: reports back to it so live/cancelled counts stay O(1)-exact.
+        #: The engine disowns the event once it leaves the heap.
+        self.owner = owner
+        #: Re-armable timer handle backing this entry, or None for plain
+        #: events (see :class:`repro.sim.engine.TimerHandle`).
+        self.handle = handle
+
+    def __repr__(self) -> str:
+        return (f"Event(time={self.time!r}, seq={self.seq!r}, "
+                f"label={self.label!r}, cancelled={self.cancelled!r})")
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it when popped.
@@ -59,19 +71,13 @@ class Event:
     def active(self) -> bool:
         return not self.cancelled
 
-    def fire(self) -> Any:
-        """Invoke the callback.  The engine calls this; tests may too."""
-        return self.callback(*self.args, **self.kwargs)
-
 
 class EventSequencer:
     """Produces the deterministic tie-breaking sequence numbers."""
 
     def __init__(self) -> None:
-        self._counter = itertools.count()
-
-    def next(self) -> int:
-        return next(self._counter)
+        #: ``next()`` returns 0, 1, 2, … (a C-level bound method).
+        self.next: Callable[[], int] = itertools.count().__next__
 
 
 @dataclass

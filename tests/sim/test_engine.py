@@ -64,6 +64,31 @@ def test_schedule_in_past_rejected():
         sim.schedule_at(0.5, lambda: None)
 
 
+def test_nan_time_rejected_and_inf_kept():
+    # NaN fails every comparison, so a `delay < 0` guard let it in and it
+    # then corrupted the heap order of the events around it.
+    nan = float("nan")
+    sim = Simulator()
+    handle = sim.timers.create(lambda: None)
+    for bad in (lambda: sim.schedule(nan, lambda: None),
+                lambda: sim.schedule_at(nan, lambda: None),
+                lambda: sim.timers.arm(handle, nan)):
+        with pytest.raises(SimulationError):
+            bad()
+    assert not handle.armed
+    fired = []
+    for delay in (3.0, 1.0, float("inf"), 2.0):
+        sim.schedule(delay, fired.append, delay)
+    sim.run()
+    assert fired == [1.0, 2.0, 3.0, float("inf")]
+
+
+def test_keyword_arguments_are_not_forwarded():
+    sim = Simulator()
+    with pytest.raises(TypeError):
+        sim.schedule(1.0, lambda x: None, x=1)
+
+
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
