@@ -19,6 +19,7 @@ Responsibilities per context type:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -89,6 +90,8 @@ class EnviroTrackAgent(Component, GroupListener):
         self.groups.add_listener(self)
         self._runtimes: Dict[str, _TypeRuntime] = {}
         self._hysteresis: Dict[str, bool] = {}
+        # Hysteresis latches are RAM: a reboot comes back unlatched.
+        mote.add_reboot_hook(self._hysteresis.clear)
         for definition in context_types:
             if definition.name in self._runtimes:
                 raise ValueError(
@@ -142,6 +145,14 @@ class EnviroTrackAgent(Component, GroupListener):
                 return False
             return bool(mote.read_sensor(sensor_name))
 
+        def quiet_until(mote: Mote, t: float) -> float:
+            if not mote.has_sensor(sensor_name):
+                return math.inf
+            return mote.sensor_quiet_until(sensor_name, t)
+
+        # A named sensor can say how long it will stay False; the group
+        # manager then skips the polls in between (QuietPollTimer).
+        read.quiet_until = quiet_until  # type: ignore[attr-defined]
         return read
 
     def _build_sense_fn(self, definition: ContextTypeDef

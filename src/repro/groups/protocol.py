@@ -168,6 +168,10 @@ class GroupManager(Component):
             "repro_gm_leader_tenure_seconds",
             "How long leaderships lasted, by ending reason.", ("reason",))
         self._led_since: Dict[str, float] = {}
+        self._implicit_polls = metrics.counter(
+            "repro_gm_sense_polls_implicit_total",
+            "Sense checks charged to the CPU without events, because the "
+            "sensor could not read true yet.")
 
     # ------------------------------------------------------------------
     # Wiring
@@ -177,7 +181,13 @@ class GroupManager(Component):
 
     def track(self, type_name: str, sense_fn: SenseFn,
               config: Optional[GroupConfig] = None) -> None:
-        """Start managing groups for a context type on this node."""
+        """Start managing groups for a context type on this node.
+
+        When ``sense_fn`` carries a ``quiet_until(mote, t)`` attribute —
+        the earliest time ``>= t`` at which it could return True — sense
+        checks before that time are charged without events while the
+        node is not sensing (see :meth:`_quiet_until`).
+        """
         if type_name in self._types:
             raise ValueError(f"already tracking type {type_name!r}")
         state = _TypeState(type_name=type_name, sense_fn=sense_fn,
@@ -224,7 +234,9 @@ class GroupManager(Component):
         state.sense_timer = self.mote.periodic(
             cfg.sense_period, lambda s=state: self._sense_check(s),
             label=f"gm.sense.{state.type_name}", cost=cfg.sense_cost,
-            initial_delay=self._rng.uniform(0, cfg.sense_period))
+            initial_delay=self._rng.uniform(0, cfg.sense_period),
+            quiet_until=self._quiet_until(state),
+            quiet_counter=self._implicit_polls)
         state.sense_timer.start()
         state.receive_timer = self.mote.watchdog(
             cfg.receive_timeout, lambda s=state: self._receive_expired(s),
@@ -238,6 +250,25 @@ class GroupManager(Component):
         state.formation_timer = self.mote.oneshot(
             lambda s=state: self._formation_fired(s),
             label=f"gm.formation.{state.type_name}")
+
+    def _quiet_until(self, state: _TypeState
+                     ) -> Optional[Callable[[float], float]]:
+        """How long a sense check provably does nothing, if the sense
+        function can tell (its ``quiet_until(mote, t)`` attribute).
+
+        A check that reads False while not sensing changes no state, so
+        it is quiet until the condition could read True.  While sensing,
+        a False read is a transition, so every check is real.
+        """
+        quiet = getattr(state.sense_fn, "quiet_until", None)
+        if quiet is None:
+            return None
+        mote = self.mote
+
+        def quiet_until(t: float) -> float:
+            return t if state.sensing else quiet(mote, t)
+
+        return quiet_until
 
     # ------------------------------------------------------------------
     # Introspection

@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..radio import Frame, MacBase, Medium, TransceiverPort, make_mac
 from ..sim import PeriodicTimer, Simulator, WatchdogTimer
-from .cpu import DEFAULT_QUEUE_LIMIT, DEFAULT_TASK_COST, Cpu
+from .cpu import DEFAULT_QUEUE_LIMIT, DEFAULT_TASK_COST, Cpu, QuietPollTimer
 
 Position = Tuple[float, float]
 FrameHandler = Callable[[Frame], None]
@@ -100,11 +100,22 @@ class Mote:
     # ------------------------------------------------------------------
     def install_sensor(self, name: str, read_fn: Callable[[], Any]) -> None:
         """Install a named sensor whose value is produced by ``read_fn``."""
+        self.cpu.fall_back()
         self._sensors[name] = read_fn
 
     def read_sensor(self, name: str) -> Any:
         """Sample a sensor; raises KeyError for unknown sensors."""
         return self._sensors[name]()
+
+    def sensor_quiet_until(self, name: str, t: float) -> float:
+        """Earliest time ``>= t`` at which sensor ``name`` could read true.
+
+        A sensor's read function may carry a ``quiet_until(t)``
+        attribute (the binary detection sensor does); without one the
+        answer is ``t`` itself.  Raises KeyError for unknown sensors.
+        """
+        quiet_until = getattr(self._sensors[name], "quiet_until", None)
+        return t if quiet_until is None else quiet_until(t)
 
     def has_sensor(self, name: str) -> bool:
         return name in self._sensors
@@ -178,15 +189,33 @@ class Mote:
     def periodic(self, period: float, callback: Callable[[], None],
                  label: str = "periodic",
                  initial_delay: Optional[float] = None,
-                 cost: Optional[float] = None) -> PeriodicTimer:
-        """A periodic timer whose callback is executed on this mote's CPU."""
+                 cost: Optional[float] = None,
+                 quiet_until: Optional[Callable[[float], float]] = None,
+                 quiet_counter: Any = None) -> PeriodicTimer:
+        """A periodic timer whose callback is executed on this mote's CPU.
+
+        With ``quiet_until`` — the earliest time ``>= t`` at which the
+        callback could have any effect — the timer is a
+        :class:`~repro.node.cpu.QuietPollTimer`: polls before that time
+        are charged to the CPU without events, and counted in
+        ``quiet_counter`` when given.
+        """
         task_label = "timer." + label
-        timer = PeriodicTimer(
-            self.sim, period * self.clock_scale,
-            lambda: self._timer_fire(callback, cost, task_label),
-            label=f"{label}@{self.node_id}",
-            initial_delay=(None if initial_delay is None
-                           else initial_delay * self.clock_scale))
+
+        def fire() -> None:
+            self._timer_fire(callback, cost, task_label)
+
+        scaled_delay = (None if initial_delay is None
+                        else initial_delay * self.clock_scale)
+        if quiet_until is None:
+            timer = PeriodicTimer(self.sim, period * self.clock_scale, fire,
+                                  label=f"{label}@{self.node_id}",
+                                  initial_delay=scaled_delay)
+        else:
+            timer = QuietPollTimer(
+                self.sim, self.cpu, period * self.clock_scale, fire,
+                callback, cost, task_label, quiet_until, quiet_counter,
+                label=f"{label}@{self.node_id}", initial_delay=scaled_delay)
         self._timers.append(timer)
         return timer
 
@@ -277,6 +306,8 @@ class Mote:
         """
         if factor <= 0:
             raise ValueError(f"clock skew factor must be positive: {factor}")
+        # A quiet poll run was laid out with the old period.
+        self.cpu.fall_back()
         self.clock_scale *= factor
         for timer in self._timers:
             if isinstance(timer, PeriodicTimer):

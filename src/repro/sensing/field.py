@@ -134,12 +134,20 @@ class SensorField:
     # Environment
     # ------------------------------------------------------------------
     def add_target(self, target: Target) -> Target:
+        """Put ``target`` in the environment.
+
+        Change the target list only through this method and
+        :meth:`remove_target`: both end every quiet sense-poll run, whose
+        length was computed from the old list.
+        """
         if any(existing.name == target.name for existing in self.targets):
             raise ValueError(f"duplicate target name {target.name!r}")
+        self.sim.end_quiet_runs()
         self.targets.append(target)
         return target
 
     def remove_target(self, name: str) -> None:
+        self.sim.end_quiet_runs()
         self.targets = [t for t in self.targets if t.name != name]
 
     def target(self, name: str) -> Target:

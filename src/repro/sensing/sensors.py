@@ -21,6 +21,7 @@ Models provided:
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
@@ -47,26 +48,49 @@ def binary_detection_sensor(clock: Clock, position: Position,
     detectable, so every read returns the same boolean as testing every
     target.  A target's trajectory, radius and active window must
     therefore not change after it has been read.
+
+    The read function carries ``quiet_until(t)``: the earliest time
+    ``>= t`` at which some matching target's window holds (``t`` itself
+    when one holds ``t``), or ``inf`` when none ever will.  Every read
+    strictly before that time returns False, as long as the target list
+    does not change.
     """
     kind_set = None if kinds is None else set(kinds)
     # id(target) -> (target, lo, hi); holding the target keeps its id
     # from being reused by another object while the entry exists.
     windows: Dict[int, Tuple[Target, float, float]] = {}
 
+    def window(target: Target) -> Tuple[Target, float, float]:
+        entry = windows.get(id(target))
+        if entry is None:
+            entry = windows[id(target)] = (
+                target, *target.detection_window(position))
+        return entry
+
     def read() -> bool:
         t = clock()
         for target in targets():
             if kind_set is not None and target.kind not in kind_set:
                 continue
-            entry = windows.get(id(target))
-            if entry is None:
-                entry = windows[id(target)] = (
-                    target, *target.detection_window(position))
-            if entry[1] <= t <= entry[2] and target.detectable_from(
-                    position, t):
+            _, lo, hi = window(target)
+            if lo <= t <= hi and target.detectable_from(position, t):
                 return True
         return False
 
+    def quiet_until(t: float) -> float:
+        wake = math.inf
+        for target in targets():
+            if kind_set is not None and target.kind not in kind_set:
+                continue
+            _, lo, hi = window(target)
+            if hi < t or lo > hi:
+                continue
+            if lo <= t:
+                return t
+            wake = min(wake, lo)
+        return wake
+
+    read.quiet_until = quiet_until  # type: ignore[attr-defined]
     return read
 
 

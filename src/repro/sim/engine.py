@@ -45,7 +45,8 @@ from __future__ import annotations
 import heapq
 import time as _time
 from collections import deque
-from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
+                    Tuple)
 
 from ..telemetry.profiler import EventLoopProfiler
 from ..telemetry.registry import MetricsRegistry
@@ -123,11 +124,22 @@ class TimerService:
 
     def arm(self, handle: TimerHandle, delay: float) -> None:
         """(Re)arm ``handle`` to fire ``delay`` seconds from now."""
-        sim = self._sim
         if not delay >= 0:  # also rejects NaN
             raise SimulationError(
-                f"cannot arm timer {delay!r}s from now (now={sim._now})")
-        deadline = sim._now + delay
+                f"cannot arm timer {delay!r}s from now "
+                f"(now={self._sim._now})")
+        self.arm_at(handle, self._sim._now + delay)
+
+    def arm_at(self, handle: TimerHandle, deadline: float) -> None:
+        """(Re)arm ``handle`` to fire at absolute sim time ``deadline``.
+
+        For callers that computed the deadline themselves: in floats,
+        ``now + (deadline - now)`` need not equal ``deadline``.
+        """
+        sim = self._sim
+        if not deadline >= sim._now:  # also rejects NaN
+            raise SimulationError(
+                f"cannot arm timer at {deadline!r}: now={sim._now}")
         handle.deadline = deadline
         handle.seq = sim._seq.next()
         handle.span = sim.spans.current
@@ -199,6 +211,8 @@ class Simulator:
         self.trace_capacity = trace_capacity
         self.trace: Deque[TraceRecord] = deque(maxlen=trace_capacity)
         self._events_fired = 0
+        #: Of those, the ones charged by a quiet run, not dispatched.
+        self._events_implicit = 0
         self.metrics = MetricsRegistry()
         self.spans = SpanTracker(clock=lambda: self._now)
         self._trace_counter = self.metrics.counter(
@@ -215,6 +229,12 @@ class Simulator:
             "Heap compactions (garbage-triggered rebuilds).")
         self.timers = TimerService(self)
         self._profiler: Optional[EventLoopProfiler] = None
+        #: Objects that charge fired events lazily (a quiet sense-poll
+        #: run, see :class:`repro.node.cpu.QuietPollTimer`): each has a
+        #: ``settle()`` that adds the events at or before ``now`` to
+        #: ``_events_fired``.  A dict, so iteration order is insertion
+        #: order.
+        self._quiet_runs: Dict[Any, None] = {}
 
     # ------------------------------------------------------------------
     # Clock
@@ -226,8 +246,25 @@ class Simulator:
 
     @property
     def events_fired(self) -> int:
-        """Total number of events dispatched so far."""
+        """Events fired so far: every dispatched event, plus the timer and
+        CPU-service events of quiet sense polls, which are charged
+        without being dispatched (``docs/ENGINE.md`` §7).  Exact at any
+        read, mid-run or after ``run(until=)``."""
+        for run in self._quiet_runs:
+            run.settle()
         return self._events_fired
+
+    def end_quiet_runs(self) -> None:
+        """Turn every quiet sense-poll run back into real events; called
+        when the sensed environment changes."""
+        for run in list(self._quiet_runs):
+            run.fall_back()
+
+    @property
+    def events_dispatched(self) -> int:
+        """Events actually popped and dispatched: :attr:`events_fired`
+        without the ones quiet sense-poll runs charged."""
+        return self._events_fired - self._events_implicit
 
     # ------------------------------------------------------------------
     # Profiling
@@ -376,7 +413,9 @@ class Simulator:
             Stop once the next event would fire strictly after this time;
             the clock is advanced to ``until``.  ``None`` runs to quiescence.
         max_events:
-            Safety valve for runaway schedules.
+            Safety valve for runaway schedules.  It counts dispatched
+            events only; the implicit events of quiet sense polls that
+            :attr:`events_fired` includes do not use up the budget.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")

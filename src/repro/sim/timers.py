@@ -25,6 +25,8 @@ class OneShotTimer:
     per start.
     """
 
+    __slots__ = ("_sim", "_callback", "_handle", "fire_count")
+
     def __init__(self, sim: Simulator, callback: Callable[[], Any],
                  label: str = "oneshot") -> None:
         self._sim = sim
@@ -55,6 +57,8 @@ class WatchdogTimer(OneShotTimer):
     fires only after ``timeout`` seconds of silence.
     """
 
+    __slots__ = ("timeout",)
+
     def __init__(self, sim: Simulator, timeout: float,
                  callback: Callable[[], Any], label: str = "watchdog") -> None:
         super().__init__(sim, callback, label=label)
@@ -73,6 +77,9 @@ class PeriodicTimer:
     The first firing happens after ``initial_delay`` (defaults to one full
     period).  Changing :attr:`period` takes effect after the next firing.
     """
+
+    __slots__ = ("_sim", "period", "_callback", "_initial_delay", "_handle",
+                 "fire_count")
 
     def __init__(self, sim: Simulator, period: float,
                  callback: Callable[[], Any], label: str = "periodic",

@@ -57,6 +57,11 @@ class RunReport:
     span_count: int = 0
     span_root_count: int = 0
     span_top_names: List[Tuple[str, int]] = field(default_factory=list)
+    #: Live runs only: events fired, events dispatched, and sense polls
+    #: charged without events (``docs/ENGINE.md`` §7).
+    events_fired: Optional[int] = None
+    events_dispatched: Optional[int] = None
+    implicit_polls: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -69,7 +74,15 @@ class RunReport:
         for record in spans.spans():
             key = record.name.split(".", 1)[0]
             names[key] = names.get(key, 0) + 1
+        # Reading events_fired settles every quiet poll run, so the
+        # implicit-poll counter below is exact too.
+        events_fired = sim.events_fired
+        implicit = sim.metrics.get("repro_gm_sense_polls_implicit_total")
         return cls(title=title, source="live run",
+                   events_fired=events_fired,
+                   events_dispatched=sim.events_dispatched,
+                   implicit_polls=(0 if implicit is None
+                                   else int(implicit.value())),
                    records=list(sim.trace), metrics=sim.metrics,
                    profiler=sim.profiler, span_count=len(spans),
                    span_root_count=len(spans.roots()),
@@ -173,6 +186,11 @@ class RunReport:
                  f"source: {self.source}",
                  f"{len(self.records)} trace records over "
                  f"{self.duration:.1f} simulated seconds"]
+        if self.events_fired is not None:
+            lines.append(f"{self.events_fired} events fired, "
+                         f"{self.events_dispatched} dispatched; "
+                         f"{self.implicit_polls} sense polls run "
+                         f"implicitly")
         duration = self.duration or 1.0
         lines.append("")
         lines.append("Per-subsystem trace records")

@@ -136,6 +136,34 @@ def test_deactivation_hysteresis():
     assert all(role is Role.IDLE for role in roles)
 
 
+def test_reboot_clears_deactivation_hysteresis():
+    """The hysteresis latch is RAM: a node rebooted inside the band comes
+    back unlatched, stays idle, and does not found a second group."""
+    app = EnviroTrackApp(seed=5, enable_directory=False, enable_mtp=False)
+    app.field.deploy_grid(4, 1)
+    readings = {"value": 300.0}
+    for mote in app.field.mote_list():
+        mote.install_sensor("temperature", lambda: readings["value"])
+    app.add_context_type(ContextTypeDef(
+        name="hot",
+        activation=lambda mote: mote.read_sensor("temperature") > 250,
+        deactivation=lambda mote: mote.read_sensor("temperature") < 150,
+        group=GroupConfig(heartbeat_period=0.5)))
+    app.run(until=3.0)
+    readings["value"] = 200.0
+    app.sim.run(until=4.0)
+    rebooted = app.field.motes[3]
+    rebooted.fail()
+    app.sim.run(until=5.0)
+    rebooted.reboot()
+    app.sim.run(until=10.0)
+    roles = {node: agent.groups.role("hot")
+             for node, agent in app.agents.items()}
+    assert [node for node, role in roles.items()
+            if role is Role.LEADER] == [1]  # node 1 took over from 3
+    assert roles[3] is Role.IDLE
+
+
 def test_leader_stop_halts_object_timers():
     runs = []
 

@@ -6,7 +6,9 @@ with :func:`full_scan_read`, a reference kept here that tests every
 target, over straight-line tanks (standing, axis-aligned and randomly
 headed), motes placed exactly at the signature radius, read times at and
 just beyond the computed window edges, open and closed active windows,
-targets added and removed between reads, and a growing fire.
+targets added and removed between reads, and a growing fire.  It also
+checks the sensor's ``quiet_until(t)``: no target is detectable at any
+tested time from ``t`` up to (excluding) the time it returns.
 """
 
 import math
@@ -129,3 +131,7 @@ def test_prefiltered_read_equals_full_scan(data):
             live = live[1:]
         clock.t = t
         assert read() == full_scan_read(point, live, t), (t, live)
+        wake = read.quiet_until(t)
+        assert wake >= t
+        assert not any(full_scan_read(point, live, s)
+                       for s in times if t <= s < wake), (t, wake, live)

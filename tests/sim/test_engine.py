@@ -72,7 +72,8 @@ def test_nan_time_rejected_and_inf_kept():
     handle = sim.timers.create(lambda: None)
     for bad in (lambda: sim.schedule(nan, lambda: None),
                 lambda: sim.schedule_at(nan, lambda: None),
-                lambda: sim.timers.arm(handle, nan)):
+                lambda: sim.timers.arm(handle, nan),
+                lambda: sim.timers.arm_at(handle, nan)):
         with pytest.raises(SimulationError):
             bad()
     assert not handle.armed
@@ -81,6 +82,22 @@ def test_nan_time_rejected_and_inf_kept():
         sim.schedule(delay, fired.append, delay)
     sim.run()
     assert fired == [1.0, 2.0, 3.0, float("inf")]
+
+
+def test_arm_at_fires_at_the_exact_deadline():
+    # In floats 1.1 + (5.8 - 1.1) is 5.799999999999999: a caller that
+    # summed a deadline itself needs arm_at, not arm.
+    sim = Simulator()
+    sim.schedule(1.1, lambda: None)
+    sim.run()
+    fired = []
+    handle = sim.timers.create(lambda: fired.append(sim.now))
+    sim.timers.arm_at(handle, 5.8)
+    assert sim.now + (5.8 - sim.now) != 5.8
+    with pytest.raises(SimulationError):
+        sim.timers.arm_at(sim.timers.create(lambda: None), 1.0)
+    sim.run()
+    assert fired == [5.8]
 
 
 def test_keyword_arguments_are_not_forwarded():

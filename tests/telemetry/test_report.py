@@ -34,8 +34,15 @@ class TestFromSim:
         app.sim.enable_profiler()
         app.install()
         app.run(until=scenario.duration)
-        text = RunReport.from_sim(app.sim).format_text()
+        report = RunReport.from_sim(app.sim)
+        text = report.format_text()
         assert "handler" in text
+        # Quiet sense polls are charged, not dispatched, so the profiler
+        # never sees them; the report shows both counts.
+        assert app.sim.profiler.events_profiled == report.events_dispatched
+        assert report.events_fired > report.events_dispatched
+        assert report.implicit_polls > 0
+        assert f"{report.implicit_polls} sense polls run implicitly" in text
 
     def test_dashboard_svg_is_wellformed(self, tmp_path):
         sim = make_run()
@@ -55,6 +62,7 @@ class TestFromSim:
         text = path.read_text()
         assert "# TYPE repro_trace_records_total counter" in text
         assert "repro_radio_frames_sent_total" in text
+        assert "repro_gm_sense_polls_implicit_total" in text
 
 
 class TestFromTraceFile:
