@@ -90,30 +90,45 @@ class GroupConfig:
     takeover_probes: int = 2
 
     def __post_init__(self) -> None:
-        if self.heartbeat_period <= 0:
+        # ``not x > 0`` (never ``x <= 0``) so that NaN is rejected too.
+        if not self.heartbeat_period > 0:
             raise ValueError(
                 f"heartbeat period must be positive: {self.heartbeat_period}")
-        if self.receive_ratio <= 1.0:
+        if not self.receive_ratio > 1.0:
             raise ValueError(
                 f"receive ratio must exceed 1: {self.receive_ratio}")
-        if self.wait_ratio <= self.receive_ratio:
+        if not self.wait_ratio > self.receive_ratio:
             raise ValueError(
                 "wait ratio must exceed receive ratio "
                 f"({self.wait_ratio} <= {self.receive_ratio})")
-        if self.sense_period <= 0:
+        if not self.sense_period > 0:
             raise ValueError(
                 f"sense period must be positive: {self.sense_period}")
+        if not self.sense_cost >= 0:
+            raise ValueError(f"sense cost must be >= 0: {self.sense_cost}")
+        if self.heartbeat_tx_range is not None and \
+                not self.heartbeat_tx_range > 0:
+            raise ValueError(
+                "heartbeat tx range must be positive: "
+                f"{self.heartbeat_tx_range}")
+        if not self.rebroadcast_jitter >= 0:
+            raise ValueError(
+                f"rebroadcast jitter must be >= 0: {self.rebroadcast_jitter}")
         if self.flood_hops < 0:
             raise ValueError(f"flood hops must be >= 0: {self.flood_hops}")
-        if self.claim_window <= 0:
+        if not self.claim_window > 0:
             raise ValueError(
                 f"claim window must be positive: {self.claim_window}")
-        if self.formation_window < 0:
+        if not self.formation_window >= 0:
             raise ValueError(
                 f"formation window must be >= 0: {self.formation_window}")
-        if self.announce_jitter < 0:
+        if not self.announce_jitter >= 0:
             raise ValueError(
                 f"announce jitter must be >= 0: {self.announce_jitter}")
+        for name in ("suppression_range", "join_range"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} must be >= 0: {value}")
         if self.takeover_probes < 0:
             raise ValueError(
                 f"takeover probes must be >= 0: {self.takeover_probes}")

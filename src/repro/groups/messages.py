@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from ..radio import Frame
+
 #: Frame kinds.
 HEARTBEAT_KIND = "gm.heartbeat"
 RELINQUISH_KIND = "gm.relinquish"
@@ -37,7 +39,7 @@ def label_type(label: str) -> str:
     return label.split("#", 1)[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Heartbeat:
     """Leader keep-alive (§5.2).
 
@@ -45,6 +47,9 @@ class Heartbeat:
     identity, the label's weight (for spurious-label suppression), optional
     persistent application state (the ``setState`` mechanism), and a
     remaining flood hop count for propagation past the group perimeter.
+
+    Immutable: every receiver of one heartbeat frame shares the single
+    decoded instance (:meth:`of_frame`).
     """
 
     context_type: str
@@ -97,6 +102,20 @@ class Heartbeat:
             )
         except (KeyError, TypeError, ValueError, IndexError):
             return None
+
+    @classmethod
+    def of_frame(cls, frame: Frame) -> Optional["Heartbeat"]:
+        """The frame's payload parsed once per frame, not per reception.
+
+        The first receiver's parse is memoized on the frame and shared by
+        every other receiver (and every handler) of the same broadcast.
+        """
+        memo = frame.decoded
+        if memo is not None and memo[0] is cls:
+            return memo[1]
+        beat = cls.from_payload(frame.payload)
+        frame.decoded = (cls, beat)
+        return beat
 
 
 @dataclass

@@ -435,7 +435,7 @@ class GroupManager(Component):
                        tx_range=state.config.heartbeat_tx_range)
 
     def _on_heartbeat_frame(self, frame) -> None:
-        beat = Heartbeat.from_payload(frame.payload)
+        beat = Heartbeat.of_frame(frame)
         if beat is None:
             return
         state = self._types.get(beat.context_type)

@@ -151,7 +151,7 @@ class EnergyMeter:
 
         mote.mac.send = metered_send
 
-        original_deliver = mote.port._deliver_fn
+        original_deliver = mote.port.deliver
 
         def metered_deliver(frame, _original=original_deliver,
                             _ledger=ledger, _medium=medium,
@@ -161,7 +161,7 @@ class EnergyMeter:
             _metric.inc(airtime * _ledger.model.rx_power)
             _original(frame)
 
-        mote.port._deliver_fn = metered_deliver
+        mote.port.deliver = metered_deliver
 
     def _sync_cpu(self) -> None:
         for node_id, ledger in self.ledgers.items():

@@ -54,7 +54,9 @@ class Mote:
                  tx_cost: Optional[float] = None) -> None:
         self.sim = sim
         self.node_id = node_id
-        self._position = position
+        #: Field coordinates; motes are static (the paper's §6.1 grid), so
+        #: the medium precomputes links from this once.
+        self.position = position
         self.medium = medium
         self.alive = True
         self.cpu = Cpu(sim, node_id, task_cost=task_cost,
@@ -62,38 +64,25 @@ class Mote:
         self.rx_cost = task_cost if rx_cost is None else rx_cost
         self.tx_cost = task_cost if tx_cost is None else tx_cost
         self._handlers: Dict[str, List[FrameHandler]] = {}
-        #: CPU task labels ``tx.<kind>`` / ``rx.<kind>``, built once per
-        #: frame kind rather than once per frame.
+        #: CPU task labels ``tx.<kind>`` / ``rx.<kind>`` and span names
+        #: ``frame.<kind>`` / ``handle.<kind>``, built once per frame kind
+        #: rather than once per frame.
         self._tx_labels: Dict[str, str] = {}
         self._rx_labels: Dict[str, str] = {}
+        self._frame_names: Dict[str, str] = {}
+        self._handle_names: Dict[str, str] = {}
         self._sensors: Dict[str, Callable[[], Any]] = {}
         self._timers: List[Any] = []
         self._reboot_hooks: List[Callable[[], None]] = []
         #: Oscillator skew: multiplies the nominal delay of every timer
         #: created on this mote (1.0 = perfect clock).
         self.clock_scale = 1.0
-        self.port = TransceiverPort(node_id, lambda: self._position,
+        self.port = TransceiverPort(node_id, position,
                                     self._on_physical_receive)
         medium.attach(self.port)
-        self.mac: MacBase = make_mac(mac, sim, medium,
-                                     lambda: self._position)
+        self.mac: MacBase = make_mac(mac, sim, medium, position)
         self.frames_sent = 0
         self.frames_delivered = 0
-
-    # ------------------------------------------------------------------
-    # Position
-    # ------------------------------------------------------------------
-    @property
-    def position(self) -> Position:
-        return self._position
-
-    def move_to(self, position: Position) -> None:
-        """Relocate the node (sensor fields are static; kept for tests).
-
-        Notifies the medium so its spatial index re-buckets this node.
-        """
-        self._position = position
-        self.medium.refresh_position(self.node_id)
 
     # ------------------------------------------------------------------
     # Sensors
@@ -148,12 +137,20 @@ class Mote:
         # context queued the send (a handler, a timer, a takeover); MAC
         # backoff and the medium's delivery events inherit it through the
         # engine's span capture, so receptions chain to this send.
+        kind = frame.kind
+        name = self._frame_names.get(kind)
+        if name is None:
+            name = self._frame_names[kind] = "frame." + kind
         spans = self.sim.spans
-        span_id = spans.start(f"frame.{frame.kind}", node=self.node_id)
+        span_id = spans.start(name, self.node_id)
         frame.span_id = span_id
         spans.note_frame(span_id, frame.frame_id)
-        with spans.activate(span_id):
+        previous = spans.current
+        spans.current = span_id
+        try:
             self.mac.send(frame)
+        finally:
+            spans.current = previous
         spans.finish(span_id)
 
     def _on_physical_receive(self, frame: Frame) -> None:
@@ -174,14 +171,26 @@ class Mote:
         if not self.alive:
             return
         self.frames_delivered += 1
+        kind = frame.kind
+        handlers = self._handlers.get(kind)
+        if not handlers:
+            return
+        name = self._handle_names.get(kind)
+        if name is None:
+            name = self._handle_names[kind] = "handle." + kind
         spans = self.sim.spans
-        for handler in self._handlers.get(frame.kind, []):
+        for handler in handlers:
             # Each handler runs in its own span under the frame that
             # triggered it, so replies sent inside become grandchildren
             # of the original send.
-            with spans.span(f"handle.{frame.kind}", node=self.node_id,
-                            parent=frame.span_id):
+            span_id = spans.start(name, self.node_id, frame.span_id)
+            previous = spans.current
+            spans.current = span_id
+            try:
                 handler(frame)
+            finally:
+                spans.current = previous
+                spans.finish(span_id)
 
     # ------------------------------------------------------------------
     # Timers (handlers run as CPU tasks)

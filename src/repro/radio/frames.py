@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 #: Broadcast destination sentinel.
 BROADCAST = -1
@@ -69,10 +69,17 @@ class Frame:
     #: at send time, carried to receivers so handler spans chain to the
     #: sender's context; never serialized into trace records.
     span_id: Optional[int] = None
+    #: The payload decoded by a protocol layer, as ``(message class,
+    #: message)``: every receiver of a broadcast shares one decode (see
+    #: ``Heartbeat.of_frame``).  Never serialized into trace records.
+    decoded: Optional[Tuple[type, Any]] = field(default=None, init=False,
+                                                repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size_bits <= 0:
             raise ValueError(f"frame size must be positive: {self.size_bits}")
+        if self.tx_range is not None and not self.tx_range > 0:
+            raise ValueError(f"tx range must be positive: {self.tx_range}")
 
     @property
     def is_broadcast(self) -> bool:

@@ -16,7 +16,7 @@ never care which is installed.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, Tuple
+from typing import Deque, Optional, Tuple
 
 from ..sim import Event, Simulator
 from .frames import Frame
@@ -27,10 +27,11 @@ class MacBase:
     """Common interface for MAC implementations."""
 
     def __init__(self, sim: Simulator, medium: Medium,
-                 position_fn: Callable[[], Position]) -> None:
+                 position: Position) -> None:
         self.sim = sim
         self.medium = medium
-        self._position_fn = position_fn
+        #: Field position carrier sense listens at (motes are static).
+        self.position = position
         self.sent = 0
         self.dropped = 0
 
@@ -73,11 +74,11 @@ class CsmaMac(MacBase):
     """
 
     def __init__(self, sim: Simulator, medium: Medium,
-                 position_fn: Callable[[], Position],
+                 position: Position,
                  max_attempts: int = 8,
                  backoff: Tuple[float, float] = (0.001, 0.008),
                  queue_limit: int = 32) -> None:
-        super().__init__(sim, medium, position_fn)
+        super().__init__(sim, medium, position)
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self.max_attempts = max_attempts
@@ -123,7 +124,7 @@ class CsmaMac(MacBase):
     # ------------------------------------------------------------------
     def _attempt(self, frame: Frame, attempt: int) -> None:
         self._pending_event = None
-        if not self.medium.channel_busy(self._position_fn()):
+        if not self.medium.channel_busy(self.position):
             self.sent += 1
             self.medium.transmit(frame)
             self._finish()
@@ -150,11 +151,10 @@ class CsmaMac(MacBase):
 
 
 def make_mac(name: str, sim: Simulator, medium: Medium,
-             position_fn: Callable[[], Position],
-             **kwargs) -> MacBase:
+             position: Position, **kwargs) -> MacBase:
     """Factory used by scenario configuration (``"null"`` or ``"csma"``)."""
     if name == "null":
-        return NullMac(sim, medium, position_fn)
+        return NullMac(sim, medium, position)
     if name == "csma":
-        return CsmaMac(sim, medium, position_fn, **kwargs)
+        return CsmaMac(sim, medium, position, **kwargs)
     raise ValueError(f"unknown MAC {name!r} (expected 'null' or 'csma')")

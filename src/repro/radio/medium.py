@@ -19,25 +19,27 @@ The medium never inspects payloads; addressing (unicast vs broadcast) is a
 filter applied by the receiving mote, exactly like a radio that hears
 everything in range but only delivers frames addressed to it.
 
-Spatial index
--------------
-With thousands of motes a full scan is O(N) per delivery and
-O(N·active) per collision check.  The medium keeps every port in a
-uniform-grid bucket (cell size = ``communication_radius``) so
-:meth:`transmit`, :meth:`channel_busy` and :meth:`neighbors_of` only
-examine the cells that can possibly contain an in-range node.  Candidates
-are visited in attach order, so the loss RNG streams are drawn exactly as
-a full scan would draw them (see ``docs/PROTOCOL.md`` §7 for the
-invariants — in particular, a node that moves must notify the medium via
-:meth:`refresh_position`, which :meth:`repro.node.Mote.move_to` does).
+Static links
+------------
+Motes do not move (the paper's §6.1 grid), so everything the medium
+derives from geometry is computed once per topology, not once per
+frame.  Ports sit in a uniform-grid bucket (cell size =
+``communication_radius``) that bounds each geometric query to nearby
+cells, and the results are kept in link tables built on first use and
+cleared on every :meth:`attach` / :meth:`detach`: per (source, reach)
+the receivers in attach order with their loss probability, per source
+the ports within ``interference_radius``, per carrier-sense position
+the audible sources, and per (node, radius) the neighbour list.
+``port.enabled`` and disturbances are still checked per frame, and loss
+randomness is drawn in attach order, exactly as a full scan would draw
+it (see ``docs/PROTOCOL.md`` §7 for the invariants).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Tuple)
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..sim import Simulator
 from .frames import Frame
@@ -54,13 +56,15 @@ def distance(a: Position, b: Position) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-@dataclass
 class _Reception:
     """A pending physical reception of one frame at one transceiver."""
 
-    receiver: "TransceiverPort"
-    corrupted: bool = False
-    drop_cause: Optional[str] = None
+    __slots__ = ("receiver", "corrupted", "drop_cause")
+
+    def __init__(self, receiver: "TransceiverPort") -> None:
+        self.receiver = receiver
+        self.corrupted = False
+        self.drop_cause: Optional[str] = None
 
     def corrupt(self, cause: str) -> None:
         if not self.corrupted:
@@ -93,17 +97,18 @@ class Disturbance:
         return distance(self.center, position) <= self.radius
 
 
-@dataclass
 class _Transmission:
     """An in-flight frame occupying airtime on the channel."""
 
-    frame: Frame
-    src_pos: Position
-    start: float
-    end: float
-    cell: Tuple[int, int]
-    src_port: Optional["TransceiverPort"] = None
-    receptions: List[_Reception] = field(default_factory=list)
+    __slots__ = ("frame", "start", "end", "src_port", "receptions")
+
+    def __init__(self, frame: Frame, start: float, end: float,
+                 src_port: "TransceiverPort") -> None:
+        self.frame = frame
+        self.start = start
+        self.end = end
+        self.src_port = src_port
+        self.receptions: List[_Reception] = []
 
     def overlaps(self, other: "_Transmission") -> bool:
         return self.start < other.end and other.start < self.end
@@ -112,23 +117,18 @@ class _Transmission:
 class TransceiverPort:
     """The medium-facing half of a mote's radio.
 
-    Holds the position callback (positions may change for mobile nodes) and
-    the delivery callback invoked when a frame survives the channel.
+    Holds the (fixed) field position and the delivery callback invoked
+    when a frame survives the channel.
     """
 
-    def __init__(self, node_id: int, position_fn: Callable[[], Position],
-                 deliver_fn: Callable[[Frame], None]) -> None:
+    __slots__ = ("node_id", "position", "deliver", "enabled")
+
+    def __init__(self, node_id: int, position: Position,
+                 deliver: Callable[[Frame], None]) -> None:
         self.node_id = node_id
-        self._position_fn = position_fn
-        self._deliver_fn = deliver_fn
+        self.position = position
+        self.deliver = deliver
         self.enabled = True
-
-    @property
-    def position(self) -> Position:
-        return self._position_fn()
-
-    def deliver(self, frame: Frame) -> None:
-        self._deliver_fn(frame)
 
 
 class _GridIndex:
@@ -137,12 +137,11 @@ class _GridIndex:
     Buckets are keyed by integer cell coordinates (cell size = the
     medium's communication radius), so every disk query of radius ≤ one
     cell touches at most the 3×3 neighborhood of the query cell.  Buckets
-    hold ports in attach order; bucket membership tracks the *last
-    notified* position of each port (updated on attach/detach/refresh).
+    hold ports in attach order.
     """
 
     def __init__(self, cell_size: float) -> None:
-        if cell_size <= 0:
+        if not cell_size > 0:
             raise ValueError(f"cell size must be positive: {cell_size}")
         self.cell_size = cell_size
         self._buckets: Dict[Tuple[int, int],
@@ -167,15 +166,6 @@ class _GridIndex:
             bucket.pop(node_id, None)
             if not bucket:
                 del self._buckets[key]
-
-    def refresh(self, port: TransceiverPort) -> None:
-        """Re-bucket one port after its position changed."""
-        new_key = self.cell_of(port.position)
-        if self._cells.get(port.node_id) == new_key:
-            return
-        self.remove(port.node_id)
-        self._buckets.setdefault(new_key, {})[port.node_id] = port
-        self._cells[port.node_id] = new_key
 
     def cells_covering(self, position: Position,
                        radius: float) -> Iterator[Tuple[int, int]]:
@@ -224,8 +214,15 @@ class Medium:
                  propagation_delay: float = 0.0,
                  soft_edge_start: float = 1.0,
                  soft_edge_loss: float = 0.0) -> None:
-        if communication_radius <= 0:
-            raise ValueError("communication radius must be positive")
+        if not communication_radius > 0:
+            raise ValueError(
+                f"communication radius must be positive: "
+                f"{communication_radius}")
+        if interference_radius is not None and \
+                not interference_radius > 0:
+            raise ValueError(
+                f"interference radius must be positive: "
+                f"{interference_radius}")
         if not 0.0 <= base_loss_rate < 1.0:
             raise ValueError(
                 f"base loss rate must be in [0, 1): {base_loss_rate}")
@@ -285,7 +282,19 @@ class Medium:
         self._attach_order: Dict[int, int] = {}
         self._attach_counter = 0
         self._index = _GridIndex(communication_radius)
-        self._active_cells: Dict[Tuple[int, int], List[_Transmission]] = {}
+        #: Bumped on every attach/detach; callers that cache routes over
+        #: the topology (``GeoRouter``) compare it to drop stale entries.
+        self.topology_version = 0
+        # Link tables (see the module docstring), keyed by port object
+        # so a re-attached node id never reuses a stale entry.
+        self._links: Dict[Tuple[TransceiverPort, float],
+                          List[Tuple[TransceiverPort, float]]] = {}
+        self._interferers: Dict[TransceiverPort, Set[TransceiverPort]] = {}
+        self._audible: Dict[Position, Set[TransceiverPort]] = {}
+        self._neighbors: Dict[Tuple[int, float], List[int]] = {}
+        # Ports detached while a transmission was on the air: a receiver
+        # of that transmission may still be hit by a later collision.
+        self._detached_in_flight: List[TransceiverPort] = []
 
     # ------------------------------------------------------------------
     # Registration
@@ -298,6 +307,7 @@ class Medium:
         self._attach_order[port.node_id] = self._attach_counter
         self._attach_counter += 1
         self._index.add(port)
+        self._topology_changed()
 
     def detach(self, node_id: int) -> None:
         """Remove a transceiver from the channel.
@@ -307,22 +317,19 @@ class Medium:
         receptions at the detached node are discarded instead of
         delivered (see :meth:`channel_busy` / :meth:`_complete`).
         """
-        self._ports.pop(node_id, None)
+        port = self._ports.pop(node_id, None)
         self._attach_order.pop(node_id, None)
         self._index.remove(node_id)
+        if port is not None and self._active:
+            self._detached_in_flight.append(port)
+        self._topology_changed()
 
-    def refresh_position(self, node_id: int) -> None:
-        """Re-bucket a node after it moved (no-op for unknown nodes).
-
-        Positions are sampled through each port's callback, so the medium
-        cannot observe movement on its own; anything that relocates a
-        node (``Mote.move_to``) must call this for the grid index to stay
-        consistent.  Positions must not change while a transmission is in
-        flight (airtime is milliseconds; field motes are static).
-        """
-        port = self._ports.get(node_id)
-        if port is not None:
-            self._index.refresh(port)
+    def _topology_changed(self) -> None:
+        self.topology_version += 1
+        self._links.clear()
+        self._interferers.clear()
+        self._audible.clear()
+        self._neighbors.clear()
 
     def port(self, node_id: int) -> TransceiverPort:
         """The registered transceiver of ``node_id``."""
@@ -332,32 +339,45 @@ class Medium:
         """Sorted ids of all attached transceivers."""
         return sorted(self._ports)
 
-    def _attached(self, port: Optional[TransceiverPort]) -> bool:
-        """Is this exact port object still registered?"""
-        return (port is not None
-                and self._ports.get(port.node_id) is port)
-
     # ------------------------------------------------------------------
-    # Candidate enumeration (the spatial-index seam)
+    # Link tables (built on first use, cleared on attach/detach)
     # ------------------------------------------------------------------
-    def _ports_near(self, position: Position,
-                    radius: float) -> Iterable[TransceiverPort]:
-        """Ports that *may* be within ``radius`` of ``position``, in
-        attach order.  Callers still apply the exact distance test, so the
-        in-range subset comes out in the order a full scan would give.
-        """
-        order = self._attach_order
-        return sorted(self._index.near(position, radius),
-                      key=lambda port: order[port.node_id])
+    def _links_of(self, src_port: TransceiverPort,
+                  reach: float) -> List[Tuple[TransceiverPort, float]]:
+        """Receivers of ``src_port`` at ``reach``, in attach order, each
+        with its per-reception loss probability."""
+        key = (src_port, reach)
+        links = self._links.get(key)
+        if links is None:
+            origin = src_port.position
+            order = self._attach_order
+            links = []
+            # Grid candidates sorted into attach order, so the in-range
+            # subset comes out in the order a full scan would give.
+            for port in sorted(self._index.near(origin, reach),
+                               key=lambda port: order[port.node_id]):
+                if port is src_port:
+                    continue
+                d = distance(origin, port.position)
+                if d <= reach:
+                    links.append((port, self._loss_probability(d, reach)))
+            self._links[key] = links
+        return links
 
-    def _active_near(self, position: Position,
-                     radius: float) -> Iterable[_Transmission]:
-        """In-flight transmissions whose (snapshotted) source may be
-        within ``radius`` of ``position``."""
-        candidates: List[_Transmission] = []
-        for key in self._index.cells_covering(position, radius):
-            candidates.extend(self._active_cells.get(key, ()))
-        return candidates
+    def _interferers_of(self,
+                        src_port: TransceiverPort) -> Set[TransceiverPort]:
+        """Ports (the source included) within ``interference_radius`` of
+        ``src_port``: the receivers its airtime can corrupt."""
+        near = self._interferers.get(src_port)
+        if near is None:
+            origin = src_port.position
+            limit = self.interference_radius
+            candidates = list(self._index.near(origin, limit))
+            candidates.extend(self._detached_in_flight)
+            near = {port for port in candidates
+                    if distance(origin, port.position) <= limit}
+            self._interferers[src_port] = near
+        return near
 
     # ------------------------------------------------------------------
     # Channel state
@@ -369,10 +389,17 @@ class Medium:
         a removed node's stale position must not keep the channel busy.
         """
         self._prune()
-        return any(
-            distance(tx.src_pos, pos) <= self.communication_radius
-            for tx in self._active_near(pos, self.communication_radius)
-            if self._attached(tx.src_port))
+        if not self._active:
+            return False
+        audible = self._audible.get(pos)
+        if audible is None:
+            # Built from attached ports only, so a detached sender (or
+            # the old port of a re-attached id) is never audible.
+            limit = self.communication_radius
+            audible = self._audible[pos] = {
+                port for port in self._index.near(pos, limit)
+                if distance(port.position, pos) <= limit}
+        return any(tx.src_port in audible for tx in self._active)
 
     def airtime(self, frame: Frame) -> float:
         """Seconds this frame occupies the channel."""
@@ -380,14 +407,23 @@ class Medium:
 
     def neighbors_of(self, node_id: int,
                      radius: Optional[float] = None) -> List[int]:
-        """Node ids within ``radius`` (default: communication radius)."""
-        port = self._ports[node_id]
+        """Node ids within ``radius`` (default: communication radius).
+
+        Failed-but-attached motes are included: only the topology, not
+        liveness, decides.
+        """
         limit = self.communication_radius if radius is None else radius
-        origin = port.position
-        return sorted(
-            other.node_id for other in self._ports_near(origin, limit)
-            if other.node_id != node_id
-            and distance(origin, other.position) <= limit)
+        key = (node_id, limit)
+        neighbors = self._neighbors.get(key)
+        if neighbors is None:
+            port = self._ports[node_id]
+            origin = port.position
+            neighbors = sorted(
+                other.node_id for other in self._index.near(origin, limit)
+                if other is not port
+                and distance(origin, other.position) <= limit)
+            self._neighbors[key] = neighbors
+        return list(neighbors)
 
     # ------------------------------------------------------------------
     # Disturbances (fault injection)
@@ -411,6 +447,8 @@ class Medium:
 
     def active_disturbances(self) -> List[Disturbance]:
         """Disturbances covering the current instant."""
+        if not self._disturbances:
+            return []
         now = self.sim.now
         self._disturbances = [d for d in self._disturbances if d.end > now]
         return [d for d in self._disturbances if d.active(now)]
@@ -419,7 +457,7 @@ class Medium:
     # Transmission
     # ------------------------------------------------------------------
     def transmit(self, frame: Frame) -> None:
-        """Put ``frame`` on the air from its source's current position.
+        """Put ``frame`` on the air from its source's position.
 
         Delivery (or silent loss) happens after the frame's airtime plus
         propagation delay.
@@ -429,24 +467,22 @@ class Medium:
             raise KeyError(f"unknown source node {frame.src}")
         now = self.sim.now
         frame.sent_at = now
-        src_pos = src_port.position
-        tx = _Transmission(frame=frame, src_pos=src_pos, start=now,
-                           end=now + self.airtime(frame),
-                           cell=self._index.cell_of(src_pos),
-                           src_port=src_port)
+        airtime = self.airtime(frame)
+        tx = _Transmission(frame, now, now + airtime, src_port)
         self._prune()
         disturbances = self.active_disturbances()
-        reach = (self.communication_radius if frame.tx_range is None
-                 else min(frame.tx_range, self.communication_radius))
-        # Build the reception set: everyone in range except the sender.
-        for port in self._ports_near(src_pos, reach):
-            if port.node_id == frame.src or not port.enabled:
+        reach = self.communication_radius
+        if frame.tx_range is not None and frame.tx_range < reach:
+            reach = frame.tx_range
+        # Build the reception set: every enabled in-range port, in attach
+        # order (the loss draws' order).
+        receptions = tx.receptions
+        draw = self._rng.random
+        for port, loss in self._links_of(src_port, reach):
+            if not port.enabled:
                 continue
-            d = distance(src_pos, port.position)
-            if d > reach:
-                continue
-            reception = _Reception(receiver=port)
-            if self._rng.random() < self._loss_probability(d, reach):
+            reception = _Reception(port)
+            if draw() < loss:
                 reception.corrupt("channel")
             for disturbance in disturbances:
                 if reception.corrupted:
@@ -454,30 +490,24 @@ class Medium:
                 if disturbance.covers(port.position) and \
                         self._jam_rng.random() < disturbance.extra_loss:
                     reception.corrupt("jam")
-            tx.receptions.append(reception)
-        # Mutual collision marking against concurrently active airtime.
-        # Any transmission that can corrupt one of our receptions — or
-        # whose receptions we can corrupt — has its source within
-        # interference_radius + communication_radius of ours, so the
-        # indexed candidate set is a superset of the relevant ones.
-        interference_reach = (self.interference_radius
-                              + self.communication_radius)
-        for other in self._active_near(src_pos, interference_reach):
-            if not tx.overlaps(other):
-                continue
-            for reception in tx.receptions:
-                if distance(other.src_pos,
-                            reception.receiver.position) \
-                        <= self.interference_radius:
-                    reception.corrupt("collision")
-            for reception in other.receptions:
-                if distance(src_pos, reception.receiver.position) \
-                        <= self.interference_radius:
-                    reception.corrupt("collision")
+            receptions.append(reception)
+        # Mutual collision marking against concurrently active airtime: a
+        # reception is corrupted by any overlapping transmission whose
+        # source is within interference_radius of the receiver.
+        if self._active:
+            near = self._interferers_of(src_port)
+            for other in self._active:
+                if not tx.overlaps(other):
+                    continue
+                other_near = self._interferers_of(other.src_port)
+                for reception in receptions:
+                    if reception.receiver in other_near:
+                        reception.corrupt("collision")
+                for reception in other.receptions:
+                    if reception.receiver in near:
+                        reception.corrupt("collision")
         self._active.append(tx)
-        self._active_cells.setdefault(tx.cell, []).append(tx)
         self.stats.on_send(frame.kind, frame.size_bits, frame.src, now)
-        airtime = self.airtime(frame)
         self._frames_sent.inc(1.0, frame.kind)
         self._bits_sent.inc(float(frame.size_bits), frame.kind)
         self._airtime_seconds.inc(airtime)
@@ -500,48 +530,47 @@ class Medium:
         return probability
 
     def _complete(self, tx: _Transmission) -> None:
-        delivered = 0
-        dst_received = False
+        frame = tx.frame
+        kind = frame.kind
+        ports = self._ports
+        receivers: List[TransceiverPort] = []
+        # Reception outcomes ("delivered" or a drop cause) counted in
+        # first-seen order, then accounted once per frame and outcome.
+        outcomes: Dict[str, int] = {}
         for reception in tx.receptions:
-            if not self._attached(reception.receiver):
+            receiver = reception.receiver
+            if ports.get(receiver.node_id) is not receiver:
                 # Receiver detached while the frame was in flight: the
                 # radio is gone, so the reception never happened — it is
                 # neither an attempt nor a delivery.
                 continue
-            self.stats.on_reception_attempt(tx.frame.kind,
-                                            reception.corrupted)
             if reception.corrupted:
-                self.stats.on_reception_dropped(reception.drop_cause
-                                                or "unknown")
-                self._receptions.inc(1.0, tx.frame.kind,
-                                     reception.drop_cause or "unknown")
-                continue
-            delivered += 1
-            if reception.receiver.node_id == tx.frame.dst:
+                outcome = reception.drop_cause or "unknown"
+            else:
+                outcome = "delivered"
+                receivers.append(receiver)
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        self.stats.on_receptions(kind, outcomes, self.sim.now)
+        for outcome, count in outcomes.items():
+            self._receptions.inc(float(count), kind, outcome)
+        dst_received = False
+        for receiver in receivers:
+            if receiver.node_id == frame.dst:
                 dst_received = True
-            self.stats.on_receive(tx.frame.kind, self.sim.now)
-            self._receptions.inc(1.0, tx.frame.kind, "delivered")
-            reception.receiver.deliver(tx.frame)
-        if not tx.frame.is_broadcast:
-            self.stats.on_addressed_outcome(tx.frame.kind, dst_received)
-        if delivered == 0:
+            receiver.deliver(frame)
+        if not frame.is_broadcast:
+            self.stats.on_addressed_outcome(kind, dst_received)
+        if not receivers:
             # The paper's loss metric: sent but never received on any mote.
-            self.stats.on_frame_lost(tx.frame.kind)
-            self._frames_lost.inc(1.0, tx.frame.kind)
-            self.sim.record("radio.lost", node=tx.frame.src,
-                            kind=tx.frame.kind, frame_id=tx.frame.frame_id)
+            self.stats.on_frame_lost(kind)
+            self._frames_lost.inc(1.0, kind)
+            self.sim.record("radio.lost", node=frame.src, kind=kind,
+                            frame_id=frame.frame_id)
 
     def _prune(self) -> None:
         now = self.sim.now
         if all(tx.end > now for tx in self._active):
             return
-        kept: List[_Transmission] = []
-        for tx in self._active:
-            if tx.end > now:
-                kept.append(tx)
-                continue
-            bucket = self._active_cells[tx.cell]
-            bucket.remove(tx)
-            if not bucket:
-                del self._active_cells[tx.cell]
-        self._active = kept
+        self._active = [tx for tx in self._active if tx.end > now]
+        if not self._active:
+            self._detached_in_flight.clear()

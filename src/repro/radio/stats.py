@@ -51,18 +51,29 @@ class RadioStats:
         self.bits_sent_by_node[node] += size_bits
         self.last_activity = now
 
-    def on_receive(self, kind: str, now: float) -> None:
-        self.frames_received += 1
-        self.received_by_kind[kind] += 1
-        self.last_activity = now
+    def on_receptions(self, kind: str, outcomes: Dict[str, int],
+                      now: float) -> None:
+        """Account one frame's physical receptions at once.
 
-    def on_reception_dropped(self, cause: str) -> None:
-        self.receptions_dropped[cause] += 1
-
-    def on_reception_attempt(self, kind: str, dropped: bool) -> None:
-        self.reception_attempts_by_kind[kind] += 1
-        if dropped:
-            self.reception_drops_by_kind[kind] += 1
+        ``outcomes`` counts them by outcome: ``"delivered"`` or the drop
+        cause (``channel``, ``jam``, ``collision`` …), in first-seen
+        order.
+        """
+        attempts = 0
+        for outcome, count in outcomes.items():
+            attempts += count
+            if outcome != "delivered":
+                self.receptions_dropped[outcome] += count
+        if not attempts:
+            return
+        self.reception_attempts_by_kind[kind] += attempts
+        delivered = outcomes.get("delivered", 0)
+        if attempts > delivered:
+            self.reception_drops_by_kind[kind] += attempts - delivered
+        if delivered:
+            self.frames_received += delivered
+            self.received_by_kind[kind] += delivered
+            self.last_activity = now
 
     def on_addressed_outcome(self, kind: str, delivered: bool) -> None:
         self.addressed_sent_by_kind[kind] += 1

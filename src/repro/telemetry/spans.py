@@ -57,8 +57,9 @@ class SpanTracker:
 
     The tracker holds a *current span* — the causal context of whatever
     code is executing right now.  Instrumentation opens child spans with
-    :meth:`span`; the engine moves the context across asynchronous gaps
-    with :meth:`swap`.
+    :meth:`span`; hot paths (the engine's dispatch, the mote's frame and
+    handler spans) pair :meth:`start` / :meth:`finish` with plain writes
+    of :attr:`current` instead of a generator-based context manager.
     """
 
     def __init__(self, clock: Callable[[], float]) -> None:
@@ -68,8 +69,9 @@ class SpanTracker:
         self._children: Dict[int, List[int]] = {}
         self._frame_spans: Dict[int, int] = {}
         #: Span id of the executing causal context, or None.  A plain
-        #: attribute (not a property): the engine reads and writes it
-        #: around every event dispatch, so it must stay cheap.
+        #: attribute (not a property): the engine and the mote read and
+        #: write it around every event dispatch and frame handler, so it
+        #: must stay cheap.
         self.current: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -80,15 +82,6 @@ class SpanTracker:
         previous = self.current
         self.current = span_id
         return previous
-
-    @contextmanager
-    def activate(self, span_id: Optional[int]) -> Iterator[Optional[int]]:
-        """Run a block with ``span_id`` as the current span."""
-        previous = self.swap(span_id)
-        try:
-            yield span_id
-        finally:
-            self.swap(previous)
 
     # ------------------------------------------------------------------
     # Recording

@@ -598,7 +598,7 @@ class MtpAgent(Component):
 
     # ------------------------------------------------------------------
     def _on_heartbeat(self, frame) -> None:
-        beat = Heartbeat.from_payload(frame.payload)
+        beat = Heartbeat.of_frame(frame)
         if beat is None:
             return
         self.table.update(beat.label, beat.leader, self.now)

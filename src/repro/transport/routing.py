@@ -14,6 +14,7 @@ target coordinate.  Voids in sparse random deployments surface as recorded
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..node import Component, Mote
@@ -44,6 +45,8 @@ class GeoRouter(Component):
         self.forwarded = 0
         self.delivered = 0
         self.dead_ends = 0
+        self._next_hops: Dict[Position, Optional[int]] = {}
+        self._hops_version = -1
 
     def on_start(self) -> None:
         self.handle(GEO_KIND, self._on_frame)
@@ -118,8 +121,7 @@ class GeoRouter(Component):
             self.dead_ends += 1
             self.record("dead_end", reason="ttl")
             return
-        my_distance = distance(self.mote.position, dest)
-        next_hop = self._closest_neighbor(dest, my_distance)
+        next_hop = self._closest_neighbor(dest)
         if next_hop is None:
             if dest_node is not None and dest_node != self.node_id:
                 # The addressed node is unreachable/gone; point delivery
@@ -135,14 +137,28 @@ class GeoRouter(Component):
         self.forwarded += 1
         self.unicast(next_hop, GEO_KIND, packet)
 
-    def _closest_neighbor(self, dest: Position,
-                          my_distance: float) -> Optional[int]:
-        best_id, best_distance = None, my_distance
+    def _closest_neighbor(self, dest: Position) -> Optional[int]:
+        """The neighbor strictly closer to ``dest`` than this node and
+        closest of all (None: this node is the destination area).
+
+        Motes are static, so the answer is cached per destination until
+        the medium's topology changes (an attach or detach).
+        """
         medium = self.mote.medium
+        if self._hops_version != medium.topology_version:
+            self._next_hops.clear()
+            self._hops_version = medium.topology_version
+        try:
+            return self._next_hops[dest]
+        except KeyError:
+            pass
+        best_id, best_distance = None, distance(self.mote.position, dest)
         for neighbor_id in medium.neighbors_of(self.node_id):
             d = distance(medium.port(neighbor_id).position, dest)
             if d < best_distance:
                 best_id, best_distance = neighbor_id, d
+        if not math.isnan(best_distance):
+            self._next_hops[dest] = best_id
         return best_id
 
     def _deliver(self, packet: Dict[str, Any]) -> None:

@@ -282,3 +282,23 @@ def test_config_validation():
     assert config.wait_timeout == pytest.approx(1.05)
     assert config.with_heartbeat_period(1.0).receive_timeout == \
         pytest.approx(2.1)
+
+
+@pytest.mark.parametrize("field", [
+    "heartbeat_period", "sense_period", "claim_window", "receive_ratio",
+    "formation_window", "announce_jitter", "rebroadcast_jitter",
+    "heartbeat_tx_range", "sense_cost", "suppression_range", "join_range"])
+def test_config_rejects_nan(field):
+    # Regression: ``nan <= 0`` is False, so NaN used to pass every
+    # positivity check and failed much later (a NaN heartbeat reach
+    # crashed the medium's first transmit).
+    with pytest.raises(ValueError):
+        GroupConfig(**{field: float("nan")})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("heartbeat_tx_range", 0.0), ("heartbeat_tx_range", -1.0),
+    ("rebroadcast_jitter", -0.01), ("join_range", -1.0)])
+def test_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError):
+        GroupConfig(**{field: value})

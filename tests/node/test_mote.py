@@ -168,12 +168,3 @@ def test_watchdog_helper():
     sim.run(until=5.0)
     assert fired[0] == pytest.approx(1.8, abs=0.02)
 
-
-def test_move_to_updates_radio_position():
-    sim, medium, (a, b) = build(spacing=1.0, radius=2.0)
-    got = []
-    b.register_handler("m", lambda f: got.append(1))
-    b.move_to((50.0, 0.0))
-    a.send(Frame(src=0, dst=BROADCAST, kind="m"))
-    sim.run(until=1.0)
-    assert got == []

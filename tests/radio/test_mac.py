@@ -13,7 +13,7 @@ def build(radius=5.0):
     inbox = []
     for node_id, pos in [(0, (0.0, 0.0)), (1, (1.0, 0.0))]:
         port = TransceiverPort(
-            node_id, lambda p=pos: p,
+            node_id, pos,
             lambda frame, n=node_id: inbox.append((n, frame.kind)))
         medium.attach(port)
     return sim, medium, inbox
@@ -21,7 +21,7 @@ def build(radius=5.0):
 
 def test_null_mac_transmits_immediately():
     sim, medium, inbox = build()
-    mac = NullMac(sim, medium, lambda: (0.0, 0.0))
+    mac = NullMac(sim, medium, (0.0, 0.0))
     mac.send(Frame(src=0, dst=BROADCAST, kind="x"))
     assert medium.channel_busy((1.0, 0.0))
     sim.run()
@@ -31,8 +31,8 @@ def test_null_mac_transmits_immediately():
 
 def test_csma_defers_while_channel_busy():
     sim, medium, inbox = build()
-    occupier = NullMac(sim, medium, lambda: (0.0, 0.0))
-    csma = CsmaMac(sim, medium, lambda: (1.0, 0.0))
+    occupier = NullMac(sim, medium, (0.0, 0.0))
+    csma = CsmaMac(sim, medium, (1.0, 0.0))
     occupier.send(Frame(src=0, dst=BROADCAST, kind="long"))
     csma.send(Frame(src=1, dst=BROADCAST, kind="deferred"))
     sim.run()
@@ -45,7 +45,7 @@ def test_csma_defers_while_channel_busy():
 def test_csma_drops_after_max_attempts():
     sim, medium, _ = build()
     # Keep the channel busy with back-to-back long transmissions.
-    occupier = NullMac(sim, medium, lambda: (0.0, 0.0))
+    occupier = NullMac(sim, medium, (0.0, 0.0))
 
     def keep_busy():
         occupier.send(Frame(src=0, dst=BROADCAST, kind="noise",
@@ -53,7 +53,7 @@ def test_csma_drops_after_max_attempts():
         sim.schedule(0.9, keep_busy)
 
     keep_busy()
-    csma = CsmaMac(sim, medium, lambda: (1.0, 0.0), max_attempts=3,
+    csma = CsmaMac(sim, medium, (1.0, 0.0), max_attempts=3,
                    backoff=(0.01, 0.02))
     csma.send(Frame(src=1, dst=BROADCAST, kind="victim"))
     sim.run(until=5.0)
@@ -65,7 +65,7 @@ def test_csma_queues_behind_inflight_frame():
     # The first frame goes out immediately (idle channel); later frames
     # queue behind the busy-channel backoff and all get delivered.
     sim, medium, inbox = build()
-    csma = CsmaMac(sim, medium, lambda: (0.0, 0.0))
+    csma = CsmaMac(sim, medium, (0.0, 0.0))
     for i in range(3):
         csma.send(Frame(src=0, dst=BROADCAST, kind=f"k{i}"))
     assert csma.backlog >= 1
@@ -76,7 +76,7 @@ def test_csma_queues_behind_inflight_frame():
 
 def test_csma_queue_overflow_drops():
     sim, medium, _ = build()
-    csma = CsmaMac(sim, medium, lambda: (0.0, 0.0), queue_limit=2)
+    csma = CsmaMac(sim, medium, (0.0, 0.0), queue_limit=2)
     for i in range(6):
         csma.send(Frame(src=0, dst=BROADCAST, kind=f"k{i}"))
     # First transmitted immediately; second backing off; two queued; the
@@ -87,18 +87,18 @@ def test_csma_queue_overflow_drops():
 
 def test_make_mac_factory():
     sim, medium, _ = build()
-    assert isinstance(make_mac("null", sim, medium, lambda: (0, 0)),
+    assert isinstance(make_mac("null", sim, medium, (0, 0)),
                       NullMac)
-    assert isinstance(make_mac("csma", sim, medium, lambda: (0, 0)),
+    assert isinstance(make_mac("csma", sim, medium, (0, 0)),
                       CsmaMac)
     with pytest.raises(ValueError):
-        make_mac("tdma", sim, medium, lambda: (0, 0))
+        make_mac("tdma", sim, medium, (0, 0))
 
 
 def test_csma_rejects_bad_attempts():
     sim, medium, _ = build()
     with pytest.raises(ValueError):
-        CsmaMac(sim, medium, lambda: (0, 0), max_attempts=0)
+        CsmaMac(sim, medium, (0, 0), max_attempts=0)
 
 
 def test_shutdown_cancels_inflight_backoff():
@@ -106,10 +106,10 @@ def test_shutdown_cancels_inflight_backoff():
     # node: after shutdown() the pending mac.backoff event is cancelled
     # and nothing transmits, even once the channel clears.
     sim, medium, inbox = build()
-    occupier = NullMac(sim, medium, lambda: (0.0, 0.0))
+    occupier = NullMac(sim, medium, (0.0, 0.0))
     occupier.send(Frame(src=0, dst=BROADCAST, kind="long",
                         size_bits=50_000))  # 1s airtime
-    csma = CsmaMac(sim, medium, lambda: (1.0, 0.0))
+    csma = CsmaMac(sim, medium, (1.0, 0.0))
     csma.send(Frame(src=1, dst=BROADCAST, kind="zombie"))
     csma.send(Frame(src=1, dst=BROADCAST, kind="queued"))
     assert csma.backlog == 1
@@ -126,7 +126,7 @@ def test_shutdown_cancels_turnaround_and_clears_state():
     # (mac.next): the queued frame must never hit the air, and the MAC
     # must come back idle (a rebooted mote reuses the same object).
     sim, medium, inbox = build()
-    csma = CsmaMac(sim, medium, lambda: (0.0, 0.0))
+    csma = CsmaMac(sim, medium, (0.0, 0.0))
     csma.send(Frame(src=0, dst=BROADCAST, kind="first"))
     csma.send(Frame(src=0, dst=BROADCAST, kind="stale"))
     csma.shutdown()  # first already transmitted; "stale" is in turnaround
@@ -140,7 +140,7 @@ def test_shutdown_cancels_turnaround_and_clears_state():
 
 def test_shutdown_is_idempotent_and_null_mac_noop():
     sim, medium, _ = build()
-    csma = CsmaMac(sim, medium, lambda: (0.0, 0.0))
+    csma = CsmaMac(sim, medium, (0.0, 0.0))
     csma.shutdown()
     csma.shutdown()
-    NullMac(sim, medium, lambda: (0.0, 0.0)).shutdown()
+    NullMac(sim, medium, (0.0, 0.0)).shutdown()

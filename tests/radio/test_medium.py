@@ -7,7 +7,7 @@ from repro.sim import Simulator
 
 
 def make_port(medium, node_id, pos, inbox):
-    port = TransceiverPort(node_id, lambda: pos,
+    port = TransceiverPort(node_id, pos,
                            lambda frame: inbox.append((node_id, frame)))
     medium.attach(port)
     return port
@@ -44,7 +44,7 @@ def test_delivery_delayed_by_airtime():
     sim, medium = setup_medium(bitrate=1000.0)  # 288ms for 36B frame
     times = []
     make_port(medium, 0, (0.0, 0.0), [])
-    port = TransceiverPort(1, lambda: (1.0, 0.0),
+    port = TransceiverPort(1, (1.0, 0.0),
                            lambda frame: times.append(sim.now))
     medium.attach(port)
     frame = Frame(src=0, dst=BROADCAST, kind="x")
@@ -64,6 +64,26 @@ def test_duplicate_attach_rejected():
     make_port(medium, 0, (0.0, 0.0), [])
     with pytest.raises(ValueError):
         make_port(medium, 0, (1.0, 0.0), [])
+
+
+@pytest.mark.parametrize("tx_range", [float("nan"), 0.0, -1.0])
+def test_frame_rejects_bad_tx_range(tx_range):
+    # Regression: a NaN reach crashed the first transmit deep inside the
+    # spatial index; a negative one was silently heard by nobody while
+    # still using airtime.
+    with pytest.raises(ValueError):
+        Frame(src=0, dst=BROADCAST, kind="x", tx_range=tx_range)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"communication_radius": float("nan")},
+    {"communication_radius": 0.0},
+    {"communication_radius": 2.0, "interference_radius": float("nan")},
+    {"communication_radius": 2.0, "interference_radius": -1.0},
+    {"communication_radius": 2.0, "interference_radius": 0.0}])
+def test_medium_rejects_bad_radii(kwargs):
+    with pytest.raises(ValueError):
+        Medium(Simulator(seed=1), **kwargs)
 
 
 def test_base_loss_drops_some_receptions():
@@ -263,25 +283,20 @@ def test_reattach_after_detach_is_fresh():
     assert [node for node, _ in inbox] == [1]
 
 
-def test_refresh_position_rebuckets_moved_node():
-    # A node moved far across the grid must be found at its new cell
-    # (and no longer at the old one) once refresh_position is called.
-    sim, medium = setup_medium(radius=2.0)
+
+def test_reattached_receiver_keeps_collision_from_while_detached():
+    # A port detached while a frame to it is on the air, and re-attached
+    # (the same object) before the frame lands, still takes the collision
+    # from a transmission that started while it was off the channel.
+    sim, medium = setup_medium(radius=5.0)
     inbox = []
     make_port(medium, 0, (0.0, 0.0), inbox)
-    pos = [(50.0, 50.0)]
-    port = TransceiverPort(1, lambda: pos[0],
-                           lambda frame: inbox.append((1, frame)))
-    medium.attach(port)
-    assert medium.neighbors_of(0) == []
-    pos[0] = (1.0, 0.0)
-    medium.refresh_position(1)
-    assert medium.neighbors_of(0) == [1]
-    medium.transmit(Frame(src=0, dst=BROADCAST, kind="x"))
+    receiver = make_port(medium, 1, (1.0, 0.0), inbox)
+    make_port(medium, 2, (2.0, 0.0), inbox)
+    medium.transmit(Frame(src=0, dst=BROADCAST, kind="a"))
+    medium.detach(1)
+    medium.transmit(Frame(src=2, dst=BROADCAST, kind="b"))
+    medium.attach(receiver)
     sim.run()
-    assert [node for node, _ in inbox] == [1]
-
-
-def test_refresh_position_unknown_node_is_noop():
-    _, medium = setup_medium(radius=2.0)
-    medium.refresh_position(42)  # must not raise
+    assert inbox == []
+    assert medium.stats.receptions_dropped["collision"] == 3

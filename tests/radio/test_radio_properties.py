@@ -26,7 +26,7 @@ def test_broadcast_reaches_exactly_in_range_receivers(points, radius,
     received = []
     for node_id, pos in enumerate(points):
         medium.attach(TransceiverPort(
-            node_id, lambda p=pos: p,
+            node_id, pos,
             lambda frame, n=node_id: received.append(n)))
     medium.transmit(Frame(src=0, dst=BROADCAST, kind="x"))
     sim.run()
@@ -49,7 +49,7 @@ def test_medium_is_deterministic_per_seed(seed, loss):
         for node_id, pos in enumerate([(0.0, 0.0), (1.0, 0.0),
                                        (2.0, 0.0)]):
             medium.attach(TransceiverPort(
-                node_id, lambda p=pos: p,
+                node_id, pos,
                 lambda frame, n=node_id: log.append((n, frame.kind))))
         for i in range(20):
             sim.schedule(i * 0.1, medium.transmit,

@@ -13,8 +13,8 @@ def reception_rate(distance, soft_edge_start=0.5, soft_edge_loss=0.9,
                     soft_edge_start=soft_edge_start,
                     soft_edge_loss=soft_edge_loss)
     received = []
-    medium.attach(TransceiverPort(0, lambda: (0.0, 0.0), lambda f: None))
-    medium.attach(TransceiverPort(1, lambda: (distance, 0.0),
+    medium.attach(TransceiverPort(0, (0.0, 0.0), lambda f: None))
+    medium.attach(TransceiverPort(1, (distance, 0.0),
                                   lambda f: received.append(f)))
     for _ in range(trials):
         medium.transmit(Frame(src=0, dst=BROADCAST, kind="x",

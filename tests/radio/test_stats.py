@@ -9,7 +9,7 @@ def test_send_receive_counters():
     stats = RadioStats()
     stats.on_send("hb", 288, node=1, now=1.0)
     stats.on_send("hb", 288, node=2, now=2.0)
-    stats.on_receive("hb", now=2.1)
+    stats.on_receptions("hb", {"delivered": 1}, now=2.1)
     assert stats.frames_sent == 2
     assert stats.bits_sent == 576
     assert stats.sent_by_kind["hb"] == 2
@@ -35,8 +35,7 @@ def test_loss_fraction_empty_is_zero():
 
 def test_reception_loss_fraction():
     stats = RadioStats()
-    for dropped in (False, False, True, False):
-        stats.on_reception_attempt("hb", dropped)
+    stats.on_receptions("hb", {"delivered": 3, "channel": 1}, now=0.0)
     assert stats.reception_loss_fraction("hb") == pytest.approx(0.25)
     assert stats.reception_loss_fraction("other") == 0.0
 
@@ -66,7 +65,7 @@ def test_link_utilization_zero_elapsed():
 def test_reset_zeroes_everything():
     stats = RadioStats()
     stats.on_send("x", 100, node=0, now=1.0)
-    stats.on_reception_attempt("x", True)
+    stats.on_receptions("x", {"collision": 1}, now=1.0)
     stats.on_addressed_outcome("x", False)
     stats.on_frame_lost("x")
     stats.reset(now=9.0)
@@ -76,3 +75,17 @@ def test_reset_zeroes_everything():
     assert stats.reception_loss_fraction("x") == 0.0
     assert stats.addressed_loss_fraction("x") == 0.0
     assert stats.started_at == 9.0
+
+
+def test_receptions_accounted_per_frame_and_outcome():
+    stats = RadioStats()
+    stats.on_receptions("hb", {"collision": 2, "delivered": 5,
+                               "channel": 1}, now=3.0)
+    stats.on_receptions("hb", {"delivered": 2}, now=4.0)
+    assert stats.reception_attempts_by_kind["hb"] == 10
+    assert stats.reception_drops_by_kind["hb"] == 3
+    assert stats.frames_received == 7
+    assert stats.received_by_kind["hb"] == 7
+    assert list(stats.receptions_dropped.items()) == [("collision", 2),
+                                                      ("channel", 1)]
+    assert stats.last_activity == 4.0

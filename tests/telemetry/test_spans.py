@@ -51,16 +51,15 @@ class TestContext:
     def test_parent_defaults_to_current(self):
         tracker, _ = make_tracker()
         root = tracker.start("root")
-        with tracker.activate(root):
-            child = tracker.start("child")
+        tracker.current = root
+        child = tracker.start("child")
         assert tracker.get(child).parent_id == root
         assert [r.span_id for r in tracker.children(root)] == [child]
 
     def test_root_flag_forces_tree_root(self):
         tracker, _ = make_tracker()
-        outer = tracker.start("outer")
-        with tracker.activate(outer):
-            forced = tracker.start("forced", root=True)
+        tracker.current = tracker.start("outer")
+        forced = tracker.start("forced", root=True)
         assert tracker.get(forced).parent_id is None
 
     def test_span_context_manager_nests_and_restores(self):
