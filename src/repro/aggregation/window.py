@@ -39,7 +39,7 @@ class AggregateVarSpec:
         if self.confidence < 1:
             raise ValueError(
                 f"critical mass must be >= 1: {self.confidence}")
-        if self.freshness <= 0:
+        if not self.freshness > 0:
             raise ValueError(
                 f"freshness must be positive: {self.freshness}")
 

@@ -56,8 +56,8 @@ class EnviroTrackApp:
     ----------
     seed:
         Master determinism seed.
-    communication_radius / base_loss_rate / bitrate / mac / task_cost /
-    cpu_queue_limit:
+    communication_radius / base_loss_rate / task_cost / cpu_queue_limit /
+    soft_edge_start / soft_edge_loss:
         Field and radio configuration (see :class:`SensorField`).
     enable_directory / enable_mtp:
         Install the naming/transport services (on by default; the tracking
@@ -70,8 +70,7 @@ class EnviroTrackApp:
     """
 
     def __init__(self, seed: int = 0, communication_radius: float = 6.0,
-                 base_loss_rate: float = 0.0, bitrate: float = 50_000.0,
-                 mac: str = "csma", task_cost: float = 0.001,
+                 base_loss_rate: float = 0.0, task_cost: float = 0.001,
                  cpu_queue_limit: int = 64,
                  soft_edge_start: float = 1.0, soft_edge_loss: float = 0.0,
                  enable_directory: bool = True, enable_mtp: bool = True,
@@ -79,7 +78,7 @@ class EnviroTrackApp:
         self.sim = Simulator(seed=seed)
         self.field = SensorField(
             self.sim, communication_radius=communication_radius,
-            base_loss_rate=base_loss_rate, bitrate=bitrate, mac=mac,
+            base_loss_rate=base_loss_rate,
             task_cost=task_cost, cpu_queue_limit=cpu_queue_limit,
             soft_edge_start=soft_edge_start, soft_edge_loss=soft_edge_loss)
         self.registry = registry or default_registry()

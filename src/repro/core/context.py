@@ -36,7 +36,7 @@ class TimerInvocation:
     period: float
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
+        if not self.period > 0:
             raise ValueError(f"timer period must be positive: {self.period}")
 
 
@@ -55,7 +55,7 @@ class WhenInvocation:
     edge_triggered: bool = True
 
     def __post_init__(self) -> None:
-        if self.poll_period <= 0:
+        if not self.poll_period > 0:
             raise ValueError(
                 f"poll period must be positive: {self.poll_period}")
 
@@ -161,7 +161,7 @@ class ContextTypeDef:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("context type needs a name")
-        if self.delay_estimate < 0:
+        if not self.delay_estimate >= 0:
             raise ValueError(
                 f"delay estimate must be >= 0: {self.delay_estimate}")
         names = [spec.name for spec in self.aggregates]

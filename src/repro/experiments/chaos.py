@@ -43,8 +43,8 @@ CONTEXT_TYPE = "chaos"
 REPORT_KIND = "chaos.report"
 
 #: Scheduling slack on top of the receive timeout: takeover probe rounds
-#: (≤ 2 × claim_window), duplicate resolution by defence/yield, CPU task
-#: service.  Keep in sync with GroupConfig defaults.
+#: (≤ 2 × CLAIM_WINDOW), duplicate resolution by defence/yield, CPU task
+#: service.  Keep in sync with the groups.config constants and defaults.
 TAKEOVER_SLACK = 0.5
 
 

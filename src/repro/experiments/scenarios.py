@@ -53,7 +53,6 @@ class TankScenario:
     #: Soft reception edge (see repro.radio.Medium); 1.0/0.0 = sharp disk.
     soft_edge_start: float = 1.0
     soft_edge_loss: float = 0.0
-    mac: str = "csma"
     task_cost: float = 0.001
     cpu_queue_limit: int = 64
     confidence: int = 2
@@ -158,7 +157,6 @@ def build_app(scenario: TankScenario) -> EnviroTrackApp:
         base_loss_rate=scenario.base_loss_rate,
         soft_edge_start=scenario.soft_edge_start,
         soft_edge_loss=scenario.soft_edge_loss,
-        mac=scenario.mac,
         task_cost=scenario.task_cost,
         cpu_queue_limit=scenario.cpu_queue_limit,
         enable_directory=scenario.enable_directory,

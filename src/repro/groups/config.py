@@ -1,16 +1,39 @@
-"""Group-management tuning knobs.
+"""Group-management tuning knobs and the constants behind them.
 
 The paper's §6.2: "Best results are achieved when the receive and wait
 timers ... are set to 2.1 and 4.2 times the leader heartbeat period
 respectively."  Those ratios, the heartbeat period itself, the heartbeat
 transmit range (the Figure 4 variable) and the flood hop count ``h`` are
-the parameters every stress test sweeps.
+the parameters every stress test sweeps, so they live on
+:class:`GroupConfig`.  The protocol's internal delays and windows are
+fixed, like the rest of the middleware, and are module constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Optional
+
+#: How often each node evaluates its sense_e() condition locally (s).
+SENSE_PERIOD = 0.1
+#: CPU cost of one sensing check (cheap ADC read + compare), seconds.
+SENSE_COST = 0.0002
+#: Random delay bound before a node forwards a heartbeat or answers a
+#: liveness probe, de-synchronizing the flood (otherwise every member
+#: rebroadcasts in the same slot and the copies collide).
+REBROADCAST_JITTER = 0.05
+#: Claim jitter window after a relinquish, to de-synchronize claimants;
+#: also the ceiling of one liveness-probe round before a takeover.
+CLAIM_WINDOW = 0.1
+#: Listen-before-create window: a node that starts sensing with no wait
+#: memory waits uniform(0, this) before minting a label, so that "a node
+#: that senses the activation condition [and] has no neighbors detecting
+#: the same condition" creates the label — concurrent first detectors
+#: join the fastest creator's heartbeat instead of each minting a
+#: duplicate.
+FORMATION_WINDOW = 0.3
+#: First-heartbeat delay window for a fresh leader (announce quickly).
+ANNOUNCE_JITTER = 0.02
 
 
 @dataclass(frozen=True)
@@ -25,10 +48,6 @@ class GroupConfig:
     #: Wait timeout = ratio × heartbeat period (must exceed the receive
     #: timeout so takeovers beat spurious-label creation).
     wait_ratio: float = 4.2
-    #: How often each node evaluates its sense_e() condition locally.
-    sense_period: float = 0.1
-    #: CPU cost of one sensing check (cheap ADC read + compare).
-    sense_cost: float = 0.0002
     #: Transmit range for heartbeats (grid units); None = full radio range.
     #: Figure 4 contrasts "within sensing radius" vs "one hop past it".
     heartbeat_tx_range: Optional[float] = None
@@ -39,27 +58,12 @@ class GroupConfig:
     #: reaching the whole group ("a single message transmission may be
     #: enough to flood the group").
     member_rebroadcast: bool = True
-    #: Random delay before a node forwards a heartbeat, de-synchronizing
-    #: the flood (otherwise every member rebroadcasts in the same slot and
-    #: the copies collide).
-    rebroadcast_jitter: float = 0.05
     #: h — additional flood hops past the group perimeter, forwarded by
     #: non-members (§5.2; the paper leaves measuring it to future work,
     #: our Ablation A exercises it).
     flood_hops: int = 0
     #: Enable the leadership relinquish optimization (§6.2).
     relinquish: bool = True
-    #: Claim jitter window after a relinquish, to de-synchronize claimants.
-    claim_window: float = 0.1
-    #: Listen-before-create window: a node that starts sensing with no wait
-    #: memory waits uniform(0, this) before minting a label, so that "a
-    #: node that senses the activation condition [and] has no neighbors
-    #: detecting the same condition" creates the label — concurrent first
-    #: detectors join the fastest creator's heartbeat instead of each
-    #: minting a duplicate.
-    formation_window: float = 0.3
-    #: First-heartbeat delay window for a fresh leader (announce quickly).
-    announce_jitter: float = 0.02
     #: Maximum distance (grid units) between a node and a heard leader's
     #: position for *cross-label* decisions — spurious-label suppression
     #: and member label-switching.  Two same-type labels whose leaders are
@@ -84,7 +88,7 @@ class GroupConfig:
     #: heartbeat from the leader or a fresh-enough member vouch cancels the
     #: takeover.  This keeps a member that merely lost consecutive
     #: heartbeats to channel noise from minting a duplicate leader, at the
-    #: cost of at most ``takeover_probes × claim_window`` extra takeover
+    #: cost of at most ``takeover_probes × CLAIM_WINDOW`` extra takeover
     #: latency after a real leader death.  0 restores the paper's
     #: immediate takeover.
     takeover_probes: int = 2
@@ -101,30 +105,13 @@ class GroupConfig:
             raise ValueError(
                 "wait ratio must exceed receive ratio "
                 f"({self.wait_ratio} <= {self.receive_ratio})")
-        if not self.sense_period > 0:
-            raise ValueError(
-                f"sense period must be positive: {self.sense_period}")
-        if not self.sense_cost >= 0:
-            raise ValueError(f"sense cost must be >= 0: {self.sense_cost}")
         if self.heartbeat_tx_range is not None and \
                 not self.heartbeat_tx_range > 0:
             raise ValueError(
                 "heartbeat tx range must be positive: "
                 f"{self.heartbeat_tx_range}")
-        if not self.rebroadcast_jitter >= 0:
-            raise ValueError(
-                f"rebroadcast jitter must be >= 0: {self.rebroadcast_jitter}")
         if self.flood_hops < 0:
             raise ValueError(f"flood hops must be >= 0: {self.flood_hops}")
-        if not self.claim_window > 0:
-            raise ValueError(
-                f"claim window must be positive: {self.claim_window}")
-        if not self.formation_window >= 0:
-            raise ValueError(
-                f"formation window must be >= 0: {self.formation_window}")
-        if not self.announce_jitter >= 0:
-            raise ValueError(
-                f"announce jitter must be >= 0: {self.announce_jitter}")
         for name in ("suppression_range", "join_range"):
             value = getattr(self, name)
             if value is not None and not value >= 0:

@@ -35,7 +35,9 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..node import Component, Mote
 from ..radio import distance
-from .config import GroupConfig
+from .config import (ANNOUNCE_JITTER, CLAIM_WINDOW, FORMATION_WINDOW,
+                     REBROADCAST_JITTER, SENSE_COST, SENSE_PERIOD,
+                     GroupConfig)
 from .messages import (HEARTBEAT_KIND, QUERY_KIND, RELINQUISH_KIND,
                        VOUCH_KIND, Heartbeat, LeaderQuery, LeaderVouch,
                        Relinquish, mint_label)
@@ -232,9 +234,9 @@ class GroupManager(Component):
     def _activate(self, state: _TypeState) -> None:
         cfg = state.config
         state.sense_timer = self.mote.periodic(
-            cfg.sense_period, lambda s=state: self._sense_check(s),
-            label=f"gm.sense.{state.type_name}", cost=cfg.sense_cost,
-            initial_delay=self._rng.uniform(0, cfg.sense_period),
+            SENSE_PERIOD, lambda s=state: self._sense_check(s),
+            label=f"gm.sense.{state.type_name}", cost=SENSE_COST,
+            initial_delay=self._rng.uniform(0, SENSE_PERIOD),
             quiet_until=self._quiet_until(state),
             quiet_counter=self._implicit_polls)
         state.sense_timer.start()
@@ -360,12 +362,9 @@ class GroupManager(Component):
         # neighbors detecting the same condition, the node creates a new
         # context label": listen for a randomized formation window first so
         # concurrent first detectors collapse onto the fastest creator.
-        if state.config.formation_window <= 0:
-            self._create_label(state)
-            return
         if not state.formation_timer.armed:
             state.formation_timer.start(
-                self._rng.uniform(0, state.config.formation_window))
+                self._rng.uniform(0, FORMATION_WINDOW))
 
     def _formation_fired(self, state: _TypeState) -> None:
         if state.role is not Role.IDLE or not state.sensing:
@@ -570,7 +569,7 @@ class GroupManager(Component):
             leader=beat.leader, weight=beat.weight, seq=beat.seq,
             state=beat.state, hops=hops, leader_pos=beat.leader_pos,
             forwarded_by=self.node_id)
-        delay = self._rng.uniform(0, state.config.rebroadcast_jitter)
+        delay = self._rng.uniform(0, REBROADCAST_JITTER)
         self.sim.schedule(
             delay, partial(self.broadcast,
                            tx_range=state.config.heartbeat_tx_range),
@@ -595,7 +594,7 @@ class GroupManager(Component):
                 # first claimant's heartbeat cancels the others.
                 state.relinquish_time = self.now
                 state.pending_via = "claim"
-                delay = self._rng.uniform(0, state.config.claim_window)
+                delay = self._rng.uniform(0, CLAIM_WINDOW)
                 state.claim_timer.start(delay)
 
     def _claim_fired(self, state: _TypeState) -> None:
@@ -655,7 +654,7 @@ class GroupManager(Component):
         # Jittered so concurrent probers interleave; bounded well below
         # the claim window ceiling to keep the post-death takeover latency
         # within the relinquish-vs-takeover gap the tests assert.
-        delay = self._rng.uniform(0.35, 1.0) * state.config.claim_window
+        delay = self._rng.uniform(0.35, 1.0) * CLAIM_WINDOW
         state.claim_timer.start(delay)
 
     def _takeover(self, state: _TypeState) -> None:
@@ -703,7 +702,7 @@ class GroupManager(Component):
         remaining = cfg.receive_timeout - (self.now - state.last_label_hb_time)
         if remaining < 0.25 * cfg.receive_timeout:
             return
-        delay = self._rng.uniform(0, cfg.rebroadcast_jitter)
+        delay = self._rng.uniform(0, REBROADCAST_JITTER)
         self.sim.schedule(delay, self._send_vouch, state, state.label,
                           label="gm.vouch_reply")
 
@@ -785,7 +784,7 @@ class GroupManager(Component):
         state.heartbeat_timer = self.mote.periodic(
             cfg.heartbeat_period, lambda s=state: self._send_heartbeat(s),
             label=f"gm.heartbeat.{state.type_name}",
-            initial_delay=self._rng.uniform(0, cfg.announce_jitter))
+            initial_delay=self._rng.uniform(0, ANNOUNCE_JITTER))
         state.heartbeat_timer.start()
         self._leadership_gauge.inc()
         self._led_since[state.type_name] = self.now

@@ -86,13 +86,11 @@ class DirectoryService(Component):
     bounds:
         Field bounds every node agrees on (hash domain).
     entry_ttl:
-        Entry expiry without updates.
+        Seconds an entry lives without updates.
     hash_margin:
         Keep hashed coordinates this far from the field edge.
     lookup_timeout:
-        Seconds to wait per lookup attempt before retrying or giving up;
-        None disables timeouts (a lost response then strands the
-        callback — pre-hardening behavior, kept for tests).
+        Seconds to wait per lookup attempt before retrying or giving up.
     lookup_retries:
         Extra query attempts after the first timeout; once exhausted the
         callback fires with ``[]`` and the pending entry is collected.
@@ -103,15 +101,18 @@ class DirectoryService(Component):
     def __init__(self, mote: Mote, router: GeoRouter, bounds: FieldBounds,
                  entry_ttl: float = DEFAULT_ENTRY_TTL,
                  hash_margin: float = 1.0,
-                 lookup_timeout: Optional[float] = DEFAULT_LOOKUP_TIMEOUT,
+                 lookup_timeout: float = DEFAULT_LOOKUP_TIMEOUT,
                  lookup_retries: int = DEFAULT_LOOKUP_RETRIES) -> None:
         super().__init__(mote)
         self.router = router
         self.bounds = bounds.shrunk(hash_margin)
-        self.entry_ttl = entry_ttl
-        if lookup_timeout is not None and lookup_timeout <= 0:
+        # ``not x > 0`` (never ``x <= 0``) so that NaN is rejected too.
+        if not entry_ttl > 0:
+            raise ValueError(f"entry_ttl must be positive: {entry_ttl}")
+        if not lookup_timeout > 0:
             raise ValueError(
                 f"lookup_timeout must be positive: {lookup_timeout}")
+        self.entry_ttl = entry_ttl
         if lookup_retries < 0:
             raise ValueError(
                 f"lookup_retries must be >= 0: {lookup_retries}")
@@ -177,10 +178,9 @@ class DirectoryService(Component):
     def _send_query(self, query_id: int, pending: _PendingLookup) -> None:
         """Route one query attempt and arm its timeout."""
         context_type = pending.context_type
-        if self.lookup_timeout is not None:
-            pending.event = self.sim.schedule(
-                self.lookup_timeout, self._on_lookup_timeout, query_id,
-                label=f"dir.lookup_timeout@{self.node_id}")
+        pending.event = self.sim.schedule(
+            self.lookup_timeout, self._on_lookup_timeout, query_id,
+            label=f"dir.lookup_timeout@{self.node_id}")
         # Named span: the query frame, its routed hops, the directory
         # node's handler and the response all become children, so
         # ``spans.find("dir.lookup")`` + ``TraceQuery.span()`` reads a

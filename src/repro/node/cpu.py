@@ -53,7 +53,7 @@ class Cpu:
     def __init__(self, sim: Simulator, node_id: int,
                  task_cost: float = DEFAULT_TASK_COST,
                  queue_limit: int = DEFAULT_QUEUE_LIMIT) -> None:
-        if task_cost < 0:
+        if not task_cost >= 0:
             raise ValueError(f"task cost must be >= 0: {task_cost}")
         if queue_limit < 1:
             raise ValueError(f"queue limit must be >= 1: {queue_limit}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..radio import Frame, MacBase, Medium, TransceiverPort, make_mac
+from ..radio import CsmaMac, Frame, Medium, TransceiverPort
 from ..sim import PeriodicTimer, Simulator, WatchdogTimer
 from .cpu import DEFAULT_QUEUE_LIMIT, DEFAULT_TASK_COST, Cpu, QuietPollTimer
 
@@ -37,21 +37,16 @@ class Mote:
     position:
         Field coordinates in grid units.
     medium:
-        The shared radio channel to attach to.
-    mac:
-        ``"csma"`` (default) or ``"null"``.
+        The shared radio channel to attach to; the mote transmits on it
+        through a :class:`~repro.radio.CsmaMac`.
     task_cost / queue_limit:
-        CPU model parameters (see :class:`repro.node.cpu.Cpu`).
-    rx_cost / tx_cost:
-        CPU time charged per received / transmitted frame.
+        CPU model parameters (see :class:`repro.node.cpu.Cpu`); every
+        received and every transmitted frame costs one ``task_cost``.
     """
 
     def __init__(self, sim: Simulator, node_id: int, position: Position,
-                 medium: Medium, mac: str = "csma",
-                 task_cost: float = DEFAULT_TASK_COST,
-                 queue_limit: int = DEFAULT_QUEUE_LIMIT,
-                 rx_cost: Optional[float] = None,
-                 tx_cost: Optional[float] = None) -> None:
+                 medium: Medium, task_cost: float = DEFAULT_TASK_COST,
+                 queue_limit: int = DEFAULT_QUEUE_LIMIT) -> None:
         self.sim = sim
         self.node_id = node_id
         #: Field coordinates; motes are static (the paper's §6.1 grid), so
@@ -61,8 +56,6 @@ class Mote:
         self.alive = True
         self.cpu = Cpu(sim, node_id, task_cost=task_cost,
                        queue_limit=queue_limit)
-        self.rx_cost = task_cost if rx_cost is None else rx_cost
-        self.tx_cost = task_cost if tx_cost is None else tx_cost
         self._handlers: Dict[str, List[FrameHandler]] = {}
         #: CPU task labels ``tx.<kind>`` / ``rx.<kind>`` and span names
         #: ``frame.<kind>`` / ``handle.<kind>``, built once per frame kind
@@ -80,7 +73,7 @@ class Mote:
         self.port = TransceiverPort(node_id, position,
                                     self._on_physical_receive)
         medium.attach(self.port)
-        self.mac: MacBase = make_mac(mac, sim, medium, position)
+        self.mac = CsmaMac(sim, medium, position)
         self.frames_sent = 0
         self.frames_delivered = 0
 
@@ -127,7 +120,7 @@ class Mote:
         label = self._tx_labels.get(kind)
         if label is None:
             label = self._tx_labels[kind] = "tx." + kind
-        self.cpu.post(self._do_send, frame, cost=self.tx_cost, label=label)
+        self.cpu.post(self._do_send, frame, label=label)
 
     def _do_send(self, frame: Frame) -> None:
         if not self.alive:
@@ -165,7 +158,7 @@ class Mote:
         label = self._rx_labels.get(kind)
         if label is None:
             label = self._rx_labels[kind] = "rx." + kind
-        self.cpu.post(self._dispatch, frame, cost=self.rx_cost, label=label)
+        self.cpu.post(self._dispatch, frame, label=label)
 
     def _dispatch(self, frame: Frame) -> None:
         if not self.alive:
@@ -313,7 +306,7 @@ class Mote:
         the next firing (matching :class:`PeriodicTimer` semantics); a
         watchdog's new timeout applies from its next kick.
         """
-        if factor <= 0:
+        if not factor > 0:
             raise ValueError(f"clock skew factor must be positive: {factor}")
         # A quiet poll run was laid out with the old period.
         self.cpu.fall_back()

@@ -1,7 +1,7 @@
 """Wireless substrate: frames, broadcast medium, MAC and statistics."""
 
 from .frames import BROADCAST, DEFAULT_FRAME_BITS, Frame, reset_frame_ids
-from .mac import CsmaMac, MacBase, NullMac, make_mac
+from .mac import CsmaMac, MacBase, NullMac
 from .medium import (DEFAULT_BITRATE, Disturbance, Medium, TransceiverPort,
                      distance)
 from .stats import RadioStats
@@ -19,6 +19,5 @@ __all__ = [
     "RadioStats",
     "TransceiverPort",
     "distance",
-    "make_mac",
     "reset_frame_ids",
 ]

@@ -1,16 +1,14 @@
 """Medium access control.
 
-Two MACs are provided:
+Every mote runs :class:`CsmaMac` — carrier-sense with random backoff,
+approximating the simple CSMA in the MICA TinyOS stack.  It is
+*unreliable* by design: no acknowledgements and no retransmissions,
+matching the paper's note that "no reliability is implemented in the MAC
+layer of the MICA motes".
 
-* :class:`NullMac` — transmit immediately, exactly what a frame-at-a-time
-  stack with no carrier sensing does.  Highest collision exposure.
-* :class:`CsmaMac` — carrier-sense with random backoff, approximating the
-  simple CSMA in the MICA TinyOS stack.  It is *unreliable* by design: no
-  acknowledgements and no retransmissions, matching the paper's note that
-  "no reliability is implemented in the MAC layer of the MICA motes".
-
-Both expose ``send(frame)`` and report queue statistics, so protocol layers
-never care which is installed.
+:class:`NullMac` transmits immediately, with no carrier sensing; tests
+use it as a stand-in transmitter.  Both expose ``send(frame)`` and report
+queue statistics.
 """
 
 from __future__ import annotations
@@ -149,12 +147,3 @@ class CsmaMac(MacBase):
         else:
             self._busy = False
 
-
-def make_mac(name: str, sim: Simulator, medium: Medium,
-             position: Position, **kwargs) -> MacBase:
-    """Factory used by scenario configuration (``"null"`` or ``"csma"``)."""
-    if name == "null":
-        return NullMac(sim, medium, position)
-    if name == "csma":
-        return CsmaMac(sim, medium, position, **kwargs)
-    raise ValueError(f"unknown MAC {name!r} (expected 'null' or 'csma')")

@@ -202,16 +202,15 @@ class Medium:
         Independent per-reception Bernoulli loss probability.
     bitrate:
         Channel capacity in bits/second.
-    propagation_delay:
-        Fixed additional delivery latency (signal flight time), usually
-        negligible next to airtime.
+
+    A frame is delivered when its airtime ends; signal flight time over
+    a few hundred metres is negligible next to airtime and not modelled.
     """
 
     def __init__(self, sim: Simulator, communication_radius: float,
                  interference_radius: Optional[float] = None,
                  base_loss_rate: float = 0.0,
                  bitrate: float = DEFAULT_BITRATE,
-                 propagation_delay: float = 0.0,
                  soft_edge_start: float = 1.0,
                  soft_edge_loss: float = 0.0) -> None:
         if not communication_radius > 0:
@@ -239,7 +238,6 @@ class Medium:
                                     else interference_radius)
         self.base_loss_rate = base_loss_rate
         self.bitrate = bitrate
-        self.propagation_delay = propagation_delay
         # Soft reception edge (shadowing-like): receptions beyond
         # ``soft_edge_start × reach`` suffer extra loss ramping linearly up
         # to ``soft_edge_loss`` at the reach boundary.  Real radios degrade
@@ -513,8 +511,8 @@ class Medium:
         self._airtime_seconds.inc(airtime)
         self.sim.record("radio.tx", node=frame.src, kind=frame.kind,
                         frame_id=frame.frame_id, dst=frame.dst)
-        self.sim.schedule(airtime + self.propagation_delay,
-                          self._complete, tx, label="radio.delivery")
+        self.sim.schedule(airtime, self._complete, tx,
+                          label="radio.delivery")
 
     # ------------------------------------------------------------------
     # Internals

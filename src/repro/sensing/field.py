@@ -37,31 +37,25 @@ class SensorField:
         Owning simulator.
     communication_radius:
         Radio range in grid units (the stress tests use 6).
-    base_loss_rate / interference_radius / bitrate:
-        Forwarded to :class:`repro.radio.Medium`.
-    mac:
-        MAC installed on every mote (``"csma"`` or ``"null"``).
+    base_loss_rate / soft_edge_start / soft_edge_loss:
+        Forwarded to :class:`repro.radio.Medium`, which otherwise keeps
+        its defaults (interference radius = communication radius, the
+        MICA 50 kbps bitrate).
     task_cost / cpu_queue_limit:
         CPU model for every mote.
     """
 
     def __init__(self, sim: Simulator, communication_radius: float = 6.0,
                  base_loss_rate: float = 0.0,
-                 interference_radius: Optional[float] = None,
-                 bitrate: float = 50_000.0, mac: str = "csma",
                  task_cost: float = 0.001,
                  cpu_queue_limit: int = 64,
-                 propagation_delay: float = 0.0,
                  soft_edge_start: float = 1.0,
                  soft_edge_loss: float = 0.0) -> None:
         self.sim = sim
         self.medium = Medium(sim, communication_radius=communication_radius,
-                             interference_radius=interference_radius,
-                             base_loss_rate=base_loss_rate, bitrate=bitrate,
-                             propagation_delay=propagation_delay,
+                             base_loss_rate=base_loss_rate,
                              soft_edge_start=soft_edge_start,
                              soft_edge_loss=soft_edge_loss)
-        self.mac = mac
         self.task_cost = task_cost
         self.cpu_queue_limit = cpu_queue_limit
         self.motes: Dict[int, Mote] = {}
@@ -79,7 +73,7 @@ class SensorField:
         if node_id in self.motes:
             raise ValueError(f"duplicate node id {node_id}")
         self._next_id = max(self._next_id, node_id + 1)
-        mote = Mote(self.sim, node_id, position, self.medium, mac=self.mac,
+        mote = Mote(self.sim, node_id, position, self.medium,
                     task_cost=self.task_cost,
                     queue_limit=self.cpu_queue_limit)
         mote.install_sensor("position", position_sensor(position))

@@ -50,7 +50,7 @@ class Target:
     active_until: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.signature_radius <= 0:
+        if not self.signature_radius > 0:
             raise ValueError(
                 f"signature radius must be positive: {self.signature_radius}")
 

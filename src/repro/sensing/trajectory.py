@@ -23,6 +23,9 @@ Position = Tuple[float, float]
 WINDOW_RTOL = 1e-9
 WINDOW_ATOL = 1e-9
 
+#: Length of one :class:`RandomWalkTrajectory` step (grid units).
+WALK_STEP = 2.0
+
 
 class Trajectory:
     """Base: a position-valued function of time."""
@@ -79,7 +82,7 @@ class LineTrajectory(Trajectory):
 
     def __init__(self, start: Position, speed: float,
                  heading: float = 0.0) -> None:
-        if speed < 0:
+        if not speed >= 0:
             raise ValueError(f"speed must be >= 0: {speed}")
         self.start = start
         self.speed = speed
@@ -164,13 +167,13 @@ class WaypointTrajectory(Trajectory):
 class RandomWalkTrajectory(Trajectory):
     """A seeded random walk inside a bounding box.
 
-    Precomputes waypoints so the trajectory stays a pure function of time.
+    Precomputes ``steps`` waypoints, :data:`WALK_STEP` apart before
+    clamping to the box, so the trajectory stays a pure function of time.
     """
 
     def __init__(self, start: Position, speed: float,
                  bounds: Tuple[float, float, float, float],
-                 step_length: float = 2.0, steps: int = 256,
-                 seed: int = 0) -> None:
+                 steps: int = 256, seed: int = 0) -> None:
         import random as _random
         rng = _random.Random(seed)
         x_lo, y_lo, x_hi, y_hi = bounds
@@ -180,8 +183,8 @@ class RandomWalkTrajectory(Trajectory):
         x, y = start
         for _ in range(steps):
             angle = rng.uniform(0, 2 * math.pi)
-            x = min(max(x + step_length * math.cos(angle), x_lo), x_hi)
-            y = min(max(y + step_length * math.sin(angle), y_lo), y_hi)
+            x = min(max(x + WALK_STEP * math.cos(angle), x_lo), x_hi)
+            y = min(max(y + WALK_STEP * math.sin(angle), y_lo), y_hi)
             points.append((x, y))
         self._inner = WaypointTrajectory(points, speed)
 

@@ -177,9 +177,8 @@ class Simulator:
     seed:
         Master seed.  Each named random stream derives deterministically
         from it (see :class:`repro.sim.rng.RandomStreams`).
-    trace_capacity:
-        Maximum number of retained trace records (oldest dropped first);
-        ``None`` retains everything.
+
+    The trace (``.trace``) retains every record of the run.
 
     Every simulator owns a
     :class:`~repro.telemetry.registry.MetricsRegistry` (``.metrics``) and
@@ -193,8 +192,7 @@ class Simulator:
     :data:`COMPACT_RATIO` of it *and* number at least :data:`COMPACT_MIN`.
     """
 
-    def __init__(self, seed: int = 0,
-                 trace_capacity: Optional[int] = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._now = 0.0
         self._heap: List[Tuple[float, int, Event]] = []
@@ -208,8 +206,8 @@ class Simulator:
         self._cancelled = 0
         self.compactions = 0
         self.rng = RandomStreams(seed)
-        self.trace_capacity = trace_capacity
-        self.trace: Deque[TraceRecord] = deque(maxlen=trace_capacity)
+        #: A deque grows in fixed blocks and never copies what it holds.
+        self.trace: Deque[TraceRecord] = deque()
         self._events_fired = 0
         #: Of those, the ones charged by a quiet run, not dispatched.
         self._events_implicit = 0
@@ -530,12 +528,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def record(self, category: str, node: Optional[int] = None,
                **detail: Any) -> None:
-        """Append a structured record to the trace log.
-
-        The trace is a bounded deque when ``trace_capacity`` is set, so
-        eviction of the oldest record is O(1) rather than the O(n) a
-        list-head delete would cost.
-        """
+        """Append a structured record to the trace log."""
         self.trace.append(TraceRecord(time=self._now, category=category,
                                       node=node, detail=detail))
         self._trace_counter.inc(1.0, category)

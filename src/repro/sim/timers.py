@@ -62,7 +62,7 @@ class WatchdogTimer(OneShotTimer):
     def __init__(self, sim: Simulator, timeout: float,
                  callback: Callable[[], Any], label: str = "watchdog") -> None:
         super().__init__(sim, callback, label=label)
-        if timeout <= 0:
+        if not timeout > 0:
             raise ValueError(f"watchdog timeout must be positive: {timeout}")
         self.timeout = timeout
 
@@ -84,7 +84,7 @@ class PeriodicTimer:
     def __init__(self, sim: Simulator, period: float,
                  callback: Callable[[], Any], label: str = "periodic",
                  initial_delay: Optional[float] = None) -> None:
-        if period <= 0:
+        if not period > 0:
             raise ValueError(f"period must be positive: {period}")
         self._sim = sim
         self.period = period

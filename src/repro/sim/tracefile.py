@@ -31,20 +31,17 @@ def record_to_dict(record: TraceRecord) -> dict:
 
 
 def dict_to_record(data: dict) -> TraceRecord:
-    """Rebuild a record from its JSONL dict form.
+    """Rebuild a record from its JSONL dict form (:func:`record_to_dict`).
 
-    Accepts both the current nested form (``{"detail": {...}}``) and the
-    legacy flattened form where detail keys sat beside the envelope, so
-    traces written before the format change still load.
+    Raises ValueError on the old flattened form, which kept detail keys
+    beside the envelope, and on a ``detail`` that is not a dict.
     """
-    data = dict(data)
-    time = float(data.pop("t"))
-    category = str(data.pop("category"))
-    node = data.pop("node", None)
-    detail = data.pop("detail", None)
-    if not isinstance(detail, dict):
-        detail = data  # legacy flattened form
-    return TraceRecord(time=time, category=category,
+    detail = data.get("detail", {})
+    if not data.keys() <= {"t", "category", "node", "detail"} \
+            or not isinstance(detail, dict):
+        raise ValueError("detail must be a dict under the 'detail' key")
+    node = data.get("node")
+    return TraceRecord(time=float(data["t"]), category=str(data["category"]),
                        node=None if node is None else int(node),
                        detail=detail)
 

@@ -1,8 +1,8 @@
 """Transport: geographic routing, LRU leader tables, MTP, reliability."""
 
 from .mtp import (DEFAULT_CHAIN_LIMIT, DEFAULT_LOOKUP_EXPIRY,
-                  DEFAULT_NEGATIVE_TTL, DEFAULT_PENDING_LIMIT, Invocation,
-                  MTP_KIND, MtpAgent, PortHandler)
+                  DEFAULT_PENDING_LIMIT, Invocation, MTP_KIND, MtpAgent,
+                  NEGATIVE_TTL, PortHandler)
 from .reliability import (ConnectionKey, DeadLetter, DeadLetterQueue,
                           DedupTable, MTP_ACK_KIND, MTP_DEDUP_KIND,
                           PendingTransmission, ReliabilityConfig,
@@ -14,7 +14,6 @@ __all__ = [
     "ConnectionKey",
     "DEFAULT_CHAIN_LIMIT",
     "DEFAULT_LOOKUP_EXPIRY",
-    "DEFAULT_NEGATIVE_TTL",
     "DEFAULT_PENDING_LIMIT",
     "DEFAULT_TTL",
     "DeadLetter",
@@ -29,6 +28,7 @@ __all__ = [
     "MTP_DEDUP_KIND",
     "MTP_KIND",
     "MtpAgent",
+    "NEGATIVE_TTL",
     "NegativeCache",
     "PendingTransmission",
     "PortHandler",

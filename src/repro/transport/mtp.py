@@ -61,13 +61,13 @@ DEFAULT_CHAIN_LIMIT = 8
 DEFAULT_PENDING_LIMIT = 32
 
 #: Seconds a pending-lookup queue may wait before its invocations expire
-#: (reason ``lookup_expired``).  Guards against directory responses that
-#: never arrive even with directory-side timeouts disabled.
+#: (reason ``lookup_expired``).  Guards against a directory that never
+#: calls back.
 DEFAULT_LOOKUP_EXPIRY = 6.0
 
 #: Seconds an "unknown label" verdict is cached before the directory is
 #: asked again.
-DEFAULT_NEGATIVE_TTL = 5.0
+NEGATIVE_TTL = 5.0
 
 #: Pacing between invocations released from one resolved lookup queue.
 #: Releasing a deep backlog in a single instant makes the backlog's own
@@ -144,35 +144,33 @@ class MtpAgent(Component):
     directory:
         Directory service for first-contact lookups; optional — without it
         only table-resolved destinations work.
-    table_capacity:
-        Last-known-leader LRU size.
     reliability:
         Reliable-delivery configuration; None (default) keeps the paper's
         fire-and-forget sends.  Receiving stays reliable-aware either way.
     pending_limit:
         Invocations queueable behind one in-flight directory lookup.
     lookup_expiry:
-        Seconds before a pending-lookup queue expires its invocations;
-        None disables the expiry timer (pre-hardening behavior).
-    negative_ttl:
-        Unknown-label verdict cache lifetime; None disables negative
-        caching.
+        Seconds before a pending-lookup queue expires its invocations.
+
+    The last-known-leader table keeps its default LRU size and an
+    "unknown label" verdict is cached for :data:`NEGATIVE_TTL` seconds.
     """
 
     name = "mtp"
 
     def __init__(self, mote: Mote, router: GeoRouter, groups: GroupManager,
                  directory: Optional["DirectoryService"] = None,
-                 table_capacity: int = 16,
                  reliability: Optional[ReliabilityConfig] = None,
                  pending_limit: int = DEFAULT_PENDING_LIMIT,
-                 lookup_expiry: Optional[float] = DEFAULT_LOOKUP_EXPIRY,
-                 negative_ttl: Optional[float] = DEFAULT_NEGATIVE_TTL) -> None:
+                 lookup_expiry: float = DEFAULT_LOOKUP_EXPIRY) -> None:
         super().__init__(mote)
+        if not lookup_expiry > 0:
+            raise ValueError(
+                f"lookup_expiry must be positive: {lookup_expiry}")
         self.router = router
         self.groups = groups
         self.directory = directory
-        self.table = LastKnownLeaderTable(capacity=table_capacity)
+        self.table = LastKnownLeaderTable()
         self.reliability = reliability
         self.pending_limit = pending_limit
         self.lookup_expiry = lookup_expiry
@@ -191,8 +189,7 @@ class MtpAgent(Component):
         self.dead_letters = DeadLetterQueue(
             capacity=64 if reliability is None
             else reliability.dead_letter_capacity)
-        self._negative = None if negative_ttl is None \
-            else NegativeCache(ttl=negative_ttl)
+        self._negative = NegativeCache(ttl=NEGATIVE_TTL)
         self.delivered = 0
         self.forwarded = 0
         self.dropped = 0
@@ -272,8 +269,7 @@ class MtpAgent(Component):
             invocation.seq = self._sequences.next(conn)
             self._outbox[(conn, invocation.seq)] = PendingTransmission(
                 invocation=invocation, conn=conn, seq=invocation.seq)
-        if self._negative is not None \
-                and self._negative.fresh(dest_label, self.now):
+        if self._negative.fresh(dest_label, self.now):
             self._drop(invocation, "negative_cache")
             return
         pointer = self.table.get(dest_label)
@@ -296,10 +292,9 @@ class MtpAgent(Component):
         queue.append(invocation)
         if len(queue) > 1:
             return  # lookup already in flight
-        if self.lookup_expiry is not None:
-            self._pending_expiry[dest_label] = self.sim.schedule(
-                self.lookup_expiry, self._on_pending_expiry, dest_label,
-                label=f"mtp.lookup_expiry@{self.node_id}")
+        self._pending_expiry[dest_label] = self.sim.schedule(
+            self.lookup_expiry, self._on_pending_expiry, dest_label,
+            label=f"mtp.lookup_expiry@{self.node_id}")
         self.directory.lookup(
             label_type(dest_label),
             lambda entries: self._lookup_done(dest_label, entries))
@@ -318,7 +313,7 @@ class MtpAgent(Component):
             # An empty list is ambiguous — lookup timeout, or a type
             # nobody has registered *yet* — and caching it would blackhole
             # sends for the whole TTL on a transient race.
-            if entries and self._negative is not None and waiting:
+            if entries and waiting:
                 self._negative.store(dest_label, self.now)
             for invocation in waiting:
                 if not entries and invocation.seq is not None:
@@ -430,8 +425,7 @@ class MtpAgent(Component):
         pending.escalations += 1
         pending.attempts = 0
         self.table.forget(dest_label)
-        if self._negative is not None:
-            self._negative.forget(dest_label)
+        self._negative.forget(dest_label)
         self.record("escalate", dest=dest_label, seq=pending.seq,
                     round=pending.escalations)
         self._enqueue_lookup(pending.invocation)
@@ -615,5 +609,4 @@ class MtpAgent(Component):
         self._sequences.clear()
         self._dedup.clear()
         self.table.clear()
-        if self._negative is not None:
-            self._negative.clear()
+        self._negative.clear()

@@ -285,9 +285,8 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field", [
-    "heartbeat_period", "sense_period", "claim_window", "receive_ratio",
-    "formation_window", "announce_jitter", "rebroadcast_jitter",
-    "heartbeat_tx_range", "sense_cost", "suppression_range", "join_range"])
+    "heartbeat_period", "receive_ratio", "heartbeat_tx_range",
+    "suppression_range", "join_range"])
 def test_config_rejects_nan(field):
     # Regression: ``nan <= 0`` is False, so NaN used to pass every
     # positivity check and failed much later (a NaN heartbeat reach
@@ -298,7 +297,7 @@ def test_config_rejects_nan(field):
 
 @pytest.mark.parametrize("field,value", [
     ("heartbeat_tx_range", 0.0), ("heartbeat_tx_range", -1.0),
-    ("rebroadcast_jitter", -0.01), ("join_range", -1.0)])
+    ("join_range", -1.0)])
 def test_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError):
         GroupConfig(**{field: value})

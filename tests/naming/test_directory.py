@@ -207,6 +207,20 @@ def test_lookup_timeout_validation():
         DirectoryService(mote, router, bounds, lookup_retries=-1)
 
 
+@pytest.mark.parametrize("setting,value", [
+    ("entry_ttl", float("nan")), ("entry_ttl", -1.0), ("entry_ttl", 0.0),
+    ("lookup_timeout", float("nan"))])
+def test_settings_validated(setting, value):
+    # Regression: a NaN entry_ttl kept entries forever (``updated < nan``
+    # is False), a negative one expired every entry at once, and a NaN
+    # lookup_timeout slipped past the ``<= 0`` check.
+    sim, field, services = build(columns=2, rows=2)
+    mote = field.motes[0]
+    bounds = FieldBounds(0.0, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=setting):
+        DirectoryService(mote, GeoRouter(mote), bounds, **{setting: value})
+
+
 def test_stale_register_not_rebroadcast():
     # A stale registration must be rejected *silently*: replicating it
     # would overwrite the one-hop neighbors' newer replicas.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.radio import (BROADCAST, CsmaMac, Frame, Medium, NullMac,
-                         TransceiverPort, make_mac)
+                         TransceiverPort)
 from repro.sim import Simulator
 
 
@@ -83,16 +83,6 @@ def test_csma_queue_overflow_drops():
     # rest dropped on overflow.
     assert csma.dropped == 2
     sim.run()
-
-
-def test_make_mac_factory():
-    sim, medium, _ = build()
-    assert isinstance(make_mac("null", sim, medium, (0, 0)),
-                      NullMac)
-    assert isinstance(make_mac("csma", sim, medium, (0, 0)),
-                      CsmaMac)
-    with pytest.raises(ValueError):
-        make_mac("tdma", sim, medium, (0, 0))
 
 
 def test_csma_rejects_bad_attempts():

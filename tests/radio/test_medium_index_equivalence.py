@@ -87,8 +87,8 @@ class FullScanMedium(Medium):
         self._airtime_seconds.inc(airtime)
         self.sim.record("radio.tx", node=frame.src, kind=frame.kind,
                         frame_id=frame.frame_id, dst=frame.dst)
-        self.sim.schedule(airtime + self.propagation_delay,
-                          self._complete, tx, label="radio.delivery")
+        self.sim.schedule(airtime, self._complete, tx,
+                          label="radio.delivery")
 
     def _complete(self, tx):
         # Per-reception accounting, in reception order.

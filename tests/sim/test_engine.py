@@ -203,14 +203,6 @@ def test_trace_records_filterable():
     assert len(list(sim.trace_records())) == 2
 
 
-def test_trace_capacity_drops_oldest():
-    sim = Simulator(trace_capacity=2)
-    for i in range(5):
-        sim.schedule(float(i + 1), lambda i=i: sim.record("c", idx=i))
-    sim.run()
-    assert [r.detail["idx"] for r in sim.trace] == [3, 4]
-
-
 def test_events_fired_counter():
     sim = Simulator()
     for i in range(5):

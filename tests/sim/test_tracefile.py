@@ -126,13 +126,10 @@ class TestEnvelopeCollisions:
         b.run()
         assert trace_digest(a) != trace_digest(b)
 
-    def test_legacy_flattened_form_still_loads(self, tmp_path):
-        path = tmp_path / "legacy.jsonl"
+    def test_flattened_form_rejected(self, tmp_path):
+        path = tmp_path / "flattened.jsonl"
         path.write_text(
             '{"t": 3.0, "category": "gm.claim", "node": 4, '
             '"label": "L1", "hops": 2}\n')
-        (record,) = load_trace(str(path))
-        assert record.time == pytest.approx(3.0)
-        assert record.category == "gm.claim"
-        assert record.node == 4
-        assert record.detail == {"label": "L1", "hops": 2}
+        with pytest.raises(ValueError, match="flattened.jsonl:1"):
+            load_trace(str(path))

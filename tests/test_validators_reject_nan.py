@@ -1,0 +1,49 @@
+"""Regression: every duration, radius and speed validator rejects NaN.
+
+``nan <= 0`` and ``nan < 0`` are both False, so a check written as
+``if x <= 0: raise`` lets NaN through.  The value then fails far from
+its source — inside the event loop, or never: a NaN signature radius
+makes a target silently undetectable.  The validators use
+``not x > 0`` / ``not x >= 0`` instead.
+"""
+
+import pytest
+
+from repro.aggregation import AggregateVarSpec
+from repro.core import ContextTypeDef, TimerInvocation, WhenInvocation
+from repro.node import Cpu
+from repro.sensing import LineTrajectory, SensorField, StaticPoint, Target
+from repro.sim import PeriodicTimer, Simulator, WatchdogTimer
+
+NAN = float("nan")
+
+
+def _mote_skew(factor):
+    field = SensorField(Simulator())
+    field.add_mote((0.0, 0.0)).skew_clock(factor)
+
+
+CASES = {
+    "Target.signature_radius": lambda: Target(
+        "t", "vehicle", StaticPoint((0.0, 0.0)), signature_radius=NAN),
+    "LineTrajectory.speed": lambda: LineTrajectory((0.0, 0.0), NAN),
+    "Cpu.task_cost": lambda: Cpu(Simulator(), 0, task_cost=NAN),
+    "PeriodicTimer.period": lambda: PeriodicTimer(
+        Simulator(), NAN, lambda: None),
+    "WatchdogTimer.timeout": lambda: WatchdogTimer(
+        Simulator(), NAN, lambda: None),
+    "AggregateVarSpec.freshness": lambda: AggregateVarSpec(
+        "location", "avg", "position", freshness=NAN),
+    "TimerInvocation.period": lambda: TimerInvocation(NAN),
+    "WhenInvocation.poll_period": lambda: WhenInvocation(
+        lambda ctx: True, poll_period=NAN),
+    "ContextTypeDef.delay_estimate": lambda: ContextTypeDef(
+        name="tracker", activation="tank_detect", delay_estimate=NAN),
+    "Mote.skew_clock": lambda: _mote_skew(NAN),
+}
+
+
+@pytest.mark.parametrize("build", CASES.values(), ids=list(CASES))
+def test_nan_rejected_at_construction(build):
+    with pytest.raises(ValueError):
+        build()

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.groups import GroupConfig, GroupManager
-from repro.naming import DirectoryService, FieldBounds
+from repro.naming import (DEFAULT_LOOKUP_TIMEOUT, DirectoryService,
+                          FieldBounds)
 from repro.sensing import SensorField
 from repro.sim import Simulator
 from repro.transport import (DeadLetter, DeadLetterQueue, DedupTable,
@@ -104,7 +105,7 @@ class Net:
 
     def __init__(self, columns=8, rows=4, communication_radius=2.5,
                  seed=4, base_loss_rate=0.0, reliability=None,
-                 lookup_timeout=None, **agent_kwargs):
+                 lookup_timeout=DEFAULT_LOOKUP_TIMEOUT, **agent_kwargs):
         self.sim = Simulator(seed=seed)
         self.field = SensorField(
             self.sim, communication_radius=communication_radius,
@@ -329,9 +330,9 @@ def test_negative_cache_only_on_authoritative_miss():
 # Regressions: pending-lookup hygiene, pointers, chain clamp
 # ----------------------------------------------------------------------
 def test_pending_lookup_queue_does_not_leak_without_directory_answer():
-    # Directory-side timeouts disabled: only the agent's own expiry
-    # timer stands between a lost response and a leaked queue.
-    net = Net(lookup_timeout=None, lookup_expiry=2.0)
+    # The directory never calls back: only the agent's own expiry timer
+    # stands between a lost response and a leaked queue.
+    net = Net(lookup_expiry=2.0)
     net.sensing = {"alpha": {0}}
     net.run(3.0)
     alpha_leader, alpha_label = net.register_label("alpha")
@@ -347,7 +348,7 @@ def test_pending_lookup_queue_does_not_leak_without_directory_answer():
 
 
 def test_pending_overflow_drops_newest():
-    net = Net(lookup_timeout=None, pending_limit=2)
+    net = Net(pending_limit=2)
     net.sensing = {"alpha": {0}}
     net.run(3.0)
     alpha_leader, alpha_label = net.register_label("alpha")
