@@ -219,8 +219,6 @@ def _transport_run(spec: TransportChaosSpec,
 
     def dst_leader() -> Tuple[Optional[int], Optional[str]]:
         for node_id in sorted(managers):
-            if not motes[node_id].alive:
-                continue
             manager = managers[node_id]
             if manager.role(CONTEXT_DST) is Role.LEADER:
                 return node_id, manager.label(CONTEXT_DST)

@@ -118,12 +118,10 @@ class FaultInjector:
                               label="fault.NodeReboot")
 
     def _resolve_leader(self, context_type: str) -> Optional[int]:
-        """Lowest-id live leader of any ``context_type`` label."""
+        """Lowest-id leader of any ``context_type`` label (a crash ends a
+        leadership, so every leader is live)."""
         for node_id in sorted(self.managers):
             manager = self.managers[node_id]
-            mote = self.field.motes.get(node_id)
-            if mote is None or not mote.alive:
-                continue
             if context_type not in manager.tracked_types():
                 continue
             if manager.is_leading(context_type):

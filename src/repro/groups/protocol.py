@@ -160,17 +160,9 @@ class GroupManager(Component):
         self._types: Dict[str, _TypeState] = {}
         self._listeners: List[GroupListener] = []
         self._rng = self.sim.rng.stream("gm.jitter")
+        mote.add_fail_hook(self._on_fail)
         mote.add_reboot_hook(self._on_reboot)
-        # Telemetry (side-state only).
-        metrics = self.sim.metrics
-        self._leadership_gauge = metrics.gauge(
-            "repro_gm_active_leaderships",
-            "Labels currently led, fleet-wide.")
-        self._tenure_metric = metrics.histogram(
-            "repro_gm_leader_tenure_seconds",
-            "How long leaderships lasted, by ending reason.", ("reason",))
-        self._led_since: Dict[str, float] = {}
-        self._implicit_polls = metrics.counter(
+        self._implicit_polls = self.sim.metrics.counter(
             "repro_gm_sense_polls_implicit_total",
             "Sense checks charged to the CPU without events, because the "
             "sensor could not read true yet.")
@@ -206,29 +198,27 @@ class GroupManager(Component):
         for state in self._types.values():
             self._activate(state)
 
-    def _on_reboot(self) -> None:
-        """Host mote power-cycled: come back with empty protocol RAM.
+    def _on_fail(self) -> None:
+        """Host mote crashed: every role it held ends here, silently.
 
-        Every tracked type restarts from IDLE — a rebooted node rejoins
-        groups by hearing heartbeats like any newcomer.  Only the label
-        mint counter survives (conceptually: a boot counter in flash), so
-        a rebooted creator can never re-mint a label id it already used.
+        Protocol RAM is lost, so every tracked type drops to a fresh IDLE
+        state with no timers; :meth:`_on_reboot` re-activates it.  Only
+        the label mint counter survives (conceptually: a boot counter in
+        flash), so a rebooted creator can never re-mint a label id it
+        already used.
         """
         for name, old in list(self._types.items()):
-            if old.role is Role.LEADER:
-                # The crash already ended this leadership silently; close
-                # out the telemetry the stepdown path would have written.
-                self._leadership_gauge.dec()
-                led_since = self._led_since.pop(name, None)
-                if led_since is not None:
-                    self._tenure_metric.observe(self.now - led_since,
-                                                "reboot")
-            fresh = _TypeState(type_name=old.type_name,
-                               sense_fn=old.sense_fn, config=old.config,
-                               labels_minted=old.labels_minted)
-            self._types[name] = fresh
-            if self._started:
-                self._activate(fresh)
+            self._types[name] = _TypeState(
+                type_name=old.type_name, sense_fn=old.sense_fn,
+                config=old.config, labels_minted=old.labels_minted)
+
+    def _on_reboot(self) -> None:
+        """Host mote power-cycled: restart every tracked type from the
+        fresh state the crash left.  A rebooted node rejoins groups by
+        hearing heartbeats like any newcomer."""
+        if self._started:
+            for state in self._types.values():
+                self._activate(state)
         self.record("reboot")
 
     def _activate(self, state: _TypeState) -> None:
@@ -414,7 +404,8 @@ class GroupManager(Component):
         self.record("member_leave", type=state.type_name, label=label)
         state.receive_timer.cancel()
         self._notify("on_member_leave", state.type_name, label)
-        self._remember(state, label, state.leader_id or -1, state.weight,
+        leader = -1 if state.leader_id is None else state.leader_id
+        self._remember(state, label, leader, state.weight,
                        state.cached_state)
         self._clear_group(state)
 
@@ -438,7 +429,9 @@ class GroupManager(Component):
         if beat is None:
             return
         state = self._types.get(beat.context_type)
-        if state is None or beat.leader == self.node_id:
+        # No timers: the mote crashed and came back without a reboot.
+        if (state is None or state.wait_timer is None
+                or beat.leader == self.node_id):
             return
         state.last_hb_time = self.now
         if state.role is Role.LEADER:
@@ -786,8 +779,6 @@ class GroupManager(Component):
             label=f"gm.heartbeat.{state.type_name}",
             initial_delay=self._rng.uniform(0, ANNOUNCE_JITTER))
         state.heartbeat_timer.start()
-        self._leadership_gauge.inc()
-        self._led_since[state.type_name] = self.now
         self.record("leader_start", type=state.type_name, label=label,
                     via=via, weight=weight)
         self._notify("on_leader_start", state.type_name, label,
@@ -800,10 +791,6 @@ class GroupManager(Component):
             state.heartbeat_timer.stop()
             state.heartbeat_timer = None
         state.role = Role.IDLE
-        self._leadership_gauge.dec()
-        led_since = self._led_since.pop(state.type_name, None)
-        if led_since is not None:
-            self._tenure_metric.observe(self.now - led_since, reason)
         self.record("leader_stop", type=state.type_name, label=label,
                     reason=reason)
         self._notify("on_leader_stop", state.type_name, label, reason)

@@ -7,6 +7,7 @@ from .handover import (HandoverStats, analyze_handovers,
 from .recovery import CrashRecovery, RecoveryReport, analyze_recovery
 from .speed_search import (CoherenceProbe, SpeedSearchResult,
                            max_trackable_speed)
+from .tenures import Tenure, leader_tenures
 from .timeline import TimelineSample, TimelineSampler
 from .tracking_error import TrajectoryComparison, compare_track
 
@@ -19,10 +20,12 @@ __all__ = [
     "HandoverStats",
     "RecoveryReport",
     "SpeedSearchResult",
+    "Tenure",
     "TrajectoryComparison",
     "analyze_handovers",
     "analyze_recovery",
     "handoff_latencies",
+    "leader_tenures",
     "communication_metrics",
     "compare_track",
     "max_trackable_speed",

@@ -20,9 +20,10 @@ spawned duplicate — an unsuccessful one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sim import Simulator
+from .tenures import leader_tenures
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,6 @@ def analyze_handovers(sim: Simulator, context_type: str,
     yields = 0
     suppressions = 0
     leader_starts: List[Tuple[float, str, str]] = []
-    open_tenures: Dict[Tuple[Optional[int], str], float] = {}
     led_time: Dict[str, float] = {}
     for rec in sim.trace:
         detail_type = rec.detail.get("type")
@@ -116,14 +116,9 @@ def analyze_handovers(sim: Simulator, context_type: str,
         elif rec.category == "gm.leader_start":
             leader_starts.append((rec.time, label,
                                   rec.detail.get("via", "")))
-            open_tenures[(rec.node, label)] = rec.time
-        elif rec.category == "gm.leader_stop":
-            begin = open_tenures.pop((rec.node, label), None)
-            if begin is not None:
-                led_time[label] = led_time.get(label, 0.0) \
-                    + (rec.time - begin)
-    for (_, label), begin in open_tenures.items():
-        led_time[label] = led_time.get(label, 0.0) + (sim.now - begin)
+    for tenure in leader_tenures(sim.trace, sim.now, context_type):
+        led_time[tenure.label] = led_time.get(tenure.label, 0.0) \
+            + (tenure.end - tenure.start)
     return HandoverStats(labels_created=labels_created,
                          takeovers=takeovers, claims=claims, yields=yields,
                          suppressions=suppressions,
@@ -133,31 +128,35 @@ def analyze_handovers(sim: Simulator, context_type: str,
 
 def handoff_latencies(sim: Simulator, context_type: str
                       ) -> List[float]:
-    """Per-handover gap between one leader stopping and the next leader
-    starting on the *same label* (seconds; 0 when the successor started
-    first, as during yields).
+    """Per-handover gap between a label losing its last leader and its
+    next leader starting (seconds).  A successor that starts before its
+    predecessor stops (a yield) leaves no gap and adds no entry.
 
-    Relinquish handoffs complete in a claim window; takeover handoffs in
-    roughly the receive timeout — this is the latency that bounds the max
-    trackable speed in §6.2.
+    Relinquish handoffs complete in a claim window; takeover handoffs —
+    after a leader crash too — in roughly the receive timeout: this is
+    the latency that bounds the max trackable speed in §6.2.
     """
+    # Starts sort before ends at the same instant: a zero-length tenure
+    # opens before it closes, and a successor starting as its
+    # predecessor stops leaves no gap.
+    edges = []
+    for tenure in leader_tenures(sim.trace, sim.now, context_type):
+        edges.append((tenure.start, 0, tenure.label))
+        edges.append((tenure.end, 1, tenure.label))
+    edges.sort(key=lambda edge: edge[:2])
     active: Dict[str, int] = {}
     vacant_since: Dict[str, float] = {}
     latencies: List[float] = []
-    for rec in sim.trace:
-        if rec.detail.get("type") != context_type:
-            continue
-        label = rec.detail.get("label", "")
-        if rec.category == "gm.leader_start":
-            if label in vacant_since:
-                latencies.append(rec.time - vacant_since.pop(label))
-            active[label] = active.get(label, 0) + 1
-        elif rec.category == "gm.leader_stop":
-            count = active.get(label, 0) - 1
-            active[label] = max(0, count)
-            if count <= 0:
+    for time, ending, label in edges:
+        if ending:
+            active[label] -= 1
+            if not active[label]:
                 # The label is now leaderless: the handoff gap starts.
-                vacant_since[label] = rec.time
+                vacant_since[label] = time
+        else:
+            if label in vacant_since:
+                latencies.append(time - vacant_since.pop(label))
+            active[label] = active.get(label, 0) + 1
     return latencies
 
 
@@ -167,26 +166,15 @@ def tracking_coverage(sim: Simulator, context_type: str,
     """Fraction of [start, end] during which *some* leader served the
     target, judged by gaps between leader tenures.
 
-    A leader tenure runs from its ``gm.leader_start`` to the matching
-    ``gm.leader_stop`` (or the end of the run).  Coverage below 1.0 means
-    the entity went unrepresented — e.g. it escaped during a takeover.
+    Tenures come from :func:`~repro.metrics.tenures.leader_tenures`; a
+    crash ends its leader's tenure.  Coverage below 1.0 means the entity
+    went unrepresented — e.g. it escaped during a takeover.
     """
     if end <= start:
         raise ValueError(f"empty interval [{start}, {end}]")
-    intervals: List[Tuple[float, float]] = []
-    open_starts: dict = {}
-    for rec in sim.trace:
-        if rec.detail.get("type") != context_type:
-            continue
-        key = (rec.node, rec.detail.get("label"))
-        if rec.category == "gm.leader_start":
-            open_starts[key] = rec.time
-        elif rec.category == "gm.leader_stop" and key in open_starts:
-            intervals.append((open_starts.pop(key), rec.time))
-    for begin in open_starts.values():
-        intervals.append((begin, end))
-    clipped = [(max(lo, start), min(hi, end)) for lo, hi in intervals
-               if min(hi, end) > max(lo, start)]
+    clipped = [(max(tenure.start, start), min(tenure.end, end))
+               for tenure in leader_tenures(sim.trace, sim.now, context_type)
+               if min(tenure.end, end) > max(tenure.start, start)]
     if not clipped:
         return 0.0
     clipped.sort()

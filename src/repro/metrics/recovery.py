@@ -14,17 +14,18 @@ records into per-crash recovery measurements:
   leaders of the crashed label, the failure mode the takeover probes
   exist to suppress.
 
-Leadership tenures come from ``gm.leader_start``/``gm.leader_stop``;
-since a dying leader emits no stop record, ``node.fail`` closes all of
-the victim's open tenures.
+Leadership tenures come from
+:func:`~repro.metrics.tenures.leader_tenures`, where a ``node.fail`` ends
+every tenure its node held.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..sim import Simulator
+from .tenures import Tenure, leader_tenures
 
 
 @dataclass(frozen=True)
@@ -113,49 +114,18 @@ def _quantile(values: List[float], q: float) -> Optional[float]:
     return ordered[index]
 
 
-def _leadership_intervals(sim: Simulator, context_type: str
-                          ) -> List[Tuple[float, float, int, str]]:
-    """(start, end, node, label) tenures of live leaders of the type."""
-    open_tenures: Dict[Tuple[int, str], float] = {}
-    intervals: List[Tuple[float, float, int, str]] = []
-
-    def close(key: Tuple[int, str], when: float) -> None:
-        begin = open_tenures.pop(key, None)
-        if begin is not None and when > begin:
-            intervals.append((begin, when, key[0], key[1]))
-
-    for rec in sim.trace:
-        if rec.category == "node.fail":
-            for key in [k for k in open_tenures if k[0] == rec.node]:
-                close(key, rec.time)
-            continue
-        if rec.detail.get("type") != context_type:
-            continue
-        label = rec.detail.get("label")
-        if label is None or rec.node is None:
-            continue
-        key = (rec.node, label)
-        if rec.category == "gm.leader_start":
-            open_tenures[key] = rec.time
-        elif rec.category == "gm.leader_stop":
-            close(key, rec.time)
-    for key in list(open_tenures):
-        close(key, sim.now)
-    return intervals
-
-
-def _count_steps(intervals: List[Tuple[float, float, int, str]],
-                 label: str, start: float, end: float
-                 ) -> List[Tuple[float, int]]:
-    """Piecewise-constant live-leader count of ``label`` over [start, end].
+def _count_steps(tenures: List[Tenure], label: str, start: float,
+                 end: float) -> List[Tuple[float, int]]:
+    """Piecewise-constant leader count of ``label`` over [start, end].
 
     Returns (time, count) breakpoints beginning at ``start``.
     """
     deltas: List[Tuple[float, int]] = []
     base = 0
-    for lo, hi, _node, tenure_label in intervals:
-        if tenure_label != label:
+    for tenure in tenures:
+        if tenure.label != label:
             continue
+        lo, hi = tenure.start, tenure.end
         lo_clip, hi_clip = max(lo, start), min(hi, end)
         if hi_clip <= lo_clip:
             continue
@@ -191,7 +161,7 @@ def analyze_recovery(sim: Simulator, context_type: str,
     crashes = [rec for rec in sim.trace
                if rec.category == "fault.leader_crash"
                and rec.detail.get("type") == context_type]
-    intervals = _leadership_intervals(sim, context_type)
+    tenures = leader_tenures(sim.trace, sim.now, context_type)
     results: List[CrashRecovery] = []
     for index, crash in enumerate(crashes):
         window_end = (crashes[index + 1].time
@@ -199,7 +169,7 @@ def analyze_recovery(sim: Simulator, context_type: str,
         label = crash.detail.get("label")
         if label is None or window_end <= crash.time:
             continue
-        steps = _count_steps(intervals, label, crash.time, window_end)
+        steps = _count_steps(tenures, label, crash.time, window_end)
         recovery_at: Optional[float] = None
         duplicate_time = 0.0
         final_count = 0
@@ -217,7 +187,8 @@ def analyze_recovery(sim: Simulator, context_type: str,
         latency = (max(0.0, recovery_at - crash.time)
                    if recovered else None)
         results.append(CrashRecovery(
-            crash_time=crash.time, victim=crash.node or -1, label=label,
+            crash_time=crash.time,
+            victim=-1 if crash.node is None else crash.node, label=label,
             window_end=window_end, takeover_latency=latency,
             recovered=recovered,
             continuity=recovered and final_count >= 1,

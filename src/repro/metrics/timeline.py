@@ -61,8 +61,6 @@ class TimelineSampler:
         leaders: Dict[str, List[Tuple[int, str]]] = {}
         members: Dict[str, int] = {}
         for node_id, agent in app.agents.items():
-            if not app.field.motes[node_id].alive:
-                continue
             for type_name in agent.context_types():
                 role = agent.groups.role(type_name)
                 if role is Role.LEADER:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..radio import CsmaMac, Frame, Medium, TransceiverPort
-from ..sim import PeriodicTimer, Simulator, WatchdogTimer
+from ..sim import OneShotTimer, PeriodicTimer, Simulator, WatchdogTimer
 from .cpu import DEFAULT_QUEUE_LIMIT, DEFAULT_TASK_COST, Cpu, QuietPollTimer
 
 Position = Tuple[float, float]
@@ -66,6 +66,7 @@ class Mote:
         self._handle_names: Dict[str, str] = {}
         self._sensors: Dict[str, Callable[[], Any]] = {}
         self._timers: List[Any] = []
+        self._fail_hooks: List[Callable[[], None]] = []
         self._reboot_hooks: List[Callable[[], None]] = []
         #: Oscillator skew: multiplies the nominal delay of every timer
         #: created on this mote (1.0 = perfect clock).
@@ -235,10 +236,9 @@ class Mote:
 
     def oneshot(self, callback: Callable[[], None],
                 label: str = "oneshot",
-                cost: Optional[float] = None) -> "OneShotTimer":
+                cost: Optional[float] = None) -> OneShotTimer:
         """An unarmed one-shot timer; arm with ``start(delay)``.  The
         callback runs on this mote's CPU."""
-        from ..sim import OneShotTimer
         task_label = "timer." + label
         timer = OneShotTimer(
             self.sim,
@@ -257,7 +257,8 @@ class Mote:
     # Failure injection
     # ------------------------------------------------------------------
     def fail(self) -> None:
-        """Kill the node: radio silent, CPU drained, timers stopped."""
+        """Kill the node: radio silent, CPU drained, timers stopped, then
+        the fail hooks run."""
         if not self.alive:
             return
         self.alive = False
@@ -268,16 +269,27 @@ class Mote:
             stop = getattr(timer, "stop", None) or getattr(timer, "cancel")
             stop()
         self.sim.record("node.fail", node=self.node_id)
+        for hook in self._fail_hooks:
+            hook()
 
     def recover(self) -> None:
         """Bring a failed node back (fresh CPU state; timers stay stopped
-        until a component restarts them)."""
+        until a component restarts them, and what the fail hooks dropped
+        stays dropped — :meth:`reboot` runs the reboot hooks)."""
         if self.alive:
             return
         self.alive = True
         self.port.enabled = True
         self.cpu.enabled = True
         self.sim.record("node.recover", node=self.node_id)
+
+    def add_fail_hook(self, hook: Callable[[], None]) -> None:
+        """Register a callback run when this mote fails.
+
+        Components use it to drop the roles a crash ends — a dead node
+        leads nothing.  A hook must not send, schedule or record.
+        """
+        self._fail_hooks.append(hook)
 
     def add_reboot_hook(self, hook: Callable[[], None]) -> None:
         """Register a callback run when this mote reboots.

@@ -304,6 +304,13 @@ class MetricsRegistry:
                 f"metric {name!r} already registered with labels "
                 f"{existing.label_names!r}, not {tuple(label_names)!r}")
 
+    def copy(self) -> "MetricsRegistry":
+        """A new registry holding the same instrument objects; adding an
+        instrument to the copy leaves this registry unchanged."""
+        registry = MetricsRegistry()
+        registry._metrics.update(self._metrics)
+        return registry
+
     def get(self, name: str):
         """Look up a registered instrument, or None."""
         return self._metrics.get(name)

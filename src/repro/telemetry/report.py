@@ -12,10 +12,10 @@ sources:
   takeover timeline) still renders; registry-only sections (energy) and
   profiler sections degrade to a note instead of failing.
 
-This module imports :mod:`repro.sim` and :mod:`repro.analysis`, so the
-``repro.telemetry`` package intentionally does **not** import it at
-module level (the engine imports the telemetry core; importing report
-back into the package would cycle).  Use
+This module imports :mod:`repro.sim`, :mod:`repro.analysis` and
+:mod:`repro.metrics`, so the ``repro.telemetry`` package intentionally
+does **not** import it at module level (the engine imports the telemetry
+core; importing report back into the package would cycle).  Use
 ``from repro.telemetry import report``.
 """
 
@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from xml.sax.saxutils import escape
 
 from ..analysis.svg import BarChart, LineChart
+from ..metrics import leader_tenures
 from ..sim import TraceRecord, load_trace
 from .profiler import EventLoopProfiler
 from .registry import MetricsRegistry
@@ -166,16 +167,31 @@ class RunReport:
         return {key[0]: value for key, value in gauge.series().items()}
 
     def derived_registry(self) -> MetricsRegistry:
-        """The registry to export: the live one, or counters rebuilt from
-        the trace records (so saved traces still export cleanly)."""
+        """The registry to export: the live instruments, or counters
+        rebuilt from the trace records (so saved traces still export
+        cleanly), plus the leadership series every source derives from
+        the trace's tenures."""
         if self.metrics is not None:
-            return self.metrics
-        registry = MetricsRegistry()
-        counter = registry.counter(
-            "repro_trace_records_total",
-            "Trace records written, by category.", ("category",))
-        for category, count in sorted(self.category_counts().items()):
-            counter.inc(count, category)
+            registry = self.metrics.copy()
+        else:
+            registry = MetricsRegistry()
+            counter = registry.counter(
+                "repro_trace_records_total",
+                "Trace records written, by category.", ("category",))
+            for category, count in sorted(self.category_counts().items()):
+                counter.inc(count, category)
+        active = registry.gauge("repro_gm_active_leaderships",
+                                "Labels currently led, fleet-wide.")
+        tenure_seconds = registry.histogram(
+            "repro_gm_leader_tenure_seconds",
+            "How long leaderships lasted, by ending reason.", ("reason",))
+        end = self.records[-1].time if self.records else 0.0
+        for tenure in leader_tenures(self.records, end):
+            if tenure.reason is None:
+                active.inc()
+            else:
+                tenure_seconds.observe(tenure.end - tenure.start,
+                                       tenure.reason)
         return registry
 
     # ------------------------------------------------------------------

@@ -119,3 +119,18 @@ class TestAppAssembly:
         leaders = app.leaders("t")
         assert list(leaders) == [1]
         assert leaders[1].startswith("t#")
+
+    def test_leaders_omit_a_crashed_leader(self):
+        app = EnviroTrackApp(seed=1, enable_directory=False,
+                             enable_mtp=False)
+        app.field.deploy_grid(4, 1)
+        sensing = {1}
+        for mote in app.field.mote_list():
+            mote.install_sensor(
+                "seen", lambda m=mote: m.node_id in sensing)
+        app.add_context_type(ContextTypeDef(name="t", activation="seen"))
+        app.run(until=3.0)
+        assert list(app.leaders("t")) == [1]
+        app.field.fail_node(1)
+        assert app.leaders("t") == {}
+        assert not app.agents[1].groups.is_leading("t")

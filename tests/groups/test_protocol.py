@@ -38,21 +38,18 @@ class Harness:
         self.sim.run(until=self.sim.now + seconds)
 
     def leaders(self):
-        # Dead motes are inert; their manager state is stale by design.
+        # A crash ends a node's roles, so dead motes lead nothing.
         return sorted(node for node, manager in self.managers.items()
-                      if manager.role("tracker") is Role.LEADER
-                      and self.field.motes[node].alive)
+                      if manager.role("tracker") is Role.LEADER)
 
     def members(self):
         return sorted(node for node, manager in self.managers.items()
-                      if manager.role("tracker") is Role.MEMBER
-                      and self.field.motes[node].alive)
+                      if manager.role("tracker") is Role.MEMBER)
 
     def labels(self):
         return {manager.label("tracker")
-                for node, manager in self.managers.items()
-                if manager.label("tracker") is not None
-                and self.field.motes[node].alive}
+                for manager in self.managers.values()
+                if manager.label("tracker") is not None}
 
 
 def test_single_sensor_creates_label_and_leads():

@@ -132,3 +132,60 @@ def test_heartbeat_tx_range_limits_wait_memory_reach():
     far = h.managers[4]._types["t"]
     assert near.wait_memory is not None
     assert far.wait_memory is None
+
+
+def test_member_of_node_zeros_group_rejoins_with_leader_zero():
+    """Node id 0 is a leader like any other: a member that stops sensing
+    and senses again before the next heartbeat rejoins under leader 0
+    from its wait memory (it once remembered leader -1, "no node")."""
+    h = Harness(count=4, config=GroupConfig(heartbeat_period=2.0,
+                                            suppression_range=None))
+    h.sensing = {0}
+    h.run(1.0)
+    h.sensing = {0, 1}
+    h.run(2.5)  # node 0's heartbeats go out at 0.35 s, 2.35 s, 4.35 s
+    assert h.roles()[0] is Role.LEADER and h.roles()[1] is Role.MEMBER
+    h.sensing = {0}
+    h.run(0.2)
+    assert h.roles()[1] is Role.IDLE
+    h.sensing = {0, 1}
+    h.run(0.2)  # t = 3.9 s: rejoined from memory, no heartbeat since
+    assert h.roles()[1] is Role.MEMBER
+    assert h.managers[1].leader_of("t") == 0
+
+
+def test_crash_ends_the_roles_and_reboot_restarts_from_idle():
+    h = Harness()
+    h.sensing = {2, 3}
+    h.run(3.0)
+    leader = next(n for n, role in h.roles().items()
+                  if role is Role.LEADER)
+    label = h.managers[leader].label("t")
+    h.field.fail_node(leader)
+    manager = h.managers[leader]
+    assert not manager.is_leading("t")
+    assert manager.role("t") is Role.IDLE
+    assert manager.label("t") is None and manager.labels_led() == []
+    h.run(3.0)  # the survivor takes the label over
+    survivor = ({2, 3} - {leader}).pop()
+    assert h.managers[survivor].is_leading("t")
+    assert h.managers[survivor].label("t") == label
+    h.field.motes[leader].reboot()
+    assert manager.role("t") is Role.IDLE
+    h.run(3.0)  # back in the protocol: one leader between the two
+    assert [role for role in h.roles().values()
+            if role is Role.LEADER] == [Role.LEADER]
+    assert manager.role("t") is not Role.IDLE
+
+
+def test_recover_without_reboot_leaves_the_manager_inert():
+    """A crash drops the manager's state; only a reboot re-activates it,
+    so a bare recover() hears heartbeats without reacting to them."""
+    h = Harness()
+    h.sensing = {2}
+    h.run(3.0)
+    h.field.fail_node(5)
+    h.field.motes[5].recover()
+    h.run(3.0)  # node 2's heartbeats reach node 5 and are ignored
+    assert h.roles()[5] is Role.IDLE
+    assert h.managers[2].is_leading("t")

@@ -16,6 +16,9 @@ def test_repeated_leader_kills_do_not_break_coherence():
     scenario = TankScenario(seed=17, columns=14,
                             leader_kill_times=(20.0, 45.0, 70.0))
     result = run_tank_scenario(scenario)
+    # Each kill finds the live leader of the moment, never a dead one.
+    fails = [r.node for r in result.app.sim.trace_records("node.fail")]
+    assert len(fails) == len(set(fails)) == 3
     assert result.handovers.takeovers >= 2
     assert result.coherent
 

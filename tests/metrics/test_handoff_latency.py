@@ -10,6 +10,7 @@ from repro.sim import Simulator
 def test_synthetic_latencies():
     sim = Simulator()
     events = [
+        (5.0, "gm.leader_start", 0, "L1"),
         (10.0, "gm.leader_stop", 0, "L1"),
         (10.4, "gm.leader_start", 1, "L1"),
         (20.0, "gm.leader_stop", 1, "L1"),
@@ -49,3 +50,20 @@ def test_relinquish_handoffs_faster_than_takeover():
     assert 0.4 <= takeover <= 1.1
     # Relinquish handoffs complete within the claim window most runs.
     assert relinquish < 0.3
+
+
+def test_a_leader_crash_opens_a_takeover_sized_gap():
+    """The crash ends node 13's tenure, so the takeover that carries the
+    label on counts as a handoff, and so does every handoff after it."""
+    scenario = TankScenario(seed=12, leader_kill_times=(30.0,))
+    result = run_tank_scenario(scenario)
+    sim = result.app.sim
+    latencies = handoff_latencies(sim, "tracker")
+    # Relinquish handoffs before the crash: 2; the takeover and the
+    # relinquish handoffs after it: 12 more.
+    assert len(latencies) == 14
+    receive_timeout = 2.1 * scenario.heartbeat_period
+    takeovers = [gap for gap in latencies if gap > 0.5 * receive_timeout]
+    assert len(takeovers) == 1 and takeovers[0] < 1.1 * receive_timeout
+    led = result.handovers.label_led_time
+    assert led and max(led.values()) <= sim.now

@@ -141,3 +141,12 @@ def test_quantile_and_aggregates():
     assert report.median_latency == report.p95_latency \
         == report.max_latency == pytest.approx(1.0)
     assert report.total_duplicate_time == 0.0
+
+
+def test_crash_of_node_zero_names_node_zero():
+    sim = Simulator(seed=0)
+    lead(sim, 1.0, 0, "t#1")
+    crash(sim, 10.0, 0, "t#1")
+    lead(sim, 11.0, 1, "t#1")
+    sim.run(until=20.0)
+    assert analyze_recovery(sim, "t").crashes[0].victim == 0

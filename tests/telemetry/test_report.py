@@ -78,6 +78,26 @@ class TestFromTraceFile:
         assert "gm" in text
         xml.dom.minidom.parseString(loaded.dashboard_svg())
 
+    def test_saved_trace_exports_the_live_leadership_series(self, tmp_path):
+        sim = run_tank_scenario(TankScenario(
+            columns=6, rows=2, seed=11, leader_kill_times=(8.0,))).app.sim
+        path = tmp_path / "run.jsonl"
+        dump_trace(sim, str(path))
+
+        def tenure_lines(report):
+            return [line for line in
+                    report.derived_registry().render_prometheus()
+                    .splitlines()
+                    if "repro_gm_active_leaderships" in line
+                    or "repro_gm_leader_tenure_seconds" in line]
+
+        live = tenure_lines(RunReport.from_sim(sim))
+        assert live == tenure_lines(RunReport.from_trace_file(str(path)))
+        # The killed leader's tenure ends at the crash, under its reason.
+        assert 'repro_gm_leader_tenure_seconds_count{reason="crash"} 1' \
+            in live
+        assert "repro_gm_active_leaderships 0" in live
+
     def test_loaded_trace_prometheus_has_derived_counter(self, tmp_path):
         sim = make_run()
         path = tmp_path / "run.jsonl"
