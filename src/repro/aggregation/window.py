@@ -14,10 +14,11 @@ flag and no value.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..telemetry.registry import MetricsRegistry
+from ..telemetry.registry import Counter, MetricsRegistry, merged
 from .functions import AggregationFn
 
 
@@ -75,7 +76,6 @@ class SlidingWindow:
         self.spec = spec
         self._fn = fn
         self._readings: Dict[int, _StoredReading] = {}
-        self.total_reports = 0
 
     def add(self, sender: int, value: Any, time: float) -> None:
         """Record a reading from ``sender`` measured at ``time``."""
@@ -83,7 +83,6 @@ class SlidingWindow:
         if existing is not None and existing.time > time:
             return  # stale reordering; keep the newer reading
         self._readings[sender] = _StoredReading(time=time, value=value)
-        self.total_reports += 1
 
     def prune(self, now: float) -> None:
         """Drop readings older than the freshness horizon."""
@@ -132,14 +131,19 @@ class AggregateStore:
                 raise ValueError(f"duplicate aggregate var {spec.name!r}")
             self._windows[spec.name] = SlidingWindow(
                 spec, registry.get(spec.function))
-        self._reports_metric = metrics.counter(
-            "repro_agg_reports_total",
-            "Member readings folded into aggregate windows, by variable.",
-            ("var",))
-        self._reads_metric = metrics.counter(
-            "repro_agg_reads_total",
-            "Aggregate variable reads, by variable and validity.",
-            ("var", "valid"))
+        #: Member readings folded in, by variable, and reads, by
+        #: variable and validity.
+        self.reports: "collections.Counter[str]" = collections.Counter()
+        self.reads: "collections.Counter[Tuple[str, str]]" = \
+            collections.Counter()
+        metrics.view(Counter, "repro_agg_reports_total",
+                     "Member readings folded into aggregate windows, by "
+                     "variable.", ("var",),
+                     merged(lambda store: store.reports), self)
+        metrics.view(Counter, "repro_agg_reads_total",
+                     "Aggregate variable reads, by variable and validity.",
+                     ("var", "valid"), merged(lambda store: store.reads),
+                     self)
 
     def window(self, name: str) -> SlidingWindow:
         return self._windows[name]
@@ -154,13 +158,12 @@ class AggregateStore:
             window = self._windows.get(name)
             if window is not None:
                 window.add(sender, value, time)
-                self._reports_metric.inc(1.0, name)
+                self.reports[name] += 1
 
     def read(self, name: str, now: float) -> ReadResult:
         """Read one aggregate variable with full QoS semantics."""
         result = self._windows[name].evaluate(now)
-        self._reads_metric.inc(1.0, name,
-                               "true" if result.valid else "false")
+        self.reads[name, "true" if result.valid else "false"] += 1
         return result
 
     def read_all(self, now: float) -> Dict[str, ReadResult]:

@@ -35,6 +35,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..node import Component, Mote
 from ..radio import distance
+from ..telemetry.registry import Counter, summed
 from .config import (ANNOUNCE_JITTER, CLAIM_WINDOW, FORMATION_WINDOW,
                      REBROADCAST_JITTER, SENSE_COST, SENSE_PERIOD,
                      GroupConfig)
@@ -162,10 +163,11 @@ class GroupManager(Component):
         self._rng = self.sim.rng.stream("gm.jitter")
         mote.add_fail_hook(self._on_fail)
         mote.add_reboot_hook(self._on_reboot)
-        self._implicit_polls = self.sim.metrics.counter(
-            "repro_gm_sense_polls_implicit_total",
+        self.sim.metrics.view(
+            Counter, "repro_gm_sense_polls_implicit_total",
             "Sense checks charged to the CPU without events, because the "
-            "sensor could not read true yet.")
+            "sensor could not read true yet.", (),
+            summed(lambda sim: sim.implicit_polls), self.sim)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -227,8 +229,7 @@ class GroupManager(Component):
             SENSE_PERIOD, lambda s=state: self._sense_check(s),
             label=f"gm.sense.{state.type_name}", cost=SENSE_COST,
             initial_delay=self._rng.uniform(0, SENSE_PERIOD),
-            quiet_until=self._quiet_until(state),
-            quiet_counter=self._implicit_polls)
+            quiet_until=self._quiet_until(state))
         state.sense_timer.start()
         state.receive_timer = self.mote.watchdog(
             cfg.receive_timeout, lambda s=state: self._receive_expired(s),

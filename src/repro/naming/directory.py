@@ -20,11 +20,13 @@ Implementation notes:
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..node import Component, Mote
 from ..radio import distance
+from ..telemetry.registry import Counter, summed
 from ..transport.routing import GeoRouter
 from .geohash import FieldBounds, hash_to_coordinate
 
@@ -76,6 +78,25 @@ class DirectoryEntry:
         return now - self.updated <= ttl
 
 
+#: The operations that write a trace record, by record category.
+_RECORDED_OPS = {"dir.lookup_retry": "lookup_retry",
+                 "dir.stale_register": "stale_register",
+                 "dir.stored": "stored"}
+
+
+def _fill_ops(counter: Counter,
+              services: List["DirectoryService"]) -> None:
+    """Directory operations: those that write a trace record are counted
+    from the trace, the others from each service's ``ops``."""
+    ops = collections.Counter(
+        _RECORDED_OPS[record.category] for record in services[0].sim.trace
+        if record.category in _RECORDED_OPS)
+    for service in services:
+        ops.update(service.ops)
+    for op, count in ops.items():
+        counter.inc(count, op)
+
+
 class DirectoryService(Component):
     """Directory participant running on every mote.
 
@@ -121,13 +142,18 @@ class DirectoryService(Component):
         self._entries: Dict[str, DirectoryEntry] = {}
         self._pending_queries: Dict[int, _PendingLookup] = {}
         self._query_seq = 0
-        # Telemetry counters (side-state only).
-        self._ops_metric = self.sim.metrics.counter(
-            "repro_directory_ops_total",
-            "Directory operations by kind.", ("op",))
-        self._timeouts_metric = self.sim.metrics.counter(
-            "repro_dir_lookup_timeouts_total",
-            "Directory lookup attempts that timed out.")
+        #: Operations that write no trace record, by kind: ``register``,
+        #: ``lookup``, ``query_answered`` and ``response``.
+        self.ops: "collections.Counter[str]" = collections.Counter()
+        #: Lookup attempts that timed out, a dead client's included.
+        self.lookup_timeouts = 0
+        metrics = self.sim.metrics
+        metrics.view(Counter, "repro_directory_ops_total",
+                     "Directory operations by kind.", ("op",), _fill_ops,
+                     self)
+        metrics.view(Counter, "repro_dir_lookup_timeouts_total",
+                     "Directory lookup attempts that timed out.", (),
+                     summed(lambda service: service.lookup_timeouts), self)
 
     def on_start(self) -> None:
         self.router.register_delivery(REGISTER_KIND, self._on_register)
@@ -150,7 +176,7 @@ class DirectoryService(Component):
         periodically thereafter ("occasional updates ... keep the location
         information up to date").
         """
-        self._ops_metric.inc(1.0, "register")
+        self.ops["register"] += 1
         with self.sim.spans.span(f"dir.register.{context_type}",
                                  node=self.node_id):
             self.router.route_to_point(
@@ -172,7 +198,7 @@ class DirectoryService(Component):
         pending = _PendingLookup(context_type=context_type,
                                  callback=callback)
         self._pending_queries[query_id] = pending
-        self._ops_metric.inc(1.0, "lookup")
+        self.ops["lookup"] += 1
         self._send_query(query_id, pending)
 
     def _send_query(self, query_id: int, pending: _PendingLookup) -> None:
@@ -199,14 +225,13 @@ class DirectoryService(Component):
         if pending is None:
             return
         pending.event = None
-        self._timeouts_metric.inc(1.0)
+        self.lookup_timeouts += 1
         if not self.mote.alive:
             # Dead client: nobody is waiting; just collect the entry.
             del self._pending_queries[query_id]
             return
         if pending.attempts < self.lookup_retries:
             pending.attempts += 1
-            self._ops_metric.inc(1.0, "lookup_retry")
             self.record("lookup_retry", type=pending.context_type,
                         query=query_id, attempt=pending.attempts)
             self._send_query(query_id, pending)
@@ -259,11 +284,9 @@ class DirectoryService(Component):
                 # A rejected payload must not be replicated either: the
                 # one-hop neighbors would overwrite their newer replicas
                 # with the stale leader pointer.
-                self._ops_metric.inc(1.0, "stale_register")
                 self.record("stale_register", label=entry.label,
                             type=entry.context_type)
             return
-        self._ops_metric.inc(1.0, "stored")
         self.record("stored", label=entry.label, type=entry.context_type)
         # Replicate to the one-hop neighborhood around the hash point.
         self.broadcast(REPLICATE_KIND, dict(payload))
@@ -284,7 +307,7 @@ class DirectoryService(Component):
         reply_to = payload.get("reply_to")
         if not isinstance(context_type, str) or reply_to is None:
             return
-        self._ops_metric.inc(1.0, "query_answered")
+        self.ops["query_answered"] += 1
         entries = self.entries_for(context_type)
         self.router.route_to_node(int(reply_to), RESPONSE_KIND, {
             "query_id": payload.get("query_id"),
@@ -303,7 +326,7 @@ class DirectoryService(Component):
         if pending is None:
             return  # already timed out (late response) or duplicate
         pending.cancel_timer()
-        self._ops_metric.inc(1.0, "response")
+        self.ops["response"] += 1
         entries = []
         for raw in payload.get("entries", []):
             entry = self._store_parse(raw)

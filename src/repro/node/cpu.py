@@ -224,9 +224,10 @@ class QuietPollTimer(PeriodicTimer):
     ``busy_time``, ``executed`` and ``total_latency``, and two
     :attr:`~repro.sim.Simulator.events_fired`) are charged in time
     order by :meth:`settle`, which every reader of those counters calls
-    first.  The handle is armed at the first poll that could read
-    something (or left unarmed when none can), so that poll fires for
-    real.
+    first; each charged service also counts in
+    :attr:`~repro.sim.Simulator.implicit_polls`.  The handle is armed at
+    the first poll that could read something (or left unarmed when none
+    can), so that poll fires for real.
 
     Poll times are summed exactly as the plain timer sums them
     (``t = t + period``), and a poll at ``t`` completes at ``t + cost``,
@@ -242,17 +243,16 @@ class QuietPollTimer(PeriodicTimer):
 
     The timer's ``callback`` is the plain path (post ``poll`` to the
     CPU); ``poll``, ``cost`` and ``task_label`` describe that task.
-    ``counter`` (optional) counts polls whose service was charged.
     """
 
     __slots__ = ("_cpu", "_poll", "_cost", "_task_label", "_quiet_until",
-                 "_counter", "_fires", "_service", "_next", "_end")
+                 "_fires", "_service", "_next", "_end")
 
     def __init__(self, sim: Simulator, cpu: Cpu, period: float,
                  callback: Callable[[], Any], poll: Callable[[], Any],
                  cost: Optional[float], task_label: str,
                  quiet_until: Callable[[float], float],
-                 counter: Any = None, label: str = "periodic",
+                 label: str = "periodic",
                  initial_delay: Optional[float] = None) -> None:
         super().__init__(sim, period, callback, label=label,
                          initial_delay=initial_delay)
@@ -261,7 +261,6 @@ class QuietPollTimer(PeriodicTimer):
         self._cost = cpu.task_cost if cost is None else cost
         self._task_label = task_label
         self._quiet_until = quiet_until
-        self._counter = counter
         #: Start of the charged poll whose service is not yet charged.
         self._service: Optional[float] = None
         #: Next poll of the run not yet charged; None outside a run.
@@ -365,8 +364,7 @@ class QuietPollTimer(PeriodicTimer):
             sim = self._sim
             sim._events_fired += services + fires
             sim._events_implicit += services + fires
-            if self._counter is not None and services:
-                self._counter.inc(services)
+            sim._polls_implicit += services
 
     def give_way(self) -> None:
         """A task is about to be posted: charge the run up to now, and

@@ -18,19 +18,24 @@ CPU active     ~16.5 mW    5.5 mA at 3 V
 sleep          ~30 µW      leakage
 =============  ==========  =============================
 
-Energy is attributed per event (a transmission's airtime × tx power, a
-reception's airtime × rx power, a CPU task's service time × CPU power)
-plus a baseline idle-listening drain, which is what actually dominates on
+Energy is attributed per activity (airtime on the air × tx power,
+airtime received × rx power, CPU service time × CPU power) plus a
+baseline idle-listening drain, which is what actually dominates on
 un-duty-cycled motes — reproducing the classic observation that the radio
 *listening*, not talking, empties the battery.
+
+The meter keeps no tally of its own for the radio or the CPU: it reads
+the medium's bits sent per node, each port's bits delivered and each
+CPU's busy time, counting from the moment a mote is attached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from ..sim import Simulator
+from ..telemetry.registry import Counter, Gauge, merged, summed
 
 
 @dataclass(frozen=True)
@@ -44,30 +49,47 @@ class EnergyModel:
     sleep_power: float = 0.00003
 
 
-@dataclass
 class EnergyLedger:
-    """Accumulated energy of one mote, by activity, in joules."""
+    """Energy of one metered mote, by activity, in joules.
 
-    model: EnergyModel
-    tx_joules: float = 0.0
-    rx_joules: float = 0.0
-    cpu_joules: float = 0.0
-    #: Externally injected drain (fault injection: battery leakage,
-    #: short-circuit, parasitic load).
-    drain_joules: float = 0.0
-    started_at: float = 0.0
+    Radio and CPU energy are computed when read, from the mote's own
+    tallies (bits sent on the air, bits delivered to its port, CPU busy
+    time) since the ledger was opened at ``started_at``.
+    """
 
-    def on_transmit(self, airtime: float) -> None:
-        """Charge transmit energy for one frame's airtime."""
-        self.tx_joules += airtime * self.model.tx_power
+    def __init__(self, model: EnergyModel, mote,
+                 started_at: float) -> None:
+        self.model = model
+        self.mote = mote
+        self.started_at = started_at
+        #: Externally injected drain (fault injection: battery leakage,
+        #: short-circuit, parasitic load).
+        self.drain_joules = 0.0
+        self._at_start = self._tallies()
 
-    def on_receive(self, airtime: float) -> None:
-        """Charge receive energy for one frame's airtime."""
-        self.rx_joules += airtime * self.model.rx_power
+    def _tallies(self) -> Tuple[int, int, float]:
+        """Bits sent on the air, bits delivered to the port and CPU busy
+        time, so far."""
+        mote = self.mote
+        return (mote.medium.stats.bits_sent_by_node.get(mote.node_id, 0),
+                mote.port.bits_delivered, mote.cpu.busy_time)
 
-    def on_cpu(self, busy_time: float) -> None:
-        """Charge CPU energy for ``busy_time`` seconds of service."""
-        self.cpu_joules += busy_time * self.model.cpu_power
+    def _since_start(self, index: int) -> float:
+        return self._tallies()[index] - self._at_start[index]
+
+    @property
+    def tx_joules(self) -> float:
+        return (self._since_start(0) / self.mote.medium.bitrate
+                * self.model.tx_power)
+
+    @property
+    def rx_joules(self) -> float:
+        return (self._since_start(1) / self.mote.medium.bitrate
+                * self.model.rx_power)
+
+    @property
+    def cpu_joules(self) -> float:
+        return self._since_start(2) * self.model.cpu_power
 
     def on_drain(self, joules: float) -> None:
         """Charge an externally injected energy drain."""
@@ -103,8 +125,11 @@ class EnergyMeter:
         ...
         meter.total_joules(sim.now)
 
-    Metering wraps the mote's MAC send and physical-receive paths and
-    samples CPU busy time on read, so it adds no events to the simulation.
+    Metering adds no events and wraps nothing: every readout computes
+    the ledgers from the radio's and the CPU's own tallies, so frames
+    sent and received and CPU time spent before :meth:`attach` are not
+    charged.  A frame the MAC accepts but never puts on the air costs
+    no transmit energy.
     """
 
     def __init__(self, sim: Simulator,
@@ -112,75 +137,35 @@ class EnergyMeter:
         self.sim = sim
         self.model = model
         self.ledgers: Dict[int, EnergyLedger] = {}
-        self._cpu_seen: Dict[int, float] = {}
-        self._motes: Dict[int, object] = {}
-        # Telemetry (side-state only):
-        # tx/rx counters accrue as frames move; the by-activity gauge is
-        # refreshed whenever a readout computes the breakdown.
         metrics = sim.metrics
-        self._tx_metric = metrics.counter(
-            "repro_energy_tx_joules_total",
-            "Radio transmit energy spent, fleet-wide.")
-        self._rx_metric = metrics.counter(
-            "repro_energy_rx_joules_total",
-            "Radio receive energy spent, fleet-wide.")
-        self._energy_gauge = metrics.gauge(
-            "repro_energy_joules",
-            "Accumulated fleet energy by activity "
-            "(refreshed on breakdown()).", ("activity",))
+        metrics.view(Counter, "repro_energy_tx_joules_total",
+                     "Radio transmit energy spent, fleet-wide.", (),
+                     summed(lambda meter: meter.breakdown(
+                         meter.sim.now)["tx"]), self)
+        metrics.view(Counter, "repro_energy_rx_joules_total",
+                     "Radio receive energy spent, fleet-wide.", (),
+                     summed(lambda meter: meter.breakdown(
+                         meter.sim.now)["rx"]), self)
+        metrics.view(Gauge, "repro_energy_joules",
+                     "Accumulated fleet energy by activity "
+                     "(refreshed on breakdown()).", ("activity",),
+                     merged(lambda meter: meter.breakdown(meter.sim.now)),
+                     self)
 
     def attach(self, mote) -> None:
         """Start metering ``mote``."""
         if mote.node_id in self.ledgers:
             raise ValueError(f"mote {mote.node_id} already metered")
-        ledger = EnergyLedger(model=self.model, started_at=self.sim.now)
-        self.ledgers[mote.node_id] = ledger
-        self._cpu_seen[mote.node_id] = mote.cpu.busy_time
-        self._motes[mote.node_id] = mote
-        medium = mote.medium
-
-        original_send = mote.mac.send
-
-        def metered_send(frame, _original=original_send,
-                         _ledger=ledger, _medium=medium,
-                         _metric=self._tx_metric):
-            airtime = _medium.airtime(frame)
-            _ledger.on_transmit(airtime)
-            _metric.inc(airtime * _ledger.model.tx_power)
-            _original(frame)
-
-        mote.mac.send = metered_send
-
-        original_deliver = mote.port.deliver
-
-        def metered_deliver(frame, _original=original_deliver,
-                            _ledger=ledger, _medium=medium,
-                            _metric=self._rx_metric):
-            airtime = _medium.airtime(frame)
-            _ledger.on_receive(airtime)
-            _metric.inc(airtime * _ledger.model.rx_power)
-            _original(frame)
-
-        mote.port.deliver = metered_deliver
-
-    def _sync_cpu(self) -> None:
-        for node_id, ledger in self.ledgers.items():
-            mote = self._motes[node_id]
-            seen = self._cpu_seen[node_id]
-            busy = mote.cpu.busy_time
-            if busy > seen:
-                ledger.on_cpu(busy - seen)
-                self._cpu_seen[node_id] = busy
+        self.ledgers[mote.node_id] = EnergyLedger(self.model, mote,
+                                                  self.sim.now)
 
     # ------------------------------------------------------------------
     # Readouts
     # ------------------------------------------------------------------
     def ledger(self, node_id: int) -> EnergyLedger:
-        self._sync_cpu()
         return self.ledgers[node_id]
 
     def total_joules(self, now: float, include_idle: bool = True) -> float:
-        self._sync_cpu()
         return sum(ledger.total_joules(now, include_idle=include_idle)
                    for ledger in self.ledgers.values())
 
@@ -191,14 +176,12 @@ class EnergyMeter:
     def max_node_joules(self, now: float,
                         include_idle: bool = True) -> float:
         """Hottest mote — the network's lifetime bound."""
-        self._sync_cpu()
         return max(ledger.total_joules(now, include_idle=include_idle)
                    for ledger in self.ledgers.values())
 
     def breakdown(self, now: float) -> Dict[str, float]:
         """Fleet-wide energy by activity (joules)."""
-        self._sync_cpu()
-        out = {
+        return {
             "tx": sum(l.tx_joules for l in self.ledgers.values()),
             "rx": sum(l.rx_joules for l in self.ledgers.values()),
             "cpu": sum(l.cpu_joules for l in self.ledgers.values()),
@@ -206,9 +189,6 @@ class EnergyMeter:
             "idle": sum(l.idle_joules(now)
                         for l in self.ledgers.values()),
         }
-        for activity, joules in out.items():
-            self._energy_gauge.set(joules, activity)
-        return out
 
     def drain(self, node_id: int, joules: float) -> None:
         """Inject an external drain on one mote's battery."""

@@ -75,7 +75,6 @@ class Mote:
                                     self._on_physical_receive)
         medium.attach(self.port)
         self.mac = CsmaMac(sim, medium, position)
-        self.frames_sent = 0
         self.frames_delivered = 0
 
     # ------------------------------------------------------------------
@@ -126,7 +125,6 @@ class Mote:
     def _do_send(self, frame: Frame) -> None:
         if not self.alive:
             return
-        self.frames_sent += 1
         # Causal tracing: the frame gets its own span under whatever
         # context queued the send (a handler, a timer, a takeover); MAC
         # backoff and the medium's delivery events inherit it through the
@@ -193,15 +191,15 @@ class Mote:
                  label: str = "periodic",
                  initial_delay: Optional[float] = None,
                  cost: Optional[float] = None,
-                 quiet_until: Optional[Callable[[float], float]] = None,
-                 quiet_counter: Any = None) -> PeriodicTimer:
+                 quiet_until: Optional[Callable[[float], float]] = None
+                 ) -> PeriodicTimer:
         """A periodic timer whose callback is executed on this mote's CPU.
 
         With ``quiet_until`` — the earliest time ``>= t`` at which the
         callback could have any effect — the timer is a
         :class:`~repro.node.cpu.QuietPollTimer`: polls before that time
-        are charged to the CPU without events, and counted in
-        ``quiet_counter`` when given.
+        are charged to the CPU without events, and counted in the
+        simulator's :attr:`~repro.sim.Simulator.implicit_polls`.
         """
         task_label = "timer." + label
 
@@ -217,7 +215,7 @@ class Mote:
         else:
             timer = QuietPollTimer(
                 self.sim, self.cpu, period * self.clock_scale, fire,
-                callback, cost, task_label, quiet_until, quiet_counter,
+                callback, cost, task_label, quiet_until,
                 label=f"{label}@{self.node_id}", initial_delay=scaled_delay)
         self._timers.append(timer)
         return timer

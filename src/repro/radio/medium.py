@@ -37,11 +37,13 @@ it (see ``docs/PROTOCOL.md`` §7 for the invariants).
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..sim import Simulator
+from ..telemetry.registry import Counter, RecordFamily, merged, summed
 from .frames import Frame
 from .stats import RadioStats
 
@@ -49,6 +51,25 @@ Position = Tuple[float, float]
 
 #: MICA mote channel capacity used throughout the paper's Table 1.
 DEFAULT_BITRATE = 50_000.0
+
+
+
+def _kinds_of(category: str):
+    """Counts a trace's ``category`` records by frame kind."""
+    return merged(lambda records: collections.Counter(
+        record.detail.get("kind") for record in records
+        if record.category == category))
+
+
+#: The radio's families tallied by trace records.
+RECORD_FAMILIES: Tuple[RecordFamily, ...] = (
+    (Counter, "repro_radio_frames_sent_total",
+     "Frames put on the air, by protocol kind.", ("kind",),
+     _kinds_of("radio.tx")),
+    (Counter, "repro_radio_frames_lost_total",
+     "Frames received by no mote at all, by kind.", ("kind",),
+     _kinds_of("radio.lost")),
+)
 
 
 def distance(a: Position, b: Position) -> float:
@@ -117,11 +138,12 @@ class _Transmission:
 class TransceiverPort:
     """The medium-facing half of a mote's radio.
 
-    Holds the (fixed) field position and the delivery callback invoked
-    when a frame survives the channel.
+    Holds the (fixed) field position, the delivery callback invoked
+    when a frame survives the channel, and the bits delivered to it.
     """
 
-    __slots__ = ("node_id", "position", "deliver", "enabled")
+    __slots__ = ("node_id", "position", "deliver", "enabled",
+                 "bits_delivered")
 
     def __init__(self, node_id: int, position: Position,
                  deliver: Callable[[Frame], None]) -> None:
@@ -129,6 +151,7 @@ class TransceiverPort:
         self.position = position
         self.deliver = deliver
         self.enabled = True
+        self.bits_delivered = 0
 
 
 class _GridIndex:
@@ -246,27 +269,20 @@ class Medium:
         self.soft_edge_start = soft_edge_start
         self.soft_edge_loss = soft_edge_loss
         self.stats = RadioStats(started_at=sim.now)
-        # Telemetry: the same accounting RadioStats keeps, republished as
-        # registry instruments for dashboards and the Prometheus export.
-        # RadioStats stays canonical (collectors and tests read it); the
-        # registry is side-state.
+        # Telemetry: views of the trace and of RadioStats.
         metrics = sim.metrics
-        self._frames_sent = metrics.counter(
-            "repro_radio_frames_sent_total",
-            "Frames put on the air, by protocol kind.", ("kind",))
-        self._bits_sent = metrics.counter(
-            "repro_radio_bits_sent_total",
-            "On-air bits transmitted, by protocol kind.", ("kind",))
-        self._receptions = metrics.counter(
-            "repro_radio_receptions_total",
-            "Physical reception attempts, by kind and outcome.",
-            ("kind", "outcome"))
-        self._frames_lost = metrics.counter(
-            "repro_radio_frames_lost_total",
-            "Frames received by no mote at all, by kind.", ("kind",))
-        self._airtime_seconds = metrics.counter(
-            "repro_radio_airtime_seconds_total",
-            "Channel airtime occupied by transmissions.")
+        metrics.record_views(RECORD_FAMILIES, sim.trace)
+        metrics.view(Counter, "repro_radio_bits_sent_total",
+                     "On-air bits transmitted, by protocol kind.",
+                     ("kind",), merged(lambda m: m.stats.bits_by_kind),
+                     self)
+        metrics.view(Counter, "repro_radio_receptions_total",
+                     "Physical reception attempts, by kind and outcome.",
+                     ("kind", "outcome"),
+                     merged(lambda m: m.stats.receptions), self)
+        metrics.view(Counter, "repro_radio_airtime_seconds_total",
+                     "Channel airtime occupied by transmissions.", (),
+                     summed(lambda m: m.stats.bits_sent / m.bitrate), self)
         self._ports: Dict[int, TransceiverPort] = {}
         self._active: List[_Transmission] = []
         self._rng = sim.rng.stream("radio.loss")
@@ -505,10 +521,7 @@ class Medium:
                     if reception.receiver in near:
                         reception.corrupt("collision")
         self._active.append(tx)
-        self.stats.on_send(frame.kind, frame.size_bits, frame.src, now)
-        self._frames_sent.inc(1.0, frame.kind)
-        self._bits_sent.inc(float(frame.size_bits), frame.kind)
-        self._airtime_seconds.inc(airtime)
+        self.stats.on_send(frame.kind, frame.size_bits, frame.src)
         self.sim.record("radio.tx", node=frame.src, kind=frame.kind,
                         frame_id=frame.frame_id, dst=frame.dst)
         self.sim.schedule(airtime, self._complete, tx,
@@ -548,20 +561,19 @@ class Medium:
                 outcome = "delivered"
                 receivers.append(receiver)
             outcomes[outcome] = outcomes.get(outcome, 0) + 1
-        self.stats.on_receptions(kind, outcomes, self.sim.now)
-        for outcome, count in outcomes.items():
-            self._receptions.inc(float(count), kind, outcome)
+        self.stats.on_receptions(kind, outcomes)
         dst_received = False
+        size_bits = frame.size_bits
         for receiver in receivers:
             if receiver.node_id == frame.dst:
                 dst_received = True
+            receiver.bits_delivered += size_bits
             receiver.deliver(frame)
         if not frame.is_broadcast:
             self.stats.on_addressed_outcome(kind, dst_received)
         if not receivers:
             # The paper's loss metric: sent but never received on any mote.
             self.stats.on_frame_lost(kind)
-            self._frames_lost.inc(1.0, kind)
             self.sim.record("radio.lost", node=frame.src, kind=kind,
                             frame_id=frame.frame_id)
 

@@ -20,60 +20,41 @@ from typing import Dict, Optional
 
 @dataclass
 class RadioStats:
-    """Aggregate transmit/receive/loss counters for a medium."""
+    """Aggregate transmit/receive/loss counters for a medium.
 
-    bits_sent: int = 0
-    frames_sent: int = 0
-    frames_received: int = 0
-    #: frames that reached *no* receiver at all (the paper's loss unit)
-    frames_lost: int = 0
+    These are the medium's one tally of per-frame and per-reception
+    facts; the totals, the per-kind reception counts and the radio
+    metric families are computed from them when read.
+    """
+
     sent_by_kind: Counter = field(default_factory=Counter)
-    received_by_kind: Counter = field(default_factory=Counter)
+    bits_by_kind: Counter = field(default_factory=Counter)
+    #: frames that reached *no* receiver at all (the paper's loss unit)
     lost_by_kind: Counter = field(default_factory=Counter)
-    receptions_dropped: Counter = field(default_factory=Counter)
-    #: Per-kind physical reception opportunities and losses (a broadcast to
-    #: N in-range motes counts N attempts).
-    reception_attempts_by_kind: Counter = field(default_factory=Counter)
-    reception_drops_by_kind: Counter = field(default_factory=Counter)
+    #: Physical reception opportunities by ``(kind, outcome)``: the
+    #: outcome is ``"delivered"`` or the drop cause (``channel``,
+    #: ``jam``, ``collision`` …).  A broadcast to N in-range motes
+    #: counts N.
+    receptions: Counter = field(default_factory=Counter)
     #: Unicast delivery accounting: did the *addressed* mote receive it?
     addressed_sent_by_kind: Counter = field(default_factory=Counter)
     addressed_delivered_by_kind: Counter = field(default_factory=Counter)
     bits_sent_by_node: Dict[int, int] = field(
         default_factory=lambda: defaultdict(int))
     started_at: float = 0.0
-    last_activity: float = 0.0
 
-    def on_send(self, kind: str, size_bits: int, node: int,
-                now: float) -> None:
-        self.bits_sent += size_bits
-        self.frames_sent += 1
+    def on_send(self, kind: str, size_bits: int, node: int) -> None:
         self.sent_by_kind[kind] += 1
+        self.bits_by_kind[kind] += size_bits
         self.bits_sent_by_node[node] += size_bits
-        self.last_activity = now
 
-    def on_receptions(self, kind: str, outcomes: Dict[str, int],
-                      now: float) -> None:
+    def on_receptions(self, kind: str, outcomes: Dict[str, int]) -> None:
         """Account one frame's physical receptions at once.
 
-        ``outcomes`` counts them by outcome: ``"delivered"`` or the drop
-        cause (``channel``, ``jam``, ``collision`` …), in first-seen
-        order.
+        ``outcomes`` counts them by outcome, in first-seen order.
         """
-        attempts = 0
         for outcome, count in outcomes.items():
-            attempts += count
-            if outcome != "delivered":
-                self.receptions_dropped[outcome] += count
-        if not attempts:
-            return
-        self.reception_attempts_by_kind[kind] += attempts
-        delivered = outcomes.get("delivered", 0)
-        if attempts > delivered:
-            self.reception_drops_by_kind[kind] += attempts - delivered
-        if delivered:
-            self.frames_received += delivered
-            self.received_by_kind[kind] += delivered
-            self.last_activity = now
+            self.receptions[kind, outcome] += count
 
     def on_addressed_outcome(self, kind: str, delivered: bool) -> None:
         self.addressed_sent_by_kind[kind] += 1
@@ -82,8 +63,52 @@ class RadioStats:
 
     def on_frame_lost(self, kind: str) -> None:
         """Record a frame that no mote received (paper's loss definition)."""
-        self.frames_lost += 1
         self.lost_by_kind[kind] += 1
+
+    # ------------------------------------------------------------------
+    # Totals
+    # ------------------------------------------------------------------
+    @property
+    def frames_sent(self) -> int:
+        return sum(self.sent_by_kind.values())
+
+    @property
+    def bits_sent(self) -> int:
+        return sum(self.bits_by_kind.values())
+
+    @property
+    def frames_lost(self) -> int:
+        return sum(self.lost_by_kind.values())
+
+    def _receptions_by(self, part: int, delivered: bool) -> Counter:
+        """Receptions summed by kind (``part`` 0) or by outcome (1),
+        keeping the delivered ones or the dropped ones."""
+        out: Counter = Counter()
+        for key, count in self.receptions.items():
+            if (key[1] == "delivered") == delivered:
+                out[key[part]] += count
+        return out
+
+    @property
+    def received_by_kind(self) -> Counter:
+        return self._receptions_by(0, delivered=True)
+
+    @property
+    def frames_received(self) -> int:
+        return sum(self.received_by_kind.values())
+
+    @property
+    def reception_drops_by_kind(self) -> Counter:
+        return self._receptions_by(0, delivered=False)
+
+    @property
+    def reception_attempts_by_kind(self) -> Counter:
+        return self.received_by_kind + self.reception_drops_by_kind
+
+    @property
+    def receptions_dropped(self) -> Counter:
+        """Dropped receptions per cause, across kinds."""
+        return self._receptions_by(1, delivered=False)
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -121,21 +146,3 @@ class RadioStats:
         if elapsed <= 0:
             return 0.0
         return (self.bits_sent / elapsed) / bitrate
-
-    def reset(self, now: float) -> None:
-        """Zero all counters; subsequent utilization measures from ``now``."""
-        self.bits_sent = 0
-        self.frames_sent = 0
-        self.frames_received = 0
-        self.frames_lost = 0
-        self.sent_by_kind.clear()
-        self.received_by_kind.clear()
-        self.lost_by_kind.clear()
-        self.receptions_dropped.clear()
-        self.reception_attempts_by_kind.clear()
-        self.reception_drops_by_kind.clear()
-        self.addressed_sent_by_kind.clear()
-        self.addressed_delivered_by_kind.clear()
-        self.bits_sent_by_node.clear()
-        self.started_at = now
-        self.last_activity = now

@@ -27,7 +27,9 @@ Telemetry
 Every simulator owns a metrics registry (``.metrics``) and a causal span
 tracker (``.spans``); there is no off switch.  Each scheduled event
 captures the current span and the dispatcher restores it around the
-callback.  Neither touches the RNG streams or the trace.
+callback.  Neither touches the RNG streams or the trace.  The engine's
+own families are views: records by category are counted from the trace,
+the heap gauges read the heap, and compactions read :attr:`compactions`.
 
 Example
 -------
@@ -42,6 +44,7 @@ Example
 
 from __future__ import annotations
 
+import collections
 import heapq
 import time as _time
 from collections import deque
@@ -49,7 +52,8 @@ from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
                     Tuple)
 
 from ..telemetry.profiler import EventLoopProfiler
-from ..telemetry.registry import MetricsRegistry
+from ..telemetry.registry import (Counter, Gauge, MetricsRegistry,
+                                  RecordFamily, merged, summed)
 from ..telemetry.spans import SpanTracker
 from .events import Event, EventSequencer, TraceRecord
 from .rng import RandomStreams
@@ -58,6 +62,15 @@ from .rng import RandomStreams
 COMPACT_RATIO = 0.5
 #: …but never bother below this many cancelled entries.
 COMPACT_MIN = 64
+
+
+#: The engine's families tallied by trace records.
+TRACE_FAMILIES: Tuple[RecordFamily, ...] = (
+    (Counter, "repro_trace_records_total",
+     "Trace records written, by category.", ("category",),
+     merged(lambda records: collections.Counter(
+         record.category for record in records))),
+)
 
 
 def _catch_up(event: Event, handle: TimerHandle) -> Tuple[float, int, Event]:
@@ -211,20 +224,23 @@ class Simulator:
         self._events_fired = 0
         #: Of those, the ones charged by a quiet run, not dispatched.
         self._events_implicit = 0
+        #: Sense polls whose CPU service a quiet run charged.
+        self._polls_implicit = 0
         self.metrics = MetricsRegistry()
         self.spans = SpanTracker(clock=lambda: self._now)
-        self._trace_counter = self.metrics.counter(
-            "repro_trace_records_total",
-            "Trace records written, by category.", ("category",))
-        self._heap_gauge = self.metrics.gauge(
-            "repro_sim_heap_size",
-            "Event-heap entries, including lazily-cancelled garbage.")
-        self._cancelled_gauge = self.metrics.gauge(
-            "repro_sim_cancelled_pending",
-            "Cancelled/stale entries awaiting lazy discard or compaction.")
-        self._compactions_counter = self.metrics.counter(
-            "repro_sim_compactions_total",
-            "Heap compactions (garbage-triggered rebuilds).")
+        metrics = self.metrics
+        metrics.record_views(TRACE_FAMILIES, self.trace)
+        metrics.view(Gauge, "repro_sim_heap_size",
+                     "Event-heap entries, including lazily-cancelled "
+                     "garbage.", (),
+                     summed(Simulator.heap_size), self)
+        metrics.view(Gauge, "repro_sim_cancelled_pending",
+                     "Cancelled/stale entries awaiting lazy discard or "
+                     "compaction.", (),
+                     summed(Simulator.cancelled_pending), self)
+        metrics.view(Counter, "repro_sim_compactions_total",
+                     "Heap compactions (garbage-triggered rebuilds).", (),
+                     summed(lambda sim: sim.compactions), self)
         self.timers = TimerService(self)
         self._profiler: Optional[EventLoopProfiler] = None
         #: Objects that charge fired events lazily (a quiet sense-poll
@@ -257,6 +273,14 @@ class Simulator:
         when the sensed environment changes."""
         for run in list(self._quiet_runs):
             run.fall_back()
+
+    @property
+    def implicit_polls(self) -> int:
+        """Sense polls whose CPU service a quiet run charged without
+        events (``docs/ENGINE.md`` §7); exact at any read."""
+        for run in self._quiet_runs:
+            run.settle()
+        return self._polls_implicit
 
     @property
     def events_dispatched(self) -> int:
@@ -355,13 +379,6 @@ class Simulator:
         self._heap = live
         self._cancelled = 0
         self.compactions += 1
-        self._compactions_counter.inc()
-        self._publish_engine_metrics()
-
-    def _publish_engine_metrics(self) -> None:
-        """Refresh the heap gauges (on compaction and run/step exit)."""
-        self._heap_gauge.set(len(self._heap))
-        self._cancelled_gauge.set(self._cancelled)
 
     # ------------------------------------------------------------------
     # Execution
@@ -435,7 +452,6 @@ class Simulator:
                 self._now = until
         finally:
             self._running = False
-            self._publish_engine_metrics()
 
     def step(self) -> Optional[Event]:
         """Dispatch exactly one (non-cancelled) event; return it or None.
@@ -459,7 +475,6 @@ class Simulator:
             return event
         finally:
             self._running = False
-            self._publish_engine_metrics()
 
     def _dispatch(self, event: Event) -> None:
         """Fire one event inside its causal span, optionally profiled."""
@@ -531,7 +546,6 @@ class Simulator:
         """Append a structured record to the trace log."""
         self.trace.append(TraceRecord(time=self._now, category=category,
                                       node=node, detail=detail))
-        self._trace_counter.inc(1.0, category)
 
     def trace_records(self, category: Optional[str] = None,
                       node: Optional[int] = None) -> Iterable[TraceRecord]:

@@ -6,7 +6,8 @@ change ``trace_digest``).  Every simulator carries a live registry and
 span tracker; there is no off switch:
 
 * :mod:`~repro.telemetry.registry` — labelled Counter/Gauge/Histogram
-  instruments with Prometheus text export, owned per-``Simulator``;
+  families computed from each layer's tallies when read, with
+  Prometheus text export, owned per-``Simulator``;
 * :mod:`~repro.telemetry.spans` — causal span trees propagated across
   frames, handlers and scheduled continuations;
 * :mod:`~repro.telemetry.profiler` — opt-in wall-time attribution per

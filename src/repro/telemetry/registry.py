@@ -1,10 +1,15 @@
 """Labelled metric instruments and the registry that owns them.
 
 Every :class:`~repro.sim.engine.Simulator` carries a
-:class:`MetricsRegistry`; instrumented subsystems (radio medium, group
-manager, transport, naming, aggregation, energy meters) publish counters,
-gauges and histograms into it as they run.  The registry is *pure
-side-state*: reading or writing a metric never draws randomness, never
+:class:`MetricsRegistry`, and every family in it is a *view*: each layer
+(engine, radio medium, group manager, transport, naming, aggregation,
+energy meters) keeps one tally per fact, either the trace record of a
+rare event or a plain counter of a per-frame one, and registers a
+function that computes the family's series from that tally when the
+family is read (:meth:`MetricsRegistry.view`).  Families computed from
+trace records take the records as their source, so a saved trace
+exports them through the same function as a live run.  The registry is
+*pure side-state*: reading a metric never draws randomness, never
 schedules an event and never writes a trace record, so a run's
 ``trace_digest`` does not depend on it.
 
@@ -17,7 +22,8 @@ emits the standard text exposition format.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, NamedTuple,
+                    Sequence, Tuple)
 
 LabelValues = Tuple[str, ...]
 
@@ -53,10 +59,10 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-class Counter:
-    """A monotonically increasing count, optionally split by labels."""
+class _Series:
+    """A family's labelled series: what counters and gauges share."""
 
-    kind = "counter"
+    kind = ""
 
     def __init__(self, name: str, help: str,
                  label_names: Sequence[str] = ()) -> None:
@@ -65,27 +71,8 @@ class Counter:
         self.label_names = tuple(label_names)
         self._values: Dict[LabelValues, float] = {}
 
-    def inc(self, amount: float = 1.0, *label_values: str) -> None:
-        """Add ``amount`` (must be >= 0) to the labelled series."""
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease")
-        # Hot path: a previously seen key skips label validation — the
-        # radio medium and trace log inc counters per frame/record.
-        try:
-            self._values[label_values] += amount
-            return
-        except KeyError:
-            pass
-        key = _check_labels(self.label_names, label_values)
-        self._values[key] = self._values.get(key, 0.0) + amount
-
-    def labels(self, *label_values: str) -> "_BoundCounter":
-        """Bind label values once; returns an inc-only handle."""
-        return _BoundCounter(self, _check_labels(self.label_names,
-                                                 label_values))
-
     def value(self, *label_values: str) -> float:
-        """Current count for the labelled series (0 when never touched)."""
+        """Current value of the labelled series (0 when never touched)."""
         key = _check_labels(self.label_names, label_values)
         return self._values.get(key, 0.0)
 
@@ -109,28 +96,23 @@ class Counter:
         return lines
 
 
-class _BoundCounter:
-    __slots__ = ("_counter", "_key")
+class Counter(_Series):
+    """A monotonically increasing count, optionally split by labels."""
 
-    def __init__(self, counter: Counter, key: LabelValues) -> None:
-        self._counter = counter
-        self._key = key
+    kind = "counter"
 
-    def inc(self, amount: float = 1.0) -> None:
-        self._counter.inc(amount, *self._key)
+    def inc(self, amount: float = 1.0, *label_values: str) -> None:
+        """Add ``amount`` (must be >= 0) to the labelled series."""
+        if amount < 0:
+            raise ValueError(f"counter {self.name} cannot decrease")
+        key = _check_labels(self.label_names, label_values)
+        self._values[key] = self._values.get(key, 0.0) + amount
 
 
-class Gauge:
+class Gauge(_Series):
     """A value that can go up and down (queue depths, joules, weights)."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str,
-                 label_names: Sequence[str] = ()) -> None:
-        self.name = name
-        self.help = help
-        self.label_names = tuple(label_names)
-        self._values: Dict[LabelValues, float] = {}
 
     def set(self, value: float, *label_values: str) -> None:
         key = _check_labels(self.label_names, label_values)
@@ -142,24 +124,6 @@ class Gauge:
 
     def dec(self, amount: float = 1.0, *label_values: str) -> None:
         self.inc(-amount, *label_values)
-
-    def value(self, *label_values: str) -> float:
-        key = _check_labels(self.label_names, label_values)
-        return self._values.get(key, 0.0)
-
-    def series(self) -> Dict[LabelValues, float]:
-        return dict(self._values)
-
-    def render(self) -> List[str]:
-        lines = [f"# HELP {self.name} {self.help}",
-                 f"# TYPE {self.name} {self.kind}"]
-        for key in sorted(self._values):
-            labels = _format_labels(self.label_names, key)
-            lines.append(
-                f"{self.name}{labels} {_format_value(self._values[key])}")
-        if not self._values:
-            lines.append(f"{self.name} 0")
-        return lines
 
 
 class Histogram:
@@ -251,91 +215,129 @@ class Histogram:
         return lines
 
 
-class MetricsRegistry:
-    """Owns every instrument of one simulation run.
+#: Writes a view family's series into an empty instrument, from the
+#: family's sources (see :meth:`MetricsRegistry.view`).
+Fill = Callable[[Any, List[Any]], None]
 
-    ``counter``/``gauge``/``histogram`` are get-or-create: the first call
-    for a name registers the instrument, later calls return the same
-    object (and reject conflicting redefinitions), so independent
-    subsystems can share a family safely.
+#: A family computed from trace records: ``(kind, name, help,
+#: label_names, fill)``, where ``fill`` reads each source as an iterable
+#: of :class:`~repro.sim.events.TraceRecord` (see
+#: :meth:`MetricsRegistry.record_views`).
+RecordFamily = Tuple[type, str, str, Tuple[str, ...], Fill]
+
+
+def summed(read: Callable[[Any], float]) -> Fill:
+    """A fill for an unlabelled family: the sum of ``read(source)`` over
+    the family's sources."""
+    def fill(metric, sources: List[Any]) -> None:
+        metric.inc(sum(read(source) for source in sources))
+    return fill
+
+
+def merged(read: Callable[[Any], Mapping[Any, float]]) -> Fill:
+    """A fill for a labelled family: the sum over the family's sources
+    of ``read(source)``, a mapping from label value (a tuple of them
+    when the family has several labels) to value."""
+    def fill(metric, sources: List[Any]) -> None:
+        for source in sources:
+            for key, value in read(source).items():
+                metric.inc(value,
+                           *(key if isinstance(key, tuple) else (key,)))
+    return fill
+
+
+class _View(NamedTuple):
+    """A family whose series are computed from its sources on each read."""
+
+    kind: type
+    help: str
+    label_names: LabelValues
+    fill: Fill
+    #: Each source once, keyed by ``id`` (the view holds it, so the id
+    #: stays unique), in registration order.
+    sources: Dict[int, Any]
+
+
+class MetricsRegistry:
+    """Owns every metric family of one simulation run.
+
+    Every family is a view (:meth:`view`): the registry holds, per
+    family, the function that computes its series and the objects whose
+    tallies it reads, and builds the family's instrument on each read.
     """
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, object] = {}
+        self._views: Dict[str, _View] = {}
 
-    def counter(self, name: str, help: str = "",
-                label_names: Sequence[str] = ()) -> Counter:
-        return self._get_or_create(Counter, name, help, label_names)
+    def view(self, kind: type, name: str, help: str,
+             label_names: Sequence[str], fill: Fill, source: Any) -> None:
+        """Register family ``name`` as a view over ``source``, or add
+        ``source`` to the view already registered under that name.
 
-    def gauge(self, name: str, help: str = "",
-              label_names: Sequence[str] = ()) -> Gauge:
-        return self._get_or_create(Gauge, name, help, label_names)
+        Every read of the family (:meth:`get`, :meth:`snapshot`,
+        :meth:`render_prometheus`) builds an empty ``kind(name, help,
+        label_names)`` instrument and calls ``fill(instrument, sources)``
+        to write its series, ``sources`` being each object registered
+        with the family, once, in registration order.  A family is
+        registered once: a later call only adds its source, and rejects
+        another kind or label set.
+        """
+        existing = self._views.get(name)
+        if existing is None:
+            existing = _View(kind, help, tuple(label_names), fill, {})
+            self._views[name] = existing
+        elif existing.kind is not kind \
+                or existing.label_names != tuple(label_names):
+            raise ValueError(f"metric {name!r} already registered as "
+                             f"{existing.kind.__name__} with labels "
+                             f"{existing.label_names!r}")
+        existing.sources.setdefault(id(source), source)
 
-    def histogram(self, name: str, help: str = "",
-                  label_names: Sequence[str] = (),
-                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        existing = self._metrics.get(name)
-        if existing is not None:
-            self._check_existing(existing, Histogram, name, label_names)
-            return existing  # type: ignore[return-value]
-        metric = Histogram(name, help, label_names, buckets)
-        self._metrics[name] = metric
-        return metric
-
-    def _get_or_create(self, cls, name: str, help: str,
-                       label_names: Sequence[str]):
-        existing = self._metrics.get(name)
-        if existing is not None:
-            self._check_existing(existing, cls, name, label_names)
-            return existing
-        metric = cls(name, help, label_names)
-        self._metrics[name] = metric
-        return metric
-
-    @staticmethod
-    def _check_existing(existing, cls, name: str,
-                        label_names: Sequence[str]) -> None:
-        if not isinstance(existing, cls):
-            raise ValueError(
-                f"metric {name!r} already registered as "
-                f"{type(existing).__name__}, not {cls.__name__}")
-        if existing.label_names != tuple(label_names):
-            raise ValueError(
-                f"metric {name!r} already registered with labels "
-                f"{existing.label_names!r}, not {tuple(label_names)!r}")
+    def record_views(self, families: Iterable[RecordFamily],
+                     records: Iterable[Any]) -> None:
+        """Register each of ``families`` as a view over ``records``: a
+        live trace or a saved trace's records."""
+        for kind, name, help, label_names, fill in families:
+            self.view(kind, name, help, label_names, fill, records)
 
     def copy(self) -> "MetricsRegistry":
-        """A new registry holding the same instrument objects; adding an
-        instrument to the copy leaves this registry unchanged."""
+        """A new registry holding the same views (and so the same
+        sources); adding a family to the copy leaves this registry
+        unchanged."""
         registry = MetricsRegistry()
-        registry._metrics.update(self._metrics)
+        registry._views.update(self._views)
         return registry
 
     def get(self, name: str):
-        """Look up a registered instrument, or None."""
-        return self._metrics.get(name)
+        """The instrument of family ``name``, computed now, or None."""
+        view = self._views.get(name)
+        if view is None:
+            return None
+        metric = view.kind(name, view.help, view.label_names)
+        view.fill(metric, list(view.sources.values()))
+        return metric
 
     def names(self) -> List[str]:
-        return sorted(self._metrics)
+        return sorted(self._views)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._metrics
+        return name in self._views
 
     def __iter__(self) -> Iterable[str]:
-        return iter(sorted(self._metrics))
+        return iter(sorted(self._views))
 
     def render_prometheus(self) -> str:
         """The full registry in Prometheus text exposition format."""
         lines: List[str] = []
-        for name in sorted(self._metrics):
-            lines.extend(self._metrics[name].render())
+        for name in self.names():
+            lines.extend(self.get(name).render())
         return "\n".join(lines) + ("\n" if lines else "")
 
     def snapshot(self) -> Dict[str, Dict[str, Mapping[LabelValues, float]]]:
         """Plain-dict dump of every series, for reports and tests."""
         out: Dict[str, Dict[str, Mapping[LabelValues, float]]] = {}
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
+        for name in self.names():
+            metric = self.get(name)
             out[name] = {"kind": metric.kind,  # type: ignore[dict-item]
                          "series": metric.series()}
         return out

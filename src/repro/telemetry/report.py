@@ -9,8 +9,9 @@ sources:
   registry + span tracker + optional profiler, everything available;
 * a **saved JSONL trace** (``RunReport.from_trace_file``): trace records
   only.  Everything derivable from the trace (counts, rates, the
-  takeover timeline) still renders; registry-only sections (energy) and
-  profiler sections degrade to a note instead of failing.
+  takeover timeline, and every metric family tallied by trace records)
+  still renders; live-only sections (energy) and profiler sections
+  degrade to a note instead of failing.
 
 This module imports :mod:`repro.sim`, :mod:`repro.analysis` and
 :mod:`repro.metrics`, so the ``repro.telemetry`` package intentionally
@@ -27,9 +28,13 @@ from xml.sax.saxutils import escape
 
 from ..analysis.svg import BarChart, LineChart
 from ..metrics import leader_tenures
+from ..radio.medium import RECORD_FAMILIES as RADIO_RECORD_FAMILIES
 from ..sim import TraceRecord, load_trace
+from ..sim.engine import TRACE_FAMILIES
+from ..transport.mtp import RECORD_FAMILIES as MTP_RECORD_FAMILIES
 from .profiler import EventLoopProfiler
-from .registry import MetricsRegistry
+from .registry import (Gauge, Histogram, MetricsRegistry, RecordFamily,
+                       summed)
 
 #: Leadership-transition trace categories, in the order a takeover story
 #: unfolds.  ``gm.leader_start``/``gm.leader_stop`` bound tenures;
@@ -39,6 +44,35 @@ LEADERSHIP_CATEGORIES = ("gm.claim", "gm.takeover", "gm.relinquish",
 
 #: How many time buckets the rate chart uses across the run.
 RATE_BUCKETS = 40
+
+
+def _tenures(records):
+    return leader_tenures(records, records[-1].time if records else 0.0)
+
+
+def _observe_ended_tenures(histogram: Histogram, sources) -> None:
+    for records in sources:
+        for tenure in _tenures(records):
+            if tenure.reason is not None:
+                histogram.observe(tenure.end - tenure.start, tenure.reason)
+
+
+#: The leadership families, computed from the trace's tenures
+#: (:func:`repro.metrics.leader_tenures`) for every source.
+LEADERSHIP_FAMILIES: Tuple[RecordFamily, ...] = (
+    (Gauge, "repro_gm_active_leaderships",
+     "Labels currently led, fleet-wide.", (),
+     summed(lambda records: sum(tenure.reason is None
+                                for tenure in _tenures(records)))),
+    (Histogram, "repro_gm_leader_tenure_seconds",
+     "How long leaderships lasted, by ending reason.", ("reason",),
+     _observe_ended_tenures),
+)
+
+#: Every family a saved trace exports: the ones tallied by trace
+#: records, computed by the functions a live run uses.
+SAVED_TRACE_FAMILIES: Tuple[RecordFamily, ...] = (
+    TRACE_FAMILIES + RADIO_RECORD_FAMILIES + MTP_RECORD_FAMILIES)
 
 
 def _subsystem(category: str) -> str:
@@ -75,15 +109,10 @@ class RunReport:
         for record in spans.spans():
             key = record.name.split(".", 1)[0]
             names[key] = names.get(key, 0) + 1
-        # Reading events_fired settles every quiet poll run, so the
-        # implicit-poll counter below is exact too.
-        events_fired = sim.events_fired
-        implicit = sim.metrics.get("repro_gm_sense_polls_implicit_total")
         return cls(title=title, source="live run",
-                   events_fired=events_fired,
+                   events_fired=sim.events_fired,
                    events_dispatched=sim.events_dispatched,
-                   implicit_polls=(0 if implicit is None
-                                   else int(implicit.value())),
+                   implicit_polls=sim.implicit_polls,
                    records=list(sim.trace), metrics=sim.metrics,
                    profiler=sim.profiler, span_count=len(spans),
                    span_root_count=len(spans.roots()),
@@ -157,8 +186,9 @@ class RunReport:
                 for name, buckets in counts.items()}
 
     def energy_breakdown(self) -> Dict[str, float]:
-        """Joules by activity from the registry gauge (live runs with an
-        attached :class:`~repro.node.energy.EnergyMeter` only)."""
+        """Joules by activity up to now, from the registry gauge (live
+        runs with an attached :class:`~repro.node.energy.EnergyMeter`
+        only)."""
         if self.metrics is None:
             return {}
         gauge = self.metrics.get("repro_energy_joules")
@@ -167,31 +197,16 @@ class RunReport:
         return {key[0]: value for key, value in gauge.series().items()}
 
     def derived_registry(self) -> MetricsRegistry:
-        """The registry to export: the live instruments, or counters
-        rebuilt from the trace records (so saved traces still export
-        cleanly), plus the leadership series every source derives from
-        the trace's tenures."""
+        """The registry to export: the live families, or, for a saved
+        trace, every family tallied by trace records, computed from its
+        records by the same functions; plus the leadership series every
+        source derives from the trace's tenures."""
         if self.metrics is not None:
             registry = self.metrics.copy()
         else:
             registry = MetricsRegistry()
-            counter = registry.counter(
-                "repro_trace_records_total",
-                "Trace records written, by category.", ("category",))
-            for category, count in sorted(self.category_counts().items()):
-                counter.inc(count, category)
-        active = registry.gauge("repro_gm_active_leaderships",
-                                "Labels currently led, fleet-wide.")
-        tenure_seconds = registry.histogram(
-            "repro_gm_leader_tenure_seconds",
-            "How long leaderships lasted, by ending reason.", ("reason",))
-        end = self.records[-1].time if self.records else 0.0
-        for tenure in leader_tenures(self.records, end):
-            if tenure.reason is None:
-                active.inc()
-            else:
-                tenure_seconds.observe(tenure.end - tenure.start,
-                                       tenure.reason)
+            registry.record_views(SAVED_TRACE_FAMILIES, self.records)
+        registry.record_views(LEADERSHIP_FAMILIES, self.records)
         return registry
 
     # ------------------------------------------------------------------

@@ -35,12 +35,14 @@ fleets interoperate.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Tuple)
 
 from ..groups import GroupManager, HEARTBEAT_KIND, Heartbeat, label_type
 from ..node import Component, Mote
+from ..telemetry.registry import Counter, RecordFamily, merged, summed
 
 if TYPE_CHECKING:  # avoid the naming↔transport import cycle at runtime
     from ..naming import DirectoryEntry, DirectoryService
@@ -53,6 +55,28 @@ from .tables import LastKnownLeaderTable, NegativeCache
 
 MTP_KIND = "mtp.invoke"
 
+#: The trace record of each final per-hop outcome.
+_OUTCOMES = {"mtp.deliver": "delivered", "mtp.forward": "forwarded",
+             "mtp.drop": "dropped", "mtp.dead_letter": "dead_lettered",
+             "mtp.duplicate": "duplicate"}
+
+#: MTP's families tallied by trace records.
+RECORD_FAMILIES: Tuple[RecordFamily, ...] = (
+    (Counter, "repro_mtp_messages_total",
+     "MTP invocations by final per-hop outcome.", ("outcome",),
+     merged(lambda records: collections.Counter(
+         _OUTCOMES[record.category] for record in records
+         if record.category in _OUTCOMES))),
+    (Counter, "repro_mtp_drops_total", "MTP drops by reason.",
+     ("reason",),
+     merged(lambda records: collections.Counter(
+         record.detail.get("reason") for record in records
+         if record.category in ("mtp.drop", "mtp.dead_letter")))),
+    (Counter, "repro_mtp_retransmits_total",
+     "Reliable-MTP retransmissions.", (),
+     summed(lambda records: sum(record.category == "mtp.retransmit"
+                                for record in records))),
+)
 #: Maximum forwarding-chain length before a message is dropped.
 DEFAULT_CHAIN_LIMIT = 8
 
@@ -196,19 +220,13 @@ class MtpAgent(Component):
         self.acked = 0
         self.retransmitted = 0
         self.dead_lettered = 0
-        # Telemetry counters (side-state only).
+        #: Ack frames ``sent`` and ``received`` (duplicates included).
+        self.acks: "collections.Counter[str]" = collections.Counter()
         metrics = self.sim.metrics
-        self._messages_metric = metrics.counter(
-            "repro_mtp_messages_total",
-            "MTP invocations by final per-hop outcome.", ("outcome",))
-        self._drops_metric = metrics.counter(
-            "repro_mtp_drops_total", "MTP drops by reason.", ("reason",))
-        self._retransmits_metric = metrics.counter(
-            "repro_mtp_retransmits_total",
-            "Reliable-MTP retransmissions.")
-        self._acks_metric = metrics.counter(
-            "repro_mtp_acks_total", "MTP ack frames by direction.",
-            ("direction",))
+        metrics.record_views(RECORD_FAMILIES, self.sim.trace)
+        metrics.view(Counter, "repro_mtp_acks_total",
+                     "MTP ack frames by direction.", ("direction",),
+                     merged(lambda agent: agent.acks), self)
 
     @property
     def duplicates(self) -> int:
@@ -406,7 +424,6 @@ class MtpAgent(Component):
             return
         pending.attempts += 1
         self.retransmitted += 1
-        self._retransmits_metric.inc(1.0)
         self.record("retransmit", dest=dest_label, seq=pending.seq,
                     attempt=pending.attempts, next=pointer.leader)
         self._arm_retransmit(pending)
@@ -436,8 +453,6 @@ class MtpAgent(Component):
         pending.cancel_timer()
         self.dead_lettered += 1
         self.dropped += 1
-        self._messages_metric.inc(1.0, "dead_lettered")
-        self._drops_metric.inc(1.0, reason)
         self.dead_letters.push(DeadLetter(
             payload=pending.invocation.to_payload(), reason=reason,
             time=self.now))
@@ -453,8 +468,6 @@ class MtpAgent(Component):
                 self._dead_letter(pending, reason)
                 return
         self.dropped += 1
-        self._messages_metric.inc(1.0, "dropped")
-        self._drops_metric.inc(1.0, reason)
         self.record("drop", reason=reason, dest=invocation.dest_label)
 
     # ------------------------------------------------------------------
@@ -477,8 +490,6 @@ class MtpAgent(Component):
             (label_type(invocation.dest_label), invocation.dest_port))
         if handler is None:
             self.dropped += 1
-            self._messages_metric.inc(1.0, "dropped")
-            self._drops_metric.inc(1.0, "no_port")
             self.record("drop", reason="no_port",
                         dest=invocation.dest_label,
                         port=invocation.dest_port)
@@ -489,13 +500,11 @@ class MtpAgent(Component):
             if not fresh:
                 # At-most-once: suppress the handler, re-ack (the first
                 # ack evidently never reached the sender).
-                self._messages_metric.inc(1.0, "duplicate")
                 self.record("duplicate", dest=invocation.dest_label,
                             seq=invocation.seq, src=invocation.src_label)
                 self._send_ack(invocation)
                 return
         self.delivered += 1
-        self._messages_metric.inc(1.0, "delivered")
         self.record("deliver", dest=invocation.dest_label,
                     port=invocation.dest_port, src=invocation.src_label)
         handler(invocation.args, invocation.src_label,
@@ -515,7 +524,7 @@ class MtpAgent(Component):
             })
 
     def _send_ack(self, invocation: Invocation) -> None:
-        self._acks_metric.inc(1.0, "sent")
+        self.acks["sent"] += 1
         self.router.route_to_node(invocation.src_leader, MTP_ACK_KIND, {
             "src_label": invocation.src_label,
             "src_port": invocation.src_port,
@@ -547,7 +556,7 @@ class MtpAgent(Component):
             acker = int(payload.get("acker", -1))
         except (KeyError, TypeError, ValueError):
             return
-        self._acks_metric.inc(1.0, "received")
+        self.acks["received"] += 1
         if acker >= 0:
             # The acker delivered to the handler, so it leads the
             # destination label *now* — fresher than any pointer.
@@ -564,8 +573,6 @@ class MtpAgent(Component):
         the label's current leader."""
         if invocation.chain <= 0:
             self.dropped += 1
-            self._messages_metric.inc(1.0, "dropped")
-            self._drops_metric.inc(1.0, "chain_exhausted")
             self.record("drop", reason="chain_exhausted",
                         dest=invocation.dest_label)
             return
@@ -577,14 +584,11 @@ class MtpAgent(Component):
                 # the next send re-resolves instead of re-dropping.
                 self.table.forget(invocation.dest_label)
             self.dropped += 1
-            self._messages_metric.inc(1.0, "dropped")
-            self._drops_metric.inc(1.0, "no_pointer")
             self.record("drop", reason="no_pointer",
                         dest=invocation.dest_label)
             return
         invocation.chain -= 1
         self.forwarded += 1
-        self._messages_metric.inc(1.0, "forwarded")
         self.record("forward", dest=invocation.dest_label,
                     next=pointer.leader)
         self.router.route_to_node(pointer.leader, MTP_KIND,

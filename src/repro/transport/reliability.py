@@ -227,25 +227,21 @@ class DeadLetter:
 
 
 class DeadLetterQueue:
-    """Bounded FIFO of dead letters plus per-reason counts."""
+    """Bounded FIFO of the latest dead letters.  Every dead letter, with
+    its reason, is also an ``mtp.dead_letter`` trace record."""
 
     def __init__(self, capacity: int = 64) -> None:
         _require(capacity >= 1, f"capacity must be >= 1: {capacity}")
         self._letters: Deque[DeadLetter] = deque(maxlen=capacity)
-        self.total = 0
-        self.by_reason: Dict[str, int] = {}
 
     def push(self, letter: DeadLetter) -> None:
         self._letters.append(letter)
-        self.total += 1
-        self.by_reason[letter.reason] = \
-            self.by_reason.get(letter.reason, 0) + 1
 
     def letters(self) -> List[DeadLetter]:
         return list(self._letters)
 
     def clear(self) -> None:
-        """Drop retained letters (counts survive: they are history)."""
+        """Drop retained letters."""
         self._letters.clear()
 
     def __len__(self) -> int:

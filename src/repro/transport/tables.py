@@ -98,7 +98,6 @@ class NegativeCache:
         self.ttl = ttl
         self.capacity = capacity
         self._expiry: "OrderedDict[str, float]" = OrderedDict()
-        self.hits = 0
 
     def store(self, label: str, now: float) -> None:
         """Remember ``label`` as unknown until ``now + ttl``."""
@@ -116,7 +115,6 @@ class NegativeCache:
         if now >= expiry:
             del self._expiry[label]
             return False
-        self.hits += 1
         return True
 
     def forget(self, label: str) -> None:

@@ -34,8 +34,7 @@ _quiet_periodic = Mote.periodic
 
 
 def _plain_periodic(self, period, callback, label="periodic",
-                    initial_delay=None, cost=None, quiet_until=None,
-                    quiet_counter=None):
+                    initial_delay=None, cost=None, quiet_until=None):
     """The reference: the plain poll loop, whatever the caller asks."""
     return _quiet_periodic(self, period, callback, label=label,
                            initial_delay=initial_delay, cost=cost)
@@ -252,17 +251,15 @@ def test_quiet_counter_counts_charged_services():
     field = SensorField(sim)
     mote = field.add_mote((0.0, 0.0))
     field.install_detection_sensors("detect")
-    counter = sim.metrics.counter("polls_total")
     timer = mote.periodic(PERIOD, lambda: None, label="sense",
                           initial_delay=0.05, cost=COST,
-                          quiet_until=lambda t: math.inf,
-                          quiet_counter=counter)
+                          quiet_until=lambda t: math.inf)
     timer.start()
     sim.run(until=1.0)
     # Polls at 0.05, 0.15, …, 0.95: the first fires for real, all ten
     # are served without a CPU task.
     assert timer.fire_count == 10
-    assert counter.value() == 10
+    assert sim.implicit_polls == 10
     assert mote.cpu.executed == 10
     assert sim.events_fired == 20
     assert sim.events_dispatched == 1

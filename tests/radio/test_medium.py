@@ -215,18 +215,6 @@ def test_frame_size_must_be_positive():
         Frame(src=0, dst=BROADCAST, kind="x", size_bits=0)
 
 
-def test_stats_reset():
-    sim, medium = setup_medium(radius=5.0)
-    make_port(medium, 0, (0.0, 0.0), [])
-    make_port(medium, 1, (1.0, 0.0), [])
-    medium.transmit(Frame(src=0, dst=BROADCAST, kind="x"))
-    sim.run()
-    assert medium.stats.frames_sent == 1
-    medium.stats.reset(sim.now)
-    assert medium.stats.frames_sent == 0
-    assert medium.stats.started_at == sim.now
-
-
 # ----------------------------------------------------------------------
 # Detach semantics
 # ----------------------------------------------------------------------

@@ -81,10 +81,7 @@ class FullScanMedium(Medium):
                         <= self.interference_radius:
                     reception.corrupt("collision")
         self._active.append(tx)
-        self.stats.on_send(frame.kind, frame.size_bits, frame.src, now)
-        self._frames_sent.inc(1.0, frame.kind)
-        self._bits_sent.inc(float(frame.size_bits), frame.kind)
-        self._airtime_seconds.inc(airtime)
+        self.stats.on_send(frame.kind, frame.size_bits, frame.src)
         self.sim.record("radio.tx", node=frame.src, kind=frame.kind,
                         frame_id=frame.frame_id, dst=frame.dst)
         self.sim.schedule(airtime, self._complete, tx,
@@ -100,26 +97,20 @@ class FullScanMedium(Medium):
         for reception in tx.receptions:
             if not self._attached(reception.receiver):
                 continue
-            stats.reception_attempts_by_kind[kind] += 1
             if reception.corrupted:
-                stats.reception_drops_by_kind[kind] += 1
                 cause = reception.drop_cause or "unknown"
-                stats.receptions_dropped[cause] += 1
-                self._receptions.inc(1.0, kind, cause)
+                stats.receptions[kind, cause] += 1
                 continue
             delivered += 1
             if reception.receiver.node_id == frame.dst:
                 dst_received = True
-            stats.frames_received += 1
-            stats.received_by_kind[kind] += 1
-            stats.last_activity = self.sim.now
-            self._receptions.inc(1.0, kind, "delivered")
+            stats.receptions[kind, "delivered"] += 1
+            reception.receiver.bits_delivered += frame.size_bits
             reception.receiver.deliver(frame)
         if not frame.is_broadcast:
             stats.on_addressed_outcome(kind, dst_received)
         if delivered == 0:
             stats.on_frame_lost(kind)
-            self._frames_lost.inc(1.0, kind)
             self.sim.record("radio.lost", node=frame.src, kind=kind,
                             frame_id=frame.frame_id)
 
@@ -279,7 +270,8 @@ class _Rig:
     def observations(self, probes):
         return (self.inbox, probes, repr(self.medium.stats),
                 trace_digest(self.sim),
-                self.medium._receptions.series())
+                self.medium.sim.metrics.render_prometheus(),
+                [port.bits_delivered for port in self.ports.values()])
 
 
 @settings(max_examples=200, deadline=None)
@@ -317,7 +309,8 @@ def test_grid_equals_full_scan(positions, loss, soft, interference,
     assert grid[1] == scan[1], "busy/neighbor/next-hop probes diverged"
     assert grid[2] == scan[2], "radio stats diverged"
     assert grid[3] == scan[3], "trace digests diverged"
-    assert grid[4] == scan[4], "reception counters diverged"
+    assert grid[4] == scan[4], "metric exports diverged"
+    assert grid[5] == scan[5], "delivered bits diverged"
 
 
 @settings(max_examples=50, deadline=None)

@@ -7,9 +7,9 @@ from repro.radio import RadioStats
 
 def test_send_receive_counters():
     stats = RadioStats()
-    stats.on_send("hb", 288, node=1, now=1.0)
-    stats.on_send("hb", 288, node=2, now=2.0)
-    stats.on_receptions("hb", {"delivered": 1}, now=2.1)
+    stats.on_send("hb", 288, node=1)
+    stats.on_send("hb", 288, node=2)
+    stats.on_receptions("hb", {"delivered": 1})
     assert stats.frames_sent == 2
     assert stats.bits_sent == 576
     assert stats.sent_by_kind["hb"] == 2
@@ -20,9 +20,9 @@ def test_send_receive_counters():
 def test_loss_fraction_by_kind():
     stats = RadioStats()
     for _ in range(4):
-        stats.on_send("hb", 288, node=1, now=0.0)
+        stats.on_send("hb", 288, node=1)
     stats.on_frame_lost("hb")
-    stats.on_send("report", 288, node=2, now=0.0)
+    stats.on_send("report", 288, node=2)
     assert stats.loss_fraction("hb") == pytest.approx(0.25)
     assert stats.loss_fraction("report") == 0.0
     assert stats.loss_fraction() == pytest.approx(0.2)
@@ -35,7 +35,7 @@ def test_loss_fraction_empty_is_zero():
 
 def test_reception_loss_fraction():
     stats = RadioStats()
-    stats.on_receptions("hb", {"delivered": 3, "channel": 1}, now=0.0)
+    stats.on_receptions("hb", {"delivered": 3, "channel": 1})
     assert stats.reception_loss_fraction("hb") == pytest.approx(0.25)
     assert stats.reception_loss_fraction("other") == 0.0
 
@@ -51,7 +51,7 @@ def test_addressed_loss_fraction():
 
 def test_link_utilization():
     stats = RadioStats(started_at=0.0)
-    stats.on_send("x", 5000, node=0, now=1.0)
+    stats.on_send("x", 5000, node=0)
     # 5000 bits over 10 s on a 50 kbps link = 1%.
     assert stats.link_utilization(50_000.0, now=10.0) == pytest.approx(
         0.01)
@@ -62,30 +62,14 @@ def test_link_utilization_zero_elapsed():
     assert stats.link_utilization(50_000.0, now=5.0) == 0.0
 
 
-def test_reset_zeroes_everything():
-    stats = RadioStats()
-    stats.on_send("x", 100, node=0, now=1.0)
-    stats.on_receptions("x", {"collision": 1}, now=1.0)
-    stats.on_addressed_outcome("x", False)
-    stats.on_frame_lost("x")
-    stats.reset(now=9.0)
-    assert stats.frames_sent == 0
-    assert stats.bits_sent == 0
-    assert stats.frames_lost == 0
-    assert stats.reception_loss_fraction("x") == 0.0
-    assert stats.addressed_loss_fraction("x") == 0.0
-    assert stats.started_at == 9.0
-
-
 def test_receptions_accounted_per_frame_and_outcome():
     stats = RadioStats()
     stats.on_receptions("hb", {"collision": 2, "delivered": 5,
-                               "channel": 1}, now=3.0)
-    stats.on_receptions("hb", {"delivered": 2}, now=4.0)
+                               "channel": 1})
+    stats.on_receptions("hb", {"delivered": 2})
     assert stats.reception_attempts_by_kind["hb"] == 10
     assert stats.reception_drops_by_kind["hb"] == 3
     assert stats.frames_received == 7
     assert stats.received_by_kind["hb"] == 7
     assert list(stats.receptions_dropped.items()) == [("collision", 2),
                                                       ("channel", 1)]
-    assert stats.last_activity == 4.0

@@ -357,12 +357,10 @@ def test_engine_gauges_published_after_run(monkeypatch):
         sim.schedule(1.0, lambda: None).cancel()
     sim.schedule(2.0, lambda: None)
     sim.run()
-    assert sim.metrics.gauge("repro_sim_heap_size",
-                             "").value() == 0.0
-    assert sim.metrics.gauge("repro_sim_cancelled_pending",
-                             "").value() == 0.0
-    assert sim.metrics.counter("repro_sim_compactions_total",
-                               "").value() == float(sim.compactions)
+    assert sim.metrics.get("repro_sim_heap_size").value() == 0.0
+    assert sim.metrics.get("repro_sim_cancelled_pending").value() == 0.0
+    assert sim.metrics.get("repro_sim_compactions_total").value() == \
+        float(sim.compactions)
     assert sim.compactions > 0
 
 
@@ -372,9 +370,8 @@ def test_engine_gauges_published_after_step():
         sim.schedule(delay, lambda: None)
     sim.step()
     assert sim.heap_size() == 2
-    assert sim.metrics.gauge("repro_sim_heap_size", "").value() == 2.0
-    assert sim.metrics.gauge("repro_sim_cancelled_pending",
-                             "").value() == 0.0
+    assert sim.metrics.get("repro_sim_heap_size").value() == 2.0
+    assert sim.metrics.get("repro_sim_cancelled_pending").value() == 0.0
 
 
 def test_heap_size_and_cancelled_pending_track_garbage():

@@ -1,9 +1,11 @@
-"""The Prometheus export, pinned.
+"""The Prometheus export, pinned, and the same from a saved trace.
 
 Each scenario's live export (``RunReport.derived_registry()``) is
 compared line by line with a file under ``tests/golden/exports``.  The
 one permitted difference is float rounding in the airtime total, which
-is computed as ``bits / bitrate``.
+is computed as ``bits / bitrate``.  A dumped and reloaded trace must
+export every family tallied by trace records exactly as the live run
+does.
 
 To re-record a file after an intended change, run this module as a
 script: ``PYTHONPATH=src python tests/telemetry/test_export_golden.py``.
@@ -20,7 +22,9 @@ import pytest
 from repro.cli import main as cli_main
 from repro.experiments import TankScenario, TransportChaosSpec, \
     run_tank_scenario
-from repro.telemetry.report import RunReport
+from repro.sim import dump_trace
+from repro.telemetry.report import (LEADERSHIP_FAMILIES,
+                                    SAVED_TRACE_FAMILIES, RunReport)
 
 chaos = importlib.import_module("repro.experiments.chaos")
 transport_chaos = importlib.import_module("repro.experiments.transport_chaos")
@@ -54,18 +58,37 @@ def captured_sim(module, run):
 def tank_directory_mtp():
     scenario = TankScenario(columns=6, rows=2, seed=11,
                             enable_directory=True, enable_mtp=True)
-    return RunReport.from_sim(run_tank_scenario(scenario).app.sim)
+    return run_tank_scenario(scenario).app.sim
 
 
 def chaos_line():
-    return RunReport.from_sim(captured_sim(
-        chaos, lambda: chaos._chaos_run(3, 0.25, 2.0, 1, 0.05, 8, 3)))
+    return captured_sim(
+        chaos, lambda: chaos._chaos_run(3, 0.25, 2.0, 1, 0.05, 8, 3))
 
 
 def transport_chaos_reliable():
-    return RunReport.from_sim(captured_sim(
+    return captured_sim(
         transport_chaos, lambda: transport_chaos._transport_run(
-            TransportChaosSpec(mode="reliable", seed=5, crashes=1))))
+            TransportChaosSpec(mode="reliable", seed=5, crashes=1)))
+
+
+def export(report: RunReport) -> str:
+    return report.derived_registry().render_prometheus()
+
+
+def families(text: str) -> dict:
+    """Each family's export lines, keyed by family name."""
+    out: dict = {}
+    for line in text.splitlines():
+        if line.startswith("# "):
+            name = line.split()[2]
+        else:
+            name = line.split("{")[0].split()[0]
+            for suffix in ("_bucket", "_sum", "_count"):
+                if name.endswith(suffix) and name[:-len(suffix)] in out:
+                    name = name[:-len(suffix)]
+        out.setdefault(name, []).append(line)
+    return out
 
 
 def report_quick(tmp_dir):
@@ -106,9 +129,25 @@ def assert_same_export(live: str, expected: str) -> None:
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_live_export_matches_golden(name):
-    report = SCENARIOS[name]()
-    assert_same_export(report.derived_registry().render_prometheus(),
+    assert_same_export(export(RunReport.from_sim(SCENARIOS[name]())),
                        golden(name))
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_saved_trace_exports_the_live_record_families(name, tmp_path):
+    sim = SCENARIOS[name]()
+    path = str(tmp_path / "run.jsonl")
+    dump_trace(sim, path)
+    live = families(export(RunReport.from_sim(sim)))
+    saved = families(export(RunReport.from_trace_file(path)))
+    assert sorted(saved) == sorted(
+        family[1] for family in SAVED_TRACE_FAMILIES + LEADERSHIP_FAMILIES)
+    shared = [family for family in saved if family in live]
+    assert {"repro_trace_records_total", "repro_radio_frames_sent_total",
+            "repro_radio_frames_lost_total",
+            "repro_gm_leader_tenure_seconds"} <= set(shared)
+    for family in shared:
+        assert saved[family] == live[family], family
 
 
 def test_report_quick_export_matches_golden(tmp_path):
@@ -128,7 +167,7 @@ if __name__ == "__main__":
     import tempfile
 
     os.makedirs(EXPORTS, exist_ok=True)
-    exports = {name: build().derived_registry().render_prometheus()
+    exports = {name: export(RunReport.from_sim(build()))
                for name, build in SCENARIOS.items()}
     with tempfile.TemporaryDirectory() as scratch:
         exports["report-quick"] = report_quick(scratch)

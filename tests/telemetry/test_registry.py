@@ -1,9 +1,11 @@
 """Unit tests for the metric instruments and registry."""
 
+import collections
+
 import pytest
 
 from repro.telemetry.registry import (Counter, Gauge, Histogram,
-                                      MetricsRegistry)
+                                      MetricsRegistry, merged, summed)
 
 
 class TestCounter:
@@ -37,20 +39,12 @@ class TestCounter:
             c.inc(1.0, "a", "b")
 
     def test_fast_path_still_validates_new_keys(self):
-        # The seen-key fast path must not let a bad arity slip in after
-        # a good series exists.
+        # A bad arity must not slip in after a good series exists.
         c = Counter("n", "", ("kind",))
         c.inc(1.0, "hb")
         with pytest.raises(ValueError, match="label"):
             c.inc(1.0, "hb", "extra")
         assert c.value("hb") == pytest.approx(1.0)
-
-    def test_bound_counter(self):
-        c = Counter("n", "", ("kind",))
-        bound = c.labels("hb")
-        bound.inc()
-        bound.inc(2.0)
-        assert c.value("hb") == pytest.approx(3.0)
 
     def test_render_prometheus_lines(self):
         c = Counter("frames_total", "Frames sent.", ("kind",))
@@ -113,29 +107,40 @@ class TestHistogram:
             Histogram("lat", "", buckets=())
 
 
+def tally(value=1.0):
+    """An unlabelled fill reading ``value`` from its source."""
+    return summed(lambda source: value)
+
+
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
+        # A family is registered once: a second registration (another
+        # help string, another source) joins the first family.
         reg = MetricsRegistry()
-        a = reg.counter("n", "help", ("kind",))
-        b = reg.counter("n", "other help", ("kind",))
-        assert a is b
+        reg.view(Counter, "n", "help", ("kind",),
+                 merged(lambda source: source), {"hb": 1})
+        reg.view(Counter, "n", "other help", ("kind",),
+                 merged(lambda source: source), {"hb": 2})
+        assert reg.names() == ["n"]
+        assert reg.get("n").help == "help"
+        assert reg.get("n").value("hb") == 3.0
 
     def test_conflicting_kind_rejected(self):
         reg = MetricsRegistry()
-        reg.counter("n", "")
+        reg.view(Counter, "n", "", (), tally(), None)
         with pytest.raises(ValueError, match="already registered"):
-            reg.gauge("n", "")
+            reg.view(Gauge, "n", "", (), tally(), None)
 
     def test_conflicting_labels_rejected(self):
         reg = MetricsRegistry()
-        reg.counter("n", "", ("kind",))
+        reg.view(Counter, "n", "", ("kind",), merged(dict), {})
         with pytest.raises(ValueError, match="labels"):
-            reg.counter("n", "", ("node",))
+            reg.view(Counter, "n", "", ("node",), merged(dict), {})
 
     def test_names_contains_iter(self):
         reg = MetricsRegistry()
-        reg.counter("b", "")
-        reg.gauge("a", "")
+        reg.view(Counter, "b", "", (), tally(), None)
+        reg.view(Gauge, "a", "", (), tally(), None)
         assert reg.names() == ["a", "b"]
         assert "a" in reg
         assert list(reg) == ["a", "b"]
@@ -143,18 +148,68 @@ class TestRegistry:
 
     def test_render_prometheus_covers_all_metrics(self):
         reg = MetricsRegistry()
-        reg.counter("c_total", "C.").inc(1.0)
-        reg.gauge("g", "G.").set(2.0)
-        reg.histogram("h", "H.", buckets=(1.0,)).observe(0.5)
+        reg.view(Counter, "c_total", "C.", (), tally(1.0), None)
+        reg.view(Gauge, "g", "G.", (), tally(2.0), None)
+        reg.view(Histogram, "h", "H.", (),
+                 lambda histogram, sources: histogram.observe(0.5), None)
         text = reg.render_prometheus()
-        for fragment in ("c_total 1", "g 2", 'h_bucket{le="1"} 1',
+        for fragment in ("c_total 1", "g 2", 'h_bucket{le="0.5"} 1',
                          "# TYPE h histogram"):
             assert fragment in text
         assert text.endswith("\n")
 
     def test_snapshot(self):
         reg = MetricsRegistry()
-        reg.counter("c_total", "", ("kind",)).inc(2.0, "hb")
+        reg.view(Counter, "c_total", "", ("kind",),
+                 merged(lambda source: source), {"hb": 2})
         snap = reg.snapshot()
         assert snap["c_total"]["kind"] == "counter"
         assert snap["c_total"]["series"] == {("hb",): 2.0}
+
+
+class TestViews:
+    def test_view_is_computed_on_every_read(self):
+        reg = MetricsRegistry()
+        tally = {"hb": 1}
+        reg.view(Counter, "frames_total", "Frames.", ("kind",),
+                 merged(lambda source: source), tally)
+        assert reg.get("frames_total").value("hb") == 1.0
+        tally["hb"] = 3
+        assert reg.get("frames_total").series() == {("hb",): 3.0}
+        assert 'frames_total{kind="hb"} 3' in reg.render_prometheus()
+        assert reg.snapshot()["frames_total"]["series"] == {("hb",): 3.0}
+
+    def test_each_source_is_summed_once(self):
+        reg = MetricsRegistry()
+        first, second = [2.0], [5.0]
+        for source in (first, second, first):
+            reg.view(Gauge, "depth", "", (),
+                     summed(lambda source: source[0]), source)
+        assert reg.get("depth").value() == 7.0
+
+    def test_record_views_read_the_records_when_read(self):
+        from repro.sim import TraceRecord
+
+        records = [TraceRecord(0.0, "radio.tx", 1, {"kind": "hb"}),
+                   TraceRecord(0.2, "radio.lost", 2, {"kind": "hb"})]
+        reg = MetricsRegistry()
+        reg.record_views([
+            (Counter, "sent_total", "", ("kind",),
+             merged(lambda records: collections.Counter(
+                 record.detail["kind"] for record in records
+                 if record.category == "radio.tx")))], records)
+        assert reg.get("sent_total").series() == {("hb",): 1.0}
+        records.append(TraceRecord(0.3, "radio.tx", 1, {"kind": "report"}))
+        assert reg.get("sent_total").series() == {("hb",): 1.0,
+                                                  ("report",): 1.0}
+
+    def test_copy_shares_views_but_not_new_families(self):
+        reg = MetricsRegistry()
+        tally = [1.0]
+        reg.view(Counter, "n_total", "", (),
+                 summed(lambda source: source[0]), tally)
+        copy = reg.copy()
+        copy.view(Gauge, "extra", "", (), summed(len), tally)
+        tally[0] = 4.0
+        assert copy.get("n_total").value() == 4.0
+        assert "extra" in copy and "extra" not in reg

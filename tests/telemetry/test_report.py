@@ -3,6 +3,8 @@
 import xml.dom.minidom
 from dataclasses import replace
 
+import pytest
+
 from repro.experiments import TankScenario, run_tank_scenario
 from repro.sim import dump_trace
 from repro.telemetry.report import RunReport
@@ -63,6 +65,27 @@ class TestFromSim:
         assert "# TYPE repro_trace_records_total counter" in text
         assert "repro_radio_frames_sent_total" in text
         assert "repro_gm_sense_polls_implicit_total" in text
+
+
+    def test_energy_panel_reads_the_meter_at_report_time(self):
+        # Regression: the energy gauge was written only by an explicit
+        # ``EnergyMeter.breakdown()``, so the report read nothing before
+        # one and that call's numbers for ever after.
+        from repro.experiments.scenarios import build_app
+        from repro.node import EnergyMeter
+        from repro.radio import reset_frame_ids
+
+        reset_frame_ids()
+        app = build_app(TankScenario(columns=8, rows=2, seed=1))
+        app.install()
+        meter = EnergyMeter(app.sim)
+        for mote in app.field.mote_list():
+            meter.attach(mote)
+        for until in (30.0, 60.0):
+            app.run(until=until)
+            shown = RunReport.from_sim(app.sim).energy_breakdown()
+            assert shown == pytest.approx(meter.breakdown(until))
+            assert shown["idle"] > 0
 
 
 class TestFromTraceFile:
