@@ -55,7 +55,7 @@ DEFAULT_BITRATE = 50_000.0
 
 
 def _kinds_of(category: str):
-    """Counts a trace's ``category`` records by frame kind."""
+    """A fill counting a trace's ``category`` records by frame kind."""
     return merged(lambda records: collections.Counter(
         record.detail.get("kind") for record in records
         if record.category == category))

@@ -170,11 +170,11 @@ class TestRegistry:
 class TestViews:
     def test_view_is_computed_on_every_read(self):
         reg = MetricsRegistry()
-        tally = {"hb": 1}
+        counts = {"hb": 1}
         reg.view(Counter, "frames_total", "Frames.", ("kind",),
-                 merged(lambda source: source), tally)
+                 merged(lambda source: source), counts)
         assert reg.get("frames_total").value("hb") == 1.0
-        tally["hb"] = 3
+        counts["hb"] = 3
         assert reg.get("frames_total").series() == {("hb",): 3.0}
         assert 'frames_total{kind="hb"} 3' in reg.render_prometheus()
         assert reg.snapshot()["frames_total"]["series"] == {("hb",): 3.0}
@@ -205,11 +205,11 @@ class TestViews:
 
     def test_copy_shares_views_but_not_new_families(self):
         reg = MetricsRegistry()
-        tally = [1.0]
+        value = [1.0]
         reg.view(Counter, "n_total", "", (),
-                 summed(lambda source: source[0]), tally)
+                 summed(lambda source: source[0]), value)
         copy = reg.copy()
-        copy.view(Gauge, "extra", "", (), summed(len), tally)
-        tally[0] = 4.0
+        copy.view(Gauge, "extra", "", (), summed(len), value)
+        value[0] = 4.0
         assert copy.get("n_total").value() == 4.0
         assert "extra" in copy and "extra" not in reg
