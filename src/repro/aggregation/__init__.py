@@ -1,7 +1,7 @@
 """Approximate aggregate state: windows, functions, collection protocol."""
 
-from .collection import (REPORT_KIND, build_report, parse_report,
-                         report_period, sample_readings)
+from .collection import (REPORT_KIND, MemberReport, report_period,
+                         sample_readings)
 from .functions import (DEFAULT_REGISTRY, AggregationError,
                         AggregationRegistry, default_registry)
 from .window import AggregateStore, AggregateVarSpec, ReadResult, SlidingWindow
@@ -12,12 +12,11 @@ __all__ = [
     "AggregationError",
     "AggregationRegistry",
     "DEFAULT_REGISTRY",
+    "MemberReport",
     "REPORT_KIND",
     "ReadResult",
     "SlidingWindow",
-    "build_report",
     "default_registry",
-    "parse_report",
     "report_period",
     "sample_readings",
 ]

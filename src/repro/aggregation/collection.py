@@ -13,7 +13,8 @@ only moves ``{variable: reading}`` maps; the leader's
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List
 
 from .window import AggregateVarSpec
 
@@ -39,16 +40,16 @@ def report_period(specs: List[AggregateVarSpec],
     return period
 
 
-def build_report(context_type: str, label: str, sender: int, time: float,
-                 readings: Dict[str, Any]) -> Dict[str, Any]:
-    """Payload for one member report frame."""
-    return {
-        "type": context_type,
-        "label": label,
-        "sender": sender,
-        "time": time,
-        "readings": readings,
-    }
+@dataclass(frozen=True, slots=True)
+class MemberReport:
+    """The member→leader report message: ``sender``'s ``readings`` of
+    the label's aggregate variables, sampled at ``time``."""
+
+    context_type: str
+    label: str
+    sender: int
+    time: float
+    readings: Dict[str, Any]
 
 
 def sample_readings(mote, specs: List[AggregateVarSpec]
@@ -65,16 +66,3 @@ def sample_readings(mote, specs: List[AggregateVarSpec]
             readings[spec.name] = mote.read_sensor(spec.sensor)
     return readings
 
-
-def parse_report(payload: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-    """Validate an incoming report payload; None when malformed.
-
-    Malformed frames are possible under collision/corruption models and in
-    adversarial tests; the leader must never crash on them.
-    """
-    required = ("type", "label", "sender", "time", "readings")
-    if not all(key in payload for key in required):
-        return None
-    if not isinstance(payload["readings"], dict):
-        return None
-    return payload

@@ -1,7 +1,8 @@
 """The EnviroTrack middleware core: declarations, runtime and assembly."""
 
 from .app import EnviroTrackApp
-from .base_station import APP_REPORT_KIND, BaseStation, ReportRecord
+from .base_station import (APP_REPORT_KIND, AppReport, BaseStation,
+                           ReportRecord)
 from .context import (ContextTypeDef, MethodDef, PortInvocation,
                       TimerInvocation, TrackingObjectDef, WhenInvocation)
 from .middleware import EnviroTrackAgent
@@ -9,6 +10,7 @@ from .runtime import ObjectContext
 
 __all__ = [
     "APP_REPORT_KIND",
+    "AppReport",
     "BaseStation",
     "ContextTypeDef",
     "EnviroTrackAgent",

@@ -20,6 +20,19 @@ Position = Tuple[float, float]
 APP_REPORT_KIND = "app.report"
 
 
+@dataclass(frozen=True, slots=True)
+class AppReport:
+    """The ``app.report`` message: one ``MySend`` from the leader
+    ``reporter`` of ``label``.  ``values`` are the application's, kept
+    apart from the envelope so no value name can collide with it."""
+
+    label: str
+    context_type: str
+    reporter: int
+    reported_at: float
+    values: Dict[str, Any]
+
+
 @dataclass
 class ReportRecord:
     """One application report received by the base station."""
@@ -52,26 +65,19 @@ class BaseStation:
         return self.mote.node_id
 
     # ------------------------------------------------------------------
-    def _on_routed(self, payload: Dict[str, Any], origin: int) -> None:
-        self._store(payload)
+    def _on_routed(self, report: Any, origin: int) -> None:
+        self._store(report)
 
     def _on_frame(self, frame) -> None:
         self._store(frame.payload)
 
-    def _store(self, payload: Dict[str, Any]) -> None:
-        if not isinstance(payload, dict) or "label" not in payload:
+    def _store(self, report: Any) -> None:
+        if not isinstance(report, AppReport):
             return
-        values = {key: value for key, value in payload.items()
-                  if key not in ("label", "context_type", "reported_at",
-                                 "reporter")}
         self.reports.append(ReportRecord(
-            received_at=self.mote.sim.now,
-            reported_at=float(payload.get("reported_at",
-                                          self.mote.sim.now)),
-            label=str(payload["label"]),
-            context_type=str(payload.get("context_type", "")),
-            reporter=int(payload.get("reporter", -1)),
-            values=values))
+            received_at=self.mote.sim.now, reported_at=report.reported_at,
+            label=report.label, context_type=report.context_type,
+            reporter=report.reporter, values=report.values))
 
     # ------------------------------------------------------------------
     # Analysis helpers

@@ -24,19 +24,17 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..aggregation import (AggregationRegistry, DEFAULT_REGISTRY,
-                           REPORT_KIND, AggregateStore, build_report,
-                           parse_report, report_period, sample_readings)
+                           REPORT_KIND, AggregateStore, MemberReport,
+                           report_period, sample_readings)
 from ..groups import GroupConfig, GroupListener, GroupManager, Role
 from ..node import Component, Mote
 from ..radio import distance
 from ..transport import GeoRouter, MtpAgent
 from ..naming import DirectoryService
+from .base_station import APP_REPORT_KIND, AppReport
 from .context import (ContextTypeDef, MethodDef, PortInvocation,
                       TimerInvocation, WhenInvocation)
 from .runtime import ObjectContext
-
-#: Router inner-kind for MySend reports to the base station.
-APP_REPORT_KIND = "app.report"
 
 
 @dataclass
@@ -213,16 +211,16 @@ class EnviroTrackAgent(Component, GroupListener):
         readings = sample_readings(self.mote, runtime.definition.aggregates)
         if not readings:
             return
-        payload = build_report(context_type, label, self.node_id, self.now,
-                               readings)
+        report = MemberReport(context_type, label, self.node_id, self.now,
+                              readings)
         leader_pos = self.groups.leader_position(context_type)
         if (self.router is not None and leader_pos is not None
                 and distance(self.mote.position, leader_pos)
                 > self.mote.medium.communication_radius):
             # Leader beyond single-hop range: relay through the group.
-            self.router.route_to_node(leader, REPORT_KIND, payload)
+            self.router.route_to_node(leader, REPORT_KIND, report)
             return
-        self.unicast(leader, REPORT_KIND, payload,
+        self.unicast(leader, REPORT_KIND, report,
                      size_bits=runtime.definition.report_size_bits)
 
     # ------------------------------------------------------------------
@@ -238,7 +236,7 @@ class EnviroTrackAgent(Component, GroupListener):
         runtime.octx = ObjectContext(
             context_type=context_type, label=label, node_id=self.node_id,
             clock=lambda: self.sim.now, store=runtime.store,
-            send_fn=lambda values: self._send_to_base(values),
+            send_fn=self._send_to_base,
             invoke_fn=self._make_invoker(label),
             set_state_fn=lambda state: self.groups.set_persistent_state(
                 context_type, state),
@@ -362,43 +360,37 @@ class EnviroTrackAgent(Component, GroupListener):
         if readings:
             runtime.store.add_report(self.node_id, readings, self.now)
 
-    def _on_routed_report(self, payload: Dict[str, Any],
-                          origin: int) -> None:
-        self._accept_report(payload)
+    def _on_routed_report(self, report: Any, origin: int) -> None:
+        self._accept_report(report)
 
     def _on_report_frame(self, frame) -> None:
         self._accept_report(frame.payload)
 
-    def _accept_report(self, raw_payload) -> None:
-        payload = parse_report(raw_payload)
-        if payload is None:
+    def _accept_report(self, report: Any) -> None:
+        if not isinstance(report, MemberReport):
             return
-        context_type = payload["type"]
+        context_type = report.context_type
         runtime = self._runtimes.get(context_type)
         if runtime is None or runtime.store is None:
             return
-        if self.groups.label(context_type) != payload["label"]:
+        if self.groups.label(context_type) != report.label:
             return
-        runtime.store.add_report(int(payload["sender"]),
-                                 payload["readings"],
-                                 float(payload["time"]))
-        self.groups.note_member_report(context_type, payload["label"])
+        runtime.store.add_report(report.sender, report.readings,
+                                 report.time)
+        self.groups.note_member_report(context_type, report.label)
 
     # ------------------------------------------------------------------
     # Outbound paths
     # ------------------------------------------------------------------
-    def _send_to_base(self, values: Dict[str, Any]) -> None:
+    def _send_to_base(self, report: AppReport) -> None:
         if self.base_station is None:
             self.record("mysend_dropped", reason="no_base_station")
             return
-        message = dict(values)
-        message["reported_at"] = self.now
-        message["reporter"] = self.node_id
         if self.router is not None:
             self.router.route_to_node(self.base_station, APP_REPORT_KIND,
-                                      message)
+                                      report)
         else:
-            self.unicast(self.base_station, APP_REPORT_KIND, message)
+            self.unicast(self.base_station, APP_REPORT_KIND, report)
 
     def _make_invoker(self, src_label: str):
         def invoke(dest_label: str, port: int,

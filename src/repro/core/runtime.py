@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional
 
 from ..aggregation import AggregateStore, ReadResult
+from .base_station import AppReport
 
 
 class ObjectContext:
@@ -25,7 +26,7 @@ class ObjectContext:
 
     def __init__(self, context_type: str, label: str, node_id: int,
                  clock: Callable[[], float], store: AggregateStore,
-                 send_fn: Callable[[Dict[str, Any]], None],
+                 send_fn: Callable[[AppReport], None],
                  invoke_fn: Callable[[str, int, Dict[str, Any]], None],
                  set_state_fn: Callable[[Optional[dict]], None],
                  get_state_fn: Callable[[], Optional[dict]],
@@ -92,10 +93,8 @@ class ObjectContext:
         the pursuer identifies vehicles "by their respective context
         labels".
         """
-        message = dict(values)
-        message["label"] = self._label
-        message["context_type"] = self.context_type
-        self._send_fn(message)
+        self._send_fn(AppReport(self._label, self.context_type,
+                                self.node_id, self.now, dict(values)))
 
     def invoke(self, dest_label: str, port: int,
                args: Optional[Dict[str, Any]] = None) -> None:

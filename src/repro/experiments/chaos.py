@@ -81,12 +81,10 @@ class MemberReporter(Component):
         if label is None \
                 or self.manager.role(self.context_type) is not Role.MEMBER:
             return
-        self.broadcast(self.kind, {"type": self.context_type,
-                                   "label": label,
-                                   "sender": self.node_id})
+        self.broadcast(self.kind, label)
 
     def _on_report(self, frame) -> None:
-        label = frame.payload.get("label")
+        label = frame.payload
         if isinstance(label, str):
             self.manager.note_member_report(self.context_type, label)
 

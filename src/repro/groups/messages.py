@@ -1,4 +1,7 @@
-"""Group-management wire messages and context-label identity.
+"""Group-management messages and context-label identity.
+
+Each message is an immutable object: the sender makes one per broadcast
+and every receiver of the frame reads that same object.
 
 A *context label* is the persistent identity of a tracked entity (§3.2):
 "even though the vehicles move and the sensor nodes comprising their
@@ -12,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
-
-from ..radio import Frame
 
 #: Frame kinds.
 HEARTBEAT_KIND = "gm.heartbeat"
@@ -39,7 +40,7 @@ def label_type(label: str) -> str:
     return label.split("#", 1)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Heartbeat:
     """Leader keep-alive (§5.2).
 
@@ -47,9 +48,6 @@ class Heartbeat:
     identity, the label's weight (for spurious-label suppression), optional
     persistent application state (the ``setState`` mechanism), and a
     remaining flood hop count for propagation past the group perimeter.
-
-    Immutable: every receiver of one heartbeat frame shares the single
-    decoded instance (:meth:`of_frame`).
     """
 
     context_type: str
@@ -68,57 +66,8 @@ class Heartbeat:
     #: Original sender when forwarded by a member (for tracing).
     forwarded_by: Optional[int] = None
 
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "context_type": self.context_type,
-            "label": self.label,
-            "leader": self.leader,
-            "weight": self.weight,
-            "seq": self.seq,
-            "state": self.state,
-            "hops": self.hops,
-            "leader_pos": (None if self.leader_pos is None
-                           else [self.leader_pos[0], self.leader_pos[1]]),
-            "forwarded_by": self.forwarded_by,
-        }
 
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> Optional["Heartbeat"]:
-        """Parse; None when malformed (never crash on corrupt frames)."""
-        try:
-            raw_pos = payload.get("leader_pos")
-            leader_pos = (None if raw_pos is None
-                          else (float(raw_pos[0]), float(raw_pos[1])))
-            return cls(
-                context_type=payload["context_type"],
-                label=payload["label"],
-                leader=int(payload["leader"]),
-                weight=int(payload["weight"]),
-                seq=int(payload["seq"]),
-                state=payload.get("state"),
-                hops=int(payload.get("hops", 0)),
-                leader_pos=leader_pos,
-                forwarded_by=payload.get("forwarded_by"),
-            )
-        except (KeyError, TypeError, ValueError, IndexError):
-            return None
-
-    @classmethod
-    def of_frame(cls, frame: Frame) -> Optional["Heartbeat"]:
-        """The frame's payload parsed once per frame, not per reception.
-
-        The first receiver's parse is memoized on the frame and shared by
-        every other receiver (and every handler) of the same broadcast.
-        """
-        memo = frame.decoded
-        if memo is not None and memo[0] is cls:
-            return memo[1]
-        beat = cls.from_payload(frame.payload)
-        frame.decoded = (cls, beat)
-        return beat
-
-
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Relinquish:
     """Explicit leadership handoff request, sent when the leader no longer
     senses the tracked entity (§5.2's relinquish mechanism)."""
@@ -129,31 +78,8 @@ class Relinquish:
     weight: int
     state: Optional[Dict[str, Any]] = None
 
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "context_type": self.context_type,
-            "label": self.label,
-            "leader": self.leader,
-            "weight": self.weight,
-            "state": self.state,
-        }
 
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]
-                     ) -> Optional["Relinquish"]:
-        try:
-            return cls(
-                context_type=payload["context_type"],
-                label=payload["label"],
-                leader=int(payload["leader"]),
-                weight=int(payload["weight"]),
-                state=payload.get("state"),
-            )
-        except (KeyError, TypeError, ValueError):
-            return None
-
-
-@dataclass
+@dataclass(frozen=True, slots=True)
 class LeaderQuery:
     """Liveness probe a member broadcasts when its receive timer expires.
 
@@ -169,27 +95,8 @@ class LeaderQuery:
     label: str
     sender: int
 
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "context_type": self.context_type,
-            "label": self.label,
-            "sender": self.sender,
-        }
 
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]
-                     ) -> Optional["LeaderQuery"]:
-        try:
-            return cls(
-                context_type=payload["context_type"],
-                label=payload["label"],
-                sender=int(payload["sender"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            return None
-
-
-@dataclass
+@dataclass(frozen=True, slots=True)
 class LeaderVouch:
     """Second-hand heartbeat freshness, sent in answer to a LeaderQuery.
 
@@ -207,31 +114,3 @@ class LeaderVouch:
     weight: int
     age: float
     sender: int
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "context_type": self.context_type,
-            "label": self.label,
-            "leader": self.leader,
-            "weight": self.weight,
-            "age": self.age,
-            "sender": self.sender,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]
-                     ) -> Optional["LeaderVouch"]:
-        try:
-            age = float(payload["age"])
-            if age < 0:
-                return None
-            return cls(
-                context_type=payload["context_type"],
-                label=payload["label"],
-                leader=int(payload["leader"]),
-                weight=int(payload["weight"]),
-                age=age,
-                sender=int(payload["sender"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            return None

@@ -29,7 +29,7 @@ State machine roles per (node, context type): IDLE → MEMBER ⇄ LEADER.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
@@ -385,7 +385,7 @@ class GroupManager(Component):
             message = Relinquish(context_type=state.type_name, label=label,
                                  leader=self.node_id, weight=state.weight,
                                  state=state.cached_state)
-            self.broadcast(RELINQUISH_KIND, message.to_payload(),
+            self.broadcast(RELINQUISH_KIND, message,
                            tx_range=state.config.heartbeat_tx_range)
             self.record("relinquish", type=state.type_name, label=label,
                         weight=state.weight)
@@ -422,12 +422,12 @@ class GroupManager(Component):
                          seq=state.hb_seq, state=state.cached_state,
                          hops=state.config.flood_hops,
                          leader_pos=self.mote.position)
-        self.broadcast(HEARTBEAT_KIND, beat.to_payload(),
+        self.broadcast(HEARTBEAT_KIND, beat,
                        tx_range=state.config.heartbeat_tx_range)
 
     def _on_heartbeat_frame(self, frame) -> None:
-        beat = Heartbeat.of_frame(frame)
-        if beat is None:
+        beat = frame.payload
+        if not isinstance(beat, Heartbeat):
             return
         state = self._types.get(beat.context_type)
         # No timers: the mote crashed and came back without a reboot.
@@ -558,23 +558,19 @@ class GroupManager(Component):
 
     def _rebroadcast(self, state: _TypeState, beat: Heartbeat,
                      hops: int) -> None:
-        forwarded = Heartbeat(
-            context_type=beat.context_type, label=beat.label,
-            leader=beat.leader, weight=beat.weight, seq=beat.seq,
-            state=beat.state, hops=hops, leader_pos=beat.leader_pos,
-            forwarded_by=self.node_id)
+        forwarded = replace(beat, hops=hops, forwarded_by=self.node_id)
         delay = self._rng.uniform(0, REBROADCAST_JITTER)
         self.sim.schedule(
             delay, partial(self.broadcast,
                            tx_range=state.config.heartbeat_tx_range),
-            HEARTBEAT_KIND, forwarded.to_payload(), label="gm.rebroadcast")
+            HEARTBEAT_KIND, forwarded, label="gm.rebroadcast")
 
     # ------------------------------------------------------------------
     # Relinquish / claim
     # ------------------------------------------------------------------
     def _on_relinquish_frame(self, frame) -> None:
-        message = Relinquish.from_payload(frame.payload)
-        if message is None:
+        message = frame.payload
+        if not isinstance(message, Relinquish):
             return
         state = self._types.get(message.context_type)
         if state is None or message.leader == self.node_id:
@@ -670,12 +666,12 @@ class GroupManager(Component):
                             sender=self.node_id)
         self.record("probe", type=state.type_name, label=state.label,
                     round=state.probe_round)
-        self.broadcast(QUERY_KIND, query.to_payload(),
+        self.broadcast(QUERY_KIND, query,
                        tx_range=state.config.heartbeat_tx_range)
 
     def _on_query_frame(self, frame) -> None:
-        query = LeaderQuery.from_payload(frame.payload)
-        if query is None or query.sender == self.node_id:
+        query = frame.payload
+        if not isinstance(query, LeaderQuery) or query.sender == self.node_id:
             return
         state = self._types.get(query.context_type)
         if state is None or state.label != query.label:
@@ -711,12 +707,12 @@ class GroupManager(Component):
                             leader=state.leader_id, weight=state.weight,
                             age=self.now - state.last_label_hb_time,
                             sender=self.node_id)
-        self.broadcast(VOUCH_KIND, vouch.to_payload(),
+        self.broadcast(VOUCH_KIND, vouch,
                        tx_range=state.config.heartbeat_tx_range)
 
     def _on_vouch_frame(self, frame) -> None:
-        vouch = LeaderVouch.from_payload(frame.payload)
-        if vouch is None or vouch.sender == self.node_id:
+        vouch = frame.payload
+        if not isinstance(vouch, LeaderVouch) or vouch.sender == self.node_id:
             return
         state = self._types.get(vouch.context_type)
         if state is None or state.role is not Role.MEMBER:

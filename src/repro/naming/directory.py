@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import collections
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from ..node import Component, Mote
 from ..radio import distance
@@ -64,9 +64,13 @@ class _PendingLookup:
             self.event = None
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class DirectoryEntry:
-    """One active context label known to a directory object."""
+    """One active context label known to a directory object.
+
+    Also the ``dir.register`` and ``dir.replicate`` message: the entry a
+    leader registers is the one every replica stores.
+    """
 
     label: str
     context_type: str
@@ -76,6 +80,24 @@ class DirectoryEntry:
 
     def fresh(self, now: float, ttl: float) -> bool:
         return now - self.updated <= ttl
+
+
+@dataclass(frozen=True, slots=True)
+class DirectoryQuery:
+    """The ``dir.query`` message: "where are all the <type>s?"."""
+
+    context_type: str
+    query_id: int
+    reply_to: int
+
+
+@dataclass(frozen=True, slots=True)
+class DirectoryResponse:
+    """The ``dir.response`` message: a directory node's fresh entries
+    of the queried type."""
+
+    query_id: int
+    entries: Tuple[DirectoryEntry, ...]
 
 
 #: The operations that write a trace record, by record category.
@@ -180,13 +202,9 @@ class DirectoryService(Component):
         with self.sim.spans.span(f"dir.register.{context_type}",
                                  node=self.node_id):
             self.router.route_to_point(
-                self.directory_point(context_type), REGISTER_KIND, {
-                    "context_type": context_type,
-                    "label": label,
-                    "location": [location[0], location[1]],
-                    "leader": leader,
-                    "time": self.now,
-                })
+                self.directory_point(context_type), REGISTER_KIND,
+                DirectoryEntry(label, context_type, location, leader,
+                               self.now))
 
     def lookup(self, context_type: str,
                callback: Callable[[List[DirectoryEntry]], None]) -> None:
@@ -214,11 +232,8 @@ class DirectoryService(Component):
         with self.sim.spans.span(f"dir.lookup.{context_type}",
                                  node=self.node_id):
             self.router.route_to_point(
-                self.directory_point(context_type), QUERY_KIND, {
-                    "context_type": context_type,
-                    "query_id": query_id,
-                    "reply_to": self.node_id,
-                })
+                self.directory_point(context_type), QUERY_KIND,
+                DirectoryQuery(context_type, query_id, self.node_id))
 
     def _on_lookup_timeout(self, query_id: int) -> None:
         pending = self._pending_queries.get(query_id)
@@ -251,99 +266,62 @@ class DirectoryService(Component):
                        if entry.context_type == context_type),
                       key=lambda entry: entry.label)
 
-    def _store(self, payload: Dict[str, Any]
-               ) -> Tuple[str, Optional[DirectoryEntry]]:
-        """Try to store a registration payload.
+    def _store(self, entry: DirectoryEntry) -> Tuple[str, DirectoryEntry]:
+        """Try to store a registration.
 
         Returns ``(status, entry)`` with status ``"stored"`` (accepted;
-        entry is the stored record), ``"stale"`` (older than the entry
-        already held; entry is the kept newer record) or ``"invalid"``
-        (unparseable payload).
+        entry is the stored record) or ``"stale"`` (older than the entry
+        already held; entry is the kept newer record).
         """
-        try:
-            entry = DirectoryEntry(
-                label=payload["label"],
-                context_type=payload["context_type"],
-                location=(float(payload["location"][0]),
-                          float(payload["location"][1])),
-                leader=int(payload["leader"]),
-                updated=float(payload.get("time", self.now)),
-            )
-        except (KeyError, TypeError, ValueError, IndexError):
-            return "invalid", None
         existing = self._entries.get(entry.label)
         if existing is not None and existing.updated > entry.updated:
             return "stale", existing
         self._entries[entry.label] = entry
         return "stored", entry
 
-    def _on_register(self, payload: Dict[str, Any], origin: int) -> None:
-        status, entry = self._store(payload)
-        if status != "stored":
-            if status == "stale":
-                # A rejected payload must not be replicated either: the
-                # one-hop neighbors would overwrite their newer replicas
-                # with the stale leader pointer.
-                self.record("stale_register", label=entry.label,
-                            type=entry.context_type)
+    def _on_register(self, entry: Any, origin: int) -> None:
+        if not isinstance(entry, DirectoryEntry):
+            return
+        status, kept = self._store(entry)
+        if status == "stale":
+            # A stale registration must not be replicated either: the
+            # one-hop neighbors would overwrite their newer replicas
+            # with the stale leader pointer.
+            self.record("stale_register", label=kept.label,
+                        type=kept.context_type)
             return
         self.record("stored", label=entry.label, type=entry.context_type)
         # Replicate to the one-hop neighborhood around the hash point.
-        self.broadcast(REPLICATE_KIND, dict(payload))
+        self.broadcast(REPLICATE_KIND, entry)
 
     def _on_replicate_frame(self, frame) -> None:
-        payload = frame.payload
-        context_type = payload.get("context_type")
-        if not isinstance(context_type, str):
+        entry = frame.payload
+        if not isinstance(entry, DirectoryEntry):
             return
         # Only nodes near the hashed coordinate keep replicas.
-        point = self.directory_point(context_type)
+        point = self.directory_point(entry.context_type)
         if distance(self.mote.position, point) \
                 <= self.mote.medium.communication_radius:
-            self._store(payload)
+            self._store(entry)
 
-    def _on_query(self, payload: Dict[str, Any], origin: int) -> None:
-        context_type = payload.get("context_type")
-        reply_to = payload.get("reply_to")
-        if not isinstance(context_type, str) or reply_to is None:
+    def _on_query(self, query: Any, origin: int) -> None:
+        if not isinstance(query, DirectoryQuery):
             return
         self.ops["query_answered"] += 1
-        entries = self.entries_for(context_type)
-        self.router.route_to_node(int(reply_to), RESPONSE_KIND, {
-            "query_id": payload.get("query_id"),
-            "entries": [{
-                "context_type": entry.context_type,
-                "label": entry.label,
-                "location": [entry.location[0], entry.location[1]],
-                "leader": entry.leader,
-                "time": entry.updated,
-            } for entry in entries],
-        })
+        self.router.route_to_node(
+            query.reply_to, RESPONSE_KIND,
+            DirectoryResponse(query.query_id,
+                              tuple(self.entries_for(query.context_type))))
 
-    def _on_response(self, payload: Dict[str, Any], origin: int) -> None:
-        pending = self._pending_queries.pop(
-            payload.get("query_id"), None)
+    def _on_response(self, response: Any, origin: int) -> None:
+        if not isinstance(response, DirectoryResponse):
+            return
+        pending = self._pending_queries.pop(response.query_id, None)
         if pending is None:
             return  # already timed out (late response) or duplicate
         pending.cancel_timer()
         self.ops["response"] += 1
-        entries = []
-        for raw in payload.get("entries", []):
-            entry = self._store_parse(raw)
-            if entry is not None:
-                entries.append(entry)
-        pending.callback(entries)
-
-    @staticmethod
-    def _store_parse(raw: Dict[str, Any]) -> Optional[DirectoryEntry]:
-        try:
-            return DirectoryEntry(
-                label=raw["label"], context_type=raw["context_type"],
-                location=(float(raw["location"][0]),
-                          float(raw["location"][1])),
-                leader=int(raw["leader"]), updated=float(raw["time"]))
-        except (KeyError, TypeError, ValueError, IndexError):
-            return None
+        pending.callback(list(response.entries))
 
     def _expire(self) -> None:
         horizon = self.now - self.entry_ttl

@@ -10,7 +10,7 @@ small base class so every layer shares the same CPU/radio discipline.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
 from ..radio import BROADCAST, DEFAULT_FRAME_BITS, Frame
 from .mote import Mote
@@ -56,20 +56,21 @@ class Component:
         """Register a frame handler for ``kind`` on the host mote."""
         self.mote.register_handler(kind, handler)
 
-    def broadcast(self, kind: str, payload: Optional[Dict[str, Any]] = None,
+    def broadcast(self, kind: str, payload: Any = None,
                   size_bits: int = DEFAULT_FRAME_BITS,
                   tx_range: Optional[float] = None) -> None:
-        """Broadcast a frame from this component's mote."""
+        """Broadcast a frame carrying ``payload`` from this component's
+        mote; every receiver gets the same object."""
         self.mote.send(Frame(src=self.node_id, dst=BROADCAST, kind=kind,
-                             payload=payload or {}, size_bits=size_bits,
+                             payload=payload, size_bits=size_bits,
                              tx_range=tx_range))
 
-    def unicast(self, dst: int, kind: str,
-                payload: Optional[Dict[str, Any]] = None,
+    def unicast(self, dst: int, kind: str, payload: Any = None,
                 size_bits: int = DEFAULT_FRAME_BITS) -> None:
-        """Unicast a frame to ``dst`` from this component's mote."""
+        """Unicast a frame carrying ``payload`` to ``dst`` from this
+        component's mote."""
         self.mote.send(Frame(src=self.node_id, dst=dst, kind=kind,
-                             payload=payload or {}, size_bits=size_bits))
+                             payload=payload, size_bits=size_bits))
 
     # ------------------------------------------------------------------
     def record(self, category: str, **detail: Any) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional
 
 #: Broadcast destination sentinel.
 BROADCAST = -1
@@ -49,7 +49,8 @@ class Frame:
     kind:
         Protocol dispatch key (e.g. ``"heartbeat"``, ``"report"``, ``"mtp"``).
     payload:
-        Arbitrary protocol data; never inspected by the radio layer.
+        The protocol's message object, shared by every receiver; never
+        inspected (or serialized) by the radio layer.
     size_bits:
         On-air size used for airtime and utilization accounting.
     """
@@ -57,7 +58,7 @@ class Frame:
     src: int
     dst: int
     kind: str
-    payload: Dict[str, Any] = field(default_factory=dict)
+    payload: Any = None
     size_bits: int = DEFAULT_FRAME_BITS
     frame_id: int = field(default_factory=lambda: next(_frame_ids))
     sent_at: Optional[float] = None
@@ -69,11 +70,6 @@ class Frame:
     #: at send time, carried to receivers so handler spans chain to the
     #: sender's context; never serialized into trace records.
     span_id: Optional[int] = None
-    #: The payload decoded by a protocol layer, as ``(message class,
-    #: message)``: every receiver of a broadcast shares one decode (see
-    #: ``Heartbeat.of_frame``).  Never serialized into trace records.
-    decoded: Optional[Tuple[type, Any]] = field(default=None, init=False,
-                                                repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size_bits <= 0:

@@ -3,14 +3,16 @@
 from .mtp import (DEFAULT_CHAIN_LIMIT, DEFAULT_LOOKUP_EXPIRY,
                   DEFAULT_PENDING_LIMIT, Invocation, MTP_KIND, MtpAgent,
                   NEGATIVE_TTL, PortHandler)
-from .reliability import (ConnectionKey, DeadLetter, DeadLetterQueue,
-                          DedupTable, MTP_ACK_KIND, MTP_DEDUP_KIND,
-                          PendingTransmission, ReliabilityConfig,
-                          RELIABILITY_STREAM, SequenceCounters)
-from .routing import DEFAULT_TTL, GEO_KIND, GeoRouter
+from .reliability import (Ack, ConnectionKey, DeadLetter, DeadLetterQueue,
+                          DedupShare, DedupTable, MTP_ACK_KIND,
+                          MTP_DEDUP_KIND, PendingTransmission,
+                          ReliabilityConfig, RELIABILITY_STREAM,
+                          SequenceCounters)
+from .routing import DEFAULT_TTL, GEO_KIND, GeoRouter, Packet
 from .tables import LastKnownLeaderTable, LeaderPointer, NegativeCache
 
 __all__ = [
+    "Ack",
     "ConnectionKey",
     "DEFAULT_CHAIN_LIMIT",
     "DEFAULT_LOOKUP_EXPIRY",
@@ -18,6 +20,7 @@ __all__ = [
     "DEFAULT_TTL",
     "DeadLetter",
     "DeadLetterQueue",
+    "DedupShare",
     "DedupTable",
     "GEO_KIND",
     "GeoRouter",
@@ -30,6 +33,7 @@ __all__ = [
     "MtpAgent",
     "NEGATIVE_TTL",
     "NegativeCache",
+    "Packet",
     "PendingTransmission",
     "PortHandler",
     "ReliabilityConfig",

@@ -36,7 +36,7 @@ fleets interoperate.
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Tuple)
 
@@ -46,10 +46,11 @@ from ..telemetry.registry import Counter, RecordFamily, merged, summed
 
 if TYPE_CHECKING:  # avoid the naming↔transport import cycle at runtime
     from ..naming import DirectoryEntry, DirectoryService
-from .reliability import (ConnectionKey, DeadLetter, DeadLetterQueue,
-                          DedupTable, MTP_ACK_KIND, MTP_DEDUP_KIND,
-                          PendingTransmission, ReliabilityConfig,
-                          RELIABILITY_STREAM, SequenceCounters)
+from .reliability import (Ack, ConnectionKey, DeadLetter, DeadLetterQueue,
+                          DedupShare, DedupTable, MTP_ACK_KIND,
+                          MTP_DEDUP_KIND, PendingTransmission,
+                          ReliabilityConfig, RELIABILITY_STREAM,
+                          SequenceCounters)
 from .routing import GeoRouter
 from .tables import LastKnownLeaderTable, NegativeCache
 
@@ -104,9 +105,13 @@ BURST_SPACING = 0.05
 PortHandler = Callable[[Dict[str, Any], str, int, int], None]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Invocation:
-    """One remote method invocation in flight."""
+    """One remote method invocation in flight: the ``mtp.invoke`` message.
+
+    Immutable, so one object serves the outbox and every hop's frame;
+    forwarding and sequencing make a new one (``dataclasses.replace``).
+    """
 
     src_label: str
     src_port: int
@@ -122,40 +127,6 @@ class Invocation:
         """The §5.4 connection this invocation belongs to."""
         return (self.src_label, self.src_port,
                 self.dest_label, self.dest_port)
-
-    def to_payload(self) -> Dict[str, Any]:
-        payload = {
-            "src_label": self.src_label,
-            "src_port": self.src_port,
-            "src_leader": self.src_leader,
-            "dest_label": self.dest_label,
-            "dest_port": self.dest_port,
-            "args": self.args,
-            "chain": self.chain,
-        }
-        if self.seq is not None:
-            payload["seq"] = self.seq
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> Optional["Invocation"]:
-        try:
-            seq = payload.get("seq")
-            return cls(
-                src_label=payload["src_label"],
-                src_port=int(payload["src_port"]),
-                src_leader=int(payload["src_leader"]),
-                dest_label=payload["dest_label"],
-                dest_port=int(payload["dest_port"]),
-                args=dict(payload.get("args", {})),
-                # Clamp: a corrupted negative budget must exhaust, not
-                # grant unlimited forwarding via comparisons done wrong.
-                chain=max(0, int(payload.get("chain",
-                                             DEFAULT_CHAIN_LIMIT))),
-                seq=None if seq is None else int(seq),
-            )
-        except (KeyError, TypeError, ValueError):
-            return None
 
 
 class MtpAgent(Component):
@@ -204,15 +175,8 @@ class MtpAgent(Component):
         self._sequences = SequenceCounters()
         self._outbox: Dict[Tuple[ConnectionKey, int],
                            PendingTransmission] = {}
-        dedup_connections = 64 if reliability is None \
-            else reliability.dedup_connections
-        dedup_window = 128 if reliability is None \
-            else reliability.dedup_window
-        self._dedup = DedupTable(connections=dedup_connections,
-                                 window=dedup_window)
-        self.dead_letters = DeadLetterQueue(
-            capacity=64 if reliability is None
-            else reliability.dead_letter_capacity)
+        self._dedup = DedupTable()
+        self.dead_letters = DeadLetterQueue()
         self._negative = NegativeCache(ttl=NEGATIVE_TTL)
         self.delivered = 0
         self.forwarded = 0
@@ -284,7 +248,8 @@ class MtpAgent(Component):
             # vanish as an anonymous drop.  The retransmit timer is armed
             # on first transmission.
             conn = invocation.connection()
-            invocation.seq = self._sequences.next(conn)
+            invocation = replace(invocation,
+                                 seq=self._sequences.next(conn))
             self._outbox[(conn, invocation.seq)] = PendingTransmission(
                 invocation=invocation, conn=conn, seq=invocation.seq)
         if self._negative.fresh(dest_label, self.now):
@@ -384,7 +349,8 @@ class MtpAgent(Component):
         if self.reliability is not None:
             conn = invocation.connection()
             if invocation.seq is None:
-                invocation.seq = self._sequences.next(conn)
+                invocation = replace(invocation,
+                                     seq=self._sequences.next(conn))
             key = (conn, invocation.seq)
             pending = self._outbox.get(key)
             if pending is None:
@@ -392,7 +358,7 @@ class MtpAgent(Component):
                     invocation=invocation, conn=conn, seq=invocation.seq)
                 self._outbox[key] = pending
             self._arm_retransmit(pending)
-        self.router.route_to_node(node, MTP_KIND, invocation.to_payload())
+        self.router.route_to_node(node, MTP_KIND, invocation)
 
     # ------------------------------------------------------------------
     # Reliable delivery: retransmission, escalation, dead letters
@@ -428,7 +394,7 @@ class MtpAgent(Component):
                     attempt=pending.attempts, next=pointer.leader)
         self._arm_retransmit(pending)
         self.router.route_to_node(pointer.leader, MTP_KIND,
-                                  pending.invocation.to_payload())
+                                  pending.invocation)
 
     def _escalate(self, pending: PendingTransmission) -> None:
         """Retry budget exhausted: invalidate the stale pointer and fall
@@ -454,8 +420,7 @@ class MtpAgent(Component):
         self.dead_lettered += 1
         self.dropped += 1
         self.dead_letters.push(DeadLetter(
-            payload=pending.invocation.to_payload(), reason=reason,
-            time=self.now))
+            invocation=pending.invocation, reason=reason, time=self.now))
         self.record("dead_letter", dest=pending.invocation.dest_label,
                     seq=pending.seq, reason=reason)
 
@@ -473,9 +438,8 @@ class MtpAgent(Component):
     # ------------------------------------------------------------------
     # Receiving / forwarding
     # ------------------------------------------------------------------
-    def _on_invocation(self, payload: Dict[str, Any], origin: int) -> None:
-        invocation = Invocation.from_payload(payload)
-        if invocation is None:
+    def _on_invocation(self, invocation: Any, origin: int) -> None:
+        if not isinstance(invocation, Invocation):
             return
         # Header learning: remember the source's current leader.
         self.table.update(invocation.src_label, invocation.src_leader,
@@ -507,7 +471,9 @@ class MtpAgent(Component):
         self.delivered += 1
         self.record("deliver", dest=invocation.dest_label,
                     port=invocation.dest_port, src=invocation.src_label)
-        handler(invocation.args, invocation.src_label,
+        # Each delivery gets its own args: a handler that edits them
+        # cannot alter the sender's retransmissions.
+        handler(dict(invocation.args), invocation.src_label,
                 invocation.src_port, invocation.src_leader)
         if invocation.seq is not None:
             self._send_ack(invocation)
@@ -515,58 +481,35 @@ class MtpAgent(Component):
             # hence in radio range — pre-warming their tables lets a
             # successor leader suppress (and re-ack) a post-crash
             # redelivery instead of handing it to the application twice.
-            self.broadcast(MTP_DEDUP_KIND, {
-                "src_label": invocation.src_label,
-                "src_port": invocation.src_port,
-                "dest_label": invocation.dest_label,
-                "dest_port": invocation.dest_port,
-                "seq": invocation.seq,
-            })
+            self.broadcast(MTP_DEDUP_KIND,
+                           DedupShare(invocation.connection(),
+                                      invocation.seq))
 
     def _send_ack(self, invocation: Invocation) -> None:
         self.acks["sent"] += 1
-        self.router.route_to_node(invocation.src_leader, MTP_ACK_KIND, {
-            "src_label": invocation.src_label,
-            "src_port": invocation.src_port,
-            "dest_label": invocation.dest_label,
-            "dest_port": invocation.dest_port,
-            "seq": invocation.seq,
-            "acker": self.node_id,
-        })
+        self.router.route_to_node(
+            invocation.src_leader, MTP_ACK_KIND,
+            Ack(invocation.connection(), invocation.seq, self.node_id))
 
     def _on_dedup_share(self, frame) -> None:
-        payload = frame.payload
-        try:
-            conn: ConnectionKey = (payload["src_label"],
-                                   int(payload["src_port"]),
-                                   payload["dest_label"],
-                                   int(payload["dest_port"]))
-            seq = int(payload["seq"])
-        except (KeyError, TypeError, ValueError):
-            return
-        self._dedup.mark(conn, seq)
+        share = frame.payload
+        if isinstance(share, DedupShare):
+            self._dedup.mark(share.conn, share.seq)
 
-    def _on_ack(self, payload: Dict[str, Any], origin: int) -> None:
-        try:
-            conn: ConnectionKey = (payload["src_label"],
-                                   int(payload["src_port"]),
-                                   payload["dest_label"],
-                                   int(payload["dest_port"]))
-            seq = int(payload["seq"])
-            acker = int(payload.get("acker", -1))
-        except (KeyError, TypeError, ValueError):
+    def _on_ack(self, ack: Any, origin: int) -> None:
+        if not isinstance(ack, Ack):
             return
         self.acks["received"] += 1
-        if acker >= 0:
-            # The acker delivered to the handler, so it leads the
-            # destination label *now* — fresher than any pointer.
-            self.table.update(conn[2], acker, self.now)
-        pending = self._outbox.pop((conn, seq), None)
+        dest_label = ack.conn[2]
+        # The acker delivered to the handler, so it leads the destination
+        # label *now* — fresher than any pointer.
+        self.table.update(dest_label, ack.acker, self.now)
+        pending = self._outbox.pop((ack.conn, ack.seq), None)
         if pending is None:
             return  # duplicate ack (retransmission crossed the first ack)
         pending.cancel_timer()
         self.acked += 1
-        self.record("ack", dest=conn[2], seq=seq, acker=acker)
+        self.record("ack", dest=dest_label, seq=ack.seq, acker=ack.acker)
 
     def _forward(self, invocation: Invocation) -> None:
         """Past-leader forwarding: push the message one pointer closer to
@@ -587,19 +530,18 @@ class MtpAgent(Component):
             self.record("drop", reason="no_pointer",
                         dest=invocation.dest_label)
             return
-        invocation.chain -= 1
         self.forwarded += 1
         self.record("forward", dest=invocation.dest_label,
                     next=pointer.leader)
-        self.router.route_to_node(pointer.leader, MTP_KIND,
-                                  invocation.to_payload())
+        self.router.route_to_node(
+            pointer.leader, MTP_KIND,
+            replace(invocation, chain=invocation.chain - 1))
 
     # ------------------------------------------------------------------
     def _on_heartbeat(self, frame) -> None:
-        beat = Heartbeat.of_frame(frame)
-        if beat is None:
-            return
-        self.table.update(beat.label, beat.leader, self.now)
+        beat = frame.payload
+        if isinstance(beat, Heartbeat):
+            self.table.update(beat.label, beat.leader, self.now)
 
     def _on_reboot(self) -> None:
         """Power cycle: wipe every piece of volatile transport state."""

@@ -61,6 +61,35 @@ RELIABILITY_STREAM = "mtp.reliability"
 #: (src_label, src_port, dest_label, dest_port) — §5.4's connection id.
 ConnectionKey = Tuple[str, int, str, int]
 
+#: Multiplier applied to the retransmit timeout per retransmission.
+BACKOFF_FACTOR = 2.0
+
+#: Receiver-side dedup memory: connections remembered (LRU), and
+#: sequence numbers remembered per connection.
+DEDUP_CONNECTIONS = 64
+DEDUP_WINDOW = 128
+
+#: Dead letters retained per agent (oldest evicted first).
+DEAD_LETTER_CAPACITY = 64
+
+
+@dataclass(frozen=True, slots=True)
+class Ack:
+    """The ``mtp.ack`` message: ``acker`` delivered ``(conn, seq)``."""
+
+    conn: ConnectionKey
+    seq: int
+    acker: int
+
+
+@dataclass(frozen=True, slots=True)
+class DedupShare:
+    """The ``mtp.dedup`` message: a neighbor leader delivered
+    ``(conn, seq)``; remember it without counting a duplicate."""
+
+    conn: ConnectionKey
+    seq: int
+
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -75,9 +104,8 @@ class ReliabilityConfig:
     ----------
     ack_timeout:
         Initial retransmit timeout (seconds) — the time the sender waits
-        for an ack before the first retransmission.
-    backoff_factor:
-        Multiplier applied to the timeout per retransmission.
+        for an ack before the first retransmission; each retransmission
+        multiplies it by :data:`BACKOFF_FACTOR`.
     jitter:
         Each armed timeout is scaled by ``1 + jitter * u`` with ``u``
         uniform in [-1, 1] from the sim's ``mtp.reliability`` stream;
@@ -88,40 +116,26 @@ class ReliabilityConfig:
         How many times retry exhaustion may invalidate the last-known
         -leader pointer and fall back to a fresh directory lookup before
         the message dead-letters.
-    dedup_connections / dedup_window:
-        Receiver-side dedup memory: LRU connection count, and remembered
-        sequence numbers per connection.
-    dead_letter_capacity:
-        Bounded dead-letter queue length (oldest evicted first).
+
+    The dedup memory and the dead-letter queue have fixed sizes
+    (:data:`DEDUP_CONNECTIONS`, :data:`DEDUP_WINDOW`,
+    :data:`DEAD_LETTER_CAPACITY`).
     """
 
     ack_timeout: float = 0.5
-    backoff_factor: float = 2.0
     jitter: float = 0.1
     max_retries: int = 4
     max_escalations: int = 1
-    dedup_connections: int = 64
-    dedup_window: int = 128
-    dead_letter_capacity: int = 64
 
     def __post_init__(self) -> None:
         _require(self.ack_timeout > 0,
                  f"ack_timeout must be positive: {self.ack_timeout}")
-        _require(self.backoff_factor >= 1.0,
-                 f"backoff_factor must be >= 1: {self.backoff_factor}")
         _require(0.0 <= self.jitter < 1.0,
                  f"jitter must be in [0, 1): {self.jitter}")
         _require(self.max_retries >= 0,
                  f"max_retries must be >= 0: {self.max_retries}")
         _require(self.max_escalations >= 0,
                  f"max_escalations must be >= 0: {self.max_escalations}")
-        _require(self.dedup_connections >= 1,
-                 f"dedup_connections must be >= 1: {self.dedup_connections}")
-        _require(self.dedup_window >= 1,
-                 f"dedup_window must be >= 1: {self.dedup_window}")
-        _require(self.dead_letter_capacity >= 1,
-                 f"dead_letter_capacity must be >= 1: "
-                 f"{self.dead_letter_capacity}")
 
     def retry_delay(self, attempt: int, rng: random.Random) -> float:
         """Backoff delay before retransmission number ``attempt + 1``.
@@ -129,7 +143,7 @@ class ReliabilityConfig:
         Deterministic given the stream state: the jitter draw is the only
         randomness, and it comes from the caller's seeded stream.
         """
-        base = self.ack_timeout * self.backoff_factor ** attempt
+        base = self.ack_timeout * BACKOFF_FACTOR ** attempt
         if self.jitter <= 0.0:
             return base
         return base * (1.0 + self.jitter * rng.uniform(-1.0, 1.0))
@@ -162,7 +176,8 @@ class DedupTable:
     handler delivery is at-most-once while the pair stays in memory.
     """
 
-    def __init__(self, connections: int = 64, window: int = 128) -> None:
+    def __init__(self, connections: int = DEDUP_CONNECTIONS,
+                 window: int = DEDUP_WINDOW) -> None:
         _require(connections >= 1,
                  f"connections must be >= 1: {connections}")
         _require(window >= 1, f"window must be >= 1: {window}")
@@ -221,7 +236,7 @@ class DedupTable:
 class DeadLetter:
     """One undeliverable invocation, kept for post-mortem inspection."""
 
-    payload: Dict[str, Any]
+    invocation: Any  # transport.mtp.Invocation (import cycle avoided)
     reason: str
     time: float
 
@@ -230,7 +245,7 @@ class DeadLetterQueue:
     """Bounded FIFO of the latest dead letters.  Every dead letter, with
     its reason, is also an ``mtp.dead_letter`` trace record."""
 
-    def __init__(self, capacity: int = 64) -> None:
+    def __init__(self, capacity: int = DEAD_LETTER_CAPACITY) -> None:
         _require(capacity >= 1, f"capacity must be >= 1: {capacity}")
         self._letters: Deque[DeadLetter] = deque(maxlen=capacity)
 

@@ -15,18 +15,36 @@ target coordinate.  Voids in sparse random deployments surface as recorded
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..node import Component, Mote
 from ..radio import distance
 
 Position = Tuple[float, float]
-DeliveryHandler = Callable[[Dict[str, Any], int], None]
+DeliveryHandler = Callable[[Any, int], None]
 
 GEO_KIND = "geo.data"
 
 #: Safety valve against forwarding loops from stale position data.
 DEFAULT_TTL = 64
+
+
+@dataclass(frozen=True, slots=True)
+class Packet:
+    """The ``geo.data`` message: an upper-layer message on its way to
+    ``dest`` (or to the node ``dest_node``, located at ``dest``).
+
+    Each hop forwards a copy with one less ``ttl``; ``inner`` is shared
+    by every hop and handed to the delivery handler as is.
+    """
+
+    dest: Position
+    origin: int
+    inner_kind: str
+    inner: Any
+    ttl: int
+    dest_node: Optional[int] = None
 
 
 class GeoRouter(Component):
@@ -56,31 +74,26 @@ class GeoRouter(Component):
                           handler: DeliveryHandler) -> None:
         """Register the upper-layer handler for ``inner_kind`` payloads.
 
-        The handler receives ``(inner_payload, origin_node_id)``.
+        The handler receives ``(inner_payload, origin_node_id)``: the
+        message object the origin routed, which it must type-check.
         """
         if inner_kind in self._handlers:
             raise ValueError(f"delivery handler for {inner_kind!r} exists")
         self._handlers[inner_kind] = handler
 
     def route_to_point(self, dest: Position, inner_kind: str,
-                       inner_payload: Dict[str, Any],
+                       inner_payload: Any,
                        ttl: int = DEFAULT_TTL) -> None:
         """Send a payload toward a field coordinate.
 
         Delivery happens at the node closest to ``dest`` (the "directory
         object" semantics of §5.3: nodes near the hashed coordinate).
         """
-        packet = {
-            "dest": [dest[0], dest[1]],
-            "origin": self.node_id,
-            "inner_kind": inner_kind,
-            "inner": inner_payload,
-            "ttl": ttl,
-        }
-        self._step(packet)
+        self._step(Packet(dest, self.node_id, inner_kind, inner_payload,
+                          ttl))
 
     def route_to_node(self, dest_node: int, inner_kind: str,
-                      inner_payload: Dict[str, Any],
+                      inner_payload: Any,
                       ttl: int = DEFAULT_TTL) -> None:
         """Send a payload to a specific node, routing by its position.
 
@@ -93,37 +106,27 @@ class GeoRouter(Component):
             self.dead_ends += 1
             self.record("dead_end", reason="unknown_node", dest=dest_node)
             return
-        packet = {
-            "dest": [dest[0], dest[1]],
-            "dest_node": dest_node,
-            "origin": self.node_id,
-            "inner_kind": inner_kind,
-            "inner": inner_payload,
-            "ttl": ttl,
-        }
-        self._step(packet)
+        self._step(Packet(dest, self.node_id, inner_kind, inner_payload,
+                          ttl, dest_node))
 
     # ------------------------------------------------------------------
     def _on_frame(self, frame) -> None:
         packet = frame.payload
-        if not isinstance(packet, dict) or "dest" not in packet:
-            return
-        self._step(packet)
+        if isinstance(packet, Packet):
+            self._step(packet)
 
-    def _step(self, packet: Dict[str, Any]) -> None:
-        dest = (float(packet["dest"][0]), float(packet["dest"][1]))
-        dest_node = packet.get("dest_node")
+    def _step(self, packet: Packet) -> None:
+        dest_node = packet.dest_node
         if dest_node == self.node_id:
             self._deliver(packet)
             return
-        ttl = int(packet.get("ttl", 0))
-        if ttl <= 0:
+        if packet.ttl <= 0:
             self.dead_ends += 1
             self.record("dead_end", reason="ttl")
             return
-        next_hop = self._closest_neighbor(dest)
+        next_hop = self._closest_neighbor(packet.dest)
         if next_hop is None:
-            if dest_node is not None and dest_node != self.node_id:
+            if dest_node is not None:
                 # The addressed node is unreachable/gone; point delivery
                 # semantics do not apply to explicit unicast.
                 self.dead_ends += 1
@@ -132,10 +135,8 @@ class GeoRouter(Component):
                 return
             self._deliver(packet)
             return
-        packet = dict(packet)
-        packet["ttl"] = ttl - 1
         self.forwarded += 1
-        self.unicast(next_hop, GEO_KIND, packet)
+        self.unicast(next_hop, GEO_KIND, replace(packet, ttl=packet.ttl - 1))
 
     def _closest_neighbor(self, dest: Position) -> Optional[int]:
         """The neighbor strictly closer to ``dest`` than this node and
@@ -161,10 +162,10 @@ class GeoRouter(Component):
             self._next_hops[dest] = best_id
         return best_id
 
-    def _deliver(self, packet: Dict[str, Any]) -> None:
-        handler = self._handlers.get(packet.get("inner_kind", ""))
+    def _deliver(self, packet: Packet) -> None:
+        handler = self._handlers.get(packet.inner_kind)
         if handler is None:
-            self.record("undeliverable", kind=packet.get("inner_kind"))
+            self.record("undeliverable", kind=packet.inner_kind)
             return
         self.delivered += 1
-        handler(packet.get("inner", {}), int(packet.get("origin", -1)))
+        handler(packet.inner, packet.origin)

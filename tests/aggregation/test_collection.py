@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.aggregation import (AggregateVarSpec, build_report, parse_report,
-                               report_period, sample_readings)
+from repro.aggregation import AggregateVarSpec, report_period, sample_readings
 from repro.node import Mote
 from repro.radio import Medium
 from repro.sim import Simulator
@@ -29,27 +28,6 @@ class TestReportPeriod:
     def test_empty_specs_rejected(self):
         with pytest.raises(ValueError):
             report_period([], 0.1)
-
-
-class TestReportPayloads:
-    def test_round_trip(self):
-        payload = build_report("tracker", "tracker#1.1", 7, 3.5,
-                               {"location": (1.0, 2.0)})
-        parsed = parse_report(payload)
-        assert parsed is not None
-        assert parsed["sender"] == 7
-        assert parsed["readings"]["location"] == (1.0, 2.0)
-
-    @pytest.mark.parametrize("mutation", [
-        lambda p: p.pop("type"),
-        lambda p: p.pop("label"),
-        lambda p: p.pop("readings"),
-        lambda p: p.update(readings="not-a-dict"),
-    ])
-    def test_malformed_payloads_rejected(self, mutation):
-        payload = build_report("tracker", "l", 1, 0.0, {"v": 1})
-        mutation(payload)
-        assert parse_report(payload) is None
 
 
 class TestSampleReadings:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import BaseStation, ContextTypeDef, EnviroTrackApp
+from repro.core import AppReport, BaseStation, ContextTypeDef, EnviroTrackApp
 from repro.core.base_station import APP_REPORT_KIND
 from repro.node import Mote
 from repro.radio import Frame, Medium
@@ -18,11 +18,11 @@ def make_station():
 
 
 def send_report(sim, sender, label="tracker#1.1", **values):
-    payload = dict(values)
-    payload.update(label=label, context_type="tracker",
-                   reported_at=sim.now, reporter=sender.node_id)
+    report = AppReport(label=label, context_type="tracker",
+                       reporter=sender.node_id, reported_at=sim.now,
+                       values=values)
     sender.send(Frame(src=sender.node_id, dst=0, kind=APP_REPORT_KIND,
-                      payload=payload))
+                      payload=report))
     sim.run(until=sim.now + 1.0)
 
 

@@ -200,6 +200,29 @@ def test_base_station_reports_via_router():
     assert len(record.values["location"]) == 2
 
 
+def test_values_named_like_the_envelope_reach_the_base_station():
+    # A reported value may be called label, context_type, reporter or
+    # reported_at: the report keeps the values apart from its envelope.
+    values = {"label": "mine", "context_type": "mine", "reporter": "alpha",
+              "reported_at": -1.0}
+
+    def report(ctx):
+        ctx.my_send(values)
+
+    definition = tracker_def(objects=[TrackingObjectDef("o", [
+        MethodDef("report", TimerInvocation(2.0), report)])])
+    app = build_app([definition])
+    base = app.place_base_station((0.0, -2.0))
+    app.run(until=10.0)
+    assert base.reports
+    for record in base.reports:
+        assert record.values == values
+        assert record.label.startswith("tracker#")
+        assert record.context_type == "tracker"
+        assert record.reporter in app.agents
+        assert 0.0 < record.reported_at <= record.received_at
+
+
 def test_duplicate_context_type_rejected():
     app = build_app([tracker_def()])
     with pytest.raises(ValueError):

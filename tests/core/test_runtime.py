@@ -4,6 +4,7 @@ import pytest
 
 from repro.aggregation import (AggregateStore, AggregateVarSpec,
                                default_registry)
+from repro.core import AppReport
 from repro.core.runtime import ObjectContext
 from repro.telemetry import MetricsRegistry
 
@@ -54,8 +55,9 @@ def test_read_null_and_valid():
 def test_my_send_attaches_label_and_type():
     ctx, _, sent, *_ = make_ctx()
     ctx.my_send({"location": (1.0, 1.0), "speed": 3})
-    assert sent == [{"location": (1.0, 1.0), "speed": 3,
-                     "label": "tracker#4.2", "context_type": "tracker"}]
+    assert sent == [AppReport(label="tracker#4.2", context_type="tracker",
+                              reporter=4, reported_at=5.0,
+                              values={"location": (1.0, 1.0), "speed": 3})]
 
 
 def test_invoke_passthrough():

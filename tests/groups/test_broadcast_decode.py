@@ -1,4 +1,4 @@
-"""One heartbeat decode per broadcast, shared by every receiver, and the
+"""One heartbeat object per broadcast, shared by every receiver, and the
 handler span tree that frames the receptions."""
 
 import dataclasses
@@ -45,57 +45,41 @@ class Net:
             self.mtp[i] = agent
 
 
-@pytest.fixture
-def parse_calls(monkeypatch):
-    calls = []
-    original = Heartbeat.from_payload.__func__
-
-    def counting(cls, payload):
-        calls.append(payload)
-        return original(cls, payload)
-
-    monkeypatch.setattr(Heartbeat, "from_payload", classmethod(counting))
-    return calls
-
-
-def test_heartbeat_heard_by_many_is_parsed_once(parse_calls):
+def test_every_receiver_shares_the_sent_heartbeat():
     net = Net()
+    leader = net.groups[3]
+    send = leader.broadcast
+    sent = []
+
+    def spy(kind, payload=None, **kwargs):
+        if kind == HEARTBEAT_KIND:
+            sent.append(payload)
+        send(kind, payload, **kwargs)
+
+    leader.broadcast = spy
+    heard = []
+    for mote in net.field.motes.values():
+        mote.register_handler(HEARTBEAT_KIND,
+                              lambda frame: heard.append(frame.payload))
     net.sensing = {3}
     net.sim.run(until=3.0)
-    stats = net.field.medium.stats
-    sent = stats.sent_by_kind[HEARTBEAT_KIND]
-    received = stats.received_by_kind[HEARTBEAT_KIND]
-    assert sent >= 3
-    # Every copy reaches the other seven motes, and two handlers on each
-    # read it, yet the payload is parsed once per frame.
-    assert received == sent * 7
-    assert len(parse_calls) == sent
+    assert len(sent) >= 3
+    assert all(isinstance(beat, Heartbeat) for beat in sent)
+    # Every copy reaches the other seven motes, and each of them gets
+    # the very object the leader sent, not a copy.
+    assert len(heard) == len(sent) * 7
+    for beat in sent:
+        assert sum(payload is beat for payload in heard) == 7
 
 
 def test_shared_heartbeat_is_immutable():
-    frame = Frame(src=1, dst=BROADCAST, kind=HEARTBEAT_KIND,
-                  payload=Heartbeat(context_type="t", label="t#1.1",
-                                    leader=1, weight=2,
-                                    seq=1).to_payload())
-    beat = Heartbeat.of_frame(frame)
-    assert Heartbeat.of_frame(frame) is beat
+    beat = Heartbeat(context_type="t", label="t#1.1", leader=1, weight=2,
+                     seq=1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         beat.weight = 99
 
 
-def test_decoded_message_stays_out_of_repr_and_equality():
-    payload = {"context_type": "t", "label": "t#1.1", "leader": 1,
-               "weight": 2, "seq": 1}
-    a = Frame(src=1, dst=BROADCAST, kind=HEARTBEAT_KIND, payload=payload,
-              frame_id=5)
-    b = Frame(src=1, dst=BROADCAST, kind=HEARTBEAT_KIND, payload=payload,
-              frame_id=5)
-    Heartbeat.of_frame(a)
-    assert a == b
-    assert repr(a) == repr(b)
-
-
-def test_malformed_heartbeat_ignored_by_both_handlers(parse_calls):
+def test_malformed_heartbeat_ignored_by_both_handlers():
     net = Net(count=4)
     net.sim.run(until=0.5)
     sender = net.field.motes[0]
@@ -104,7 +88,6 @@ def test_malformed_heartbeat_ignored_by_both_handlers(parse_calls):
                                "leader": "not-a-number"}))
     net.sim.run(until=1.5)
     assert net.field.medium.stats.received_by_kind[HEARTBEAT_KIND] == 3
-    assert len(parse_calls) == 1
     for node in (1, 2, 3):
         assert net.groups[node].role("tracker") is Role.IDLE
         assert len(net.mtp[node].table) == 0

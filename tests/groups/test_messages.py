@@ -1,6 +1,6 @@
-"""Unit tests for group-management messages and label identity."""
+"""Unit tests for context-label identity."""
 
-from repro.groups import Heartbeat, Relinquish, label_type, mint_label
+from repro.groups import label_type, mint_label
 
 
 class TestLabels:
@@ -19,50 +19,3 @@ class TestLabels:
 
     def test_label_type_tolerates_plain_strings(self):
         assert label_type("noseparator") == "noseparator"
-
-
-class TestHeartbeat:
-    def make(self, **overrides):
-        fields = dict(context_type="tracker", label="tracker#1.1",
-                      leader=1, weight=5, seq=7,
-                      state={"count": 2}, hops=1,
-                      leader_pos=(3.0, 4.0))
-        fields.update(overrides)
-        return Heartbeat(**fields)
-
-    def test_round_trip(self):
-        original = self.make()
-        parsed = Heartbeat.from_payload(original.to_payload())
-        assert parsed == original
-
-    def test_none_state_and_pos_round_trip(self):
-        original = self.make(state=None, leader_pos=None)
-        parsed = Heartbeat.from_payload(original.to_payload())
-        assert parsed.state is None
-        assert parsed.leader_pos is None
-
-    def test_malformed_payloads_return_none(self):
-        for payload in ({}, {"context_type": "t"},
-                        {"context_type": "t", "label": "l",
-                         "leader": "NaN?", "weight": [], "seq": {}},
-                        {"context_type": "t", "label": "l", "leader": 1,
-                         "weight": 0, "seq": 1, "leader_pos": "oops"}):
-            assert Heartbeat.from_payload(payload) is None
-
-    def test_forwarded_by_preserved(self):
-        beat = self.make(forwarded_by=9)
-        assert Heartbeat.from_payload(beat.to_payload()).forwarded_by == 9
-
-
-class TestRelinquish:
-    def test_round_trip(self):
-        original = Relinquish(context_type="tracker", label="tracker#1.1",
-                              leader=4, weight=12, state={"x": 1})
-        parsed = Relinquish.from_payload(original.to_payload())
-        assert parsed == original
-
-    def test_malformed_rejected(self):
-        assert Relinquish.from_payload({"label": "l"}) is None
-        assert Relinquish.from_payload(
-            {"context_type": "t", "label": "l", "leader": None,
-             "weight": 1}) is None

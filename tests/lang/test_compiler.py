@@ -153,7 +153,7 @@ class TestBodies:
         method = definition.objects[0].methods[0]
         method.body(ctx)
         assert len(sent) == 1
-        assert sent[0]["location"] == (2.0, 3.0)
+        assert sent[0].values["location"] == (2.0, 3.0)
 
     def test_if_statement_and_assignment(self):
         source = """

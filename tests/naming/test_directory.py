@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.naming import DirectoryService, FieldBounds
+from repro.naming import DirectoryEntry, DirectoryService, FieldBounds
 from repro.naming.directory import REPLICATE_KIND
 from repro.radio import distance
 from repro.sensing import SensorField
@@ -125,10 +125,10 @@ def test_stale_registration_rejected():
     # overwrite the newer entry (the `updated` timestamp arbitrates).
     sim, field, services = build()
     service = services[0]
-    fresh = {"label": "car#1.1", "context_type": "car",
-             "location": [2.0, 1.0], "leader": 9, "time": 10.0}
-    stale = {"label": "car#1.1", "context_type": "car",
-             "location": [0.0, 0.0], "leader": 1, "time": 4.0}
+    fresh = DirectoryEntry(label="car#1.1", context_type="car",
+                           location=(2.0, 1.0), leader=9, updated=10.0)
+    stale = DirectoryEntry(label="car#1.1", context_type="car",
+                           location=(0.0, 0.0), leader=1, updated=4.0)
     status, entry = service._store(fresh)
     assert status == "stored" and entry.leader == 9
     status, kept = service._store(stale)
@@ -228,10 +228,10 @@ def test_stale_register_not_rebroadcast():
     service = services[0]
     replicated = []
     service.broadcast = lambda kind, payload: replicated.append(kind)
-    fresh = {"label": "car#1.1", "context_type": "car",
-             "location": [2.0, 1.0], "leader": 9, "time": 10.0}
-    stale = {"label": "car#1.1", "context_type": "car",
-             "location": [0.0, 0.0], "leader": 1, "time": 4.0}
+    fresh = DirectoryEntry(label="car#1.1", context_type="car",
+                           location=(2.0, 1.0), leader=9, updated=10.0)
+    stale = DirectoryEntry(label="car#1.1", context_type="car",
+                           location=(0.0, 0.0), leader=1, updated=4.0)
     service._on_register(fresh, origin=9)
     service._on_register(stale, origin=1)
     assert replicated == [REPLICATE_KIND]  # only the fresh one went out

@@ -18,20 +18,16 @@ from repro.transport import (DeadLetter, DeadLetterQueue, DedupTable,
 # Pure-state primitives
 # ----------------------------------------------------------------------
 def test_reliability_config_rejects_bad_knobs():
-    for kwargs in ({"ack_timeout": 0.0}, {"backoff_factor": 0.5},
+    for kwargs in ({"ack_timeout": 0.0},
                    {"jitter": 1.0}, {"jitter": -0.1},
-                   {"max_retries": -1}, {"max_escalations": -1},
-                   {"dedup_connections": 0}, {"dedup_window": 0},
-                   {"dead_letter_capacity": 0}):
+                   {"max_retries": -1}, {"max_escalations": -1}):
         with pytest.raises(ValueError):
             ReliabilityConfig(**kwargs)
 
 
 def test_retry_delay_backoff_and_determinism():
-    config = ReliabilityConfig(ack_timeout=0.5, backoff_factor=2.0,
-                               jitter=0.1)
-    no_jitter = ReliabilityConfig(ack_timeout=0.5, backoff_factor=2.0,
-                                  jitter=0.0)
+    config = ReliabilityConfig(ack_timeout=0.5, jitter=0.1)
+    no_jitter = ReliabilityConfig(ack_timeout=0.5, jitter=0.0)
     rng = random.Random(7)
     assert no_jitter.retry_delay(0, rng) == 0.5
     assert no_jitter.retry_delay(2, rng) == 2.0
@@ -87,9 +83,10 @@ def test_dedup_mark_prewarms_without_counting():
 def test_dead_letter_queue_bounded_with_reason_counts():
     queue = DeadLetterQueue(capacity=2)
     for i in range(3):
-        queue.push(DeadLetter(payload={"n": i}, reason="retry_exhausted",
+        queue.push(DeadLetter(invocation=None, reason="retry_exhausted",
                               time=float(i)))
-    queue.push(DeadLetter(payload={}, reason="unknown_label", time=9.0))
+    queue.push(DeadLetter(invocation=None, reason="unknown_label",
+                          time=9.0))
     assert len(queue) == 2  # oldest evicted
     assert [(letter.reason, letter.time) for letter in queue.letters()] \
         == [("retry_exhausted", 2.0), ("unknown_label", 9.0)]
@@ -219,14 +216,10 @@ def test_duplicate_deliveries_suppressed_and_reacked():
     sender = net.mtp[alpha_leader]
     invocation = Invocation(
         src_label=alpha_label, src_port=0, src_leader=alpha_leader,
-        dest_label=beta_label, dest_port=5, args={"ping": 1})
+        dest_label=beta_label, dest_port=5, args={"ping": 1}, seq=1)
     sender._transmit(beta_leader, invocation)
     net.run(3.0)
-    replay = Invocation(
-        src_label=alpha_label, src_port=0, src_leader=alpha_leader,
-        dest_label=beta_label, dest_port=5, args={"ping": 1},
-        seq=invocation.seq)
-    sender._transmit(beta_leader, replay)
+    sender._transmit(beta_leader, invocation)
     net.run(3.0)
     assert received == [{"ping": 1}]  # handler ran exactly once
     assert net.mtp[beta_leader].duplicates == 1
@@ -264,7 +257,7 @@ def test_retry_exhaustion_escalates_then_dead_letters():
     assert not sender._outbox
     letters = sender.dead_letters.letters()
     assert [letter.reason for letter in letters] == ["retry_exhausted"]
-    assert letters[0].payload["dest_label"] == "beta#9.9"
+    assert letters[0].invocation.dest_label == "beta#9.9"
     # Escalation ran: the stale pointer was evicted along the way.
     assert sender.table.peek("beta#9.9") is None
 
@@ -372,11 +365,18 @@ def test_forward_evicts_useless_self_pointer():
 
 
 def test_negative_chain_budget_clamped_on_parse():
-    invocation = Invocation.from_payload({
-        "src_label": "x#1.1", "src_port": 0, "src_leader": 0,
-        "dest_label": "y#1.1", "dest_port": 1, "args": {}, "chain": -7})
-    assert invocation is not None
-    assert invocation.chain == 0  # exhausted, not unlimited
+    # A negative forwarding budget is exhausted, never unlimited.
+    net = Net()
+    agent = net.mtp[5]
+    agent.table.update("y#1.1", 6, net.sim.now)  # a usable pointer
+    invocation = Invocation(src_label="x#1.1", src_port=0, src_leader=0,
+                            dest_label="y#1.1", dest_port=1, args={},
+                            chain=-7)
+    agent._forward(invocation)
+    assert agent.forwarded == 0
+    assert agent.dropped == 1
+    (drop,) = net.sim.trace_records("mtp.drop")
+    assert drop.detail["reason"] == "chain_exhausted"
 
 
 def test_reboot_wipes_reliable_transport_state():
