@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import collections
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Tuple
 
 from ..node import Component, Mote
 from ..radio import distance
+from ..sim import TimerHandle
 from ..telemetry.registry import Counter, summed
 from ..transport.routing import GeoRouter
 from .geohash import FieldBounds, hash_to_coordinate
@@ -55,13 +57,9 @@ class _PendingLookup:
 
     context_type: str
     callback: Callable[[List["DirectoryEntry"]], None]
+    #: The per-attempt timeout, armed on each query attempt.
+    timer: TimerHandle
     attempts: int = 0
-    event: Any = None  # the armed timeout event, cancellable
-
-    def cancel_timer(self) -> None:
-        if self.event is not None:
-            self.event.cancel()
-            self.event = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,6 +135,9 @@ class DirectoryService(Component):
     lookup_retries:
         Extra query attempts after the first timeout; once exhausted the
         callback fires with ``[]`` and the pending entry is collected.
+
+    A crash drops the mote's pending lookups, with their timeouts and
+    without calling back: nobody is left waiting for the answers.
     """
 
     name = "dir"
@@ -167,7 +168,7 @@ class DirectoryService(Component):
         #: Operations that write no trace record, by kind: ``register``,
         #: ``lookup``, ``query_answered`` and ``response``.
         self.ops: "collections.Counter[str]" = collections.Counter()
-        #: Lookup attempts that timed out, a dead client's included.
+        #: Lookup attempts that timed out.
         self.lookup_timeouts = 0
         metrics = self.sim.metrics
         metrics.view(Counter, "repro_directory_ops_total",
@@ -182,6 +183,7 @@ class DirectoryService(Component):
         self.router.register_delivery(QUERY_KIND, self._on_query)
         self.router.register_delivery(RESPONSE_KIND, self._on_response)
         self.handle(REPLICATE_KIND, self._on_replicate_frame)
+        self.mote.add_fail_hook(self._on_fail)
 
     # ------------------------------------------------------------------
     # Client side
@@ -213,8 +215,11 @@ class DirectoryService(Component):
         and retry budget are spent, so callers never leak."""
         self._query_seq += 1
         query_id = self._query_seq
-        pending = _PendingLookup(context_type=context_type,
-                                 callback=callback)
+        pending = _PendingLookup(
+            context_type=context_type, callback=callback,
+            timer=self.sim.timers.create(
+                partial(self._on_lookup_timeout, query_id),
+                label=f"dir.lookup_timeout@{self.node_id}"))
         self._pending_queries[query_id] = pending
         self.ops["lookup"] += 1
         self._send_query(query_id, pending)
@@ -222,9 +227,7 @@ class DirectoryService(Component):
     def _send_query(self, query_id: int, pending: _PendingLookup) -> None:
         """Route one query attempt and arm its timeout."""
         context_type = pending.context_type
-        pending.event = self.sim.schedule(
-            self.lookup_timeout, self._on_lookup_timeout, query_id,
-            label=f"dir.lookup_timeout@{self.node_id}")
+        self.sim.timers.arm(pending.timer, self.lookup_timeout)
         # Named span: the query frame, its routed hops, the directory
         # node's handler and the response all become children, so
         # ``spans.find("dir.lookup")`` + ``TraceQuery.span()`` reads a
@@ -236,15 +239,10 @@ class DirectoryService(Component):
                 DirectoryQuery(context_type, query_id, self.node_id))
 
     def _on_lookup_timeout(self, query_id: int) -> None:
-        pending = self._pending_queries.get(query_id)
-        if pending is None:
-            return
-        pending.event = None
+        # A response or a crash cancels the timeout, so the lookup is
+        # still pending.
+        pending = self._pending_queries[query_id]
         self.lookup_timeouts += 1
-        if not self.mote.alive:
-            # Dead client: nobody is waiting; just collect the entry.
-            del self._pending_queries[query_id]
-            return
         if pending.attempts < self.lookup_retries:
             pending.attempts += 1
             self.record("lookup_retry", type=pending.context_type,
@@ -255,6 +253,12 @@ class DirectoryService(Component):
         self.record("lookup_timeout", type=pending.context_type,
                     query=query_id)
         pending.callback([])
+
+    def _on_fail(self) -> None:
+        """Crash: drop the pending lookups and stop their timeouts."""
+        for pending in self._pending_queries.values():
+            self.sim.timers.cancel(pending.timer)
+        self._pending_queries.clear()
 
     # ------------------------------------------------------------------
     # Directory-object side
@@ -319,7 +323,7 @@ class DirectoryService(Component):
         pending = self._pending_queries.pop(response.query_id, None)
         if pending is None:
             return  # already timed out (late response) or duplicate
-        pending.cancel_timer()
+        self.sim.timers.cancel(pending.timer)
         self.ops["response"] += 1
         pending.callback(list(response.entries))
 

@@ -176,8 +176,9 @@ class Cpu:
         self._busy = True
         # The service event carries the task's own label (``rx.<kind>``,
         # ``timer.<label>`` …) so the profiler files handler work under it.
-        self._done_at = self.sim.schedule(task[2], self._finish, task,
-                                          label=task[3]).time
+        done = self.sim.now + task[2]
+        self.sim.schedule_at(done, self._finish, task, label=task[3])
+        self._done_at = done
 
     def _idle_at(self) -> float:
         """When the CPU goes idle if nothing more is posted."""

@@ -14,11 +14,21 @@ queue statistics.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Deque, Optional
 
-from ..sim import Event, Simulator
+from ..sim import Simulator
 from .frames import Frame
 from .medium import Medium, Position
+
+
+#: Carrier-sense attempts before a frame is dropped (a congestion drop,
+#: counted in ``dropped``).
+MAX_ATTEMPTS = 8
+#: ``(lo, hi)`` uniform backoff window in seconds between attempts; the
+#: turnaround gap before a queued frame's first attempt is ``lo``.
+BACKOFF = (0.001, 0.008)
+#: Frames waiting behind an in-progress backoff; overflow is dropped.
+QUEUE_LIMIT = 32
 
 
 class MacBase:
@@ -58,36 +68,21 @@ class NullMac(MacBase):
 
 
 class CsmaMac(MacBase):
-    """Carrier-sense multiple access with bounded random backoff.
-
-    Parameters
-    ----------
-    max_attempts:
-        Carrier-sense attempts before the frame is dropped (congestion
-        drop — counted in :attr:`dropped`).
-    backoff:
-        ``(lo, hi)`` uniform backoff window in seconds between attempts.
-    queue_limit:
-        Frames waiting behind an in-progress backoff; overflow is dropped.
-    """
+    """Carrier-sense multiple access with bounded random backoff
+    (:data:`MAX_ATTEMPTS`, :data:`BACKOFF`, :data:`QUEUE_LIMIT`)."""
 
     def __init__(self, sim: Simulator, medium: Medium,
-                 position: Position,
-                 max_attempts: int = 8,
-                 backoff: Tuple[float, float] = (0.001, 0.008),
-                 queue_limit: int = 32) -> None:
+                 position: Position) -> None:
         super().__init__(sim, medium, position)
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        self.max_attempts = max_attempts
-        self.backoff = backoff
-        self.queue_limit = queue_limit
         self._queue: Deque[Frame] = deque()
         self._busy = False
         self._rng = sim.rng.stream("radio.mac")
-        #: The single in-flight backoff/turnaround event (the MAC is
-        #: serial: at most one frame is between attempts at a time).
-        self._pending_event: Optional[Event] = None
+        #: The MAC is serial — at most one frame is between attempts at a
+        #: time — so one timer carries every backoff and turnaround: the
+        #: frame and the attempt it makes next.
+        self._timer = sim.timers.create(self._on_timer, "mac.backoff")
+        self._frame: Optional[Frame] = None
+        self._next_attempt = 1
 
     @property
     def backlog(self) -> int:
@@ -97,19 +92,17 @@ class CsmaMac(MacBase):
         """Cancel the in-flight attempt and drop the backlog.
 
         Called when the owning mote fails: its ``mac.backoff`` /
-        ``mac.next`` events must not fire (and transmit) from a dead —
+        ``mac.next`` timer must not fire (and transmit) from a dead —
         or later rebooted — node.  Leaves the MAC idle so a rebooted
         mote starts from a clean state.
         """
-        if self._pending_event is not None:
-            self._pending_event.cancel()
-            self._pending_event = None
+        self.sim.timers.cancel(self._timer)
         self._queue.clear()
         self._busy = False
 
     def send(self, frame: Frame) -> None:
         if self._busy:
-            if len(self._queue) >= self.queue_limit:
+            if len(self._queue) >= QUEUE_LIMIT:
                 self.dropped += 1
                 self.sim.record("mac.drop", node=frame.src,
                                 kind=frame.kind, cause="queue_overflow")
@@ -121,29 +114,34 @@ class CsmaMac(MacBase):
 
     # ------------------------------------------------------------------
     def _attempt(self, frame: Frame, attempt: int) -> None:
-        self._pending_event = None
         if not self.medium.channel_busy(self.position):
             self.sent += 1
             self.medium.transmit(frame)
             self._finish()
             return
-        if attempt >= self.max_attempts:
+        if attempt >= MAX_ATTEMPTS:
             self.dropped += 1
             self.sim.record("mac.drop", node=frame.src, kind=frame.kind,
                             cause="max_attempts")
             self._finish()
             return
-        lo, hi = self.backoff
-        delay = self._rng.uniform(lo, hi) * attempt
-        self._pending_event = self.sim.schedule(
-            delay, self._attempt, frame, attempt + 1, label="mac.backoff")
+        lo, hi = BACKOFF
+        self._retry(frame, attempt + 1,
+                    self._rng.uniform(lo, hi) * attempt, "mac.backoff")
 
     def _finish(self) -> None:
         if self._queue:
-            nxt = self._queue.popleft()
             # Small turnaround gap before the next frame's first attempt.
-            self._pending_event = self.sim.schedule(
-                self.backoff[0], self._attempt, nxt, 1, label="mac.next")
+            self._retry(self._queue.popleft(), 1, BACKOFF[0], "mac.next")
         else:
             self._busy = False
 
+    def _retry(self, frame: Frame, attempt: int, delay: float,
+               label: str) -> None:
+        self._frame = frame
+        self._next_attempt = attempt
+        self._timer.label = label
+        self.sim.timers.arm(self._timer, delay)
+
+    def _on_timer(self) -> None:
+        self._attempt(self._frame, self._next_attempt)

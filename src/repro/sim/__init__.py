@@ -6,14 +6,13 @@ tie-breaking, named seeded random streams and a structured trace log.
 """
 
 from .engine import SimulationError, Simulator, TimerHandle, TimerService
-from .events import Event, TraceRecord
+from .events import TraceRecord
 from .rng import RandomStreams, derive_seed
 from .timers import OneShotTimer, PeriodicTimer, WatchdogTimer
 from .tracefile import (TraceQuery, dump_trace, load_trace, query,
                         trace_digest)
 
 __all__ = [
-    "Event",
     "OneShotTimer",
     "PeriodicTimer",
     "RandomStreams",

@@ -8,35 +8,41 @@ given seed.
 
 Scheduler
 ---------
-The engine is *cancellation-aware*: EnviroTrack's group management is
-timer-dominated (every heartbeat kicks receive/wait watchdogs), so at
-scale most heap entries are lazily-cancelled garbage.  The scheduler
-stays fast under that churn:
+An event is its heap entry, the tuple
+``(time, seq, callback, args, label, span, handle)``; no other object is
+made per event.  A plain event (``handle`` None) is fire-only, the way a
+posted task runs to completion on a mote.  Everything that may be
+withdrawn is a :class:`TimerHandle`, armed and cancelled through
+:attr:`Simulator.timers`.  EnviroTrack's group management is
+timer-dominated (every heartbeat kicks receive/wait watchdogs), and the
+scheduler stays fast under that churn:
 
 * a live-event counter makes :meth:`pending` O(1);
-* :meth:`peek_time` lazily discards cancelled heap heads instead of
-  scanning (let alone sorting) the heap;
-* the heap is compacted when cancelled entries exceed
+* a cancelled handle's entry is lazy garbage, which :meth:`peek_time`
+  discards at the heap head instead of scanning (let alone sorting) the
+  heap;
+* the heap is compacted when garbage entries exceed
   :data:`COMPACT_RATIO` of it;
-* :class:`TimerHandle` re-arms watchdog/periodic timers by mutating one
+* :class:`TimerHandle` re-arms watchdog/periodic timers by moving one
   heap entry's deadline instead of cancel-and-reschedule, yet fires
   them exactly when cancel-and-reschedule would (see ``docs/ENGINE.md``).
 
 Telemetry
 ---------
 Every simulator owns a metrics registry (``.metrics``) and a causal span
-tracker (``.spans``); there is no off switch.  Each scheduled event
-captures the current span and the dispatcher restores it around the
-callback.  Neither touches the RNG streams or the trace.  The engine's
-own families are views: records by category are counted from the trace,
-the heap gauges read the heap, and compactions read :attr:`compactions`.
+tracker (``.spans``); there is no off switch.  Each heap entry carries
+the span current when it was scheduled, and the dispatcher restores it
+around the callback.  Neither touches the RNG streams or the trace.  The
+engine's own families are views: records by category are counted from
+the trace, the heap gauges read the heap, and compactions read
+:attr:`compactions`.
 
 Example
 -------
 >>> sim = Simulator(seed=7)
 >>> fired = []
->>> _ = sim.schedule(2.0, fired.append, 'b')
->>> _ = sim.schedule(1.0, fired.append, 'a')
+>>> sim.schedule(2.0, fired.append, 'b')
+>>> sim.schedule(1.0, fired.append, 'a')
 >>> sim.run(until=10.0)
 >>> fired
 ['a', 'b']
@@ -55,12 +61,18 @@ from ..telemetry.profiler import EventLoopProfiler
 from ..telemetry.registry import (Counter, Gauge, MetricsRegistry,
                                   RecordFamily, merged, summed)
 from ..telemetry.spans import SpanTracker
-from .events import Event, EventSequencer, TraceRecord
+from .events import EventSequencer, TraceRecord
 from .rng import RandomStreams
 
-#: Compact once cancelled entries exceed this fraction of the heap…
+#: A heap entry: ``(time, seq, callback, args, label, span, handle)``.
+#: ``seq`` is unique, so heap compares stop at it; ``handle`` is the
+#: owning :class:`TimerHandle`, or None for a fire-only plain event.
+Entry = Tuple[float, int, Callable[..., Any], tuple, str, Optional[int],
+              Optional["TimerHandle"]]
+
+#: Compact once garbage entries exceed this fraction of the heap…
 COMPACT_RATIO = 0.5
-#: …but never bother below this many cancelled entries.
+#: …but never bother below this many garbage entries.
 COMPACT_MIN = 64
 
 
@@ -73,16 +85,17 @@ TRACE_FAMILIES: Tuple[RecordFamily, ...] = (
 )
 
 
-def _catch_up(event: Event, handle: TimerHandle) -> Tuple[float, int, Event]:
-    """Move a re-armed timer's entry to its handle's true key.
+def _handle_entry(handle: TimerHandle) -> Entry:
+    """Make ``handle``'s heap entry at its true key and make it current.
 
     Every re-arm draws a fresh ``seq``, so an entry whose ``seq`` equals
-    its handle's is current; any other live entry lags behind.
+    its handle's is up to date; a current entry with an older ``seq``
+    lags behind and catches up through this.
     """
-    event.time = handle.deadline
-    event.seq = handle.seq
-    event.span = handle.span
-    return (event.time, event.seq, event)
+    entry = (handle.deadline, handle.seq, handle.callback, (), handle.label,
+             handle.span, handle)
+    handle.entry = entry
+    return entry
 
 
 class SimulationError(RuntimeError):
@@ -90,21 +103,21 @@ class SimulationError(RuntimeError):
 
 
 class TimerHandle:
-    """One re-armable timer slot owned by :class:`TimerService`.
+    """One re-armable, cancellable timer slot owned by :class:`TimerService`.
 
-    A handle owns **at most one** heap entry at a time (``event``).  Its
+    A handle owns **at most one** heap entry at a time (``entry``).  Its
     authoritative firing point is ``(deadline, seq)``; the heap entry's
     ``(time, seq)`` may lag behind after in-place re-arms.  The engine
-    reconciles on pop: an entry that is no longer ``handle.event`` is
-    stale garbage; an entry whose ``seq`` trails the handle's is
-    re-pushed at the true deadline; a matching entry fires.
+    reconciles on pop: an entry that is no longer ``handle.entry`` is
+    garbage; an entry whose ``seq`` trails the handle's is re-pushed at
+    the true deadline; a matching entry fires.
 
     Every re-arm consumes one sequence number — exactly like the
     cancel-and-reschedule it replaces — so tie-breaking, and therefore
     the whole trace, is what cancel-and-reschedule would produce.
     """
 
-    __slots__ = ("callback", "label", "deadline", "seq", "span", "event")
+    __slots__ = ("callback", "label", "deadline", "seq", "span", "entry")
 
     def __init__(self, callback: Callable[[], Any], label: str) -> None:
         self.callback = callback
@@ -112,11 +125,11 @@ class TimerHandle:
         self.deadline = 0.0
         self.seq = -1
         self.span: Optional[int] = None
-        self.event: Optional[Event] = None
+        self.entry: Optional[Entry] = None
 
     @property
     def armed(self) -> bool:
-        return self.event is not None
+        return self.entry is not None
 
 
 class TimerService:
@@ -156,29 +169,24 @@ class TimerService:
         handle.deadline = deadline
         handle.seq = sim._seq.next()
         handle.span = sim.spans.current
-        entry = handle.event
-        if entry is not None and entry.time <= deadline:
-            # Fast path: the pending entry pops no later than the new
-            # deadline, so it can catch up lazily at pop time.
-            return
+        entry = handle.entry
         if entry is not None:
+            if entry[0] <= deadline:
+                # Fast path: the pending entry pops no later than the new
+                # deadline, so it can catch up lazily at pop time.
+                return
             # Shortened deadline: the entry sits too late in the heap to
             # ever catch up — abandon it and push a fresh one.
-            handle.event = None
+            handle.entry = None
             sim._note_cancelled()
-        seq = handle.seq
-        event = Event(deadline, seq, handle.callback, label=handle.label,
-                      span=handle.span, handle=handle)
-        handle.event = event
-        heapq.heappush(sim._heap, (deadline, seq, event))
+        heapq.heappush(sim._heap, _handle_entry(handle))
         sim._live += 1
 
     def cancel(self, handle: TimerHandle) -> None:
         """Disarm ``handle``; its heap entry becomes lazy garbage."""
-        entry = handle.event
-        if entry is None:
+        if handle.entry is None:
             return
-        handle.event = None
+        handle.entry = None
         self._sim._note_cancelled()
 
 
@@ -199,23 +207,24 @@ class Simulator:
     pure side-state: they never touch the event order, the RNG streams or
     the trace, so they do not affect ``trace_digest``.
 
-    The heap holds ``(time, seq, event)`` tuples.  ``seq`` is unique per
-    entry, so heap compares run in C and never reach the event.  The heap
-    is rebuilt without garbage once cancelled entries exceed
+    The heap holds :data:`Entry` tuples.  ``seq`` is unique per entry, so
+    heap compares run in C and never reach the callback.  The heap is
+    rebuilt without garbage once garbage entries exceed
     :data:`COMPACT_RATIO` of it *and* number at least :data:`COMPACT_MIN`.
     """
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._now = 0.0
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[Entry] = []
         self._seq = EventSequencer()
         self._running = False
         self._stopped = False
-        #: Scheduled, non-cancelled events (kept exact on every push,
-        #: pop, cancel and re-arm, so ``pending()`` is O(1)).
+        #: Events that will fire (kept exact on every push, pop, cancel
+        #: and re-arm, so ``pending()`` is O(1)).
         self._live = 0
-        #: Cancelled/stale entries still sitting in the heap.
+        #: Garbage entries (cancelled or superseded timers) still in the
+        #: heap.
         self._cancelled = 0
         self.compactions = 0
         self.rng = RandomStreams(seed)
@@ -314,41 +323,39 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[..., Any],
-                 *args: Any, label: str = "") -> Event:
+                 *args: Any, label: str = "") -> None:
         """Schedule ``callback(*args)`` after ``delay`` seconds.
 
-        Returns the :class:`Event`, which may be cancelled.
+        The event is fire-only; a wait that may be withdrawn is a
+        :class:`TimerHandle` (:attr:`timers`).
         """
         if not delay >= 0:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule {delay!r}s from now (now={self._now})")
-        return self.schedule_at(self._now + delay, callback, *args,
-                                label=label)
+        self.schedule_at(self._now + delay, callback, *args, label=label)
 
     def schedule_at(self, when: float, callback: Callable[..., Any],
-                    *args: Any, label: str = "") -> Event:
+                    *args: Any, label: str = "") -> None:
         """Schedule ``callback(*args)`` at absolute sim time ``when``."""
         if not when >= self._now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule at {when!r}: now={self._now}")
-        seq = self._seq.next()
-        event = Event(when, seq, callback, args, label, self.spans.current,
-                      self)
-        heapq.heappush(self._heap, (when, seq, event))
+        heapq.heappush(self._heap, (when, self._seq.next(), callback, args,
+                                    label, self.spans.current, None))
         self._live += 1
-        return event
 
     def call_soon(self, callback: Callable[..., Any], *args: Any,
-                  label: str = "") -> Event:
+                  label: str = "") -> None:
         """Schedule ``callback(*args)`` at the current time (after pending
         events at this time that were scheduled earlier)."""
-        return self.schedule(0.0, callback, *args, label=label)
+        self.schedule(0.0, callback, *args, label=label)
 
     # ------------------------------------------------------------------
-    # Cancellation bookkeeping & compaction
+    # Garbage bookkeeping & compaction
     # ------------------------------------------------------------------
     def _note_cancelled(self) -> None:
-        """One live heap entry just became garbage (cancel or stale re-arm)."""
+        """One live heap entry just became garbage (a cancelled timer, or
+        one re-armed to an earlier deadline)."""
         self._live -= 1
         self._cancelled += 1
         if (self._cancelled >= COMPACT_MIN
@@ -364,17 +371,14 @@ class Simulator:
         and therefore the trace — is identical with or without
         compaction.
         """
-        live: List[Tuple[float, int, Event]] = []
+        live: List[Entry] = []
         for entry in self._heap:
-            event = entry[2]
-            handle = event.handle
-            if handle is not None:
-                if event is handle.event:
-                    if entry[1] != handle.seq:
-                        entry = _catch_up(event, handle)
-                    live.append(entry)
-            elif not event.cancelled:
+            _, seq, _, _, _, _, handle = entry
+            if handle is None:
                 live.append(entry)
+            elif entry is handle.entry:
+                live.append(entry if seq == handle.seq
+                            else _handle_entry(handle))
         heapq.heapify(live)
         self._heap = live
         self._cancelled = 0
@@ -383,39 +387,34 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _pop_next(self, until: Optional[float] = None) -> Optional[Event]:
-        """Pop the next fireable event, reconciling lazy heap entries.
+    def _pop_next(self, until: Optional[float] = None) -> Optional[Entry]:
+        """Pop the next fireable entry, reconciling timer entries.
 
-        Discards cancelled/stale heads, re-pushes timer entries whose
-        handle's deadline moved later, and returns None at quiescence or
-        when the next firing lies strictly after ``until``.
+        Discards garbage heads, re-pushes timer entries whose handle's
+        deadline moved later, and returns None at quiescence or when the
+        next firing lies strictly after ``until``.
         """
         heap = self._heap
         while heap:
-            when, seq, event = heap[0]
+            entry = heap[0]
+            when, seq, _, _, _, _, handle = entry
             if until is not None and when > until:
                 # A deferred timer entry's stale time only *understates*
                 # its true deadline, so crossing the horizon here is
                 # definitive for every entry kind.
                 return None
             heapq.heappop(heap)
-            handle = event.handle
             if handle is not None:
-                if event is not handle.event:
-                    self._cancelled -= 1  # stale slot: lazily discarded
+                if entry is not handle.entry:
+                    self._cancelled -= 1  # garbage: lazily discarded
                     continue
                 if seq != handle.seq:
                     # Re-armed in place: catch up to the true deadline.
-                    heapq.heappush(heap, _catch_up(event, handle))
+                    heapq.heappush(heap, _handle_entry(handle))
                     continue
-                handle.event = None  # fires now; callback may re-arm
-            elif event.cancelled:
-                self._cancelled -= 1
-                continue
-            else:
-                event.owner = None
+                handle.entry = None  # fires now; callback may re-arm
             self._live -= 1
-            return event
+            return entry
         return None
 
     def run(self, until: Optional[float] = None,
@@ -441,11 +440,11 @@ class Simulator:
             while not self._stopped:
                 if max_events is not None and fired >= max_events:
                     break
-                event = self._pop_next(until)
-                if event is None:
+                entry = self._pop_next(until)
+                if entry is None:
                     break
-                self._now = event.time
-                self._dispatch(event)
+                self._now = entry[0]
+                self._dispatch(entry)
                 self._events_fired += 1
                 fired += 1
             if until is not None and not self._stopped and self._now < until:
@@ -453,8 +452,9 @@ class Simulator:
         finally:
             self._running = False
 
-    def step(self) -> Optional[Event]:
-        """Dispatch exactly one (non-cancelled) event; return it or None.
+    def step(self) -> bool:
+        """Dispatch exactly one event (skipping garbage); return whether
+        one was dispatched.
 
         Shares :meth:`run`'s semantics: calling it from inside an event
         handler raises :class:`SimulationError` instead of corrupting the
@@ -466,33 +466,34 @@ class Simulator:
         self._running = True
         self._stopped = False
         try:
-            event = self._pop_next()
-            if event is None:
-                return None
-            self._now = event.time
-            self._dispatch(event)
+            entry = self._pop_next()
+            if entry is None:
+                return False
+            self._now = entry[0]
+            self._dispatch(entry)
             self._events_fired += 1
-            return event
+            return True
         finally:
             self._running = False
 
-    def _dispatch(self, event: Event) -> None:
-        """Fire one event inside its causal span, optionally profiled."""
+    def _dispatch(self, entry: Entry) -> None:
+        """Fire one entry inside its causal span, optionally profiled."""
+        _, _, callback, args, label, span, _ = entry
         spans = self.spans
         profiler = self._profiler
         previous = spans.current
-        spans.current = event.span
+        spans.current = span
         if profiler is None:
             try:
-                event.callback(*event.args)
+                callback(*args)
             finally:
                 spans.current = previous
             return
         started = _time.perf_counter()
         try:
-            event.callback(*event.args)
+            callback(*args)
         finally:
-            profiler.note(event.label, _time.perf_counter() - started)
+            profiler.note(label, _time.perf_counter() - started)
             spans.current = previous
 
     def stop(self) -> None:
@@ -500,11 +501,11 @@ class Simulator:
         self._stopped = True
 
     def pending(self) -> int:
-        """Number of scheduled, non-cancelled events — O(1)."""
+        """Number of events that will fire — O(1)."""
         return self._live
 
     def cancelled_pending(self) -> int:
-        """Cancelled/stale entries still occupying the heap — O(1)."""
+        """Garbage entries still occupying the heap — O(1)."""
         return self._cancelled
 
     def heap_size(self) -> int:
@@ -512,29 +513,25 @@ class Simulator:
         return len(self._heap)
 
     def peek_time(self) -> Optional[float]:
-        """Time of the next non-cancelled event, or None when quiescent.
+        """Time of the next event that will fire, or None when quiescent.
 
-        Lazily discards cancelled heads and normalizes re-armed timer
+        Lazily discards garbage heads and normalizes re-armed timer
         entries while peeking, so repeated peeks under cancellation
         churn amortize to O(log n) instead of the O(n log n) a
         sort-based scan would cost.
         """
         heap = self._heap
         while heap:
-            when, seq, event = heap[0]
-            handle = event.handle
+            entry = heap[0]
+            when, seq, _, _, _, _, handle = entry
             if handle is not None:
-                if event is not handle.event:
+                if entry is not handle.entry:
                     heapq.heappop(heap)
                     self._cancelled -= 1
                     continue
                 if seq != handle.seq:
-                    heapq.heapreplace(heap, _catch_up(event, handle))
+                    heapq.heapreplace(heap, _handle_entry(handle))
                     continue
-            elif event.cancelled:
-                heapq.heappop(heap)
-                self._cancelled -= 1
-                continue
             return when
         return None
 

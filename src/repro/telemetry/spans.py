@@ -14,9 +14,9 @@ Propagation works through two channels:
   cause;
 * **scheduled continuations** (CPU task completions, jittered
   rebroadcasts, timer-driven replies) inherit the span that was current
-  when :meth:`~repro.sim.engine.Simulator.schedule` was called — the
-  engine captures the current span into each :class:`~repro.sim.events.Event`
-  and restores it around dispatch.
+  when :meth:`~repro.sim.engine.Simulator.schedule` (or a timer's arm)
+  was called — the engine captures the current span into each heap
+  entry and restores it around dispatch.
 
 Like the metrics registry, the tracker is pure side-state: it never draws
 randomness, schedules events or writes trace records, so it leaves

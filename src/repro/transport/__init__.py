@@ -1,8 +1,8 @@
 """Transport: geographic routing, LRU leader tables, MTP, reliability."""
 
-from .mtp import (DEFAULT_CHAIN_LIMIT, DEFAULT_LOOKUP_EXPIRY,
-                  DEFAULT_PENDING_LIMIT, Invocation, MTP_KIND, MtpAgent,
-                  NEGATIVE_TTL, PortHandler)
+from .mtp import (DEFAULT_CHAIN_LIMIT, Invocation, LOOKUP_EXPIRY,
+                  MTP_KIND, MtpAgent, NEGATIVE_TTL, PENDING_LIMIT,
+                  PortHandler)
 from .reliability import (Ack, ConnectionKey, DeadLetter, DeadLetterQueue,
                           DedupShare, DedupTable, MTP_ACK_KIND,
                           MTP_DEDUP_KIND, PendingTransmission,
@@ -15,8 +15,6 @@ __all__ = [
     "Ack",
     "ConnectionKey",
     "DEFAULT_CHAIN_LIMIT",
-    "DEFAULT_LOOKUP_EXPIRY",
-    "DEFAULT_PENDING_LIMIT",
     "DEFAULT_TTL",
     "DeadLetter",
     "DeadLetterQueue",
@@ -25,6 +23,7 @@ __all__ = [
     "GEO_KIND",
     "GeoRouter",
     "Invocation",
+    "LOOKUP_EXPIRY",
     "LastKnownLeaderTable",
     "LeaderPointer",
     "MTP_ACK_KIND",
@@ -33,6 +32,7 @@ __all__ = [
     "MtpAgent",
     "NEGATIVE_TTL",
     "NegativeCache",
+    "PENDING_LIMIT",
     "Packet",
     "PendingTransmission",
     "PortHandler",

@@ -37,11 +37,13 @@ from __future__ import annotations
 
 import collections
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Tuple)
 
 from ..groups import GroupManager, HEARTBEAT_KIND, Heartbeat, label_type
 from ..node import Component, Mote
+from ..sim import TimerHandle
 from ..telemetry.registry import Counter, RecordFamily, merged, summed
 
 if TYPE_CHECKING:  # avoid the naming↔transport import cycle at runtime
@@ -83,12 +85,12 @@ DEFAULT_CHAIN_LIMIT = 8
 
 #: Invocations queueable behind one in-flight directory lookup; beyond
 #: this the newest send drops with reason ``pending_overflow``.
-DEFAULT_PENDING_LIMIT = 32
+PENDING_LIMIT = 32
 
 #: Seconds a pending-lookup queue may wait before its invocations expire
 #: (reason ``lookup_expired``).  Guards against a directory that never
 #: calls back.
-DEFAULT_LOOKUP_EXPIRY = 6.0
+LOOKUP_EXPIRY = 6.0
 
 #: Seconds an "unknown label" verdict is cached before the directory is
 #: asked again.
@@ -142,36 +144,32 @@ class MtpAgent(Component):
     reliability:
         Reliable-delivery configuration; None (default) keeps the paper's
         fire-and-forget sends.  Receiving stays reliable-aware either way.
-    pending_limit:
-        Invocations queueable behind one in-flight directory lookup.
-    lookup_expiry:
-        Seconds before a pending-lookup queue expires its invocations.
 
-    The last-known-leader table keeps its default LRU size and an
-    "unknown label" verdict is cached for :data:`NEGATIVE_TTL` seconds.
+    The last-known-leader table keeps its default LRU size, an "unknown
+    label" verdict is cached for :data:`NEGATIVE_TTL` seconds, at most
+    :data:`PENDING_LIMIT` invocations queue behind one directory lookup,
+    and such a queue expires after :data:`LOOKUP_EXPIRY` seconds.
+
+    A crash ends every piece of transport RAM — pointers, pending
+    queues, unacked sends, dedup memory — and stops its timers, so a
+    dead mote's agent neither expires, escalates nor dead-letters.
     """
 
     name = "mtp"
 
     def __init__(self, mote: Mote, router: GeoRouter, groups: GroupManager,
                  directory: Optional["DirectoryService"] = None,
-                 reliability: Optional[ReliabilityConfig] = None,
-                 pending_limit: int = DEFAULT_PENDING_LIMIT,
-                 lookup_expiry: float = DEFAULT_LOOKUP_EXPIRY) -> None:
+                 reliability: Optional[ReliabilityConfig] = None) -> None:
         super().__init__(mote)
-        if not lookup_expiry > 0:
-            raise ValueError(
-                f"lookup_expiry must be positive: {lookup_expiry}")
         self.router = router
         self.groups = groups
         self.directory = directory
         self.table = LastKnownLeaderTable()
         self.reliability = reliability
-        self.pending_limit = pending_limit
-        self.lookup_expiry = lookup_expiry
         self._ports: Dict[Tuple[str, int], PortHandler] = {}
         self._pending: Dict[str, List[Invocation]] = {}
-        self._pending_expiry: Dict[str, Any] = {}
+        #: The expiry timer of each pending-lookup queue.
+        self._pending_expiry: Dict[str, TimerHandle] = {}
         self._sequences = SequenceCounters()
         self._outbox: Dict[Tuple[ConnectionKey, int],
                            PendingTransmission] = {}
@@ -208,9 +206,7 @@ class MtpAgent(Component):
         # past leader stays in radio range of its successor for a while and
         # keeps its pointer fresh from the successor's keep-alives.
         self.handle(HEARTBEAT_KIND, self._on_heartbeat)
-        # A reboot is a power cycle: every piece of transport RAM —
-        # pointers, pending queues, unacked sends, dedup memory — is gone.
-        self.mote.add_reboot_hook(self._on_reboot)
+        self.mote.add_fail_hook(self._on_fail)
 
     # ------------------------------------------------------------------
     # Port registry
@@ -247,11 +243,10 @@ class MtpAgent(Component):
             # through the same machinery as a failure on the wire, not
             # vanish as an anonymous drop.  The retransmit timer is armed
             # on first transmission.
-            conn = invocation.connection()
-            invocation = replace(invocation,
-                                 seq=self._sequences.next(conn))
-            self._outbox[(conn, invocation.seq)] = PendingTransmission(
-                invocation=invocation, conn=conn, seq=invocation.seq)
+            invocation = replace(
+                invocation,
+                seq=self._sequences.next(invocation.connection()))
+            self._track(invocation)
         if self._negative.fresh(dest_label, self.now):
             self._drop(invocation, "negative_cache")
             return
@@ -269,15 +264,17 @@ class MtpAgent(Component):
         lookup for its destination label's type."""
         dest_label = invocation.dest_label
         queue = self._pending.setdefault(dest_label, [])
-        if len(queue) >= self.pending_limit:
+        if len(queue) >= PENDING_LIMIT:
             self._drop(invocation, "pending_overflow")
             return
         queue.append(invocation)
         if len(queue) > 1:
             return  # lookup already in flight
-        self._pending_expiry[dest_label] = self.sim.schedule(
-            self.lookup_expiry, self._on_pending_expiry, dest_label,
+        expiry = self.sim.timers.create(
+            partial(self._on_pending_expiry, dest_label),
             label=f"mtp.lookup_expiry@{self.node_id}")
+        self._pending_expiry[dest_label] = expiry
+        self.sim.timers.arm(expiry, LOOKUP_EXPIRY)
         self.directory.lookup(
             label_type(dest_label),
             lambda entries: self._lookup_done(dest_label, entries))
@@ -286,7 +283,7 @@ class MtpAgent(Component):
                      entries: List["DirectoryEntry"]) -> None:
         expiry = self._pending_expiry.pop(dest_label, None)
         if expiry is not None:
-            expiry.cancel()
+            self.sim.timers.cancel(expiry)
         waiting = self._pending.pop(dest_label, [])
         match = next((entry for entry in entries
                       if entry.label == dest_label), None)
@@ -326,10 +323,8 @@ class MtpAgent(Component):
         escalation on a fresh lookup (dead-lettering once the escalation
         budget is gone).
         """
-        self._pending_expiry.pop(dest_label, None)
-        waiting = self._pending.pop(dest_label, [])
-        if not waiting:
-            return
+        del self._pending_expiry[dest_label]
+        waiting = self._pending.pop(dest_label)
         self.record("lookup_expired", dest=dest_label,
                     count=len(waiting))
         for invocation in waiting:
@@ -351,32 +346,36 @@ class MtpAgent(Component):
             if invocation.seq is None:
                 invocation = replace(invocation,
                                      seq=self._sequences.next(conn))
-            key = (conn, invocation.seq)
-            pending = self._outbox.get(key)
+            pending = self._outbox.get((conn, invocation.seq))
             if pending is None:
-                pending = PendingTransmission(
-                    invocation=invocation, conn=conn, seq=invocation.seq)
-                self._outbox[key] = pending
+                pending = self._track(invocation)
             self._arm_retransmit(pending)
         self.router.route_to_node(node, MTP_KIND, invocation)
 
     # ------------------------------------------------------------------
     # Reliable delivery: retransmission, escalation, dead letters
     # ------------------------------------------------------------------
+    def _track(self, invocation: Invocation) -> PendingTransmission:
+        """Open the outbox entry of a sequenced invocation, with its
+        (unarmed) retransmit timer."""
+        key = (invocation.connection(), invocation.seq)
+        pending = PendingTransmission(
+            invocation=invocation, conn=key[0], seq=invocation.seq,
+            timer=self.sim.timers.create(
+                partial(self._on_retransmit_timeout, key),
+                label=f"mtp.rto@{self.node_id}"))
+        self._outbox[key] = pending
+        return pending
+
     def _arm_retransmit(self, pending: PendingTransmission) -> None:
-        pending.cancel_timer()
         delay = self.reliability.retry_delay(pending.attempts,
                                              self._jitter_rng())
-        pending.event = self.sim.schedule(
-            delay, self._on_retransmit_timeout, pending,
-            label=f"mtp.rto@{self.node_id}")
+        self.sim.timers.arm(pending.timer, delay)
 
-    def _on_retransmit_timeout(self, pending: PendingTransmission) -> None:
-        pending.event = None
-        if not self.mote.alive:
-            return  # a dead radio retransmits nothing; reboot wipes state
-        if self._outbox.get((pending.conn, pending.seq)) is not pending:
-            return  # acked (or dead-lettered) while the event was queued
+    def _on_retransmit_timeout(self, key: Tuple[ConnectionKey, int]) -> None:
+        # An ack, a dead letter or a crash cancels the timer, so the
+        # pending send is still in the outbox.
+        pending = self._outbox[key]
         config = self.reliability
         dest_label = pending.invocation.dest_label
         if pending.attempts >= config.max_retries:
@@ -416,7 +415,7 @@ class MtpAgent(Component):
     def _dead_letter(self, pending: PendingTransmission,
                      reason: str) -> None:
         self._outbox.pop((pending.conn, pending.seq), None)
-        pending.cancel_timer()
+        self.sim.timers.cancel(pending.timer)
         self.dead_lettered += 1
         self.dropped += 1
         self.dead_letters.push(DeadLetter(
@@ -507,7 +506,7 @@ class MtpAgent(Component):
         pending = self._outbox.pop((ack.conn, ack.seq), None)
         if pending is None:
             return  # duplicate ack (retransmission crossed the first ack)
-        pending.cancel_timer()
+        self.sim.timers.cancel(pending.timer)
         self.acked += 1
         self.record("ack", dest=dest_label, seq=ack.seq, acker=ack.acker)
 
@@ -543,13 +542,16 @@ class MtpAgent(Component):
         if isinstance(beat, Heartbeat):
             self.table.update(beat.label, beat.leader, self.now)
 
-    def _on_reboot(self) -> None:
-        """Power cycle: wipe every piece of volatile transport state."""
+    def _on_fail(self) -> None:
+        """Crash: wipe every piece of volatile transport state and stop
+        its timers (a reboot, which always follows a crash, then starts
+        from empty RAM)."""
+        timers = self.sim.timers
         for pending in self._outbox.values():
-            pending.cancel_timer()
+            timers.cancel(pending.timer)
         self._outbox.clear()
-        for event in self._pending_expiry.values():
-            event.cancel()
+        for expiry in self._pending_expiry.values():
+            timers.cancel(expiry)
         self._pending_expiry.clear()
         self._pending.clear()
         self._sequences.clear()

@@ -45,6 +45,8 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from ..sim import TimerHandle
+
 #: Frame kind of the acknowledgement leg (routed like ``mtp.invoke``).
 MTP_ACK_KIND = "mtp.ack"
 
@@ -270,12 +272,7 @@ class PendingTransmission:
     invocation: Any  # transport.mtp.Invocation (import cycle avoided)
     conn: ConnectionKey
     seq: int
+    #: The retransmit timer, armed on each transmission.
+    timer: TimerHandle = field(repr=False)
     attempts: int = 0
     escalations: int = 0
-    #: The armed retransmit event, cancellable (None between arming).
-    event: Any = field(default=None, repr=False)
-
-    def cancel_timer(self) -> None:
-        if self.event is not None:
-            self.event.cancel()
-            self.event = None

@@ -191,9 +191,10 @@ def test_dead_client_lookup_collected_without_callback():
     called = []
     client.lookup("ghost", lambda entries: called.append(entries))
     field.fail_node(63)
+    assert client._pending_queries == {}  # collected by the crash
     sim.run(until=sim.now + 5.0)
-    assert client._pending_queries == {}  # collected
     assert called == []  # nobody home: no callback either
+    assert client.lookup_timeouts == 0  # the timeout was stopped too
 
 
 def test_lookup_timeout_validation():

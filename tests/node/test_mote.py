@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.radio.mac as mac_module
 from repro.node import Mote
 from repro.radio import BROADCAST, Frame, Medium
 from repro.sim import Simulator
@@ -103,7 +104,7 @@ def test_failure_stops_timers():
     assert len(fired) == 2
 
 
-def test_failure_aborts_mac_backoff():
+def test_failure_aborts_mac_backoff(monkeypatch):
     # Crash the mote while its CSMA MAC is backing off behind a busy
     # channel: the queued frame must never reach the air — before the
     # fix the mac.backoff event outlived the node and transmitted.
@@ -112,8 +113,8 @@ def test_failure_aborts_mac_backoff():
     b.register_handler("zombie", lambda f: got.append(f.kind))
     # Slow, persistent backoff so the retries outlast the noise frame
     # (the default window gives up long before 1s of airtime clears).
-    a.mac.backoff = (0.05, 0.1)
-    a.mac.max_attempts = 100
+    monkeypatch.setattr(mac_module, "BACKOFF", (0.05, 0.1))
+    monkeypatch.setattr(mac_module, "MAX_ATTEMPTS", 100)
     # Occupy the channel so a's send enters backoff instead of going out.
     medium.transmit(Frame(src=1, dst=BROADCAST, kind="noise",
                           size_bits=50_000))  # 1s airtime

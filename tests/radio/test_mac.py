@@ -1,7 +1,6 @@
 """Unit tests for the MAC layer."""
 
-import pytest
-
+import repro.radio.mac as mac_module
 from repro.radio import (BROADCAST, CsmaMac, Frame, Medium, NullMac,
                          TransceiverPort)
 from repro.sim import Simulator
@@ -42,7 +41,9 @@ def test_csma_defers_while_channel_busy():
     assert medium.stats.receptions_dropped["collision"] == 0
 
 
-def test_csma_drops_after_max_attempts():
+def test_csma_drops_after_max_attempts(monkeypatch):
+    monkeypatch.setattr(mac_module, "MAX_ATTEMPTS", 3)
+    monkeypatch.setattr(mac_module, "BACKOFF", (0.01, 0.02))
     sim, medium, _ = build()
     # Keep the channel busy with back-to-back long transmissions.
     occupier = NullMac(sim, medium, (0.0, 0.0))
@@ -53,8 +54,7 @@ def test_csma_drops_after_max_attempts():
         sim.schedule(0.9, keep_busy)
 
     keep_busy()
-    csma = CsmaMac(sim, medium, (1.0, 0.0), max_attempts=3,
-                   backoff=(0.01, 0.02))
+    csma = CsmaMac(sim, medium, (1.0, 0.0))
     csma.send(Frame(src=1, dst=BROADCAST, kind="victim"))
     sim.run(until=5.0)
     assert csma.dropped == 1
@@ -74,9 +74,10 @@ def test_csma_queues_behind_inflight_frame():
     assert csma.sent == 3
 
 
-def test_csma_queue_overflow_drops():
+def test_csma_queue_overflow_drops(monkeypatch):
+    monkeypatch.setattr(mac_module, "QUEUE_LIMIT", 2)
     sim, medium, _ = build()
-    csma = CsmaMac(sim, medium, (0.0, 0.0), queue_limit=2)
+    csma = CsmaMac(sim, medium, (0.0, 0.0))
     for i in range(6):
         csma.send(Frame(src=0, dst=BROADCAST, kind=f"k{i}"))
     # First transmitted immediately; second backing off; two queued; the
@@ -85,15 +86,9 @@ def test_csma_queue_overflow_drops():
     sim.run()
 
 
-def test_csma_rejects_bad_attempts():
-    sim, medium, _ = build()
-    with pytest.raises(ValueError):
-        CsmaMac(sim, medium, (0, 0), max_attempts=0)
-
-
 def test_shutdown_cancels_inflight_backoff():
     # A frame stuck in backoff behind a busy channel must die with the
-    # node: after shutdown() the pending mac.backoff event is cancelled
+    # node: after shutdown() the pending mac.backoff timer is cancelled
     # and nothing transmits, even once the channel clears.
     sim, medium, inbox = build()
     occupier = NullMac(sim, medium, (0.0, 0.0))

@@ -14,6 +14,13 @@ def compact_early(monkeypatch, minimum, ratio):
     monkeypatch.setattr(engine_module, "COMPACT_RATIO", ratio)
 
 
+def armed(sim, delay, callback=lambda: None):
+    """A cancellable event: a timer handle armed ``delay`` from now."""
+    handle = sim.timers.create(callback)
+    sim.timers.arm(handle, delay)
+    return handle
+
+
 def test_events_fire_in_time_order():
     sim = Simulator()
     fired = []
@@ -106,11 +113,20 @@ def test_keyword_arguments_are_not_forwarded():
         sim.schedule(1.0, lambda x: None, x=1)
 
 
+def test_schedule_returns_nothing():
+    # A plain event is fire-only: there is nothing to hold on to.
+    sim = Simulator()
+    assert sim.schedule(1.0, lambda: None) is None
+    assert sim.schedule_at(2.0, lambda: None) is None
+    assert sim.call_soon(lambda: None) is None
+    assert sim.pending() == 3
+
+
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
-    event = sim.schedule(1.0, fired.append, "x")
-    event.cancel()
+    handle = armed(sim, 1.0, lambda: fired.append("x"))
+    sim.timers.cancel(handle)
     sim.run()
     assert fired == []
     assert sim.pending() == 0
@@ -162,19 +178,20 @@ def test_step_fires_single_event():
     fired = []
     sim.schedule(1.0, fired.append, "a")
     sim.schedule(2.0, fired.append, "b")
-    assert sim.step() is not None
+    assert sim.step() is True
     assert fired == ["a"]
 
 
 def test_step_on_empty_queue_returns_none():
-    assert Simulator().step() is None
+    # step() reports whether it dispatched: nothing, on an empty queue.
+    assert Simulator().step() is False
 
 
 def test_peek_time_skips_cancelled():
     sim = Simulator()
-    event = sim.schedule(1.0, lambda: None)
+    handle = armed(sim, 1.0)
     sim.schedule(2.0, lambda: None)
-    event.cancel()
+    sim.timers.cancel(handle)
     assert sim.peek_time() == 2.0
 
 
@@ -225,16 +242,16 @@ def test_peek_time_does_not_sort_the_heap():
 def test_pending_counter_exact_under_cancel_churn():
     sim = Simulator(seed=5)
     rng = sim.rng.stream("test.churn")
-    events = []
+    handles = []
     expected = 0
     for i in range(400):
-        if events and rng.random() < 0.45:
-            event = events.pop(rng.randrange(len(events)))
-            event.cancel()
-            event.cancel()  # idempotent: must not double-count
+        if handles and rng.random() < 0.45:
+            handle = handles.pop(rng.randrange(len(handles)))
+            sim.timers.cancel(handle)
+            sim.timers.cancel(handle)  # idempotent: must not double-count
             expected -= 1
         else:
-            events.append(sim.schedule(rng.uniform(0.0, 10.0), lambda: None))
+            handles.append(armed(sim, rng.uniform(0.0, 10.0)))
             expected += 1
         assert sim.pending() == expected
     fired = []
@@ -248,14 +265,14 @@ def test_pending_counter_exact_under_cancel_churn():
 def test_peek_time_exact_under_cancel_churn():
     sim = Simulator(seed=6)
     rng = sim.rng.stream("test.churn")
-    events = {}
+    handles = {}
     for i in range(300):
-        events[i] = sim.schedule(rng.uniform(0.0, 10.0), lambda: None)
-    for i in sorted(events):
+        handles[i] = armed(sim, rng.uniform(0.0, 10.0))
+    for i in sorted(handles):
         if rng.random() < 0.7:
-            events[i].cancel()
-            del events[i]
-        expected = min((e.time for e in events.values()), default=None)
+            sim.timers.cancel(handles.pop(i))
+        expected = min((handle.deadline for handle in handles.values()),
+                       default=None)
         assert sim.peek_time() == expected
 
 
@@ -296,32 +313,32 @@ def test_step_clears_stale_stop_flag():
     sim.schedule(2.0, fired.append, "later")
     sim.run()
     assert fired == []
-    assert sim.step() is not None
+    assert sim.step() is True
     assert fired == ["later"]
 
 
 def test_step_skips_cancelled_and_reports_none_when_drained():
     sim = Simulator()
     fired = []
-    cancelled = sim.schedule(1.0, fired.append, "dead")
+    cancelled = armed(sim, 1.0, lambda: fired.append("dead"))
     sim.schedule(2.0, fired.append, "live")
-    cancelled.cancel()
-    event = sim.step()
-    assert event is not None and fired == ["live"]
-    assert sim.step() is None
+    sim.timers.cancel(cancelled)
+    assert sim.step() is True
+    assert fired == ["live"]
+    assert sim.step() is False
 
 
 def test_compaction_reclaims_garbage_and_keeps_order(monkeypatch):
     compact_early(monkeypatch, 8, 0.25)
     sim = Simulator(seed=1)
     fired = []
-    doomed = [sim.schedule(5.0 + i * 0.01, fired.append, f"dead{i}")
+    doomed = [armed(sim, 5.0 + i * 0.01,
+                    lambda i=i: fired.append(f"dead{i}"))
               for i in range(40)]
-    survivors = [sim.schedule(1.0 + i, fired.append, f"live{i}")
-                 for i in range(3)]
-    assert survivors
-    for event in doomed:
-        event.cancel()
+    for i in range(3):
+        sim.schedule(1.0 + i, fired.append, f"live{i}")
+    for handle in doomed:
+        sim.timers.cancel(handle)
     assert sim.compactions > 0
     # Residual garbage stays below the compaction trigger floor, and the
     # heap holds exactly live + residual-garbage entries.
@@ -344,7 +361,7 @@ def test_compaction_normalizes_rearmed_timer_entries(monkeypatch):
     sim.schedule(0.5, dog.kick)  # defer the pending entry in place
     sim.run(until=0.6)
     for i in range(20):  # force a compaction while the entry is deferred
-        sim.schedule(2.0, lambda: None).cancel()
+        sim.timers.cancel(armed(sim, 2.0))
     assert sim.compactions > 0
     sim.run()
     assert fired == [1.5]
@@ -354,7 +371,7 @@ def test_engine_gauges_published_after_run(monkeypatch):
     compact_early(monkeypatch, 4, 0.1)
     sim = Simulator(seed=3)
     for i in range(10):
-        sim.schedule(1.0, lambda: None).cancel()
+        sim.timers.cancel(armed(sim, 1.0))
     sim.schedule(2.0, lambda: None)
     sim.run()
     assert sim.metrics.get("repro_sim_heap_size").value() == 0.0
@@ -376,10 +393,10 @@ def test_engine_gauges_published_after_step():
 
 def test_heap_size_and_cancelled_pending_track_garbage():
     sim = Simulator()
-    live = sim.schedule(1.0, lambda: None)
-    dead = sim.schedule(2.0, lambda: None)
-    dead.cancel()
+    live = armed(sim, 1.0)
+    dead = armed(sim, 2.0)
+    sim.timers.cancel(dead)
     assert sim.heap_size() == 2
     assert sim.pending() == 1
     assert sim.cancelled_pending() == 1
-    assert live.active
+    assert live.armed and not dead.armed

@@ -29,10 +29,12 @@ def test_dispatch_order_is_total_and_stable(times):
 def test_cancellation_removes_exactly_that_event(times, cancel_index):
     sim = Simulator()
     fired = []
-    events = [sim.schedule(delay, lambda i=index: fired.append(i))
-              for index, delay in enumerate(times)]
-    victim = cancel_index % len(events)
-    events[victim].cancel()
+    handles = []
+    for index, delay in enumerate(times):
+        handles.append(sim.timers.create(lambda i=index: fired.append(i)))
+        sim.timers.arm(handles[-1], delay)
+    victim = cancel_index % len(handles)
+    sim.timers.cancel(handles[victim])
     sim.run()
     assert victim not in fired
     assert len(fired) == len(times) - 1

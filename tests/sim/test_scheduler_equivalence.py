@@ -1,9 +1,10 @@
 """In-place timer re-arms must be trace-equivalent to cancel-and-reschedule.
 
-Random programs of schedules, cancellations, watchdog kicks and periodic
-stop/starts are run twice: once on the engine's :class:`TimerService`,
-once on :class:`RescheduleTimers`, a reference model kept here that
-cancels the pending event and schedules a fresh one on every arm.  Fire
+Random programs of plain schedules, one-shot starts and cancellations,
+watchdog kicks and periodic stop/starts are run twice: once on the
+engine's :class:`TimerService`, once on :class:`RescheduleTimers`, a
+reference model kept here that cancels the pending timer and arms a
+fresh handle on every arm, so every arm pushes a new heap entry.  Fire
 order, trace digest and the events-fired count must match exactly.  A
 separate property pins why the engine re-arms in place: the heap stays
 bounded by the number of *live* timers under sustained watchdog churn,
@@ -16,26 +17,40 @@ from hypothesis import strategies as st
 
 import repro.sim.engine as engine_module
 from repro.sim import (OneShotTimer, PeriodicTimer, Simulator,
-                       TimerService, WatchdogTimer, trace_digest)
+                       TimerHandle, TimerService, WatchdogTimer,
+                       trace_digest)
+
+
+class RescheduleHandle(TimerHandle):
+    """A timer of the reference model: each arm goes to a fresh inner
+    handle, which alone ever enters the heap."""
+
+    __slots__ = ("inner",)
+
+    def __init__(self, callback, label):
+        super().__init__(callback, label)
+        self.inner = None
+
+    @property
+    def armed(self):
+        return self.inner is not None and self.inner.armed
 
 
 class RescheduleTimers(TimerService):
-    """Reference model: every arm is a cancel plus a plain ``schedule``."""
+    """Reference model: every arm is a cancel plus a fresh timer."""
+
+    def create(self, callback, label="timer"):
+        return RescheduleHandle(callback, label)
 
     def arm(self, handle, delay):
         self.cancel(handle)
-        handle.event = self._sim.schedule(delay, self._fire, handle,
-                                          label=handle.label)
+        handle.inner = super().create(handle.callback, handle.label)
+        super().arm(handle.inner, delay)
 
     def cancel(self, handle):
-        if handle.event is not None:
-            handle.event.cancel()
-            handle.event = None
-
-    @staticmethod
-    def _fire(handle):
-        handle.event = None
-        handle.callback()
+        if handle.inner is not None:
+            super().cancel(handle.inner)
+            handle.inner = None
 
 
 @pytest.fixture
@@ -57,7 +72,7 @@ def ticks(low, high):
 steps = st.lists(
     st.tuples(
         ticks(1, 6),                                       # dt
-        st.integers(min_value=0, max_value=5),             # action
+        st.integers(min_value=0, max_value=6),             # action
         st.integers(min_value=0, max_value=7),             # target index
         ticks(1, 24),                                      # delay param
     ),
@@ -83,8 +98,15 @@ def _run_program(reference, program, dog_timeouts, seed):
             for i, timeout in enumerate(dog_timeouts)]
     ticker = PeriodicTimer(sim, 0.25, lambda: note("tick", 0),
                            label="tick")
-    shot = OneShotTimer(sim, lambda: note("shot", 0), label="shot")
-    plain = []
+    shots = []
+
+    def new_shot():
+        index = len(shots)
+        shots.append(OneShotTimer(sim, lambda: note("shot", index),
+                                  label=f"shot{index}"))
+        return shots[-1]
+
+    new_shot()
 
     def apply(step):
         _, action, idx, param = program[step]
@@ -96,10 +118,9 @@ def _run_program(reference, program, dog_timeouts, seed):
                          label="step")
         sim.record("step", action=action, idx=idx)
         if action == 0:
-            plain.append(sim.schedule(param, note, "plain", len(plain),
-                                      label="plain"))
-        elif action == 1 and plain:
-            plain[idx % len(plain)].cancel()
+            sim.schedule(param, note, "plain", step, label="plain")
+        elif action == 1:
+            shots[idx % len(shots)].cancel()
         elif action == 2:
             dogs[idx % len(dogs)].kick()
         elif action == 3:
@@ -109,8 +130,10 @@ def _run_program(reference, program, dog_timeouts, seed):
                 ticker.stop()
             else:
                 ticker.start()
+        elif action == 5:
+            shots[idx % len(shots)].start(param)
         else:
-            shot.start(param)
+            new_shot().start(param)
 
     sim.schedule(program[0][0], apply, 0, label="step")
     sim.run(until=sum(step[0] for step in program) + 3.0)
@@ -155,14 +178,16 @@ def test_heap_bounded_under_sustained_watchdog_churn(dog_count, period):
 
 
 def test_compaction_bounds_plain_cancel_churn(monkeypatch):
-    """Cancel-heavy plain-event load stays bounded via compaction."""
+    """Cancel-heavy timer load stays bounded via compaction."""
     monkeypatch.setattr(engine_module, "COMPACT_MIN", 32)
     sim = Simulator(seed=8)
     peak = [0]
 
     def churn(round_no):
         for _ in range(10):
-            sim.schedule(1.0, lambda: None).cancel()
+            handle = sim.timers.create(lambda: None)
+            sim.timers.arm(handle, 1.0)
+            sim.timers.cancel(handle)
         peak[0] = max(peak[0], sim.heap_size())
         if round_no < 200:
             sim.schedule(0.01, churn, round_no + 1)
@@ -170,6 +195,6 @@ def test_compaction_bounds_plain_cancel_churn(monkeypatch):
     sim.schedule(0.0, churn, 0)
     sim.run()
     assert sim.compactions > 0
-    # 2000 cancelled schedules total, but the heap never held more than
+    # 2000 cancelled timers total, but the heap never held more than
     # a small multiple of the compaction floor.
     assert peak[0] <= 8 * 32

@@ -1,7 +1,5 @@
 """Unit tests for MTP remote method invocation (§5.4)."""
 
-import pytest
-
 from repro.groups import GroupConfig, GroupManager
 from repro.naming import DirectoryService, FieldBounds
 from repro.sensing import SensorField
@@ -129,14 +127,3 @@ def test_heartbeats_seed_forwarding_pointers():
     neighbor = 6
     pointer = net.mtp[neighbor].table.peek(label)
     assert pointer is not None and pointer.leader == 5
-
-
-@pytest.mark.parametrize("value", [-1.0, 0.0, float("nan")])
-def test_lookup_expiry_validated(value):
-    # Regression: any lookup_expiry was accepted; a NaN or non-positive
-    # expiry timer failed later, inside the event loop.
-    sim = Simulator()
-    mote = SensorField(sim).add_mote((0.0, 0.0))
-    with pytest.raises(ValueError, match="lookup_expiry"):
-        MtpAgent(mote, GeoRouter(mote), GroupManager(mote),
-                 lookup_expiry=value)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import repro.transport.mtp as mtp_module
 from repro.groups import GroupConfig, GroupManager
 from repro.naming import (DEFAULT_LOOKUP_TIMEOUT, DirectoryService,
                           FieldBounds)
@@ -102,7 +103,7 @@ class Net:
 
     def __init__(self, columns=8, rows=4, communication_radius=2.5,
                  seed=4, base_loss_rate=0.0, reliability=None,
-                 lookup_timeout=DEFAULT_LOOKUP_TIMEOUT, **agent_kwargs):
+                 lookup_timeout=DEFAULT_LOOKUP_TIMEOUT):
         self.sim = Simulator(seed=seed)
         self.field = SensorField(
             self.sim, communication_radius=communication_radius,
@@ -129,7 +130,7 @@ class Net:
                     GroupConfig(heartbeat_period=0.5))
             manager.start()
             agent = MtpAgent(mote, router, manager, directory=directory,
-                             reliability=reliability, **agent_kwargs)
+                             reliability=reliability)
             agent.start()
             self.groups[mote.node_id] = manager
             self.mtp[mote.node_id] = agent
@@ -322,10 +323,12 @@ def test_negative_cache_only_on_authoritative_miss():
 # ----------------------------------------------------------------------
 # Regressions: pending-lookup hygiene, pointers, chain clamp
 # ----------------------------------------------------------------------
-def test_pending_lookup_queue_does_not_leak_without_directory_answer():
+def test_pending_lookup_queue_does_not_leak_without_directory_answer(
+        monkeypatch):
     # The directory never calls back: only the agent's own expiry timer
     # stands between a lost response and a leaked queue.
-    net = Net(lookup_expiry=2.0)
+    monkeypatch.setattr(mtp_module, "LOOKUP_EXPIRY", 2.0)
+    net = Net()
     net.sensing = {"alpha": {0}}
     net.run(3.0)
     alpha_leader, alpha_label = net.register_label("alpha")
@@ -340,8 +343,32 @@ def test_pending_lookup_queue_does_not_leak_without_directory_answer():
     assert sender.dropped == 1
 
 
-def test_pending_overflow_drops_newest():
-    net = Net(pending_limit=2)
+def test_crashed_sender_stays_silent_with_a_lookup_pending():
+    # Regression: a reliable sender that crashed while its lookup was
+    # pending kept expiring the queue, escalating and dead-lettering
+    # while dead.  The crash now wipes the agent and stops its timers.
+    net = Net(reliability=RELIABLE)
+    net.sensing = {"alpha": {0}}
+    net.run(3.0)
+    alpha_leader, alpha_label = net.register_label("alpha")
+    net.run(2.0)
+    sender = net.mtp[alpha_leader]
+    sender.invoke(alpha_label, "ghost#1.1", 5, {})
+    assert "ghost#1.1" in sender._pending
+    crashed_at = net.sim.now
+    net.field.fail_node(alpha_leader)
+    assert not sender._pending and not sender._outbox
+    net.run(40.0)
+    assert [record.category
+            for record in net.sim.trace_records(node=alpha_leader)
+            if record.time > crashed_at
+            and record.category.startswith("mtp.")] == []
+    assert sender.dead_lettered == 0
+
+
+def test_pending_overflow_drops_newest(monkeypatch):
+    monkeypatch.setattr(mtp_module, "PENDING_LIMIT", 2)
+    net = Net()
     net.sensing = {"alpha": {0}}
     net.run(3.0)
     alpha_leader, alpha_label = net.register_label("alpha")
