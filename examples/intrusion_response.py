@@ -97,8 +97,7 @@ def main() -> None:
     if warnings:
         mtp_delivered = sum(agent.delivered
                             for agent in app.mtp_agents.values())
-        mtp_forwarded = sum(agent.forwarded
-                            for agent in app.mtp_agents.values())
+        mtp_forwarded = sum(1 for _ in app.sim.trace_records("mtp.forward"))
         print(f"\nMTP stats: {mtp_delivered} delivered, "
               f"{mtp_forwarded} forwarded along past-leader chains")
 

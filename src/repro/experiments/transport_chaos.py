@@ -291,7 +291,7 @@ def _transport_run(spec: TransportChaosSpec,
         retransmits=sum(a.retransmitted for a in agents.values()),
         acks=sum(a.acked for a in agents.values()),
         dead_letters=sum(a.dead_lettered for a in agents.values()),
-        suppressed=sum(a.duplicates for a in agents.values()),
+        suppressed=sum(1 for _ in sim.trace_records("mtp.duplicate")),
         lookup_timeouts=int(timeouts.value()) if timeouts is not None
         else 0,
         frames=field.medium.stats.frames_sent,

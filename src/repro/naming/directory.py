@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, List, Tuple
 from ..node import Component, Mote
 from ..radio import distance
 from ..sim import TimerHandle
-from ..telemetry.registry import Counter, summed
+from ..telemetry.registry import Counter, RecordFamily, summed
 from ..transport.routing import GeoRouter
 from .geohash import FieldBounds, hash_to_coordinate
 
@@ -104,6 +104,18 @@ _RECORDED_OPS = {"dir.lookup_retry": "lookup_retry",
                  "dir.stored": "stored"}
 
 
+#: The directory's families tallied by trace records: each timed-out
+#: lookup attempt writes one ``dir.lookup_retry`` or, on the last
+#: attempt, one ``dir.lookup_timeout``.
+RECORD_FAMILIES: Tuple[RecordFamily, ...] = (
+    (Counter, "repro_dir_lookup_timeouts_total",
+     "Directory lookup attempts that timed out.", (),
+     summed(lambda records: sum(
+         record.category in ("dir.lookup_retry", "dir.lookup_timeout")
+         for record in records))),
+)
+
+
 def _fill_ops(counter: Counter,
               services: List["DirectoryService"]) -> None:
     """Directory operations: those that write a trace record are counted
@@ -168,15 +180,11 @@ class DirectoryService(Component):
         #: Operations that write no trace record, by kind: ``register``,
         #: ``lookup``, ``query_answered`` and ``response``.
         self.ops: "collections.Counter[str]" = collections.Counter()
-        #: Lookup attempts that timed out.
-        self.lookup_timeouts = 0
         metrics = self.sim.metrics
         metrics.view(Counter, "repro_directory_ops_total",
                      "Directory operations by kind.", ("op",), _fill_ops,
                      self)
-        metrics.view(Counter, "repro_dir_lookup_timeouts_total",
-                     "Directory lookup attempts that timed out.", (),
-                     summed(lambda service: service.lookup_timeouts), self)
+        metrics.record_views(RECORD_FAMILIES, self.sim.trace)
 
     def on_start(self) -> None:
         self.router.register_delivery(REGISTER_KIND, self._on_register)
@@ -242,7 +250,6 @@ class DirectoryService(Component):
         # A response or a crash cancels the timeout, so the lookup is
         # still pending.
         pending = self._pending_queries[query_id]
-        self.lookup_timeouts += 1
         if pending.attempts < self.lookup_retries:
             pending.attempts += 1
             self.record("lookup_retry", type=pending.context_type,

@@ -22,7 +22,7 @@ from .medium import Medium, Position
 
 
 #: Carrier-sense attempts before a frame is dropped (a congestion drop,
-#: counted in ``dropped``).
+#: recorded as ``mac.drop``).
 MAX_ATTEMPTS = 8
 #: ``(lo, hi)`` uniform backoff window in seconds between attempts; the
 #: turnaround gap before a queued frame's first attempt is ``lo``.
@@ -41,7 +41,6 @@ class MacBase:
         #: Field position carrier sense listens at (motes are static).
         self.position = position
         self.sent = 0
-        self.dropped = 0
 
     def send(self, frame: Frame) -> None:
         raise NotImplementedError
@@ -103,7 +102,6 @@ class CsmaMac(MacBase):
     def send(self, frame: Frame) -> None:
         if self._busy:
             if len(self._queue) >= QUEUE_LIMIT:
-                self.dropped += 1
                 self.sim.record("mac.drop", node=frame.src,
                                 kind=frame.kind, cause="queue_overflow")
                 return
@@ -120,7 +118,6 @@ class CsmaMac(MacBase):
             self._finish()
             return
         if attempt >= MAX_ATTEMPTS:
-            self.dropped += 1
             self.sim.record("mac.drop", node=frame.src, kind=frame.kind,
                             cause="max_attempts")
             self._finish()

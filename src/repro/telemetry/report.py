@@ -28,6 +28,7 @@ from xml.sax.saxutils import escape
 
 from ..analysis.svg import BarChart, LineChart
 from ..metrics import leader_tenures
+from ..naming.directory import RECORD_FAMILIES as DIR_RECORD_FAMILIES
 from ..radio.medium import RECORD_FAMILIES as RADIO_RECORD_FAMILIES
 from ..sim import TraceRecord, load_trace
 from ..sim.engine import TRACE_FAMILIES
@@ -72,7 +73,8 @@ LEADERSHIP_FAMILIES: Tuple[RecordFamily, ...] = (
 #: Every family a saved trace exports: the ones tallied by trace
 #: records, computed by the functions a live run uses.
 SAVED_TRACE_FAMILIES: Tuple[RecordFamily, ...] = (
-    TRACE_FAMILIES + RADIO_RECORD_FAMILIES + MTP_RECORD_FAMILIES)
+    TRACE_FAMILIES + RADIO_RECORD_FAMILIES + MTP_RECORD_FAMILIES
+    + DIR_RECORD_FAMILIES)
 
 
 def _subsystem(category: str) -> str:

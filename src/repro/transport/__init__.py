@@ -1,13 +1,10 @@
 """Transport: geographic routing, LRU leader tables, MTP, reliability."""
 
-from .mtp import (DEFAULT_CHAIN_LIMIT, Invocation, LOOKUP_EXPIRY,
-                  MTP_KIND, MtpAgent, NEGATIVE_TTL, PENDING_LIMIT,
-                  PortHandler)
-from .reliability import (Ack, ConnectionKey, DeadLetter, DeadLetterQueue,
-                          DedupShare, DedupTable, MTP_ACK_KIND,
-                          MTP_DEDUP_KIND, PendingTransmission,
-                          ReliabilityConfig, RELIABILITY_STREAM,
-                          SequenceCounters)
+from .mtp import (DEFAULT_CHAIN_LIMIT, Invocation, MTP_KIND, MtpAgent,
+                  NEGATIVE_TTL, PENDING_LIMIT, PortHandler)
+from .reliability import (Ack, ConnectionKey, DedupShare, DedupTable,
+                          MTP_ACK_KIND, MTP_DEDUP_KIND, PendingTransmission,
+                          ReliabilityConfig, RELIABILITY_STREAM)
 from .routing import DEFAULT_TTL, GEO_KIND, GeoRouter, Packet
 from .tables import LastKnownLeaderTable, LeaderPointer, NegativeCache
 
@@ -16,14 +13,11 @@ __all__ = [
     "ConnectionKey",
     "DEFAULT_CHAIN_LIMIT",
     "DEFAULT_TTL",
-    "DeadLetter",
-    "DeadLetterQueue",
     "DedupShare",
     "DedupTable",
     "GEO_KIND",
     "GeoRouter",
     "Invocation",
-    "LOOKUP_EXPIRY",
     "LastKnownLeaderTable",
     "LeaderPointer",
     "MTP_ACK_KIND",
@@ -38,5 +32,4 @@ __all__ = [
     "PortHandler",
     "ReliabilityConfig",
     "RELIABILITY_STREAM",
-    "SequenceCounters",
 ]

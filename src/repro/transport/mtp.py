@@ -27,10 +27,11 @@ sequence numbers, ``mtp.ack`` frames from the delivering leader,
 deterministic retransmission with exponential backoff + seeded jitter,
 receiver-side dedup for at-most-once handler delivery, and — when the
 retransmit budget runs out — escalation (invalidate the stale leader
-pointer, fresh directory lookup) before the message dead-letters with a
-recorded reason.  Pass ``reliability=ReliabilityConfig(...)`` to enable;
-the receive path acks/dedups sequenced invocations regardless, so mixed
-fleets interoperate.
+pointer, fresh directory lookup) before the message dead-letters (an
+``mtp.dead_letter`` record with its reason).  Pass
+``reliability=ReliabilityConfig(...)`` to enable; the receive path
+acks/dedups sequenced invocations regardless, so mixed fleets
+interoperate.
 """
 
 from __future__ import annotations
@@ -43,16 +44,13 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
 
 from ..groups import GroupManager, HEARTBEAT_KIND, Heartbeat, label_type
 from ..node import Component, Mote
-from ..sim import TimerHandle
 from ..telemetry.registry import Counter, RecordFamily, merged, summed
 
 if TYPE_CHECKING:  # avoid the naming↔transport import cycle at runtime
     from ..naming import DirectoryEntry, DirectoryService
-from .reliability import (Ack, ConnectionKey, DeadLetter, DeadLetterQueue,
-                          DedupShare, DedupTable, MTP_ACK_KIND,
-                          MTP_DEDUP_KIND, PendingTransmission,
-                          ReliabilityConfig, RELIABILITY_STREAM,
-                          SequenceCounters)
+from .reliability import (Ack, ConnectionKey, DedupShare, DedupTable,
+                          MTP_ACK_KIND, MTP_DEDUP_KIND, PendingTransmission,
+                          ReliabilityConfig, RELIABILITY_STREAM)
 from .routing import GeoRouter
 from .tables import LastKnownLeaderTable, NegativeCache
 
@@ -86,11 +84,6 @@ DEFAULT_CHAIN_LIMIT = 8
 #: Invocations queueable behind one in-flight directory lookup; beyond
 #: this the newest send drops with reason ``pending_overflow``.
 PENDING_LIMIT = 32
-
-#: Seconds a pending-lookup queue may wait before its invocations expire
-#: (reason ``lookup_expired``).  Guards against a directory that never
-#: calls back.
-LOOKUP_EXPIRY = 6.0
 
 #: Seconds an "unknown label" verdict is cached before the directory is
 #: asked again.
@@ -146,13 +139,25 @@ class MtpAgent(Component):
         fire-and-forget sends.  Receiving stays reliable-aware either way.
 
     The last-known-leader table keeps its default LRU size, an "unknown
-    label" verdict is cached for :data:`NEGATIVE_TTL` seconds, at most
-    :data:`PENDING_LIMIT` invocations queue behind one directory lookup,
-    and such a queue expires after :data:`LOOKUP_EXPIRY` seconds.
+    label" verdict is cached for :data:`NEGATIVE_TTL` seconds, and at
+    most :data:`PENDING_LIMIT` invocations queue behind one directory
+    lookup.  A label has at most one lookup in flight: its queue opens
+    with the lookup and closes when the directory calls back, which it
+    does exactly once — with the entries, or ``[]`` once its timeout and
+    retry budget are spent — so the directory's callback is the only
+    deadline on the wait.
+
+    Every outcome is a trace record (``mtp.deliver``, ``mtp.forward``,
+    ``mtp.drop``, ``mtp.duplicate``, ``mtp.ack``, ``mtp.retransmit``,
+    ``mtp.escalate``, ``mtp.dead_letter``) and the agent keeps no other
+    copy of it, except the counts ``perfbench`` reads (``delivered``,
+    ``acked``, ``retransmitted``, ``dead_lettered``) and the ack-frame
+    tally ``acks``.
 
     A crash ends every piece of transport RAM — pointers, pending
-    queues, unacked sends, dedup memory — and stops its timers, so a
-    dead mote's agent neither expires, escalates nor dead-letters.
+    queues, unacked sends, dedup memory — and stops its timers, and the
+    directory drops the mote's lookups without calling back, so a dead
+    mote's agent neither escalates nor dead-letters.
     """
 
     name = "mtp"
@@ -167,18 +172,15 @@ class MtpAgent(Component):
         self.table = LastKnownLeaderTable()
         self.reliability = reliability
         self._ports: Dict[Tuple[str, int], PortHandler] = {}
+        #: Invocations waiting on the one directory lookup of their label.
         self._pending: Dict[str, List[Invocation]] = {}
-        #: The expiry timer of each pending-lookup queue.
-        self._pending_expiry: Dict[str, TimerHandle] = {}
-        self._sequences = SequenceCounters()
+        #: The last sequence number given out per connection (1-based).
+        self._sequences: Dict[ConnectionKey, int] = {}
         self._outbox: Dict[Tuple[ConnectionKey, int],
                            PendingTransmission] = {}
         self._dedup = DedupTable()
-        self.dead_letters = DeadLetterQueue()
         self._negative = NegativeCache(ttl=NEGATIVE_TTL)
         self.delivered = 0
-        self.forwarded = 0
-        self.dropped = 0
         self.acked = 0
         self.retransmitted = 0
         self.dead_lettered = 0
@@ -189,11 +191,6 @@ class MtpAgent(Component):
         metrics.view(Counter, "repro_mtp_acks_total",
                      "MTP ack frames by direction.", ("direction",),
                      merged(lambda agent: agent.acks), self)
-
-    @property
-    def duplicates(self) -> int:
-        """Retransmitted invocations suppressed before the handler."""
-        return self._dedup.duplicates
 
     def _jitter_rng(self):
         return self.sim.rng.stream(RELIABILITY_STREAM)
@@ -243,9 +240,10 @@ class MtpAgent(Component):
             # through the same machinery as a failure on the wire, not
             # vanish as an anonymous drop.  The retransmit timer is armed
             # on first transmission.
-            invocation = replace(
-                invocation,
-                seq=self._sequences.next(invocation.connection()))
+            conn = invocation.connection()
+            seq = self._sequences.get(conn, 0) + 1
+            self._sequences[conn] = seq
+            invocation = replace(invocation, seq=seq)
             self._track(invocation)
         if self._negative.fresh(dest_label, self.now):
             self._drop(invocation, "negative_cache")
@@ -260,8 +258,9 @@ class MtpAgent(Component):
         self._enqueue_lookup(invocation)
 
     def _enqueue_lookup(self, invocation: Invocation) -> None:
-        """Park the invocation behind a (possibly in-flight) directory
-        lookup for its destination label's type."""
+        """Park the invocation behind the directory lookup of its
+        destination label, opening the queue with a lookup if none is in
+        flight."""
         dest_label = invocation.dest_label
         queue = self._pending.setdefault(dest_label, [])
         if len(queue) >= PENDING_LIMIT:
@@ -270,21 +269,15 @@ class MtpAgent(Component):
         queue.append(invocation)
         if len(queue) > 1:
             return  # lookup already in flight
-        expiry = self.sim.timers.create(
-            partial(self._on_pending_expiry, dest_label),
-            label=f"mtp.lookup_expiry@{self.node_id}")
-        self._pending_expiry[dest_label] = expiry
-        self.sim.timers.arm(expiry, LOOKUP_EXPIRY)
         self.directory.lookup(
             label_type(dest_label),
             lambda entries: self._lookup_done(dest_label, entries))
 
     def _lookup_done(self, dest_label: str,
                      entries: List["DirectoryEntry"]) -> None:
-        expiry = self._pending_expiry.pop(dest_label, None)
-        if expiry is not None:
-            self.sim.timers.cancel(expiry)
-        waiting = self._pending.pop(dest_label, [])
+        # The queue's one lookup answered; a crash would have dropped
+        # both, so the queue is still open.
+        waiting = self._pending.pop(dest_label)
         match = next((entry for entry in entries
                       if entry.label == dest_label), None)
         if match is None:
@@ -316,39 +309,18 @@ class MtpAgent(Component):
                                   match.leader, invocation,
                                   label=f"mtp.burst@{self.node_id}")
 
-    def _on_pending_expiry(self, dest_label: str) -> None:
-        """The directory never answered: expire the stranded queue.
-
-        Fire-and-forget invocations drop; reliable ones spend an
-        escalation on a fresh lookup (dead-lettering once the escalation
-        budget is gone).
-        """
-        del self._pending_expiry[dest_label]
-        waiting = self._pending.pop(dest_label)
-        self.record("lookup_expired", dest=dest_label,
-                    count=len(waiting))
-        for invocation in waiting:
-            if invocation.seq is not None:
-                pending = self._outbox.get((invocation.connection(),
-                                            invocation.seq))
-                if pending is not None:
-                    self._escalate(pending)
-                    continue
-            self._drop(invocation, "lookup_expired")
-
     def _transmit(self, node: int, invocation: Invocation) -> None:
-        """Put one invocation on the wire; reliable sends also register
-        (or re-arm) their retransmit state."""
+        """Put one invocation on the wire; a sequenced one also arms its
+        retransmit timer."""
         if not self.mote.alive:
             return  # paced burst release racing a crash: nothing to do
-        if self.reliability is not None:
-            conn = invocation.connection()
-            if invocation.seq is None:
-                invocation = replace(invocation,
-                                     seq=self._sequences.next(conn))
-            pending = self._outbox.get((conn, invocation.seq))
-            if pending is None:
-                pending = self._track(invocation)
+        if invocation.seq is not None:
+            pending = self._outbox.get((invocation.connection(),
+                                        invocation.seq))
+            if pending is None or pending.invocation is not invocation:
+                # A crash wiped this send while its paced burst release
+                # waited: it ended with the outbox.
+                return
             self._arm_retransmit(pending)
         self.router.route_to_node(node, MTP_KIND, invocation)
 
@@ -360,7 +332,7 @@ class MtpAgent(Component):
         (unarmed) retransmit timer."""
         key = (invocation.connection(), invocation.seq)
         pending = PendingTransmission(
-            invocation=invocation, conn=key[0], seq=invocation.seq,
+            invocation=invocation,
             timer=self.sim.timers.create(
                 partial(self._on_retransmit_timeout, key),
                 label=f"mtp.rto@{self.node_id}"))
@@ -389,8 +361,9 @@ class MtpAgent(Component):
             return
         pending.attempts += 1
         self.retransmitted += 1
-        self.record("retransmit", dest=dest_label, seq=pending.seq,
-                    attempt=pending.attempts, next=pointer.leader)
+        self.record("retransmit", dest=dest_label,
+                    seq=pending.invocation.seq, attempt=pending.attempts,
+                    next=pointer.leader)
         self._arm_retransmit(pending)
         self.router.route_to_node(pointer.leader, MTP_KIND,
                                   pending.invocation)
@@ -408,20 +381,18 @@ class MtpAgent(Component):
         pending.attempts = 0
         self.table.forget(dest_label)
         self._negative.forget(dest_label)
-        self.record("escalate", dest=dest_label, seq=pending.seq,
-                    round=pending.escalations)
+        self.record("escalate", dest=dest_label,
+                    seq=pending.invocation.seq, round=pending.escalations)
         self._enqueue_lookup(pending.invocation)
 
     def _dead_letter(self, pending: PendingTransmission,
                      reason: str) -> None:
-        self._outbox.pop((pending.conn, pending.seq), None)
+        invocation = pending.invocation
+        self._outbox.pop((invocation.connection(), invocation.seq), None)
         self.sim.timers.cancel(pending.timer)
         self.dead_lettered += 1
-        self.dropped += 1
-        self.dead_letters.push(DeadLetter(
-            invocation=pending.invocation, reason=reason, time=self.now))
-        self.record("dead_letter", dest=pending.invocation.dest_label,
-                    seq=pending.seq, reason=reason)
+        self.record("dead_letter", dest=invocation.dest_label,
+                    seq=invocation.seq, reason=reason)
 
     def _drop(self, invocation: Invocation, reason: str) -> None:
         """Final-drop bookkeeping; sequenced invocations dead-letter."""
@@ -431,7 +402,6 @@ class MtpAgent(Component):
             if pending is not None:
                 self._dead_letter(pending, reason)
                 return
-        self.dropped += 1
         self.record("drop", reason=reason, dest=invocation.dest_label)
 
     # ------------------------------------------------------------------
@@ -452,15 +422,13 @@ class MtpAgent(Component):
         handler = self._ports.get(
             (label_type(invocation.dest_label), invocation.dest_port))
         if handler is None:
-            self.dropped += 1
             self.record("drop", reason="no_port",
                         dest=invocation.dest_label,
                         port=invocation.dest_port)
             return
         if invocation.seq is not None:
-            fresh = self._dedup.check_and_mark(invocation.connection(),
-                                               invocation.seq)
-            if not fresh:
+            if not self._dedup.mark(invocation.connection(),
+                                    invocation.seq):
                 # At-most-once: suppress the handler, re-ack (the first
                 # ack evidently never reached the sender).
                 self.record("duplicate", dest=invocation.dest_label,
@@ -514,7 +482,6 @@ class MtpAgent(Component):
         """Past-leader forwarding: push the message one pointer closer to
         the label's current leader."""
         if invocation.chain <= 0:
-            self.dropped += 1
             self.record("drop", reason="chain_exhausted",
                         dest=invocation.dest_label)
             return
@@ -525,11 +492,9 @@ class MtpAgent(Component):
                 # dead end that can never improve on its own; evict it so
                 # the next send re-resolves instead of re-dropping.
                 self.table.forget(invocation.dest_label)
-            self.dropped += 1
             self.record("drop", reason="no_pointer",
                         dest=invocation.dest_label)
             return
-        self.forwarded += 1
         self.record("forward", dest=invocation.dest_label,
                     next=pointer.leader)
         self.router.route_to_node(
@@ -550,9 +515,6 @@ class MtpAgent(Component):
         for pending in self._outbox.values():
             timers.cancel(pending.timer)
         self._outbox.clear()
-        for expiry in self._pending_expiry.values():
-            timers.cancel(expiry)
-        self._pending_expiry.clear()
         self._pending.clear()
         self._sequences.clear()
         self._dedup.clear()

@@ -22,8 +22,9 @@ discipline real deployments layer on top:
   handler *at most once* per receiving node.
 * **Dead letters** — when the retransmit budget and the escalation
   budget (pointer invalidation + fresh directory lookup) are both
-  exhausted, the message lands in a bounded dead-letter queue with a
-  recorded reason instead of vanishing.
+  exhausted, the message ends in an ``mtp.dead_letter`` trace record
+  with its destination, sequence number and reason instead of
+  vanishing.
 
 Caveat worth stating plainly: dedup state is per-node RAM.  A leader
 crash between a delivery and its ack can hand the retransmission to the
@@ -41,9 +42,9 @@ systems do.
 from __future__ import annotations
 
 import random
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Tuple
 
 from ..sim import TimerHandle
 
@@ -70,9 +71,6 @@ BACKOFF_FACTOR = 2.0
 #: sequence numbers remembered per connection.
 DEDUP_CONNECTIONS = 64
 DEDUP_WINDOW = 128
-
-#: Dead letters retained per agent (oldest evicted first).
-DEAD_LETTER_CAPACITY = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,9 +117,8 @@ class ReliabilityConfig:
         -leader pointer and fall back to a fresh directory lookup before
         the message dead-letters.
 
-    The dedup memory and the dead-letter queue have fixed sizes
-    (:data:`DEDUP_CONNECTIONS`, :data:`DEDUP_WINDOW`,
-    :data:`DEAD_LETTER_CAPACITY`).
+    The dedup memory has fixed sizes (:data:`DEDUP_CONNECTIONS`,
+    :data:`DEDUP_WINDOW`).
     """
 
     ack_timeout: float = 0.5
@@ -151,31 +148,13 @@ class ReliabilityConfig:
         return base * (1.0 + self.jitter * rng.uniform(-1.0, 1.0))
 
 
-class SequenceCounters:
-    """Per-connection outbound sequence numbers (1-based)."""
-
-    def __init__(self) -> None:
-        self._next: Dict[ConnectionKey, int] = {}
-
-    def next(self, conn: ConnectionKey) -> int:
-        value = self._next.get(conn, 0) + 1
-        self._next[conn] = value
-        return value
-
-    def clear(self) -> None:
-        self._next.clear()
-
-    def __len__(self) -> int:
-        return len(self._next)
-
-
 class DedupTable:
     """Bounded memory of delivered ``(connection, seq)`` pairs.
 
     Connections evict least-recently-used; within a connection the
     remembered window is the last ``window`` distinct sequence numbers.
-    ``check_and_mark`` returns True exactly once per remembered pair, so
-    handler delivery is at-most-once while the pair stays in memory.
+    ``mark`` returns True exactly once per remembered pair, so handler
+    delivery is at-most-once while the pair stays in memory.
     """
 
     def __init__(self, connections: int = DEDUP_CONNECTIONS,
@@ -187,31 +166,12 @@ class DedupTable:
         self.window = window
         self._seen: "OrderedDict[ConnectionKey, OrderedDict[int, None]]" = \
             OrderedDict()
-        self.duplicates = 0
 
-    def check_and_mark(self, conn: ConnectionKey, seq: int) -> bool:
-        """True (and remembered) on first sight; False on a duplicate."""
-        seqs = self._seen.get(conn)
-        if seqs is None:
-            seqs = OrderedDict()
-            self._seen[conn] = seqs
-            while len(self._seen) > self.connections:
-                self._seen.popitem(last=False)
-        else:
-            self._seen.move_to_end(conn)
-            if seq in seqs:
-                self.duplicates += 1
-                return False
-        seqs[seq] = None
-        while len(seqs) > self.window:
-            seqs.popitem(last=False)
-        return True
+    def mark(self, conn: ConnectionKey, seq: int) -> bool:
+        """Remember a pair; True on first sight, False if remembered.
 
-    def mark(self, conn: ConnectionKey, seq: int) -> None:
-        """Remember a pair without counting a duplicate.
-
-        Used when dedup state arrives second-hand (a neighbor leader's
-        dedup-share broadcast) rather than from a local delivery.
+        A local delivery and a neighbor leader's dedup-share broadcast
+        both mark the pair; only the delivery acts on the answer.
         """
         seqs = self._seen.get(conn)
         if seqs is None:
@@ -222,10 +182,11 @@ class DedupTable:
         else:
             self._seen.move_to_end(conn)
             if seq in seqs:
-                return
+                return False
         seqs[seq] = None
         while len(seqs) > self.window:
             seqs.popitem(last=False)
+        return True
 
     def clear(self) -> None:
         self._seen.clear()
@@ -234,44 +195,12 @@ class DedupTable:
         return len(self._seen)
 
 
-@dataclass(frozen=True)
-class DeadLetter:
-    """One undeliverable invocation, kept for post-mortem inspection."""
-
-    invocation: Any  # transport.mtp.Invocation (import cycle avoided)
-    reason: str
-    time: float
-
-
-class DeadLetterQueue:
-    """Bounded FIFO of the latest dead letters.  Every dead letter, with
-    its reason, is also an ``mtp.dead_letter`` trace record."""
-
-    def __init__(self, capacity: int = DEAD_LETTER_CAPACITY) -> None:
-        _require(capacity >= 1, f"capacity must be >= 1: {capacity}")
-        self._letters: Deque[DeadLetter] = deque(maxlen=capacity)
-
-    def push(self, letter: DeadLetter) -> None:
-        self._letters.append(letter)
-
-    def letters(self) -> List[DeadLetter]:
-        return list(self._letters)
-
-    def clear(self) -> None:
-        """Drop retained letters."""
-        self._letters.clear()
-
-    def __len__(self) -> int:
-        return len(self._letters)
-
-
 @dataclass
 class PendingTransmission:
     """Sender-side state of one unacked reliable invocation."""
 
-    invocation: Any  # transport.mtp.Invocation (import cycle avoided)
-    conn: ConnectionKey
-    seq: int
+    #: The sequenced ``transport.mtp.Invocation`` (import cycle avoided).
+    invocation: Any
     #: The retransmit timer, armed on each transmission.
     timer: TimerHandle = field(repr=False)
     attempts: int = 0

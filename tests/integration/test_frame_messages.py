@@ -89,7 +89,7 @@ def protocol_state(app):
              for label, pointer in mtp.table._entries.items()],
             {conn: list(seqs) for conn, seqs in mtp._dedup._seen.items()},
             sorted(mtp._outbox), dict(mtp.acks), mtp.delivered,
-            mtp.forwarded, mtp.dropped, mtp.acked)
+            mtp.acked)
     for node, directory in app.directories.items():
         state["dir", node] = (dict(directory._entries), dict(directory.ops),
                               sorted(directory._pending_queries))

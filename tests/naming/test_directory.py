@@ -194,7 +194,8 @@ def test_dead_client_lookup_collected_without_callback():
     assert client._pending_queries == {}  # collected by the crash
     sim.run(until=sim.now + 5.0)
     assert called == []  # nobody home: no callback either
-    assert client.lookup_timeouts == 0  # the timeout was stopped too
+    # The timeout was stopped too.
+    assert sim.metrics.get("repro_dir_lookup_timeouts_total").value() == 0
 
 
 def test_lookup_timeout_validation():

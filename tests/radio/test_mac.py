@@ -57,7 +57,8 @@ def test_csma_drops_after_max_attempts(monkeypatch):
     csma = CsmaMac(sim, medium, (1.0, 0.0))
     csma.send(Frame(src=1, dst=BROADCAST, kind="victim"))
     sim.run(until=5.0)
-    assert csma.dropped == 1
+    (drop,) = sim.trace_records("mac.drop")
+    assert drop.detail == {"kind": "victim", "cause": "max_attempts"}
     assert csma.sent == 0
 
 
@@ -82,7 +83,8 @@ def test_csma_queue_overflow_drops(monkeypatch):
         csma.send(Frame(src=0, dst=BROADCAST, kind=f"k{i}"))
     # First transmitted immediately; second backing off; two queued; the
     # rest dropped on overflow.
-    assert csma.dropped == 2
+    assert [drop.detail["cause"] for drop in sim.trace_records("mac.drop")] \
+        == ["queue_overflow", "queue_overflow"]
     sim.run()
 
 

@@ -103,7 +103,8 @@ def test_unknown_label_dropped_with_reason():
     net.run(2.0)
     net.mtp[alpha_leader].invoke(alpha_label, "beta#9.99", 1, {})
     net.run(5.0)
-    assert net.mtp[alpha_leader].dropped == 1
+    (drop,) = net.sim.trace_records("mtp.drop", alpha_leader)
+    assert drop.detail == {"reason": "unknown_label", "dest": "beta#9.99"}
 
 
 def test_port_registration_conflicts_rejected():

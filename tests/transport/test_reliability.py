@@ -1,18 +1,20 @@
 """Tests for reliable MTP delivery: acks, retries, escalation, dedup."""
 
+import collections
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.transport.mtp as mtp_module
 from repro.groups import GroupConfig, GroupManager
-from repro.naming import (DEFAULT_LOOKUP_TIMEOUT, DirectoryService,
-                          FieldBounds)
+from repro.naming import (DEFAULT_LOOKUP_TIMEOUT, QUERY_KIND,
+                          DirectoryService, FieldBounds)
 from repro.sensing import SensorField
 from repro.sim import Simulator
-from repro.transport import (DeadLetter, DeadLetterQueue, DedupTable,
-                             GeoRouter, Invocation, MtpAgent,
-                             ReliabilityConfig, SequenceCounters)
+from repro.transport import (MTP_ACK_KIND, DedupTable, GeoRouter,
+                             Invocation, MtpAgent, ReliabilityConfig)
 
 
 # ----------------------------------------------------------------------
@@ -42,57 +44,31 @@ def test_retry_delay_backoff_and_determinism():
         assert 0.9 * base <= delay <= 1.1 * base
 
 
-def test_sequence_counters_are_per_connection():
-    counters = SequenceCounters()
-    a = ("x#1.1", 0, "y#1.1", 5)
-    b = ("x#1.1", 0, "z#1.1", 5)
-    assert [counters.next(a), counters.next(a), counters.next(b)] \
-        == [1, 2, 1]
-    counters.clear()
-    assert counters.next(a) == 1
-
-
 def test_dedup_table_at_most_once_and_bounds():
     table = DedupTable(connections=2, window=3)
     conn = ("a#1.1", 0, "b#1.1", 1)
-    assert table.check_and_mark(conn, 1)
-    assert not table.check_and_mark(conn, 1)
-    assert table.duplicates == 1
+    assert table.mark(conn, 1)
+    assert not table.mark(conn, 1)
     # The window forgets the oldest seq once it overflows.
     for seq in (2, 3, 4):
-        assert table.check_and_mark(conn, seq)
-    assert table.check_and_mark(conn, 1)  # aged out of the window
+        assert table.mark(conn, seq)
+    assert table.mark(conn, 1)  # aged out of the window
     # Connection LRU: a third connection evicts the least recent.
     other = ("c#1.1", 0, "b#1.1", 1)
     third = ("d#1.1", 0, "b#1.1", 1)
-    table.check_and_mark(other, 1)
-    table.check_and_mark(third, 1)
+    table.mark(other, 1)
+    table.mark(third, 1)
     assert len(table) == 2
 
 
 def test_dedup_mark_prewarms_without_counting():
+    # A dedup share marks the pair; marking is idempotent, and the
+    # pre-warmed pair then suppresses the later direct delivery.
     table = DedupTable()
     conn = ("a#1.1", 0, "b#1.1", 1)
-    table.mark(conn, 5)
-    table.mark(conn, 5)  # idempotent, not a duplicate
-    assert table.duplicates == 0
-    # The pre-warmed pair suppresses the later direct delivery.
-    assert not table.check_and_mark(conn, 5)
-    assert table.duplicates == 1
-
-
-def test_dead_letter_queue_bounded_with_reason_counts():
-    queue = DeadLetterQueue(capacity=2)
-    for i in range(3):
-        queue.push(DeadLetter(invocation=None, reason="retry_exhausted",
-                              time=float(i)))
-    queue.push(DeadLetter(invocation=None, reason="unknown_label",
-                          time=9.0))
-    assert len(queue) == 2  # oldest evicted
-    assert [(letter.reason, letter.time) for letter in queue.letters()] \
-        == [("retry_exhausted", 2.0), ("unknown_label", 9.0)]
-    queue.clear()
-    assert len(queue) == 0
+    assert table.mark(conn, 5)
+    assert not table.mark(conn, 5)
+    assert len(table) == 1
 
 
 # ----------------------------------------------------------------------
@@ -153,6 +129,9 @@ class Net:
             type_name, label, mote.position, leader)
         return leader, label
 
+    def records(self, category, node=None):
+        return list(self.sim.trace_records(category, node))
+
 
 RELIABLE = ReliabilityConfig(ack_timeout=0.5, jitter=0.0, max_retries=3,
                              max_escalations=2)
@@ -210,20 +189,32 @@ def test_lost_frames_are_retransmitted_to_delivery():
 
 
 def test_duplicate_deliveries_suppressed_and_reacked():
-    # Force a retransmission of an already delivered invocation by
-    # transmitting the same sequenced invocation twice by hand.
+    # The first ack never reaches the sender, so its outbox retransmits
+    # an invocation the receiver already delivered: the receiver must
+    # suppress the handler and ack again.
     net, alpha_leader, alpha_label, beta_leader, beta_label, received = \
         build_pair(reliability=RELIABLE)
     sender = net.mtp[alpha_leader]
-    invocation = Invocation(
-        src_label=alpha_label, src_port=0, src_leader=alpha_leader,
-        dest_label=beta_label, dest_port=5, args={"ping": 1}, seq=1)
-    sender._transmit(beta_leader, invocation)
-    net.run(3.0)
-    sender._transmit(beta_leader, invocation)
-    net.run(3.0)
+    sender.table.update(beta_label, beta_leader, net.sim.now)
+    handlers = sender.router._handlers
+    deliver_ack = handlers[MTP_ACK_KIND]
+    lost = []
+
+    def lose_first_ack(ack, origin):
+        if lost:
+            deliver_ack(ack, origin)
+        else:
+            lost.append(ack)
+
+    handlers[MTP_ACK_KIND] = lose_first_ack
+    sender.invoke(alpha_label, beta_label, 5, {"ping": 1})
+    net.run(6.0)
     assert received == [{"ping": 1}]  # handler ran exactly once
-    assert net.mtp[beta_leader].duplicates == 1
+    assert len(lost) == 1
+    assert len(net.records("mtp.retransmit", alpha_leader)) >= 1
+    (duplicate,) = net.records("mtp.duplicate", beta_leader)
+    assert duplicate.detail["seq"] == 1
+    assert sender.acked == 1 and not sender._outbox
 
 
 def test_delivery_prewarms_neighbor_dedup_tables():
@@ -238,7 +229,7 @@ def test_delivery_prewarms_neighbor_dedup_tables():
     assert received == [{"ping": 1}]
     conn = (alpha_label, 0, beta_label, 5)
     neighbor = net.mtp[beta_leader - 1]  # grid neighbor, in radio range
-    assert not neighbor._dedup.check_and_mark(conn, 1)
+    assert not neighbor._dedup.mark(conn, 1)
 
 
 def test_retry_exhaustion_escalates_then_dead_letters():
@@ -256,9 +247,9 @@ def test_retry_exhaustion_escalates_then_dead_letters():
     net.run(60.0)
     assert sender.dead_lettered == 1
     assert not sender._outbox
-    letters = sender.dead_letters.letters()
-    assert [letter.reason for letter in letters] == ["retry_exhausted"]
-    assert letters[0].invocation.dest_label == "beta#9.9"
+    (letter,) = net.records("mtp.dead_letter", alpha_leader)
+    assert letter.detail == {"dest": "beta#9.9", "seq": 1,
+                             "reason": "retry_exhausted"}
     # Escalation ran: the stale pointer was evicted along the way.
     assert sender.table.peek("beta#9.9") is None
 
@@ -314,35 +305,15 @@ def test_negative_cache_only_on_authoritative_miss():
     agent._lookup_done("ghost#1.1", [other])
     assert agent._negative.fresh("ghost#1.1", agent.now)
     # While fresh, repeat sends fail locally instead of re-querying.
-    before = agent.dropped
     agent.invoke("a#0.1", "ghost#1.1", 1, {})
-    assert agent.dropped == before + 1
+    assert [drop.detail["reason"] for drop in net.records("mtp.drop")] \
+        == ["unknown_label", "unknown_label", "negative_cache"]
     assert agent._pending.get("ghost#1.1") is None
 
 
 # ----------------------------------------------------------------------
 # Regressions: pending-lookup hygiene, pointers, chain clamp
 # ----------------------------------------------------------------------
-def test_pending_lookup_queue_does_not_leak_without_directory_answer(
-        monkeypatch):
-    # The directory never calls back: only the agent's own expiry timer
-    # stands between a lost response and a leaked queue.
-    monkeypatch.setattr(mtp_module, "LOOKUP_EXPIRY", 2.0)
-    net = Net()
-    net.sensing = {"alpha": {0}}
-    net.run(3.0)
-    alpha_leader, alpha_label = net.register_label("alpha")
-    net.run(2.0)
-    sender = net.mtp[alpha_leader]
-    sender.directory.lookup = lambda *args, **kwargs: None  # black hole
-    sender.invoke(alpha_label, "ghost#1.1", 5, {})
-    assert "ghost#1.1" in sender._pending
-    net.run(10.0)
-    assert sender._pending == {}
-    assert sender._pending_expiry == {}
-    assert sender.dropped == 1
-
-
 def test_crashed_sender_stays_silent_with_a_lookup_pending():
     # Regression: a reliable sender that crashed while its lookup was
     # pending kept expiring the queue, escalating and dead-lettering
@@ -377,7 +348,8 @@ def test_pending_overflow_drops_newest(monkeypatch):
     for n in range(4):
         sender.invoke(alpha_label, "ghost#1.1", 5, {"n": n})
     assert len(sender._pending["ghost#1.1"]) == 2
-    assert sender.dropped == 2
+    assert [drop.detail["reason"] for drop in net.records("mtp.drop")] \
+        == ["pending_overflow", "pending_overflow"]
 
 
 def test_forward_evicts_useless_self_pointer():
@@ -387,7 +359,8 @@ def test_forward_evicts_useless_self_pointer():
     invocation = Invocation(src_label="x#1.1", src_port=0, src_leader=0,
                             dest_label="ghost#1.1", dest_port=1, args={})
     agent._forward(invocation)
-    assert agent.dropped == 1
+    (drop,) = net.records("mtp.drop")
+    assert drop.detail["reason"] == "no_pointer"
     assert agent.table.peek("ghost#1.1") is None  # evicted, not kept
 
 
@@ -400,9 +373,8 @@ def test_negative_chain_budget_clamped_on_parse():
                             dest_label="y#1.1", dest_port=1, args={},
                             chain=-7)
     agent._forward(invocation)
-    assert agent.forwarded == 0
-    assert agent.dropped == 1
-    (drop,) = net.sim.trace_records("mtp.drop")
+    assert net.records("mtp.forward") == []
+    (drop,) = net.records("mtp.drop")
     assert drop.detail["reason"] == "chain_exhausted"
 
 
@@ -422,3 +394,143 @@ def test_reboot_wipes_reliable_transport_state():
     before = sender.retransmitted
     net.run(10.0)  # any armed retransmit timer must have gone quiet
     assert sender.retransmitted == before
+
+
+def test_reboot_does_not_resurrect_a_wiped_burst_release():
+    # Regression: three invocations queue behind one lookup; the answer
+    # sends the first and paces the other two.  A crash and reboot of
+    # the sender in that window wipes all three from the outbox, but the
+    # paced releases still fired and re-tracked the two that waited, so
+    # the rebooted sender retransmitted sends its crash had ended.
+    net, alpha_leader, alpha_label, beta_leader, beta_label, received = \
+        build_pair(reliability=RELIABLE)
+    sender = net.mtp[alpha_leader]
+    for n in range(3):
+        sender.invoke(alpha_label, beta_label, 5, {"n": n})
+    assert len(sender._pending[beta_label]) == 3
+    while beta_label in sender._pending:
+        net.sim.step()
+    net.field.fail_node(alpha_leader)
+    net.field.motes[alpha_leader].reboot()
+    assert not sender._outbox
+    net.run(10.0)
+    assert [args["n"] for args in received] == [0]  # on the air already
+    assert not sender._outbox
+    assert net.records("mtp.retransmit", alpha_leader) == []
+
+
+def test_one_escalation_per_directory_verdict():
+    # Regression: the agent armed its own lookup deadline next to the
+    # directory's, and the two tied (2 x 3 s), so one outage escalated
+    # twice at once and left two lookups in flight.  Now each directory
+    # verdict spends one escalation.
+    net = Net(reliability=RELIABLE)
+    net.sensing = {"alpha": {0}}
+    net.run(3.0)
+    alpha_leader, alpha_label = net.register_label("alpha")
+    net.run(2.0)
+    for agent in net.mtp.values():  # every directory query vanishes
+        agent.router._handlers[QUERY_KIND] = lambda query, origin: None
+    sender = net.mtp[alpha_leader]
+    start = net.sim.now
+    sender.invoke(alpha_label, "ghost#1.1", 5, {})
+    net.run(30.0)
+
+    def offsets(category):
+        return [record.time - start
+                for record in net.records(category, alpha_leader)]
+
+    assert offsets("mtp.escalate") == pytest.approx([6.0, 12.0])
+    assert [record.detail["round"] for record in
+            net.records("mtp.escalate", alpha_leader)] == [1, 2]
+    assert offsets("mtp.dead_letter") == pytest.approx([18.0])
+    retries = offsets("dir.lookup_retry")
+    assert retries == pytest.approx([3.0, 9.0, 15.0])
+    assert all(later - earlier >= 3.0 - 1e-9
+               for earlier, later in zip(retries, retries[1:]))
+    assert not sender._pending and not sender._outbox
+
+
+# ----------------------------------------------------------------------
+# Property: one lookup per label, one end per send
+# ----------------------------------------------------------------------
+sends = st.lists(
+    st.tuples(st.floats(min_value=0.0, max_value=4.0),
+              st.sampled_from(["beta", "ghost"])),
+    min_size=1, max_size=6)
+crashes = st.none() | st.tuples(st.floats(min_value=0.0, max_value=5.0),
+                                st.floats(min_value=0.0, max_value=2.0))
+
+
+@given(sends=sends, loss=st.floats(min_value=0.0, max_value=0.2),
+       crash=crashes)
+@settings(max_examples=12)
+def test_one_lookup_per_label_and_one_end_per_send(sends, loss, crash):
+    """Whatever the send times, losses and sender crash: the sender never
+    asks the directory about a label it already awaits, and each
+    sequenced invocation ends exactly once — acked, dead-lettered or
+    wiped by the crash — with no ``mtp.*`` record while the sender is
+    dead."""
+    net, alpha_leader, alpha_label, beta_leader, beta_label, received = \
+        build_pair(reliability=RELIABLE, base_loss_rate=loss)
+    sender = net.mtp[alpha_leader]
+    mote = net.field.motes[alpha_leader]
+    dests = {"beta": beta_label, "ghost": "ghost#1.1"}
+    state = {"epoch": 0}
+    awaited = set()  # context types (one label each) with a lookup out
+    opened, wiped = [], set()
+    ends = collections.Counter()
+    lookup, track, record = \
+        sender.directory.lookup, sender._track, sender.record
+
+    def checked_lookup(context_type, callback):
+        assert context_type not in awaited, \
+            f"second lookup in flight for {context_type}"
+        awaited.add(context_type)
+
+        def answered(entries):
+            awaited.discard(context_type)
+            callback(entries)
+
+        lookup(context_type, answered)
+
+    def counted_track(invocation):
+        opened.append((state["epoch"], invocation.dest_label,
+                       invocation.seq))
+        return track(invocation)
+
+    def checked_record(category, **detail):
+        assert mote.alive, f"dead sender wrote mtp.{category}"
+        if category in ("ack", "dead_letter"):
+            ends[state["epoch"], detail["dest"], detail["seq"]] += 1
+        record(category, **detail)
+
+    sender.directory.lookup = checked_lookup
+    sender._track = counted_track
+    sender.record = checked_record
+    mote.add_fail_hook(awaited.clear)  # the crash drops the lookups
+
+    def send(dest):
+        if mote.alive:
+            sender.invoke(alpha_label, dest, 5, {})
+
+    for delay, kind in sends:
+        net.sim.schedule(delay, send, dests[kind])
+    if crash is not None:
+        crash_at, down_for = crash
+
+        def fail():
+            wiped.update((state["epoch"], conn[2], seq)
+                         for conn, seq in sender._outbox)
+            state["epoch"] += 1
+            net.field.fail_node(alpha_leader)
+
+        net.sim.schedule(crash_at, fail)
+        net.sim.schedule(crash_at + down_for, mote.reboot)
+    net.run(70.0)
+
+    assert not sender._outbox and not sender._pending
+    assert len(set(opened)) == len(opened)
+    for key in opened:
+        assert ends[key] + (key in wiped) == 1, key
+    assert sum(ends.values()) + len(wiped) == len(opened)
