@@ -10,6 +10,7 @@ Examples::
     python -m repro all --quick --out-dir figures/ --jobs 4
     python -m repro report --quick --svg dashboard.svg
     python -m repro report saved-trace.jsonl --prom metrics.prom
+    python -m repro trace-diff a.jsonl b.jsonl
 """
 
 from __future__ import annotations
@@ -35,16 +36,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Reproduce the EnviroTrack (ICDCS 2004) evaluation: "
                     "Figures 3-6 and Table 1; check/format EnviroTrack "
-                    "programs with 'compile <file>'; or render a run "
-                    "report with 'report'.")
+                    "programs with 'compile <file>'; render a run "
+                    "report with 'report'; or name where two saved "
+                    "traces first differ with 'trace-diff <a> <b>'.")
     parser.add_argument("experiment",
-                        choices=EXPERIMENTS + ("all", "compile", "report"),
-                        help="which experiment to run, 'compile', or "
-                             "'report'")
+                        choices=EXPERIMENTS + ("all", "compile", "report",
+                                               "trace-diff"),
+                        help="which experiment to run, 'compile', "
+                             "'report' or 'trace-diff'")
     parser.add_argument("source", nargs="?", default=None,
                         help="EnviroTrack program file (compile) or a "
                              "saved JSONL trace (report; omit to report "
-                             "on a fresh live run)")
+                             "on a fresh live run; trace-diff: the first "
+                             "trace)")
+    parser.add_argument("other", nargs="?", default=None,
+                        help="trace-diff: the second saved JSONL trace")
     parser.add_argument("--quick", action="store_true",
                         help="shrink sweeps for a fast smoke run")
     parser.add_argument("--seed", type=int, default=None,
@@ -216,10 +222,31 @@ def _run_report(args, out: Callable[[str], None]) -> int:
     return 0
 
 
+def _run_trace_diff(args, out: Callable[[str], None]) -> int:
+    """Print where two saved traces first differ; 1 if they differ."""
+    from .sim import first_divergence, load_trace
+    if not (args.source and args.other):
+        out("trace-diff: needs two trace files")
+        return 2
+    try:
+        a, b = load_trace(args.source), load_trace(args.other)
+    except (OSError, ValueError) as exc:
+        out(f"trace-diff: cannot load: {exc}")
+        return 2
+    divergence = first_divergence(a, b)
+    if divergence is None:
+        out(f"traces are identical ({len(a)} records)")
+        return 0
+    out(divergence)
+    return 1
+
+
 def main(argv=None, out: Callable[[str], None] = print) -> int:
     args = build_parser().parse_args(argv)
     if args.experiment == "compile":
         return _run_compile(args, out)
+    if args.experiment == "trace-diff":
+        return _run_trace_diff(args, out)
     if args.experiment == "report":
         return _run_report(args, out)
     if args.experiment == "all":

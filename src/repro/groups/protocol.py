@@ -35,6 +35,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..node import Component, Mote
 from ..radio import distance
+from ..sim import OneShotTimer, WatchdogTimer
 from ..telemetry.registry import Counter, summed
 from .config import (ANNOUNCE_JITTER, CLAIM_WINDOW, FORMATION_WINDOW,
                      REBROADCAST_JITTER, SENSE_COST, SENSE_PERIOD,
@@ -97,6 +98,21 @@ class _WaitMemory:
     state: Optional[dict] = None
 
 
+class _Unbuilt:
+    """Stands in for a wait timer before its first start: never armed,
+    and cancelling it does nothing."""
+
+    armed = False
+
+    def cancel(self) -> None:
+        pass
+
+
+#: Most nodes never arm most of their wait timers, so each is built on
+#: its first start or kick (see :meth:`GroupManager._receive_timer`).
+_UNBUILT = _Unbuilt()
+
+
 @dataclass
 class _TypeState:
     """Per-context-type protocol state on one node."""
@@ -137,13 +153,14 @@ class _TypeState:
     last_defence_time: float = -1e9
     #: Flood forwarding dedup: last forwarded heartbeat seq per label.
     forwarded_seq: Dict[str, int] = field(default_factory=dict)
-    # Timers are attached by the manager at start().
+    # The manager attaches the sense timer at start() and the heartbeat
+    # timer while leading; the wait timers are built on first use.
     sense_timer: Any = None
     heartbeat_timer: Any = None
-    receive_timer: Any = None
-    wait_timer: Any = None
-    claim_timer: Any = None
-    formation_timer: Any = None
+    receive_timer: Any = _UNBUILT
+    wait_timer: Any = _UNBUILT
+    claim_timer: Any = _UNBUILT
+    formation_timer: Any = _UNBUILT
 
 
 class GroupManager(Component):
@@ -224,25 +241,44 @@ class GroupManager(Component):
         self.record("reboot")
 
     def _activate(self, state: _TypeState) -> None:
-        cfg = state.config
         state.sense_timer = self.mote.periodic(
-            SENSE_PERIOD, lambda s=state: self._sense_check(s),
+            SENSE_PERIOD, partial(self._sense_check, state),
             label=f"gm.sense.{state.type_name}", cost=SENSE_COST,
             initial_delay=self._rng.uniform(0, SENSE_PERIOD),
             quiet_until=self._quiet_until(state))
         state.sense_timer.start()
-        state.receive_timer = self.mote.watchdog(
-            cfg.receive_timeout, lambda s=state: self._receive_expired(s),
-            label=f"gm.receive.{state.type_name}")
-        state.wait_timer = self.mote.watchdog(
-            cfg.wait_timeout, lambda s=state: self._wait_expired(s),
-            label=f"gm.wait.{state.type_name}")
-        state.claim_timer = self.mote.oneshot(
-            lambda s=state: self._claim_fired(s),
-            label=f"gm.claim.{state.type_name}")
-        state.formation_timer = self.mote.oneshot(
-            lambda s=state: self._formation_fired(s),
-            label=f"gm.formation.{state.type_name}")
+
+    def _receive_timer(self, state: _TypeState) -> WatchdogTimer:
+        """The receive watchdog, built on first use; a timer built after
+        a clock skew takes the mote's skewed timeout."""
+        if state.receive_timer is _UNBUILT:
+            state.receive_timer = self.mote.watchdog(
+                state.config.receive_timeout,
+                lambda: self._receive_expired(state),
+                label=f"gm.receive.{state.type_name}")
+        return state.receive_timer
+
+    def _wait_timer(self, state: _TypeState) -> WatchdogTimer:
+        if state.wait_timer is _UNBUILT:
+            state.wait_timer = self.mote.watchdog(
+                state.config.wait_timeout,
+                lambda: self._wait_expired(state),
+                label=f"gm.wait.{state.type_name}")
+        return state.wait_timer
+
+    def _claim_timer(self, state: _TypeState) -> OneShotTimer:
+        if state.claim_timer is _UNBUILT:
+            state.claim_timer = self.mote.oneshot(
+                lambda: self._claim_fired(state),
+                label=f"gm.claim.{state.type_name}")
+        return state.claim_timer
+
+    def _formation_timer(self, state: _TypeState) -> OneShotTimer:
+        if state.formation_timer is _UNBUILT:
+            state.formation_timer = self.mote.oneshot(
+                lambda: self._formation_fired(state),
+                label=f"gm.formation.{state.type_name}")
+        return state.formation_timer
 
     def _quiet_until(self, state: _TypeState
                      ) -> Optional[Callable[[float], float]]:
@@ -354,7 +390,7 @@ class GroupManager(Component):
         # context label": listen for a randomized formation window first so
         # concurrent first detectors collapse onto the fastest creator.
         if not state.formation_timer.armed:
-            state.formation_timer.start(
+            self._formation_timer(state).start(
                 self._rng.uniform(0, FORMATION_WINDOW))
 
     def _formation_fired(self, state: _TypeState) -> None:
@@ -430,8 +466,8 @@ class GroupManager(Component):
         if not isinstance(beat, Heartbeat):
             return
         state = self._types.get(beat.context_type)
-        # No timers: the mote crashed and came back without a reboot.
-        if (state is None or state.wait_timer is None
+        # No sense timer: the mote crashed and came back without a reboot.
+        if (state is None or state.sense_timer is None
                 or beat.leader == self.node_id):
             return
         state.last_hb_time = self.now
@@ -487,7 +523,7 @@ class GroupManager(Component):
                 self._notify("on_state_update", state.type_name,
                              state.label, beat.state)
             state.last_label_hb_time = self.now
-            state.receive_timer.kick()
+            self._receive_timer(state).kick()
             state.receive_deadline = self.now + state.config.receive_timeout
             if state.pending_via == "takeover":
                 self.record("takeover_aborted", type=state.type_name,
@@ -585,7 +621,7 @@ class GroupManager(Component):
                 state.relinquish_time = self.now
                 state.pending_via = "claim"
                 delay = self._rng.uniform(0, CLAIM_WINDOW)
-                state.claim_timer.start(delay)
+                self._claim_timer(state).start(delay)
 
     def _claim_fired(self, state: _TypeState) -> None:
         via = state.pending_via
@@ -645,7 +681,7 @@ class GroupManager(Component):
         # the claim window ceiling to keep the post-death takeover latency
         # within the relinquish-vs-takeover gap the tests assert.
         delay = self._rng.uniform(0.35, 1.0) * CLAIM_WINDOW
-        state.claim_timer.start(delay)
+        self._claim_timer(state).start(delay)
 
     def _takeover(self, state: _TypeState) -> None:
         label = state.label
@@ -734,7 +770,7 @@ class GroupManager(Component):
         state.claim_timer.cancel()
         state.pending_via = None
         state.probe_round = 0
-        state.receive_timer.start(candidate - self.now)
+        self._receive_timer(state).start(candidate - self.now)
         state.receive_deadline = candidate
         state.weight = max(state.weight, vouch.weight)
 
@@ -801,7 +837,7 @@ class GroupManager(Component):
         state.leader_position = None
         state.weight = weight
         state.cached_state = cached_state
-        state.receive_timer.kick()
+        self._receive_timer(state).kick()
         state.receive_deadline = self.now + state.config.receive_timeout
         state.last_label_hb_time = self.now
         state.pending_via = None
@@ -835,7 +871,7 @@ class GroupManager(Component):
                   weight: int, cached_state: Optional[dict]) -> None:
         state.wait_memory = _WaitMemory(label=label, leader=leader,
                                         weight=weight, state=cached_state)
-        state.wait_timer.kick()
+        self._wait_timer(state).kick()
 
     def _same_stimulus(self, state: _TypeState, beat: Heartbeat) -> bool:
         """Could ``beat``'s label and ours track the same physical entity?

@@ -151,7 +151,7 @@ class Cpu:
         if poller is not None:
             poller.give_way()
         task = (fn, args, self.task_cost if cost is None else cost, label,
-                self.sim.now)
+                self.sim._now)
         if self._busy:
             if len(self._queue) >= self.queue_limit:
                 self.dropped += 1
@@ -176,8 +176,9 @@ class Cpu:
         self._busy = True
         # The service event carries the task's own label (``rx.<kind>``,
         # ``timer.<label>`` …) so the profiler files handler work under it.
-        done = self.sim.now + task[2]
-        self.sim.schedule_at(done, self._finish, task, label=task[3])
+        sim = self.sim
+        done = sim._now + task[2]
+        sim.schedule_at(done, self._finish, task, label=task[3])
         self._done_at = done
 
     def _idle_at(self) -> float:
@@ -199,7 +200,7 @@ class Cpu:
             self._busy = False
             return
         self._executed += 1
-        self._total_latency += self.sim.now - posted_at
+        self._total_latency += self.sim._now - posted_at
         try:
             fn(*args)
         finally:

@@ -58,12 +58,11 @@ class Mote:
                        queue_limit=queue_limit)
         self._handlers: Dict[str, List[FrameHandler]] = {}
         #: CPU task labels ``tx.<kind>`` / ``rx.<kind>`` and span names
-        #: ``frame.<kind>`` / ``handle.<kind>``, built once per frame kind
-        #: rather than once per frame.
+        #: ``frame.<kind>``, built once per frame kind rather than once
+        #: per frame.
         self._tx_labels: Dict[str, str] = {}
         self._rx_labels: Dict[str, str] = {}
         self._frame_names: Dict[str, str] = {}
-        self._handle_names: Dict[str, str] = {}
         self._sensors: Dict[str, Callable[[], Any]] = {}
         self._timers: List[Any] = []
         self._fail_hooks: List[Callable[[], None]] = []
@@ -143,7 +142,6 @@ class Mote:
             self.mac.send(frame)
         finally:
             spans.current = previous
-        spans.finish(span_id)
 
     def _on_physical_receive(self, frame: Frame) -> None:
         if not self.alive:
@@ -163,26 +161,20 @@ class Mote:
         if not self.alive:
             return
         self.frames_delivered += 1
-        kind = frame.kind
-        handlers = self._handlers.get(kind)
+        handlers = self._handlers.get(frame.kind)
         if not handlers:
             return
-        name = self._handle_names.get(kind)
-        if name is None:
-            name = self._handle_names[kind] = "handle." + kind
+        # The handlers run under the frame's own span, so a reply sent
+        # inside, or by work they schedule, becomes a child of the frame
+        # that triggered it.
         spans = self.sim.spans
-        for handler in handlers:
-            # Each handler runs in its own span under the frame that
-            # triggered it, so replies sent inside become grandchildren
-            # of the original send.
-            span_id = spans.start(name, self.node_id, frame.span_id)
-            previous = spans.current
-            spans.current = span_id
-            try:
+        previous = spans.current
+        spans.current = frame.span_id
+        try:
+            for handler in handlers:
                 handler(frame)
-            finally:
-                spans.current = previous
-                spans.finish(span_id)
+        finally:
+            spans.current = previous
 
     # ------------------------------------------------------------------
     # Timers (handlers run as CPU tasks)
@@ -202,10 +194,7 @@ class Mote:
         simulator's :attr:`~repro.sim.Simulator.implicit_polls`.
         """
         task_label = "timer." + label
-
-        def fire() -> None:
-            self._timer_fire(callback, cost, task_label)
-
+        fire = self._on_cpu(callback, cost, task_label)
         scaled_delay = (None if initial_delay is None
                         else initial_delay * self.clock_scale)
         if quiet_until is None:
@@ -224,10 +213,9 @@ class Mote:
                  label: str = "watchdog",
                  cost: Optional[float] = None) -> WatchdogTimer:
         """A watchdog whose expiry handler runs on this mote's CPU."""
-        task_label = "timer." + label
         timer = WatchdogTimer(
             self.sim, timeout * self.clock_scale,
-            lambda: self._timer_fire(callback, cost, task_label),
+            self._on_cpu(callback, cost, "timer." + label),
             label=f"{label}@{self.node_id}")
         self._timers.append(timer)
         return timer
@@ -237,19 +225,23 @@ class Mote:
                 cost: Optional[float] = None) -> OneShotTimer:
         """An unarmed one-shot timer; arm with ``start(delay)``.  The
         callback runs on this mote's CPU."""
-        task_label = "timer." + label
         timer = OneShotTimer(
-            self.sim,
-            lambda: self._timer_fire(callback, cost, task_label),
+            self.sim, self._on_cpu(callback, cost, "timer." + label),
             label=f"{label}@{self.node_id}")
         self._timers.append(timer)
         return timer
 
-    def _timer_fire(self, callback: Callable[[], None],
-                    cost: Optional[float], task_label: str) -> None:
-        if not self.alive:
-            return
-        self.cpu.post(callback, cost=cost, label=task_label)
+    def _on_cpu(self, callback: Callable[[], None], cost: Optional[float],
+                task_label: str) -> Callable[[], None]:
+        """A timer's fire function: post ``callback`` to the CPU while
+        the mote is alive."""
+        cpu = self.cpu
+
+        def fire() -> None:
+            if self.alive:
+                cpu.post(callback, cost=cost, label=task_label)
+
+        return fire
 
     # ------------------------------------------------------------------
     # Failure injection

@@ -67,8 +67,8 @@ class Frame:
     #: experiment limits heartbeat reach to/past the sensing radius with it.
     tx_range: Optional[float] = None
     #: Causal span this frame was sent under (telemetry only).  Assigned
-    #: at send time, carried to receivers so handler spans chain to the
-    #: sender's context; never serialized into trace records.
+    #: at send time and carried to receivers, whose handlers run under
+    #: it; never serialized into trace records.
     span_id: Optional[int] = None
 
     def __post_init__(self) -> None:

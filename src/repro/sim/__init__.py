@@ -9,8 +9,8 @@ from .engine import SimulationError, Simulator, TimerHandle, TimerService
 from .events import TraceRecord
 from .rng import RandomStreams, derive_seed
 from .timers import OneShotTimer, PeriodicTimer, WatchdogTimer
-from .tracefile import (TraceQuery, dump_trace, load_trace, query,
-                        trace_digest)
+from .tracefile import (TraceQuery, dump_trace, first_divergence,
+                        load_trace, query, trace_digest)
 
 __all__ = [
     "OneShotTimer",
@@ -25,6 +25,7 @@ __all__ = [
     "WatchdogTimer",
     "derive_seed",
     "dump_trace",
+    "first_divergence",
     "load_trace",
     "query",
     "trace_digest",

@@ -31,11 +31,12 @@ Telemetry
 ---------
 Every simulator owns a metrics registry (``.metrics``) and a causal span
 tracker (``.spans``); there is no off switch.  Each heap entry carries
-the span current when it was scheduled, and the dispatcher restores it
-around the callback.  Neither touches the RNG streams or the trace.  The
-engine's own families are views: records by category are counted from
-the trace, the heap gauges read the heap, and compactions read
-:attr:`compactions`.
+the span current when it was scheduled, and that span is current while
+the entry's callback runs; :meth:`Simulator.run` restores the caller's
+span once, when it returns.  Neither touches the RNG streams or the
+trace.  The engine's own families are views: records by category are
+counted from the trace, the heap gauges read the heap, and compactions
+read :attr:`compactions`.
 
 Example
 -------
@@ -51,9 +52,10 @@ Example
 from __future__ import annotations
 
 import collections
-import heapq
+import math
 import time as _time
 from collections import deque
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
                     Tuple)
 
@@ -167,8 +169,8 @@ class TimerService:
             raise SimulationError(
                 f"cannot arm timer at {deadline!r}: now={sim._now}")
         handle.deadline = deadline
-        handle.seq = sim._seq.next()
-        handle.span = sim.spans.current
+        seq = handle.seq = sim._seq.next()
+        span = handle.span = sim.spans.current
         entry = handle.entry
         if entry is not None:
             if entry[0] <= deadline:
@@ -179,7 +181,10 @@ class TimerService:
             # ever catch up — abandon it and push a fresh one.
             handle.entry = None
             sim._note_cancelled()
-        heapq.heappush(sim._heap, _handle_entry(handle))
+        # _handle_entry(handle), spelled out on the hottest path.
+        entry = handle.entry = (deadline, seq, handle.callback, (),
+                                handle.label, span, handle)
+        heappush(sim._heap, entry)
         sim._live += 1
 
     def cancel(self, handle: TimerHandle) -> None:
@@ -236,7 +241,7 @@ class Simulator:
         #: Sense polls whose CPU service a quiet run charged.
         self._polls_implicit = 0
         self.metrics = MetricsRegistry()
-        self.spans = SpanTracker(clock=lambda: self._now)
+        self.spans = SpanTracker()
         metrics = self.metrics
         metrics.record_views(TRACE_FAMILIES, self.trace)
         metrics.view(Gauge, "repro_sim_heap_size",
@@ -340,8 +345,8 @@ class Simulator:
         if not when >= self._now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule at {when!r}: now={self._now}")
-        heapq.heappush(self._heap, (when, self._seq.next(), callback, args,
-                                    label, self.spans.current, None))
+        heappush(self._heap, (when, self._seq.next(), callback, args, label,
+                              self.spans.current, None))
         self._live += 1
 
     def call_soon(self, callback: Callable[..., Any], *args: Any,
@@ -371,52 +376,24 @@ class Simulator:
         and therefore the trace — is identical with or without
         compaction.
         """
+        heap = self._heap
         live: List[Entry] = []
-        for entry in self._heap:
+        for entry in heap:
             _, seq, _, _, _, _, handle = entry
             if handle is None:
                 live.append(entry)
             elif entry is handle.entry:
                 live.append(entry if seq == handle.seq
                             else _handle_entry(handle))
-        heapq.heapify(live)
-        self._heap = live
+        # In place: a running loop holds the list.
+        heap[:] = live
+        heapify(heap)
         self._cancelled = 0
         self.compactions += 1
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _pop_next(self, until: Optional[float] = None) -> Optional[Entry]:
-        """Pop the next fireable entry, reconciling timer entries.
-
-        Discards garbage heads, re-pushes timer entries whose handle's
-        deadline moved later, and returns None at quiescence or when the
-        next firing lies strictly after ``until``.
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            when, seq, _, _, _, _, handle = entry
-            if until is not None and when > until:
-                # A deferred timer entry's stale time only *understates*
-                # its true deadline, so crossing the horizon here is
-                # definitive for every entry kind.
-                return None
-            heapq.heappop(heap)
-            if handle is not None:
-                if entry is not handle.entry:
-                    self._cancelled -= 1  # garbage: lazily discarded
-                    continue
-                if seq != handle.seq:
-                    # Re-armed in place: catch up to the true deadline.
-                    heapq.heappush(heap, _handle_entry(handle))
-                    continue
-                handle.entry = None  # fires now; callback may re-arm
-            self._live -= 1
-            return entry
-        return None
-
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
         """Dispatch events until the horizon, the event budget, or quiescence.
@@ -430,26 +407,53 @@ class Simulator:
             Safety valve for runaway schedules.  It counts dispatched
             events only; the implicit events of quiet sense polls that
             :attr:`events_fired` includes do not use up the budget.
+
+        Each callback runs with its entry's span current.  ``run`` is
+        not reentrant, so it restores the caller's span once, however it
+        returns, rather than around every event.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
         self._stopped = False
+        heap = self._heap
+        spans = self.spans
+        caller_span = spans.current
+        horizon = math.inf if until is None else until
+        budget = math.inf if max_events is None else max_events
         fired = 0
         try:
-            while not self._stopped:
-                if max_events is not None and fired >= max_events:
+            while heap and not self._stopped and fired < budget:
+                entry = heap[0]
+                when, seq, callback, args, _, span, handle = entry
+                if when > horizon:
+                    # A deferred timer entry's stale time only
+                    # *understates* its true deadline, so crossing the
+                    # horizon here is definitive for every entry kind.
                     break
-                entry = self._pop_next(until)
-                if entry is None:
-                    break
-                self._now = entry[0]
-                self._dispatch(entry)
+                heappop(heap)
+                if handle is not None:
+                    if entry is not handle.entry:
+                        self._cancelled -= 1  # garbage: lazily discarded
+                        continue
+                    if seq != handle.seq:
+                        # Re-armed in place: catch up to the true deadline.
+                        heappush(heap, _handle_entry(handle))
+                        continue
+                    handle.entry = None  # fires now; callback may re-arm
+                self._live -= 1
+                self._now = when
+                if self._profiler is None:
+                    spans.current = span
+                    callback(*args)
+                else:
+                    self._dispatch(entry)
                 self._events_fired += 1
                 fired += 1
             if until is not None and not self._stopped and self._now < until:
                 self._now = until
         finally:
+            spans.current = caller_span
             self._running = False
 
     def step(self) -> bool:
@@ -466,9 +470,13 @@ class Simulator:
         self._running = True
         self._stopped = False
         try:
-            entry = self._pop_next()
-            if entry is None:
+            if self.peek_time() is None:
                 return False
+            # peek_time() left a fireable entry at the head.
+            entry = heappop(self._heap)
+            if entry[6] is not None:
+                entry[6].entry = None
+            self._live -= 1
             self._now = entry[0]
             self._dispatch(entry)
             self._events_fired += 1
@@ -526,11 +534,11 @@ class Simulator:
             when, seq, _, _, _, _, handle = entry
             if handle is not None:
                 if entry is not handle.entry:
-                    heapq.heappop(heap)
+                    heappop(heap)
                     self._cancelled -= 1
                     continue
                 if seq != handle.seq:
-                    heapq.heapreplace(heap, _handle_entry(handle))
+                    heapreplace(heap, _handle_entry(handle))
                     continue
             return when
         return None

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Iterable, Iterator, List, Optional, Union
 
 from ..telemetry.spans import SpanTracker
@@ -58,10 +60,45 @@ def trace_digest(source: Union[Simulator, Iterable[TraceRecord]]) -> str:
     records = source.trace if isinstance(source, Simulator) else source
     digest = hashlib.sha256()
     for record in records:
-        digest.update(json.dumps(record_to_dict(record), default=str,
-                                 sort_keys=True).encode("utf-8"))
+        digest.update(_canonical(record).encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()
+
+
+def _canonical(record: TraceRecord) -> str:
+    """The record's line in a dumped trace, which the digest hashes."""
+    return json.dumps(record_to_dict(record), default=str, sort_keys=True)
+
+
+def first_divergence(a: Iterable[TraceRecord],
+                     b: Iterable[TraceRecord]) -> Optional[str]:
+    """Where two traces first differ, as text; None when they are equal.
+
+    Records compare as the digest sees them (:func:`trace_digest`).  The
+    text names the first differing record of each trace after the five
+    records both share before it, then every category whose record
+    count differs, with its count in ``b`` minus its count in ``a``.
+    """
+    a, b = list(a), list(b)
+    for index, (left, right) in enumerate(zip_longest(a, b)):
+        if left is None or right is None \
+                or _canonical(left) != _canonical(right):
+            break
+    else:
+        return None
+    lines = [f"first divergence at record {index}"]
+    lines += [f"  = [{i}] {_canonical(a[i])}"
+              for i in range(max(0, index - 5), index)]
+    for side, records in (("a", a), ("b", b)):
+        shown = (_canonical(records[index]) if index < len(records)
+                 else f"(end of trace: {len(records)} records)")
+        lines.append(f"  {side} [{index}] {shown}")
+    deltas = Counter(r.category for r in b)
+    deltas.subtract(r.category for r in a)
+    lines.append("category count deltas (b - a):")
+    lines += [f"  {category} {delta:+d}"
+              for category, delta in sorted(deltas.items()) if delta]
+    return "\n".join(lines)
 
 
 def dump_trace(sim: Simulator, path: str,
@@ -77,8 +114,7 @@ def dump_trace(sim: Simulator, path: str,
         for record in sim.trace:
             if wanted is not None and record.category not in wanted:
                 continue
-            handle.write(json.dumps(record_to_dict(record),
-                                    default=str, sort_keys=True))
+            handle.write(_canonical(record))
             handle.write("\n")
             written += 1
     return written

@@ -1,22 +1,30 @@
-"""Causal span tracing across frames, handlers and scheduled work.
+"""Causal span tracing across frames and scheduled work.
 
-A *span* is one step of a causal story: "node 7 sent a heartbeat", "node 3
-handled it", "node 3 replied with a defence".  Spans form trees — a
-handler span is a child of the frame span that delivered the triggering
-frame, and any frame sent from inside a handler becomes a child of that
-handler span.  The tree for a takeover therefore reads like the protocol
-narrative: claim frame → receive handlers → defend reply → abort.
+A *span* is one step of a causal story: "node 7 sent a heartbeat",
+"node 3 replied with a defence".  Spans form trees at frame granularity:
+a frame sent by a handler, or by work the handler scheduled, is a child
+of the frame that triggered the handler.  The tree for a takeover probe
+therefore reads like the protocol narrative: query frame → defence
+heartbeat.
+Besides frames, a component may open a named operation span (the
+directory's ``dir.register.*`` and ``dir.lookup.*``) whose subtree holds
+the frames the operation caused.
+
+Every span is instantaneous: simulated time cannot advance inside one
+event, so a span carries no times, only ``(id, name, node, parent,
+frame_ids)``.
 
 Propagation works through two channels:
 
 * **frames** carry ``Frame.span_id`` (assigned at send time, never
-  serialized into the trace), so a reception on another node knows its
+  serialized into the trace); the receiving mote runs all of a frame's
+  handlers under that span, so a reception on another node knows its
   cause;
 * **scheduled continuations** (CPU task completions, jittered
   rebroadcasts, timer-driven replies) inherit the span that was current
   when :meth:`~repro.sim.engine.Simulator.schedule` (or a timer's arm)
   was called — the engine captures the current span into each heap
-  entry and restores it around dispatch.
+  entry and makes it current while the entry runs.
 
 Like the metrics registry, the tracker is pure side-state: it never draws
 randomness, schedules events or writes trace records, so it leaves
@@ -29,7 +37,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set
 
 
 @dataclass
@@ -40,16 +48,7 @@ class SpanRecord:
     name: str
     node: Optional[int]
     parent_id: Optional[int]
-    started_at: float
-    ended_at: Optional[float] = None
     frame_ids: List[int] = field(default_factory=list)
-
-    @property
-    def duration(self) -> Optional[float]:
-        """Simulated seconds the span was open, if it finished."""
-        if self.ended_at is None:
-            return None
-        return self.ended_at - self.started_at
 
 
 class SpanTracker:
@@ -57,21 +56,20 @@ class SpanTracker:
 
     The tracker holds a *current span* — the causal context of whatever
     code is executing right now.  Instrumentation opens child spans with
-    :meth:`span`; hot paths (the engine's dispatch, the mote's frame and
-    handler spans) pair :meth:`start` / :meth:`finish` with plain writes
-    of :attr:`current` instead of a generator-based context manager.
+    :meth:`span`; hot paths (the engine's dispatch, the mote's frame
+    spans) pair :meth:`start` with plain writes of :attr:`current`
+    instead of a generator-based context manager.
     """
 
-    def __init__(self, clock: Callable[[], float]) -> None:
-        self._clock = clock
+    def __init__(self) -> None:
         self._ids = itertools.count(1)
         self._spans: Dict[int, SpanRecord] = {}
         self._children: Dict[int, List[int]] = {}
         self._frame_spans: Dict[int, int] = {}
         #: Span id of the executing causal context, or None.  A plain
-        #: attribute (not a property): the engine and the mote read and
-        #: write it around every event dispatch and frame handler, so it
-        #: must stay cheap.
+        #: attribute (not a property): the engine writes it for every
+        #: event it dispatches and the mote around every frame's
+        #: handlers, so it must stay cheap.
         self.current: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -97,31 +95,22 @@ class SpanTracker:
         if parent is None and not root:
             parent = self.current
         span_id = next(self._ids)
-        record = SpanRecord(span_id=span_id, name=name, node=node,
-                            parent_id=parent, started_at=self._clock())
-        self._spans[span_id] = record
+        self._spans[span_id] = SpanRecord(span_id, name, node, parent)
         if parent is not None:
             self._children.setdefault(parent, []).append(span_id)
         return span_id
-
-    def finish(self, span_id: int) -> None:
-        """Close a span at the current simulation time."""
-        record = self._spans.get(span_id)
-        if record is not None and record.ended_at is None:
-            record.ended_at = self._clock()
 
     @contextmanager
     def span(self, name: str, node: Optional[int] = None,
              parent: Optional[int] = None,
              root: bool = False) -> Iterator[int]:
-        """Open a child span, make it current, close it on exit."""
+        """Open a child span and make it current until the block exits."""
         span_id = self.start(name, node=node, parent=parent, root=root)
         previous = self.swap(span_id)
         try:
             yield span_id
         finally:
             self.swap(previous)
-            self.finish(span_id)
 
     def note_frame(self, span_id: int, frame_id: int) -> None:
         """Associate a transmitted frame with a span."""
@@ -212,13 +201,10 @@ class SpanTracker:
         def visit(sid: int, depth: int) -> None:
             record = self._spans[sid]
             node = "-" if record.node is None else str(record.node)
-            end = ("…" if record.ended_at is None
-                   else f"{record.ended_at:.3f}")
             frames = (f" frames={record.frame_ids}"
                       if record.frame_ids else "")
             lines.append(f"{'  ' * depth}{record.name} "
-                         f"[span {sid}, node {node}, "
-                         f"{record.started_at:.3f}→{end}]{frames}")
+                         f"[span {sid}, node {node}]{frames}")
             for child in self._children.get(sid, []):
                 visit(child, depth + 1)
 

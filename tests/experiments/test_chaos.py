@@ -6,11 +6,14 @@ import pytest
 
 from repro.analysis.render import chaos_chart
 from repro.cli import main
-from repro.experiments.chaos import (TAKEOVER_SLACK, ChaosPoint,
-                                     ChaosResult, _chaos_run, chaos)
+from repro.experiments.chaos import (REPORT_KIND, TAKEOVER_SLACK,
+                                     ChaosPoint, ChaosResult, MemberReporter,
+                                     _chaos_run, chaos)
+from repro.groups import GroupConfig, GroupManager, Role
 from repro.metrics import RecoveryReport
 from repro.metrics.recovery import CrashRecovery
-from repro.sim import load_trace
+from repro.sensing import SensorField
+from repro.sim import Simulator, load_trace
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +146,38 @@ def test_cli_seed_applies_to_chaos(capsys):
     # Ignore the trailing "[chaos completed in Xs]" timing line.
     assert lines_a[:-1] == lines_b[:-1]
     assert lines_a[:-1] != lines_c[:-1]
+
+
+@pytest.mark.xfail(strict=True, reason="MemberReporter starts its report "
+                   "timer only in on_start, so a reboot leaves it stopped")
+def test_rebooted_member_reports_again():
+    # Node 0 of a 3x1 grid is a member that reports once a second.  After
+    # a crash at t=10 and a reboot at t=12 it rejoins as a member, so it
+    # should go on reporting.
+    sim = Simulator(seed=3)
+    field = SensorField(sim)
+    motes = field.deploy_grid(3, 1)
+    managers = {}
+    for mote in motes:
+        manager = GroupManager(mote)
+        manager.track("chaos", lambda m: True,
+                      GroupConfig(heartbeat_period=0.5,
+                                  suppression_range=None))
+        manager.start()
+        MemberReporter(mote, manager, period=1.0).start()
+        managers[mote.node_id] = manager
+
+    def reports(start, end):
+        return sum(1 for record in sim.trace_records("radio.tx", 0)
+                   if record.detail["kind"] == REPORT_KIND
+                   and start <= record.time < end)
+
+    sim.run(until=10.0)
+    assert managers[0].role("chaos") is Role.MEMBER
+    assert reports(0.0, 10.0) == 10
+    motes[0].fail()
+    sim.run(until=12.0)
+    motes[0].reboot()
+    sim.run(until=40.0)
+    assert managers[0].role("chaos") is Role.MEMBER
+    assert reports(12.0, 40.0) > 0

@@ -1,5 +1,5 @@
 """One heartbeat object per broadcast, shared by every receiver, and the
-handler span tree that frames the receptions."""
+frame-to-frame span tree that chains the rebroadcasts."""
 
 import dataclasses
 import hashlib
@@ -94,39 +94,48 @@ def test_malformed_heartbeat_ignored_by_both_handlers():
 
 
 def _span_tree_digest(sim):
-    rows = [[r.span_id, r.name, r.node, r.parent_id, repr(r.started_at),
-             repr(r.ended_at), r.frame_ids] for r in sim.spans.spans()]
+    rows = [[r.span_id, r.name, r.node, r.parent_id, r.frame_ids]
+            for r in sim.spans.spans()]
     return len(rows), hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
 def test_span_tree_unchanged():
-    # Ids, names, nodes, parents, times and frame links of every span of
-    # a small tracking run, pinned from the context-manager spans the
-    # mote opened before they became plain swaps.
+    # Ids, names, nodes, parents and frame links of every span of a small
+    # tracking run.  Re-pinned when handlers stopped opening spans: the
+    # tree is the earlier one (4,274 spans) with its 3,776 handler spans
+    # spliced out, every child reattached to its nearest frame or
+    # directory ancestor, equal up to span ids.
     sim = run_tank_scenario(TankScenario(columns=6, rows=2, seed=11)).app.sim
     assert _span_tree_digest(sim) == (
-        4274,
-        "38ab19cbd5c71ea2ffbe96b21a47b082b7e8e57e42c4acf6320bbe4024bb8c76")
+        498,
+        "a7827cd20c7a0b5e476c62bc8b0ca77b022a929f73ef4bd3d3db68e05cee4986")
 
 
-def test_handler_spans_chain_to_their_frames_through_trace_query():
+def test_rebroadcasts_chain_to_their_heartbeats_through_trace_query():
     net = Net(count=5)
-    net.sensing = {2}
+    net.sensing = {1, 2, 3}
     net.sim.run(until=2.0)
     spans = net.sim.spans
     trace = query(net.sim)
-    handled = spans.find("handle." + HEARTBEAT_KIND)
-    assert handled
+    assert not spans.find("handle.")
+    forwarded = [record for record in spans.find("frame." + HEARTBEAT_KIND)
+                 if record.parent_id is not None]
+    assert forwarded
     names = set()
-    for record in handled:
+    for record in forwarded:
+        # A member's rebroadcast is a child of the heartbeat it heard.
         parent = spans.get(record.parent_id)
         assert parent.name == "frame." + HEARTBEAT_KIND
         assert parent.node != record.node
-        (frame_id,) = parent.frame_ids
-        # The handler's causal ancestry is exactly its frame's send.
+        (cause,) = parent.frame_ids
+        (frame_id,) = record.frame_ids
+        # Its causal ancestry ends with that heartbeat's send, then its
+        # own; the heartbeat's story holds the rebroadcast.
         sent = trace.causes(record.span_id).category("radio.tx")
-        assert [r.detail["frame_id"] for r in sent.records] == [frame_id]
-        assert trace.span(parent.span_id).category("radio.tx").count() >= 1
+        assert [r.detail["frame_id"] for r in sent.records][-2:] == \
+            [cause, frame_id]
+        story = trace.span(parent.span_id).category("radio.tx")
+        assert frame_id in {r.detail["frame_id"] for r in story.records}
         names.add(id(record.name))
     # One name string per kind and mote, not one per span.
     assert len(names) <= len(net.field.motes)

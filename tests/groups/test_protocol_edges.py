@@ -1,6 +1,7 @@
 """Edge-case tests for the group management state machine."""
 
 from repro.groups import GroupConfig, GroupManager, Role
+from repro.groups.protocol import _UNBUILT
 from repro.sensing import SensorField
 from repro.sim import Simulator
 
@@ -189,3 +190,56 @@ def test_recover_without_reboot_leaves_the_manager_inert():
     h.run(3.0)  # node 2's heartbeats reach node 5 and are ignored
     assert h.roles()[5] is Role.IDLE
     assert h.managers[2].is_leading("t")
+
+
+def test_wait_timers_are_built_on_first_use():
+    """Only the sense timer exists until the protocol needs a wait: an
+    unbuilt timer is never armed and cancelling it does nothing."""
+    sim = Simulator(seed=1)
+    mote = SensorField(sim).add_mote((0.0, 0.0))
+    created = []
+    create = sim.timers.create
+
+    def recording_create(callback, label):
+        created.append(label)
+        return create(callback, label)
+
+    sim.timers.create = recording_create
+    manager = GroupManager(mote)
+    manager.track("t", lambda m: False)
+    manager.start()
+    assert created == ["gm.sense.t@0"]
+    state = manager._types["t"]
+    for timer in (state.receive_timer, state.wait_timer, state.claim_timer,
+                  state.formation_timer):
+        assert not timer.armed
+        timer.cancel()
+    sim.run(until=5.0)
+    assert created == ["gm.sense.t@0"]
+
+
+def test_a_receive_timer_built_after_a_clock_skew_takes_the_skewed_timeout():
+    h = Harness(count=2)
+    for mote in h.field.motes.values():
+        mote.skew_clock(2.0)
+    h.sensing = {0, 1}
+    h.run(3.0)
+    member = next(n for n, role in h.roles().items()
+                  if role is Role.MEMBER)
+    timer = h.managers[member]._types["t"].receive_timer
+    assert timer.armed
+    assert timer.timeout == h.config.receive_timeout * 2.0
+
+
+def test_a_recovered_manager_builds_no_timers():
+    """Without a reboot the crashed manager stays inert: hearing
+    heartbeats builds none of its wait timers."""
+    h = Harness()
+    h.sensing = {2}
+    h.run(3.0)
+    h.field.fail_node(5)
+    h.field.motes[5].recover()
+    h.run(3.0)
+    state = h.managers[5]._types["t"]
+    assert state.wait_timer is _UNBUILT
+    assert state.wait_memory is None

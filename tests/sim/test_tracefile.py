@@ -1,8 +1,14 @@
 """Unit tests for trace export/query tooling."""
 
+import json
+from dataclasses import replace
+
 import pytest
 
-from repro.sim import Simulator, dump_trace, load_trace, query
+from repro.cli import main
+from repro.sim import (Simulator, TraceRecord, dump_trace, first_divergence,
+                       load_trace, query)
+from repro.sim.tracefile import record_to_dict
 
 
 def make_traced_sim():
@@ -133,3 +139,56 @@ class TestEnvelopeCollisions:
             '"label": "L1", "hops": 2}\n')
         with pytest.raises(ValueError, match="flattened.jsonl:1"):
             load_trace(str(path))
+
+
+class TestFirstDivergence:
+    """``first_divergence`` and ``repro trace-diff`` on a crafted trace
+    whose copy differs in one record."""
+
+    def traces(self):
+        a = [TraceRecord(float(i), "gm.heartbeat", i, {"seq": i})
+             for i in range(8)]
+        b = list(a)
+        b[6] = replace(b[6], category="gm.claim")
+        return a, b
+
+    def test_equal_traces_have_none(self):
+        a, _ = self.traces()
+        assert first_divergence(a, list(a)) is None
+
+    def test_names_the_record_its_predecessors_and_count_deltas(self):
+        a, b = self.traces()
+        lines = first_divergence(a, b).splitlines()
+        assert lines[0] == "first divergence at record 6"
+        assert [line.split()[:2] for line in lines[1:6]] == \
+            [["=", f"[{i}]"] for i in range(1, 6)]
+        assert lines[6].startswith("  a [6] ")
+        assert '"category": "gm.heartbeat"' in lines[6]
+        assert lines[7].startswith("  b [6] ")
+        assert '"category": "gm.claim"' in lines[7]
+        assert lines[8:] == ["category count deltas (b - a):",
+                             "  gm.claim +1", "  gm.heartbeat -1"]
+
+    def test_a_shorter_trace_diverges_where_it_ends(self):
+        a, _ = self.traces()
+        lines = first_divergence(a, a[:3]).splitlines()
+        assert lines[0] == "first divergence at record 3"
+        assert lines[-3] == "  b [3] (end of trace: 3 records)"
+        assert lines[-1] == "  gm.heartbeat -5"
+
+    def test_cli_exits_non_zero_on_a_difference(self, tmp_path):
+        a, b = self.traces()
+        paths = []
+        for name, records in (("a", a), ("b", b)):
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text("".join(
+                json.dumps(record_to_dict(r), sort_keys=True) + "\n"
+                for r in records))
+            paths.append(str(path))
+        out = []
+        assert main(["trace-diff", paths[0], paths[1]], out=out.append) == 1
+        assert out[0].startswith("first divergence at record 6")
+        out.clear()
+        assert main(["trace-diff", paths[0], paths[0]], out=out.append) == 0
+        assert out == ["traces are identical (8 records)"]
+        assert main(["trace-diff", paths[0]], out=out.append) == 2

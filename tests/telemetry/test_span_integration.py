@@ -1,10 +1,13 @@
-"""End-to-end span propagation: send → receive → handler → reply."""
+"""End-to-end span propagation: send → receive → reply, frame to frame."""
 
 from dataclasses import replace
 
 import pytest
 
 from repro.experiments import TankScenario, run_tank_scenario
+from repro.groups import HEARTBEAT_KIND
+from repro.groups.messages import Heartbeat
+from repro.node import Mote
 from repro.sim import TraceQuery, dump_trace, load_trace, query
 
 
@@ -12,6 +15,19 @@ def run_quick(**overrides):
     scenario = replace(TankScenario(columns=6, rows=2, seed=11),
                        **overrides)
     return run_tank_scenario(scenario).app.sim
+
+
+def run_recording_frames(monkeypatch):
+    """``run_quick()``, plus every frame sent, by frame id."""
+    frames = {}
+    do_send = Mote._do_send
+
+    def recording(mote, frame):
+        frames[frame.frame_id] = frame
+        do_send(mote, frame)
+
+    monkeypatch.setattr(Mote, "_do_send", recording)
+    return run_quick(), frames
 
 
 class TestFrameSpans:
@@ -24,30 +40,55 @@ class TestFrameSpans:
             assert spans.get(sid).name == \
                 f"frame.{record.detail['kind']}"
 
-    def test_handlers_are_children_of_the_triggering_frame(self):
-        sim = run_quick()
-        handled = sim.spans.find("handle.")
-        assert handled, "no handler spans recorded"
-        for record in handled:
-            assert record.parent_id is not None
-            parent = sim.spans.get(record.parent_id)
-            assert parent.name == "frame." + record.name[len("handle."):]
+    def test_handlers_are_children_of_the_triggering_frame(self,
+                                                           monkeypatch):
+        # A frame's handlers run under the frame's own span and open
+        # none of their own, so what a handler sends is a child of the
+        # frame that triggered it: a heartbeat a member rebroadcasts is a
+        # child of the heartbeat it forwards, and its span names the
+        # forwarding node.
+        sim, frames = run_recording_frames(monkeypatch)
+        spans = sim.spans
+        assert not spans.find("handle.")
+        forwarded = [frame for frame in frames.values()
+                     if isinstance(frame.payload, Heartbeat)
+                     and frame.payload.forwarded_by is not None]
+        # A send that queues behind another CPU task takes that task's
+        # span, so a few rebroadcasts have none; the rest must chain.
+        chained = [frame for frame in forwarded
+                   if spans.get(frame.span_id).parent_id is not None]
+        assert len(chained) >= 0.9 * len(forwarded) > 0
+        for frame in chained:
+            span = spans.get(frame.span_id)
+            assert span.node == frame.src == frame.payload.forwarded_by
+            (cause_id,) = spans.get(span.parent_id).frame_ids
+            cause = frames[cause_id]
+            assert cause.kind == HEARTBEAT_KIND
+            assert cause.src != frame.src
+            assert (cause.payload.label, cause.payload.seq) == \
+                (frame.payload.label, frame.payload.seq)
 
     def test_replies_chain_to_their_cause(self):
-        # A heartbeat's receive handlers sometimes reply (defend,
-        # rebroadcast).  Any frame span with a handler parent proves the
-        # send→receive→handler→reply chain survived both the radio hop
-        # and the CPU queue hop.
+        # Every reply chains to the frame that caused it, across the
+        # radio hop and the CPU queue hop: its parent is a frame span
+        # whose frame went on the air no later than the reply, and the
+        # causal query walks the frames from the root to the reply.
         sim = run_quick()
-        chained = [record for record in sim.spans.find("frame.")
-                   if record.parent_id is not None and
-                   sim.spans.get(record.parent_id).name
-                   .startswith("handle.")]
-        assert chained, "no reply frame chained under a handler span"
-        for record in chained[:20]:
-            path = sim.spans.ancestors(record.span_id)
-            names = [sim.spans.get(sid).name for sid in path]
-            assert any(name.startswith("frame.") for name in names[:-1])
+        spans = sim.spans
+        sent_at = {record.detail["frame_id"]: record.time
+                   for record in sim.trace_records("radio.tx")}
+        replies = [record for record in spans.find("frame.")
+                   if record.parent_id is not None]
+        assert replies, "no frame chained under another frame"
+        for record in replies:
+            parent = spans.get(record.parent_id)
+            assert parent.name.startswith(("frame.", "dir."))
+            (frame_id,) = record.frame_ids
+            for cause in parent.frame_ids:
+                assert sent_at[cause] <= sent_at[frame_id]
+            causes = query(sim).causes(record.span_id).category("radio.tx")
+            assert {r.detail["frame_id"] for r in causes} == \
+                spans.ancestor_frames(record.span_id)
 
     def test_scheduled_continuations_inherit_spans(self):
         # MAC backoff / delivery events run later on the engine heap but

@@ -5,51 +5,28 @@ import pytest
 from repro.telemetry.spans import SpanTracker
 
 
-def make_tracker(times=None):
-    clock = {"t": 0.0}
-
-    def now():
-        return clock["t"]
-
-    return SpanTracker(clock=now), clock
-
-
 class TestLifecycle:
-    def test_start_finish_duration(self):
-        tracker, clock = make_tracker()
-        sid = tracker.start("frame.heartbeat", node=3)
-        clock["t"] = 2.5
-        tracker.finish(sid)
-        record = tracker.get(sid)
+    def test_start_records_name_node_and_parent(self):
+        tracker = SpanTracker()
+        root = tracker.start("frame.heartbeat", node=3)
+        child = tracker.start("frame.vouch", node=4, parent=root)
+        record = tracker.get(root)
         assert record.name == "frame.heartbeat"
         assert record.node == 3
-        assert record.started_at == 0.0
-        assert record.duration == pytest.approx(2.5)
-
-    def test_finish_is_idempotent(self):
-        tracker, clock = make_tracker()
-        sid = tracker.start("a")
-        clock["t"] = 1.0
-        tracker.finish(sid)
-        clock["t"] = 9.0
-        tracker.finish(sid)
-        assert tracker.get(sid).ended_at == pytest.approx(1.0)
-
-    def test_unfinished_span_has_no_duration(self):
-        tracker, _ = make_tracker()
-        sid = tracker.start("a")
-        assert tracker.get(sid).duration is None
+        assert record.parent_id is None
+        assert record.frame_ids == []
+        assert tracker.get(child).parent_id == root
 
     def test_ids_are_deterministic(self):
-        a, _ = make_tracker()
-        b, _ = make_tracker()
+        a = SpanTracker()
+        b = SpanTracker()
         assert [a.start("x") for _ in range(3)] == \
             [b.start("x") for _ in range(3)]
 
 
 class TestContext:
     def test_parent_defaults_to_current(self):
-        tracker, _ = make_tracker()
+        tracker = SpanTracker()
         root = tracker.start("root")
         tracker.current = root
         child = tracker.start("child")
@@ -57,13 +34,13 @@ class TestContext:
         assert [r.span_id for r in tracker.children(root)] == [child]
 
     def test_root_flag_forces_tree_root(self):
-        tracker, _ = make_tracker()
+        tracker = SpanTracker()
         tracker.current = tracker.start("outer")
         forced = tracker.start("forced", root=True)
         assert tracker.get(forced).parent_id is None
 
     def test_span_context_manager_nests_and_restores(self):
-        tracker, _ = make_tracker()
+        tracker = SpanTracker()
         with tracker.span("outer") as outer:
             assert tracker.current == outer
             with tracker.span("inner") as inner:
@@ -71,10 +48,9 @@ class TestContext:
             assert tracker.current == outer
         assert tracker.current is None
         assert tracker.get(inner).parent_id == outer
-        assert tracker.get(outer).ended_at is not None
 
     def test_swap_returns_previous(self):
-        tracker, _ = make_tracker()
+        tracker = SpanTracker()
         sid = tracker.start("a")
         assert tracker.swap(sid) is None
         assert tracker.swap(None) == sid
@@ -94,26 +70,26 @@ class TestTreeQueries:
         return r, a, b, c
 
     def test_subtree_preorder(self):
-        tracker, _ = make_tracker()
+        tracker = SpanTracker()
         r, a, b, c = self.build(tracker)
         assert tracker.subtree(r) == [r, a, c, b]
         assert tracker.subtree(a) == [a, c]
 
     def test_ancestors_root_to_leaf(self):
-        tracker, _ = make_tracker()
+        tracker = SpanTracker()
         r, a, b, c = self.build(tracker)
         assert tracker.ancestors(c) == [r, a, c]
         assert tracker.ancestors(r) == [r]
 
     def test_unknown_span_raises(self):
-        tracker, _ = make_tracker()
+        tracker = SpanTracker()
         with pytest.raises(KeyError):
             tracker.subtree(99)
         with pytest.raises(KeyError):
             tracker.ancestors(99)
 
     def test_roots_find_len_contains(self):
-        tracker, _ = make_tracker()
+        tracker = SpanTracker()
         r, a, b, c = self.build(tracker)
         assert [rec.span_id for rec in tracker.roots()] == [r]
         assert [rec.span_id for rec in tracker.find("a")] == [a]
@@ -122,7 +98,7 @@ class TestTreeQueries:
         assert 99 not in tracker
 
     def test_frame_association(self):
-        tracker, _ = make_tracker()
+        tracker = SpanTracker()
         r, a, b, c = self.build(tracker)
         tracker.note_frame(a, 10)
         tracker.note_frame(c, 11)
@@ -134,16 +110,17 @@ class TestTreeQueries:
         assert tracker.subtree_frames(r) == {10, 11, 12}
 
     def test_note_frame_on_unknown_span_is_noop(self):
-        tracker, _ = make_tracker()
+        tracker = SpanTracker()
         tracker.note_frame(99, 1)
         assert tracker.span_of_frame(1) is None
 
     def test_format_tree(self):
-        tracker, _ = make_tracker()
+        tracker = SpanTracker()
         r, a, b, c = self.build(tracker)
         tracker.note_frame(c, 5)
-        text = tracker.format_tree(r)
-        lines = text.splitlines()
-        assert lines[0].startswith("r ")
-        assert any(line.startswith("    c") and "frames=[5]" in line
-                   for line in lines)
+        assert tracker.format_tree(r).splitlines() == [
+            "r [span 1, node -]",
+            "  a [span 2, node -]",
+            "    c [span 4, node -] frames=[5]",
+            "  b [span 3, node -]",
+        ]
