@@ -169,8 +169,8 @@ class TimerService:
             raise SimulationError(
                 f"cannot arm timer at {deadline!r}: now={sim._now}")
         handle.deadline = deadline
-        seq = handle.seq = sim._seq.next()
-        span = handle.span = sim.spans.current
+        handle.seq = sim._seq.next()
+        handle.span = sim.spans.current
         entry = handle.entry
         if entry is not None:
             if entry[0] <= deadline:
@@ -181,10 +181,7 @@ class TimerService:
             # ever catch up — abandon it and push a fresh one.
             handle.entry = None
             sim._note_cancelled()
-        # _handle_entry(handle), spelled out on the hottest path.
-        entry = handle.entry = (deadline, seq, handle.callback, (),
-                                handle.label, span, handle)
-        heappush(sim._heap, entry)
+        heappush(sim._heap, _handle_entry(handle))
         sim._live += 1
 
     def cancel(self, handle: TimerHandle) -> None:
@@ -485,23 +482,19 @@ class Simulator:
             self._running = False
 
     def _dispatch(self, entry: Entry) -> None:
-        """Fire one entry inside its causal span, optionally profiled."""
+        """Fire one entry inside its causal span, timed when a profiler
+        is attached (the path of :meth:`step` and of a profiled run)."""
         _, _, callback, args, label, span, _ = entry
         spans = self.spans
         profiler = self._profiler
         previous = spans.current
         spans.current = span
-        if profiler is None:
-            try:
-                callback(*args)
-            finally:
-                spans.current = previous
-            return
         started = _time.perf_counter()
         try:
             callback(*args)
         finally:
-            profiler.note(label, _time.perf_counter() - started)
+            if profiler is not None:
+                profiler.note(label, _time.perf_counter() - started)
             spans.current = previous
 
     def stop(self) -> None:
