@@ -39,15 +39,18 @@ from .runtime import ObjectContext
 
 @dataclass
 class _TypeRuntime:
-    """Live state of one context type on one mote."""
+    """Live state of one context type on one mote; the timers are built
+    on first use and restarted from then on."""
 
     definition: ContextTypeDef
     report_timer: Any = None
+    #: The object method timers, then the leader's self-report timer;
+    #: None until the mote first leads a label of the type.
+    leader_timers: Optional[List[Any]] = None
+    directory_timer: Any = None
     store: Optional[AggregateStore] = None
     octx: Optional[ObjectContext] = None
-    object_timers: List[Any] = field(default_factory=list)
     when_latch: Dict[str, bool] = field(default_factory=dict)
-    directory_timer: Any = None
 
 
 class EnviroTrackAgent(Component, GroupListener):
@@ -88,8 +91,7 @@ class EnviroTrackAgent(Component, GroupListener):
         self.groups.add_listener(self)
         self._runtimes: Dict[str, _TypeRuntime] = {}
         self._hysteresis: Dict[str, bool] = {}
-        # Hysteresis latches are RAM: a reboot comes back unlatched.
-        mote.add_reboot_hook(self._hysteresis.clear)
+        mote.add_fail_hook(self._on_fail)
         for definition in context_types:
             if definition.name in self._runtimes:
                 raise ValueError(
@@ -121,6 +123,14 @@ class EnviroTrackAgent(Component, GroupListener):
                         definition.name, port,
                         self._make_port_handler(definition.name, method))
         self.groups.start()
+
+    def _on_fail(self) -> None:
+        """Crash: the leader runtimes and the hysteresis latches are RAM,
+        so a rebooted mote leads nothing and comes back unlatched."""
+        self._hysteresis.clear()
+        for runtime in self._runtimes.values():
+            runtime.store = runtime.octx = None
+            runtime.when_latch = {}
 
     # ------------------------------------------------------------------
     # Sensing conditions
@@ -186,19 +196,16 @@ class EnviroTrackAgent(Component, GroupListener):
             return
         period = report_period(definition.aggregates,
                                definition.delay_estimate)
-        if runtime.report_timer is not None:
-            runtime.report_timer.stop()
-        runtime.report_timer = self.mote.periodic(
-            period, lambda: self._send_member_report(context_type),
-            label=f"etrack.report.{context_type}",
-            initial_delay=self._rng.uniform(0, min(period, 0.2)))
-        runtime.report_timer.start()
+        if runtime.report_timer is None:
+            runtime.report_timer = self.mote.periodic(
+                period, lambda: self._send_member_report(context_type),
+                label=f"etrack.report.{context_type}")
+        runtime.report_timer.start(self._rng.uniform(0, min(period, 0.2)))
 
     def on_member_leave(self, context_type: str, label: str) -> None:
         runtime = self._runtimes[context_type]
         if runtime.report_timer is not None:
             runtime.report_timer.stop()
-            runtime.report_timer = None
 
     def _send_member_report(self, context_type: str) -> None:
         runtime = self._runtimes[context_type]
@@ -249,59 +256,60 @@ class EnviroTrackAgent(Component, GroupListener):
         # this leader incarnation's locals.
         for obj in definition.objects:
             runtime.octx.locals.update(obj.initial_data())
-        self._start_object_schedules(runtime)
-        if definition.aggregates:
-            # The leader is itself a group member; contribute local
-            # readings on the same report period (no radio needed).
-            period = report_period(definition.aggregates,
-                                   definition.delay_estimate)
-            timer = self.mote.periodic(
-                period, lambda: self._leader_self_report(context_type),
-                label=f"etrack.selfreport.{context_type}",
-                initial_delay=0.0)
+        if runtime.leader_timers is None:
+            runtime.leader_timers = self._build_leader_timers(runtime)
+        for timer in runtime.leader_timers:
             timer.start()
-            runtime.object_timers.append(timer)
         if (self.directory is not None
                 and definition.directory_update_period is not None):
             self._register_directory(context_type)
-            runtime.directory_timer = self.mote.periodic(
-                definition.directory_update_period,
-                lambda: self._register_directory(context_type),
-                label=f"etrack.dir.{context_type}")
+            if runtime.directory_timer is None:
+                runtime.directory_timer = self.mote.periodic(
+                    definition.directory_update_period,
+                    lambda: self._register_directory(context_type),
+                    label=f"etrack.dir.{context_type}")
             runtime.directory_timer.start()
 
     def on_leader_stop(self, context_type: str, label: str,
                        reason: str) -> None:
         runtime = self._runtimes[context_type]
-        for timer in runtime.object_timers:
+        for timer in runtime.leader_timers:
             timer.stop()
-        runtime.object_timers = []
         if runtime.directory_timer is not None:
             runtime.directory_timer.stop()
-            runtime.directory_timer = None
-        runtime.store = None
-        runtime.octx = None
+        runtime.store = runtime.octx = None
         runtime.when_latch = {}
 
-    def _start_object_schedules(self, runtime: _TypeRuntime) -> None:
-        for obj in runtime.definition.objects:
+    def _build_leader_timers(self, runtime: _TypeRuntime) -> List[Any]:
+        """The periodic work of a leader: object method schedules, then
+        the self-report."""
+        definition = runtime.definition
+        timers = []
+        for obj in definition.objects:
             for method in obj.methods:
                 invocation = method.invocation
                 if isinstance(invocation, TimerInvocation):
-                    timer = self.mote.periodic(
+                    timers.append(self.mote.periodic(
                         invocation.period,
                         self._make_timer_body(runtime, method),
-                        label=f"etrack.obj.{obj.name}.{method.name}")
-                    timer.start()
-                    runtime.object_timers.append(timer)
+                        label=f"etrack.obj.{obj.name}.{method.name}"))
                 elif isinstance(invocation, WhenInvocation):
-                    timer = self.mote.periodic(
+                    timers.append(self.mote.periodic(
                         invocation.poll_period,
                         self._make_when_body(runtime, method, invocation),
-                        label=f"etrack.when.{obj.name}.{method.name}")
-                    timer.start()
-                    runtime.object_timers.append(timer)
+                        label=f"etrack.when.{obj.name}.{method.name}"))
                 # PortInvocation methods fire on MTP delivery only.
+        if definition.aggregates:
+            # The leader is itself a group member; contribute local
+            # readings on the same report period (no radio needed).
+            context_type = definition.name
+            timers.append(self.mote.periodic(
+                report_period(definition.aggregates,
+                              definition.delay_estimate),
+                lambda: self._leader_self_report(context_type),
+                label=f"etrack.selfreport.{context_type}",
+                initial_delay=0.0))
+        return timers
 
     def _make_timer_body(self, runtime: _TypeRuntime,
                          method: MethodDef) -> Callable[[], None]:

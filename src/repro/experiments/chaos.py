@@ -67,14 +67,17 @@ class MemberReporter(Component):
         self.period = period
         self.context_type = context_type
         self.kind = kind
+        self._timer = mote.periodic(period, self._tick,
+                                    label="chaos.report")
 
     def on_start(self) -> None:
         self.handle(self.kind, self._on_report)
-        timer = self.mote.periodic(
-            self.period, self._tick, label="chaos.report",
-            initial_delay=self.sim.rng.stream("chaos.report").uniform(
-                0, self.period))
-        timer.start()
+        self.mote.add_reboot_hook(self._start_reporting)
+        self._start_reporting()
+
+    def _start_reporting(self) -> None:
+        self._timer.start(self.sim.rng.stream("chaos.report").uniform(
+            0, self.period))
 
     def _tick(self) -> None:
         label = self.manager.label(self.context_type)

@@ -153,14 +153,25 @@ class _TypeState:
     last_defence_time: float = -1e9
     #: Flood forwarding dedup: last forwarded heartbeat seq per label.
     forwarded_seq: Dict[str, int] = field(default_factory=dict)
-    # The manager attaches the sense timer at start() and the heartbeat
-    # timer while leading; the wait timers are built on first use.
+    # The manager builds the sense timer at start(); the heartbeat and
+    # wait timers are built on first use.  Each is built once and
+    # restarted from then on.
     sense_timer: Any = None
     heartbeat_timer: Any = None
     receive_timer: Any = _UNBUILT
     wait_timer: Any = _UNBUILT
     claim_timer: Any = _UNBUILT
     formation_timer: Any = _UNBUILT
+
+
+#: What a crash leaves of a :class:`_TypeState`: what the node tracks,
+#: the label mint counter (conceptually a counter in flash, so a
+#: rebooted creator never re-mints a label id it already used), and the
+#: timers, which are static allocations the crash stopped.
+_SURVIVES_CRASH = frozenset({
+    "type_name", "sense_fn", "config", "labels_minted", "sense_timer",
+    "heartbeat_timer", "receive_timer", "wait_timer", "claim_timer",
+    "formation_timer"})
 
 
 class GroupManager(Component):
@@ -220,16 +231,16 @@ class GroupManager(Component):
     def _on_fail(self) -> None:
         """Host mote crashed: every role it held ends here, silently.
 
-        Protocol RAM is lost, so every tracked type drops to a fresh IDLE
-        state with no timers; :meth:`_on_reboot` re-activates it.  Only
-        the label mint counter survives (conceptually: a boot counter in
-        flash), so a rebooted creator can never re-mint a label id it
-        already used.
+        Protocol RAM is lost, so every tracked type drops back to a
+        fresh IDLE state (the crash stopped its timers);
+        :meth:`_on_reboot` re-activates it.
         """
-        for name, old in list(self._types.items()):
-            self._types[name] = _TypeState(
-                type_name=old.type_name, sense_fn=old.sense_fn,
-                config=old.config, labels_minted=old.labels_minted)
+        for state in self._types.values():
+            fresh = _TypeState(type_name=state.type_name,
+                               sense_fn=state.sense_fn, config=state.config)
+            for name, value in vars(fresh).items():
+                if name not in _SURVIVES_CRASH:
+                    setattr(state, name, value)
 
     def _on_reboot(self) -> None:
         """Host mote power-cycled: restart every tracked type from the
@@ -238,15 +249,14 @@ class GroupManager(Component):
         if self._started:
             for state in self._types.values():
                 self._activate(state)
-        self.record("reboot")
 
     def _activate(self, state: _TypeState) -> None:
-        state.sense_timer = self.mote.periodic(
-            SENSE_PERIOD, partial(self._sense_check, state),
-            label=f"gm.sense.{state.type_name}", cost=SENSE_COST,
-            initial_delay=self._rng.uniform(0, SENSE_PERIOD),
-            quiet_until=self._quiet_until(state))
-        state.sense_timer.start()
+        if state.sense_timer is None:
+            state.sense_timer = self.mote.periodic(
+                SENSE_PERIOD, partial(self._sense_check, state),
+                label=f"gm.sense.{state.type_name}", cost=SENSE_COST,
+                quiet_until=self._quiet_until(state))
+        state.sense_timer.start(self._rng.uniform(0, SENSE_PERIOD))
 
     def _receive_timer(self, state: _TypeState) -> WatchdogTimer:
         """The receive watchdog, built on first use; a timer built after
@@ -466,9 +476,7 @@ class GroupManager(Component):
         if not isinstance(beat, Heartbeat):
             return
         state = self._types.get(beat.context_type)
-        # No sense timer: the mote crashed and came back without a reboot.
-        if (state is None or state.sense_timer is None
-                or beat.leader == self.node_id):
+        if state is None or beat.leader == self.node_id:
             return
         state.last_hb_time = self.now
         if state.role is Role.LEADER:
@@ -596,7 +604,7 @@ class GroupManager(Component):
                      hops: int) -> None:
         forwarded = replace(beat, hops=hops, forwarded_by=self.node_id)
         delay = self._rng.uniform(0, REBROADCAST_JITTER)
-        self.sim.schedule(
+        self.mote.schedule(
             delay, partial(self.broadcast,
                            tx_range=state.config.heartbeat_tx_range),
             HEARTBEAT_KIND, forwarded, label="gm.rebroadcast")
@@ -729,8 +737,8 @@ class GroupManager(Component):
         if remaining < 0.25 * cfg.receive_timeout:
             return
         delay = self._rng.uniform(0, REBROADCAST_JITTER)
-        self.sim.schedule(delay, self._send_vouch, state, state.label,
-                          label="gm.vouch_reply")
+        self.mote.schedule(delay, self._send_vouch, state, state.label,
+                           label="gm.vouch_reply")
 
     def _send_vouch(self, state: _TypeState, label: str) -> None:
         # Re-check at send time: our own state may have moved on during
@@ -806,12 +814,12 @@ class GroupManager(Component):
         state.formation_timer.cancel()
         state.pending_via = None
         state.probe_round = 0
-        cfg = state.config
-        state.heartbeat_timer = self.mote.periodic(
-            cfg.heartbeat_period, lambda s=state: self._send_heartbeat(s),
-            label=f"gm.heartbeat.{state.type_name}",
-            initial_delay=self._rng.uniform(0, ANNOUNCE_JITTER))
-        state.heartbeat_timer.start()
+        if state.heartbeat_timer is None:
+            state.heartbeat_timer = self.mote.periodic(
+                state.config.heartbeat_period,
+                partial(self._send_heartbeat, state),
+                label=f"gm.heartbeat.{state.type_name}")
+        state.heartbeat_timer.start(self._rng.uniform(0, ANNOUNCE_JITTER))
         self.record("leader_start", type=state.type_name, label=label,
                     via=via, weight=weight)
         self._notify("on_leader_start", state.type_name, label,
@@ -820,9 +828,7 @@ class GroupManager(Component):
     def _stop_leading(self, state: _TypeState, reason: str) -> None:
         label = state.label
         assert label is not None
-        if state.heartbeat_timer is not None:
-            state.heartbeat_timer.stop()
-            state.heartbeat_timer = None
+        state.heartbeat_timer.stop()
         state.role = Role.IDLE
         self.record("leader_stop", type=state.type_name, label=label,
                     reason=reason)

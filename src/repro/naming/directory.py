@@ -148,8 +148,10 @@ class DirectoryService(Component):
         Extra query attempts after the first timeout; once exhausted the
         callback fires with ``[]`` and the pending entry is collected.
 
-    A crash drops the mote's pending lookups, with their timeouts and
-    without calling back: nobody is left waiting for the answers.
+    A crash drops the mote's replicas and its pending lookups, with
+    their timeouts and without calling back: nobody is left waiting for
+    the answers.  Only the query counter survives, so a late answer to a
+    query from before the crash never matches a new one.
     """
 
     name = "dir"
@@ -262,10 +264,12 @@ class DirectoryService(Component):
         pending.callback([])
 
     def _on_fail(self) -> None:
-        """Crash: drop the pending lookups and stop their timeouts."""
+        """Crash: drop the replicas and the pending lookups, and stop the
+        lookups' timeouts."""
         for pending in self._pending_queries.values():
             self.sim.timers.cancel(pending.timer)
         self._pending_queries.clear()
+        self._entries.clear()
 
     # ------------------------------------------------------------------
     # Directory-object side

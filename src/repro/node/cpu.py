@@ -29,9 +29,11 @@ DEFAULT_TASK_COST = 0.001
 DEFAULT_QUEUE_LIMIT = 64
 
 
-#: A posted task: ``(fn, args, cost, label, posted_at)``.  A plain tuple,
+#: A posted task: ``(fn, args, cost, label, posted_at, span, boot)``,
+#: with the span current and the CPU's boot at the post.  A plain tuple,
 #: so a post allocates nothing beyond it and the ``args`` tuple.
-_Task = Tuple[Callable[..., Any], tuple, float, str, float]
+_Task = Tuple[Callable[..., Any], tuple, float, str, float, Optional[int],
+              int]
 
 
 class Cpu:
@@ -48,6 +50,9 @@ class Cpu:
     queue_limit:
         Maximum number of *waiting* tasks; overflow tasks are dropped and
         counted in :attr:`dropped`.
+
+    A task runs only under the :attr:`boot` it was posted in, so a task
+    that outlives a crash never runs, even after a reboot.
     """
 
     def __init__(self, sim: Simulator, node_id: int,
@@ -61,7 +66,9 @@ class Cpu:
         self.node_id = node_id
         self.task_cost = task_cost
         self.queue_limit = queue_limit
-        self.enabled = True
+        #: The mote's boot count while it is up; None while it is down.
+        self.boot: Optional[int] = 0
+        self._spans = sim.spans
         self._queue: Deque[_Task] = deque()
         self._busy = False
         self._executed = 0
@@ -145,13 +152,14 @@ class Cpu:
         so a backlogged CPU delays protocol reactions, which is the effect
         the Figure 5 stress test measures.
         """
-        if not self.enabled:
+        boot = self.boot
+        if boot is None:
             return False
         poller = self._poller
         if poller is not None:
             poller.give_way()
         task = (fn, args, self.task_cost if cost is None else cost, label,
-                self.sim._now)
+                self.sim._now, self._spans.current, boot)
         if self._busy:
             if len(self._queue) >= self.queue_limit:
                 self.dropped += 1
@@ -166,10 +174,16 @@ class Cpu:
         return True
 
     def shutdown(self) -> None:
-        """Stop accepting and executing tasks (node failure)."""
+        """The mote crashed: drop the queue and abandon the task in
+        service; nothing is accepted until :meth:`power_on`."""
         self.fall_back()
-        self.enabled = False
+        self.boot = None
         self._queue.clear()
+        self._busy = False
+
+    def power_on(self, boot: int) -> None:
+        """The mote rebooted into ``boot``: serve tasks again."""
+        self.boot = boot
 
     # ------------------------------------------------------------------
     def _begin(self, task: _Task) -> None:
@@ -194,18 +208,21 @@ class Cpu:
         if self._poller is not None:
             # Keep ``busy_time`` summed in time order.
             self._poller.settle()
-        fn, args, cost, _, posted_at = task
+        fn, args, cost, _, posted_at, _, boot = task
         self._busy_time += cost
-        if not self.enabled:
-            self._busy = False
-            return
+        if boot != self.boot:
+            return  # posted before a crash, which abandoned it
         self._executed += 1
         self._total_latency += self.sim._now - posted_at
         try:
             fn(*args)
         finally:
-            if self._queue and self.enabled:
-                self._begin(self._queue.popleft())
+            if self._queue:
+                # The next task is served under the span it was posted
+                # in, not under the one that just finished.
+                task = self._queue.popleft()
+                self._spans.current = task[5]
+                self._begin(task)
             else:
                 self._busy = False
 
@@ -283,10 +300,10 @@ class QuietPollTimer(PeriodicTimer):
     def running(self) -> bool:
         return self._handle.armed or self._next is not None
 
-    def start(self) -> None:
+    def start(self, initial_delay: Optional[float] = None) -> None:
         if self._next is not None:
             self._leave(rearm=False)
-        super().start()
+        super().start(initial_delay)
 
     def stop(self) -> None:
         if self._next is not None:
@@ -303,7 +320,7 @@ class QuietPollTimer(PeriodicTimer):
         period = self.period
         # ``cost < period``: a poll's service ends before the next poll
         # fires, so the run never finds its own CPU busy.
-        if (cpu._poller is None and not cpu._busy and cpu.enabled
+        if (cpu._poller is None and not cpu._busy and cpu.boot is not None
                 and cost < period):
             now = self._sim._now
             wake = self._quiet_until(now)
@@ -421,7 +438,8 @@ class QuietPollTimer(PeriodicTimer):
             cpu._busy = True
             cpu._done_at = start + cost
             sim.schedule_at(start + cost, cpu._finish,
-                            (self._poll, (), cost, self._task_label, start),
+                            (self._poll, (), cost, self._task_label, start,
+                             self._handle.span, cpu.boot),
                             label=self._task_label)
         finally:
             spans.current = previous

@@ -11,10 +11,12 @@ A :class:`Mote` glues the substrates together the way a TinyOS image does:
 
 Failure injection (``fail()``) silences the node completely: radio off, CPU
 drained, timers dead — the "current leader fails" worst case of §6.2.
+``reboot()`` is the only way back (``docs/PROTOCOL.md`` §6.1).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..radio import CsmaMac, Frame, Medium, TransceiverPort
@@ -53,7 +55,9 @@ class Mote:
         #: the medium precomputes links from this once.
         self.position = position
         self.medium = medium
-        self.alive = True
+        #: Power cycles so far, kept across a crash the way a mote's
+        #: EEPROM keeps it; :meth:`reboot` increments it.
+        self.boot = 0
         self.cpu = Cpu(sim, node_id, task_cost=task_cost,
                        queue_limit=queue_limit)
         self._handlers: Dict[str, List[FrameHandler]] = {}
@@ -75,6 +79,11 @@ class Mote:
         medium.attach(self.port)
         self.mac = CsmaMac(sim, medium, position)
         self.frames_delivered = 0
+
+    @property
+    def alive(self) -> bool:
+        """True while the mote is up (its CPU serves a boot)."""
+        return self.cpu.boot is not None
 
     # ------------------------------------------------------------------
     # Sensors
@@ -113,8 +122,6 @@ class Mote:
 
     def send(self, frame: Frame) -> None:
         """Queue a frame for transmission (charges CPU tx cost first)."""
-        if not self.alive:
-            return
         kind = frame.kind
         label = self._tx_labels.get(kind)
         if label is None:
@@ -122,8 +129,6 @@ class Mote:
         self.cpu.post(self._do_send, frame, label=label)
 
     def _do_send(self, frame: Frame) -> None:
-        if not self.alive:
-            return
         # Causal tracing: the frame gets its own span under whatever
         # context queued the send (a handler, a timer, a takeover); MAC
         # backoff and the medium's delivery events inherit it through the
@@ -144,11 +149,10 @@ class Mote:
             spans.current = previous
 
     def _on_physical_receive(self, frame: Frame) -> None:
-        if not self.alive:
-            return
         # Address filter happens *after* the radio heard the frame: the
         # medium's stats count physical receptions (paper's loss metric),
         # the mote only processes frames addressed to it or broadcast.
+        # A frame that reaches a crashed mote is refused by its CPU.
         if not frame.addressed_to(self.node_id):
             return
         kind = frame.kind
@@ -158,8 +162,6 @@ class Mote:
         self.cpu.post(self._dispatch, frame, label=label)
 
     def _dispatch(self, frame: Frame) -> None:
-        if not self.alive:
-            return
         self.frames_delivered += 1
         handlers = self._handlers.get(frame.kind)
         if not handlers:
@@ -233,25 +235,32 @@ class Mote:
 
     def _on_cpu(self, callback: Callable[[], None], cost: Optional[float],
                 task_label: str) -> Callable[[], None]:
-        """A timer's fire function: post ``callback`` to the CPU while
-        the mote is alive."""
-        cpu = self.cpu
+        """A timer's fire function: post ``callback`` to the CPU (a crash
+        stops every timer, and a down CPU refuses posts)."""
+        return partial(self.cpu.post, callback, cost=cost, label=task_label)
 
-        def fire() -> None:
-            if self.alive:
-                cpu.post(callback, cost=cost, label=task_label)
+    def schedule(self, delay: float, callback: Callable[..., None],
+                 *args: Any, label: str = "") -> None:
+        """Run ``callback(*args)`` on this mote after ``delay`` seconds,
+        outside the CPU queue.  Dropped if the mote crashes first, even
+        when it has rebooted by then."""
+        self.sim.schedule(delay, self._if_current, self.boot, callback,
+                          args, label=label)
 
-        return fire
+    def _if_current(self, boot: int, callback: Callable[..., None],
+                    args: tuple) -> None:
+        # The CPU's task service makes the same check on each task.
+        if boot == self.cpu.boot:
+            callback(*args)
 
     # ------------------------------------------------------------------
     # Failure injection
     # ------------------------------------------------------------------
     def fail(self) -> None:
         """Kill the node: radio silent, CPU drained, timers stopped, then
-        the fail hooks run."""
+        the fail hooks run.  Work scheduled before the crash never runs."""
         if not self.alive:
             return
-        self.alive = False
         self.port.enabled = False
         self.cpu.shutdown()
         self.mac.shutdown()
@@ -262,41 +271,34 @@ class Mote:
         for hook in self._fail_hooks:
             hook()
 
-    def recover(self) -> None:
-        """Bring a failed node back (fresh CPU state; timers stay stopped
-        until a component restarts them, and what the fail hooks dropped
-        stays dropped — :meth:`reboot` runs the reboot hooks)."""
-        if self.alive:
-            return
-        self.alive = True
-        self.port.enabled = True
-        self.cpu.enabled = True
-        self.sim.record("node.recover", node=self.node_id)
-
     def add_fail_hook(self, hook: Callable[[], None]) -> None:
         """Register a callback run when this mote fails.
 
-        Components use it to drop the roles a crash ends — a dead node
-        leads nothing.  A hook must not send, schedule or record.
+        Components use it to empty their RAM — a dead node leads
+        nothing and remembers nothing.  A hook must not send, schedule
+        or record.
         """
         self._fail_hooks.append(hook)
 
     def add_reboot_hook(self, hook: Callable[[], None]) -> None:
         """Register a callback run when this mote reboots.
 
-        Components use it to rebuild their volatile state — a reboot is a
-        power cycle, not a resume: protocol layers come back with empty
-        RAM and must rejoin groups from scratch.
+        Components use it to restart their periodic work — a reboot is a
+        power cycle, not a resume: protocol layers come back with the
+        empty RAM their fail hooks left and must rejoin groups from
+        scratch.
         """
         self._reboot_hooks.append(hook)
 
     def reboot(self) -> None:
-        """Power-cycle a failed node: recover, then reinitialize components
-        via their reboot hooks.  No-op on a live node."""
+        """Power-cycle a failed node under the next boot count, then run
+        the reboot hooks.  No-op on a live node."""
         if self.alive:
             return
-        self.recover()
-        self.sim.record("node.reboot", node=self.node_id)
+        self.boot += 1
+        self.port.enabled = True
+        self.cpu.power_on(self.boot)
+        self.sim.record("node.reboot", node=self.node_id, boot=self.boot)
         for hook in self._reboot_hooks:
             hook()
 

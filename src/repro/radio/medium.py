@@ -26,7 +26,7 @@ derives from geometry is computed once per topology, not once per
 frame.  Ports sit in a uniform-grid bucket (cell size =
 ``communication_radius``) that bounds each geometric query to nearby
 cells, and the results are kept in link tables built on first use and
-cleared on every :meth:`attach` / :meth:`detach`: per (source, reach)
+cleared on every :meth:`attach`: per (source, reach)
 the receivers in attach order with their loss probability, per source
 the ports within ``interference_radius``, per carrier-sense position
 the audible sources, and per (node, radius) the neighbour list.
@@ -167,9 +167,7 @@ class _GridIndex:
         if not cell_size > 0:
             raise ValueError(f"cell size must be positive: {cell_size}")
         self.cell_size = cell_size
-        self._buckets: Dict[Tuple[int, int],
-                            Dict[int, TransceiverPort]] = {}
-        self._cells: Dict[int, Tuple[int, int]] = {}
+        self._buckets: Dict[Tuple[int, int], List[TransceiverPort]] = {}
 
     def cell_of(self, position: Position) -> Tuple[int, int]:
         return (math.floor(position[0] / self.cell_size),
@@ -177,18 +175,7 @@ class _GridIndex:
 
     def add(self, port: TransceiverPort) -> None:
         key = self.cell_of(port.position)
-        self._buckets.setdefault(key, {})[port.node_id] = port
-        self._cells[port.node_id] = key
-
-    def remove(self, node_id: int) -> None:
-        key = self._cells.pop(node_id, None)
-        if key is None:
-            return
-        bucket = self._buckets.get(key)
-        if bucket is not None:
-            bucket.pop(node_id, None)
-            if not bucket:
-                del self._buckets[key]
+        self._buckets.setdefault(key, []).append(port)
 
     def cells_covering(self, position: Position,
                        radius: float) -> Iterator[Tuple[int, int]]:
@@ -206,7 +193,7 @@ class _GridIndex:
         for key in self.cells_covering(position, radius):
             bucket = self._buckets.get(key)
             if bucket:
-                yield from bucket.values()
+                yield from bucket
 
 
 class Medium:
@@ -296,19 +283,15 @@ class Medium:
         self._attach_order: Dict[int, int] = {}
         self._attach_counter = 0
         self._index = _GridIndex(communication_radius)
-        #: Bumped on every attach/detach; callers that cache routes over
-        #: the topology (``GeoRouter``) compare it to drop stale entries.
+        #: Bumped on every attach; callers that cache routes over the
+        #: topology (``GeoRouter``) compare it to drop stale entries.
         self.topology_version = 0
-        # Link tables (see the module docstring), keyed by port object
-        # so a re-attached node id never reuses a stale entry.
+        # Link tables (see the module docstring), keyed by port object.
         self._links: Dict[Tuple[TransceiverPort, float],
                           List[Tuple[TransceiverPort, float]]] = {}
         self._interferers: Dict[TransceiverPort, Set[TransceiverPort]] = {}
         self._audible: Dict[Position, Set[TransceiverPort]] = {}
         self._neighbors: Dict[Tuple[int, float], List[int]] = {}
-        # Ports detached while a transmission was on the air: a receiver
-        # of that transmission may still be hit by a later collision.
-        self._detached_in_flight: List[TransceiverPort] = []
 
     # ------------------------------------------------------------------
     # Registration
@@ -321,24 +304,6 @@ class Medium:
         self._attach_order[port.node_id] = self._attach_counter
         self._attach_counter += 1
         self._index.add(port)
-        self._topology_changed()
-
-    def detach(self, node_id: int) -> None:
-        """Remove a transceiver from the channel.
-
-        In-flight transmissions snapshot their sender; once the sender is
-        detached it no longer registers on carrier sense and pending
-        receptions at the detached node are discarded instead of
-        delivered (see :meth:`channel_busy` / :meth:`_complete`).
-        """
-        port = self._ports.pop(node_id, None)
-        self._attach_order.pop(node_id, None)
-        self._index.remove(node_id)
-        if port is not None and self._active:
-            self._detached_in_flight.append(port)
-        self._topology_changed()
-
-    def _topology_changed(self) -> None:
         self.topology_version += 1
         self._links.clear()
         self._interferers.clear()
@@ -354,7 +319,7 @@ class Medium:
         return sorted(self._ports)
 
     # ------------------------------------------------------------------
-    # Link tables (built on first use, cleared on attach/detach)
+    # Link tables (built on first use, cleared on attach)
     # ------------------------------------------------------------------
     def _links_of(self, src_port: TransceiverPort,
                   reach: float) -> List[Tuple[TransceiverPort, float]]:
@@ -386,9 +351,7 @@ class Medium:
         if near is None:
             origin = src_port.position
             limit = self.interference_radius
-            candidates = list(self._index.near(origin, limit))
-            candidates.extend(self._detached_in_flight)
-            near = {port for port in candidates
+            near = {port for port in self._index.near(origin, limit)
                     if distance(origin, port.position) <= limit}
             self._interferers[src_port] = near
         return near
@@ -397,18 +360,12 @@ class Medium:
     # Channel state
     # ------------------------------------------------------------------
     def channel_busy(self, pos: Position) -> bool:
-        """Carrier sense: is any in-flight transmitter audible at ``pos``?
-
-        Transmissions whose sender has since been detached are ignored:
-        a removed node's stale position must not keep the channel busy.
-        """
+        """Carrier sense: is any in-flight transmitter audible at ``pos``?"""
         self._prune()
         if not self._active:
             return False
         audible = self._audible.get(pos)
         if audible is None:
-            # Built from attached ports only, so a detached sender (or
-            # the old port of a re-attached id) is never audible.
             limit = self.communication_radius
             audible = self._audible[pos] = {
                 port for port in self._index.near(pos, limit)
@@ -543,18 +500,12 @@ class Medium:
     def _complete(self, tx: _Transmission) -> None:
         frame = tx.frame
         kind = frame.kind
-        ports = self._ports
         receivers: List[TransceiverPort] = []
         # Reception outcomes ("delivered" or a drop cause) counted in
         # first-seen order, then accounted once per frame and outcome.
         outcomes: Dict[str, int] = {}
         for reception in tx.receptions:
             receiver = reception.receiver
-            if ports.get(receiver.node_id) is not receiver:
-                # Receiver detached while the frame was in flight: the
-                # radio is gone, so the reception never happened — it is
-                # neither an attempt nor a delivery.
-                continue
             if reception.corrupted:
                 outcome = reception.drop_cause or "unknown"
             else:
@@ -582,5 +533,3 @@ class Medium:
         if all(tx.end > now for tx in self._active):
             return
         self._active = [tx for tx in self._active if tx.end > now]
-        if not self._active:
-            self._detached_in_flight.clear()

@@ -207,15 +207,3 @@ class SensorField:
 
     def fail_node(self, node_id: int) -> None:
         self.motes[node_id].fail()
-
-    def remove_mote(self, node_id: int) -> Mote:
-        """Physically remove a mote: silence it and detach its radio.
-
-        Unlike :meth:`fail_node` (which leaves a dead-but-present radio),
-        removal takes the node off the medium entirely — neighbor lists,
-        carrier sense and pending deliveries all forget it.
-        """
-        mote = self.motes.pop(node_id)
-        mote.fail()
-        self.medium.detach(node_id)
-        return mote

@@ -97,9 +97,12 @@ class PeriodicTimer:
     def running(self) -> bool:
         return self._handle.armed
 
-    def start(self) -> None:
-        """Start (or restart) the periodic schedule."""
-        self._sim.timers.arm(self._handle, self._initial_delay)
+    def start(self, initial_delay: Optional[float] = None) -> None:
+        """Start (or restart) the periodic schedule; the first firing
+        comes after ``initial_delay``, or after the construction-time
+        initial delay when it is None."""
+        self._sim.timers.arm(self._handle, self._initial_delay
+                             if initial_delay is None else initial_delay)
 
     def stop(self) -> None:
         self._sim.timers.cancel(self._handle)

@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # avoid the naming↔transport import cycle at runtime
     from ..naming import DirectoryEntry, DirectoryService
 from .reliability import (Ack, ConnectionKey, DedupShare, DedupTable,
                           MTP_ACK_KIND, MTP_DEDUP_KIND, PendingTransmission,
-                          ReliabilityConfig, RELIABILITY_STREAM)
+                          ReliabilityConfig, RELIABILITY_STREAM, StreamKey)
 from .routing import GeoRouter
 from .tables import LastKnownLeaderTable, NegativeCache
 
@@ -117,11 +117,18 @@ class Invocation:
     chain: int = DEFAULT_CHAIN_LIMIT
     #: Reliable-delivery sequence number; None on fire-and-forget sends.
     seq: Optional[int] = None
+    #: The sending leader's boot count when it sent.
+    boot: int = 0
 
     def connection(self) -> ConnectionKey:
         """The §5.4 connection this invocation belongs to."""
         return (self.src_label, self.src_port,
                 self.dest_label, self.dest_port)
+
+    def stream(self) -> StreamKey:
+        """The sequence this invocation's ``seq`` counts in: the
+        connection as sent by one leader in one boot."""
+        return (self.connection(), self.src_leader, self.boot)
 
 
 class MtpAgent(Component):
@@ -155,9 +162,10 @@ class MtpAgent(Component):
     tally ``acks``.
 
     A crash ends every piece of transport RAM — pointers, pending
-    queues, unacked sends, dedup memory — and stops its timers, and the
-    directory drops the mote's lookups without calling back, so a dead
-    mote's agent neither escalates nor dead-letters.
+    queues, unacked sends, sequence counters, dedup memory — and stops
+    its timers, and the directory drops the mote's lookups without
+    calling back, so a dead mote's agent neither escalates nor
+    dead-letters.  Sequence numbers count per stream (PROTOCOL.md §8).
     """
 
     name = "mtp"
@@ -176,7 +184,7 @@ class MtpAgent(Component):
         self._pending: Dict[str, List[Invocation]] = {}
         #: The last sequence number given out per connection (1-based).
         self._sequences: Dict[ConnectionKey, int] = {}
-        self._outbox: Dict[Tuple[ConnectionKey, int],
+        self._outbox: Dict[Tuple[StreamKey, int],
                            PendingTransmission] = {}
         self._dedup = DedupTable()
         self._negative = NegativeCache(ttl=NEGATIVE_TTL)
@@ -229,7 +237,7 @@ class MtpAgent(Component):
         invocation = Invocation(
             src_label=src_label, src_port=src_port,
             src_leader=self.node_id, dest_label=dest_label,
-            dest_port=dest_port, args=args)
+            dest_port=dest_port, args=args, boot=self.mote.boot)
         self._resolve_and_send(invocation)
 
     def _resolve_and_send(self, invocation: Invocation) -> None:
@@ -293,7 +301,7 @@ class MtpAgent(Component):
                     # Ambiguous empty answer: reliable sends spend an
                     # escalation on another lookup round instead of
                     # dying on what may just be a timed-out query.
-                    pending = self._outbox.get((invocation.connection(),
+                    pending = self._outbox.get((invocation.stream(),
                                                 invocation.seq))
                     if pending is not None:
                         self._escalate(pending)
@@ -305,23 +313,17 @@ class MtpAgent(Component):
             if index == 0:
                 self._transmit(match.leader, invocation)
             else:
-                self.sim.schedule(index * BURST_SPACING, self._transmit,
-                                  match.leader, invocation,
-                                  label=f"mtp.burst@{self.node_id}")
+                self.mote.schedule(index * BURST_SPACING, self._transmit,
+                                   match.leader, invocation,
+                                   label=f"mtp.burst@{self.node_id}")
 
     def _transmit(self, node: int, invocation: Invocation) -> None:
         """Put one invocation on the wire; a sequenced one also arms its
-        retransmit timer."""
-        if not self.mote.alive:
-            return  # paced burst release racing a crash: nothing to do
+        retransmit timer (only an ack, a dead letter or a crash ends its
+        outbox entry, and none can while it waits for its release)."""
         if invocation.seq is not None:
-            pending = self._outbox.get((invocation.connection(),
-                                        invocation.seq))
-            if pending is None or pending.invocation is not invocation:
-                # A crash wiped this send while its paced burst release
-                # waited: it ended with the outbox.
-                return
-            self._arm_retransmit(pending)
+            self._arm_retransmit(
+                self._outbox[(invocation.stream(), invocation.seq)])
         self.router.route_to_node(node, MTP_KIND, invocation)
 
     # ------------------------------------------------------------------
@@ -330,7 +332,7 @@ class MtpAgent(Component):
     def _track(self, invocation: Invocation) -> PendingTransmission:
         """Open the outbox entry of a sequenced invocation, with its
         (unarmed) retransmit timer."""
-        key = (invocation.connection(), invocation.seq)
+        key = (invocation.stream(), invocation.seq)
         pending = PendingTransmission(
             invocation=invocation,
             timer=self.sim.timers.create(
@@ -344,7 +346,7 @@ class MtpAgent(Component):
                                              self._jitter_rng())
         self.sim.timers.arm(pending.timer, delay)
 
-    def _on_retransmit_timeout(self, key: Tuple[ConnectionKey, int]) -> None:
+    def _on_retransmit_timeout(self, key: Tuple[StreamKey, int]) -> None:
         # An ack, a dead letter or a crash cancels the timer, so the
         # pending send is still in the outbox.
         pending = self._outbox[key]
@@ -388,7 +390,7 @@ class MtpAgent(Component):
     def _dead_letter(self, pending: PendingTransmission,
                      reason: str) -> None:
         invocation = pending.invocation
-        self._outbox.pop((invocation.connection(), invocation.seq), None)
+        self._outbox.pop((invocation.stream(), invocation.seq), None)
         self.sim.timers.cancel(pending.timer)
         self.dead_lettered += 1
         self.record("dead_letter", dest=invocation.dest_label,
@@ -397,7 +399,7 @@ class MtpAgent(Component):
     def _drop(self, invocation: Invocation, reason: str) -> None:
         """Final-drop bookkeeping; sequenced invocations dead-letter."""
         if invocation.seq is not None:
-            pending = self._outbox.get((invocation.connection(),
+            pending = self._outbox.get((invocation.stream(),
                                         invocation.seq))
             if pending is not None:
                 self._dead_letter(pending, reason)
@@ -427,8 +429,7 @@ class MtpAgent(Component):
                         port=invocation.dest_port)
             return
         if invocation.seq is not None:
-            if not self._dedup.mark(invocation.connection(),
-                                    invocation.seq):
+            if not self._dedup.mark(invocation.stream(), invocation.seq):
                 # At-most-once: suppress the handler, re-ack (the first
                 # ack evidently never reached the sender).
                 self.record("duplicate", dest=invocation.dest_label,
@@ -449,31 +450,30 @@ class MtpAgent(Component):
             # successor leader suppress (and re-ack) a post-crash
             # redelivery instead of handing it to the application twice.
             self.broadcast(MTP_DEDUP_KIND,
-                           DedupShare(invocation.connection(),
-                                      invocation.seq))
+                           DedupShare(invocation.stream(), invocation.seq))
 
     def _send_ack(self, invocation: Invocation) -> None:
         self.acks["sent"] += 1
         self.router.route_to_node(
             invocation.src_leader, MTP_ACK_KIND,
-            Ack(invocation.connection(), invocation.seq, self.node_id))
+            Ack(invocation.stream(), invocation.seq, self.node_id))
 
     def _on_dedup_share(self, frame) -> None:
         share = frame.payload
         if isinstance(share, DedupShare):
-            self._dedup.mark(share.conn, share.seq)
+            self._dedup.mark(share.stream, share.seq)
 
     def _on_ack(self, ack: Any, origin: int) -> None:
         if not isinstance(ack, Ack):
             return
         self.acks["received"] += 1
-        dest_label = ack.conn[2]
+        dest_label = ack.stream[0][2]
         # The acker delivered to the handler, so it leads the destination
         # label *now* — fresher than any pointer.
         self.table.update(dest_label, ack.acker, self.now)
-        pending = self._outbox.pop((ack.conn, ack.seq), None)
+        pending = self._outbox.pop((ack.stream, ack.seq), None)
         if pending is None:
-            return  # duplicate ack (retransmission crossed the first ack)
+            return  # duplicate ack, or one from before the last crash
         self.sim.timers.cancel(pending.timer)
         self.acked += 1
         self.record("ack", dest=dest_label, seq=ack.seq, acker=ack.acker)

@@ -17,9 +17,9 @@ discipline real deployments layer on top:
   retransmit storms is drawn from the simulation's seeded
   ``mtp.reliability`` stream, so identical seeds replay identical retry
   timelines (digest-stable, serial and ``--jobs N`` alike).
-* **Dedup** — receivers remember recently seen ``(connection, seq)``
-  pairs in a bounded LRU, so retransmissions reach the application
-  handler *at most once* per receiving node.
+* **Dedup** — receivers remember recently seen ``(stream, seq)`` pairs
+  (a stream: a connection as sent by one leader in one boot) in a
+  bounded LRU, so retransmissions reach the handler *at most once*.
 * **Dead letters** — when the retransmit budget and the escalation
   budget (pointer invalidation + fresh directory lookup) are both
   exhausted, the message ends in an ``mtp.dead_letter`` trace record
@@ -28,7 +28,7 @@ discipline real deployments layer on top:
 
 Caveat worth stating plainly: dedup state is per-node RAM.  A leader
 crash between a delivery and its ack can hand the retransmission to the
-*successor* leader, whose dedup table has never seen the connection —
+*successor* leader, whose dedup table has never seen the stream —
 end-to-end that is a duplicate.  Delivering leaders therefore broadcast
 a one-hop ``mtp.dedup`` share after each fresh delivery: takeover
 candidates are group members, hence in radio range, so their tables are
@@ -64,20 +64,24 @@ RELIABILITY_STREAM = "mtp.reliability"
 #: (src_label, src_port, dest_label, dest_port) — §5.4's connection id.
 ConnectionKey = Tuple[str, int, str, int]
 
+#: (connection, src_leader, boot) — the connection as sent by one leader
+#: in one boot; sequence numbers count per stream.
+StreamKey = Tuple[ConnectionKey, int, int]
+
 #: Multiplier applied to the retransmit timeout per retransmission.
 BACKOFF_FACTOR = 2.0
 
-#: Receiver-side dedup memory: connections remembered (LRU), and
-#: sequence numbers remembered per connection.
+#: Receiver-side dedup memory: streams remembered (LRU), and sequence
+#: numbers remembered per stream.
 DEDUP_CONNECTIONS = 64
 DEDUP_WINDOW = 128
 
 
 @dataclass(frozen=True, slots=True)
 class Ack:
-    """The ``mtp.ack`` message: ``acker`` delivered ``(conn, seq)``."""
+    """The ``mtp.ack`` message: ``acker`` delivered ``(stream, seq)``."""
 
-    conn: ConnectionKey
+    stream: StreamKey
     seq: int
     acker: int
 
@@ -85,9 +89,9 @@ class Ack:
 @dataclass(frozen=True, slots=True)
 class DedupShare:
     """The ``mtp.dedup`` message: a neighbor leader delivered
-    ``(conn, seq)``; remember it without counting a duplicate."""
+    ``(stream, seq)``; remember it without counting a duplicate."""
 
-    conn: ConnectionKey
+    stream: StreamKey
     seq: int
 
 
@@ -149,12 +153,12 @@ class ReliabilityConfig:
 
 
 class DedupTable:
-    """Bounded memory of delivered ``(connection, seq)`` pairs.
+    """Bounded memory of delivered ``(stream, seq)`` pairs.
 
-    Connections evict least-recently-used; within a connection the
-    remembered window is the last ``window`` distinct sequence numbers.
-    ``mark`` returns True exactly once per remembered pair, so handler
-    delivery is at-most-once while the pair stays in memory.
+    The ``connections`` most recent streams are kept; within a stream
+    the remembered window is the last ``window`` distinct sequence
+    numbers.  ``mark`` returns True exactly once per remembered pair, so
+    handler delivery is at-most-once while the pair stays in memory.
     """
 
     def __init__(self, connections: int = DEDUP_CONNECTIONS,
@@ -164,23 +168,23 @@ class DedupTable:
         _require(window >= 1, f"window must be >= 1: {window}")
         self.connections = connections
         self.window = window
-        self._seen: "OrderedDict[ConnectionKey, OrderedDict[int, None]]" = \
+        self._seen: "OrderedDict[StreamKey, OrderedDict[int, None]]" = \
             OrderedDict()
 
-    def mark(self, conn: ConnectionKey, seq: int) -> bool:
+    def mark(self, stream: StreamKey, seq: int) -> bool:
         """Remember a pair; True on first sight, False if remembered.
 
         A local delivery and a neighbor leader's dedup-share broadcast
         both mark the pair; only the delivery acts on the answer.
         """
-        seqs = self._seen.get(conn)
+        seqs = self._seen.get(stream)
         if seqs is None:
             seqs = OrderedDict()
-            self._seen[conn] = seqs
+            self._seen[stream] = seqs
             while len(self._seen) > self.connections:
                 self._seen.popitem(last=False)
         else:
-            self._seen.move_to_end(conn)
+            self._seen.move_to_end(stream)
             if seq in seqs:
                 return False
         seqs[seq] = None

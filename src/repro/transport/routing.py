@@ -143,7 +143,7 @@ class GeoRouter(Component):
         closest of all (None: this node is the destination area).
 
         Motes are static, so the answer is cached per destination until
-        the medium's topology changes (an attach or detach).
+        the medium's topology changes (a late attach).
         """
         medium = self.mote.medium
         if self._hops_version != medium.topology_version:

@@ -5,6 +5,8 @@ import pytest
 from repro.aggregation import AggregateVarSpec
 from repro.core import (ContextTypeDef, EnviroTrackApp, MethodDef,
                         TimerInvocation, TrackingObjectDef, WhenInvocation)
+from repro.experiments import TankScenario
+from repro.experiments.scenarios import build_app as build_tank_app
 from repro.groups import GroupConfig, Role
 from repro.sensing import LineTrajectory, StaticPoint, Target
 
@@ -234,3 +236,22 @@ def test_add_context_after_install_rejected():
     app.install()
     with pytest.raises(RuntimeError):
         app.add_context_type(ContextTypeDef(name="x", activation="seen"))
+
+
+def test_reboot_empties_the_leader_runtime():
+    # A crash ends the leader's RAM with its leadership: the rebooted
+    # mote comes back IDLE with no store, no object context and no
+    # object timer running.
+    app = build_tank_app(TankScenario(columns=6, rows=2, seed=11))
+    app.install()
+    app.run(until=12.0)
+    agent = app.agents[6]
+    assert agent.groups.is_leading("tracker")
+    runtime = agent.runtime_of("tracker")
+    assert runtime.octx is not None
+    app.field.fail_node(6)
+    app.run(until=13.0)
+    app.field.motes[6].reboot()
+    assert agent.groups.role("tracker") is Role.IDLE
+    assert runtime.store is None and runtime.octx is None
+    assert not any(timer.running for timer in runtime.leader_timers)

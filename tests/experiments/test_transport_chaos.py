@@ -50,13 +50,15 @@ def test_chart_renders_per_seed_delivery(tmp_path):
 def test_clean_channel_pair_matches_golden_counts():
     # One scripted leader crash on an otherwise loss-free channel: the
     # counts are a pure function of the spec, so any change to MTP's
-    # frame overhead or delivery shows up here as an exact diff.
+    # frame overhead or delivery shows up here as an exact diff.  (The
+    # rebooted leader reports again as a member: 9 report frames in
+    # each mode.)
     clean = dict(seed=2004, base_loss_rate=0.0, spike_extra_loss=0.0,
                  crashes=1)
     raw = _transport_run(TransportChaosSpec(mode="raw", **clean))
     reliable = _transport_run(TransportChaosSpec(mode="reliable", **clean))
-    assert (raw.sent, raw.frames, raw.delivered) == (16, 256, 6)
+    assert (raw.sent, raw.frames, raw.delivered) == (16, 265, 6)
     assert (reliable.sent, reliable.frames, reliable.delivered) == \
-        (16, 597, 16)
+        (16, 606, 16)
     assert (reliable.retransmits, reliable.acks, reliable.dead_letters,
             reliable.duplicates) == (37, 16, 0, 0)

@@ -1,7 +1,6 @@
 """Edge-case tests for the group management state machine."""
 
 from repro.groups import GroupConfig, GroupManager, Role
-from repro.groups.protocol import _UNBUILT
 from repro.sensing import SensorField
 from repro.sim import Simulator
 
@@ -179,19 +178,6 @@ def test_crash_ends_the_roles_and_reboot_restarts_from_idle():
     assert manager.role("t") is not Role.IDLE
 
 
-def test_recover_without_reboot_leaves_the_manager_inert():
-    """A crash drops the manager's state; only a reboot re-activates it,
-    so a bare recover() hears heartbeats without reacting to them."""
-    h = Harness()
-    h.sensing = {2}
-    h.run(3.0)
-    h.field.fail_node(5)
-    h.field.motes[5].recover()
-    h.run(3.0)  # node 2's heartbeats reach node 5 and are ignored
-    assert h.roles()[5] is Role.IDLE
-    assert h.managers[2].is_leading("t")
-
-
 def test_wait_timers_are_built_on_first_use():
     """Only the sense timer exists until the protocol needs a wait: an
     unbuilt timer is never armed and cancelling it does nothing."""
@@ -232,14 +218,18 @@ def test_a_receive_timer_built_after_a_clock_skew_takes_the_skewed_timeout():
 
 
 def test_a_recovered_manager_builds_no_timers():
-    """Without a reboot the crashed manager stays inert: hearing
-    heartbeats builds none of its wait timers."""
+    """A rebooted manager comes back with the timers it had: the crash
+    stops them and the reboot restarts the same ones, so a mote's timer
+    list does not grow with its power cycles."""
     h = Harness()
     h.sensing = {2}
     h.run(3.0)
-    h.field.fail_node(5)
-    h.field.motes[5].recover()
-    h.run(3.0)
-    state = h.managers[5]._types["t"]
-    assert state.wait_timer is _UNBUILT
-    assert state.wait_memory is None
+    mote = h.field.motes[2]
+    assert h.managers[2].is_leading("t")
+    timers = list(mote._timers)
+    for _ in range(3):
+        h.field.fail_node(2)
+        mote.reboot()
+        h.run(3.0)
+        assert h.managers[2].is_leading("t")
+    assert mote._timers == timers

@@ -134,7 +134,7 @@ def test_recover_restores_radio():
     got = []
     b.register_handler("m", lambda f: got.append(1))
     b.fail()
-    b.recover()
+    b.reboot()
     a.send(Frame(src=0, dst=BROADCAST, kind="m"))
     sim.run(until=1.0)
     assert got == [1]

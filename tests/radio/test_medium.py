@@ -213,78 +213,3 @@ def test_disabled_port_receives_nothing():
 def test_frame_size_must_be_positive():
     with pytest.raises(ValueError):
         Frame(src=0, dst=BROADCAST, kind="x", size_bits=0)
-
-
-# ----------------------------------------------------------------------
-# Detach semantics
-# ----------------------------------------------------------------------
-
-def test_detached_receiver_mid_flight_gets_nothing():
-    # Regression: a node detached while a frame is in flight must not
-    # receive it (its radio is gone), and since no other receiver exists
-    # the frame counts as lost.
-    sim, medium = setup_medium(radius=5.0)
-    inbox = []
-    make_port(medium, 0, (0.0, 0.0), inbox)
-    make_port(medium, 1, (1.0, 0.0), inbox)
-    medium.transmit(Frame(src=0, dst=BROADCAST, kind="x"))
-    medium.detach(1)
-    sim.run()
-    assert inbox == []
-    assert medium.stats.frames_lost == 1
-    # The vanished reception is not an attempt either — no phantom stats.
-    assert medium.stats.reception_attempts_by_kind["x"] == 0
-
-
-def test_detached_sender_clears_channel_busy():
-    # Regression: an in-flight transmission whose sender has been
-    # detached must not keep the channel busy via its stale position.
-    sim, medium = setup_medium(radius=5.0)
-    make_port(medium, 0, (0.0, 0.0), [])
-    make_port(medium, 1, (1.0, 0.0), [])
-    medium.transmit(Frame(src=0, dst=BROADCAST, kind="x"))
-    assert medium.channel_busy((1.0, 0.0))
-    medium.detach(0)
-    assert not medium.channel_busy((1.0, 0.0))
-
-
-def test_neighbors_of_skips_detached():
-    _, medium = setup_medium(radius=2.0)
-    make_port(medium, 0, (0.0, 0.0), [])
-    make_port(medium, 1, (1.0, 0.0), [])
-    make_port(medium, 2, (1.5, 0.0), [])
-    assert medium.neighbors_of(0) == [1, 2]
-    medium.detach(1)
-    assert medium.neighbors_of(0) == [2]
-
-
-def test_reattach_after_detach_is_fresh():
-    # The identity check must accept a *new* port reusing a detached id.
-    sim, medium = setup_medium(radius=5.0)
-    inbox = []
-    make_port(medium, 0, (0.0, 0.0), inbox)
-    make_port(medium, 1, (1.0, 0.0), inbox)
-    medium.detach(1)
-    make_port(medium, 1, (2.0, 0.0), inbox)
-    medium.transmit(Frame(src=0, dst=BROADCAST, kind="x"))
-    sim.run()
-    assert [node for node, _ in inbox] == [1]
-
-
-
-def test_reattached_receiver_keeps_collision_from_while_detached():
-    # A port detached while a frame to it is on the air, and re-attached
-    # (the same object) before the frame lands, still takes the collision
-    # from a transmission that started while it was off the channel.
-    sim, medium = setup_medium(radius=5.0)
-    inbox = []
-    make_port(medium, 0, (0.0, 0.0), inbox)
-    receiver = make_port(medium, 1, (1.0, 0.0), inbox)
-    make_port(medium, 2, (2.0, 0.0), inbox)
-    medium.transmit(Frame(src=0, dst=BROADCAST, kind="a"))
-    medium.detach(1)
-    medium.transmit(Frame(src=2, dst=BROADCAST, kind="b"))
-    medium.attach(receiver)
-    sim.run()
-    assert inbox == []
-    assert medium.stats.receptions_dropped["collision"] == 3

@@ -7,9 +7,9 @@ recomputes distances, loss, carrier sense, collisions and neighbours on
 every call by scanning every port and every in-flight transmission —
 are driven through the same randomized program.  The program mixes
 broadcasts, unicasts and back-to-back sends (overlapping airtime, so
-frames collide), quiesce steps, detaches, attaches of new nodes and
-re-attaches of detached ports mid-program, failed ports
-(``enabled = False``) and geographic next-hop probes, under random
+frames collide), quiesce steps, attaches of new nodes mid-program,
+failed ports (``enabled = False``) and geographic next-hop probes,
+under random
 layouts, loss rates, interference radii and disturbances.  Everything
 observable must match **exactly**: delivery logs, carrier sense,
 neighbour queries, next hops, radio statistics and the whole-trace
@@ -95,8 +95,6 @@ class FullScanMedium(Medium):
         delivered = 0
         dst_received = False
         for reception in tx.receptions:
-            if not self._attached(reception.receiver):
-                continue
             if reception.corrupted:
                 cause = reception.drop_cause or "unknown"
                 stats.receptions[kind, cause] += 1
@@ -118,10 +116,7 @@ class FullScanMedium(Medium):
         self._prune()
         return any(
             distance(tx.src_port.position, pos) <= self.communication_radius
-            for tx in self._active if self._attached(tx.src_port))
-
-    def _attached(self, port):
-        return self._ports.get(port.node_id) is port
+            for tx in self._active)
 
     def neighbors_of(self, node_id, radius=None):
         origin = self._ports[node_id].position
@@ -167,10 +162,6 @@ def ops_strategy(node_count: int):
                      st.sampled_from([0.0, 0.001, 0.01]))
     quiesce = st.tuples(st.just("quiesce"), st.just(0), st.just(0),
                         st.none(), st.just(0.0))
-    detach = st.tuples(st.just("detach"), node, st.just(0), st.none(),
-                       st.just(0.0))
-    reattach = st.tuples(st.just("reattach"), st.just(0), st.just(0),
-                         st.none(), st.just(0.0))
     # A new node lands within radio range of an existing one.
     offset = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
     attach = st.tuples(st.just("attach"), node, st.just(0), offset, offset)
@@ -178,8 +169,7 @@ def ops_strategy(node_count: int):
                        st.just(0.0))
     route = st.tuples(st.just("route"), node, st.just(0), coordinates(),
                       coordinates())
-    return st.lists(st.one_of(send, quiesce, detach, reattach, attach,
-                              toggle, route),
+    return st.lists(st.one_of(send, quiesce, attach, toggle, route),
                     min_size=1, max_size=40)
 
 
@@ -198,7 +188,6 @@ class _Rig:
             self.medium.add_disturbance(extra, start, end)
         self.inbox = []
         self.ports = {}
-        self.detached = []
         self.routers = {}
         for position in positions:
             self.attach(position)
@@ -213,8 +202,7 @@ class _Rig:
         self.medium.attach(port)
 
     def attached(self, node_id):
-        port = self.ports.get(node_id)
-        return port is not None and port not in self.detached
+        return node_id in self.ports
 
     def next_hop(self, node_id, dest):
         if type(self.medium) is FullScanMedium:
@@ -245,13 +233,6 @@ class _Rig:
                 self.sim.run(until=self.sim.now + d)
             elif op == "quiesce":
                 self.sim.run()
-            elif op == "detach" and self.attached(a):
-                self.medium.detach(a)
-                self.detached.append(self.ports[a])
-            elif op == "reattach" and self.detached:
-                # The same port object back on the air, possibly while
-                # frames it was receiving are still in flight.
-                self.medium.attach(self.detached.pop())
             elif op == "attach":
                 near = self.ports.get(a, self.ports[0]).position
                 self.attach((near[0] + c, near[1] + d))

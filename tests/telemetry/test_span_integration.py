@@ -53,13 +53,12 @@ class TestFrameSpans:
         forwarded = [frame for frame in frames.values()
                      if isinstance(frame.payload, Heartbeat)
                      and frame.payload.forwarded_by is not None]
-        # A send that queues behind another CPU task takes that task's
-        # span, so a few rebroadcasts have none; the rest must chain.
-        chained = [frame for frame in forwarded
-                   if spans.get(frame.span_id).parent_id is not None]
-        assert len(chained) >= 0.9 * len(forwarded) > 0
-        for frame in chained:
+        # A send that queues behind other CPU work keeps the span it was
+        # posted under, so every rebroadcast chains.
+        assert forwarded
+        for frame in forwarded:
             span = spans.get(frame.span_id)
+            assert span.parent_id is not None
             assert span.node == frame.src == frame.payload.forwarded_by
             (cause_id,) = spans.get(span.parent_id).frame_ids
             cause = frames[cause_id]

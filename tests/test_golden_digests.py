@@ -8,6 +8,12 @@ speed-up or refactor leaves the table alone.
 
 On a mismatch the failure message prints the freshly measured row as
 JSON; when the behaviour change is intended, paste it into the table.
+It also prints how to name the first record where the run moved: dump
+the row's trace in both checkouts with
+
+    PYTHONPATH=src python tests/test_golden_digests.py ROW OUT.jsonl
+
+and compare the two files with ``python -m repro trace-diff``.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import pytest
 
 from repro.experiments import TankScenario, TransportChaosSpec, \
     run_tank_scenario
-from repro.sim import trace_digest
+from repro.sim import Simulator, dump_trace, trace_digest
 
 # ``repro.experiments`` re-exports functions named ``chaos`` and
 # ``transport_chaos``, which shadow the submodules for a plain import.
@@ -97,6 +103,23 @@ ROWS = {
 }
 
 
+def dump_row(name: str, out: str) -> dict:
+    """Run row ``name``, write its trace (the last simulator the run
+    built) to ``out`` as JSONL, and return the measured row."""
+    made = {}
+    init = Simulator.__init__
+
+    def recording_init(sim, *args, **kwargs):
+        init(sim, *args, **kwargs)
+        made["sim"] = sim
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Simulator, "__init__", recording_init)
+        measured = ROWS[name](mp)
+    dump_trace(made["sim"], out)
+    return measured
+
+
 def load_table() -> dict:
     with open(TABLE, encoding="utf-8") as f:
         return json.load(f)
@@ -118,4 +141,18 @@ def test_run_matches_golden_row(name, monkeypatch):
     if measured != expected:
         pytest.fail("behaviour changed; if intended, replace the row in "
                     f"tests/golden/digests.json with:\n"
-                    f"{json.dumps({name: measured}, indent=2)}")
+                    f"{json.dumps({name: measured}, indent=2)}\n"
+                    "To name the first divergence, run in this checkout "
+                    "and in the one the row was recorded in:\n"
+                    f"  PYTHONPATH=src python tests/test_golden_digests.py "
+                    f"'{name}' trace.jsonl\n"
+                    "then: PYTHONPATH=src python -m repro trace-diff "
+                    "old/trace.jsonl trace.jsonl")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3 or sys.argv[1] not in ROWS:
+        sys.exit("usage: python tests/test_golden_digests.py ROW OUT.jsonl\n"
+                 "rows: " + ", ".join(sorted(ROWS)))
+    print(json.dumps({sys.argv[1]: dump_row(sys.argv[1], sys.argv[2])},
+                     indent=2))

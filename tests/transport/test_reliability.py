@@ -220,16 +220,16 @@ def test_duplicate_deliveries_suppressed_and_reacked():
 def test_delivery_prewarms_neighbor_dedup_tables():
     # After a fresh sequenced delivery the leader broadcasts a one-hop
     # dedup share; radio neighbors (takeover candidates) must then
-    # suppress a redelivery of the same (connection, seq).
+    # suppress a redelivery of the same (stream, seq).
     net, alpha_leader, alpha_label, beta_leader, beta_label, received = \
         build_pair(reliability=RELIABLE)
     sender = net.mtp[alpha_leader]
     sender.invoke(alpha_label, beta_label, 5, {"ping": 1})
     net.run(5.0)
     assert received == [{"ping": 1}]
-    conn = (alpha_label, 0, beta_label, 5)
+    stream = ((alpha_label, 0, beta_label, 5), alpha_leader, 0)
     neighbor = net.mtp[beta_leader - 1]  # grid neighbor, in radio range
-    assert not neighbor._dedup.mark(conn, 1)
+    assert not neighbor._dedup.mark(stream, 1)
 
 
 def test_retry_exhaustion_escalates_then_dead_letters():
@@ -396,14 +396,12 @@ def test_reboot_wipes_reliable_transport_state():
     assert sender.retransmitted == before
 
 
-def test_reboot_does_not_resurrect_a_wiped_burst_release():
-    # Regression: three invocations queue behind one lookup; the answer
-    # sends the first and paces the other two.  A crash and reboot of
-    # the sender in that window wipes all three from the outbox, but the
-    # paced releases still fired and re-tracked the two that waited, so
-    # the rebooted sender retransmitted sends its crash had ended.
+def queue_three_then_power_cycle(reliability=None):
+    """Three invocations queue behind one lookup; right after the answer
+    sends the first and paces the other two, the sender crashes and
+    reboots.  The first send is still in the sender's CPU then."""
     net, alpha_leader, alpha_label, beta_leader, beta_label, received = \
-        build_pair(reliability=RELIABLE)
+        build_pair(reliability=reliability)
     sender = net.mtp[alpha_leader]
     for n in range(3):
         sender.invoke(alpha_label, beta_label, 5, {"n": n})
@@ -412,11 +410,70 @@ def test_reboot_does_not_resurrect_a_wiped_burst_release():
         net.sim.step()
     net.field.fail_node(alpha_leader)
     net.field.motes[alpha_leader].reboot()
+    return net, sender, received
+
+
+def test_reboot_does_not_resurrect_a_wiped_burst_release():
+    # Regression: a crash and reboot of the sender wipes all three from
+    # the outbox, but the paced releases still fired and re-tracked the
+    # two that waited, so the rebooted sender retransmitted sends its
+    # crash had ended.
+    net, sender, received = queue_three_then_power_cycle(RELIABLE)
     assert not sender._outbox
     net.run(10.0)
-    assert [args["n"] for args in received] == [0]  # on the air already
+    assert received == []
     assert not sender._outbox
-    assert net.records("mtp.retransmit", alpha_leader) == []
+    assert net.records("mtp.retransmit", sender.node_id) == []
+
+
+def test_reboot_drops_a_raw_burst_release():
+    # Regression: fire-and-forget sends have no outbox, so the paced
+    # releases of the two that waited outlived the crash and went on
+    # the air after the reboot, and the first send, in the CPU at the
+    # crash, ran after it too.
+    net, sender, received = queue_three_then_power_cycle()
+    net.run(10.0)
+    assert received == []
+    assert [record for record in net.records("radio.tx", sender.node_id)
+            if record.detail["kind"] == "geo.data"
+            and record.time > net.sim.now - 10.0] == []
+
+
+def test_rebooted_sender_starts_a_new_stream():
+    # Regression: a rebooted sender counts from seq 1 again, and the
+    # receiver, which remembered seq 1 from before the crash, suppressed
+    # and acked the new send: silent loss reported as success.
+    net, alpha_leader, alpha_label, beta_leader, beta_label, received = \
+        build_pair(reliability=RELIABLE)
+    sender = net.mtp[alpha_leader]
+    sender.invoke(alpha_label, beta_label, 5, {"n": 1})
+    net.run(5.0)
+    net.field.fail_node(alpha_leader)
+    net.field.motes[alpha_leader].reboot()
+    sender.invoke(alpha_label, beta_label, 5, {"n": 2})
+    net.run(10.0)
+    assert received == [{"n": 1}, {"n": 2}]
+    assert net.records("mtp.duplicate") == []
+
+
+def test_new_leader_of_the_source_label_starts_a_new_stream():
+    # Regression: MTP connects labels, not nodes.  After a handover of
+    # the source label its new leader counts from seq 1, and the
+    # receiver suppressed and acked that first send as a duplicate of
+    # the old leader's seq 1, with no crash at all.
+    net, alpha_leader, alpha_label, beta_leader, beta_label, received = \
+        build_pair(reliability=RELIABLE)
+    net.mtp[alpha_leader].invoke(alpha_label, beta_label, 5, {"n": 1})
+    net.sensing["alpha"] = {0, 1}
+    net.run(3.0)
+    net.sensing["alpha"] = {1}
+    net.run(5.0)
+    assert net.groups[1].is_leading("alpha")
+    assert net.groups[1].label("alpha") == alpha_label
+    net.mtp[1].invoke(alpha_label, beta_label, 5, {"n": 2})
+    net.run(10.0)
+    assert received == [{"n": 1}, {"n": 2}]
+    assert net.records("mtp.duplicate") == []
 
 
 def test_one_escalation_per_directory_verdict():
@@ -521,7 +578,7 @@ def test_one_lookup_per_label_and_one_end_per_send(sends, loss, crash):
 
         def fail():
             wiped.update((state["epoch"], conn[2], seq)
-                         for conn, seq in sender._outbox)
+                         for (conn, _, _), seq in sender._outbox)
             state["epoch"] += 1
             net.field.fail_node(alpha_leader)
 
