@@ -21,9 +21,9 @@ Implementation notes:
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..node import Component, Mote
 from ..radio import distance
@@ -87,6 +87,8 @@ class DirectoryQuery:
     context_type: str
     query_id: int
     reply_to: int
+    #: Set by a rebooted directory node passing it to a replica holder.
+    handed_on: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,7 +153,10 @@ class DirectoryService(Component):
     A crash drops the mote's replicas and its pending lookups, with
     their timeouts and without calling back: nobody is left waiting for
     the answers.  Only the query counter survives, so a late answer to a
-    query from before the crash never matches a new one.
+    query from before the crash never matches a new one.  Until every
+    entry it could hold has been refreshed or has expired, ``entry_ttl``
+    after the reboot, the node hands each query it would answer on to
+    the replica holder nearest the point, once.
     """
 
     name = "dir"
@@ -179,8 +184,11 @@ class DirectoryService(Component):
         self._entries: Dict[str, DirectoryEntry] = {}
         self._pending_queries: Dict[int, _PendingLookup] = {}
         self._query_seq = 0
+        #: Until then the replicas may lack entries a crash emptied.
+        self._partial_until = 0.0
         #: Operations that write no trace record, by kind: ``register``,
-        #: ``lookup``, ``query_answered`` and ``response``.
+        #: ``lookup``, ``query_answered``, ``query_handed_on`` and
+        #: ``response``.
         self.ops: "collections.Counter[str]" = collections.Counter()
         metrics = self.sim.metrics
         metrics.view(Counter, "repro_directory_ops_total",
@@ -194,6 +202,7 @@ class DirectoryService(Component):
         self.router.register_delivery(RESPONSE_KIND, self._on_response)
         self.handle(REPLICATE_KIND, self._on_replicate_frame)
         self.mote.add_fail_hook(self._on_fail)
+        self.mote.add_reboot_hook(self._on_reboot)
 
     # ------------------------------------------------------------------
     # Client side
@@ -271,6 +280,9 @@ class DirectoryService(Component):
         self._pending_queries.clear()
         self._entries.clear()
 
+    def _on_reboot(self) -> None:
+        self._partial_until = self.now + self.entry_ttl
+
     # ------------------------------------------------------------------
     # Directory-object side
     # ------------------------------------------------------------------
@@ -322,11 +334,31 @@ class DirectoryService(Component):
     def _on_query(self, query: Any, origin: int) -> None:
         if not isinstance(query, DirectoryQuery):
             return
+        if self.now < self._partial_until and not query.handed_on:
+            holder = self._replica_holder(query.context_type)
+            if holder is not None:
+                self.ops["query_handed_on"] += 1
+                self.router.route_to_node(holder, QUERY_KIND,
+                                          replace(query, handed_on=True))
+                return
         self.ops["query_answered"] += 1
         self.router.route_to_node(
             query.reply_to, RESPONSE_KIND,
             DirectoryResponse(query.query_id,
                               tuple(self.entries_for(query.context_type))))
+
+    def _replica_holder(self, context_type: str) -> Optional[int]:
+        """The neighbor nearest the type's point, if it is near enough to
+        keep replicas of the type."""
+        point = self.directory_point(context_type)
+        medium = self.mote.medium
+        holder = min(medium.neighbors_of(self.node_id), default=None,
+                     key=lambda node: (distance(
+                         medium.port(node).position, point), node))
+        if holder is None or distance(medium.port(holder).position, point) \
+                > medium.communication_radius:
+            return None
+        return holder
 
     def _on_response(self, response: Any, origin: int) -> None:
         if not isinstance(response, DirectoryResponse):

@@ -272,9 +272,10 @@ class QuietPollTimer(PeriodicTimer):
                  cost: Optional[float], task_label: str,
                  quiet_until: Callable[[float], float],
                  label: str = "periodic",
-                 initial_delay: Optional[float] = None) -> None:
+                 initial_delay: Optional[float] = None,
+                 scale: float = 1.0) -> None:
         super().__init__(sim, period, callback, label=label,
-                         initial_delay=initial_delay)
+                         initial_delay=initial_delay, scale=scale)
         self._cpu = cpu
         self._poll = poll
         self._cost = cpu.task_cost if cost is None else cost

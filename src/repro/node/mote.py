@@ -197,17 +197,17 @@ class Mote:
         """
         task_label = "timer." + label
         fire = self._on_cpu(callback, cost, task_label)
-        scaled_delay = (None if initial_delay is None
-                        else initial_delay * self.clock_scale)
+        scale = self.clock_scale
         if quiet_until is None:
-            timer = PeriodicTimer(self.sim, period * self.clock_scale, fire,
+            timer = PeriodicTimer(self.sim, period * scale, fire,
                                   label=f"{label}@{self.node_id}",
-                                  initial_delay=scaled_delay)
+                                  initial_delay=initial_delay, scale=scale)
         else:
             timer = QuietPollTimer(
-                self.sim, self.cpu, period * self.clock_scale, fire,
+                self.sim, self.cpu, period * scale, fire,
                 callback, cost, task_label, quiet_until,
-                label=f"{label}@{self.node_id}", initial_delay=scaled_delay)
+                label=f"{label}@{self.node_id}",
+                initial_delay=initial_delay, scale=scale)
         self._timers.append(timer)
         return timer
 
@@ -318,6 +318,7 @@ class Mote:
         for timer in self._timers:
             if isinstance(timer, PeriodicTimer):
                 timer.period *= factor
+                timer.scale = self.clock_scale
             elif isinstance(timer, WatchdogTimer):
                 timer.timeout *= factor
         self.sim.record("node.clock_skew", node=self.node_id,

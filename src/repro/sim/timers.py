@@ -76,20 +76,26 @@ class PeriodicTimer:
 
     The first firing happens after ``initial_delay`` (defaults to one full
     period).  Changing :attr:`period` takes effect after the next firing.
+
+    ``scale`` is the rate of the clock that measures initial delays: a
+    mote's timer takes its delays in the mote's own (possibly skewed)
+    seconds, while ``period`` is kept in simulated seconds.
     """
 
     __slots__ = ("_sim", "period", "_callback", "_initial_delay", "_handle",
-                 "fire_count")
+                 "fire_count", "scale")
 
     def __init__(self, sim: Simulator, period: float,
                  callback: Callable[[], Any], label: str = "periodic",
-                 initial_delay: Optional[float] = None) -> None:
+                 initial_delay: Optional[float] = None,
+                 scale: float = 1.0) -> None:
         if not period > 0:
             raise ValueError(f"period must be positive: {period}")
         self._sim = sim
         self.period = period
         self._callback = callback
-        self._initial_delay = period if initial_delay is None else initial_delay
+        self._initial_delay = initial_delay
+        self.scale = scale
         self._handle = sim.timers.create(self._fire, label)
         self.fire_count = 0
 
@@ -100,9 +106,12 @@ class PeriodicTimer:
     def start(self, initial_delay: Optional[float] = None) -> None:
         """Start (or restart) the periodic schedule; the first firing
         comes after ``initial_delay``, or after the construction-time
-        initial delay when it is None."""
-        self._sim.timers.arm(self._handle, self._initial_delay
-                             if initial_delay is None else initial_delay)
+        initial delay when it is None (both scaled), or one period."""
+        if initial_delay is None:
+            initial_delay = self._initial_delay
+        self._sim.timers.arm(self._handle, self.period
+                             if initial_delay is None
+                             else initial_delay * self.scale)
 
     def stop(self) -> None:
         self._sim.timers.cancel(self._handle)

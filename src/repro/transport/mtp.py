@@ -319,11 +319,15 @@ class MtpAgent(Component):
 
     def _transmit(self, node: int, invocation: Invocation) -> None:
         """Put one invocation on the wire; a sequenced one also arms its
-        retransmit timer (only an ack, a dead letter or a crash ends its
-        outbox entry, and none can while it waits for its release)."""
+        retransmit timer."""
         if invocation.seq is not None:
-            self._arm_retransmit(
-                self._outbox[(invocation.stream(), invocation.seq)])
+            pending = self._outbox.get((invocation.stream(),
+                                        invocation.seq))
+            if pending is None:
+                # A late ack of an escalated send ended it while it
+                # waited for the lookup or its burst release.
+                return
+            self._arm_retransmit(pending)
         self.router.route_to_node(node, MTP_KIND, invocation)
 
     # ------------------------------------------------------------------

@@ -186,8 +186,7 @@ def test_lookup_retry_recovers_after_transient_outage():
 
 
 def test_reboot_drops_directory_replicas():
-    # A power cycle empties RAM, replicas included: a rebooted directory
-    # node answers from nothing until a registration reaches it again.
+    # A power cycle empties RAM, replicas included.
     sim, field, services = build()
     services[0].register("fire", "fire#1.1", (2.0, 2.0), leader=1)
     sim.run(until=2.0)
@@ -199,6 +198,31 @@ def test_reboot_drops_directory_replicas():
     assert services[35].entries_for("fire") == []
     assert all(services[node].entries_for("fire")
                for node in holders if node != 35)
+
+
+def test_rebooted_directory_node_hands_queries_to_a_replica():
+    # Regression: the rebooted node nearest the hash point answered
+    # from the replicas its crash emptied, so every lookup of the type
+    # came back empty until a registration refilled it.  For one entry
+    # TTL it hands each query on to the replica holder nearest the point.
+    sim, field, services = build()
+    services[0].register("fire", "fire#1.1", (2.0, 2.0), leader=1)
+    sim.run(until=2.0)
+    (stored,) = sim.trace_records("dir.stored")
+    home = stored.node
+    field.fail_node(home)
+    field.motes[home].reboot()
+    answers = lookup(sim, services, 63, "fire")
+    assert [entry.label for entry in answers] == ["fire#1.1"]
+    assert services[home].ops["query_handed_on"] == 1
+    assert services[home].ops["query_answered"] == 0
+    sim.run(until=sim.now + 30.0)  # the entry TTL since the reboot
+    services[0].register("fire", "fire#1.1", (2.0, 2.0), leader=1)
+    sim.run(until=sim.now + 2.0)
+    answers = lookup(sim, services, 63, "fire")
+    assert [entry.label for entry in answers] == ["fire#1.1"]
+    assert services[home].ops["query_handed_on"] == 1
+    assert services[home].ops["query_answered"] == 1
 
 
 def test_dead_client_lookup_collected_without_callback():

@@ -151,6 +151,23 @@ def test_timer_handlers_run_on_cpu():
     assert fired[0] == pytest.approx(1.1)
 
 
+def test_a_restart_after_a_clock_skew_waits_the_skewed_delay():
+    # A periodic timer's start delay is in the mote's own seconds: a
+    # timer built before a skew and started after it waits the skewed
+    # delay, whether the delay is given at construction or to start().
+    sim, _, (a, _) = build()
+    fired = {"given": [], "passed": []}
+    given = a.periodic(1.0, lambda: fired["given"].append(sim.now),
+                       initial_delay=0.25)
+    passed = a.periodic(1.0, lambda: fired["passed"].append(sim.now))
+    a.skew_clock(2.0)
+    given.start()
+    passed.start(0.25)
+    sim.run(until=3.0)
+    for times in fired.values():
+        assert times == pytest.approx([0.5, 2.5], abs=0.01)
+
+
 def test_oneshot_helper():
     sim, _, (a, _) = build()
     fired = []

@@ -396,6 +396,37 @@ def test_reboot_wipes_reliable_transport_state():
     assert sender.retransmitted == before
 
 
+def test_an_ack_during_the_escalation_lookup_ends_the_send():
+    # Regression: a send escalated while its ack was still on the way
+    # back; the late ack ended it, and the lookup's answer then tried to
+    # transmit a send the outbox no longer held and aborted the run.
+    net, alpha_leader, alpha_label, beta_leader, beta_label, received = \
+        build_pair(reliability=RELIABLE)
+    sender = net.mtp[alpha_leader]
+    handlers = sender.router._handlers
+    deliver_ack = handlers[MTP_ACK_KIND]
+    held = []
+    handlers[MTP_ACK_KIND] = lambda ack, origin: held.append((ack, origin))
+    escalate = sender._escalate
+
+    def escalate_then_ack(pending):
+        escalate(pending)
+        assert beta_label in sender._pending  # the lookup is in flight
+        deliver_ack(*held.pop(0))
+
+    sender._escalate = escalate_then_ack
+    sender.table.update(beta_label, beta_leader, net.sim.now)
+    sender.invoke(alpha_label, beta_label, 5, {"ping": 1})
+    # No pointer at the timeout: the send escalates at once.
+    sender.table.forget(beta_label)
+    net.run(10.0)
+    assert len(net.records("mtp.escalate", alpha_leader)) == 1
+    assert beta_label not in sender._pending  # the lookup answered
+    assert received == [{"ping": 1}]
+    assert sender.acked == 1 and not sender._outbox
+    assert net.records("mtp.retransmit", alpha_leader) == []
+
+
 def queue_three_then_power_cycle(reliability=None):
     """Three invocations queue behind one lookup; right after the answer
     sends the first and paces the other two, the sender crashes and
