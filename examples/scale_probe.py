@@ -9,11 +9,13 @@ stretches the strip to ``--motes`` motes.  The tanks stay where they
 are, so target activity is fixed and the extra motes mostly watch an
 empty border, as the paper's 18,000-mote deployment would.
 
-Prints the simulated events, the events actually dispatched, the sense
-polls charged without events, frames sent, the trace digest and the
-host run time.  Exits with status 1 when no sense poll ran implicitly,
-which means something hid the detection sensor's ``quiet_until`` from
-the group manager.
+Prints the simulated events, the events actually dispatched, the heap
+entries they were dispatched from, the sense polls charged without
+events, frames sent, the trace digest and the host run time.  Exits
+with status 1 when no sense poll ran implicitly, which means something
+hid the detection sensor's ``quiet_until`` from the group manager, or
+when every event had a heap entry of its own, which means no frame's
+idle receivers shared one (``docs/ENGINE.md`` §1).
 
 Run:
     PYTHONPATH=src python examples/scale_probe.py --motes 640 --seconds 20
@@ -103,16 +105,21 @@ def main(argv=None):
             ("simulated_s", args.seconds),
             ("events", events),
             ("events_dispatched", sim.events_dispatched),
+            ("entries_dispatched", sim.entries_dispatched),
             ("polls_implicit", polls),
             ("frames_sent", app.field.medium.stats.frames_sent),
             ("trace_digest", trace_digest(sim)),
             ("run_s", f"{run_s:.3f}"))
     for name, value in rows:
         print(f"{name:>18} {value}")
+    status = 0
     if polls == 0:
         print("no sense poll ran implicitly", file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    if sim.entries_dispatched == sim.events_dispatched:
+        print("no frame's receivers shared a heap entry", file=sys.stderr)
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

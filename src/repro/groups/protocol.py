@@ -29,6 +29,7 @@ State machine roles per (node, context type): IDLE → MEMBER ⇄ LEADER.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional
@@ -53,6 +54,12 @@ class Role(enum.Enum):
     IDLE = "idle"
     MEMBER = "member"
     LEADER = "leader"
+
+
+#: For the heartbeat handler, which runs once per receiver of every
+#: heartbeat: reading an enum member through its class is a descriptor
+#: call.
+_LEADER, _MEMBER = Role.LEADER, Role.MEMBER
 
 
 class GroupListener:
@@ -476,14 +483,24 @@ class GroupManager(Component):
         if not isinstance(beat, Heartbeat):
             return
         state = self._types.get(beat.context_type)
-        if state is None or beat.leader == self.node_id:
+        if state is None or beat.leader == self.mote.node_id:
             return
-        state.last_hb_time = self.now
-        if state.role is Role.LEADER:
+        state.last_hb_time = self.sim._now
+        role = state.role
+        if role is _LEADER:
             self._leader_hears_heartbeat(state, beat)
-        elif state.role is Role.MEMBER:
+        elif role is _MEMBER:
             self._member_hears_heartbeat(state, beat)
         else:
+            # An idle node joins or remembers a label only within the
+            # join range of its leader.
+            limit = state.config.join_range
+            leader_pos = beat.leader_pos
+            if limit is not None and leader_pos is not None:
+                position = self.mote.position
+                if not math.hypot(position[0] - leader_pos[0],
+                                  position[1] - leader_pos[1]) <= limit:
+                    return
             self._idle_hears_heartbeat(state, beat)
 
     def _leader_hears_heartbeat(self, state: _TypeState,
@@ -530,9 +547,10 @@ class GroupManager(Component):
                 state.cached_state = beat.state
                 self._notify("on_state_update", state.type_name,
                              state.label, beat.state)
-            state.last_label_hb_time = self.now
+            now = self.sim._now
+            state.last_label_hb_time = now
             self._receive_timer(state).kick()
-            state.receive_deadline = self.now + state.config.receive_timeout
+            state.receive_deadline = now + state.config.receive_timeout
             if state.pending_via == "takeover":
                 self.record("takeover_aborted", type=state.type_name,
                             label=state.label, leader=beat.leader)
@@ -558,8 +576,6 @@ class GroupManager(Component):
 
     def _idle_hears_heartbeat(self, state: _TypeState,
                               beat: Heartbeat) -> None:
-        if not self._within_join_range(state, beat):
-            return
         if state.sensing:
             # We detect the condition and a group already exists: join it.
             self._become_member(state, beat.label, beat.leader, beat.weight,
@@ -888,14 +904,6 @@ class GroupManager(Component):
         proximity).
         """
         limit = state.config.suppression_range
-        if limit is None or beat.leader_pos is None:
-            return True
-        return distance(self.mote.position, beat.leader_pos) <= limit
-
-    def _within_join_range(self, state: _TypeState,
-                           beat: Heartbeat) -> bool:
-        """May this node join/remember ``beat``'s label?"""
-        limit = state.config.join_range
         if limit is None or beat.leader_pos is None:
             return True
         return distance(self.mote.position, beat.leader_pos) <= limit

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from heapq import heappush
 from typing import Any, Callable, Deque, Optional, Tuple
 
 from ..sim import PeriodicTimer, Simulator
@@ -150,27 +151,43 @@ class Cpu:
 
         The task runs when the CPU reaches it, *after* its service time —
         so a backlogged CPU delays protocol reactions, which is the effect
-        the Figure 5 stress test measures.
+        the Figure 5 stress test measures.  An idle CPU's service event
+        is batched (:meth:`~repro.sim.Simulator.schedule_batched`), so
+        the idle receivers of one frame share a heap entry.
         """
         boot = self.boot
         if boot is None:
             return False
+        sim = self.sim
+        now = sim._now
         poller = self._poller
-        if poller is not None:
+        # The quiet run has work only with a poll in service or due.
+        if poller is not None and (poller._service is not None
+                                   or poller._next <= now):
             poller.give_way()
-        task = (fn, args, self.task_cost if cost is None else cost, label,
-                self.sim._now, self._spans.current, boot)
+        if cost is None:
+            cost = self.task_cost
+        span = self._spans.current
+        task = (fn, args, cost, label, now, span, boot)
         if self._busy:
-            if len(self._queue) >= self.queue_limit:
+            queue = self._queue
+            if len(queue) >= self.queue_limit:
                 self.dropped += 1
-                self.sim.record("cpu.drop", node=self.node_id, label=label)
+                sim.record("cpu.drop", node=self.node_id, label=label)
                 return False
-            self._queue.append(task)
-            self.max_backlog = max(self.max_backlog, len(self._queue))
+            queue.append(task)
+            if len(queue) > self.max_backlog:
+                self.max_backlog = len(queue)
+            idle_at = self._idle_at()
         else:
-            self._begin(task)
-        if poller is not None:
-            poller.check_idle_before_next()
+            self._busy = True
+            # The service event carries the task's own label
+            # (``rx.<kind>``, ``timer.<label>`` …) for the profiler.
+            idle_at = self._done_at = now + cost
+            sim.schedule_batched(idle_at, self._finish, task, label, span)
+        if poller is not None and idle_at >= poller._next:
+            # Busy into the run's next poll: that poll must be real.
+            poller.fall_back()
         return True
 
     def shutdown(self) -> None:
@@ -186,45 +203,78 @@ class Cpu:
         self.boot = boot
 
     # ------------------------------------------------------------------
-    def _begin(self, task: _Task) -> None:
-        self._busy = True
-        # The service event carries the task's own label (``rx.<kind>``,
-        # ``timer.<label>`` …) so the profiler files handler work under it.
-        sim = self.sim
-        done = sim._now + task[2]
-        sim.schedule_at(done, self._finish, task, label=task[3])
-        self._done_at = done
-
     def _idle_at(self) -> float:
-        """When the CPU goes idle if nothing more is posted."""
-        if not self._busy:
-            return self.sim.now
+        """When the busy CPU goes idle if nothing more is posted."""
         idle_at = self._done_at
         for task in self._queue:
             idle_at = idle_at + task[2]
         return idle_at
 
     def _finish(self, task: _Task) -> None:
-        if self._poller is not None:
+        """The service event of ``task``: every task, lone or a member
+        of a batch entry, ends here."""
+        sim = self.sim
+        poller = self._poller
+        if poller is not None and (poller._service is not None
+                                   or poller._next <= sim._now):
             # Keep ``busy_time`` summed in time order.
-            self._poller.settle()
+            poller.settle()
         fn, args, cost, _, posted_at, _, boot = task
         self._busy_time += cost
         if boot != self.boot:
             return  # posted before a crash, which abandoned it
         self._executed += 1
-        self._total_latency += self.sim._now - posted_at
+        self._total_latency += sim._now - posted_at
         try:
             fn(*args)
         finally:
-            if self._queue:
+            queue = self._queue
+            if queue:
                 # The next task is served under the span it was posted
                 # in, not under the one that just finished.
-                task = self._queue.popleft()
-                self._spans.current = task[5]
-                self._begin(task)
+                task = queue.popleft()
+                self._done_at = done = sim._now + task[2]
+                sim.schedule_batched(done, self._finish, task, task[3],
+                                     task[5])
             else:
                 self._busy = False
+
+
+class PeriodicTask(PeriodicTimer):
+    """A periodic timer whose every fire posts ``callback`` to ``cpu`` as
+    one task of ``cost`` seconds (None: the CPU's task cost at the post)
+    labelled ``task_label``."""
+
+    __slots__ = ("_cpu", "_cost", "_task_label")
+
+    def __init__(self, sim: Simulator, cpu: Cpu, period: float,
+                 callback: Callable[[], Any], cost: Optional[float],
+                 task_label: str, label: str = "periodic",
+                 initial_delay: Optional[float] = None,
+                 scale: float = 1.0) -> None:
+        super().__init__(sim, period, callback, label=label,
+                         initial_delay=initial_delay, scale=scale)
+        self._cpu = cpu
+        self._cost = cost
+        self._task_label = task_label
+
+    def _fire(self) -> None:
+        self.fire_count += 1
+        # Re-arm one period on before posting, as PeriodicTimer does, but
+        # without the ``timers.arm`` calls: the handle just fired, so it
+        # owns no entry to reconcile, and its fresh entry (the layout of
+        # ``repro.sim.engine._handle_entry``) draws one seq.
+        sim = self._sim
+        handle = self._handle
+        handle.deadline = deadline = sim._now + self.period
+        handle.seq = seq = sim._seq.next()
+        handle.span = span = sim.spans.current
+        handle.entry = entry = (deadline, seq, handle.callback, (),
+                                handle.label, span, handle)
+        heappush(sim._heap, entry)
+        sim._live += 1
+        self._cpu.post(self._callback, cost=self._cost,
+                       label=self._task_label)
 
 
 #: A quiet run looks at most this many polls ahead; a longer quiet
@@ -232,7 +282,7 @@ class Cpu:
 QUIET_RUN_MAX_POLLS = 1024
 
 
-class QuietPollTimer(PeriodicTimer):
+class QuietPollTimer(PeriodicTask):
     """A periodic CPU task whose provably quiet runs are charged, not run.
 
     At every real firing, with the CPU idle, the timer asks
@@ -256,30 +306,27 @@ class QuietPollTimer(PeriodicTimer):
     becomes a real service event first, so the task queues behind it
     (:meth:`give_way`).  The run goes on as long as the CPU is idle
     again before its next poll, and otherwise falls back to real
-    events (:meth:`check_idle_before_next`).  A clock skew, a shutdown,
-    a sensor install or a target change falls back at once
-    (:meth:`fall_back`).
+    events (:meth:`fall_back`), as a clock skew, a shutdown, a sensor
+    install or a target change does at once.  :meth:`Cpu.post` and
+    :meth:`Cpu._finish` call into the run only when it has a poll in
+    service or due, or the post keeps the CPU busy into its next poll.
 
-    The timer's ``callback`` is the plain path (post ``poll`` to the
-    CPU); ``poll``, ``cost`` and ``task_label`` describe that task.
+    The plain path posts ``callback`` to the CPU like
+    :class:`PeriodicTask`, with ``cost`` resolved at construction.
     """
 
-    __slots__ = ("_cpu", "_poll", "_cost", "_task_label", "_quiet_until",
-                 "_fires", "_service", "_next", "_end")
+    __slots__ = ("_quiet_until", "_fires", "_service", "_next", "_end")
 
     def __init__(self, sim: Simulator, cpu: Cpu, period: float,
-                 callback: Callable[[], Any], poll: Callable[[], Any],
-                 cost: Optional[float], task_label: str,
-                 quiet_until: Callable[[float], float],
+                 callback: Callable[[], Any], cost: Optional[float],
+                 task_label: str, quiet_until: Callable[[float], float],
                  label: str = "periodic",
                  initial_delay: Optional[float] = None,
                  scale: float = 1.0) -> None:
-        super().__init__(sim, period, callback, label=label,
+        super().__init__(sim, cpu, period, callback,
+                         cpu.task_cost if cost is None else cost,
+                         task_label, label=label,
                          initial_delay=initial_delay, scale=scale)
-        self._cpu = cpu
-        self._poll = poll
-        self._cost = cpu.task_cost if cost is None else cost
-        self._task_label = task_label
         self._quiet_until = quiet_until
         #: Start of the charged poll whose service is not yet charged.
         self._service: Optional[float] = None
@@ -357,32 +404,39 @@ class QuietPollTimer(PeriodicTimer):
         start = self._service
         now = self._sim._now
         cost = self._cost
+        if start is not None and start + cost > now:
+            return  # still in service, and the next poll is later still
         period = self.period
         end = self._end
         cpu = self._cpu
+        # Summed in locals, in the same order as the CPU's own counters.
+        busy_time = cpu._busy_time
+        latency = cpu._total_latency
         services = fires = 0
-        while True:
-            if start is not None:
-                done = start + cost
-                if done > now:
-                    break
-                cpu._busy_time += cost
-                cpu._executed += 1
-                cpu._total_latency += done - start
-                services += 1
-                start = None
-            if next_poll < end and next_poll <= now:
-                fires += 1
-                start = next_poll
+        if start is not None:
+            busy_time += cost
+            latency += (start + cost) - start
+            services = 1
+            start = None
+        while next_poll <= now and next_poll < end:
+            fires += 1
+            done = next_poll + cost
+            if done > now:
+                start = next_poll  # in service at now
                 next_poll = next_poll + period
-            else:
                 break
+            busy_time += cost
+            latency += done - next_poll
+            services += 1
+            next_poll = next_poll + period
         if services or fires:
+            cpu._busy_time = busy_time
+            cpu._executed += services
+            cpu._total_latency = latency
             self._service = start
             self._next = next_poll
             self._fires += fires
             sim = self._sim
-            sim._events_fired += services + fires
             sim._events_implicit += services + fires
             sim._polls_implicit += services
 
@@ -395,13 +449,6 @@ class QuietPollTimer(PeriodicTimer):
         if start is not None:
             self._service = None
             self._serve(start)
-
-    def check_idle_before_next(self) -> None:
-        """After a post: fall back unless the CPU is idle again before
-        the run's next poll (a poll on a busy CPU queues, so it must be
-        real)."""
-        if self._cpu._idle_at() >= self._next:
-            self._leave(rearm=True)
 
     def fall_back(self) -> None:
         """Leave the run: charge it up to now, then turn the poll in
@@ -431,16 +478,11 @@ class QuietPollTimer(PeriodicTimer):
         ``start``, under the span the plain loop gives it."""
         cpu = self._cpu
         cost = self._cost
-        sim = self._sim
-        spans = sim.spans
-        previous = spans.current
-        spans.current = self._handle.span
-        try:
-            cpu._busy = True
-            cpu._done_at = start + cost
-            sim.schedule_at(start + cost, cpu._finish,
-                            (self._poll, (), cost, self._task_label, start,
-                             self._handle.span, cpu.boot),
-                            label=self._task_label)
-        finally:
-            spans.current = previous
+        span = self._handle.span
+        label = self._task_label
+        cpu._busy = True
+        done = cpu._done_at = start + cost
+        self._sim.schedule_batched(
+            done, cpu._finish,
+            (self._callback, (), cost, label, start, span, cpu.boot),
+            label, span)

@@ -19,9 +19,10 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..radio import CsmaMac, Frame, Medium, TransceiverPort
+from ..radio import BROADCAST, CsmaMac, Frame, Medium, TransceiverPort
 from ..sim import OneShotTimer, PeriodicTimer, Simulator, WatchdogTimer
-from .cpu import DEFAULT_QUEUE_LIMIT, DEFAULT_TASK_COST, Cpu, QuietPollTimer
+from .cpu import (DEFAULT_QUEUE_LIMIT, DEFAULT_TASK_COST, Cpu, PeriodicTask,
+                  QuietPollTimer)
 
 Position = Tuple[float, float]
 FrameHandler = Callable[[Frame], None]
@@ -153,7 +154,8 @@ class Mote:
         # medium's stats count physical receptions (paper's loss metric),
         # the mote only processes frames addressed to it or broadcast.
         # A frame that reaches a crashed mote is refused by its CPU.
-        if not frame.addressed_to(self.node_id):
+        dst = frame.dst
+        if dst != BROADCAST and dst != self.node_id:
             return
         kind = frame.kind
         label = self._rx_labels.get(kind)
@@ -196,17 +198,16 @@ class Mote:
         simulator's :attr:`~repro.sim.Simulator.implicit_polls`.
         """
         task_label = "timer." + label
-        fire = self._on_cpu(callback, cost, task_label)
         scale = self.clock_scale
         if quiet_until is None:
-            timer = PeriodicTimer(self.sim, period * scale, fire,
-                                  label=f"{label}@{self.node_id}",
-                                  initial_delay=initial_delay, scale=scale)
+            timer = PeriodicTask(self.sim, self.cpu, period * scale,
+                                 callback, cost, task_label,
+                                 label=f"{label}@{self.node_id}",
+                                 initial_delay=initial_delay, scale=scale)
         else:
             timer = QuietPollTimer(
-                self.sim, self.cpu, period * scale, fire,
-                callback, cost, task_label, quiet_until,
-                label=f"{label}@{self.node_id}",
+                self.sim, self.cpu, period * scale, callback, cost,
+                task_label, quiet_until, label=f"{label}@{self.node_id}",
                 initial_delay=initial_delay, scale=scale)
         self._timers.append(timer)
         return timer

@@ -76,11 +76,3 @@ class Frame:
             raise ValueError(f"frame size must be positive: {self.size_bits}")
         if self.tx_range is not None and not self.tx_range > 0:
             raise ValueError(f"tx range must be positive: {self.tx_range}")
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self.dst == BROADCAST
-
-    def addressed_to(self, node_id: int) -> bool:
-        """True when ``node_id`` should deliver this frame up the stack."""
-        return self.is_broadcast or self.dst == node_id

@@ -44,7 +44,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..sim import Simulator
 from ..telemetry.registry import Counter, RecordFamily, merged, summed
-from .frames import Frame
+from .frames import BROADCAST, Frame
 from .stats import RadioStats
 
 Position = Tuple[float, float]
@@ -77,22 +77,6 @@ def distance(a: Position, b: Position) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-class _Reception:
-    """A pending physical reception of one frame at one transceiver."""
-
-    __slots__ = ("receiver", "corrupted", "drop_cause")
-
-    def __init__(self, receiver: "TransceiverPort") -> None:
-        self.receiver = receiver
-        self.corrupted = False
-        self.drop_cause: Optional[str] = None
-
-    def corrupt(self, cause: str) -> None:
-        if not self.corrupted:
-            self.corrupted = True
-            self.drop_cause = cause
-
-
 @dataclass
 class Disturbance:
     """A timed channel impairment (jamming, weather, interference burst).
@@ -119,9 +103,14 @@ class Disturbance:
 
 
 class _Transmission:
-    """An in-flight frame occupying airtime on the channel."""
+    """An in-flight frame occupying airtime on the channel.
 
-    __slots__ = ("frame", "start", "end", "src_port", "receptions")
+    ``receivers`` are the ports it reaches, in attach order; ``drops``
+    maps the index of each corrupted reception to its first drop cause
+    (``"channel"``, ``"jam"`` or ``"collision"``).
+    """
+
+    __slots__ = ("frame", "start", "end", "src_port", "receivers", "drops")
 
     def __init__(self, frame: Frame, start: float, end: float,
                  src_port: "TransceiverPort") -> None:
@@ -129,10 +118,41 @@ class _Transmission:
         self.start = start
         self.end = end
         self.src_port = src_port
-        self.receptions: List[_Reception] = []
+        self.receivers: List[TransceiverPort] = []
+        self.drops: Dict[int, str] = {}
 
     def overlaps(self, other: "_Transmission") -> bool:
         return self.start < other.end and other.start < self.end
+
+
+def _outcomes(delivered: int, drops: Dict[int, str]) -> Dict[str, int]:
+    """A frame's reception outcomes (``"delivered"`` or a drop cause)
+    counted in first-seen order over its receivers, from the count of
+    delivered receptions and the drop causes by receiver index."""
+    counts: Dict[str, int] = {}
+    first: Dict[str, int] = {}  # an outcome's first receiver index
+    for index in sorted(drops):
+        cause = drops[index]
+        counts[cause] = counts.get(cause, 0) + 1
+        first.setdefault(cause, index)
+    if delivered:
+        index = 0
+        while index in drops:
+            index += 1
+        counts["delivered"] = delivered
+        first["delivered"] = index
+    return {outcome: counts[outcome]
+            for outcome in sorted(counts, key=first.__getitem__)}
+
+
+def _mark_collisions(tx: _Transmission,
+                     interferers: Set["TransceiverPort"]) -> None:
+    """Corrupt each of ``tx``'s receptions at a port in ``interferers``
+    that no earlier cause corrupted."""
+    drops = tx.drops
+    for index, receiver in enumerate(tx.receivers):
+        if receiver in interferers and index not in drops:
+            drops[index] = "collision"
 
 
 class TransceiverPort:
@@ -447,21 +467,21 @@ class Medium:
             reach = frame.tx_range
         # Build the reception set: every enabled in-range port, in attach
         # order (the loss draws' order).
-        receptions = tx.receptions
+        receivers = tx.receivers
+        drops = tx.drops
         draw = self._rng.random
         for port, loss in self._links_of(src_port, reach):
             if not port.enabled:
                 continue
-            reception = _Reception(port)
             if draw() < loss:
-                reception.corrupt("channel")
-            for disturbance in disturbances:
-                if reception.corrupted:
-                    break
-                if disturbance.covers(port.position) and \
-                        self._jam_rng.random() < disturbance.extra_loss:
-                    reception.corrupt("jam")
-            receptions.append(reception)
+                drops[len(receivers)] = "channel"
+            elif disturbances:
+                for disturbance in disturbances:
+                    if disturbance.covers(port.position) and \
+                            self._jam_rng.random() < disturbance.extra_loss:
+                        drops[len(receivers)] = "jam"
+                        break
+            receivers.append(port)
         # Mutual collision marking against concurrently active airtime: a
         # reception is corrupted by any overlapping transmission whose
         # source is within interference_radius of the receiver.
@@ -470,13 +490,8 @@ class Medium:
             for other in self._active:
                 if not tx.overlaps(other):
                     continue
-                other_near = self._interferers_of(other.src_port)
-                for reception in receptions:
-                    if reception.receiver in other_near:
-                        reception.corrupt("collision")
-                for reception in other.receptions:
-                    if reception.receiver in near:
-                        reception.corrupt("collision")
+                _mark_collisions(tx, self._interferers_of(other.src_port))
+                _mark_collisions(other, near)
         self._active.append(tx)
         self.stats.on_send(frame.kind, frame.size_bits, frame.src)
         self.sim.record("radio.tx", node=frame.src, kind=frame.kind,
@@ -498,31 +513,27 @@ class Medium:
         return probability
 
     def _complete(self, tx: _Transmission) -> None:
+        """Deliver ``tx`` to its uncorrupted receivers in attach order,
+        and account its receptions once per outcome, in first-seen
+        order (``docs/PROTOCOL.md`` §7)."""
         frame = tx.frame
         kind = frame.kind
-        receivers: List[TransceiverPort] = []
-        # Reception outcomes ("delivered" or a drop cause) counted in
-        # first-seen order, then accounted once per frame and outcome.
-        outcomes: Dict[str, int] = {}
-        for reception in tx.receptions:
-            receiver = reception.receiver
-            if reception.corrupted:
-                outcome = reception.drop_cause or "unknown"
-            else:
-                outcome = "delivered"
-                receivers.append(receiver)
-            outcomes[outcome] = outcomes.get(outcome, 0) + 1
-        self.stats.on_receptions(kind, outcomes)
-        dst_received = False
+        dst = frame.dst
         size_bits = frame.size_bits
+        receivers = tx.receivers
+        drops = tx.drops
+        if drops:
+            receivers = [receiver for index, receiver in enumerate(receivers)
+                         if index not in drops]
         for receiver in receivers:
-            if receiver.node_id == frame.dst:
-                dst_received = True
             receiver.bits_delivered += size_bits
             receiver.deliver(frame)
-        if not frame.is_broadcast:
-            self.stats.on_addressed_outcome(kind, dst_received)
-        if not receivers:
+        delivered = len(receivers)
+        self.stats.on_receptions(kind, _outcomes(delivered, drops))
+        if dst != BROADCAST:
+            self.stats.on_addressed_outcome(kind, any(
+                receiver.node_id == dst for receiver in receivers))
+        if not delivered:
             # The paper's loss metric: sent but never received on any mote.
             self.stats.on_frame_lost(kind)
             self.sim.record("radio.lost", node=frame.src, kind=kind,

@@ -11,11 +11,14 @@ Scheduler
 An event is its heap entry, the tuple
 ``(time, seq, callback, args, label, span, handle)``; no other object is
 made per event.  A plain event (``handle`` None) is fire-only, the way a
-posted task runs to completion on a mote.  Everything that may be
-withdrawn is a :class:`TimerHandle`, armed and cancelled through
-:attr:`Simulator.timers`.  EnviroTrack's group management is
-timer-dominated (every heartbeat kicks receive/wait watchdogs), and the
-scheduler stays fast under that churn:
+posted task runs to completion on a mote.  Events scheduled through
+:meth:`Simulator.schedule_batched` (a mote's CPU services) share one
+entry while they hold the same time and consecutive ``seq`` numbers, so
+a broadcast's idle receivers cost one heap entry, not one each.
+Everything that may be withdrawn is a :class:`TimerHandle`, armed and
+cancelled through :attr:`Simulator.timers`.  EnviroTrack's group
+management is timer-dominated (every heartbeat kicks receive/wait
+watchdogs), and the scheduler stays fast under that churn:
 
 * a live-event counter makes :meth:`pending` O(1);
 * a cancelled handle's entry is lazy garbage, which :meth:`peek_time`
@@ -68,9 +71,14 @@ from .rng import RandomStreams
 
 #: A heap entry: ``(time, seq, callback, args, label, span, handle)``.
 #: ``seq`` is unique, so heap compares stop at it; ``handle`` is the
-#: owning :class:`TimerHandle`, or None for a fire-only plain event.
-Entry = Tuple[float, int, Callable[..., Any], tuple, str, Optional[int],
-              Optional["TimerHandle"]]
+#: owning :class:`TimerHandle`, or None for a fire-only plain event.  A
+#: batch entry's label is None: its members carry their own.
+Entry = Tuple[float, int, Callable[..., Any], tuple, Optional[str],
+              Optional[int], Optional["TimerHandle"]]
+
+#: A member of a batch entry: ``(callback, arg, label, span)``, fired as
+#: ``callback(arg)`` under ``span``.
+Member = Tuple[Callable[[Any], Any], Any, str, Optional[int]]
 
 #: Compact once garbage entries exceed this fraction of the heap…
 COMPACT_RATIO = 0.5
@@ -232,9 +240,20 @@ class Simulator:
         self.rng = RandomStreams(seed)
         #: A deque grows in fixed blocks and never copies what it holds.
         self.trace: Deque[TraceRecord] = deque()
-        self._events_fired = 0
-        #: Of those, the ones charged by a quiet run, not dispatched.
+        #: Events dispatched: a batch entry counts each member it served.
+        self._dispatched = 0
+        #: Of those, the batch members served after their entry's first.
+        self._joined = 0
+        #: Events charged by a quiet run, not dispatched.
         self._events_implicit = 0
+        #: ``_dispatched`` at which the current ``run``/``step`` stops.
+        self._limit = math.inf
+        #: The members list of the batch entry that the next
+        #: :meth:`schedule_batched` may join, the time it fires at and
+        #: the ``seq`` the joining member must draw.
+        self._batch: Optional[List[Member]] = None
+        self._batch_time = 0.0
+        self._batch_next = -1
         #: Sense polls whose CPU service a quiet run charged.
         self._polls_implicit = 0
         self.metrics = MetricsRegistry()
@@ -257,7 +276,7 @@ class Simulator:
         #: Objects that charge fired events lazily (a quiet sense-poll
         #: run, see :class:`repro.node.cpu.QuietPollTimer`): each has a
         #: ``settle()`` that adds the events at or before ``now`` to
-        #: ``_events_fired``.  A dict, so iteration order is insertion
+        #: ``_events_implicit``.  A dict, so iteration order is insertion
         #: order.
         self._quiet_runs: Dict[Any, None] = {}
 
@@ -277,7 +296,7 @@ class Simulator:
         read, mid-run or after ``run(until=)``."""
         for run in self._quiet_runs:
             run.settle()
-        return self._events_fired
+        return self._dispatched + self._events_implicit
 
     def end_quiet_runs(self) -> None:
         """Turn every quiet sense-poll run back into real events; called
@@ -295,9 +314,16 @@ class Simulator:
 
     @property
     def events_dispatched(self) -> int:
-        """Events actually popped and dispatched: :attr:`events_fired`
-        without the ones quiet sense-poll runs charged."""
-        return self._events_fired - self._events_implicit
+        """Events actually dispatched (each member of a batch entry
+        counts): :attr:`events_fired` without the ones quiet sense-poll
+        runs charged."""
+        return self._dispatched
+
+    @property
+    def entries_dispatched(self) -> int:
+        """Heap entries dispatched: :attr:`events_dispatched` without the
+        batch members served after their entry's first."""
+        return self._dispatched - self._joined
 
     # ------------------------------------------------------------------
     # Profiling
@@ -352,6 +378,34 @@ class Simulator:
         events at this time that were scheduled earlier)."""
         self.schedule(0.0, callback, *args, label=label)
 
+    def schedule_batched(self, when: float, callback: Callable[[Any], Any],
+                         arg: Any, label: str, span: Optional[int]) -> None:
+        """Schedule ``callback(arg)`` at ``when``, run under ``span``.
+
+        The event joins the previous batched event's heap entry when it
+        fires at the same time and its ``seq`` directly follows that
+        event's, with no other draw in between: then nothing can sort
+        between them, so the entry serves its members in order exactly
+        as separate entries would fire.  A popped entry takes no more
+        members.  Every member counts as an event of its own
+        (``docs/ENGINE.md`` §1, §6).
+        """
+        seq = self._seq.next()
+        members = self._batch
+        if (members is not None and seq == self._batch_next
+                and when == self._batch_time):
+            members.append((callback, arg, label, span))
+        else:
+            if not when >= self._now:  # also rejects NaN
+                raise SimulationError(
+                    f"cannot schedule at {when!r}: now={self._now}")
+            members = self._batch = [(callback, arg, label, span)]
+            self._batch_time = when
+            heappush(self._heap, (when, seq, self._serve_batch,
+                                  (members, seq), None, None, None))
+        self._batch_next = seq + 1
+        self._live += 1
+
     # ------------------------------------------------------------------
     # Garbage bookkeeping & compaction
     # ------------------------------------------------------------------
@@ -402,8 +456,11 @@ class Simulator:
             the clock is advanced to ``until``.  ``None`` runs to quiescence.
         max_events:
             Safety valve for runaway schedules.  It counts dispatched
-            events only; the implicit events of quiet sense polls that
-            :attr:`events_fired` includes do not use up the budget.
+            events only (each member of a batch entry); the implicit
+            events of quiet sense polls that :attr:`events_fired`
+            includes do not use up the budget.  A run that stops on it
+            leaves the clock at the last event it dispatched while
+            events up to ``until`` are still pending.
 
         Each callback runs with its entry's span current.  ``run`` is
         not reentrant, so it restores the caller's span once, however it
@@ -417,10 +474,10 @@ class Simulator:
         spans = self.spans
         caller_span = spans.current
         horizon = math.inf if until is None else until
-        budget = math.inf if max_events is None else max_events
-        fired = 0
+        limit = self._limit = (math.inf if max_events is None
+                               else self._dispatched + max_events)
         try:
-            while heap and not self._stopped and fired < budget:
+            while heap and not self._stopped and self._dispatched < limit:
                 entry = heap[0]
                 when, seq, callback, args, _, span, handle = entry
                 if when > horizon:
@@ -445,9 +502,14 @@ class Simulator:
                     callback(*args)
                 else:
                     self._dispatch(entry)
-                self._events_fired += 1
-                fired += 1
+                self._dispatched += 1
             if until is not None and not self._stopped and self._now < until:
+                # Unless the budget ended the run with events up to
+                # ``until`` still pending, the horizon or quiescence did.
+                if self._dispatched >= limit:
+                    next_time = self.peek_time()
+                    if next_time is not None and next_time <= until:
+                        return
                 self._now = until
         finally:
             spans.current = caller_span
@@ -460,12 +522,14 @@ class Simulator:
         Shares :meth:`run`'s semantics: calling it from inside an event
         handler raises :class:`SimulationError` instead of corrupting the
         in-progress dispatch, and it clears a pending :meth:`stop` flag
-        the way a fresh ``run()`` would.
+        the way a fresh ``run()`` would.  From a batch entry it serves
+        one member.
         """
         if self._running:
             raise SimulationError("step() is not reentrant")
         self._running = True
         self._stopped = False
+        self._limit = self._dispatched + 1
         try:
             if self.peek_time() is None:
                 return False
@@ -476,14 +540,15 @@ class Simulator:
             self._live -= 1
             self._now = entry[0]
             self._dispatch(entry)
-            self._events_fired += 1
+            self._dispatched += 1
             return True
         finally:
             self._running = False
 
     def _dispatch(self, entry: Entry) -> None:
         """Fire one entry inside its causal span, timed when a profiler
-        is attached (the path of :meth:`step` and of a profiled run)."""
+        is attached (the path of :meth:`step` and of a profiled run).
+        A batch entry (label None) times each member itself."""
         _, _, callback, args, label, span, _ = entry
         spans = self.spans
         profiler = self._profiler
@@ -493,12 +558,60 @@ class Simulator:
         try:
             callback(*args)
         finally:
-            if profiler is not None:
+            if profiler is not None and label is not None:
                 profiler.note(label, _time.perf_counter() - started)
             spans.current = previous
 
+    def _serve_batch(self, members: List[Member], seq: int) -> None:
+        """Run a batch entry's members in order, each under its own span
+        and, with a profiler attached, timed under its own label.
+
+        The loop that popped the entry counts the last member served;
+        this counts the ones before it.  After a :meth:`stop`, at the
+        event budget or when a member raises, the members not yet served
+        go back on the heap as one entry at the next member's own
+        ``(time, seq)``.
+        """
+        if members is self._batch:
+            self._batch = None  # popped: it takes no more members
+        spans = self.spans
+        profiler = self._profiler
+        if profiler is None and len(members) == 1:
+            # A lone event: nothing to count, stop or put back.
+            callback, arg, _, spans.current = members[0]
+            callback(arg)
+            return
+        # Members the budget allows: nothing else dispatches meanwhile.
+        allowed = self._limit - self._dispatched
+        served = 0
+        try:
+            for callback, arg, label, span in members:
+                if served:
+                    if self._stopped or served >= allowed:
+                        break
+                    self._dispatched += 1
+                    self._live -= 1
+                served += 1
+                spans.current = span
+                if profiler is None:
+                    callback(arg)
+                else:
+                    started = _time.perf_counter()
+                    try:
+                        callback(arg)
+                    finally:
+                        profiler.note(label, _time.perf_counter() - started)
+        finally:
+            self._joined += served - 1
+            if served < len(members):
+                seq += served
+                heappush(self._heap, (self._now, seq, self._serve_batch,
+                                      (members[served:], seq), None, None,
+                                      None))
+
     def stop(self) -> None:
-        """Stop the current :meth:`run` after the in-flight event returns."""
+        """Stop the current :meth:`run` after the in-flight event (one
+        member of a batch entry) returns."""
         self._stopped = True
 
     def pending(self) -> int:

@@ -509,7 +509,7 @@ class MtpAgent(Component):
     def _on_heartbeat(self, frame) -> None:
         beat = frame.payload
         if isinstance(beat, Heartbeat):
-            self.table.update(beat.label, beat.leader, self.now)
+            self.table.update(beat.label, beat.leader, self.sim._now)
 
     def _on_fail(self) -> None:
         """Crash: wipe every piece of volatile transport state and stop

@@ -6,10 +6,12 @@ The oracle is the plain poll loop: the same program with
 :meth:`Mote.periodic` stripped of ``quiet_until``, so every poll is a
 timer event plus a CPU task, as before quiet runs existed.  Random
 programs of CPU posts (many landing inside a poll's service time),
-broadcast frames, targets added and removed, clock skews, failures,
-reboots, mid-run counter reads and ``run(until=)`` boundaries (some
-inside a service time), on one or two pollers per mote, are run both
-ways.  The trace, ``events_fired``,
+broadcast frames, frames delivered to every mote at once (some landing
+inside one receiver's poll service, so the idle receivers' services
+share a batch entry on CPUs that hold quiet runs), targets added and
+removed, clock skews, failures, reboots, mid-run counter reads and
+``run(until=)`` boundaries (some inside a service time), on one or two
+pollers per mote, are run both ways.  The trace, ``events_fired``,
 every CPU counter, every ``fire_count`` and the metered CPU energy must
 match exactly, at every read.
 """
@@ -21,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.node import EnergyMeter, Mote
-from repro.radio import BROADCAST, Frame, reset_frame_ids
+from repro.radio import (BROADCAST, DEFAULT_BITRATE, DEFAULT_FRAME_BITS,
+                         Frame, TransceiverPort, reset_frame_ids)
 from repro.sensing import LineTrajectory, SensorField, Target
 from repro.sim import Simulator
 
@@ -29,6 +32,10 @@ PERIOD = 0.1
 COST = 0.0002
 MOTES = 3
 HORIZON = 6.0
+#: A bare transceiver in range of every mote, without a CPU: its frames
+#: reach all the motes at once, exactly one airtime after the send.
+BEACON = 99
+AIRTIME = DEFAULT_FRAME_BITS / DEFAULT_BITRATE
 
 _quiet_periodic = Mote.periodic
 
@@ -65,6 +72,8 @@ class Program:
         for spec in initial_tanks:
             self.field.add_target(tank(*spec))
         self.field.install_detection_sensors("detect", kinds=["vehicle"])
+        self.field.medium.attach(
+            TransceiverPort(BEACON, (1.0, 0.5), lambda frame: None))
         self.meter = EnergyMeter(sim)
         self.timers = []
         for mote in self.field.mote_list():
@@ -126,6 +135,9 @@ class Program:
             mote.cpu.post(sim.record, "task", cost=value, label="task")
         elif kind == "send":
             mote.send(Frame(src=node, dst=BROADCAST, kind="ping"))
+        elif kind == "flood":
+            self.field.medium.transmit(
+                Frame(src=BEACON, dst=BROADCAST, kind="ping"))
         elif kind == "add":
             self.added += 1
             self.field.add_target(tank(10 + self.added, -value, 1.5,
@@ -180,8 +192,12 @@ in_service_post = st.tuples(
     nodes, polls, fractions,
     st.sampled_from([0.0005, 0.002, 0.04, 0.15])).map(
     lambda a: (inside_service(a[0], a[1], a[2]), "post", a[0], a[3]))
+in_service_flood = st.tuples(nodes, polls, fractions).map(
+    lambda a: (inside_service(*a) - AIRTIME, "flood", a[0], 0.0))
 action = st.one_of(
     in_service_post,
+    in_service_flood,
+    st.tuples(off_grid, st.just("flood"), nodes, st.just(0.0)),
     st.tuples(off_grid, st.just("post"), nodes,
               st.floats(min_value=0.0001, max_value=0.3)),
     st.tuples(off_grid, st.just("send"), nodes, st.just(0.0)),

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.radio import BROADCAST, Frame, Medium, TransceiverPort, distance
-from repro.radio.medium import _Reception, _Transmission
+from repro.radio.medium import _Transmission
 from repro.sim import Simulator, trace_digest
 from repro.transport import GeoRouter
 
@@ -58,28 +58,27 @@ class FullScanMedium(Medium):
             d = distance(src_pos, port.position)
             if d > reach:
                 continue
-            reception = _Reception(port)
+            index = len(tx.receivers)
+            tx.receivers.append(port)
             if self._rng.random() < self._loss_probability(d, reach):
-                reception.corrupt("channel")
+                tx.drops[index] = "channel"
             for disturbance in disturbances:
-                if reception.corrupted:
+                if index in tx.drops:
                     break
                 if disturbance.covers(port.position) and \
                         self._jam_rng.random() < disturbance.extra_loss:
-                    reception.corrupt("jam")
-            tx.receptions.append(reception)
+                    tx.drops[index] = "jam"
         for other in self._active:
             if not tx.overlaps(other):
                 continue
-            for reception in tx.receptions:
-                if distance(other.src_port.position,
-                            reception.receiver.position) \
+            for index, receiver in enumerate(tx.receivers):
+                if distance(other.src_port.position, receiver.position) \
                         <= self.interference_radius:
-                    reception.corrupt("collision")
-            for reception in other.receptions:
-                if distance(src_pos, reception.receiver.position) \
+                    tx.drops.setdefault(index, "collision")
+            for index, receiver in enumerate(other.receivers):
+                if distance(src_pos, receiver.position) \
                         <= self.interference_radius:
-                    reception.corrupt("collision")
+                    other.drops.setdefault(index, "collision")
         self._active.append(tx)
         self.stats.on_send(frame.kind, frame.size_bits, frame.src)
         self.sim.record("radio.tx", node=frame.src, kind=frame.kind,
@@ -94,18 +93,18 @@ class FullScanMedium(Medium):
         kind = frame.kind
         delivered = 0
         dst_received = False
-        for reception in tx.receptions:
-            if reception.corrupted:
-                cause = reception.drop_cause or "unknown"
+        for index, receiver in enumerate(tx.receivers):
+            cause = tx.drops.get(index)
+            if cause is not None:
                 stats.receptions[kind, cause] += 1
                 continue
             delivered += 1
-            if reception.receiver.node_id == frame.dst:
+            if receiver.node_id == frame.dst:
                 dst_received = True
             stats.receptions[kind, "delivered"] += 1
-            reception.receiver.bits_delivered += frame.size_bits
-            reception.receiver.deliver(frame)
-        if not frame.is_broadcast:
+            receiver.bits_delivered += frame.size_bits
+            receiver.deliver(frame)
+        if frame.dst != BROADCAST:
             stats.on_addressed_outcome(kind, dst_received)
         if delivered == 0:
             stats.on_frame_lost(kind)

@@ -173,6 +173,110 @@ def test_max_events_budget():
     assert fired == [0, 1, 2, 3]
 
 
+def test_max_events_stop_keeps_the_clock_at_the_last_event():
+    """A run cut by its event budget, with events up to ``until`` still
+    pending, must not move the clock to ``until``: the next run would
+    then fire those events with time running backwards."""
+    sim = Simulator()
+    seen = []
+    for t in (1.0, 2.0, 3.0, 4.0):
+        sim.schedule_at(t, lambda: seen.append(sim.now))
+    sim.run(until=10.0, max_events=2)
+    assert sim.now == 2.0 and sim.pending() == 2
+    sim.run(until=10.0)
+    assert seen == [1.0, 2.0, 3.0, 4.0]
+    assert sim.now == 10.0
+
+
+def test_max_events_stop_at_the_last_event_before_until_advances():
+    """A budget that runs out exactly as the events before ``until`` do
+    leaves the run at the horizon, as if the budget were larger."""
+    sim = Simulator()
+    for t in (1.0, 2.0, 12.0):
+        sim.schedule_at(t, lambda: None)
+    sim.run(until=10.0, max_events=2)
+    assert sim.now == 10.0 and sim.pending() == 1
+
+
+def batch(sim, when, count, log, label="rx.m"):
+    """``count`` consecutive batched events at ``when``, logging
+    ``(index, now)`` as each is served."""
+    for index in range(count):
+        sim.schedule_batched(when, lambda i: log.append((i, sim.now)),
+                             index, label, None)
+
+
+def test_consecutive_batched_events_share_one_entry():
+    sim = Simulator()
+    log = []
+    batch(sim, 1.0, 4, log)
+    assert sim.heap_size() == 1 and sim.pending() == 4
+    sim.run()
+    assert log == [(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)]
+    assert sim.events_fired == sim.events_dispatched == 4
+    assert sim.pending() == 0
+
+
+def test_a_foreign_seq_draw_starts_a_new_entry():
+    sim = Simulator()
+    log = []
+    batch(sim, 1.0, 2, log)
+    sim.schedule_at(1.0, log.append, "plain")
+    batch(sim, 1.0, 2, log)
+    assert sim.heap_size() == 3
+    sim.run()
+    assert log == [(0, 1.0), (1, 1.0), "plain", (0, 1.0), (1, 1.0)]
+
+
+def test_stop_inside_a_batch_leaves_the_rest_pending():
+    sim = Simulator()
+    log = []
+    for index in range(4):
+        sim.schedule_batched(
+            1.0, lambda i: (log.append(i), i == 1 and sim.stop()), index,
+            "rx.m", None)
+    sim.schedule_at(1.0, log.append, "after")
+    sim.run()
+    assert log == [0, 1] and sim.pending() == 3
+    assert sim.events_fired == 2
+    assert sim.step() is True
+    assert log == [0, 1, 2] and sim.pending() == 2
+    sim.run(max_events=1)
+    assert log == [0, 1, 2, 3]
+    sim.run()
+    assert log == [0, 1, 2, 3, "after"]
+    assert sim.events_fired == 5
+
+
+def test_a_raising_member_leaves_the_rest_pending():
+    sim = Simulator()
+    log = []
+
+    def serve(index):
+        if index == 1:
+            raise RuntimeError("boom")
+        log.append(index)
+
+    for index in range(3):
+        sim.schedule_batched(1.0, serve, index, "rx.m", None)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert log == [0] and sim.pending() == 1
+    sim.run()
+    assert log == [0, 2]
+
+
+def test_profiler_notes_each_batch_member_under_its_label():
+    sim = Simulator()
+    profiler = sim.enable_profiler()
+    log = []
+    batch(sim, 1.0, 3, log, label="rx.a")
+    sim.schedule_batched(1.0, log.append, "b", "rx.b", None)
+    sim.run()
+    counts = {p.label: p.count for p in profiler.profiles()}
+    assert counts == {"rx.a": 3, "rx.b": 1}
+
+
 def test_step_fires_single_event():
     sim = Simulator()
     fired = []
