@@ -11,11 +11,16 @@ empty border, as the paper's 18,000-mote deployment would.
 
 Prints the simulated events, the events actually dispatched, the heap
 entries they were dispatched from, the sense polls charged without
-events, frames sent, the trace digest and the host run time.  Exits
-with status 1 when no sense poll ran implicitly, which means something
-hid the detection sensor's ``quiet_until`` from the group manager, or
-when every event had a heap entry of its own, which means no frame's
-idle receivers shared one (``docs/ENGINE.md`` §1).
+events next to the sense checks that ran for real (and how many of
+those a sensing member or leader made), frames sent, the trace digest
+and the host run time.  Exits with status 1 when no sense poll ran
+implicitly, which means something hid the detection sensor's
+``quiet_until`` from the group manager; when sensing members and
+leaders still poll for real more than :data:`MAX_SENSING_CHECKS` times,
+which means their polls no longer run quietly while the tank is surely
+in range (``docs/ENGINE.md`` §7); or when every event had a heap entry
+of its own, which means no frame's idle receivers shared one
+(``docs/ENGINE.md`` §1).
 
 Run:
     PYTHONPATH=src python examples/scale_probe.py --motes 640 --seconds 20
@@ -30,10 +35,15 @@ from repro import (AggregateVarSpec, ContextTypeDef, EnviroTrackApp,
                    GroupConfig, LineTrajectory, MethodDef, Target,
                    TimerInvocation, TrackingObjectDef)
 from repro.experiments.scenarios import SPEED_33_KMH, SPEED_50_KMH
+from repro.groups import GroupManager, Role
 from repro.radio import reset_frame_ids
 from repro.sim import trace_digest
 
 ROWS = 4
+#: Sense checks a sensing member or leader may still run for real (a
+#: busy CPU, a role change).  At 640 motes and 20 s they run 11 of them
+#: with quiet sensing runs, 1,296 without.
+MAX_SENSING_CHECKS = 200
 LOW, HIGH = -1.2, ROWS - 1 + 1.2
 #: name, start, end, speed, active from (s).
 TANKS = (
@@ -85,6 +95,21 @@ def build(motes, seed):
     return app
 
 
+def count_sense_checks():
+    """Count the sense checks that run for real from now on: all, and
+    those a sensing member or leader runs."""
+    counts = {"all": 0, "sensing": 0}
+    check = GroupManager._sense_check
+
+    def counted(manager, state):
+        counts["all"] += 1
+        counts["sensing"] += state.sensing and state.role is not Role.IDLE
+        check(manager, state)
+
+    GroupManager._sense_check = counted
+    return counts
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--motes", type=int, default=160)
@@ -93,6 +118,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     reset_frame_ids()
+    checks = count_sense_checks()
     app = build(args.motes, args.seed)
     started = time.perf_counter()
     app.run(until=args.seconds)
@@ -107,6 +133,8 @@ def main(argv=None):
             ("events_dispatched", sim.events_dispatched),
             ("entries_dispatched", sim.entries_dispatched),
             ("polls_implicit", polls),
+            ("sense_checks", checks["all"]),
+            ("sensing_checks", checks["sensing"]),
             ("frames_sent", app.field.medium.stats.frames_sent),
             ("trace_digest", trace_digest(sim)),
             ("run_s", f"{run_s:.3f}"))
@@ -115,6 +143,10 @@ def main(argv=None):
     status = 0
     if polls == 0:
         print("no sense poll ran implicitly", file=sys.stderr)
+        status = 1
+    if checks["sensing"] > MAX_SENSING_CHECKS:
+        print("sensing members and leaders poll for real",
+              file=sys.stderr)
         status = 1
     if sim.entries_dispatched == sim.events_dispatched:
         print("no frame's receivers shared a heap entry", file=sys.stderr)

@@ -153,13 +153,14 @@ class EnviroTrackAgent(Component, GroupListener):
                 return False
             return bool(mote.read_sensor(sensor_name))
 
-        def quiet_until(mote: Mote, t: float) -> float:
+        def quiet_until(mote: Mote, t: float, reading: bool) -> float:
             if not mote.has_sensor(sensor_name):
-                return math.inf
-            return mote.sensor_quiet_until(sensor_name, t)
+                # Reads False for good.
+                return t if reading else math.inf
+            return mote.sensor_quiet_until(sensor_name, t, reading)
 
-        # A named sensor can say how long it will stay False; the group
-        # manager then skips the polls in between (QuietPollTimer).
+        # A named sensor can say how long it will keep its reading; the
+        # group manager then skips the polls in between (QuietPollTimer).
         read.quiet_until = quiet_until  # type: ignore[attr-defined]
         return read
 

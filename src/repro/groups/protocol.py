@@ -32,7 +32,7 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..node import Component, Mote
 from ..radio import distance
@@ -56,10 +56,10 @@ class Role(enum.Enum):
     LEADER = "leader"
 
 
-#: For the heartbeat handler, which runs once per receiver of every
-#: heartbeat: reading an enum member through its class is a descriptor
-#: call.
-_LEADER, _MEMBER = Role.LEADER, Role.MEMBER
+#: For the hot paths (the heartbeat handler runs once per receiver of
+#: every heartbeat, the sense check once per real poll): reading an enum
+#: member through its class is a descriptor call.
+_LEADER, _MEMBER, _IDLE = Role.LEADER, Role.MEMBER, Role.IDLE
 
 
 class GroupListener:
@@ -97,7 +97,9 @@ class GroupListener:
 
 @dataclass
 class _WaitMemory:
-    """What a non-member remembers about a nearby context label."""
+    """What a non-member remembers about a nearby context label.  An
+    idle receiver keeps the :class:`Heartbeat` itself, which has the
+    same four fields."""
 
     label: str
     leader: int
@@ -136,7 +138,8 @@ class _TypeState:
     #: heartbeat's when member — inherited on takeover).
     weight: int = 0
     cached_state: Optional[dict] = None
-    wait_memory: Optional[_WaitMemory] = None
+    #: A :class:`_WaitMemory`, or the heartbeat it would copy.
+    wait_memory: Optional[Union[_WaitMemory, Heartbeat]] = None
     sensing: bool = False
     hb_seq: int = 0
     #: Per-node label mint counter (deterministic label identity).
@@ -214,10 +217,10 @@ class GroupManager(Component):
               config: Optional[GroupConfig] = None) -> None:
         """Start managing groups for a context type on this node.
 
-        When ``sense_fn`` carries a ``quiet_until(mote, t)`` attribute —
-        the earliest time ``>= t`` at which it could return True — sense
-        checks before that time are charged without events while the
-        node is not sensing (see :meth:`_quiet_until`).
+        When ``sense_fn`` carries a ``quiet_until(mote, t, reading)``
+        attribute — the earliest time ``>= t`` at which it could return
+        something other than ``reading`` — sense checks before that time
+        are charged without events (see :meth:`_quiet_until`).
         """
         if type_name in self._types:
             raise ValueError(f"already tracking type {type_name!r}")
@@ -300,11 +303,15 @@ class GroupManager(Component):
     def _quiet_until(self, state: _TypeState
                      ) -> Optional[Callable[[float], float]]:
         """How long a sense check provably does nothing, if the sense
-        function can tell (its ``quiet_until(mote, t)`` attribute).
+        function can tell (its ``quiet_until(mote, t, reading)``
+        attribute).
 
-        A check that reads False while not sensing changes no state, so
-        it is quiet until the condition could read True.  While sensing,
-        a False read is a transition, so every check is real.
+        A check that reads what the last one read changes no state,
+        except on a sensing IDLE node, where it may join or form a group
+        (:meth:`_idle_starts_sensing`): there every check is real.  A
+        quiet sensing run thus assumes the node stays MEMBER or LEADER,
+        so whatever makes a sensing node IDLE ends the run
+        (:meth:`_stop_leading`, :meth:`_clear_group`).
         """
         quiet = getattr(state.sense_fn, "quiet_until", None)
         if quiet is None:
@@ -312,7 +319,10 @@ class GroupManager(Component):
         mote = self.mote
 
         def quiet_until(t: float) -> float:
-            return t if state.sensing else quiet(mote, t)
+            sensing = state.sensing
+            if sensing and state.role is _IDLE:
+                return t
+            return quiet(mote, t, sensing)
 
         return quiet_until
 
@@ -341,7 +351,7 @@ class GroupManager(Component):
         return self._types[type_name].weight
 
     def is_leading(self, type_name: str) -> bool:
-        return self._types[type_name].role is Role.LEADER
+        return self._types[type_name].role is _LEADER
 
     def tracked_types(self) -> List[str]:
         return sorted(self._types)
@@ -349,7 +359,7 @@ class GroupManager(Component):
     def labels_led(self) -> List[str]:
         """Labels this node currently leads (MTP delivery check)."""
         return sorted(state.label for state in self._types.values()
-                      if state.role is Role.LEADER
+                      if state.role is _LEADER
                       and state.label is not None)
 
     def persistent_state(self, type_name: str) -> Optional[dict]:
@@ -366,7 +376,7 @@ class GroupManager(Component):
         spurious ones.
         """
         state = self._types.get(type_name)
-        if state is None or state.role is not Role.LEADER:
+        if state is None or state.role is not _LEADER:
             return
         if state.label == label:
             state.weight += 1
@@ -376,7 +386,7 @@ class GroupManager(Component):
         """EnviroTrack's ``setState``: attach state to future heartbeats so
         a successor leader resumes from the last committed snapshot."""
         state = self._types.get(type_name)
-        if state is not None and state.role is Role.LEADER:
+        if state is not None and state.role is _LEADER:
             state.cached_state = app_state
 
     # ------------------------------------------------------------------
@@ -385,12 +395,12 @@ class GroupManager(Component):
     def _sense_check(self, state: _TypeState) -> None:
         sensing = bool(state.sense_fn(self.mote))
         was_sensing, state.sensing = state.sensing, sensing
-        if sensing and state.role is Role.IDLE:
+        if sensing and state.role is _IDLE:
             self._idle_starts_sensing(state)
         elif not sensing and was_sensing:
-            if state.role is Role.LEADER:
+            if state.role is _LEADER:
                 self._leader_stops_sensing(state)
-            elif state.role is Role.MEMBER:
+            elif state.role is _MEMBER:
                 self._member_stops_sensing(state)
 
     def _idle_starts_sensing(self, state: _TypeState) -> None:
@@ -411,7 +421,7 @@ class GroupManager(Component):
                 self._rng.uniform(0, FORMATION_WINDOW))
 
     def _formation_fired(self, state: _TypeState) -> None:
-        if state.role is not Role.IDLE or not state.sensing:
+        if state.role is not _IDLE or not state.sensing:
             return
         if state.wait_memory is not None and state.wait_timer.armed:
             self._become_member(state, state.wait_memory.label,
@@ -467,7 +477,7 @@ class GroupManager(Component):
     # Heartbeats
     # ------------------------------------------------------------------
     def _send_heartbeat(self, state: _TypeState) -> None:
-        if state.role is not Role.LEADER or state.label is None:
+        if state.role is not _LEADER or state.label is None:
             return
         state.hb_seq += 1
         beat = Heartbeat(context_type=state.type_name, label=state.label,
@@ -583,10 +593,12 @@ class GroupManager(Component):
             return
         # Not sensing: remember the nearby label so that if the entity
         # reaches us before the wait timer expires we extend its group
-        # instead of minting a duplicate.
-        self._remember(state, beat.label, beat.leader, beat.weight,
-                       beat.state)
-        self._maybe_forward_past_perimeter(state, beat)
+        # instead of minting a duplicate.  The (frozen) heartbeat carries
+        # every field of a wait memory, so it serves as one.
+        state.wait_memory = beat
+        self._wait_timer(state).kick()
+        if beat.hops > 0:
+            self._maybe_forward_past_perimeter(state, beat)
 
     def _maybe_forward(self, state: _TypeState, beat: Heartbeat) -> None:
         """Intra-group flooding: each member rebroadcasts each new
@@ -602,9 +614,8 @@ class GroupManager(Component):
     def _maybe_forward_past_perimeter(self, state: _TypeState,
                                       beat: Heartbeat) -> None:
         """h-hop flooding past the group perimeter by non-members (§5.2;
-        the paper defers evaluating it to future work — Ablation A)."""
-        if beat.hops <= 0:
-            return
+        the paper defers evaluating it to future work — Ablation A).
+        Only for a heartbeat with hops left."""
         if not self._mark_forwarded(state, beat):
             return
         self._rebroadcast(state, beat, hops=beat.hops - 1)
@@ -635,7 +646,7 @@ class GroupManager(Component):
         state = self._types.get(message.context_type)
         if state is None or message.leader == self.node_id:
             return
-        if state.role is Role.MEMBER and state.label == message.label:
+        if state.role is _MEMBER and state.label == message.label:
             state.weight = max(state.weight, message.weight)
             if message.state is not None:
                 state.cached_state = message.state
@@ -650,7 +661,7 @@ class GroupManager(Component):
     def _claim_fired(self, state: _TypeState) -> None:
         via = state.pending_via
         state.pending_via = None
-        if state.role is not Role.MEMBER or state.label is None:
+        if state.role is not _MEMBER or state.label is None:
             return
         if not state.sensing:
             return
@@ -679,7 +690,7 @@ class GroupManager(Component):
         heartbeats to channel noise is rare but not negligible; usurping
         on the spot made every such streak a duplicate-leader window.
         """
-        if state.role is not Role.MEMBER or state.label is None:
+        if state.role is not _MEMBER or state.label is None:
             return
         if not state.sensing:
             # We should have left already (sensing check races the timer);
@@ -736,12 +747,12 @@ class GroupManager(Component):
         state = self._types.get(query.context_type)
         if state is None or state.label != query.label:
             return
-        if state.role is Role.LEADER:
+        if state.role is _LEADER:
             # Alive after all: a defence heartbeat cancels the takeover
             # (and every other member's pending probe in one broadcast).
             self._defend(state)
             return
-        if state.role is not Role.MEMBER:
+        if state.role is not _MEMBER:
             return
         # Vouch only for *direct*, reasonably fresh observations; stale
         # vouches would chain between simultaneously-expiring members and
@@ -759,7 +770,7 @@ class GroupManager(Component):
     def _send_vouch(self, state: _TypeState, label: str) -> None:
         # Re-check at send time: our own state may have moved on during
         # the jitter delay.
-        if (state.role is not Role.MEMBER or state.label != label
+        if (state.role is not _MEMBER or state.label != label
                 or state.leader_id is None
                 or state.last_label_hb_time < 0):
             return
@@ -775,7 +786,7 @@ class GroupManager(Component):
         if not isinstance(vouch, LeaderVouch) or vouch.sender == self.node_id:
             return
         state = self._types.get(vouch.context_type)
-        if state is None or state.role is not Role.MEMBER:
+        if state is None or state.role is not _MEMBER:
             return
         if state.label != vouch.label:
             return
@@ -800,7 +811,7 @@ class GroupManager(Component):
 
     def _defend(self, state: _TypeState) -> None:
         """Immediate (rate-limited) heartbeat answering a liveness doubt."""
-        if state.role is not Role.LEADER:
+        if state.role is not _LEADER:
             return
         cfg = state.config
         if self.now - state.last_defence_time < 0.25 * cfg.heartbeat_period:
@@ -820,7 +831,7 @@ class GroupManager(Component):
     # ------------------------------------------------------------------
     def _become_leader(self, state: _TypeState, label: str, weight: int,
                        inherited_state: Optional[dict], via: str) -> None:
-        state.role = Role.LEADER
+        state.role = _LEADER
         state.label = label
         state.leader_id = self.node_id
         state.weight = weight
@@ -845,7 +856,7 @@ class GroupManager(Component):
         label = state.label
         assert label is not None
         state.heartbeat_timer.stop()
-        state.role = Role.IDLE
+        self._become_idle(state)
         self.record("leader_stop", type=state.type_name, label=label,
                     reason=reason)
         self._notify("on_leader_stop", state.type_name, label, reason)
@@ -853,7 +864,7 @@ class GroupManager(Component):
     def _become_member(self, state: _TypeState, label: str, leader: int,
                        weight: int, cached_state: Optional[dict]) -> None:
         state.formation_timer.cancel()
-        state.role = Role.MEMBER
+        state.role = _MEMBER
         state.label = label
         state.leader_id = leader
         state.leader_position = None
@@ -880,7 +891,7 @@ class GroupManager(Component):
                            beat.state)
 
     def _clear_group(self, state: _TypeState) -> None:
-        state.role = Role.IDLE
+        self._become_idle(state)
         state.label = None
         state.leader_id = None
         state.leader_position = None
@@ -888,6 +899,13 @@ class GroupManager(Component):
         state.cached_state = None
         state.pending_via = None
         state.probe_round = 0
+
+    def _become_idle(self, state: _TypeState) -> None:
+        if state.sensing:
+            # From now on a sense check may act: a quiet run that
+            # assumed MEMBER or LEADER must poll for real again.
+            self.mote.cpu.fall_back()
+        state.role = _IDLE
 
     def _remember(self, state: _TypeState, label: str, leader: int,
                   weight: int, cached_state: Optional[dict]) -> None:

@@ -9,8 +9,8 @@ processor for its ``cost`` seconds.  When heartbeat floods arrive faster
 than the service rate, the queue backs up, timer handlers (takeover,
 relinquish) run late, and tracking breaks exactly as in the paper.
 
-A sense poll that provably reads nothing while the CPU is idle is charged
-to the CPU without events: see :class:`QuietPollTimer`.
+A sense poll that provably cannot change its reading while the CPU is
+idle is charged to the CPU without events: see :class:`QuietPollTimer`.
 """
 
 from __future__ import annotations
@@ -137,9 +137,10 @@ class Cpu:
         """Turn this CPU's quiet poll run, if any, back into real events.
 
         Called on every interaction with this mote that could make a
-        skipped poll matter: a shutdown, a clock skew and a sensor
-        install (``docs/ENGINE.md`` §7).  A post falls back only when it
-        keeps the CPU busy into the run's next poll.
+        skipped poll matter: a shutdown, a clock skew, a sensor install
+        and a sensing node's role becoming IDLE (``docs/ENGINE.md`` §7).
+        A post falls back only when it keeps the CPU busy into the run's
+        next poll.
         """
         if self._poller is not None:
             self._poller.fall_back()

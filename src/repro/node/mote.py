@@ -98,15 +98,17 @@ class Mote:
         """Sample a sensor; raises KeyError for unknown sensors."""
         return self._sensors[name]()
 
-    def sensor_quiet_until(self, name: str, t: float) -> float:
-        """Earliest time ``>= t`` at which sensor ``name`` could read true.
+    def sensor_quiet_until(self, name: str, t: float,
+                           reading: Any) -> float:
+        """Earliest time ``>= t`` at which sensor ``name`` could read
+        something other than ``reading``.
 
-        A sensor's read function may carry a ``quiet_until(t)``
+        A sensor's read function may carry a ``quiet_until(t, reading)``
         attribute (the binary detection sensor does); without one the
         answer is ``t`` itself.  Raises KeyError for unknown sensors.
         """
         quiet_until = getattr(self._sensors[name], "quiet_until", None)
-        return t if quiet_until is None else quiet_until(t)
+        return t if quiet_until is None else quiet_until(t, reading)
 
     def has_sensor(self, name: str) -> bool:
         return name in self._sensors

@@ -39,32 +39,40 @@ def binary_detection_sensor(clock: Clock, position: Position,
     """True iff some (matching) target is within its signature radius.
 
     Each target's :meth:`~repro.sensing.target.Target.detection_window`
-    for ``position`` is computed on first sight and cached for the life
-    of the sensor, keyed by target identity (targets are unhashable).
-    A read skips a target whose window does not hold the current time and
-    runs the unchanged :meth:`~repro.sensing.target.Target.detectable_from`
-    test otherwise.  Exactness contract: the window is a filter, not an
+    and :meth:`~repro.sensing.target.Target.sure_detection_window` for
+    ``position`` are computed on first sight and cached for the life of
+    the sensor, keyed by target identity (targets are unhashable).  A
+    read skips a target whose detection window does not hold the current
+    time and runs the unchanged
+    :meth:`~repro.sensing.target.Target.detectable_from` test otherwise.
+    Exactness contract: the detection window is a filter, not an
     approximation — it never excludes a time at which the target is
     detectable, so every read returns the same boolean as testing every
     target.  A target's trajectory, radius and active window must
     therefore not change after it has been read.
 
-    The read function carries ``quiet_until(t)``: the earliest time
-    ``>= t`` at which some matching target's window holds (``t`` itself
-    when one holds ``t``), or ``inf`` when none ever will.  Every read
-    strictly before that time returns False, as long as the target list
-    does not change.
+    The read function carries ``quiet_until(t, reading)``: the earliest
+    time ``>= t`` at which a read could return something other than
+    ``reading``.  Every read strictly before that time returns
+    ``reading``, as long as the target list does not change.  For
+    ``False`` it is the earliest time some matching target's detection
+    window holds (``t`` itself when one holds ``t``), or ``inf`` when
+    none ever will.  For ``True`` it is just past the end of the union
+    of sure windows that holds ``t``, or ``t`` itself when no sure
+    window holds it.
     """
     kind_set = None if kinds is None else set(kinds)
-    # id(target) -> (target, lo, hi); holding the target keeps its id
-    # from being reused by another object while the entry exists.
-    windows: Dict[int, Tuple[Target, float, float]] = {}
+    # id(target) -> (target, lo, hi, sure_lo, sure_hi); holding the
+    # target keeps its id from being reused by another object while the
+    # entry exists.
+    windows: Dict[int, Tuple[Target, float, float, float, float]] = {}
 
-    def window(target: Target) -> Tuple[Target, float, float]:
+    def window(target: Target) -> Tuple[Target, float, float, float, float]:
         entry = windows.get(id(target))
         if entry is None:
             entry = windows[id(target)] = (
-                target, *target.detection_window(position))
+                target, *target.detection_window(position),
+                *target.sure_detection_window(position))
         return entry
 
     def read() -> bool:
@@ -72,23 +80,38 @@ def binary_detection_sensor(clock: Clock, position: Position,
         for target in targets():
             if kind_set is not None and target.kind not in kind_set:
                 continue
-            _, lo, hi = window(target)
+            _, lo, hi, _, _ = window(target)
             if lo <= t <= hi and target.detectable_from(position, t):
                 return True
         return False
 
-    def quiet_until(t: float) -> float:
+    def quiet_until(t: float, reading: bool) -> float:
+        if reading:
+            return sure_until(t)
         wake = math.inf
         for target in targets():
             if kind_set is not None and target.kind not in kind_set:
                 continue
-            _, lo, hi = window(target)
+            _, lo, hi, _, _ = window(target)
             if hi < t or lo > hi:
                 continue
             if lo <= t:
                 return t
             wake = min(wake, lo)
         return wake
+
+    def sure_until(t: float) -> float:
+        sure = [window(target)[3:] for target in targets()
+                if kind_set is None or target.kind in kind_set]
+        end = None
+        grown = True
+        while grown:
+            grown = False
+            for lo, hi in sure:
+                if (lo <= t <= hi if end is None else lo <= end < hi):
+                    end = hi
+                    grown = True
+        return t if end is None else math.nextafter(end, math.inf)
 
     read.quiet_until = quiet_until  # type: ignore[attr-defined]
     return read

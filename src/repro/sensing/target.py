@@ -87,6 +87,21 @@ class Target:
         until = math.inf if self.active_until is None else self.active_until
         return (max(lo, self.active_from), min(hi, until))
 
+    def sure_detection_window(self, point: Position) -> Tuple[float, float]:
+        """A closed interval ``(lo, hi)`` inside which
+        :meth:`detectable_from` is True for ``point``.
+
+        The mirror of :meth:`detection_window`: the trajectory's
+        :meth:`~Trajectory.times_surely_within` window for the signature
+        radius, cut to the active window; it may be narrower than the
+        true detection window but never wider.  ``lo > hi`` means no
+        time is sure.
+        """
+        lo, hi = self.trajectory.times_surely_within(point,
+                                                     self.signature_radius)
+        until = math.inf if self.active_until is None else self.active_until
+        return (max(lo, self.active_from), min(hi, until))
+
 
 def fire_target(name: str, point: Position, radius: float = 1.0,
                 temperature: float = 400.0,
@@ -125,3 +140,8 @@ class GrowingTarget(Target):
         fixed-radius window would be too narrow."""
         until = math.inf if self.active_until is None else self.active_until
         return (self.active_from, until)
+
+    def sure_detection_window(self, point: Position) -> Tuple[float, float]:
+        """Never sure: the radius changes with time, which only the
+        exact test follows."""
+        return (math.inf, -math.inf)

@@ -17,9 +17,10 @@ from typing import List, Sequence, Tuple
 Position = Tuple[float, float]
 
 #: Relative and absolute widening of the radius in
-#: :meth:`LineTrajectory.times_within`, and of the roots it returns.  Far
-#: above float rounding in positions and distances, far below anything a
-#: sensor read could resolve.
+#: :meth:`LineTrajectory.times_within`, and of the roots it returns (and
+#: the same shrinking in :meth:`LineTrajectory.times_surely_within`).
+#: Far above float rounding in positions and distances, far below
+#: anything a sensor read could resolve.
 WINDOW_RTOL = 1e-9
 WINDOW_ATOL = 1e-9
 
@@ -46,6 +47,18 @@ class Trajectory:
         """
         return (-math.inf, math.inf)
 
+    def times_surely_within(self, point: Position,
+                            radius: float) -> Tuple[float, float]:
+        """A closed interval ``(lo, hi)`` of times at every one of which
+        ``position(t)`` lies within ``radius`` of ``point``.
+
+        The mirror of :meth:`times_within`: the interval may be narrower
+        than the true one but never wider, so a caller may take the
+        distance test as passed anywhere inside it.  ``lo > hi`` means
+        "never", which is what the base class returns.
+        """
+        return (math.inf, -math.inf)
+
     def speed_at(self, t: float, dt: float = 1e-3) -> float:
         """Numerical instantaneous speed (grid units / second)."""
         x0, y0 = self.position(max(0.0, t - dt))
@@ -64,6 +77,15 @@ class StaticPoint(Trajectory):
 
     def position(self, t: float) -> Position:
         return self.point
+
+    def times_surely_within(self, point: Position,
+                            radius: float) -> Tuple[float, float]:
+        """Always or never: the distance test a target makes, made once
+        (:meth:`~repro.sensing.target.Target.distance_to`)."""
+        x, y = self.point
+        if math.hypot(x - point[0], y - point[1]) <= radius:
+            return (-math.inf, math.inf)
+        return (math.inf, -math.inf)
 
 
 class LineTrajectory(Trajectory):
@@ -102,11 +124,27 @@ class LineTrajectory(Trajectory):
         caller's distance test can only make the interval too wide (see
         :meth:`Trajectory.times_within` for the contract).
         """
+        return self._solve(point, radius, 1.0)
+
+    def times_surely_within(self, point: Position,
+                            radius: float) -> Tuple[float, float]:
+        """:meth:`times_within` turned inward: the radius is shrunk by
+        the same tolerances before solving and the roots are pulled in
+        by them, so rounding can only make the interval too narrow (see
+        :meth:`Trajectory.times_surely_within` for the contract)."""
+        return self._solve(point, radius, -1.0)
+
+    def _solve(self, point: Position, radius: float,
+               pad: float) -> Tuple[float, float]:
+        """The window for ``radius`` widened (``pad = 1``) or shrunk
+        (``pad = -1``) by the tolerances, roots padded the same way."""
         vx = self.speed * math.cos(self.heading)
         vy = self.speed * math.sin(self.heading)
         dx = self.start[0] - point[0]
         dy = self.start[1] - point[1]
-        reach = radius * (1.0 + WINDOW_RTOL) + WINDOW_ATOL
+        reach = radius * (1.0 + pad * WINDOW_RTOL) + pad * WINDOW_ATOL
+        if reach < 0.0:
+            return (math.inf, -math.inf)
         v_sq = vx * vx + vy * vy
         if v_sq == 0.0:
             # Standing still: within reach always or never.
@@ -122,8 +160,8 @@ class LineTrajectory(Trajectory):
             return (math.inf, -math.inf)
         half = math.sqrt(half_sq)
         lo, hi = t_mid - half, t_mid + half
-        return (lo - WINDOW_ATOL - WINDOW_RTOL * abs(lo),
-                hi + WINDOW_ATOL + WINDOW_RTOL * abs(hi))
+        return (lo - pad * WINDOW_ATOL - pad * WINDOW_RTOL * abs(lo),
+                hi + pad * WINDOW_ATOL + pad * WINDOW_RTOL * abs(hi))
 
 
 class WaypointTrajectory(Trajectory):

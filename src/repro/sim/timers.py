@@ -68,7 +68,8 @@ class WatchdogTimer(OneShotTimer):
 
     def kick(self) -> None:
         """Restart the silence countdown."""
-        self.start(self.timeout)
+        sim = self._sim
+        sim.timers.arm_at(self._handle, sim._now + self.timeout)
 
 
 class PeriodicTimer:

@@ -65,9 +65,14 @@ def trace_digest(source: Union[Simulator, Iterable[TraceRecord]]) -> str:
     return digest.hexdigest()
 
 
+#: ``json.dumps(..., default=str, sort_keys=True)`` builds a new
+#: encoder per call; one serves every record.
+_ENCODER = json.JSONEncoder(default=str, sort_keys=True)
+
+
 def _canonical(record: TraceRecord) -> str:
     """The record's line in a dumped trace, which the digest hashes."""
-    return json.dumps(record_to_dict(record), default=str, sort_keys=True)
+    return _ENCODER.encode(record_to_dict(record))
 
 
 def first_divergence(a: Iterable[TraceRecord],

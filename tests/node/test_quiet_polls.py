@@ -95,7 +95,8 @@ class Program:
             self.start_poller(mote, delay + 0.031, 0.13, 0.0005, "sense2")
 
     def start_poller(self, mote, delay, period, cost, label):
-        """A group-manager-like sense check: quiet while not sensing."""
+        """A group-manager-like sense check: quiet while the reading
+        cannot change, sensing or not."""
         state = {"sensing": False}
         sim = self.sim
 
@@ -107,9 +108,7 @@ class Program:
                            poller=label)
 
         def quiet_until(t):
-            if state["sensing"]:
-                return t
-            return mote.sensor_quiet_until("detect", t)
+            return mote.sensor_quiet_until("detect", t, state["sensing"])
 
         timer = mote.periodic(period, check, label=label,
                               initial_delay=delay, cost=cost,

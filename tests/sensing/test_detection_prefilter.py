@@ -7,8 +7,8 @@ target, over straight-line tanks (standing, axis-aligned and randomly
 headed), motes placed exactly at the signature radius, read times at and
 just beyond the computed window edges, open and closed active windows,
 targets added and removed between reads, and a growing fire.  It also
-checks the sensor's ``quiet_until(t)``: no target is detectable at any
-tested time from ``t`` up to (excluding) the time it returns.
+checks the sensor's ``quiet_until(t, reading)``: from ``t`` up to
+(excluding) the time it returns, every tested read returns ``reading``.
 """
 
 import math
@@ -107,6 +107,7 @@ def test_prefiltered_read_equals_full_scan(data):
     times = [t0]
     for target in pool:
         times += edge_times(target.detection_window(point))
+        times += edge_times(target.sure_detection_window(point))
         lo, hi = target.trajectory.times_within(point,
                                                 target.signature_radius)
         times += edge_times((lo, hi))
@@ -131,7 +132,11 @@ def test_prefiltered_read_equals_full_scan(data):
             live = live[1:]
         clock.t = t
         assert read() == full_scan_read(point, live, t), (t, live)
-        wake = read.quiet_until(t)
+        wake = read.quiet_until(t, False)
         assert wake >= t
         assert not any(full_scan_read(point, live, s)
                        for s in times if t <= s < wake), (t, wake, live)
+        sure = read.quiet_until(t, True)
+        assert sure >= t
+        assert all(full_scan_read(point, live, s)
+                   for s in times if t <= s < sure), (t, sure, live)

@@ -3,9 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.sensing import (LineTrajectory, RandomWalkTrajectory, StaticPoint,
-                           WaypointTrajectory)
+                           Target, WaypointTrajectory)
 
 
 class TestStaticPoint:
@@ -79,3 +81,63 @@ class TestRandomWalk:
     def test_degenerate_bounds_rejected(self):
         with pytest.raises(ValueError):
             RandomWalkTrajectory((0, 0), 1.0, (5, 5, 5, 5))
+
+
+coords = st.floats(min_value=-20.0, max_value=20.0)
+speeds = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=3.0))
+headings = st.one_of(
+    st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2]),
+    st.floats(min_value=-2 * math.pi, max_value=2 * math.pi))
+
+
+@st.composite
+def sure_cases(draw):
+    """A line (possibly standing) or static target with an active window,
+    and a point inside, on or just off its signature radius at some
+    time; a heading of +-90 degrees from the path makes it a tangent."""
+    start = (draw(coords), draw(coords))
+    heading = draw(headings)
+    trajectory = draw(st.one_of(
+        st.builds(LineTrajectory, st.just(start), speeds, st.just(heading)),
+        st.just(StaticPoint(start))))
+    radius = draw(st.floats(min_value=0.1, max_value=3.0))
+    active_from = draw(st.one_of(st.just(0.0),
+                                 st.floats(min_value=-5.0, max_value=40.0)))
+    active_until = draw(st.one_of(
+        st.none(), st.floats(min_value=0.0, max_value=40.0).map(
+            lambda span: active_from + span)))
+    target = Target("t", "vehicle", trajectory, signature_radius=radius,
+                    active_from=active_from, active_until=active_until)
+    t0 = draw(st.floats(min_value=-5.0, max_value=60.0))
+    angle = draw(st.one_of(
+        st.sampled_from([heading + math.pi / 2, heading - math.pi / 2,
+                         heading, heading + math.pi]),
+        st.floats(min_value=-math.pi, max_value=math.pi)))
+    reach = radius * draw(st.one_of(
+        st.just(1.0), st.floats(min_value=0.0, max_value=1.01)))
+    x, y = target.position(t0)
+    return target, (x + reach * math.cos(angle), y + reach * math.sin(angle))
+
+
+@given(case=sure_cases(), fractions=st.lists(
+    st.floats(min_value=0.0, max_value=1.0), max_size=5))
+def test_sure_window_holds_only_detectable_times(case, fractions):
+    """``Target.sure_detection_window`` may be narrower than the truth,
+    never wider: the target is detectable at its edges, one float step
+    inside them and anywhere between, and the window lies inside
+    ``detection_window``."""
+    target, point = case
+    lo, hi = target.sure_detection_window(point)
+    if lo > hi:
+        return
+    outer_lo, outer_hi = target.detection_window(point)
+    assert outer_lo <= lo and hi <= outer_hi
+    edges = [edge for edge in (lo, hi) if math.isfinite(edge)]
+    times = edges + [math.nextafter(lo, math.inf),
+                     math.nextafter(hi, -math.inf)]
+    first = lo if math.isfinite(lo) else min(edges + [0.0]) - 100.0
+    last = hi if math.isfinite(hi) else max(edges + [0.0]) + 100.0
+    times += [first + f * (last - first) for f in fractions]
+    for t in times:
+        if lo <= t <= hi:
+            assert target.detectable_from(point, t), (t, lo, hi)
