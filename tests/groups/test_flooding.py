@@ -1,6 +1,7 @@
 """Tests for heartbeat flooding: member rebroadcast and h-hop forwarding."""
 
 from repro.groups import GroupConfig, GroupManager, HEARTBEAT_KIND, Role
+from repro.node import Mote
 from repro.sensing import SensorField
 from repro.sim import Simulator
 
@@ -96,3 +97,46 @@ def test_far_node_joins_label_via_forwarded_heartbeat():
     sim.run(until=8.0)
     assert managers[2].label("t") == label
     assert managers[2].role("t") in (Role.MEMBER, Role.LEADER)
+
+
+def test_each_node_forwards_each_heartbeat_once_by_its_role(monkeypatch):
+    """Members pass a heartbeat on with its hop budget, non-members with
+    one hop fewer, and no node sends a ``(label, seq)`` twice, whichever
+    role it holds when further copies arrive."""
+    sent = []
+    send = Mote.send
+
+    def recording_send(mote, frame):
+        if frame.kind == HEARTBEAT_KIND:
+            sent.append((mote.sim.now, mote.node_id, frame.payload))
+        send(mote, frame)
+
+    monkeypatch.setattr(Mote, "send", recording_send)
+    config = GroupConfig(heartbeat_period=0.5, member_rebroadcast=True,
+                         flood_hops=2, suppression_range=None)
+    sim, field, managers, sensing = build(config, communication_radius=1.2,
+                                          sensing={0, 1})
+    sim.run(until=6.0)
+
+    def fields(beat):
+        return (beat.label, beat.leader, beat.weight, beat.seq, beat.state,
+                beat.leader_pos)
+
+    originals = {(beat.label, beat.seq): beat
+                 for _, node, beat in sent if node == beat.leader}
+    forwards = [(t, node, beat) for t, node, beat in sent
+                if node != beat.leader]
+    keys = [(node, beat.label, beat.seq) for _, node, beat in forwards]
+    assert len(keys) == len(set(keys))
+    for t, node, beat in forwards:
+        assert beat.hops >= 0
+        assert fields(beat) == fields(originals[beat.label, beat.seq])
+        heard = {other.hops for when, sender, other in sent
+                 if when < t and sender != node
+                 and (other.label, other.seq) == (beat.label, beat.seq)
+                 and abs(sender - node) <= 1}
+        # Motes sit one unit apart and the radio reaches 1.2 units.
+        expected = beat.hops if node in sensing else beat.hops + 1
+        assert expected in heard, (node, beat, heard)
+    by_role = {(node in sensing, beat.hops) for _, node, beat in forwards}
+    assert {(True, 2), (False, 1), (False, 0)} <= by_role

@@ -88,6 +88,11 @@ ROWS = {
         lambda mp: tank(enable_directory=True, enable_mtp=True),
     # The tank enters at t=5.0, so the kill must come later to hit a leader.
     "tank/leader-kill/seed=11": lambda mp: tank(leader_kill_times=(8.0,)),
+    # Idle motes carry each heartbeat two hops past the group perimeter.
+    "tank/flood-hops/seed=11": lambda mp: tank(flood_hops=2),
+    # No relinquish: every handover is a receive-timer takeover.
+    "tank/takeover-only/seed=11":
+        lambda mp: tank(relinquish=False, leader_kill_times=(8.0,)),
     "chaos/line/seed=3": lambda mp: captured(
         mp, chaos, lambda: chaos._chaos_run(3, 0.25, 2.0, 1, 0.05, 8, 3)),
     "transport-chaos/reliable/seed=5": lambda mp: captured(
