@@ -34,6 +34,14 @@ CLAIM_WINDOW = 0.1
 FORMATION_WINDOW = 0.3
 #: First-heartbeat delay window for a fresh leader (announce quickly).
 ANNOUNCE_JITTER = 0.02
+#: Liveness-probe rounds before a member with an expired receive timer
+#: usurps leadership.  Each round broadcasts a LeaderQuery; a defence
+#: heartbeat from the leader or a fresh-enough member vouch cancels the
+#: takeover.  This keeps a member that merely lost consecutive
+#: heartbeats to channel noise from minting a duplicate leader, at the
+#: cost of at most ``TAKEOVER_PROBES × CLAIM_WINDOW`` extra takeover
+#: latency after a real leader death.
+TAKEOVER_PROBES = 2
 
 
 @dataclass(frozen=True)
@@ -83,15 +91,6 @@ class GroupConfig:
     #: face of the paper's wait-timer trade-off: "The choice of the wait
     #: timer depends on how far to maintain memory of nearby events."
     join_range: Optional[float] = None
-    #: Liveness-probe rounds before a member with an expired receive timer
-    #: usurps leadership.  Each round broadcasts a LeaderQuery; a defence
-    #: heartbeat from the leader or a fresh-enough member vouch cancels the
-    #: takeover.  This keeps a member that merely lost consecutive
-    #: heartbeats to channel noise from minting a duplicate leader, at the
-    #: cost of at most ``takeover_probes × CLAIM_WINDOW`` extra takeover
-    #: latency after a real leader death.  0 restores the paper's
-    #: immediate takeover.
-    takeover_probes: int = 2
 
     def __post_init__(self) -> None:
         # ``not x > 0`` (never ``x <= 0``) so that NaN is rejected too.
@@ -116,9 +115,6 @@ class GroupConfig:
             value = getattr(self, name)
             if value is not None and not value >= 0:
                 raise ValueError(f"{name} must be >= 0: {value}")
-        if self.takeover_probes < 0:
-            raise ValueError(
-                f"takeover probes must be >= 0: {self.takeover_probes}")
 
     @property
     def receive_timeout(self) -> float:

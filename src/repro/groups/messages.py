@@ -63,8 +63,6 @@ class Heartbeat:
     #: same-type groups must "remain distinct ... as long as the tracked
     #: entities are physically separated".
     leader_pos: Optional[tuple] = None
-    #: Original sender when forwarded by a member (for tracing).
-    forwarded_by: Optional[int] = None
 
 
 @dataclass(frozen=True, slots=True)

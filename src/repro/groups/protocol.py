@@ -40,7 +40,7 @@ from ..sim import OneShotTimer, WatchdogTimer
 from ..telemetry.registry import Counter, summed
 from .config import (ANNOUNCE_JITTER, CLAIM_WINDOW, FORMATION_WINDOW,
                      REBROADCAST_JITTER, SENSE_COST, SENSE_PERIOD,
-                     GroupConfig)
+                     TAKEOVER_PROBES, GroupConfig)
 from .messages import (HEARTBEAT_KIND, QUERY_KIND, RELINQUISH_KIND,
                        VOUCH_KIND, Heartbeat, LeaderQuery, LeaderVouch,
                        Relinquish, mint_label)
@@ -85,14 +85,6 @@ class GroupListener:
 
     def on_member_leave(self, context_type: str, label: str) -> None:
         """This node left ``label``'s group (stopped sensing/switched)."""
-
-    def on_leader_update(self, context_type: str, label: str,
-                         leader: int) -> None:
-        """The group's leader identity changed (new heartbeat source)."""
-
-    def on_state_update(self, context_type: str, label: str,
-                        state: Optional[dict]) -> None:
-        """Fresh persistent state arrived on a heartbeat."""
 
 
 @dataclass
@@ -157,8 +149,6 @@ class _TypeState:
     pending_via: Optional[str] = None
     #: Probe rounds already sent in the current takeover cycle.
     probe_round: int = 0
-    #: When the current probe cycle started (for takeover tracing).
-    probe_time: float = -1.0
     #: Rate limit for defence heartbeats answering probes/duplicates.
     last_defence_time: float = -1e9
     #: Flood forwarding dedup: last forwarded heartbeat seq per label.
@@ -204,7 +194,7 @@ class GroupManager(Component):
         self.sim.metrics.view(
             Counter, "repro_gm_sense_polls_implicit_total",
             "Sense checks charged to the CPU without events, because the "
-            "sensor could not read true yet.", (),
+            "sensor could not change its reading.", (),
             summed(lambda sim: sim.implicit_polls), self.sim)
 
     # ------------------------------------------------------------------
@@ -548,15 +538,12 @@ class GroupManager(Component):
                                 beat: Heartbeat) -> None:
         assert state.label is not None
         if beat.label == state.label:
-            previous_leader = state.leader_id
             state.leader_id = beat.leader
             if beat.leader_pos is not None:
                 state.leader_position = beat.leader_pos
             state.weight = max(state.weight, beat.weight)
             if beat.state is not None:
                 state.cached_state = beat.state
-                self._notify("on_state_update", state.type_name,
-                             state.label, beat.state)
             now = self.sim._now
             state.last_label_hb_time = now
             self._receive_timer(state).kick()
@@ -567,10 +554,10 @@ class GroupManager(Component):
             state.claim_timer.cancel()
             state.pending_via = None
             state.probe_round = 0
-            if previous_leader != beat.leader:
-                self._notify("on_leader_update", state.type_name,
-                             state.label, beat.leader)
-            self._maybe_forward(state, beat)
+            # Intra-group flooding: "they flood the group to inform
+            # current members that a leader is alive".
+            if state.config.member_rebroadcast:
+                self._forward(state, beat, beat.hops)
             return
         # A heavier label of the same type: ours is the spurious one
         # (same-stimulus groups only — see suppression_range).
@@ -598,43 +585,23 @@ class GroupManager(Component):
         state.wait_memory = beat
         self._wait_timer(state).kick()
         if beat.hops > 0:
-            self._maybe_forward_past_perimeter(state, beat)
+            # h-hop flooding past the group perimeter (§5.2; the paper
+            # defers evaluating it to future work — Ablation A).
+            self._forward(state, beat, beat.hops - 1)
 
-    def _maybe_forward(self, state: _TypeState, beat: Heartbeat) -> None:
-        """Intra-group flooding: each member rebroadcasts each new
-        heartbeat once — "they flood the group to inform current members
-        that a leader is alive".  The hop budget is preserved so the flood
-        can continue ``h`` hops past the perimeter via non-members."""
-        if not state.config.member_rebroadcast:
+    def _forward(self, state: _TypeState, beat: Heartbeat,
+                 hops: int) -> None:
+        """Rebroadcast ``beat`` with ``hops`` left, once per heartbeat:
+        a member keeps the hop budget so the flood can continue ``h``
+        hops past the perimeter, where each non-member spends one."""
+        if beat.seq <= state.forwarded_seq.get(beat.label, 0):
             return
-        if not self._mark_forwarded(state, beat):
-            return
-        self._rebroadcast(state, beat, hops=beat.hops)
-
-    def _maybe_forward_past_perimeter(self, state: _TypeState,
-                                      beat: Heartbeat) -> None:
-        """h-hop flooding past the group perimeter by non-members (§5.2;
-        the paper defers evaluating it to future work — Ablation A).
-        Only for a heartbeat with hops left."""
-        if not self._mark_forwarded(state, beat):
-            return
-        self._rebroadcast(state, beat, hops=beat.hops - 1)
-
-    def _mark_forwarded(self, state: _TypeState, beat: Heartbeat) -> bool:
-        last = state.forwarded_seq.get(beat.label, 0)
-        if beat.seq <= last:
-            return False
         state.forwarded_seq[beat.label] = beat.seq
-        return True
-
-    def _rebroadcast(self, state: _TypeState, beat: Heartbeat,
-                     hops: int) -> None:
-        forwarded = replace(beat, hops=hops, forwarded_by=self.node_id)
         delay = self._rng.uniform(0, REBROADCAST_JITTER)
         self.mote.schedule(
             delay, partial(self.broadcast,
                            tx_range=state.config.heartbeat_tx_range),
-            HEARTBEAT_KIND, forwarded, label="gm.rebroadcast")
+            HEARTBEAT_KIND, replace(beat, hops=hops), label="gm.rebroadcast")
 
     # ------------------------------------------------------------------
     # Relinquish / claim
@@ -683,10 +650,10 @@ class GroupManager(Component):
     def _receive_expired(self, state: _TypeState) -> None:
         """Leader silence: take over leadership of the *same* label.
 
-        With ``takeover_probes > 0`` the takeover is preceded by a short
-        probe cycle: broadcast a LeaderQuery, wait a jittered fraction of
-        the claim window, and usurp only if neither a defence heartbeat
-        nor a fresh member vouch arrives.  Losing two consecutive
+        The takeover is preceded by ``TAKEOVER_PROBES`` probe rounds: each
+        broadcasts a LeaderQuery and waits a jittered fraction of the
+        claim window; the member usurps only if neither a defence
+        heartbeat nor a fresh member vouch arrives.  Losing two consecutive
         heartbeats to channel noise is rare but not negligible; usurping
         on the spot made every such streak a duplicate-leader window.
         """
@@ -697,16 +664,12 @@ class GroupManager(Component):
             # leave instead of taking over a label we cannot serve.
             self._member_stops_sensing(state)
             return
-        if state.config.takeover_probes <= 0:
-            self._takeover(state)
-            return
         state.probe_round = 0
-        state.probe_time = self.now
         self._takeover_step(state)
 
     def _takeover_step(self, state: _TypeState) -> None:
         """One probe round, or the takeover itself once rounds run out."""
-        if state.probe_round >= state.config.takeover_probes:
+        if state.probe_round >= TAKEOVER_PROBES:
             self._takeover(state)
             return
         state.probe_round += 1

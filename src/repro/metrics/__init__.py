@@ -8,12 +8,9 @@ from .recovery import CrashRecovery, RecoveryReport, analyze_recovery
 from .speed_search import (CoherenceProbe, SpeedSearchResult,
                            max_trackable_speed)
 from .tenures import Tenure, leader_tenures
-from .timeline import TimelineSample, TimelineSampler
 from .tracking_error import TrajectoryComparison, compare_track
 
 __all__ = [
-    "TimelineSample",
-    "TimelineSampler",
     "CoherenceProbe",
     "CommunicationMetrics",
     "CrashRecovery",

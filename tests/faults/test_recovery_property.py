@@ -2,7 +2,7 @@
 
 The §5.2 design argument says a crashed leader is replaced after the
 receive timeout (2.1 × heartbeat period).  End to end, recovery also
-pays for takeover liveness probes (≤ ``takeover_probes × CLAIM_WINDOW``)
+pays for takeover liveness probes (≤ ``TAKEOVER_PROBES × CLAIM_WINDOW``)
 and, when two members usurp near-simultaneously, one round of
 weight-based duplicate resolution (the loser yields on hearing the
 winner's heartbeat, ≤ ~2 heartbeat periods under loss).  The property
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.faults import FaultInjector, FaultPlan, LeaderCrash, NodeCrash
 from repro.groups import GroupConfig, GroupManager, Role
-from repro.groups.config import CLAIM_WINDOW
+from repro.groups.config import CLAIM_WINDOW, TAKEOVER_PROBES
 from repro.metrics import analyze_recovery
 from repro.sensing import SensorField
 from repro.sim import Simulator
@@ -26,7 +26,7 @@ SENSING_IDS = frozenset({1, 2, 3})
 def recovery_bound(config: GroupConfig) -> float:
     """Detection + probing + duplicate resolution + scheduling slack."""
     return (config.receive_timeout
-            + config.takeover_probes * CLAIM_WINDOW
+            + TAKEOVER_PROBES * CLAIM_WINDOW
             + 2.0 * config.heartbeat_period + 0.5)
 
 

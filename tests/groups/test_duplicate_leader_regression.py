@@ -88,29 +88,3 @@ def test_probe_cycle_aborts_spurious_takeover():
     assert list(sim.trace_records("gm.takeover_aborted"))
     assert not list(sim.trace_records("gm.takeover"))
 
-
-def test_takeover_probes_zero_restores_immediate_takeover():
-    """``takeover_probes=0`` is the paper's original behavior: receive
-    expiry usurps on the spot, with no probe round."""
-    sim = Simulator(seed=1)
-    field = SensorField(sim, communication_radius=10.0, base_loss_rate=0.0)
-    sensing_ids = {1, 2}
-    managers = {}
-    for i in range(4):
-        mote = field.add_mote((float(i), 0.0))
-        manager = GroupManager(mote)
-        manager.track("t", lambda m: m.node_id in sensing_ids,
-                      GroupConfig(heartbeat_period=0.5, takeover_probes=0,
-                                  suppression_range=None))
-        manager.start()
-        managers[i] = manager
-    sim.run(until=4.0)
-    leader = next(n for n, m in managers.items()
-                  if m.role("t") is Role.LEADER)
-    managers[leader].mote.fail()
-    sim.run(until=8.0)
-    assert list(sim.trace_records("gm.takeover"))
-    assert not list(sim.trace_records("gm.probe"))
-    alive_leaders = [n for n, m in managers.items()
-                     if m.role("t") is Role.LEADER and m.mote.alive]
-    assert len(alive_leaders) == 1

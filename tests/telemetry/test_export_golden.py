@@ -1,20 +1,20 @@
 """The Prometheus export, pinned, and the same from a saved trace.
 
-Each scenario's live export (``RunReport.derived_registry()``) is
-compared line by line with a file under ``tests/golden/exports``.  The
-one permitted difference is float rounding in the airtime total, which
-is computed as ``bits / bitrate``.  A dumped and reloaded trace must
-export every family tallied by trace records exactly as the live run
-does.
+Each scenario's live export (``RunReport.derived_registry()``) must
+equal a file under ``tests/golden/exports`` byte for byte.  A dumped
+and reloaded trace must export every family tallied by trace records
+exactly as the live run does.
 
-To re-record a file after an intended change, run this module as a
+To re-record the files after an intended change, run this module as a
 script: ``PYTHONPATH=src python tests/telemetry/test_export_golden.py``.
+It prints a unified diff of every file it rewrites, so the diff shows
+each line the change moved and nothing else.
 """
 
 from __future__ import annotations
 
+import difflib
 import importlib
-import math
 import os
 
 import pytest
@@ -32,9 +32,6 @@ transport_chaos = importlib.import_module("repro.experiments.transport_chaos")
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 EXPORTS = os.path.join(ROOT, "tests", "golden", "exports")
-
-#: Series whose value is a float sum; they may differ by rounding.
-ROUNDED = ("repro_radio_airtime_seconds_total",)
 
 
 def captured_sim(module, run):
@@ -107,30 +104,18 @@ SCENARIOS = {
 }
 
 
+def golden_path(name: str) -> str:
+    return os.path.join(EXPORTS, f"{name}.prom")
+
+
 def golden(name: str) -> str:
-    with open(os.path.join(EXPORTS, f"{name}.prom"),
-              encoding="utf-8") as handle:
+    with open(golden_path(name), encoding="utf-8") as handle:
         return handle.read()
-
-
-def assert_same_export(live: str, expected: str) -> None:
-    live_lines, expected_lines = live.splitlines(), expected.splitlines()
-    assert len(live_lines) == len(expected_lines)
-    for got, want in zip(live_lines, expected_lines):
-        if got == want:
-            continue
-        assert got.startswith(ROUNDED), (got, want)
-        got_name, got_value = got.rsplit(" ", 1)
-        want_name, want_value = want.rsplit(" ", 1)
-        assert got_name == want_name
-        assert math.isclose(float(got_value), float(want_value),
-                            rel_tol=1e-12), (got, want)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_live_export_matches_golden(name):
-    assert_same_export(export(RunReport.from_sim(SCENARIOS[name]())),
-                       golden(name))
+    assert export(RunReport.from_sim(SCENARIOS[name]())) == golden(name)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -151,19 +136,11 @@ def test_saved_trace_exports_the_live_record_families(name, tmp_path):
 
 
 def test_report_quick_export_matches_golden(tmp_path):
-    assert_same_export(report_quick(str(tmp_path)), golden("report-quick"))
-
-
-def test_rounding_tolerance_covers_only_the_airtime_total():
-    with pytest.raises(AssertionError):
-        assert_same_export("repro_radio_bits_sent_total 2\n",
-                           "repro_radio_bits_sent_total 3\n")
-    assert_same_export("repro_radio_airtime_seconds_total 3.80736\n",
-                       "repro_radio_airtime_seconds_total "
-                       "3.807359999999992\n")
+    assert report_quick(str(tmp_path)) == golden("report-quick")
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
     os.makedirs(EXPORTS, exist_ok=True)
@@ -172,7 +149,15 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         exports["report-quick"] = report_quick(scratch)
     for name, text in exports.items():
-        with open(os.path.join(EXPORTS, f"{name}.prom"), "w",
-                  encoding="utf-8") as handle:
+        path = golden_path(name)
+        old = golden(name) if os.path.exists(path) else ""
+        if text == old:
+            print(f"unchanged {name}.prom")
+            continue
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         print(f"wrote {name}.prom ({len(text.splitlines())} lines)")
+        relative = os.path.relpath(path, ROOT)
+        sys.stdout.writelines(difflib.unified_diff(
+            old.splitlines(keepends=True), text.splitlines(keepends=True),
+            f"a/{relative}", f"b/{relative}"))

@@ -52,14 +52,14 @@ class TestFrameSpans:
         assert not spans.find("handle.")
         forwarded = [frame for frame in frames.values()
                      if isinstance(frame.payload, Heartbeat)
-                     and frame.payload.forwarded_by is not None]
+                     and frame.src != frame.payload.leader]
         # A send that queues behind other CPU work keeps the span it was
         # posted under, so every rebroadcast chains.
         assert forwarded
         for frame in forwarded:
             span = spans.get(frame.span_id)
             assert span.parent_id is not None
-            assert span.node == frame.src == frame.payload.forwarded_by
+            assert span.node == frame.src
             (cause_id,) = spans.get(span.parent_id).frame_ids
             cause = frames[cause_id]
             assert cause.kind == HEARTBEAT_KIND
