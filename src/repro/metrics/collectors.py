@@ -15,7 +15,7 @@ from typing import Sequence
 
 from ..groups import HEARTBEAT_KIND
 from ..aggregation import REPORT_KIND
-from ..radio import Medium
+from ..radio import DEFAULT_BITRATE, Medium
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def communication_metrics(medium: Medium, now: float
         # Msg loss: member→leader reports the addressed leader never got.
         report_loss_pct=100.0 * stats.addressed_loss_fraction(REPORT_KIND),
         link_utilization_pct=100.0 * stats.link_utilization(
-            medium.bitrate, now),
+            DEFAULT_BITRATE, now),
         heartbeats_sent=stats.sent_by_kind[HEARTBEAT_KIND],
         reports_sent=stats.sent_by_kind[REPORT_KIND],
         frames_sent=stats.frames_sent,

@@ -268,7 +268,7 @@ class PeriodicTask(PeriodicTimer):
         sim = self._sim
         handle = self._handle
         handle.deadline = deadline = sim._now + self.period
-        handle.seq = seq = sim._seq.next()
+        handle.seq = seq = sim._seq()
         handle.span = span = sim.spans.current
         handle.entry = entry = (deadline, seq, handle.callback, (),
                                 handle.label, span, handle)

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from ..radio import DEFAULT_BITRATE
 from ..sim import Simulator
 from ..telemetry.registry import Counter, Gauge, merged, summed
 
@@ -79,12 +80,12 @@ class EnergyLedger:
 
     @property
     def tx_joules(self) -> float:
-        return (self._since_start(0) / self.mote.medium.bitrate
+        return (self._since_start(0) / DEFAULT_BITRATE
                 * self.model.tx_power)
 
     @property
     def rx_joules(self) -> float:
-        return (self._since_start(1) / self.mote.medium.bitrate
+        return (self._since_start(1) / DEFAULT_BITRATE
                 * self.model.rx_power)
 
     @property

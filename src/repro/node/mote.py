@@ -79,7 +79,6 @@ class Mote:
                                     self._on_physical_receive)
         medium.attach(self.port)
         self.mac = CsmaMac(sim, medium, position)
-        self.frames_delivered = 0
 
     @property
     def alive(self) -> bool:
@@ -141,9 +140,8 @@ class Mote:
         if name is None:
             name = self._frame_names[kind] = "frame." + kind
         spans = self.sim.spans
-        span_id = spans.start(name, self.node_id)
+        span_id = spans.start(name, self.node_id, frame.frame_id)
         frame.span_id = span_id
-        spans.note_frame(span_id, frame.frame_id)
         previous = spans.current
         spans.current = span_id
         try:
@@ -166,7 +164,6 @@ class Mote:
         self.cpu.post(self._dispatch, frame, label=label)
 
     def _dispatch(self, frame: Frame) -> None:
-        self.frames_delivered += 1
         handlers = self._handlers.get(frame.kind)
         if not handlers:
             return
@@ -215,32 +212,31 @@ class Mote:
         return timer
 
     def watchdog(self, timeout: float, callback: Callable[[], None],
-                 label: str = "watchdog",
-                 cost: Optional[float] = None) -> WatchdogTimer:
+                 label: str = "watchdog") -> WatchdogTimer:
         """A watchdog whose expiry handler runs on this mote's CPU."""
         timer = WatchdogTimer(
             self.sim, timeout * self.clock_scale,
-            self._on_cpu(callback, cost, "timer." + label),
+            self._on_cpu(callback, "timer." + label),
             label=f"{label}@{self.node_id}")
         self._timers.append(timer)
         return timer
 
     def oneshot(self, callback: Callable[[], None],
-                label: str = "oneshot",
-                cost: Optional[float] = None) -> OneShotTimer:
+                label: str = "oneshot") -> OneShotTimer:
         """An unarmed one-shot timer; arm with ``start(delay)``.  The
         callback runs on this mote's CPU."""
         timer = OneShotTimer(
-            self.sim, self._on_cpu(callback, cost, "timer." + label),
+            self.sim, self._on_cpu(callback, "timer." + label),
             label=f"{label}@{self.node_id}")
         self._timers.append(timer)
         return timer
 
-    def _on_cpu(self, callback: Callable[[], None], cost: Optional[float],
+    def _on_cpu(self, callback: Callable[[], None],
                 task_label: str) -> Callable[[], None]:
-        """A timer's fire function: post ``callback`` to the CPU (a crash
-        stops every timer, and a down CPU refuses posts)."""
-        return partial(self.cpu.post, callback, cost=cost, label=task_label)
+        """A timer's fire function: post ``callback`` to the CPU at the
+        CPU's task cost (a crash stops every timer, and a down CPU
+        refuses posts)."""
+        return partial(self.cpu.post, callback, label=task_label)
 
     def schedule(self, delay: float, callback: Callable[..., None],
                  *args: Any, label: str = "") -> None:

@@ -1,7 +1,7 @@
 """Wireless substrate: frames, broadcast medium, MAC and statistics."""
 
 from .frames import BROADCAST, DEFAULT_FRAME_BITS, Frame, reset_frame_ids
-from .mac import CsmaMac, MacBase, NullMac
+from .mac import CsmaMac
 from .medium import (DEFAULT_BITRATE, Disturbance, Medium, TransceiverPort,
                      distance)
 from .stats import RadioStats
@@ -13,9 +13,7 @@ __all__ = [
     "DEFAULT_FRAME_BITS",
     "Disturbance",
     "Frame",
-    "MacBase",
     "Medium",
-    "NullMac",
     "RadioStats",
     "TransceiverPort",
     "distance",

@@ -6,9 +6,10 @@ approximating the simple CSMA in the MICA TinyOS stack.  It is
 matching the paper's note that "no reliability is implemented in the MAC
 layer of the MICA motes".
 
-:class:`NullMac` transmits immediately, with no carrier sensing; tests
-use it as a stand-in transmitter.  Both expose ``send(frame)`` and report
-queue statistics.
+A frame that finds the channel busy backs off and retries; one that
+exhausts its attempts, or overflows the backlog queue, is dropped with a
+``mac.drop`` record.  A frame that goes on the air is a ``radio.tx``
+record of the medium, so the trace is the only tally of sends.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ BACKOFF = (0.001, 0.008)
 QUEUE_LIMIT = 32
 
 
-class MacBase:
-    """Common interface for MAC implementations."""
+class CsmaMac:
+    """Carrier-sense multiple access with bounded random backoff
+    (:data:`MAX_ATTEMPTS`, :data:`BACKOFF`, :data:`QUEUE_LIMIT`)."""
 
     def __init__(self, sim: Simulator, medium: Medium,
                  position: Position) -> None:
@@ -40,39 +42,6 @@ class MacBase:
         self.medium = medium
         #: Field position carrier sense listens at (motes are static).
         self.position = position
-        self.sent = 0
-
-    def send(self, frame: Frame) -> None:
-        raise NotImplementedError
-
-    def shutdown(self) -> None:
-        """Abort any in-flight MAC activity (node crash/power-off).
-
-        A dead node must not keep transmitting: without this, pending
-        backoff/turnaround events outlive the mote and push its queued
-        frames onto the air after ``fail()``.
-        """
-
-    @property
-    def backlog(self) -> int:
-        return 0
-
-
-class NullMac(MacBase):
-    """Fire-and-forget: every ``send`` transmits immediately."""
-
-    def send(self, frame: Frame) -> None:
-        self.sent += 1
-        self.medium.transmit(frame)
-
-
-class CsmaMac(MacBase):
-    """Carrier-sense multiple access with bounded random backoff
-    (:data:`MAX_ATTEMPTS`, :data:`BACKOFF`, :data:`QUEUE_LIMIT`)."""
-
-    def __init__(self, sim: Simulator, medium: Medium,
-                 position: Position) -> None:
-        super().__init__(sim, medium, position)
         self._queue: Deque[Frame] = deque()
         self._busy = False
         self._rng = sim.rng.stream("radio.mac")
@@ -113,7 +82,6 @@ class CsmaMac(MacBase):
     # ------------------------------------------------------------------
     def _attempt(self, frame: Frame, attempt: int) -> None:
         if not self.medium.channel_busy(self.position):
-            self.sent += 1
             self.medium.transmit(frame)
             self._finish()
             return

@@ -6,9 +6,9 @@ Models the MICA mote radio at the fidelity the evaluation needs:
   within ``communication_radius`` of the sender (distances in grid units,
   matching the paper's "communication radius of 6 grids").
 * **Airtime** — a transmission occupies the channel for
-  ``size_bits / bitrate`` seconds (50 kbps by default).
+  ``size_bits /`` :data:`DEFAULT_BITRATE` seconds (50 kbps).
 * **Collisions** — a reception is corrupted when a *different* transmission
-  whose sender is within ``interference_radius`` of the receiver overlaps
+  whose sender is within ``communication_radius`` of the receiver overlaps
   the reception's airtime.  This is what makes loss grow with target speed
   in Table 1: faster targets mean more concurrent handover traffic.
 * **Channel loss** — independent Bernoulli loss per reception models the
@@ -25,11 +25,12 @@ Motes do not move (the paper's §6.1 grid), so everything the medium
 derives from geometry is computed once per topology, not once per
 frame.  Ports sit in a uniform-grid bucket (cell size =
 ``communication_radius``) that bounds each geometric query to nearby
-cells, and the results are kept in link tables built on first use and
-cleared on every :meth:`attach`: per (source, reach)
-the receivers in attach order with their loss probability, per source
-the ports within ``interference_radius``, per carrier-sense position
-the audible sources, and per (node, radius) the neighbour list.
+cells.  One radius serves reception, carrier sense and collisions, so
+the medium keeps one *disk* per position: the ports within
+``communication_radius`` of it.  Carrier sense, collision marking and
+:meth:`neighbors_of` read the disk, and per (source, reach) a link table
+lists the disk's receivers in attach order with their loss probability.
+Both tables are built on first use and cleared on every :meth:`attach`.
 ``port.enabled`` and disturbances are still checked per frame, and loss
 randomness is drawn in attach order, exactly as a full scan would draw
 it (see ``docs/PROTOCOL.md`` §7 for the invariants).
@@ -178,9 +179,9 @@ class _GridIndex:
     """Uniform-grid spatial hash of attached transceivers.
 
     Buckets are keyed by integer cell coordinates (cell size = the
-    medium's communication radius), so every disk query of radius ≤ one
-    cell touches at most the 3×3 neighborhood of the query cell.  Buckets
-    hold ports in attach order.
+    medium's communication radius), so a disk of that radius lies inside
+    the 3×3 neighborhood of its center's cell.  Buckets hold ports in
+    attach order.
     """
 
     def __init__(self, cell_size: float) -> None:
@@ -197,23 +198,15 @@ class _GridIndex:
         key = self.cell_of(port.position)
         self._buckets.setdefault(key, []).append(port)
 
-    def cells_covering(self, position: Position,
-                       radius: float) -> Iterator[Tuple[int, int]]:
-        """Keys of every cell intersecting the disk (superset)."""
-        span = max(1, math.ceil(radius / self.cell_size))
+    def near(self, position: Position) -> Iterator[TransceiverPort]:
+        """All ports in the 3×3 cells around ``position`` (a superset of
+        the ports within one cell size of it)."""
         cx, cy = self.cell_of(position)
-        for dx in range(-span, span + 1):
-            for dy in range(-span, span + 1):
-                yield (cx + dx, cy + dy)
-
-    def near(self, position: Position,
-             radius: float) -> Iterator[TransceiverPort]:
-        """All ports bucketed within ``radius``-covering cells (a superset
-        of the ports actually inside the disk)."""
-        for key in self.cells_covering(position, radius):
-            bucket = self._buckets.get(key)
-            if bucket:
-                yield from bucket
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                bucket = self._buckets.get((cx + dx, cy + dy))
+                if bucket:
+                    yield from bucket
 
 
 class Medium:
@@ -224,34 +217,23 @@ class Medium:
     sim:
         The owning simulator (for the clock, scheduling and RNG).
     communication_radius:
-        Reception range in grid units.
-    interference_radius:
-        Range within which a concurrent transmitter corrupts a reception;
-        defaults to the communication radius.
+        Reception range in grid units; also the range of carrier sense
+        and within which a concurrent transmitter corrupts a reception.
     base_loss_rate:
         Independent per-reception Bernoulli loss probability.
-    bitrate:
-        Channel capacity in bits/second.
 
     A frame is delivered when its airtime ends; signal flight time over
     a few hundred metres is negligible next to airtime and not modelled.
     """
 
     def __init__(self, sim: Simulator, communication_radius: float,
-                 interference_radius: Optional[float] = None,
                  base_loss_rate: float = 0.0,
-                 bitrate: float = DEFAULT_BITRATE,
                  soft_edge_start: float = 1.0,
                  soft_edge_loss: float = 0.0) -> None:
         if not communication_radius > 0:
             raise ValueError(
                 f"communication radius must be positive: "
                 f"{communication_radius}")
-        if interference_radius is not None and \
-                not interference_radius > 0:
-            raise ValueError(
-                f"interference radius must be positive: "
-                f"{interference_radius}")
         if not 0.0 <= base_loss_rate < 1.0:
             raise ValueError(
                 f"base loss rate must be in [0, 1): {base_loss_rate}")
@@ -263,11 +245,7 @@ class Medium:
                 f"soft edge loss must be in [0, 1]: {soft_edge_loss}")
         self.sim = sim
         self.communication_radius = communication_radius
-        self.interference_radius = (communication_radius
-                                    if interference_radius is None
-                                    else interference_radius)
         self.base_loss_rate = base_loss_rate
-        self.bitrate = bitrate
         # Soft reception edge (shadowing-like): receptions beyond
         # ``soft_edge_start × reach`` suffer extra loss ramping linearly up
         # to ``soft_edge_loss`` at the reach boundary.  Real radios degrade
@@ -289,7 +267,8 @@ class Medium:
                      merged(lambda m: m.stats.receptions), self)
         metrics.view(Counter, "repro_radio_airtime_seconds_total",
                      "Channel airtime occupied by transmissions.", (),
-                     summed(lambda m: m.stats.bits_sent / m.bitrate), self)
+                     summed(lambda m: m.stats.bits_sent / DEFAULT_BITRATE),
+                     self)
         self._ports: Dict[int, TransceiverPort] = {}
         self._active: List[_Transmission] = []
         self._rng = sim.rng.stream("radio.loss")
@@ -309,9 +288,7 @@ class Medium:
         # Link tables (see the module docstring), keyed by port object.
         self._links: Dict[Tuple[TransceiverPort, float],
                           List[Tuple[TransceiverPort, float]]] = {}
-        self._interferers: Dict[TransceiverPort, Set[TransceiverPort]] = {}
-        self._audible: Dict[Position, Set[TransceiverPort]] = {}
-        self._neighbors: Dict[Tuple[int, float], List[int]] = {}
+        self._disks: Dict[Position, Set[TransceiverPort]] = {}
 
     # ------------------------------------------------------------------
     # Registration
@@ -326,9 +303,7 @@ class Medium:
         self._index.add(port)
         self.topology_version += 1
         self._links.clear()
-        self._interferers.clear()
-        self._audible.clear()
-        self._neighbors.clear()
+        self._disks.clear()
 
     def port(self, node_id: int) -> TransceiverPort:
         """The registered transceiver of ``node_id``."""
@@ -341,19 +316,32 @@ class Medium:
     # ------------------------------------------------------------------
     # Link tables (built on first use, cleared on attach)
     # ------------------------------------------------------------------
+    def _disk(self, position: Position) -> Set[TransceiverPort]:
+        """Ports within ``communication_radius`` of ``position``: those
+        audible there, and those a transmission from there reaches or
+        corrupts."""
+        disk = self._disks.get(position)
+        if disk is None:
+            limit = self.communication_radius
+            disk = self._disks[position] = {
+                port for port in self._index.near(position)
+                if distance(position, port.position) <= limit}
+        return disk
+
     def _links_of(self, src_port: TransceiverPort,
                   reach: float) -> List[Tuple[TransceiverPort, float]]:
-        """Receivers of ``src_port`` at ``reach``, in attach order, each
-        with its per-reception loss probability."""
+        """Receivers of ``src_port`` at ``reach`` (at most the
+        communication radius), in attach order, each with its
+        per-reception loss probability."""
         key = (src_port, reach)
         links = self._links.get(key)
         if links is None:
             origin = src_port.position
             order = self._attach_order
             links = []
-            # Grid candidates sorted into attach order, so the in-range
-            # subset comes out in the order a full scan would give.
-            for port in sorted(self._index.near(origin, reach),
+            # The disk sorted into attach order, so the in-range subset
+            # comes out in the order a full scan would give.
+            for port in sorted(self._disk(origin),
                                key=lambda port: order[port.node_id]):
                 if port is src_port:
                     continue
@@ -363,19 +351,6 @@ class Medium:
             self._links[key] = links
         return links
 
-    def _interferers_of(self,
-                        src_port: TransceiverPort) -> Set[TransceiverPort]:
-        """Ports (the source included) within ``interference_radius`` of
-        ``src_port``: the receivers its airtime can corrupt."""
-        near = self._interferers.get(src_port)
-        if near is None:
-            origin = src_port.position
-            limit = self.interference_radius
-            near = {port for port in self._index.near(origin, limit)
-                    if distance(origin, port.position) <= limit}
-            self._interferers[src_port] = near
-        return near
-
     # ------------------------------------------------------------------
     # Channel state
     # ------------------------------------------------------------------
@@ -384,37 +359,22 @@ class Medium:
         self._prune()
         if not self._active:
             return False
-        audible = self._audible.get(pos)
-        if audible is None:
-            limit = self.communication_radius
-            audible = self._audible[pos] = {
-                port for port in self._index.near(pos, limit)
-                if distance(port.position, pos) <= limit}
+        audible = self._disk(pos)
         return any(tx.src_port in audible for tx in self._active)
 
     def airtime(self, frame: Frame) -> float:
         """Seconds this frame occupies the channel."""
-        return frame.size_bits / self.bitrate
+        return frame.size_bits / DEFAULT_BITRATE
 
-    def neighbors_of(self, node_id: int,
-                     radius: Optional[float] = None) -> List[int]:
-        """Node ids within ``radius`` (default: communication radius).
+    def neighbors_of(self, node_id: int) -> List[int]:
+        """Sorted ids of the other nodes within the communication radius.
 
         Failed-but-attached motes are included: only the topology, not
         liveness, decides.
         """
-        limit = self.communication_radius if radius is None else radius
-        key = (node_id, limit)
-        neighbors = self._neighbors.get(key)
-        if neighbors is None:
-            port = self._ports[node_id]
-            origin = port.position
-            neighbors = sorted(
-                other.node_id for other in self._index.near(origin, limit)
-                if other is not port
-                and distance(origin, other.position) <= limit)
-            self._neighbors[key] = neighbors
-        return list(neighbors)
+        port = self._ports[node_id]
+        return sorted(other.node_id for other in self._disk(port.position)
+                      if other is not port)
 
     # ------------------------------------------------------------------
     # Disturbances (fault injection)
@@ -425,11 +385,11 @@ class Medium:
         """Register a timed (optionally regional) extra-loss window."""
         if not 0.0 <= extra_loss <= 1.0:
             raise ValueError(f"extra loss must be in [0, 1]: {extra_loss}")
-        if end <= start:
+        if not end > start:  # also rejects NaN
             raise ValueError(f"empty disturbance window: [{start}, {end})")
         if (center is None) != (radius is None):
             raise ValueError("center and radius must be given together")
-        if radius is not None and radius <= 0:
+        if radius is not None and not radius > 0:
             raise ValueError(f"disturbance radius must be positive: {radius}")
         disturbance = Disturbance(extra_loss=extra_loss, start=start,
                                   end=end, center=center, radius=radius)
@@ -484,13 +444,13 @@ class Medium:
             receivers.append(port)
         # Mutual collision marking against concurrently active airtime: a
         # reception is corrupted by any overlapping transmission whose
-        # source is within interference_radius of the receiver.
+        # source is within communication_radius of the receiver.
         if self._active:
-            near = self._interferers_of(src_port)
+            near = self._disk(src_port.position)
             for other in self._active:
                 if not tx.overlaps(other):
                     continue
-                _mark_collisions(tx, self._interferers_of(other.src_port))
+                _mark_collisions(tx, self._disk(other.src_port.position))
                 _mark_collisions(other, near)
         self._active.append(tx)
         self.stats.on_send(frame.kind, frame.size_bits, frame.src)

@@ -38,8 +38,7 @@ class SensorField:
     communication_radius:
         Radio range in grid units (the stress tests use 6).
     base_loss_rate / soft_edge_start / soft_edge_loss:
-        Forwarded to :class:`repro.radio.Medium`, which otherwise keeps
-        its defaults (interference radius = communication radius, the
+        Forwarded to :class:`repro.radio.Medium` (which sends at the
         MICA 50 kbps bitrate).
     task_cost / cpu_queue_limit:
         CPU model for every mote.

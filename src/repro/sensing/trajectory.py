@@ -173,7 +173,7 @@ class WaypointTrajectory(Trajectory):
     def __init__(self, waypoints: Sequence[Position], speed: float) -> None:
         if len(waypoints) < 1:
             raise ValueError("need at least one waypoint")
-        if speed <= 0:
+        if not speed > 0:  # also rejects NaN
             raise ValueError(f"speed must be > 0: {speed}")
         self.waypoints: List[Position] = list(waypoints)
         self.speed = speed

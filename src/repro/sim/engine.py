@@ -55,6 +55,7 @@ Example
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 import time as _time
 from collections import deque
@@ -66,7 +67,7 @@ from ..telemetry.profiler import EventLoopProfiler
 from ..telemetry.registry import (Counter, Gauge, MetricsRegistry,
                                   RecordFamily, merged, summed)
 from ..telemetry.spans import SpanTracker
-from .events import EventSequencer, TraceRecord
+from .events import TraceRecord
 from .rng import RandomStreams
 
 #: A heap entry: ``(time, seq, callback, args, label, span, handle)``.
@@ -177,7 +178,7 @@ class TimerService:
             raise SimulationError(
                 f"cannot arm timer at {deadline!r}: now={sim._now}")
         handle.deadline = deadline
-        handle.seq = sim._seq.next()
+        handle.seq = sim._seq()
         handle.span = sim.spans.current
         entry = handle.entry
         if entry is not None:
@@ -227,7 +228,8 @@ class Simulator:
         self.seed = seed
         self._now = 0.0
         self._heap: List[Entry] = []
-        self._seq = EventSequencer()
+        #: Draws the tie-breaking ``seq`` of every entry: 0, 1, 2, …
+        self._seq: Callable[[], int] = itertools.count().__next__
         self._running = False
         self._stopped = False
         #: Events that will fire (kept exact on every push, pop, cancel
@@ -246,7 +248,7 @@ class Simulator:
         self._joined = 0
         #: Events charged by a quiet run, not dispatched.
         self._events_implicit = 0
-        #: ``_dispatched`` at which the current ``run``/``step`` stops.
+        #: ``_dispatched`` at which the current ``run`` stops.
         self._limit = math.inf
         #: The members list of the batch entry that the next
         #: :meth:`schedule_batched` may join, the time it fires at and
@@ -368,15 +370,9 @@ class Simulator:
         if not when >= self._now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule at {when!r}: now={self._now}")
-        heappush(self._heap, (when, self._seq.next(), callback, args, label,
+        heappush(self._heap, (when, self._seq(), callback, args, label,
                               self.spans.current, None))
         self._live += 1
-
-    def call_soon(self, callback: Callable[..., Any], *args: Any,
-                  label: str = "") -> None:
-        """Schedule ``callback(*args)`` at the current time (after pending
-        events at this time that were scheduled earlier)."""
-        self.schedule(0.0, callback, *args, label=label)
 
     def schedule_batched(self, when: float, callback: Callable[[Any], Any],
                          arg: Any, label: str, span: Optional[int]) -> None:
@@ -390,7 +386,7 @@ class Simulator:
         members.  Every member counts as an event of its own
         (``docs/ENGINE.md`` §1, §6).
         """
-        seq = self._seq.next()
+        seq = self._seq()
         members = self._batch
         if (members is not None and seq == self._batch_next
                 and when == self._batch_time):
@@ -515,52 +511,19 @@ class Simulator:
             spans.current = caller_span
             self._running = False
 
-    def step(self) -> bool:
-        """Dispatch exactly one event (skipping garbage); return whether
-        one was dispatched.
-
-        Shares :meth:`run`'s semantics: calling it from inside an event
-        handler raises :class:`SimulationError` instead of corrupting the
-        in-progress dispatch, and it clears a pending :meth:`stop` flag
-        the way a fresh ``run()`` would.  From a batch entry it serves
-        one member.
-        """
-        if self._running:
-            raise SimulationError("step() is not reentrant")
-        self._running = True
-        self._stopped = False
-        self._limit = self._dispatched + 1
-        try:
-            if self.peek_time() is None:
-                return False
-            # peek_time() left a fireable entry at the head.
-            entry = heappop(self._heap)
-            if entry[6] is not None:
-                entry[6].entry = None
-            self._live -= 1
-            self._now = entry[0]
-            self._dispatch(entry)
-            self._dispatched += 1
-            return True
-        finally:
-            self._running = False
-
     def _dispatch(self, entry: Entry) -> None:
-        """Fire one entry inside its causal span, timed when a profiler
-        is attached (the path of :meth:`step` and of a profiled run).
-        A batch entry (label None) times each member itself."""
+        """Fire one entry of a profiled run inside its causal span, timed
+        under its label.  A batch entry (label None) times each member
+        itself."""
         _, _, callback, args, label, span, _ = entry
-        spans = self.spans
         profiler = self._profiler
-        previous = spans.current
-        spans.current = span
+        self.spans.current = span
         started = _time.perf_counter()
         try:
             callback(*args)
         finally:
-            if profiler is not None and label is not None:
+            if label is not None:
                 profiler.note(label, _time.perf_counter() - started)
-            spans.current = previous
 
     def _serve_batch(self, members: List[Member], seq: int) -> None:
         """Run a batch entry's members in order, each under its own span

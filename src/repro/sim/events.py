@@ -1,25 +1,16 @@
-"""Ordering and trace primitives for the discrete-event simulation engine.
+"""Trace primitives for the discrete-event simulation engine.
 
 The engine (:mod:`repro.sim.engine`) dispatches its heap entries in
 nondecreasing time order.  Ties are broken deterministically by a
 monotonically increasing sequence number assigned at scheduling time, so two
 runs with the same seed and the same scheduling order produce identical
-traces.
+traces.  Each run writes its trace as :class:`TraceRecord` objects.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
-
-
-class EventSequencer:
-    """Produces the deterministic tie-breaking sequence numbers."""
-
-    def __init__(self) -> None:
-        #: ``next()`` returns 0, 1, 2, … (a C-level bound method).
-        self.next: Callable[[], int] = itertools.count().__next__
+from typing import Optional
 
 
 @dataclass

@@ -12,7 +12,8 @@ the frames the operation caused.
 
 Every span is instantaneous: simulated time cannot advance inside one
 event, so a span carries no times, only ``(id, name, node, parent,
-frame_ids)``.
+frame_id)``: a frame span notes the one frame it sent, an operation span
+none.
 
 Propagation works through two channels:
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set
 
 
@@ -48,7 +49,7 @@ class SpanRecord:
     name: str
     node: Optional[int]
     parent_id: Optional[int]
-    frame_ids: List[int] = field(default_factory=list)
+    frame_id: Optional[int] = None
 
 
 class SpanTracker:
@@ -85,40 +86,28 @@ class SpanTracker:
     # Recording
     # ------------------------------------------------------------------
     def start(self, name: str, node: Optional[int] = None,
-              parent: Optional[int] = None,
-              root: bool = False) -> int:
-        """Open a span; the parent defaults to the current span.
-
-        Pass ``root=True`` to force a tree root regardless of context
-        (e.g. an operation initiated by the experiment script itself).
-        """
-        if parent is None and not root:
-            parent = self.current
+              frame_id: Optional[int] = None) -> int:
+        """Open a child of the current span (a root when there is none)
+        and return its id; a frame span names the frame it sends."""
+        parent = self.current
         span_id = next(self._ids)
-        self._spans[span_id] = SpanRecord(span_id, name, node, parent)
+        self._spans[span_id] = SpanRecord(span_id, name, node, parent,
+                                          frame_id)
         if parent is not None:
             self._children.setdefault(parent, []).append(span_id)
+        if frame_id is not None:
+            self._frame_spans[frame_id] = span_id
         return span_id
 
     @contextmanager
-    def span(self, name: str, node: Optional[int] = None,
-             parent: Optional[int] = None,
-             root: bool = False) -> Iterator[int]:
+    def span(self, name: str, node: Optional[int] = None) -> Iterator[int]:
         """Open a child span and make it current until the block exits."""
-        span_id = self.start(name, node=node, parent=parent, root=root)
+        span_id = self.start(name, node)
         previous = self.swap(span_id)
         try:
             yield span_id
         finally:
             self.swap(previous)
-
-    def note_frame(self, span_id: int, frame_id: int) -> None:
-        """Associate a transmitted frame with a span."""
-        record = self._spans.get(span_id)
-        if record is None:
-            return
-        record.frame_ids.append(frame_id)
-        self._frame_spans[frame_id] = span_id
 
     # ------------------------------------------------------------------
     # Queries
@@ -177,19 +166,19 @@ class SpanTracker:
         path.reverse()
         return path
 
+    def _frames(self, span_ids: List[int]) -> Set[int]:
+        """The frame ids the given spans noted."""
+        spans = self._spans
+        return {spans[sid].frame_id for sid in span_ids
+                if spans[sid].frame_id is not None}
+
     def subtree_frames(self, span_id: int) -> Set[int]:
         """Every frame id sent anywhere in the span's subtree."""
-        frames: Set[int] = set()
-        for sid in self.subtree(span_id):
-            frames.update(self._spans[sid].frame_ids)
-        return frames
+        return self._frames(self.subtree(span_id))
 
     def ancestor_frames(self, span_id: int) -> Set[int]:
         """Every frame id sent on the root→span causal path."""
-        frames: Set[int] = set()
-        for sid in self.ancestors(span_id):
-            frames.update(self._spans[sid].frame_ids)
-        return frames
+        return self._frames(self.ancestors(span_id))
 
     # ------------------------------------------------------------------
     # Rendering
@@ -201,10 +190,10 @@ class SpanTracker:
         def visit(sid: int, depth: int) -> None:
             record = self._spans[sid]
             node = "-" if record.node is None else str(record.node)
-            frames = (f" frames={record.frame_ids}"
-                      if record.frame_ids else "")
+            frame = ("" if record.frame_id is None
+                     else f" frame={record.frame_id}")
             lines.append(f"{'  ' * depth}{record.name} "
-                         f"[span {sid}, node {node}]{frames}")
+                         f"[span {sid}, node {node}]{frame}")
             for child in self._children.get(sid, []):
                 visit(child, depth + 1)
 

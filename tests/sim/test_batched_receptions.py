@@ -10,10 +10,10 @@ event at the time its relay's service ends), busy receivers (CPU work
 posted under a span), motes whose CPU holds a quiet sense-poll run,
 crashes with the reboot before the service of a frame already
 delivered, plain periodic tasks, and ``stop()`` calls from inside
-handlers.  The driver cuts the
-run with ``run(until=)``, ``run(max_events=)`` and ``step()``, so cuts
-land inside batches.  The per-event log (time, label, node, span), the
-trace, and at every cut the clock, ``events_fired``,
+handlers.  The driver cuts the run with ``run(until=)``,
+``run(until=, max_events=)`` and one event at a time
+(``run(max_events=1)``), so cuts land inside batches.  The per-event
+log (time, label, node, span), the trace, and at every cut the clock, ``events_fired``,
 ``events_dispatched``, ``pending()`` and each CPU's counters must match
 exactly; with a profiler attached, so must its count per label.
 """
@@ -37,7 +37,7 @@ def unbatched(sim, when, callback, arg, label, span):
     """The reference: each batched event is a plain entry of its own."""
     if not when >= sim._now:
         raise SimulationError(f"cannot schedule at {when!r}: now={sim._now}")
-    heappush(sim._heap, (when, sim._seq.next(), callback, (arg,), label,
+    heappush(sim._heap, (when, sim._seq(), callback, (arg,), label,
                          span, None))
     sim._live += 1
 
@@ -137,7 +137,7 @@ def run_program(batched, costs, quiet, actions, cuts, stops, profile):
             sim.run(until=HORIZON, max_events=value)
         else:
             for _ in range(value):
-                sim.step()
+                sim.run(max_events=1)
         snapshots.append(program.snapshot())
     sim.run(until=HORIZON)
     snapshots.append(program.snapshot())

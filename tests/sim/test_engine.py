@@ -21,6 +21,14 @@ def armed(sim, delay, callback=lambda: None):
     return handle
 
 
+def step(sim):
+    """Single-step: dispatch one event with ``run(max_events=1)`` and
+    return whether one was dispatched."""
+    before = sim.events_dispatched
+    sim.run(max_events=1)
+    return sim.events_dispatched > before
+
+
 def test_events_fire_in_time_order():
     sim = Simulator()
     fired = []
@@ -118,8 +126,7 @@ def test_schedule_returns_nothing():
     sim = Simulator()
     assert sim.schedule(1.0, lambda: None) is None
     assert sim.schedule_at(2.0, lambda: None) is None
-    assert sim.call_soon(lambda: None) is None
-    assert sim.pending() == 3
+    assert sim.pending() == 2
 
 
 def test_cancelled_event_does_not_fire():
@@ -144,14 +151,6 @@ def test_events_scheduled_during_run_fire_in_order():
     sim.schedule(3.0, fired.append, "last")
     sim.run()
     assert fired == ["first", "nested", "last"]
-
-
-def test_call_soon_runs_at_current_time():
-    sim = Simulator()
-    times = []
-    sim.schedule(2.0, lambda: sim.call_soon(lambda: times.append(sim.now)))
-    sim.run()
-    assert times == [2.0]
 
 
 def test_stop_halts_run():
@@ -239,7 +238,7 @@ def test_stop_inside_a_batch_leaves_the_rest_pending():
     sim.run()
     assert log == [0, 1] and sim.pending() == 3
     assert sim.events_fired == 2
-    assert sim.step() is True
+    assert step(sim) is True
     assert log == [0, 1, 2] and sim.pending() == 2
     sim.run(max_events=1)
     assert log == [0, 1, 2, 3]
@@ -282,13 +281,34 @@ def test_step_fires_single_event():
     fired = []
     sim.schedule(1.0, fired.append, "a")
     sim.schedule(2.0, fired.append, "b")
-    assert sim.step() is True
+    assert step(sim) is True
     assert fired == ["a"]
+    # The clock stops at the event, not at a horizon.
+    assert sim.now == 1.0 and sim.pending() == 1
 
 
 def test_step_on_empty_queue_returns_none():
-    # step() reports whether it dispatched: nothing, on an empty queue.
-    assert Simulator().step() is False
+    # Nothing is dispatched at quiescence, and the clock stays put.
+    sim = Simulator()
+    assert step(sim) is False
+    assert sim.now == 0.0 and sim.events_fired == 0
+
+
+def test_step_serves_one_batch_member_and_puts_the_rest_back():
+    sim = Simulator()
+    log = []
+    batch(sim, 1.0, 3, log)
+    sim.schedule_at(1.0, log.append, "plain")
+    ((_, first_seq, *_),) = [e for e in sim._heap if e[4] is None]
+    assert step(sim) is True
+    assert log == [(0, 1.0)]
+    # The unserved members are one entry at the next member's own key,
+    # so they still fire before the plain event scheduled after them.
+    (rest,) = [e for e in sim._heap if e[4] is None]
+    assert rest[:2] == (1.0, first_seq + 1)
+    assert sim.pending() == 3 and sim.entries_dispatched == 1
+    sim.run()
+    assert log == [(0, 1.0), (1, 1.0), (2, 1.0), "plain"]
 
 
 def test_peek_time_skips_cancelled():
@@ -386,7 +406,7 @@ def test_step_is_not_reentrant():
 
     def nested():
         try:
-            sim.step()
+            step(sim)
         except SimulationError as exc:
             errors.append(exc)
 
@@ -399,25 +419,25 @@ def test_step_is_not_reentrant():
 
     def nested_step():
         try:
-            sim2.step()
+            step(sim2)
         except SimulationError as exc:
             errors.append(exc)
 
     sim2.schedule(0.5, nested_step)
-    sim2.step()
+    step(sim2)
     assert isinstance(errors[-1], SimulationError)
 
 
 def test_step_clears_stale_stop_flag():
-    # Aligns step() with run(): a stop() from a previous run must not
-    # leak into later single-stepping.
+    # A stop() from a previous run must not leak into later
+    # single-stepping.
     sim = Simulator()
     fired = []
     sim.schedule(1.0, lambda: sim.stop())
     sim.schedule(2.0, fired.append, "later")
     sim.run()
     assert fired == []
-    assert sim.step() is True
+    assert step(sim) is True
     assert fired == ["later"]
 
 
@@ -427,9 +447,10 @@ def test_step_skips_cancelled_and_reports_none_when_drained():
     cancelled = armed(sim, 1.0, lambda: fired.append("dead"))
     sim.schedule(2.0, fired.append, "live")
     sim.timers.cancel(cancelled)
-    assert sim.step() is True
+    assert step(sim) is True
     assert fired == ["live"]
-    assert sim.step() is False
+    assert sim.cancelled_pending() == 0
+    assert step(sim) is False
 
 
 def test_compaction_reclaims_garbage_and_keeps_order(monkeypatch):
@@ -489,7 +510,7 @@ def test_engine_gauges_published_after_step():
     sim = Simulator(seed=3)
     for delay in (1.0, 2.0, 3.0):
         sim.schedule(delay, lambda: None)
-    sim.step()
+    step(sim)
     assert sim.heap_size() == 2
     assert sim.metrics.get("repro_sim_heap_size").value() == 2.0
     assert sim.metrics.get("repro_sim_cancelled_pending").value() == 0.0

@@ -60,8 +60,7 @@ class TestFrameSpans:
             span = spans.get(frame.span_id)
             assert span.parent_id is not None
             assert span.node == frame.src
-            (cause_id,) = spans.get(span.parent_id).frame_ids
-            cause = frames[cause_id]
+            cause = frames[spans.get(span.parent_id).frame_id]
             assert cause.kind == HEARTBEAT_KIND
             assert cause.src != frame.src
             assert (cause.payload.label, cause.payload.seq) == \
@@ -82,9 +81,8 @@ class TestFrameSpans:
         for record in replies:
             parent = spans.get(record.parent_id)
             assert parent.name.startswith(("frame.", "dir."))
-            (frame_id,) = record.frame_ids
-            for cause in parent.frame_ids:
-                assert sent_at[cause] <= sent_at[frame_id]
+            if parent.frame_id is not None:
+                assert sent_at[parent.frame_id] <= sent_at[record.frame_id]
             causes = query(sim).causes(record.span_id).category("radio.tx")
             assert {r.detail["frame_id"] for r in causes} == \
                 spans.ancestor_frames(record.span_id)
@@ -96,7 +94,7 @@ class TestFrameSpans:
         # TraceQuery.span().
         sim = run_quick()
         roots = [record for record in sim.spans.roots()
-                 if record.frame_ids]
+                 if record.frame_id is not None]
         assert roots
         root = roots[0]
         story = query(sim).span(root.span_id)

@@ -8,14 +8,16 @@ from repro.telemetry.spans import SpanTracker
 class TestLifecycle:
     def test_start_records_name_node_and_parent(self):
         tracker = SpanTracker()
-        root = tracker.start("frame.heartbeat", node=3)
-        child = tracker.start("frame.vouch", node=4, parent=root)
+        root = tracker.start("dir.lookup.tracker", node=3)
+        tracker.current = root
+        child = tracker.start("frame.vouch", 4, 17)
         record = tracker.get(root)
-        assert record.name == "frame.heartbeat"
+        assert record.name == "dir.lookup.tracker"
         assert record.node == 3
         assert record.parent_id is None
-        assert record.frame_ids == []
+        assert record.frame_id is None
         assert tracker.get(child).parent_id == root
+        assert tracker.get(child).frame_id == 17
 
     def test_ids_are_deterministic(self):
         a = SpanTracker()
@@ -32,12 +34,6 @@ class TestContext:
         child = tracker.start("child")
         assert tracker.get(child).parent_id == root
         assert [r.span_id for r in tracker.children(root)] == [child]
-
-    def test_root_flag_forces_tree_root(self):
-        tracker = SpanTracker()
-        tracker.current = tracker.start("outer")
-        forced = tracker.start("forced", root=True)
-        assert tracker.get(forced).parent_id is None
 
     def test_span_context_manager_nests_and_restores(self):
         tracker = SpanTracker()
@@ -57,16 +53,20 @@ class TestContext:
 
 
 class TestTreeQueries:
-    def build(self, tracker):
+    def build(self, tracker, frames=(None, None, None, None)):
         #      r
         #     / \
         #    a   b
         #    |
         #    c
-        r = tracker.start("r", root=True)
-        a = tracker.start("a", parent=r)
-        b = tracker.start("b", parent=r)
-        c = tracker.start("c", parent=a)
+        # ``frames`` gives the frame id each of r, a, b, c sends.
+        r = tracker.start("r", frame_id=frames[0])
+        tracker.current = r
+        a = tracker.start("a", frame_id=frames[1])
+        b = tracker.start("b", frame_id=frames[2])
+        tracker.current = a
+        c = tracker.start("c", frame_id=frames[3])
+        tracker.current = None
         return r, a, b, c
 
     def test_subtree_preorder(self):
@@ -99,28 +99,19 @@ class TestTreeQueries:
 
     def test_frame_association(self):
         tracker = SpanTracker()
-        r, a, b, c = self.build(tracker)
-        tracker.note_frame(a, 10)
-        tracker.note_frame(c, 11)
-        tracker.note_frame(b, 12)
+        r, a, b, c = self.build(tracker, frames=(None, 10, 12, 11))
         assert tracker.span_of_frame(11) == c
         assert tracker.span_of_frame(77) is None
         assert tracker.subtree_frames(a) == {10, 11}
         assert tracker.ancestor_frames(c) == {10, 11}
         assert tracker.subtree_frames(r) == {10, 11, 12}
 
-    def test_note_frame_on_unknown_span_is_noop(self):
-        tracker = SpanTracker()
-        tracker.note_frame(99, 1)
-        assert tracker.span_of_frame(1) is None
-
     def test_format_tree(self):
         tracker = SpanTracker()
-        r, a, b, c = self.build(tracker)
-        tracker.note_frame(c, 5)
+        r, a, b, c = self.build(tracker, frames=(None, None, None, 5))
         assert tracker.format_tree(r).splitlines() == [
             "r [span 1, node -]",
             "  a [span 2, node -]",
-            "    c [span 4, node -] frames=[5]",
+            "    c [span 4, node -] frame=5",
             "  b [span 3, node -]",
         ]

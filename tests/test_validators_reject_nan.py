@@ -12,8 +12,12 @@ import pytest
 from repro.aggregation import AggregateVarSpec
 from repro.core import ContextTypeDef, TimerInvocation, WhenInvocation
 from repro.node import Cpu
-from repro.sensing import LineTrajectory, SensorField, StaticPoint, Target
+from repro.radio import Medium
+from repro.sensing import (LineTrajectory, RandomWalkTrajectory,
+                           SensorField, StaticPoint, Target,
+                           WaypointTrajectory)
 from repro.sim import PeriodicTimer, Simulator, WatchdogTimer
+from repro.transport import NegativeCache
 
 NAN = float("nan")
 
@@ -21,6 +25,11 @@ NAN = float("nan")
 def _mote_skew(factor):
     field = SensorField(Simulator())
     field.add_mote((0.0, 0.0)).skew_clock(factor)
+
+
+def _disturbance(**window):
+    medium = Medium(Simulator(), communication_radius=2.0)
+    medium.add_disturbance(extra_loss=0.5, **window)
 
 
 CASES = {
@@ -40,6 +49,14 @@ CASES = {
     "ContextTypeDef.delay_estimate": lambda: ContextTypeDef(
         name="tracker", activation="tank_detect", delay_estimate=NAN),
     "Mote.skew_clock": lambda: _mote_skew(NAN),
+    "WaypointTrajectory.speed": lambda: WaypointTrajectory(
+        [(0.0, 0.0), (1.0, 0.0)], NAN),
+    "RandomWalkTrajectory.speed": lambda: RandomWalkTrajectory(
+        (0.0, 0.0), NAN, (0.0, 0.0, 4.0, 4.0)),
+    "Medium.add_disturbance.end": lambda: _disturbance(start=1.0, end=NAN),
+    "Medium.add_disturbance.radius": lambda: _disturbance(
+        start=1.0, end=2.0, center=(0.0, 0.0), radius=NAN),
+    "NegativeCache.ttl": lambda: NegativeCache(ttl=NAN),
 }
 
 

@@ -438,7 +438,7 @@ def queue_three_then_power_cycle(reliability=None):
         sender.invoke(alpha_label, beta_label, 5, {"n": n})
     assert len(sender._pending[beta_label]) == 3
     while beta_label in sender._pending:
-        net.sim.step()
+        net.sim.run(max_events=1)
     net.field.fail_node(alpha_leader)
     net.field.motes[alpha_leader].reboot()
     return net, sender, received
