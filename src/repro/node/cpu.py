@@ -61,7 +61,7 @@ class Cpu:
                  queue_limit: int = DEFAULT_QUEUE_LIMIT) -> None:
         if not task_cost >= 0:
             raise ValueError(f"task cost must be >= 0: {task_cost}")
-        if queue_limit < 1:
+        if not queue_limit >= 1:  # also rejects NaN
             raise ValueError(f"queue limit must be >= 1: {queue_limit}")
         self.sim = sim
         self.node_id = node_id
@@ -154,8 +154,14 @@ class Cpu:
         so a backlogged CPU delays protocol reactions, which is the effect
         the Figure 5 stress test measures.  An idle CPU's service event
         is batched (:meth:`~repro.sim.Simulator.schedule_batched`), so
-        the idle receivers of one frame share a heap entry.
+        the idle receivers of one frame share a heap entry.  (A
+        periodic task's fire admits its poll to an idle CPU itself, as
+        one plain entry: see :class:`PeriodicTask`.)
         """
+        if cost is None:
+            cost = self.task_cost
+        elif not cost >= 0:  # also rejects NaN
+            raise ValueError(f"task cost must be >= 0: {cost}")
         boot = self.boot
         if boot is None:
             return False
@@ -166,8 +172,6 @@ class Cpu:
         if poller is not None and (poller._service is not None
                                    or poller._next <= now):
             poller.give_way()
-        if cost is None:
-            cost = self.task_cost
         span = self._spans.current
         task = (fn, args, cost, label, now, span, boot)
         if self._busy:
@@ -244,7 +248,15 @@ class Cpu:
 class PeriodicTask(PeriodicTimer):
     """A periodic timer whose every fire posts ``callback`` to ``cpu`` as
     one task of ``cost`` seconds (None: the CPU's task cost at the post)
-    labelled ``task_label``."""
+    labelled ``task_label``.
+
+    A fire that finds the CPU up, idle and holding no quiet run admits
+    the task itself, as one plain heap entry with the key, span and
+    label :meth:`Cpu.post` would give it.  There, it could only start a
+    batch of one: the fire's re-arm draws the ``seq`` just before it,
+    so it can join no earlier entry (``docs/ENGINE.md`` §1).  Any other
+    fire goes through :meth:`Cpu.post`.
+    """
 
     __slots__ = ("_cpu", "_cost", "_task_label")
 
@@ -253,6 +265,8 @@ class PeriodicTask(PeriodicTimer):
                  task_label: str, label: str = "periodic",
                  initial_delay: Optional[float] = None,
                  scale: float = 1.0) -> None:
+        if cost is not None and not cost >= 0:  # also rejects NaN
+            raise ValueError(f"task cost must be >= 0: {cost}")
         super().__init__(sim, period, callback, label=label,
                          initial_delay=initial_delay, scale=scale)
         self._cpu = cpu
@@ -266,16 +280,35 @@ class PeriodicTask(PeriodicTimer):
         # owns no entry to reconcile, and its fresh entry (the layout of
         # ``repro.sim.engine._handle_entry``) draws one seq.
         sim = self._sim
+        now = sim._now
         handle = self._handle
-        handle.deadline = deadline = sim._now + self.period
+        handle.deadline = deadline = now + self.period
         handle.seq = seq = sim._seq()
         handle.span = span = sim.spans.current
         handle.entry = entry = (deadline, seq, handle.callback, (),
                                 handle.label, span, handle)
-        heappush(sim._heap, entry)
-        sim._live += 1
-        self._cpu.post(self._callback, cost=self._cost,
-                       label=self._task_label)
+        heap = sim._heap
+        heappush(heap, entry)
+        cpu = self._cpu
+        boot = cpu.boot
+        if cpu._busy or cpu._poller is not None or boot is None:
+            sim._live += 1
+            cpu.post(self._callback, cost=self._cost,
+                     label=self._task_label)
+            return
+        # What ``Cpu.post`` does on an idle CPU, inline: one call per
+        # poll fewer, and no batch of one.
+        cost = self._cost
+        if cost is None:
+            cost = cpu.task_cost
+        label = self._task_label
+        cpu._busy = True
+        cpu._done_at = done = now + cost
+        heappush(heap, (done, sim._seq(), cpu._finish,
+                        ((self._callback, (), cost, label, now, span,
+                          boot),),
+                        label, span, None))
+        sim._live += 2
 
 
 #: A quiet run looks at most this many polls ahead; a longer quiet

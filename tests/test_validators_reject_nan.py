@@ -1,4 +1,5 @@
-"""Regression: every duration, radius and speed validator rejects NaN.
+"""Regression: every duration, cost, radius, speed and limit validator
+rejects NaN.
 
 ``nan <= 0`` and ``nan < 0`` are both False, so a check written as
 ``if x <= 0: raise`` lets NaN through.  The value then fails far from
@@ -27,6 +28,17 @@ def _mote_skew(factor):
     field.add_mote((0.0, 0.0)).skew_clock(factor)
 
 
+def _busy_cpu_post(cost):
+    cpu = Cpu(Simulator(), 0)
+    cpu.post(lambda: None)  # in service: the next post queues
+    cpu.post(lambda: None, cost=cost)
+
+
+def _mote_periodic(cost):
+    field = SensorField(Simulator())
+    field.add_mote((0.0, 0.0)).periodic(0.1, lambda: None, cost=cost)
+
+
 def _disturbance(**window):
     medium = Medium(Simulator(), communication_radius=2.0)
     medium.add_disturbance(extra_loss=0.5, **window)
@@ -37,6 +49,9 @@ CASES = {
         "t", "vehicle", StaticPoint((0.0, 0.0)), signature_radius=NAN),
     "LineTrajectory.speed": lambda: LineTrajectory((0.0, 0.0), NAN),
     "Cpu.task_cost": lambda: Cpu(Simulator(), 0, task_cost=NAN),
+    "Cpu.queue_limit": lambda: Cpu(Simulator(), 0, queue_limit=NAN),
+    "Cpu.post.cost": lambda: _busy_cpu_post(NAN),
+    "Mote.periodic.cost": lambda: _mote_periodic(NAN),
     "PeriodicTimer.period": lambda: PeriodicTimer(
         Simulator(), NAN, lambda: None),
     "WatchdogTimer.timeout": lambda: WatchdogTimer(
@@ -62,5 +77,14 @@ CASES = {
 
 @pytest.mark.parametrize("build", CASES.values(), ids=list(CASES))
 def test_nan_rejected_at_construction(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("build", [lambda: _busy_cpu_post(-0.5),
+                                   lambda: _mote_periodic(-0.5)],
+                         ids=["Cpu.post.cost", "Mote.periodic.cost"])
+def test_negative_task_cost_rejected(build):
+    """A negative cost would schedule a service in the past."""
     with pytest.raises(ValueError):
         build()
