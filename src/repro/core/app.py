@@ -59,9 +59,10 @@ class EnviroTrackApp:
     communication_radius / base_loss_rate / task_cost / cpu_queue_limit /
     soft_edge_start / soft_edge_loss:
         Field and radio configuration (see :class:`SensorField`).
-    enable_directory / enable_mtp:
-        Install the naming/transport services (on by default; the tracking
-        core works without them).
+    enable_transport:
+        Install the §5.3 directory and §5.4 MTP on every mote, as one
+        pair: MTP falls back to the directory on first contact (on by
+        default; the tracking core works without them).
     registry:
         Custom aggregation registry; defaults to a fresh stock registry.
 
@@ -73,7 +74,7 @@ class EnviroTrackApp:
                  base_loss_rate: float = 0.0, task_cost: float = 0.001,
                  cpu_queue_limit: int = 64,
                  soft_edge_start: float = 1.0, soft_edge_loss: float = 0.0,
-                 enable_directory: bool = True, enable_mtp: bool = True,
+                 enable_transport: bool = True,
                  registry: Optional[AggregationRegistry] = None) -> None:
         self.sim = Simulator(seed=seed)
         self.field = SensorField(
@@ -82,8 +83,7 @@ class EnviroTrackApp:
             task_cost=task_cost, cpu_queue_limit=cpu_queue_limit,
             soft_edge_start=soft_edge_start, soft_edge_loss=soft_edge_loss)
         self.registry = registry or default_registry()
-        self.enable_directory = enable_directory
-        self.enable_mtp = enable_mtp
+        self.enable_transport = enable_transport
         self.context_types: List[ContextTypeDef] = []
         self.base_station: Optional[BaseStation] = None
         self.routers: Dict[int, GeoRouter] = {}
@@ -137,23 +137,21 @@ class EnviroTrackApp:
             router = GeoRouter(mote)
             self.routers[mote.node_id] = router
             directory = None
-            if self.enable_directory:
+            if self.enable_transport:
                 directory = DirectoryService(mote, router, bounds)
                 self.directories[mote.node_id] = directory
             agent = EnviroTrackAgent(
                 mote, list(self.context_types), registry=self.registry,
                 router=router, directory=directory, base_station=base_id)
-            if self.enable_mtp:
-                mtp = MtpAgent(mote, router, agent.groups,
-                               directory=directory)
-                agent.mtp = mtp
-                self.mtp_agents[mote.node_id] = mtp
+            if directory is not None:
+                agent.mtp = MtpAgent(mote, router, agent.groups,
+                                     directory=directory)
+                self.mtp_agents[mote.node_id] = agent.mtp
             self.agents[mote.node_id] = agent
             router.start()
             if directory is not None:
                 directory.start()
-            if self.enable_mtp:
-                self.mtp_agents[mote.node_id].start()
+                agent.mtp.start()
             agent.start()
         if self.base_station is not None:
             # Re-bind the base station to its router for multi-hop reports.

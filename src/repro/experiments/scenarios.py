@@ -65,8 +65,7 @@ class TankScenario:
     #: continuously, as on the physical testbed.
     deployment_jitter: float = 0.0
     with_base_station: bool = True
-    enable_directory: bool = False
-    enable_mtp: bool = False
+    enable_transport: bool = False
     leader_kill_times: Tuple[float, ...] = field(default_factory=tuple)
     seed: int = 0
 
@@ -159,8 +158,7 @@ def build_app(scenario: TankScenario) -> EnviroTrackApp:
         soft_edge_loss=scenario.soft_edge_loss,
         task_cost=scenario.task_cost,
         cpu_queue_limit=scenario.cpu_queue_limit,
-        enable_directory=scenario.enable_directory,
-        enable_mtp=scenario.enable_mtp,
+        enable_transport=scenario.enable_transport,
     )
     if scenario.deployment_jitter > 0:
         app.field.deploy_jittered_grid(scenario.columns, scenario.rows,

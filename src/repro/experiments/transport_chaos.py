@@ -54,6 +54,41 @@ APP_PORT = 7
 
 MODES = ("raw", "reliable")
 
+#: The grid (columns × rows, unit spacing) and its radio radius.
+COLUMNS = 8
+ROWS = 3
+COMMUNICATION_RADIUS = 2.5
+
+#: The destination group's heartbeat period.
+HEARTBEAT_PERIOD = 0.5
+
+#: Mean seconds between the sender's invocations and between the
+#: destination leader's directory registrations (each jittered ±10%).
+SEND_PERIOD = 0.4
+REGISTER_PERIOD = 1.0
+
+#: Seconds before the destination group's leader is first looked for.
+WARMUP = 8.0
+
+#: Seconds between leader crashes, and from a crash to its reboot.
+CRASH_PERIOD = 6.0
+REBOOT_AFTER = 3.0
+
+#: When the loss spike starts (seconds after the sender's first tick)
+#: and how long it lasts.
+SPIKE_OFFSET = 3.0
+SPIKE_DURATION = 2.0
+
+#: Seconds the run continues after the last send.
+DRAIN = 8.0
+
+#: The reliable mode's delivery discipline.
+RELIABILITY = ReliabilityConfig(ack_timeout=0.5, jitter=0.25,
+                                max_retries=2, max_escalations=4)
+
+#: Every mote's per-attempt directory lookup timeout.
+LOOKUP_TIMEOUT = 1.0
+
 
 @dataclass(frozen=True)
 class TransportChaosSpec:
@@ -61,43 +96,16 @@ class TransportChaosSpec:
 
     mode: str
     seed: int
-    columns: int = 8
-    rows: int = 3
-    communication_radius: float = 2.5
     base_loss_rate: float = 0.02
-    heartbeat_period: float = 0.5
-    send_period: float = 0.4
-    register_period: float = 1.0
-    warmup: float = 8.0
     crashes: int = 2
-    crash_period: float = 6.0
-    reboot_after: float = 3.0
-    spike_offset: float = 3.0
-    spike_duration: float = 2.0
     spike_extra_loss: float = 0.5
-    drain: float = 8.0
-    ack_timeout: float = 0.5
-    retry_jitter: float = 0.25
-    max_retries: int = 2
-    max_escalations: int = 4
-    lookup_timeout: float = 1.0
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}: {self.mode!r}")
 
     def reliability(self) -> Optional[ReliabilityConfig]:
-        if self.mode == "raw":
-            return None
-        return ReliabilityConfig(ack_timeout=self.ack_timeout,
-                                 jitter=self.retry_jitter,
-                                 max_retries=self.max_retries,
-                                 max_escalations=self.max_escalations)
-
-    @property
-    def sending_window(self) -> float:
-        """Seconds the sender streams for (the crash window's length)."""
-        return self.crashes * self.crash_period
+        return None if self.mode == "raw" else RELIABILITY
 
 
 @dataclass(frozen=True)
@@ -175,15 +183,13 @@ def _transport_run(spec: TransportChaosSpec,
     """One run: build the grid, stream invocations, inject faults."""
     reset_frame_ids()
     sim = Simulator(seed=spec.seed)
-    field = SensorField(sim, communication_radius=spec.communication_radius,
+    field = SensorField(sim, communication_radius=COMMUNICATION_RADIUS,
                         base_loss_rate=spec.base_loss_rate)
-    motes = field.deploy_grid(spec.columns, spec.rows)
-    bounds = FieldBounds(0.0, 0.0, float(spec.columns - 1),
-                         float(spec.rows - 1))
+    motes = field.deploy_grid(COLUMNS, ROWS)
+    bounds = FieldBounds(0.0, 0.0, float(COLUMNS - 1), float(ROWS - 1))
     # Sensing members fill the far column, so a crashed leader always has
     # live same-group successors in radio range (takeover material).
-    dst_members = {row * spec.columns + (spec.columns - 1)
-                   for row in range(spec.rows)}
+    dst_members = {row * COLUMNS + (COLUMNS - 1) for row in range(ROWS)}
     managers: Dict[int, GroupManager] = {}
     agents: Dict[int, MtpAgent] = {}
     directories: Dict[int, DirectoryService] = {}
@@ -198,16 +204,16 @@ def _transport_run(spec: TransportChaosSpec,
         router = GeoRouter(mote)
         router.start()
         directory = DirectoryService(mote, router, bounds, hash_margin=1.0,
-                                     lookup_timeout=spec.lookup_timeout)
+                                     lookup_timeout=LOOKUP_TIMEOUT)
         directory.start()
         manager = GroupManager(mote)
         manager.track(CONTEXT_DST,
                       lambda m: m.node_id in dst_members,
-                      GroupConfig(heartbeat_period=spec.heartbeat_period,
+                      GroupConfig(heartbeat_period=HEARTBEAT_PERIOD,
                                   suppression_range=None))
         manager.start()
         MemberReporter(mote, manager,
-                       period=2.0 * spec.heartbeat_period,
+                       period=2.0 * HEARTBEAT_PERIOD,
                        context_type=CONTEXT_DST, kind=REPORT_KIND).start()
         agent = MtpAgent(mote, router, manager, directory=directory,
                          reliability=spec.reliability())
@@ -226,7 +232,7 @@ def _transport_run(spec: TransportChaosSpec,
 
     # Warm up until the destination group has an elected leader (bounded,
     # deterministic: extension depends only on this run's event stream).
-    sim.run(until=spec.warmup)
+    sim.run(until=WARMUP)
     for _ in range(20):
         node, label = dst_leader()
         if node is not None and label:
@@ -238,8 +244,8 @@ def _transport_run(spec: TransportChaosSpec,
     target_label = label
     state = {"sent": 0}
     # Deadlines hang off the *actual* clock (warmup may have extended).
-    send_end = sim.now + 2.0 + spec.crashes * spec.crash_period
-    end = send_end + spec.drain
+    send_end = sim.now + 2.0 + spec.crashes * CRASH_PERIOD
+    end = send_end + DRAIN
     # ±10% seeded jitter on the workload periods.  Without it the sender,
     # the registrar and the directory's retry timer phase-lock on common
     # divisors and the same hidden-terminal collision then kills *every*
@@ -251,16 +257,16 @@ def _transport_run(spec: TransportChaosSpec,
         if node_id is not None and current:
             directories[node_id].register(
                 CONTEXT_DST, current, motes[node_id].position, node_id)
-        if sim.now + spec.register_period <= end:
-            sim.schedule(jitter.uniform(0.9, 1.1) * spec.register_period,
+        if sim.now + REGISTER_PERIOD <= end:
+            sim.schedule(jitter.uniform(0.9, 1.1) * REGISTER_PERIOD,
                          register_tick, label="txchaos.register")
 
     def send_tick() -> None:
         state["sent"] += 1
         agents[0].invoke(SRC_LABEL, target_label, APP_PORT,
                          {"n": state["sent"]})
-        if sim.now + spec.send_period <= send_end:
-            sim.schedule(jitter.uniform(0.9, 1.1) * spec.send_period,
+        if sim.now + SEND_PERIOD <= send_end:
+            sim.schedule(jitter.uniform(0.9, 1.1) * SEND_PERIOD,
                          send_tick, label="txchaos.send")
 
     # Let the first registration replicate before the first lookup races
@@ -270,10 +276,10 @@ def _transport_run(spec: TransportChaosSpec,
     sim.run(until=sim.now + 2.0)
     injector = FaultInjector(sim, field, managers=managers)
     injector.arm(leader_crash_schedule(
-        CONTEXT_DST, start=sim.now + 1.5, period=spec.crash_period,
-        count=spec.crashes, reboot_after=spec.reboot_after))
+        CONTEXT_DST, start=sim.now + 1.5, period=CRASH_PERIOD,
+        count=spec.crashes, reboot_after=REBOOT_AFTER))
     injector.arm(FaultPlan(events=(LossSpike(
-        time=sim.now + spec.spike_offset, duration=spec.spike_duration,
+        time=sim.now + SPIKE_OFFSET, duration=SPIKE_DURATION,
         extra_loss=spec.spike_extra_loss),)))
     sim.schedule(0.0, send_tick, label="txchaos.send")
     sim.run(until=end)
@@ -306,21 +312,17 @@ def _transport_task(spec: TransportChaosSpec) -> TransportOutcome:
 
 def transport_chaos(repetitions: int = 3, seed_base: int = 91,
                     quick: bool = False, jobs: int = 1,
-                    trace_out: Optional[str] = None,
-                    **overrides) -> TransportChaosResult:
+                    trace_out: Optional[str] = None) -> TransportChaosResult:
     """Run raw and reliable MTP over the same seeds; aggregate outcomes.
 
     ``jobs`` fans the runs out worker-per-(mode, seed); specs are pure
     data, so parallel results equal serial ones.  ``trace_out`` writes
     the first run's trace as JSONL (deterministic serial rerun).
-    ``overrides`` forward to :class:`TransportChaosSpec` (e.g.
-    ``crashes=3``).
+    ``quick`` runs one repetition.
     """
     if quick:
         repetitions = 1
-        overrides.setdefault("crashes", 2)
-    specs = [TransportChaosSpec(mode=mode, seed=seed_base + rep,
-                                **overrides)
+    specs = [TransportChaosSpec(mode=mode, seed=seed_base + rep)
              for rep in range(repetitions)
              for mode in MODES]
     outcomes = parallel_map(_transport_task, specs, jobs=jobs)

@@ -13,7 +13,7 @@ Implementation notes:
 * the node nearest the hashed point stores the entry and replicates it to
   its one-hop neighborhood ("the nodes within one hop of that coordinate
   are responsible"), so the directory survives single-node failures;
-* entries expire after ``entry_ttl`` without updates — departed labels
+* entries expire after :data:`ENTRY_TTL` without updates — departed labels
   vanish without explicit deregistration, matching the protocol's
   soft-state philosophy.
 """
@@ -39,16 +39,17 @@ REPLICATE_KIND = "dir.replicate"
 QUERY_KIND = "dir.query"
 RESPONSE_KIND = "dir.response"
 
-#: Default soft-state lifetime of a directory entry (seconds).
-DEFAULT_ENTRY_TTL = 30.0
+#: Soft-state lifetime of a directory entry (seconds).
+ENTRY_TTL = 30.0
 
 #: Default per-attempt lookup timeout (seconds): the query + response
 #: round trip over greedy routing at paper-scale deployments is well
 #: under a second; 3 s absorbs CPU backlog and MAC backoff tails.
 DEFAULT_LOOKUP_TIMEOUT = 3.0
 
-#: Default extra attempts after the first lookup times out.
-DEFAULT_LOOKUP_RETRIES = 1
+#: Extra query attempts after the first lookup attempt times out; once
+#: they are spent the lookup answers ``[]``.
+LOOKUP_RETRIES = 1
 
 
 @dataclass
@@ -75,9 +76,6 @@ class DirectoryEntry:
     location: Position
     leader: int
     updated: float
-
-    def fresh(self, now: float, ttl: float) -> bool:
-        return now - self.updated <= ttl
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,21 +138,20 @@ class DirectoryService(Component):
         Host mote and its geographic router.
     bounds:
         Field bounds every node agrees on (hash domain).
-    entry_ttl:
-        Seconds an entry lives without updates.
     hash_margin:
         Keep hashed coordinates this far from the field edge.
     lookup_timeout:
         Seconds to wait per lookup attempt before retrying or giving up.
-    lookup_retries:
-        Extra query attempts after the first timeout; once exhausted the
-        callback fires with ``[]`` and the pending entry is collected.
+
+    An entry lives :data:`ENTRY_TTL` seconds without updates.  A lookup
+    retries :data:`LOOKUP_RETRIES` times; then the callback fires with
+    ``[]`` and the pending entry is collected.
 
     A crash drops the mote's replicas and its pending lookups, with
     their timeouts and without calling back: nobody is left waiting for
     the answers.  Only the query counter survives, so a late answer to a
     query from before the crash never matches a new one.  Until every
-    entry it could hold has been refreshed or has expired, ``entry_ttl``
+    entry it could hold has been refreshed or has expired, :data:`ENTRY_TTL`
     after the reboot, the node hands each query it would answer on to
     the replica holder nearest the point, once.
     """
@@ -162,25 +159,16 @@ class DirectoryService(Component):
     name = "dir"
 
     def __init__(self, mote: Mote, router: GeoRouter, bounds: FieldBounds,
-                 entry_ttl: float = DEFAULT_ENTRY_TTL,
                  hash_margin: float = 1.0,
-                 lookup_timeout: float = DEFAULT_LOOKUP_TIMEOUT,
-                 lookup_retries: int = DEFAULT_LOOKUP_RETRIES) -> None:
+                 lookup_timeout: float = DEFAULT_LOOKUP_TIMEOUT) -> None:
         super().__init__(mote)
         self.router = router
         self.bounds = bounds.shrunk(hash_margin)
         # ``not x > 0`` (never ``x <= 0``) so that NaN is rejected too.
-        if not entry_ttl > 0:
-            raise ValueError(f"entry_ttl must be positive: {entry_ttl}")
         if not lookup_timeout > 0:
             raise ValueError(
                 f"lookup_timeout must be positive: {lookup_timeout}")
-        self.entry_ttl = entry_ttl
-        if lookup_retries < 0:
-            raise ValueError(
-                f"lookup_retries must be >= 0: {lookup_retries}")
         self.lookup_timeout = lookup_timeout
-        self.lookup_retries = lookup_retries
         self._entries: Dict[str, DirectoryEntry] = {}
         self._pending_queries: Dict[int, _PendingLookup] = {}
         self._query_seq = 0
@@ -261,7 +249,7 @@ class DirectoryService(Component):
         # A response or a crash cancels the timeout, so the lookup is
         # still pending.
         pending = self._pending_queries[query_id]
-        if pending.attempts < self.lookup_retries:
+        if pending.attempts < LOOKUP_RETRIES:
             pending.attempts += 1
             self.record("lookup_retry", type=pending.context_type,
                         query=query_id, attempt=pending.attempts)
@@ -281,7 +269,7 @@ class DirectoryService(Component):
         self._entries.clear()
 
     def _on_reboot(self) -> None:
-        self._partial_until = self.now + self.entry_ttl
+        self._partial_until = self.now + ENTRY_TTL
 
     # ------------------------------------------------------------------
     # Directory-object side
@@ -371,7 +359,7 @@ class DirectoryService(Component):
         pending.callback(list(response.entries))
 
     def _expire(self) -> None:
-        horizon = self.now - self.entry_ttl
+        horizon = self.now - ENTRY_TTL
         stale = [label for label, entry in self._entries.items()
                  if entry.updated < horizon]
         for label in stale:

@@ -29,7 +29,8 @@ class FieldBounds:
     y_hi: float
 
     def __post_init__(self) -> None:
-        if self.x_lo >= self.x_hi or self.y_lo >= self.y_hi:
+        # ``not lo < hi`` (never ``lo >= hi``) so that NaN is rejected too.
+        if not self.x_lo < self.x_hi or not self.y_lo < self.y_hi:
             raise ValueError(f"degenerate field bounds: {self}")
 
     @property
@@ -47,21 +48,17 @@ class FieldBounds:
     def shrunk(self, margin: float) -> "FieldBounds":
         """Bounds pulled in by ``margin`` on every side (keeps hashed
         coordinates away from the field edge where node density halves)."""
+        if not margin >= 0:
+            raise ValueError(f"margin must be >= 0: {margin}")
         if 2 * margin >= min(self.width, self.height):
             return self
         return FieldBounds(self.x_lo + margin, self.y_lo + margin,
                            self.x_hi - margin, self.y_hi - margin)
 
 
-def hash_to_coordinate(name: str, bounds: FieldBounds,
-                       salt: str = "") -> Position:
-    """Map a type name to a deterministic coordinate inside ``bounds``.
-
-    The optional ``salt`` lets deployments re-home directories (e.g. after
-    the original directory region is destroyed) while staying consistent
-    network-wide.
-    """
-    digest = hashlib.sha256(f"{salt}:{name}".encode("utf-8")).digest()
+def hash_to_coordinate(name: str, bounds: FieldBounds) -> Position:
+    """Map a type name to a deterministic coordinate inside ``bounds``."""
+    digest = hashlib.sha256(f":{name}".encode("utf-8")).digest()
     x_frac = int.from_bytes(digest[0:8], "big") / float(1 << 64)
     y_frac = int.from_bytes(digest[8:16], "big") / float(1 << 64)
     return (bounds.x_lo + x_frac * bounds.width,

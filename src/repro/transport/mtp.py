@@ -85,10 +85,6 @@ DEFAULT_CHAIN_LIMIT = 8
 #: this the newest send drops with reason ``pending_overflow``.
 PENDING_LIMIT = 32
 
-#: Seconds an "unknown label" verdict is cached before the directory is
-#: asked again.
-NEGATIVE_TTL = 5.0
-
 #: Pacing between invocations released from one resolved lookup queue.
 #: Releasing a deep backlog in a single instant makes the backlog's own
 #: frames collide with each other along the route (hidden terminals);
@@ -139,20 +135,20 @@ class MtpAgent(Component):
     mote, router, groups:
         Host mote, its geographic router and group manager.
     directory:
-        Directory service for first-contact lookups; optional — without it
-        only table-resolved destinations work.
+        The mote's directory service, asked on first contact with a label
+        and when a reliable send escalates.
     reliability:
         Reliable-delivery configuration; None (default) keeps the paper's
         fire-and-forget sends.  Receiving stays reliable-aware either way.
 
-    The last-known-leader table keeps its default LRU size, an "unknown
-    label" verdict is cached for :data:`NEGATIVE_TTL` seconds, and at
-    most :data:`PENDING_LIMIT` invocations queue behind one directory
-    lookup.  A label has at most one lookup in flight: its queue opens
-    with the lookup and closes when the directory calls back, which it
-    does exactly once — with the entries, or ``[]`` once its timeout and
-    retry budget are spent — so the directory's callback is the only
-    deadline on the wait.
+    The last-known-leader table holds :data:`LEADER_TABLE_CAPACITY`
+    labels, an "unknown label" verdict is cached for :data:`NEGATIVE_TTL`
+    seconds, and at most :data:`PENDING_LIMIT` invocations queue behind
+    one directory lookup.  A label has at most one lookup in flight: its
+    queue opens with the lookup and closes when the directory calls back,
+    which it does exactly once — with the entries, or ``[]`` once its
+    timeout and retry budget are spent — so the directory's callback is
+    the only deadline on the wait.
 
     Every outcome is a trace record (``mtp.deliver``, ``mtp.forward``,
     ``mtp.drop``, ``mtp.duplicate``, ``mtp.ack``, ``mtp.retransmit``,
@@ -171,7 +167,7 @@ class MtpAgent(Component):
     name = "mtp"
 
     def __init__(self, mote: Mote, router: GeoRouter, groups: GroupManager,
-                 directory: Optional["DirectoryService"] = None,
+                 directory: "DirectoryService",
                  reliability: Optional[ReliabilityConfig] = None) -> None:
         super().__init__(mote)
         self.router = router
@@ -187,7 +183,7 @@ class MtpAgent(Component):
         self._outbox: Dict[Tuple[StreamKey, int],
                            PendingTransmission] = {}
         self._dedup = DedupTable()
-        self._negative = NegativeCache(ttl=NEGATIVE_TTL)
+        self._negative = NegativeCache()
         self.delivered = 0
         self.acked = 0
         self.retransmitted = 0
@@ -259,9 +255,6 @@ class MtpAgent(Component):
         pointer = self.table.get(dest_label)
         if pointer is not None:
             self._transmit(pointer.leader, invocation)
-            return
-        if self.directory is None:
-            self._drop(invocation, "no_route")
             return
         self._enqueue_lookup(invocation)
 
@@ -379,8 +372,7 @@ class MtpAgent(Component):
         back to a fresh directory lookup — dead-letter only after that."""
         config = self.reliability
         dest_label = pending.invocation.dest_label
-        if pending.escalations >= config.max_escalations \
-                or self.directory is None:
+        if pending.escalations >= config.max_escalations:
             self._dead_letter(pending, "retry_exhausted")
             return
         pending.escalations += 1
@@ -401,13 +393,14 @@ class MtpAgent(Component):
                     seq=invocation.seq, reason=reason)
 
     def _drop(self, invocation: Invocation, reason: str) -> None:
-        """Final-drop bookkeeping; sequenced invocations dead-letter."""
+        """Final-drop bookkeeping; sequenced invocations dead-letter, and
+        one a late ack already ended leaves no record."""
         if invocation.seq is not None:
             pending = self._outbox.get((invocation.stream(),
                                         invocation.seq))
             if pending is not None:
                 self._dead_letter(pending, reason)
-                return
+            return
         self.record("drop", reason=reason, dest=invocation.dest_label)
 
     # ------------------------------------------------------------------

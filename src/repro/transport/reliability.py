@@ -19,7 +19,8 @@ discipline real deployments layer on top:
   timelines (digest-stable, serial and ``--jobs N`` alike).
 * **Dedup** — receivers remember recently seen ``(stream, seq)`` pairs
   (a stream: a connection as sent by one leader in one boot) in a
-  bounded LRU, so retransmissions reach the handler *at most once*.
+  bounded LRU of :data:`DEDUP_CONNECTIONS` streams × :data:`DEDUP_WINDOW`
+  sequence numbers, so retransmissions reach the handler *at most once*.
 * **Dead letters** — when the retransmit budget and the escalation
   budget (pointer invalidation + fresh directory lookup) are both
   exhausted, the message ends in an ``mtp.dead_letter`` trace record
@@ -155,19 +156,14 @@ class ReliabilityConfig:
 class DedupTable:
     """Bounded memory of delivered ``(stream, seq)`` pairs.
 
-    The ``connections`` most recent streams are kept; within a stream
-    the remembered window is the last ``window`` distinct sequence
-    numbers.  ``mark`` returns True exactly once per remembered pair, so
-    handler delivery is at-most-once while the pair stays in memory.
+    The :data:`DEDUP_CONNECTIONS` most recent streams are kept; within a
+    stream the remembered window is the last :data:`DEDUP_WINDOW`
+    distinct sequence numbers.  ``mark`` returns True exactly once per
+    remembered pair, so handler delivery is at-most-once while the pair
+    stays in memory.
     """
 
-    def __init__(self, connections: int = DEDUP_CONNECTIONS,
-                 window: int = DEDUP_WINDOW) -> None:
-        _require(connections >= 1,
-                 f"connections must be >= 1: {connections}")
-        _require(window >= 1, f"window must be >= 1: {window}")
-        self.connections = connections
-        self.window = window
+    def __init__(self) -> None:
         self._seen: "OrderedDict[StreamKey, OrderedDict[int, None]]" = \
             OrderedDict()
 
@@ -181,14 +177,14 @@ class DedupTable:
         if seqs is None:
             seqs = OrderedDict()
             self._seen[stream] = seqs
-            while len(self._seen) > self.connections:
+            while len(self._seen) > DEDUP_CONNECTIONS:
                 self._seen.popitem(last=False)
         else:
             self._seen.move_to_end(stream)
             if seq in seqs:
                 return False
         seqs[seq] = None
-        while len(seqs) > self.window:
+        while len(seqs) > DEDUP_WINDOW:
             seqs.popitem(last=False)
         return True
 

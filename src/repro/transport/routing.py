@@ -82,20 +82,20 @@ class GeoRouter(Component):
         self._handlers[inner_kind] = handler
 
     def route_to_point(self, dest: Position, inner_kind: str,
-                       inner_payload: Any,
-                       ttl: int = DEFAULT_TTL) -> None:
-        """Send a payload toward a field coordinate.
+                       inner_payload: Any) -> None:
+        """Send a payload toward a field coordinate, with a hop budget of
+        :data:`DEFAULT_TTL`.
 
         Delivery happens at the node closest to ``dest`` (the "directory
         object" semantics of §5.3: nodes near the hashed coordinate).
         """
         self._step(Packet(dest, self.node_id, inner_kind, inner_payload,
-                          ttl))
+                          DEFAULT_TTL))
 
     def route_to_node(self, dest_node: int, inner_kind: str,
-                      inner_payload: Any,
-                      ttl: int = DEFAULT_TTL) -> None:
-        """Send a payload to a specific node, routing by its position.
+                      inner_payload: Any) -> None:
+        """Send a payload to a specific node, routing by its position,
+        with a hop budget of :data:`DEFAULT_TTL`.
 
         Location-awareness assumption: the sender can resolve the node's
         coordinates (the paper's location services, e.g. GLS [24]).
@@ -107,7 +107,7 @@ class GeoRouter(Component):
             self.record("dead_end", reason="unknown_node", dest=dest_node)
             return
         self._step(Packet(dest, self.node_id, inner_kind, inner_payload,
-                          ttl, dest_node))
+                          DEFAULT_TTL, dest_node))
 
     # ------------------------------------------------------------------
     def _on_frame(self, frame) -> None:

@@ -8,7 +8,18 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
+
+#: Labels a last-known-leader table holds before the least recently
+#: used one is evicted.
+LEADER_TABLE_CAPACITY = 16
+
+#: Seconds an "unknown label" verdict is cached before the directory is
+#: asked again.
+NEGATIVE_TTL = 5.0
+
+#: Labels a negative cache holds before the oldest stored one is evicted.
+NEGATIVE_CAPACITY = 32
 
 
 @dataclass
@@ -20,18 +31,15 @@ class LeaderPointer:
 
 
 class LastKnownLeaderTable:
-    """LRU map: context label → last-known leader.
+    """LRU map of at most :data:`LEADER_TABLE_CAPACITY` entries: context
+    label → last-known leader.
 
     Both reads and writes refresh recency, so labels in active conversations
     stay resident while idle ones age out.
     """
 
-    def __init__(self, capacity: int = 16) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1: {capacity}")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._entries: "OrderedDict[str, LeaderPointer]" = OrderedDict()
-        self.evictions = 0
 
     def update(self, label: str, leader: int, now: float) -> None:
         """Record ``leader`` as the freshest known leader of ``label``.
@@ -48,19 +56,14 @@ class LastKnownLeaderTable:
             return
         self._entries[label] = LeaderPointer(leader=leader, updated=now)
         self._entries.move_to_end(label)
-        while len(self._entries) > self.capacity:
+        while len(self._entries) > LEADER_TABLE_CAPACITY:
             self._entries.popitem(last=False)
-            self.evictions += 1
 
     def get(self, label: str) -> Optional[LeaderPointer]:
         entry = self._entries.get(label)
         if entry is not None:
             self._entries.move_to_end(label)
         return entry
-
-    def peek(self, label: str) -> Optional[LeaderPointer]:
-        """Read without refreshing recency (for tests/metrics)."""
-        return self._entries.get(label)
 
     def forget(self, label: str) -> None:
         self._entries.pop(label, None)
@@ -75,13 +78,11 @@ class LastKnownLeaderTable:
     def __contains__(self, label: str) -> bool:
         return label in self._entries
 
-    def labels(self) -> Iterator[str]:
-        """Labels from least- to most-recently used."""
-        return iter(self._entries)
-
 
 class NegativeCache:
-    """Bounded TTL memory of labels the directory recently did not know.
+    """Bounded TTL memory of labels the directory recently did not know:
+    at most :data:`NEGATIVE_CAPACITY` labels, each for
+    :data:`NEGATIVE_TTL` seconds.
 
     A lookup that comes back without the requested label parks the label
     here; until the entry expires, repeated sends to it fail locally
@@ -90,20 +91,14 @@ class NegativeCache:
     hot unknown label would otherwise monopolize it).
     """
 
-    def __init__(self, ttl: float = 5.0, capacity: int = 32) -> None:
-        if not ttl > 0:  # also rejects NaN
-            raise ValueError(f"ttl must be positive: {ttl}")
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1: {capacity}")
-        self.ttl = ttl
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._expiry: "OrderedDict[str, float]" = OrderedDict()
 
     def store(self, label: str, now: float) -> None:
-        """Remember ``label`` as unknown until ``now + ttl``."""
-        self._expiry[label] = now + self.ttl
+        """Remember ``label`` as unknown until ``now + NEGATIVE_TTL``."""
+        self._expiry[label] = now + NEGATIVE_TTL
         self._expiry.move_to_end(label)
-        while len(self._expiry) > self.capacity:
+        while len(self._expiry) > NEGATIVE_CAPACITY:
             self._expiry.popitem(last=False)
 
     def fresh(self, label: str, now: float) -> bool:

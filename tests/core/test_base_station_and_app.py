@@ -81,8 +81,7 @@ class TestAppAssembly:
         assert set(app.mtp_agents) == set(app.field.motes)
 
     def test_optional_services_disabled(self):
-        app = EnviroTrackApp(seed=1, enable_directory=False,
-                             enable_mtp=False)
+        app = EnviroTrackApp(seed=1, enable_transport=False)
         app.field.deploy_grid(2, 2)
         app.install()
         assert app.directories == {}
@@ -107,8 +106,7 @@ class TestAppAssembly:
             app.place_base_station((0.0, -1.0))
 
     def test_leaders_introspection(self):
-        app = EnviroTrackApp(seed=1, enable_directory=False,
-                             enable_mtp=False)
+        app = EnviroTrackApp(seed=1, enable_transport=False)
         app.field.deploy_grid(4, 1)
         sensing = {1}
         for mote in app.field.mote_list():
@@ -121,8 +119,7 @@ class TestAppAssembly:
         assert leaders[1].startswith("t#")
 
     def test_leaders_omit_a_crashed_leader(self):
-        app = EnviroTrackApp(seed=1, enable_directory=False,
-                             enable_mtp=False)
+        app = EnviroTrackApp(seed=1, enable_transport=False)
         app.field.deploy_grid(4, 1)
         sensing = {1}
         for mote in app.field.mote_list():

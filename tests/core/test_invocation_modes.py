@@ -8,7 +8,7 @@ from repro.sensing import StaticPoint, Target
 
 
 def build(method, directory_update_period=None):
-    app = EnviroTrackApp(seed=91, enable_directory=True, enable_mtp=False)
+    app = EnviroTrackApp(seed=91)
     app.field.deploy_grid(5, 2)
     app.field.add_target(Target("thing", "thing", StaticPoint((2.0, 0.5)),
                                 signature_radius=1.2))

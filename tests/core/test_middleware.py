@@ -14,8 +14,7 @@ from repro.sensing import LineTrajectory, StaticPoint, Target
 def build_app(context_types, columns=8, rows=2, target_speed=0.0,
               target_pos=(3.0, 0.5), radius=1.2, seed=5, **app_kwargs):
     app = EnviroTrackApp(seed=seed, base_loss_rate=0.0,
-                         enable_directory=False, enable_mtp=False,
-                         **app_kwargs)
+                         enable_transport=False, **app_kwargs)
     app.field.deploy_grid(columns, rows)
     app.field.add_target(Target(
         "t", "vehicle", LineTrajectory(target_pos, target_speed),
@@ -112,7 +111,7 @@ def test_app_error_recorded_not_raised():
 def test_deactivation_hysteresis():
     """With an explicit deactivation condition, a node stays in the group
     between the activation and deactivation thresholds."""
-    app = EnviroTrackApp(seed=5, enable_directory=False, enable_mtp=False)
+    app = EnviroTrackApp(seed=5, enable_transport=False)
     app.field.deploy_grid(4, 1)
     readings = {"value": 300.0}
     for mote in app.field.mote_list():
@@ -141,7 +140,7 @@ def test_deactivation_hysteresis():
 def test_reboot_clears_deactivation_hysteresis():
     """The hysteresis latch is RAM: a node rebooted inside the band comes
     back unlatched, stays idle, and does not found a second group."""
-    app = EnviroTrackApp(seed=5, enable_directory=False, enable_mtp=False)
+    app = EnviroTrackApp(seed=5, enable_transport=False)
     app.field.deploy_grid(4, 1)
     readings = {"value": 300.0}
     for mote in app.field.mote_list():

@@ -75,8 +75,7 @@ def test_lookup_without_directory_records_drop():
                                      confidence=1, freshness=1.0)],
         objects=[TrackingObjectDef("o", [
             MethodDef("probe", TimerInvocation(2.0), probe)])])
-    app = EnviroTrackApp(seed=82, enable_directory=False,
-                         enable_mtp=False)
+    app = EnviroTrackApp(seed=82, enable_transport=False)
     app.field.deploy_grid(4, 2)
     app.field.add_target(Target("thing", "thing", StaticPoint((1.0, 0.5)),
                                 signature_radius=1.0))

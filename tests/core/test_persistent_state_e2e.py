@@ -38,7 +38,7 @@ def counting_tracker():
 def test_counter_survives_leadership_migration():
     definition, observed = counting_tracker()
     app = EnviroTrackApp(seed=71, base_loss_rate=0.02,
-                         enable_directory=False, enable_mtp=False)
+                         enable_transport=False)
     app.field.deploy_grid(12, 2)
     app.field.add_target(Target(
         "car", "vehicle", LineTrajectory((0.0, 0.5), 0.15),
@@ -58,7 +58,7 @@ def test_counter_survives_leadership_migration():
 def test_counter_survives_leader_crash():
     definition, observed = counting_tracker()
     app = EnviroTrackApp(seed=72, base_loss_rate=0.02,
-                         enable_directory=False, enable_mtp=False)
+                         enable_transport=False)
     app.field.deploy_grid(6, 2)
     app.field.add_target(Target(
         "thing", "vehicle", LineTrajectory((2.5, 0.5), 0.0),

@@ -16,8 +16,8 @@ from repro.sensing import StaticPoint, Target
 
 
 def build(freshness, delay_estimate, seed=61):
-    app = EnviroTrackApp(seed=seed, enable_directory=False,
-                         enable_mtp=False, base_loss_rate=0.0)
+    app = EnviroTrackApp(seed=seed, enable_transport=False,
+                         base_loss_rate=0.0)
     app.field.deploy_grid(5, 2)
     app.field.add_target(Target("thing", "thing",
                                 StaticPoint((2.0, 0.5)),

@@ -9,8 +9,7 @@ from repro.sensing import StaticPoint, Target
 
 def build(communication_radius):
     app = EnviroTrackApp(seed=33,
-                         communication_radius=communication_radius,
-                         enable_mtp=False)
+                         communication_radius=communication_radius)
     app.field.deploy_grid(9, 3)
     # A wide stationary phenomenon: sensing span ≈ 6 grid units.
     app.field.add_target(Target(

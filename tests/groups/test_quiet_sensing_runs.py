@@ -42,8 +42,7 @@ scenarios = st.builds(
     heartbeat_period=st.sampled_from([0.2, 0.5, 1.0]),
     relinquish=st.booleans(),
     deployment_jitter=st.sampled_from([0.0, 0.2]),
-    enable_directory=st.booleans(),
-    enable_mtp=st.booleans(),
+    enable_transport=st.booleans(),
     leader_kill_times=st.lists(
         st.floats(min_value=1.0, max_value=8.0), max_size=2).map(tuple),
     seed=st.integers(min_value=0, max_value=10_000))

@@ -16,8 +16,7 @@ from repro.sensing import LineTrajectory, Target
 
 def build_random_app(seed=51, count=90):
     app = EnviroTrackApp(seed=seed, base_loss_rate=0.05,
-                         communication_radius=6.0,
-                         enable_directory=False, enable_mtp=False)
+                         communication_radius=6.0, enable_transport=False)
     # Density ~1.5 motes per unit square keeps the sensing disk populated
     # everywhere with high probability.
     app.field.deploy_random(count, (0.0, 0.0, 12.0, 5.0))

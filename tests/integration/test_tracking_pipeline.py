@@ -109,8 +109,7 @@ class TestMultiTarget:
                                 TrackingObjectDef)
         from repro.groups import GroupConfig
 
-        app = EnviroTrackApp(seed=14, enable_directory=False,
-                             enable_mtp=False)
+        app = EnviroTrackApp(seed=14, enable_transport=False)
         app.field.deploy_grid(12, 6)
         app.field.add_target(Target(
             "a", "vehicle", LineTrajectory((0.0, 1.0), 0.1),

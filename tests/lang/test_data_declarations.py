@@ -53,7 +53,7 @@ def test_data_seeds_locals_and_counts_across_invocations():
                      lambda mote: (mote.read_sensor("thing_seen")
                                    if mote.has_sensor("thing_seen")
                                    else False))
-    app = EnviroTrackApp(seed=3, enable_directory=False, enable_mtp=False)
+    app = EnviroTrackApp(seed=3, enable_transport=False)
     app.field.deploy_grid(4, 2)
     app.field.add_target(Target("thing", "thing", StaticPoint((1.0, 0.5)),
                                 signature_radius=1.0))

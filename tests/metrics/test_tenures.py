@@ -240,8 +240,7 @@ def emit(sim, time, category, node=None, **detail):
 #: (the default 12x2 case study over speed x heartbeat period x seed).
 CRASH_FREE = [
     TankScenario(columns=6, rows=2, seed=11),
-    TankScenario(columns=6, rows=2, seed=11, enable_directory=True,
-                 enable_mtp=True),
+    TankScenario(columns=6, rows=2, seed=11, enable_transport=True),
 ] + [TankScenario(speed=speed, heartbeat_period=heartbeat, seed=seed)
      for seed, (speed, heartbeat) in enumerate(
          [(0.3, 0.25), (0.3, 0.5), (0.3, 1.0), (0.5, 0.25), (0.5, 0.5),

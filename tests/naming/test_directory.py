@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.naming import DirectoryEntry, DirectoryService, FieldBounds
+from repro.naming import (ENTRY_TTL, LOOKUP_RETRIES, DirectoryEntry,
+                          DirectoryService, FieldBounds)
 from repro.naming.directory import REPLICATE_KIND
 from repro.radio import distance
 from repro.sensing import SensorField
@@ -10,8 +11,7 @@ from repro.sim import Simulator
 from repro.transport import GeoRouter
 
 
-def build(columns=8, rows=8, communication_radius=2.0, entry_ttl=30.0,
-          **service_kwargs):
+def build(columns=8, rows=8, communication_radius=2.0, **service_kwargs):
     sim = Simulator(seed=9)
     field = SensorField(sim, communication_radius=communication_radius)
     field.deploy_grid(columns, rows)
@@ -20,8 +20,7 @@ def build(columns=8, rows=8, communication_radius=2.0, entry_ttl=30.0,
     for mote in field.mote_list():
         router = GeoRouter(mote)
         router.start()
-        service = DirectoryService(mote, router, bounds,
-                                   entry_ttl=entry_ttl, hash_margin=1.0,
+        service = DirectoryService(mote, router, bounds, hash_margin=1.0,
                                    **service_kwargs)
         service.start()
         services[mote.node_id] = service
@@ -77,11 +76,20 @@ def test_update_refreshes_location():
 
 
 def test_entries_expire_without_updates():
-    sim, field, services = build(entry_ttl=5.0)
+    # Registered at t=0, the entry lives ENTRY_TTL = 30 s.
+    assert ENTRY_TTL == 30.0
+    sim, field, services = build()
     services[0].register("car", "car#1.1", (0.0, 0.0), leader=1)
     sim.run(until=2.0)
+    holders = [service for service in services.values()
+               if service.entries_for("car")]
+    assert holders
     assert lookup(sim, services, 20, "car")
-    sim.run(until=20.0)
+    sim.run(until=29.9)
+    assert all(service.entries_for("car") for service in holders)
+    assert lookup(sim, services, 20, "car")
+    sim.run(until=30.1)
+    assert not any(service.entries_for("car") for service in holders)
     assert lookup(sim, services, 20, "car") == []
 
 
@@ -149,30 +157,37 @@ def test_lookup_times_out_with_empty_answer_and_no_leak():
     # Kill the whole directory neighborhood: queries route into a dead
     # end, no response ever comes back, and only the client-side timeout
     # stands between the caller and a stranded callback.
-    sim, field, services = build(lookup_timeout=1.0, lookup_retries=1)
+    sim, field, services = build(lookup_timeout=1.0)
     for node in directory_region(field, services, "fire"):
         field.fail_node(node)
     client = services[63]
     answers = []
     called = []
+    start = sim.now
     client.lookup("fire", lambda entries: (answers.extend(entries),
-                                           called.append(True)))
+                                           called.append(sim.now)))
     assert len(client._pending_queries) == 1
     sim.run(until=sim.now + 10.0)
-    assert called == [True]  # callback fired exactly once, with []
+    # Exactly one retry: the callback fires once, with [], when the
+    # second attempt times out.
+    assert LOOKUP_RETRIES == 1
+    assert called == [pytest.approx(start + 2.0)]
     assert answers == []
     assert client._pending_queries == {}  # GC'd, no leak
+    (retry,) = sim.trace_records("dir.lookup_retry")
+    assert retry.detail["attempt"] == 1
+    assert len(list(sim.trace_records("dir.lookup_timeout"))) == 1
     assert sim.metrics.get(
-        "repro_dir_lookup_timeouts_total").value() >= 2.0  # both attempts
+        "repro_dir_lookup_timeouts_total").value() == 2.0  # both attempts
 
 
 def test_lookup_retry_recovers_after_transient_outage():
-    sim, field, services = build(lookup_timeout=1.0, lookup_retries=3)
+    sim, field, services = build(lookup_timeout=2.0)
     services[0].register("fire", "fire#3.1", (2.0, 2.0), leader=3)
     sim.run(until=2.0)
     # A regional blackout: for 1.5 s no mote around the directory point
     # hears anything, so the first attempt dies against it; the region
-    # is back before the retry budget runs out.
+    # is back when the one retry goes out 2 s later.
     field.medium.add_disturbance(
         extra_loss=1.0, start=sim.now, end=sim.now + 1.5,
         center=services[0].directory_point("fire"),
@@ -226,7 +241,7 @@ def test_rebooted_directory_node_hands_queries_to_a_replica():
 
 
 def test_dead_client_lookup_collected_without_callback():
-    sim, field, services = build(lookup_timeout=1.0, lookup_retries=0)
+    sim, field, services = build(lookup_timeout=1.0)
     client = services[63]
     called = []
     client.lookup("ghost", lambda entries: called.append(entries))
@@ -245,17 +260,12 @@ def test_lookup_timeout_validation():
     bounds = FieldBounds(0.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         DirectoryService(mote, router, bounds, lookup_timeout=0.0)
-    with pytest.raises(ValueError):
-        DirectoryService(mote, router, bounds, lookup_retries=-1)
 
 
 @pytest.mark.parametrize("setting,value", [
-    ("entry_ttl", float("nan")), ("entry_ttl", -1.0), ("entry_ttl", 0.0),
     ("lookup_timeout", float("nan"))])
 def test_settings_validated(setting, value):
-    # Regression: a NaN entry_ttl kept entries forever (``updated < nan``
-    # is False), a negative one expired every entry at once, and a NaN
-    # lookup_timeout slipped past the ``<= 0`` check.
+    # Regression: a NaN lookup_timeout slipped past the ``<= 0`` check.
     sim, field, services = build(columns=2, rows=2)
     mote = field.motes[0]
     bounds = FieldBounds(0.0, 0.0, 1.0, 1.0)

@@ -35,6 +35,12 @@ class TestFieldBounds:
         bounds = FieldBounds(0.0, 0.0, 2.0, 2.0)
         assert bounds.shrunk(1.5) == bounds
 
+    def test_shrunk_rejects_negative_margin(self):
+        # Regression: a negative margin grew the bounds past the field,
+        # so "fire" hashed to (1.89, 9.52) in a 0..7 field.
+        with pytest.raises(ValueError):
+            FieldBounds(0.0, 0.0, 7.0, 7.0).shrunk(-3.0)
+
 
 class TestHash:
     BOUNDS = FieldBounds(0.0, 0.0, 20.0, 10.0)
@@ -53,19 +59,21 @@ class TestHash:
                   for i in range(50)}
         assert len(points) == 50
 
-    def test_salt_rehomes(self):
-        plain = hash_to_coordinate("fire", self.BOUNDS)
-        salted = hash_to_coordinate("fire", self.BOUNDS, salt="v2")
-        assert plain != salted
+    def test_directory_points_are_pinned(self):
+        # Every mote must keep hashing a type to the same point: these
+        # are the points of the SHA-256 of ":<name>".
+        assert hash_to_coordinate("fire", self.BOUNDS) == \
+            (7.525715943783974, 9.630121998423153)
+        assert hash_to_coordinate("tracker", self.BOUNDS) == \
+            (4.789200076113634, 1.589190414735476)
 
 
 class TestHashProperties:
-    """Property coverage: every (name, salt, field) stays in-field."""
+    """Property coverage: every (name, field) stays in-field."""
 
-    @given(name=st.text(max_size=64), salt=st.text(max_size=16),
-           bounds=bounds_strategy())
-    def test_hashed_coordinate_always_in_field(self, name, salt, bounds):
-        assert bounds.contains(hash_to_coordinate(name, bounds, salt=salt))
+    @given(name=st.text(max_size=64), bounds=bounds_strategy())
+    def test_hashed_coordinate_always_in_field(self, name, bounds):
+        assert bounds.contains(hash_to_coordinate(name, bounds))
 
     @given(name=st.text(max_size=64), bounds=bounds_strategy())
     def test_hash_is_a_pure_function(self, name, bounds):

@@ -54,7 +54,7 @@ def captured_sim(module, run):
 
 def tank_directory_mtp():
     scenario = TankScenario(columns=6, rows=2, seed=11,
-                            enable_directory=True, enable_mtp=True)
+                            enable_transport=True)
     return run_tank_scenario(scenario).app.sim
 
 

@@ -105,7 +105,7 @@ class TestFrameSpans:
 
 class TestDirectoryLookupStory:
     def test_lookup_span_collects_the_routing_story(self):
-        sim = run_quick(enable_directory=True, enable_mtp=True)
+        sim = run_quick(enable_transport=True)
         lookups = sim.spans.find("dir.lookup")
         if not lookups:  # tiny runs may never issue a lookup
             return

@@ -85,7 +85,7 @@ def perfbench(name: str) -> dict:
 ROWS = {
     "tank/plain/seed=11": lambda mp: tank(),
     "tank/directory+mtp/seed=11":
-        lambda mp: tank(enable_directory=True, enable_mtp=True),
+        lambda mp: tank(enable_transport=True),
     # The tank enters at t=5.0, so the kill must come later to hit a leader.
     "tank/leader-kill/seed=11": lambda mp: tank(leader_kill_times=(8.0,)),
     # Idle motes carry each heartbeat two hops past the group perimeter.

@@ -12,13 +12,13 @@ import pytest
 
 from repro.aggregation import AggregateVarSpec
 from repro.core import ContextTypeDef, TimerInvocation, WhenInvocation
+from repro.naming import FieldBounds
 from repro.node import Cpu
 from repro.radio import Medium
 from repro.sensing import (LineTrajectory, RandomWalkTrajectory,
                            SensorField, StaticPoint, Target,
                            WaypointTrajectory)
 from repro.sim import PeriodicTimer, Simulator, WatchdogTimer
-from repro.transport import NegativeCache
 
 NAN = float("nan")
 
@@ -71,7 +71,10 @@ CASES = {
     "Medium.add_disturbance.end": lambda: _disturbance(start=1.0, end=NAN),
     "Medium.add_disturbance.radius": lambda: _disturbance(
         start=1.0, end=2.0, center=(0.0, 0.0), radius=NAN),
-    "NegativeCache.ttl": lambda: NegativeCache(ttl=NAN),
+    "FieldBounds.x_lo": lambda: FieldBounds(NAN, 0.0, 7.0, 7.0),
+    "FieldBounds.y_hi": lambda: FieldBounds(0.0, 0.0, 7.0, NAN),
+    "FieldBounds.shrunk.margin": lambda: FieldBounds(
+        0.0, 0.0, 7.0, 7.0).shrunk(NAN),
 }
 
 

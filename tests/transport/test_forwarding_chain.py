@@ -2,6 +2,7 @@
 the current one through the forwarding chain (§5.4)."""
 
 from repro.groups import GroupConfig, GroupManager, Role
+from repro.naming import DirectoryService, FieldBounds
 from repro.sensing import SensorField
 from repro.sim import Simulator
 from repro.transport import GeoRouter, Invocation, MtpAgent
@@ -12,16 +13,19 @@ def build(count=8):
     field = SensorField(sim, communication_radius=3.0)
     sensing = set()
     routers, groups, agents = {}, {}, {}
+    bounds = FieldBounds(0.0, 0.0, float(count - 1), 1.0)
     for i in range(count):
         mote = field.add_mote((float(i), 0.0))
         router = GeoRouter(mote)
         router.start()
+        directory = DirectoryService(mote, router, bounds)
+        directory.start()
         manager = GroupManager(mote)
         manager.track("t", lambda m: m.node_id in sensing,
                       GroupConfig(heartbeat_period=0.5,
                                   suppression_range=None))
         manager.start()
-        agent = MtpAgent(mote, router, manager)
+        agent = MtpAgent(mote, router, manager, directory=directory)
         agent.start()
         routers[i], groups[i], agents[i] = router, manager, agent
     return sim, field, sensing, groups, agents

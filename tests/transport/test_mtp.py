@@ -91,7 +91,7 @@ def test_header_learning_updates_tables():
                                        lambda *args: None)
     net.mtp[alpha_leader].invoke(alpha_label, beta_label, 1, {})
     net.run(5.0)
-    pointer = net.mtp[beta_leader].table.peek(alpha_label)
+    pointer = net.mtp[beta_leader].table.get(alpha_label)
     assert pointer is not None and pointer.leader == alpha_leader
 
 
@@ -126,5 +126,5 @@ def test_heartbeats_seed_forwarding_pointers():
     # Any node in radio range of the leader learned the pointer from
     # overheard heartbeats.
     neighbor = 6
-    pointer = net.mtp[neighbor].table.peek(label)
+    pointer = net.mtp[neighbor].table.get(label)
     assert pointer is not None and pointer.leader == 5

@@ -15,6 +15,7 @@ from repro.sensing import SensorField
 from repro.sim import Simulator
 from repro.transport import (MTP_ACK_KIND, DedupTable, GeoRouter,
                              Invocation, MtpAgent, ReliabilityConfig)
+from repro.transport.reliability import DEDUP_CONNECTIONS, DEDUP_WINDOW
 
 
 # ----------------------------------------------------------------------
@@ -45,20 +46,28 @@ def test_retry_delay_backoff_and_determinism():
 
 
 def test_dedup_table_at_most_once_and_bounds():
-    table = DedupTable(connections=2, window=3)
+    assert (DEDUP_CONNECTIONS, DEDUP_WINDOW) == (64, 128)
+    table = DedupTable()
     conn = ("a#1.1", 0, "b#1.1", 1)
     assert table.mark(conn, 1)
     assert not table.mark(conn, 1)
-    # The window forgets the oldest seq once it overflows.
-    for seq in (2, 3, 4):
+    # The window forgets the oldest seq at the 129th sequence number.
+    for seq in range(2, 129):
         assert table.mark(conn, seq)
+    assert not table.mark(conn, 1)  # still the 128th most recent
+    assert table.mark(conn, 129)
     assert table.mark(conn, 1)  # aged out of the window
-    # Connection LRU: a third connection evicts the least recent.
-    other = ("c#1.1", 0, "b#1.1", 1)
-    third = ("d#1.1", 0, "b#1.1", 1)
-    table.mark(other, 1)
-    table.mark(third, 1)
-    assert len(table) == 2
+    assert not table.mark(conn, 129)
+    # Stream LRU: the 65th stream evicts the least recent one.
+    others = [(f"c#{i}.1", 0, "b#1.1", 1) for i in range(64)]
+    for other in others[:63]:
+        table.mark(other, 1)
+    assert len(table) == 64
+    assert not table.mark(conn, 5)  # refreshes conn's recency
+    table.mark(others[63], 1)  # the 65th stream evicts others[0]
+    assert len(table) == 64
+    assert not table.mark(conn, 5)
+    assert table.mark(others[0], 1)  # forgotten: passes again
 
 
 def test_dedup_mark_prewarms_without_counting():
@@ -251,7 +260,7 @@ def test_retry_exhaustion_escalates_then_dead_letters():
     assert letter.detail == {"dest": "beta#9.9", "seq": 1,
                              "reason": "retry_exhausted"}
     # Escalation ran: the stale pointer was evicted along the way.
-    assert sender.table.peek("beta#9.9") is None
+    assert "beta#9.9" not in sender.table
 
 
 def test_escalation_recovers_via_fresh_lookup():
@@ -361,7 +370,7 @@ def test_forward_evicts_useless_self_pointer():
     agent._forward(invocation)
     (drop,) = net.records("mtp.drop")
     assert drop.detail["reason"] == "no_pointer"
-    assert agent.table.peek("ghost#1.1") is None  # evicted, not kept
+    assert "ghost#1.1" not in agent.table  # evicted, not kept
 
 
 def test_negative_chain_budget_clamped_on_parse():
@@ -425,6 +434,48 @@ def test_an_ack_during_the_escalation_lookup_ends_the_send():
     assert received == [{"ping": 1}]
     assert sender.acked == 1 and not sender._outbox
     assert net.records("mtp.retransmit", alpha_leader) == []
+
+
+@pytest.mark.parametrize("answer", ["empty", "other_label"])
+def test_an_ack_during_the_escalation_lookup_leaves_no_drop(answer):
+    # Regression: the late ack ended the send while its escalation
+    # lookup was out; an answer of [] or one without the label then
+    # recorded an mtp.drop for a send that was delivered and acked.
+    from repro.naming import DirectoryEntry
+    net, alpha_leader, alpha_label, beta_leader, beta_label, received = \
+        build_pair(reliability=RELIABLE)
+    sender = net.mtp[alpha_leader]
+    handlers = sender.router._handlers
+    deliver_ack = handlers[MTP_ACK_KIND]
+    held = []
+    handlers[MTP_ACK_KIND] = lambda ack, origin: held.append((ack, origin))
+    entries = [] if answer == "empty" else [DirectoryEntry(
+        label="beta#9.9", context_type="beta", location=(0.0, 0.0),
+        leader=3, updated=0.0)]
+    sender.directory.lookup = lambda context_type, callback: \
+        net.sim.schedule(1.0, callback, entries)
+    escalate = sender._escalate
+
+    def escalate_then_ack(pending):
+        escalate(pending)
+        assert beta_label in sender._pending  # the lookup is in flight
+        deliver_ack(*held.pop(0))
+
+    sender._escalate = escalate_then_ack
+    sender.table.update(beta_label, beta_leader, net.sim.now)
+    sender.invoke(alpha_label, beta_label, 5, {"ping": 1})
+    # No pointer at the timeout: the send escalates at once.
+    sender.table.forget(beta_label)
+    net.run(10.0)
+    assert len(net.records("mtp.escalate", alpha_leader)) == 1
+    assert beta_label not in sender._pending  # the lookup answered
+    assert received == [{"ping": 1}]
+    assert sender.acked == 1 and not sender._outbox
+    assert net.records("mtp.drop", alpha_leader) == []
+    assert net.records("mtp.dead_letter", alpha_leader) == []
+    messages = net.sim.metrics.get("repro_mtp_messages_total")
+    assert messages.value("delivered") == 1.0
+    assert messages.value("dropped") == 0.0
 
 
 def queue_three_then_power_cycle(reliability=None):

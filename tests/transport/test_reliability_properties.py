@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.transport import DedupTable
+from repro.transport.reliability import DEDUP_CONNECTIONS, DEDUP_WINDOW
 
+#: 48 streams: fewer than the DEDUP_CONNECTIONS the table remembers.
 connections = st.tuples(
     st.sampled_from(["a#1.1", "b#2.1", "c#3.1"]),
-    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=1),
     st.sampled_from(["x#7.1", "y#8.1"]),
     st.integers(min_value=0, max_value=3),
 )
@@ -24,9 +26,10 @@ arrivals = st.lists(
 @settings(max_examples=150)
 def test_at_most_once_per_pair_while_remembered(schedule):
     """However arrivals interleave, ``mark`` passes a pair at most once
-    while it stays within the dedup windows (sized here to hold the
-    whole schedule, so "remembered" means "always")."""
-    table = DedupTable(connections=64, window=64)
+    while it stays within the dedup windows (which hold all 48 streams
+    and 30 sequence numbers of a schedule, so "remembered" means
+    "always")."""
+    table = DedupTable()
     passed = set()
     suppressed = 0
     for conn, seq in schedule:
@@ -46,21 +49,31 @@ def test_at_most_once_per_pair_while_remembered(schedule):
 def test_mark_then_arrival_never_delivers(schedule):
     """Pre-warming via mark() (the dedup-share path) must suppress every
     later direct arrival of the same pair."""
-    table = DedupTable(connections=64, window=64)
+    table = DedupTable()
     for conn, seq in schedule:
         table.mark(conn, seq)
     for conn, seq in schedule:
         assert not table.mark(conn, seq)
 
 
-@given(arrivals, st.integers(min_value=1, max_value=4),
-       st.integers(min_value=1, max_value=8))
+#: Schedules that overflow both bounds: up to 100 streams, and runs of
+#: consecutive sequence numbers long enough to pass the window.
+wide_arrivals = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=99),
+              st.integers(min_value=1, max_value=DEDUP_WINDOW + 40),
+              st.integers(min_value=1, max_value=DEDUP_WINDOW + 40)),
+    min_size=1, max_size=120,
+)
+
+
+@given(wide_arrivals)
 @settings(max_examples=100)
-def test_dedup_bounds_hold_under_any_schedule(schedule, connections_cap,
-                                              window):
-    table = DedupTable(connections=connections_cap, window=window)
-    for conn, seq in schedule:
-        table.mark(conn, seq)
-        assert len(table) <= connections_cap
-        assert all(len(seqs) <= window
+def test_dedup_bounds_hold_under_any_schedule(runs):
+    table = DedupTable()
+    for source, first, length in runs:
+        stream = ((f"a#{source}.1", 0, "x#7.1", 0), source, 0)
+        for seq in range(first, first + length):
+            table.mark(stream, seq)
+        assert len(table) <= DEDUP_CONNECTIONS
+        assert all(len(seqs) <= DEDUP_WINDOW
                    for seqs in table._seen.values())

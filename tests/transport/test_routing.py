@@ -2,7 +2,7 @@
 
 from repro.sensing import SensorField
 from repro.sim import Simulator
-from repro.transport import GeoRouter
+from repro.transport import GEO_KIND, GeoRouter, Packet
 
 
 def build(columns=8, rows=3, communication_radius=1.5, loss=0.0):
@@ -79,12 +79,18 @@ def test_undeliverable_kind_recorded():
 
 
 def test_ttl_exhaustion_drops():
+    # A packet with two hops left, sent on the air towards node 7, seven
+    # hops away: the hop that finds its budget spent drops it.
     sim, field, routers = build()
     routers[7].register_delivery("m", lambda p, o: None)
-    routers[0].route_to_node(7, "m", {}, ttl=2)
+    packet = Packet(dest=field.motes[7].position, origin=0, inner_kind="m",
+                    inner={}, ttl=2, dest_node=7)
+    routers[0].unicast(1, GEO_KIND, packet)
     sim.run(until=5.0)
     assert routers[7].delivered == 0
-    assert sum(r.dead_ends for r in routers.values()) >= 1
+    assert sum(r.dead_ends for r in routers.values()) == 1
+    (dead_end,) = sim.trace_records("geo.dead_end")
+    assert dead_end.detail == {"reason": "ttl"}
 
 
 def test_duplicate_delivery_registration_rejected():

@@ -3,27 +3,28 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.transport import LastKnownLeaderTable
-
-operations = st.lists(
-    st.one_of(
-        st.tuples(st.just("update"),
-                  st.integers(min_value=0, max_value=19),   # label idx
-                  st.integers(min_value=0, max_value=99),   # leader
-                  st.floats(min_value=0, max_value=1e4)),   # time
-        st.tuples(st.just("get"),
-                  st.integers(min_value=0, max_value=19)),
-        st.tuples(st.just("forget"),
-                  st.integers(min_value=0, max_value=19)),
-    ),
-    max_size=100,
-)
+from repro.transport import LEADER_TABLE_CAPACITY, LastKnownLeaderTable
 
 
-@given(operations, st.integers(min_value=1, max_value=8))
+def operations(labels):
+    """Update/get/forget sequences over ``labels`` distinct labels."""
+    index = st.integers(min_value=0, max_value=labels - 1)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("update"), index,
+                      st.integers(min_value=0, max_value=99),   # leader
+                      st.floats(min_value=0, max_value=1e4)),   # time
+            st.tuples(st.just("get"), index),
+            st.tuples(st.just("forget"), index),
+        ),
+        max_size=100,
+    )
+
+
+@given(operations(2 * LEADER_TABLE_CAPACITY))
 @settings(max_examples=120)
-def test_capacity_never_exceeded(ops, capacity):
-    table = LastKnownLeaderTable(capacity=capacity)
+def test_capacity_never_exceeded(ops):
+    table = LastKnownLeaderTable()
     for op in ops:
         if op[0] == "update":
             _, idx, leader, now = op
@@ -32,15 +33,15 @@ def test_capacity_never_exceeded(ops, capacity):
             table.get(f"label-{op[1]}")
         else:
             table.forget(f"label-{op[1]}")
-        assert len(table) <= capacity
+        assert len(table) <= LEADER_TABLE_CAPACITY
 
 
-@given(operations)
+@given(operations(LEADER_TABLE_CAPACITY))  # no evictions
 @settings(max_examples=100)
 def test_pointer_timestamps_never_regress(ops):
     """Whatever the operation order, a stored pointer's timestamp is the
     max update time seen for that label since it was last resident."""
-    table = LastKnownLeaderTable(capacity=100)  # no evictions
+    table = LastKnownLeaderTable()
     max_seen = {}
     for op in ops:
         if op[0] == "update":
@@ -53,19 +54,19 @@ def test_pointer_timestamps_never_regress(ops):
             table.forget(label)
             max_seen.pop(label, None)
     for label, expected_time in max_seen.items():
-        pointer = table.peek(label)
+        pointer = table.get(label)
         assert pointer is not None
         assert pointer.updated == expected_time
 
 
-@given(st.lists(st.integers(min_value=0, max_value=9), min_size=1,
-                max_size=50))
+@given(st.lists(st.integers(min_value=0, max_value=29), min_size=1,
+                max_size=80))
 @settings(max_examples=80)
 def test_most_recent_labels_survive(sequence):
     """After any update sequence, the most recently touched distinct
     labels are exactly the residents."""
-    capacity = 3
-    table = LastKnownLeaderTable(capacity=capacity)
+    capacity = LEADER_TABLE_CAPACITY
+    table = LastKnownLeaderTable()
     for t, idx in enumerate(sequence):
         table.update(f"l{idx}", idx, float(t))
     expected = []
@@ -75,4 +76,5 @@ def test_most_recent_labels_survive(sequence):
             expected.append(label)
         if len(expected) == capacity:
             break
-    assert sorted(table.labels()) == sorted(expected)
+    assert {f"l{idx}" for idx in range(30) if f"l{idx}" in table} == \
+        set(expected)

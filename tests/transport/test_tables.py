@@ -1,12 +1,16 @@
 """Unit tests for the last-known-leader LRU table (§5.4)."""
 
-import pytest
+from repro.transport import LEADER_TABLE_CAPACITY, LastKnownLeaderTable
 
-from repro.transport import LastKnownLeaderTable
+
+def fill(table, count):
+    """Update labels ``l0`` .. ``l<count-1>`` in that order."""
+    for i in range(count):
+        table.update(f"l{i}", i, now=float(i))
 
 
 def test_update_and_get():
-    table = LastKnownLeaderTable(capacity=4)
+    table = LastKnownLeaderTable()
     table.update("a", leader=1, now=0.0)
     pointer = table.get("a")
     assert pointer is not None
@@ -29,24 +33,15 @@ def test_stale_update_ignored():
 
 
 def test_lru_eviction_order():
-    table = LastKnownLeaderTable(capacity=2)
-    table.update("a", 1, now=0.0)
-    table.update("b", 2, now=1.0)
-    table.get("a")  # refresh a's recency
-    table.update("c", 3, now=2.0)  # evicts b, the least recently used
-    assert "a" in table
-    assert "b" not in table
-    assert "c" in table
-    assert table.evictions == 1
-
-
-def test_peek_does_not_refresh_recency():
-    table = LastKnownLeaderTable(capacity=2)
-    table.update("a", 1, now=0.0)
-    table.update("b", 2, now=1.0)
-    table.peek("a")
-    table.update("c", 3, now=2.0)  # evicts a despite the peek
-    assert "a" not in table
+    assert LEADER_TABLE_CAPACITY == 16
+    table = LastKnownLeaderTable()
+    fill(table, 16)
+    table.get("l0")  # refresh l0's recency
+    table.update("new", 99, now=20.0)  # the 17th label evicts l1
+    assert "l0" in table
+    assert "l1" not in table
+    assert "new" in table
+    assert len(table) == 16
 
 
 def test_forget():
@@ -58,20 +53,19 @@ def test_forget():
 
 
 def test_labels_in_lru_order():
-    table = LastKnownLeaderTable(capacity=8)
-    for i, label in enumerate("abc"):
-        table.update(label, i, now=float(i))
-    table.get("a")
-    assert list(table.labels()) == ["b", "c", "a"]
-
-
-def test_capacity_validation():
-    with pytest.raises(ValueError):
-        LastKnownLeaderTable(capacity=0)
+    # Reads and writes both refresh recency; labels leave in LRU order.
+    table = LastKnownLeaderTable()
+    fill(table, 16)
+    table.get("l0")
+    table.update("l1", 1, now=0.5)  # an older time still refreshes
+    for extra in range(3):
+        table.update(f"x{extra}", extra, now=30.0)
+    assert [f"l{i}" in table for i in range(6)] == \
+        [True, True, False, False, False, True]
 
 
 def test_len_and_bounds():
-    table = LastKnownLeaderTable(capacity=3)
-    for i in range(10):
-        table.update(f"l{i}", i, now=float(i))
-    assert len(table) == 3
+    table = LastKnownLeaderTable()
+    fill(table, 40)
+    assert len(table) == LEADER_TABLE_CAPACITY
+    assert all(f"l{i}" in table for i in range(24, 40))
