@@ -19,6 +19,7 @@ and compare the two files with ``python -m repro trace-diff``.
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import json
 import os
 import sys
@@ -26,8 +27,11 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core import EnviroTrackApp
 from repro.experiments import TankScenario, TransportChaosSpec, \
     run_tank_scenario
+from repro.radio import reset_frame_ids
+from repro.sensing import LineTrajectory, StaticPoint, Target
 from repro.sim import Simulator, dump_trace, trace_digest
 
 # ``repro.experiments`` re-exports functions named ``chaos`` and
@@ -82,6 +86,33 @@ def perfbench(name: str) -> dict:
     return dict(harness.make_workload(name, 1, size="small").unit().identity)
 
 
+def intrusion_response() -> dict:
+    """``examples/intrusion_response.py``'s two context types on an 8x4
+    grid: the intruder's leader looks the gate up in the directory and
+    invokes its MTP port, and both leaders refresh their directory
+    entries on a timer."""
+    path = os.path.join(ROOT, "examples", "intrusion_response.py")
+    spec = importlib.util.spec_from_file_location("intrusion_response", path)
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    reset_frame_ids()
+    app = EnviroTrackApp(seed=5, base_loss_rate=0.03)
+    app.field.deploy_grid(8, 4)
+    app.field.add_target(Target("gate-1", "gate", StaticPoint((6.0, 2.0)),
+                                signature_radius=1.2))
+    app.field.add_target(Target("walker", "intruder",
+                                LineTrajectory((0.0, 1.5), speed=0.12),
+                                signature_radius=1.0))
+    app.field.install_detection_sensors("intruder_seen", kinds=["intruder"])
+    app.field.install_detection_sensors("gate_beacon", kinds=["gate"])
+    warnings = []
+    app.add_context_type(example.make_intruder_context())
+    app.add_context_type(example.make_gate_context(warnings))
+    app.run(until=40.0)
+    assert warnings, "no invocation reached the gate"
+    return identity(app.sim, app.field)
+
+
 ROWS = {
     "tank/plain/seed=11": lambda mp: tank(),
     "tank/directory+mtp/seed=11":
@@ -101,6 +132,7 @@ ROWS = {
     "transport-chaos/raw/seed=5": lambda mp: captured(
         mp, transport_chaos, lambda: transport_chaos._transport_run(
             TransportChaosSpec(mode="raw", seed=5, crashes=1))),
+    "intrusion-response/transport/seed=5": lambda mp: intrusion_response(),
     "perfbench/border-strip/small/seed=1":
         lambda mp: perfbench("border-strip"),
     "perfbench/transport-storm/small/seed=1":
