@@ -79,7 +79,7 @@ def main() -> None:
               f"{len(alarms)} alarms")
 
     # Directory query from an arbitrary mote: "where are all the fires?"
-    observer = app.directories[0]
+    observer = app.agents[0].directory
     answers = []
     observer.lookup("fire", answers.extend)
     app.sim.run(until=app.sim.now + 5.0)

@@ -95,8 +95,8 @@ def main() -> None:
         print(f"  t={t:5.1f}s  {intruder_label} reported at "
               f"({x:5.2f}, {y:5.2f})")
     if warnings:
-        mtp_delivered = sum(agent.delivered
-                            for agent in app.mtp_agents.values())
+        mtp_delivered = sum(agent.mtp.delivered
+                            for agent in app.agents.values())
         mtp_forwarded = sum(1 for _ in app.sim.trace_records("mtp.forward"))
         print(f"\nMTP stats: {mtp_delivered} delivered, "
               f"{mtp_forwarded} forwarded along past-leader chains")

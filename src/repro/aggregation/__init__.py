@@ -1,9 +1,9 @@
 """Approximate aggregate state: windows, functions, collection protocol."""
 
-from .collection import (REPORT_KIND, MemberReport, report_period,
-                         sample_readings)
-from .functions import (DEFAULT_REGISTRY, AggregationError,
-                        AggregationRegistry, default_registry)
+from .collection import (REPORT_KIND, REPORT_SIZE_BITS, MemberReport,
+                         report_period, sample_readings)
+from .functions import (AggregationError, AggregationRegistry,
+                        default_registry)
 from .window import AggregateStore, AggregateVarSpec, ReadResult, SlidingWindow
 
 __all__ = [
@@ -11,9 +11,9 @@ __all__ = [
     "AggregateVarSpec",
     "AggregationError",
     "AggregationRegistry",
-    "DEFAULT_REGISTRY",
     "MemberReport",
     "REPORT_KIND",
+    "REPORT_SIZE_BITS",
     "ReadResult",
     "SlidingWindow",
     "default_registry",

@@ -21,6 +21,9 @@ from .window import AggregateVarSpec
 #: Frame kind used by member→leader reports.
 REPORT_KIND = "etrack.report"
 
+#: On-air size of a member→leader report frame.
+REPORT_SIZE_BITS = 36 * 8
+
 
 def report_period(specs: List[AggregateVarSpec],
                   delay_estimate: float) -> float:

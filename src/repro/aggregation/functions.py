@@ -165,7 +165,3 @@ def default_registry() -> AggregationRegistry:
     registry.register("any", aggregate_any)
     registry.register("all", aggregate_all)
     return registry
-
-
-#: Process-wide default registry (scenarios may build their own).
-DEFAULT_REGISTRY = default_registry()

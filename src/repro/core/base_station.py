@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..node import Mote
-from ..transport import GeoRouter
 
 Position = Tuple[float, float]
 
@@ -48,30 +47,24 @@ class ReportRecord:
 class BaseStation:
     """Report sink on a dedicated mote.
 
-    Attach it to the mote nearest the operator; it registers for
-    application reports both on the geographic router (multi-hop) and the
-    raw radio (single-hop fallback when no router is installed).
+    Attach it to the mote nearest the operator.  ``MySend`` reports reach
+    it through the geographic router: :meth:`EnviroTrackApp.install`
+    registers :meth:`receive` as its mote's router delivery handler for
+    :data:`APP_REPORT_KIND`.
     """
 
-    def __init__(self, mote: Mote, router: Optional[GeoRouter] = None) -> None:
+    def __init__(self, mote: Mote) -> None:
         self.mote = mote
         self.reports: List[ReportRecord] = []
-        if router is not None:
-            router.register_delivery(APP_REPORT_KIND, self._on_routed)
-        mote.register_handler(APP_REPORT_KIND, self._on_frame)
 
     @property
     def node_id(self) -> int:
         return self.mote.node_id
 
     # ------------------------------------------------------------------
-    def _on_routed(self, report: Any, origin: int) -> None:
-        self._store(report)
-
-    def _on_frame(self, frame) -> None:
-        self._store(frame.payload)
-
-    def _store(self, report: Any) -> None:
+    def receive(self, report: Any, origin: int) -> None:
+        """Record one routed report; anything but an :class:`AppReport`
+        is ignored."""
         if not isinstance(report, AppReport):
             return
         self.reports.append(ReportRecord(

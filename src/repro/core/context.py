@@ -141,8 +141,6 @@ class ContextTypeDef:
     delay_estimate:
         ``d`` in ``P_e = L_e − d``: bound on in-group delivery + processing
         delay used to derive the member report period.
-    report_size_bits:
-        On-air size of member report frames.
     directory_update_period:
         How often a leader refreshes the label's directory entry; ``None``
         disables directory registration for this type.
@@ -155,7 +153,6 @@ class ContextTypeDef:
     deactivation: Optional[Condition] = None
     group: GroupConfig = field(default_factory=GroupConfig)
     delay_estimate: float = 0.1
-    report_size_bits: int = 36 * 8
     directory_update_period: Optional[float] = 10.0
 
     def __post_init__(self) -> None:

@@ -1,8 +1,10 @@
 """The EnviroTrack middleware agent — one per mote.
 
-This component is the run-time system of §5: it owns the mote's group
-manager, turns context type declarations into live protocol behaviour, and
-hosts tracking-object execution when the mote leads a label.
+This component is the run-time system of §5: it builds and owns the
+mote's whole stack (geographic router, group manager and, with transport,
+the directory and MTP), turns context type declarations into live
+protocol behaviour, and hosts tracking-object execution when the mote
+leads a label.
 
 Responsibilities per context type:
 
@@ -21,16 +23,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..aggregation import (AggregationRegistry, DEFAULT_REGISTRY,
-                           REPORT_KIND, AggregateStore, MemberReport,
+from ..aggregation import (REPORT_KIND, REPORT_SIZE_BITS,
+                           AggregationRegistry, AggregateStore, MemberReport,
                            report_period, sample_readings)
-from ..groups import GroupConfig, GroupListener, GroupManager, Role
+from ..groups import GroupListener, GroupManager, Role
+from ..naming import DirectoryService, FieldBounds
 from ..node import Component, Mote
 from ..radio import distance
 from ..transport import GeoRouter, MtpAgent
-from ..naming import DirectoryService
 from .base_station import APP_REPORT_KIND, AppReport
 from .context import (ContextTypeDef, MethodDef, PortInvocation,
                       TimerInvocation, WhenInvocation)
@@ -50,11 +52,19 @@ class _TypeRuntime:
     directory_timer: Any = None
     store: Optional[AggregateStore] = None
     octx: Optional[ObjectContext] = None
-    when_latch: Dict[str, bool] = field(default_factory=dict)
+    #: The last value of each ``when`` predicate, by (object, method).
+    when_latch: Dict[Tuple[str, str], bool] = field(default_factory=dict)
 
 
 class EnviroTrackAgent(Component, GroupListener):
-    """Per-mote middleware run-time.
+    """Per-mote middleware run-time: builds the mote's stack and starts it.
+
+    Always builds the mote's :class:`GeoRouter` (``router``) and
+    :class:`GroupManager` (``groups``).  With ``bounds`` it also builds the
+    §5.3 :class:`DirectoryService` (``directory``) and the §5.4
+    :class:`MtpAgent` (``mtp``), always as a pair; without, both are None,
+    ``ctx.invoke`` records ``etrack.invoke_dropped`` and ``ctx.lookup``
+    ``etrack.app.lookup_dropped``.
 
     Parameters
     ----------
@@ -66,9 +76,9 @@ class EnviroTrackAgent(Component, GroupListener):
         nodes").
     registry:
         Aggregation function registry.
-    router / directory / mtp:
-        Optional substrates; without a router, MySend falls back to direct
-        single-hop unicast to the base station.
+    bounds:
+        The field the directory hashes types into, or None for no
+        transport.
     base_station:
         Node id of the pursuer-facing mote, if any.
     """
@@ -76,17 +86,17 @@ class EnviroTrackAgent(Component, GroupListener):
     name = "etrack"
 
     def __init__(self, mote: Mote, context_types: List[ContextTypeDef],
-                 registry: AggregationRegistry = DEFAULT_REGISTRY,
-                 router: Optional[GeoRouter] = None,
-                 directory: Optional[DirectoryService] = None,
-                 mtp: Optional[MtpAgent] = None,
-                 base_station: Optional[int] = None) -> None:
+                 registry: AggregationRegistry,
+                 bounds: Optional[FieldBounds],
+                 base_station: Optional[int]) -> None:
         super().__init__(mote)
         self.registry = registry
-        self.router = router
-        self.directory = directory
-        self.mtp = mtp
         self.base_station = base_station
+        # Built, and later started, in this order: frame handlers,
+        # delivery handlers and fail hooks run in registration order.
+        self.router = GeoRouter(mote)
+        self.directory = (None if bounds is None
+                          else DirectoryService(mote, self.router, bounds))
         self.groups = GroupManager(mote)
         self.groups.add_listener(self)
         self._runtimes: Dict[str, _TypeRuntime] = {}
@@ -99,19 +109,24 @@ class EnviroTrackAgent(Component, GroupListener):
             self._runtimes[definition.name] = _TypeRuntime(
                 definition=definition)
         self._rng = self.sim.rng.stream("etrack.jitter")
+        self.mtp = (None if self.directory is None
+                    else MtpAgent(mote, self.router, self.groups,
+                                  directory=self.directory))
 
     # ------------------------------------------------------------------
     # Startup
     # ------------------------------------------------------------------
     def on_start(self) -> None:
+        self.router.start()
+        if self.mtp is not None:
+            self.directory.start()
+            self.mtp.start()
         self.handle(REPORT_KIND, self._on_report_frame)
-        if self.router is not None:
-            # Multihop report relay: "All members of a sensor group can
-            # communicate with each other possibly using multiple hops
-            # through other members" (§3.2.1) — reports for an
-            # out-of-radio-range leader travel by geographic routing.
-            self.router.register_delivery(REPORT_KIND,
-                                          self._on_routed_report)
+        # Multihop report relay: "All members of a sensor group can
+        # communicate with each other possibly using multiple hops through
+        # other members" (§3.2.1) — reports for an out-of-radio-range
+        # leader travel by geographic routing.
+        self.router.register_delivery(REPORT_KIND, self._on_routed_report)
         for runtime in self._runtimes.values():
             definition = runtime.definition
             self.groups.track(definition.name,
@@ -222,14 +237,13 @@ class EnviroTrackAgent(Component, GroupListener):
         report = MemberReport(context_type, label, self.node_id, self.now,
                               readings)
         leader_pos = self.groups.leader_position(context_type)
-        if (self.router is not None and leader_pos is not None
+        if (leader_pos is not None
                 and distance(self.mote.position, leader_pos)
                 > self.mote.medium.communication_radius):
             # Leader beyond single-hop range: relay through the group.
             self.router.route_to_node(leader, REPORT_KIND, report)
             return
-        self.unicast(leader, REPORT_KIND, report,
-                     size_bits=runtime.definition.report_size_bits)
+        self.unicast(leader, REPORT_KIND, report, size_bits=REPORT_SIZE_BITS)
 
     # ------------------------------------------------------------------
     # GroupListener: leadership → object execution
@@ -250,8 +264,7 @@ class EnviroTrackAgent(Component, GroupListener):
                 context_type, state),
             get_state_fn=lambda: self.groups.persistent_state(context_type),
             record_fn=self.record, position=self.mote.position,
-            lookup_fn=(self.directory.lookup
-                       if self.directory is not None else None))
+            lookup_fn=None if self.mtp is None else self.directory.lookup)
         runtime.when_latch = {}
         # Seed declared object data (Appendix A data declarations) into
         # this leader incarnation's locals.
@@ -261,7 +274,7 @@ class EnviroTrackAgent(Component, GroupListener):
             runtime.leader_timers = self._build_leader_timers(runtime)
         for timer in runtime.leader_timers:
             timer.start()
-        if (self.directory is not None
+        if (self.mtp is not None
                 and definition.directory_update_period is not None):
             self._register_directory(context_type)
             if runtime.directory_timer is None:
@@ -297,7 +310,8 @@ class EnviroTrackAgent(Component, GroupListener):
                 elif isinstance(invocation, WhenInvocation):
                     timers.append(self.mote.periodic(
                         invocation.poll_period,
-                        self._make_when_body(runtime, method, invocation),
+                        self._make_when_body(runtime, obj.name, method,
+                                             invocation),
                         label=f"etrack.when.{obj.name}.{method.name}"))
                 # PortInvocation methods fire on MTP delivery only.
         if definition.aggregates:
@@ -320,8 +334,11 @@ class EnviroTrackAgent(Component, GroupListener):
 
         return run
 
-    def _make_when_body(self, runtime: _TypeRuntime, method: MethodDef,
-                        invocation: WhenInvocation) -> Callable[[], None]:
+    def _make_when_body(self, runtime: _TypeRuntime, object_name: str,
+                        method: MethodDef, invocation: WhenInvocation
+                        ) -> Callable[[], None]:
+        latch = (object_name, method.name)
+
         def poll() -> None:
             octx = runtime.octx
             if octx is None:
@@ -332,8 +349,8 @@ class EnviroTrackAgent(Component, GroupListener):
                 self.record("app_error", method=method.name,
                             phase="predicate", error=repr(exc))
                 return
-            previous = runtime.when_latch.get(method.name, False)
-            runtime.when_latch[method.name] = holds
+            previous = runtime.when_latch.get(latch, False)
+            runtime.when_latch[latch] = holds
             if holds and (not invocation.edge_triggered or not previous):
                 self._run_method(runtime, method, (octx,))
 
@@ -395,11 +412,7 @@ class EnviroTrackAgent(Component, GroupListener):
         if self.base_station is None:
             self.record("mysend_dropped", reason="no_base_station")
             return
-        if self.router is not None:
-            self.router.route_to_node(self.base_station, APP_REPORT_KIND,
-                                      report)
-        else:
-            self.unicast(self.base_station, APP_REPORT_KIND, report)
+        self.router.route_to_node(self.base_station, APP_REPORT_KIND, report)
 
     def _make_invoker(self, src_label: str):
         def invoke(dest_label: str, port: int,
@@ -414,7 +427,7 @@ class EnviroTrackAgent(Component, GroupListener):
 
     def _register_directory(self, context_type: str) -> None:
         label = self.groups.label(context_type)
-        if label is None or self.directory is None:
+        if label is None:
             return
         self.directory.register(context_type, label, self.mote.position,
                                 self.node_id)

@@ -13,6 +13,7 @@ mapped into the field bounds every node is configured with at deployment.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -29,6 +30,10 @@ class FieldBounds:
     y_hi: float
 
     def __post_init__(self) -> None:
+        # An infinite bound would hash a type to a point no mote is near.
+        if not all(map(math.isfinite,
+                       (self.x_lo, self.y_lo, self.x_hi, self.y_hi))):
+            raise ValueError(f"field bounds must be finite: {self}")
         # ``not lo < hi`` (never ``lo >= hi``) so that NaN is rejected too.
         if not self.x_lo < self.x_hi or not self.y_lo < self.y_hi:
             raise ValueError(f"degenerate field bounds: {self}")

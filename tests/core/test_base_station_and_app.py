@@ -3,9 +3,8 @@
 import pytest
 
 from repro.core import AppReport, BaseStation, ContextTypeDef, EnviroTrackApp
-from repro.core.base_station import APP_REPORT_KIND
 from repro.node import Mote
-from repro.radio import Frame, Medium
+from repro.radio import Medium
 from repro.sim import Simulator
 
 
@@ -13,50 +12,47 @@ def make_station():
     sim = Simulator(seed=1)
     medium = Medium(sim, communication_radius=5.0)
     mote = Mote(sim, 0, (0.0, 0.0), medium)
-    sender = Mote(sim, 1, (1.0, 0.0), medium)
-    return sim, BaseStation(mote), sender
+    return sim, BaseStation(mote)
 
 
-def send_report(sim, sender, label="tracker#1.1", **values):
-    report = AppReport(label=label, context_type="tracker",
-                       reporter=sender.node_id, reported_at=sim.now,
-                       values=values)
-    sender.send(Frame(src=sender.node_id, dst=0, kind=APP_REPORT_KIND,
-                      payload=report))
+def send_report(sim, station, label="tracker#1.1", **values):
     sim.run(until=sim.now + 1.0)
+    station.receive(AppReport(label=label, context_type="tracker",
+                              reporter=1, reported_at=sim.now,
+                              values=values), origin=1)
 
 
 class TestBaseStation:
     def test_collects_reports(self):
-        sim, station, sender = make_station()
-        send_report(sim, sender, location=[1.0, 2.0])
+        sim, station = make_station()
+        send_report(sim, station, location=[1.0, 2.0])
         assert len(station.reports) == 1
         record = station.reports[0]
         assert record.label == "tracker#1.1"
         assert record.reporter == 1
+        assert record.received_at == record.reported_at == 1.0
         assert record.values == {"location": [1.0, 2.0]}
 
     def test_tracks_grouped_by_label(self):
-        sim, station, sender = make_station()
-        send_report(sim, sender, label="a", location=[1.0, 1.0])
-        send_report(sim, sender, label="b", location=[5.0, 5.0])
-        send_report(sim, sender, label="a", location=[2.0, 1.0])
+        sim, station = make_station()
+        send_report(sim, station, label="a", location=[1.0, 1.0])
+        send_report(sim, station, label="b", location=[5.0, 5.0])
+        send_report(sim, station, label="a", location=[2.0, 1.0])
         assert station.labels_seen() == ["a", "b"]
         track = station.track("a")
         assert [pos for _, pos in track] == [(1.0, 1.0), (2.0, 1.0)]
         assert set(station.tracks()) == {"a", "b"}
 
     def test_non_positional_values_excluded_from_track(self):
-        sim, station, sender = make_station()
-        send_report(sim, sender, label="a", alarm=True)
+        sim, station = make_station()
+        send_report(sim, station, label="a", alarm=True)
         assert station.track("a") == []
         assert station.reports_for("a")[0].values["alarm"] is True
 
     def test_malformed_reports_ignored(self):
-        sim, station, sender = make_station()
-        sender.send(Frame(src=1, dst=0, kind=APP_REPORT_KIND,
-                          payload={"no_label": 1}))
-        sim.run(until=1.0)
+        sim, station = make_station()
+        station.receive({"no_label": 1}, origin=1)
+        station.receive(None, origin=1)
         assert station.reports == []
 
 
@@ -75,17 +71,23 @@ class TestAppAssembly:
         app.field.deploy_grid(3, 2)
         app.add_context_type(ContextTypeDef(name="t", activation="x"))
         app.install()
-        assert set(app.routers) == set(app.field.motes)
         assert set(app.agents) == set(app.field.motes)
-        assert set(app.directories) == set(app.field.motes)
-        assert set(app.mtp_agents) == set(app.field.motes)
+        for agent in app.agents.values():
+            assert agent.router.mote is agent.mote
+            assert agent.directory.router is agent.router
+            assert agent.mtp.router is agent.router
+            assert agent.mtp.directory is agent.directory
+            assert agent.mtp.groups is agent.groups
 
     def test_optional_services_disabled(self):
         app = EnviroTrackApp(seed=1, enable_transport=False)
         app.field.deploy_grid(2, 2)
         app.install()
-        assert app.directories == {}
-        assert app.mtp_agents == {}
+        assert set(app.agents) == set(app.field.motes)
+        for agent in app.agents.values():
+            assert agent.router.mote is agent.mote
+            assert agent.directory is None
+            assert agent.mtp is None
 
     def test_field_bounds_cover_deployment(self):
         app = EnviroTrackApp(seed=1)

@@ -7,7 +7,7 @@ from repro.groups import GroupConfig
 from repro.sensing import StaticPoint, Target
 
 
-def build(method, directory_update_period=None):
+def build(method, directory_update_period=None, extra_objects=()):
     app = EnviroTrackApp(seed=91)
     app.field.deploy_grid(5, 2)
     app.field.add_target(Target("thing", "thing", StaticPoint((2.0, 0.5)),
@@ -17,7 +17,7 @@ def build(method, directory_update_period=None):
         name="t", activation="seen",
         aggregates=[AggregateVarSpec("location", "avg", "position",
                                      confidence=2, freshness=1.0)],
-        objects=[TrackingObjectDef("o", [method])],
+        objects=[TrackingObjectDef("o", [method]), *extra_objects],
         group=GroupConfig(heartbeat_period=0.5, suppression_range=None),
         directory_update_period=directory_update_period))
     return app
@@ -46,6 +46,23 @@ def test_edge_triggered_when_fires_once_per_transition():
     app = build(method)
     app.run(until=20.0)
     assert 1 <= len(fires) <= 2
+
+
+def test_edge_triggered_latches_are_per_object():
+    # Two objects of one type, each with a ``when`` method named "check":
+    # the always-false one must not re-arm the always-true one's edge.
+    fires = []
+
+    def check(predicate, on_fire):
+        return MethodDef("check", WhenInvocation(predicate, poll_period=1.0,
+                                                 edge_triggered=True),
+                         on_fire)
+
+    app = build(check(lambda ctx: True, lambda ctx: fires.append(ctx.now)),
+                extra_objects=[TrackingObjectDef("b", [
+                    check(lambda ctx: False, lambda ctx: None)])])
+    app.run(until=30.0)
+    assert len(fires) == 1
 
 
 def test_directory_registration_disabled_when_period_none():

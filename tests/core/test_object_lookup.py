@@ -65,10 +65,9 @@ def test_object_discovers_and_invokes_peer_via_directory():
     assert xs == sorted(xs)  # warnings track the advancing vehicle
 
 
-def test_lookup_without_directory_records_drop():
-    def probe(ctx):
-        ctx.lookup("anything", lambda entries: None)
-
+def run_without_transport(probe):
+    """Run ``probe`` every 2 s on the leader of a static target's label,
+    with no directory and no MTP on any mote."""
     definition = ContextTypeDef(
         name="t", activation="seen",
         aggregates=[AggregateVarSpec("location", "avg", "position",
@@ -82,6 +81,23 @@ def test_lookup_without_directory_records_drop():
     app.field.install_detection_sensors("seen", kinds=["thing"])
     app.add_context_type(definition)
     app.run(until=10.0)
+    return app
+
+
+def test_lookup_without_directory_records_drop():
+    app = run_without_transport(
+        lambda ctx: ctx.lookup("anything", lambda entries: None))
     drops = [r for r in app.sim.trace
              if r.category == "etrack.app.lookup_dropped"]
     assert drops
+
+
+def test_invoke_without_mtp_records_drop():
+    app = run_without_transport(
+        lambda ctx: ctx.invoke("gate#1.1", 2, {"x": 1.0}))
+    drops = [r for r in app.sim.trace
+             if r.category == "etrack.invoke_dropped"]
+    assert drops
+    assert all(r.detail == {"reason": "no_mtp", "dest": "gate#1.1"}
+               for r in drops)
+    assert not any(r.category.startswith("mtp.") for r in app.sim.trace)

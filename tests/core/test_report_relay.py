@@ -46,7 +46,8 @@ def test_far_members_reach_leader_via_relay():
     # the full group has ~15 sensing motes.
     assert result.contributors >= 8
     # The relay actually ran (geo frames forwarded).
-    forwarded = sum(router.forwarded for router in app.routers.values())
+    forwarded = sum(agent.router.forwarded
+                    for agent in app.agents.values())
     assert forwarded > 0
 
 

@@ -26,7 +26,7 @@ from repro.transport import (GEO_KIND, MTP_ACK_KIND, MTP_DEDUP_KIND,
 
 #: Kinds whose handlers read the frame's payload directly.
 DIRECT_KINDS = (RELINQUISH_KIND, QUERY_KIND, VOUCH_KIND, MTP_DEDUP_KIND,
-                GEO_KIND, REPLICATE_KIND, REPORT_KIND, APP_REPORT_KIND)
+                GEO_KIND, REPLICATE_KIND, REPORT_KIND)
 
 #: Kinds delivered by the geographic router to a registered handler.
 ROUTED_KINDS = (MTP_KIND, MTP_ACK_KIND, REGISTER_KIND, DIR_QUERY_KIND,
@@ -83,22 +83,22 @@ def protocol_state(app):
             store = agent.runtime_of(type_name).store
             state["store", node, type_name] = (
                 None if store is None else dict(store.reports))
-    for node, mtp in app.mtp_agents.items():
+        mtp, directory = agent.mtp, agent.directory
         state["mtp", node] = (
             [(label, pointer.leader, pointer.updated)
              for label, pointer in mtp.table._entries.items()],
             {conn: list(seqs) for conn, seqs in mtp._dedup._seen.items()},
             sorted(mtp._outbox), dict(mtp.acks), mtp.delivered,
             mtp.acked)
-    for node, directory in app.directories.items():
         state["dir", node] = (dict(directory._entries), dict(directory.ops),
                               sorted(directory._pending_queries))
     return state
 
 
 def router_counts(app):
-    return {node: (router.forwarded, router.delivered, router.dead_ends)
-            for node, router in app.routers.items()}
+    return {node: (agent.router.forwarded, agent.router.delivered,
+                   agent.router.dead_ends)
+            for node, agent in app.agents.items()}
 
 
 @pytest.mark.parametrize("kind", DIRECT_KINDS)
@@ -115,11 +115,12 @@ def test_garbage_payload_of_direct_kind_changes_nothing(app, kind):
 @pytest.mark.parametrize("kind", ROUTED_KINDS)
 def test_garbage_inside_a_valid_packet_changes_nothing(app, kind):
     # Every node that registered a handler for the kind gets the packet.
-    receivers = [node for node, router in app.routers.items()
-                 if kind in router._handlers]
+    receivers = [node for node, agent in app.agents.items()
+                 if kind in agent.router._handlers]
     assert receivers
     before = protocol_state(app)
-    delivered = {node: app.routers[node].delivered for node in receivers}
+    delivered = {node: app.agents[node].router.delivered
+                 for node in receivers}
     for payload in GARBAGE:
         for node in receivers:
             mote = app.field.motes[node]
@@ -131,7 +132,8 @@ def test_garbage_inside_a_valid_packet_changes_nothing(app, kind):
     assert protocol_state(app) == before
     # The router did deliver each packet; only the handler ignored it.
     for node in receivers:
-        assert app.routers[node].delivered == delivered[node] + len(GARBAGE)
+        assert (app.agents[node].router.delivered
+                == delivered[node] + len(GARBAGE))
 
 
 def test_garbage_frames_on_the_air_do_not_stop_tracking():
@@ -148,7 +150,7 @@ def test_garbage_frames_on_the_air_do_not_stop_tracking():
 
 
 def test_forwarding_an_invocation_leaves_the_received_one_unchanged(app):
-    agent = app.mtp_agents[4]
+    agent = app.agents[4].mtp
     agent.table.update("ghost#9.9", 12, app.sim.now)
     routed = []
     agent.router.route_to_node = \
@@ -172,7 +174,7 @@ def test_forwarding_an_invocation_leaves_the_received_one_unchanged(app):
 
 
 def test_forwarding_a_packet_leaves_the_received_one_unchanged(app):
-    router = app.routers[0]
+    router = app.agents[0].router
     sent = []
     router.unicast = lambda dst, kind, payload: sent.append(
         (dst, kind, payload))

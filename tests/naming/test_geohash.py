@@ -1,5 +1,7 @@
 """Unit tests for geographic hashing of type names."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,6 +28,15 @@ class TestFieldBounds:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             FieldBounds(5.0, 0.0, 5.0, 4.0)
+
+    @pytest.mark.parametrize("bounds", [
+        (0.0, 0.0, math.inf, 7.0), (-math.inf, 0.0, 7.0, 7.0),
+        (0.0, 0.0, 7.0, math.inf), (0.0, -math.inf, 7.0, 7.0)])
+    def test_infinite_rejected(self, bounds):
+        # Regression: FieldBounds(0, 0, inf, 7).shrunk(1.0) hashed "fire"
+        # to (inf, 5.82), a directory point no mote is near.
+        with pytest.raises(ValueError):
+            FieldBounds(*bounds)
 
     def test_shrunk_keeps_margin(self):
         bounds = FieldBounds(0.0, 0.0, 10.0, 10.0).shrunk(1.0)
