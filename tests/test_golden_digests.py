@@ -28,8 +28,8 @@ from dataclasses import replace
 import pytest
 
 from repro.core import EnviroTrackApp
-from repro.experiments import TankScenario, TransportChaosSpec, \
-    run_tank_scenario
+from repro.experiments import SPEED_33_KMH, TankScenario, \
+    TransportChaosSpec, run_tank_scenario
 from repro.radio import reset_frame_ids
 from repro.sensing import LineTrajectory, StaticPoint, Target
 from repro.sim import Simulator, dump_trace, trace_digest
@@ -37,6 +37,7 @@ from repro.sim import Simulator, dump_trace, trace_digest
 # ``repro.experiments`` re-exports functions named ``chaos`` and
 # ``transport_chaos``, which shadow the submodules for a plain import.
 chaos = importlib.import_module("repro.experiments.chaos")
+figures = importlib.import_module("repro.experiments.figures")
 transport_chaos = importlib.import_module("repro.experiments.transport_chaos")
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -51,8 +52,21 @@ def identity(sim, field) -> dict:
             "frames_sent": field.medium.stats.frames_sent}
 
 
+def identity_of(scenario: TankScenario) -> dict:
+    app = run_tank_scenario(scenario).app
+    return identity(app.sim, app.field)
+
+
 def tank(**overrides) -> dict:
-    app = run_tank_scenario(replace(QUICK, **overrides)).app
+    return identity_of(replace(QUICK, **overrides))
+
+
+def probe(mode: str, speed: float, seed: int, **task) -> dict:
+    """One Figure 5/6 speed-search probe on the §6.2 stress rig."""
+    search = figures._SpeedSearchTask(mode=mode, speeds=(speed,),
+                                      repetitions=1, seed_base=seed, **task)
+    app = run_tank_scenario(
+        figures._probe_scenario(search, speed, seed)).app
     return identity(app.sim, app.field)
 
 
@@ -124,6 +138,18 @@ ROWS = {
     # No relinquish: every handover is a receive-timer takeover.
     "tank/takeover-only/seed=11":
         lambda mp: tank(relinquish=False, leader_kill_times=(8.0,)),
+    # Figure 4's first quick run: heartbeats within the sensing radius,
+    # over the soft reception edge, without member rebroadcast.
+    "figure4/within-radius/seed=3340": lambda mp: identity_of(
+        TankScenario(columns=12, rows=3, speed=SPEED_33_KMH,
+                     heartbeat_tx_range=1.0, member_rebroadcast=False,
+                     soft_edge_start=0.5, soft_edge_loss=0.9,
+                     base_loss_rate=0.03, with_base_station=False,
+                     seed=3340)),
+    "figure5/takeover-probe/seed=50": lambda mp: probe(
+        "takeover", 0.5, 50, sensing_radius=1.0, heartbeat_period=0.25),
+    "figure6/ratio-probe/seed=60": lambda mp: probe(
+        "ratio", 0.5, 60, sensing_radius=1.5, communication_radius=1.5),
     "chaos/line/seed=3": lambda mp: captured(
         mp, chaos, lambda: chaos._chaos_run(3, 0.25, 2.0, 1, 0.05, 8, 3)),
     "transport-chaos/reliable/seed=5": lambda mp: captured(
