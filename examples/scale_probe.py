@@ -36,7 +36,6 @@ from repro import (AggregateVarSpec, ContextTypeDef, EnviroTrackApp,
                    TimerInvocation, TrackingObjectDef)
 from repro.experiments.scenarios import SPEED_33_KMH, SPEED_50_KMH
 from repro.groups import GroupManager, Role
-from repro.radio import reset_frame_ids
 from repro.sim import trace_digest
 
 ROWS = 4
@@ -117,7 +116,6 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
-    reset_frame_ids()
     checks = count_sense_checks()
     app = build(args.motes, args.seed)
     started = time.perf_counter()

@@ -31,6 +31,16 @@ EXPERIMENTS = ("figure3", "figure4", "table1", "figure5", "figure6",
                "chaos")
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse ``int`` type that rejects values below ``low``."""
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}: {text}")
+        return int(text)
+    parse.__name__ = "int"  # argparse names the type in its errors
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -58,9 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "(figure3 seeds its single run; sweeps use "
                              "it as their seed-ladder base).  Defaults "
                              "match each experiment's published ladder.")
-    parser.add_argument("--repetitions", type=int, default=None,
+    parser.add_argument("--repetitions", type=_int_at_least(1),
+                        default=None,
                         help="independent runs per parameter point")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=_int_at_least(0), default=1,
+                        metavar="N",
                         help="parallel worker processes for the sweep "
                              "experiments (0 = one per core; results are "
                              "identical to --jobs 1)")
@@ -193,12 +205,10 @@ def _run_report(args, out: Callable[[str], None]) -> int:
             return 2
     else:
         from .experiments.scenarios import TankScenario, build_app
-        from .radio import reset_frame_ids
         from .sim import dump_trace
         scenario = TankScenario(columns=8 if args.quick else 12, rows=2,
                                 seed=1 if args.seed is None
                                 else args.seed)
-        reset_frame_ids()
         app = build_app(scenario)
         app.sim.enable_profiler()
         app.install()

@@ -55,8 +55,8 @@ class EnviroTrackApp:
     ----------
     seed:
         Master determinism seed.
-    communication_radius / base_loss_rate / task_cost / cpu_queue_limit /
-    soft_edge_start / soft_edge_loss:
+    communication_radius / base_loss_rate / task_cost / soft_edge_start /
+    soft_edge_loss:
         Field and radio configuration (see :class:`SensorField`).
     enable_transport:
         Have every mote's agent build the §5.3 directory and §5.4 MTP, as
@@ -72,14 +72,13 @@ class EnviroTrackApp:
 
     def __init__(self, seed: int = 0, communication_radius: float = 6.0,
                  base_loss_rate: float = 0.0, task_cost: float = 0.001,
-                 cpu_queue_limit: int = 64,
                  soft_edge_start: float = 1.0, soft_edge_loss: float = 0.0,
                  enable_transport: bool = True) -> None:
         self.sim = Simulator(seed=seed)
         self.field = SensorField(
             self.sim, communication_radius=communication_radius,
             base_loss_rate=base_loss_rate,
-            task_cost=task_cost, cpu_queue_limit=cpu_queue_limit,
+            task_cost=task_cost,
             soft_edge_start=soft_edge_start, soft_edge_loss=soft_edge_loss)
         self.registry = default_registry()
         self.enable_transport = enable_transport

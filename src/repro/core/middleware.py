@@ -63,8 +63,8 @@ class EnviroTrackAgent(Component, GroupListener):
     :class:`GroupManager` (``groups``).  With ``bounds`` it also builds the
     §5.3 :class:`DirectoryService` (``directory``) and the §5.4
     :class:`MtpAgent` (``mtp``), always as a pair; without, both are None,
-    ``ctx.invoke`` records ``etrack.invoke_dropped`` and ``ctx.lookup``
-    ``etrack.app.lookup_dropped``.
+    ``ctx.invoke`` records ``etrack.invoke_dropped reason=no_mtp`` and
+    ``ctx.lookup`` ``etrack.lookup_dropped reason=no_directory``.
 
     Parameters
     ----------

@@ -109,11 +109,12 @@ class ObjectContext:
         :class:`repro.naming.DirectoryEntry` (possibly empty) when the
         response arrives — asynchronously, like everything on a mote.
         Without a directory service the callback never fires and a
-        trace record notes the dropped query.
+        ``lookup_dropped`` record (reason ``no_directory``) notes the
+        dropped query.
         """
         if self._lookup_fn is None:
-            self._record_fn("app.lookup_dropped", label=self._label,
-                            context_type=context_type)
+            self._record_fn("lookup_dropped", reason="no_directory",
+                            label=self._label, context_type=context_type)
             return
         self._lookup_fn(context_type, callback)
 

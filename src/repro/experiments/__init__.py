@@ -7,8 +7,8 @@ from .figures import (Figure3Result, Figure4Result, Figure5Result,
                       Figure6Result, Table1Result, figure3, figure4,
                       figure5, figure6, table1)
 from .runner import (ScenarioOutcome, default_jobs, derive_run_seed,
-                     dump_scenario_trace, parallel_map, reduce_run,
-                     run_scenario_outcome, run_scenarios)
+                     parallel_map, reduce_run, run_scenario_outcome,
+                     run_scenarios)
 from .scenarios import (SPEED_33_KMH, SPEED_50_KMH, TankRunResult,
                         TankScenario, build_app, build_tracker_definition,
                         run_tank_scenario)
@@ -39,7 +39,6 @@ __all__ = [
     "chaos",
     "default_jobs",
     "derive_run_seed",
-    "dump_scenario_trace",
     "figure3",
     "figure4",
     "figure5",

@@ -27,17 +27,16 @@ relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..faults import FaultInjector, leader_crash_schedule
 from ..groups import GroupConfig, GroupManager, Role
 from ..metrics import RecoveryReport, analyze_recovery
 from ..metrics.recovery import CrashRecovery
 from ..node import Component
-from ..radio import reset_frame_ids
 from ..sensing import SensorField
 from ..sim import Simulator, dump_trace
-from .runner import parallel_map
+from .runner import check_repetitions, parallel_map
 
 CONTEXT_TYPE = "chaos"
 REPORT_KIND = "chaos.report"
@@ -46,6 +45,22 @@ REPORT_KIND = "chaos.report"
 #: (≤ TAKEOVER_PROBES × CLAIM_WINDOW = 0.2 s, both in groups.config),
 #: duplicate resolution by defence/yield, CPU task service.
 TAKEOVER_SLACK = 0.5
+
+#: The sweep's heartbeat periods and crash periods (s), full and quick.
+HEARTBEAT_PERIODS = (0.25, 0.5, 1.0)
+QUICK_HEARTBEAT_PERIODS = (0.25, 0.5)
+CRASH_PERIODS = (4.0, 8.0)
+QUICK_CRASH_PERIODS = (4.0,)
+
+#: Leader crashes per run, full and quick.
+CRASHES = 4
+QUICK_CRASHES = 3
+
+#: The line deployment: motes, how many of them (from node 0) sense the
+#: stimulus, and the channel's base loss rate.
+MOTE_COUNT = 10
+SENSING_COUNT = 4
+BASE_LOSS_RATE = 0.1
 
 
 class MemberReporter(Component):
@@ -172,20 +187,31 @@ class ChaosResult:
         return "\n".join(lines)
 
 
-def _chaos_run(seed: int, heartbeat_period: float, crash_period: float,
-               crashes: int, base_loss_rate: float,
-               mote_count: int, sensing_count: int,
+@dataclass(frozen=True)
+class ChaosRun:
+    """One run's complete parameterization (picklable worker input)."""
+
+    seed: int
+    heartbeat_period: float
+    crash_period: float
+    crashes: int
+    base_loss_rate: float = BASE_LOSS_RATE
+    mote_count: int = MOTE_COUNT
+    sensing_count: int = SENSING_COUNT
+
+
+def _chaos_run(run: ChaosRun,
                trace_out: Optional[str] = None) -> RecoveryReport:
-    """One chaos run: build the line deployment, arm the plan, measure."""
-    # Frame ids restart per run so traces depend only on this run's
-    # parameters — not on prior runs or on which sweep worker ran it.
-    reset_frame_ids()
-    sim = Simulator(seed=seed)
+    """One chaos run: build the line deployment, arm the plan, measure;
+    ``trace_out`` also writes the run's trace as JSONL."""
+    heartbeat_period = run.heartbeat_period
+    crash_period = run.crash_period
+    sim = Simulator(seed=run.seed)
     field = SensorField(sim, communication_radius=10.0,
-                        base_loss_rate=base_loss_rate)
-    sensing_ids = set(range(sensing_count))
+                        base_loss_rate=run.base_loss_rate)
+    sensing_ids = set(range(run.sensing_count))
     managers: Dict[int, GroupManager] = {}
-    for i in range(mote_count):
+    for i in range(run.mote_count):
         mote = field.add_mote((float(i), 0.0))
         manager = GroupManager(mote)
         manager.track(CONTEXT_TYPE,
@@ -201,29 +227,16 @@ def _chaos_run(seed: int, heartbeat_period: float, crash_period: float,
     start = 2.0 + 4.0 * heartbeat_period
     injector = FaultInjector(sim, field, managers=managers)
     injector.arm(leader_crash_schedule(
-        CONTEXT_TYPE, start=start, period=crash_period, count=crashes,
+        CONTEXT_TYPE, start=start, period=crash_period, count=run.crashes,
         reboot_after=crash_period / 2.0))
-    sim.run(until=start + crashes * crash_period)
+    sim.run(until=start + run.crashes * crash_period)
     if trace_out:
         dump_trace(sim, trace_out)
     return analyze_recovery(sim, CONTEXT_TYPE,
                             stability=0.5 * heartbeat_period)
 
 
-def _chaos_task(task: Tuple[int, float, float, int, float, int, int]
-                ) -> RecoveryReport:
-    """Worker entry point: one (seed, cell-parameters) chaos run."""
-    (seed, heartbeat_period, crash_period, crashes, base_loss_rate,
-     mote_count, sensing_count) = task
-    return _chaos_run(seed, heartbeat_period, crash_period, crashes,
-                      base_loss_rate, mote_count, sensing_count)
-
-
-def chaos(heartbeat_periods: Optional[Sequence[float]] = None,
-          crash_periods: Optional[Sequence[float]] = None,
-          repetitions: int = 3, crashes_per_run: int = 4,
-          base_loss_rate: float = 0.1, mote_count: int = 10,
-          sensing_count: int = 4, seed_base: int = 70,
+def chaos(repetitions: int = 3, seed_base: int = 70,
           quick: bool = False, jobs: int = 1,
           trace_out: Optional[str] = None) -> ChaosResult:
     """Sweep crash rate × heartbeat period; aggregate recovery stats.
@@ -233,27 +246,28 @@ def chaos(heartbeat_periods: Optional[Sequence[float]] = None,
     individual runs out worker-per-seed; seeds depend only on the cell
     index and repetition, so parallel results equal serial ones.
     ``trace_out`` writes the first run's trace as JSONL (deterministic
-    serial rerun; frame ids reset per run, so it matches the sweep's).
+    serial rerun, so it matches the sweep's).
     """
-    if heartbeat_periods is None:
-        heartbeat_periods = (0.25, 0.5) if quick else (0.25, 0.5, 1.0)
-    if crash_periods is None:
-        crash_periods = (4.0,) if quick else (4.0, 8.0)
+    check_repetitions(repetitions)
     if quick:
         repetitions = 1
-        crashes_per_run = min(crashes_per_run, 3)
+        heartbeat_periods, crash_periods, crashes = (
+            QUICK_HEARTBEAT_PERIODS, QUICK_CRASH_PERIODS, QUICK_CRASHES)
+    else:
+        heartbeat_periods, crash_periods, crashes = (
+            HEARTBEAT_PERIODS, CRASH_PERIODS, CRASHES)
     cells = [(heartbeat_period, crash_period)
              for heartbeat_period in heartbeat_periods
              for crash_period in crash_periods]
-    tasks = [(seed_base + 1000 * cell_index + rep, heartbeat_period,
-              crash_period, crashes_per_run, base_loss_rate, mote_count,
-              sensing_count)
-             for cell_index, (heartbeat_period, crash_period)
-             in enumerate(cells)
-             for rep in range(repetitions)]
-    reports = parallel_map(_chaos_task, tasks, jobs=jobs)
+    runs = [ChaosRun(seed=seed_base + 1000 * cell_index + rep,
+                     heartbeat_period=heartbeat_period,
+                     crash_period=crash_period, crashes=crashes)
+            for cell_index, (heartbeat_period, crash_period)
+            in enumerate(cells)
+            for rep in range(repetitions)]
+    reports = parallel_map(_chaos_run, runs, jobs=jobs)
     if trace_out:
-        _chaos_run(*tasks[0], trace_out=trace_out)
+        _chaos_run(runs[0], trace_out)
     points: List[ChaosPoint] = []
     for cell_index, (heartbeat_period, crash_period) in enumerate(cells):
         merged: List[CrashRecovery] = []

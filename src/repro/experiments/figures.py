@@ -19,13 +19,12 @@ functions; ``quick=True`` shrinks sweeps for smoke-testing.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..metrics import (CommunicationMetrics, SpeedSearchResult,
                        TrajectoryComparison, max_trackable_speed,
                        mean_metrics)
-from ..sim import dump_trace
-from .runner import dump_scenario_trace, parallel_map, run_scenarios
+from .runner import check_repetitions, parallel_map, run_scenarios
 from .scenarios import (SPEED_33_KMH, SPEED_50_KMH, TankRunResult,
                         TankScenario, run_tank_scenario)
 
@@ -33,18 +32,25 @@ from .scenarios import (SPEED_33_KMH, SPEED_50_KMH, TankRunResult,
 #: CPU parameters (a 4 MHz-class processor spends several ms per message;
 #: deep task queues let backlog build into real processing delay, which is
 #: the paper's diagnosed bottleneck at small heartbeat periods).
-STRESS_COLUMNS = 20
-STRESS_ROWS = 5
-STRESS_TASK_COST = 0.008
-STRESS_QUEUE_LIMIT = 64
+STRESS_RIG = TankScenario(columns=20, rows=5, task_cost=0.008,
+                          with_base_station=False, base_loss_rate=0.05)
 
+#: Figure 5's heartbeat periods (s), sensing radii and probe speeds
+#: (hops/s), full and quick.
+FIGURE5_PERIODS = (0.03125, 0.0625, 0.125, 0.25, 0.5, 1.0, 2.0)
+FIGURE5_QUICK_PERIODS = (0.25, 1.0)
+FIGURE5_RADII = (1.0, 2.0)
+FIGURE5_SPEEDS = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
+FIGURE5_QUICK_SPEEDS = (0.5, 1.0, 2.0)
 
-def _stress_scenario(**overrides) -> TankScenario:
-    base = TankScenario(columns=STRESS_COLUMNS, rows=STRESS_ROWS,
-                        task_cost=STRESS_TASK_COST,
-                        cpu_queue_limit=STRESS_QUEUE_LIMIT,
-                        with_base_station=False, base_loss_rate=0.05)
-    return replace(base, **overrides)
+#: Figure 6's CR:SR ratios, sensing radii and probe speeds (hops/s),
+#: full and quick.
+FIGURE6_RATIOS = (0.7, 1.0, 1.5, 2.0, 3.0)
+FIGURE6_QUICK_RATIOS = (1.0, 3.0)
+FIGURE6_RADII = (1.5, 2.0, 3.0)
+FIGURE6_QUICK_RADII = (1.5, 2.0)
+FIGURE6_SPEEDS = (0.5, 1.0, 2.0, 4.0, 6.0, 8.0)
+FIGURE6_QUICK_SPEEDS = (0.5, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -78,13 +84,13 @@ def _probe_scenario(task: _SpeedSearchTask, speed: float,
         # leader's single broadcast (CR), so nodes sensing the event
         # beyond the leader's radio range really are blind to the
         # existing label — the breakdown §6.2 describes.
-        return _stress_scenario(
-            speed=speed, sensing_radius=task.sensing_radius,
+        return replace(
+            STRESS_RIG, speed=speed, sensing_radius=task.sensing_radius,
             communication_radius=task.communication_radius,
             relinquish=True, seed=seed, member_rebroadcast=False,
-            task_cost=0.001, cpu_queue_limit=64)
-    return _stress_scenario(
-        speed=speed, sensing_radius=task.sensing_radius,
+            task_cost=0.001)
+    return replace(
+        STRESS_RIG, speed=speed, sensing_radius=task.sensing_radius,
         heartbeat_period=task.heartbeat_period,
         relinquish=(task.mode == "relinquish"), seed=seed)
 
@@ -131,20 +137,17 @@ class Figure3Result:
         return "\n".join(lines)
 
 
-def figure3(seed: int = 1, speed: float = SPEED_50_KMH,
-            base_loss_rate: float = 0.05,
+def figure3(seed: int = 1,
             trace_out: Optional[str] = None) -> Figure3Result:
     """Reproduce the Figure 3 run: one tank crossing a 10-column grid at
-    y = 0.5, tracked by the Figure 2 program, reports plotted against the
-    real trajectory.  ``trace_out`` writes the run's trace as JSONL."""
-    scenario = TankScenario(columns=11, rows=2, speed=speed, seed=seed,
-                            base_loss_rate=base_loss_rate,
-                            report_timer=5.0)
-    run = run_tank_scenario(scenario)
+    y = 0.5 at 50 km/hr over a 5% lossy channel (§6.1), tracked by the
+    Figure 2 program, reports plotted against the real trajectory.
+    ``trace_out`` writes the run's trace as JSONL."""
+    run = run_tank_scenario(
+        TankScenario(columns=11, rows=2, speed=SPEED_50_KMH,
+                     base_loss_rate=0.05, seed=seed), trace_out)
     if run.comparison is None:
         raise RuntimeError("base station collected no reports")
-    if trace_out:
-        dump_trace(run.app.sim, trace_out)
     return Figure3Result(run=run)
 
 
@@ -194,6 +197,7 @@ def figure4(repetitions: int = 3, seed_base: int = 40,
     (worker-per-seed) without changing any result.  ``trace_out`` writes
     the sweep's first run's trace (deterministic serial rerun) as JSONL.
     """
+    check_repetitions(repetitions)
     if quick:
         repetitions = 1
     sensing_radius = 1.0
@@ -224,7 +228,7 @@ def figure4(repetitions: int = 3, seed_base: int = 40,
                 cell_keys.append((kmh, propagate))
     outcomes = run_scenarios(scenarios, jobs=jobs)
     if trace_out:
-        dump_scenario_trace(scenarios[0], trace_out)
+        run_tank_scenario(scenarios[0], trace_out)
     tallies: Dict[Tuple[int, bool], List[int]] = {}
     for key, outcome in zip(cell_keys, outcomes):
         tally = tallies.setdefault(key, [0, 0])
@@ -283,6 +287,7 @@ def table1(repetitions: int = 3, seed_base: int = 10,
     """Communication metrics of the correct (propagating) configuration at
     the two emulated tank speeds, averaged over independent runs.
     ``trace_out`` writes the first run's trace (serial rerun) as JSONL."""
+    check_repetitions(repetitions)
     if quick:
         repetitions = 1
     grid = ((SPEED_33_KMH, 33), (SPEED_50_KMH, 50))
@@ -292,7 +297,7 @@ def table1(repetitions: int = 3, seed_base: int = 10,
                  for rep in range(repetitions)]
     outcomes = run_scenarios(scenarios, jobs=jobs)
     if trace_out:
-        dump_scenario_trace(scenarios[0], trace_out)
+        run_tank_scenario(scenarios[0], trace_out)
     rows = []
     for index, (speed, kmh) in enumerate(grid):
         cell = outcomes[index * repetitions:(index + 1) * repetitions]
@@ -353,11 +358,7 @@ class Figure5Result:
         return "\n".join(lines)
 
 
-def figure5(heartbeat_periods: Optional[Sequence[float]] = None,
-            sensing_radii: Sequence[float] = (1.0, 2.0),
-            speeds: Optional[Sequence[float]] = None,
-            repetitions: int = 3, seed_base: int = 50,
-            include_relinquish: bool = True,
+def figure5(repetitions: int = 3, seed_base: int = 50,
             quick: bool = False, jobs: int = 1,
             trace_out: Optional[str] = None) -> Figure5Result:
     """Max trackable speed vs heartbeat period.
@@ -369,44 +370,37 @@ def figure5(heartbeat_periods: Optional[Sequence[float]] = None,
     to the heartbeat period, as in the paper.  ``jobs`` fans the sweep's
     data points out worker-per-cell.
     """
-    if heartbeat_periods is None:
-        heartbeat_periods = ((0.25, 1.0) if quick else
-                             (0.03125, 0.0625, 0.125, 0.25, 0.5, 1.0, 2.0))
-    if speeds is None:
-        speeds = ((0.5, 1.0, 2.0) if quick else
-                  (0.5, 1.0, 2.0, 3.0, 4.0, 5.0))
+    check_repetitions(repetitions)
     if quick:
         repetitions = 1
+        periods, speeds = FIGURE5_QUICK_PERIODS, FIGURE5_QUICK_SPEEDS
+    else:
+        periods, speeds = FIGURE5_PERIODS, FIGURE5_SPEEDS
     # The relinquish reference is flat w.r.t. the heartbeat period, so
     # three sample periods suffice to demonstrate it (and keep the full
     # bench's runtime within minutes).
-    relinquish_periods = ((heartbeat_periods[:1]) if quick else
-                          tuple(heartbeat_periods[1::2]) or
-                          tuple(heartbeat_periods[:1]))
-    speed_tuple = tuple(speeds)
+    relinquish_periods = periods[:1] if quick else periods[1::2]
     tasks = []
     cells = []
-    for radius in sensing_radii:
-        for period in heartbeat_periods:
+    for radius in FIGURE5_RADII:
+        for period in periods:
             tasks.append(_SpeedSearchTask(
                 mode="takeover", sensing_radius=radius,
-                speeds=speed_tuple, repetitions=repetitions,
+                speeds=speeds, repetitions=repetitions,
                 seed_base=seed_base, heartbeat_period=period))
             cells.append((period, radius, "takeover"))
-        if include_relinquish:
-            for period in relinquish_periods:
-                tasks.append(_SpeedSearchTask(
-                    mode="relinquish", sensing_radius=radius,
-                    speeds=speed_tuple, repetitions=repetitions,
-                    seed_base=seed_base + 7, heartbeat_period=period))
-                cells.append((period, radius, "relinquish"))
+        for period in relinquish_periods:
+            tasks.append(_SpeedSearchTask(
+                mode="relinquish", sensing_radius=radius,
+                speeds=speeds, repetitions=repetitions,
+                seed_base=seed_base + 7, heartbeat_period=period))
+            cells.append((period, radius, "relinquish"))
     searches = parallel_map(_speed_search_worker, tasks, jobs=jobs)
     if trace_out:
         # The first cell's first probe (lowest speed, base seed), reran
         # serially — a byte-identical stand-in for the sweep's traces.
-        dump_scenario_trace(
-            _probe_scenario(tasks[0], min(tasks[0].speeds),
-                            tasks[0].seed_base), trace_out)
+        run_tank_scenario(_probe_scenario(tasks[0], speeds[0], seed_base),
+                          trace_out)
     points = [Figure5Point(heartbeat_period=period, sensing_radius=radius,
                            mode=mode, search=search)
               for (period, radius, mode), search in zip(cells, searches)]
@@ -454,10 +448,7 @@ class Figure6Result:
         return "\n".join(lines)
 
 
-def figure6(ratios: Optional[Sequence[float]] = None,
-            sensing_radii: Sequence[float] = (1.5, 2.0, 3.0),
-            speeds: Optional[Sequence[float]] = None,
-            repetitions: int = 3, seed_base: int = 60,
+def figure6(repetitions: int = 3, seed_base: int = 60,
             quick: bool = False, jobs: int = 1,
             trace_out: Optional[str] = None) -> Figure6Result:
     """Max trackable speed vs the communication:sensing radius ratio.
@@ -469,29 +460,26 @@ def figure6(ratios: Optional[Sequence[float]] = None,
     leader's radio range form spurious groups.  ``jobs`` fans the
     (radius, ratio) cells out worker-per-cell.
     """
-    if ratios is None:
-        ratios = (1.0, 3.0) if quick else (0.7, 1.0, 1.5, 2.0, 3.0)
-    if speeds is None:
-        speeds = ((0.5, 1.0) if quick else
-                  (0.5, 1.0, 2.0, 4.0, 6.0, 8.0))
+    check_repetitions(repetitions)
     if quick:
         repetitions = 1
-        sensing_radii = sensing_radii[:2]
-    speed_tuple = tuple(speeds)
+        ratios, radii, speeds = (FIGURE6_QUICK_RATIOS, FIGURE6_QUICK_RADII,
+                                 FIGURE6_QUICK_SPEEDS)
+    else:
+        ratios, radii, speeds = FIGURE6_RATIOS, FIGURE6_RADII, FIGURE6_SPEEDS
     tasks = []
     cells = []
-    for radius in sensing_radii:
+    for radius in radii:
         for ratio in ratios:
             tasks.append(_SpeedSearchTask(
-                mode="ratio", sensing_radius=radius, speeds=speed_tuple,
+                mode="ratio", sensing_radius=radius, speeds=speeds,
                 repetitions=repetitions, seed_base=seed_base,
                 communication_radius=ratio * radius))
             cells.append((ratio, radius))
     searches = parallel_map(_speed_search_worker, tasks, jobs=jobs)
     if trace_out:
-        dump_scenario_trace(
-            _probe_scenario(tasks[0], min(tasks[0].speeds),
-                            tasks[0].seed_base), trace_out)
+        run_tank_scenario(_probe_scenario(tasks[0], speeds[0], seed_base),
+                          trace_out)
     points = [Figure6Point(ratio=ratio, sensing_radius=radius,
                            search=search)
               for (ratio, radius), search in zip(cells, searches)]

@@ -9,12 +9,16 @@ time divides by the core count while results stay **byte-identical** to a
 serial sweep:
 
 * each run builds its own :class:`~repro.sim.Simulator` seeded from the
-  task, so no randomness crosses process boundaries;
-* frame ids restart per run (:func:`repro.radio.reset_frame_ids`), so a
-  run's trace does not depend on which process executed it or what ran
-  before;
+  task, so no randomness crosses process boundaries, and the simulator
+  numbers the run's frames itself, so a run's trace does not depend on
+  which process executed it or what ran before;
 * ``pool.map`` preserves task order, so folds over outcomes see the same
   sequence a serial loop would.
+
+Live runs cannot cross a process boundary either, so a sweep honours
+``--trace-out`` by rerunning its first task serially through the same
+per-run function, given the path: the rerun's trace is byte-identical to
+the one the sweep's worker produced.
 
 Workers return :class:`ScenarioOutcome` — a reduced, picklable summary of
 a run (a live ``TankRunResult`` holds the whole app object graph and
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
 from ..metrics import CommunicationMetrics
-from ..sim import derive_seed, dump_trace, trace_digest
+from ..sim import derive_seed, trace_digest
 from .scenarios import TankRunResult, TankScenario, run_tank_scenario
 
 T = TypeVar("T")
@@ -72,6 +76,12 @@ def reduce_run(run: TankRunResult) -> ScenarioOutcome:
 def run_scenario_outcome(scenario: TankScenario) -> ScenarioOutcome:
     """Worker entry point: run one scenario, return its outcome."""
     return reduce_run(run_tank_scenario(scenario))
+
+
+def check_repetitions(repetitions: int) -> None:
+    """Reject a sweep of fewer than one run per parameter point."""
+    if not repetitions >= 1:
+        raise ValueError(f"repetitions must be >= 1: {repetitions}")
 
 
 def derive_run_seed(base: int, *parts: object) -> int:
@@ -116,16 +126,3 @@ def run_scenarios(scenarios: Sequence[TankScenario],
                   jobs: Optional[int] = 1) -> List[ScenarioOutcome]:
     """Run a batch of scenarios (worker-per-seed), outcomes in order."""
     return parallel_map(run_scenario_outcome, scenarios, jobs=jobs)
-
-
-def dump_scenario_trace(scenario: TankScenario, path: str) -> int:
-    """Write one sweep scenario's full trace to a JSONL file.
-
-    Live runs cannot cross a process boundary, so sweep experiments
-    honour ``--trace-out`` by deterministically rerunning one
-    representative scenario in this process — frame ids reset per run,
-    so the rerun's trace is byte-identical to what the sweep's worker
-    produced.  Returns the record count written.
-    """
-    run = run_tank_scenario(scenario)
-    return dump_trace(run.app.sim, path)

@@ -11,7 +11,7 @@ heartbeat period, sensing radius and communication radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..aggregation import AggregateVarSpec
@@ -22,13 +22,23 @@ from ..metrics import (CommunicationMetrics, HandoverStats,
                        TrajectoryComparison, analyze_handovers,
                        communication_metrics, compare_track,
                        tracking_coverage)
-from ..radio import reset_frame_ids
 from ..sensing import LineTrajectory, Target
+from ..sim import dump_trace
 
 #: The paper's emulated T-72 speeds: 10 s/hop (50 km/hr) and 15 s/hop
 #: (33 km/hr) at the 1000:1 scale with 140 m grid spacing.
 SPEED_50_KMH = 1.0 / 10.0
 SPEED_33_KMH = 1.0 / 15.0
+
+#: The Figure 2 declaration: the tracker's location needs 2 fresh
+#: readings (confidence), each at most 1 s old (freshness), and the
+#: leader reports every 5 s.
+CONFIDENCE = 2
+FRESHNESS = 1.0
+REPORT_TIMER = 5.0
+
+#: Hops outside the grid at which the tank starts.
+START_MARGIN = 1.5
 
 
 @dataclass(frozen=True)
@@ -54,11 +64,6 @@ class TankScenario:
     soft_edge_start: float = 1.0
     soft_edge_loss: float = 0.0
     task_cost: float = 0.001
-    cpu_queue_limit: int = 64
-    confidence: int = 2
-    freshness: float = 1.0
-    report_timer: float = 5.0
-    start_margin: float = 1.5             # hops outside the grid
     #: Uniform per-axis placement error (grid units).  0 = perfect grid.
     #: The Figure 4 experiment uses a jittered deployment so that
     #: heartbeat reach relative to the sensing perimeter varies
@@ -78,23 +83,17 @@ class TankScenario:
     def entry_time(self) -> float:
         """When the target's signature first reaches the grid (x ≥ 0)."""
         return max(0.0,
-                   (self.start_margin - self.sensing_radius) / self.speed)
+                   (START_MARGIN - self.sensing_radius) / self.speed)
 
     @property
     def exit_time(self) -> float:
         """When the signature clears the far edge of the grid."""
-        return (self.start_margin + (self.columns - 1)
+        return (START_MARGIN + (self.columns - 1)
                 + self.sensing_radius) / self.speed
 
     @property
     def duration(self) -> float:
         return self.exit_time + 2.0
-
-    def with_speed(self, speed: float) -> "TankScenario":
-        return replace(self, speed=speed)
-
-    def with_seed(self, seed: int) -> "TankScenario":
-        return replace(self, seed=seed)
 
 
 @dataclass
@@ -119,7 +118,7 @@ class TankRunResult:
 
 
 def build_tracker_definition(scenario: TankScenario) -> ContextTypeDef:
-    """The Figure 2 context declaration, parameterized by the scenario."""
+    """The Figure 2 context declaration with the scenario's group settings."""
 
     def report(ctx) -> None:
         result = ctx.read("location")
@@ -138,11 +137,11 @@ def build_tracker_definition(scenario: TankScenario) -> ContextTypeDef:
         name="tracker",
         activation="tank_detect",
         aggregates=[AggregateVarSpec("location", "avg", "position",
-                                     confidence=scenario.confidence,
-                                     freshness=scenario.freshness)],
+                                     confidence=CONFIDENCE,
+                                     freshness=FRESHNESS)],
         objects=[TrackingObjectDef("reporter", [
             MethodDef("report_function",
-                      TimerInvocation(scenario.report_timer), report)])],
+                      TimerInvocation(REPORT_TIMER), report)])],
         group=group,
         delay_estimate=0.1,
     )
@@ -157,7 +156,6 @@ def build_app(scenario: TankScenario) -> EnviroTrackApp:
         soft_edge_start=scenario.soft_edge_start,
         soft_edge_loss=scenario.soft_edge_loss,
         task_cost=scenario.task_cost,
-        cpu_queue_limit=scenario.cpu_queue_limit,
         enable_transport=scenario.enable_transport,
     )
     if scenario.deployment_jitter > 0:
@@ -165,7 +163,7 @@ def build_app(scenario: TankScenario) -> EnviroTrackApp:
                                        jitter=scenario.deployment_jitter)
     else:
         app.field.deploy_grid(scenario.columns, scenario.rows)
-    start = (-scenario.start_margin, scenario.track_y)
+    start = (-START_MARGIN, scenario.track_y)
     app.field.add_target(Target(
         name="tank", kind="vehicle",
         trajectory=LineTrajectory(start, scenario.speed),
@@ -177,12 +175,10 @@ def build_app(scenario: TankScenario) -> EnviroTrackApp:
     return app
 
 
-def run_tank_scenario(scenario: TankScenario) -> TankRunResult:
-    """Run the scenario to completion and analyze the trace."""
-    # Frame ids restart per run so the trace depends only on the scenario
-    # and seed — not on prior runs in this process or on which worker of
-    # a parallel sweep executed it.
-    reset_frame_ids()
+def run_tank_scenario(scenario: TankScenario,
+                      trace_out: Optional[str] = None) -> TankRunResult:
+    """Run the scenario to completion and analyze the trace;
+    ``trace_out`` also writes the run's trace as JSONL."""
     app = build_app(scenario)
     app.install()
     target = app.field.target("tank")
@@ -218,6 +214,8 @@ def run_tank_scenario(scenario: TankScenario) -> TankRunResult:
     coverage = tracking_coverage(
         app.sim, "tracker", start=cov_start, end=cov_end,
         max_gap=max(1.0, 3.0 * scenario.heartbeat_period))
+    if trace_out:
+        dump_trace(app.sim, trace_out)
     return TankRunResult(scenario=scenario, app=app, handovers=handovers,
                          communication=comm, comparison=comparison,
                          coverage=coverage)

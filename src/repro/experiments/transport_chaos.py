@@ -32,12 +32,11 @@ from ..faults import FaultInjector, FaultPlan, LossSpike, \
     leader_crash_schedule
 from ..groups import GroupConfig, GroupManager, Role
 from ..naming import DirectoryService, FieldBounds
-from ..radio import reset_frame_ids
 from ..sensing import SensorField
 from ..sim import Simulator, dump_trace, trace_digest
 from ..transport import GeoRouter, MtpAgent, ReliabilityConfig
 from .chaos import MemberReporter
-from .runner import parallel_map
+from .runner import check_repetitions, parallel_map
 
 #: Context type whose leader receives the invocations (and gets killed).
 CONTEXT_DST = "txdst"
@@ -180,8 +179,8 @@ class TransportChaosResult:
 
 def _transport_run(spec: TransportChaosSpec,
                    trace_out: Optional[str] = None) -> TransportOutcome:
-    """One run: build the grid, stream invocations, inject faults."""
-    reset_frame_ids()
+    """One run: build the grid, stream invocations, inject faults;
+    ``trace_out`` also writes the run's trace as JSONL."""
     sim = Simulator(seed=spec.seed)
     field = SensorField(sim, communication_radius=COMMUNICATION_RADIUS,
                         base_loss_rate=spec.base_loss_rate)
@@ -305,11 +304,6 @@ def _transport_run(spec: TransportChaosSpec,
     )
 
 
-def _transport_task(spec: TransportChaosSpec) -> TransportOutcome:
-    """Worker entry point: one (mode, seed) transport-chaos run."""
-    return _transport_run(spec)
-
-
 def transport_chaos(repetitions: int = 3, seed_base: int = 91,
                     quick: bool = False, jobs: int = 1,
                     trace_out: Optional[str] = None) -> TransportChaosResult:
@@ -320,12 +314,13 @@ def transport_chaos(repetitions: int = 3, seed_base: int = 91,
     the first run's trace as JSONL (deterministic serial rerun).
     ``quick`` runs one repetition.
     """
+    check_repetitions(repetitions)
     if quick:
         repetitions = 1
     specs = [TransportChaosSpec(mode=mode, seed=seed_base + rep)
              for rep in range(repetitions)
              for mode in MODES]
-    outcomes = parallel_map(_transport_task, specs, jobs=jobs)
+    outcomes = parallel_map(_transport_run, specs, jobs=jobs)
     if trace_out:
-        _transport_run(specs[0], trace_out=trace_out)
+        _transport_run(specs[0], trace_out)
     return TransportChaosResult(outcomes=tuple(outcomes))

@@ -21,8 +21,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..radio import BROADCAST, CsmaMac, Frame, Medium, TransceiverPort
 from ..sim import OneShotTimer, PeriodicTimer, Simulator, WatchdogTimer
-from .cpu import (DEFAULT_QUEUE_LIMIT, DEFAULT_TASK_COST, Cpu, PeriodicTask,
-                  QuietPollTimer)
+from .cpu import DEFAULT_TASK_COST, Cpu, PeriodicTask, QuietPollTimer
 
 Position = Tuple[float, float]
 FrameHandler = Callable[[Frame], None]
@@ -42,14 +41,15 @@ class Mote:
     medium:
         The shared radio channel to attach to; the mote transmits on it
         through a :class:`~repro.radio.CsmaMac`.
-    task_cost / queue_limit:
-        CPU model parameters (see :class:`repro.node.cpu.Cpu`); every
+    task_cost:
+        CPU cost per task (see :class:`repro.node.cpu.Cpu`, whose queue
+        holds :data:`~repro.node.cpu.DEFAULT_QUEUE_LIMIT` tasks); every
         received and every transmitted frame costs one ``task_cost``.
     """
 
     def __init__(self, sim: Simulator, node_id: int, position: Position,
-                 medium: Medium, task_cost: float = DEFAULT_TASK_COST,
-                 queue_limit: int = DEFAULT_QUEUE_LIMIT) -> None:
+                 medium: Medium, task_cost: float = DEFAULT_TASK_COST
+                 ) -> None:
         self.sim = sim
         self.node_id = node_id
         #: Field coordinates; motes are static (the paper's §6.1 grid), so
@@ -59,8 +59,7 @@ class Mote:
         #: Power cycles so far, kept across a crash the way a mote's
         #: EEPROM keeps it; :meth:`reboot` increments it.
         self.boot = 0
-        self.cpu = Cpu(sim, node_id, task_cost=task_cost,
-                       queue_limit=queue_limit)
+        self.cpu = Cpu(sim, node_id, task_cost=task_cost)
         self._handlers: Dict[str, List[FrameHandler]] = {}
         #: CPU task labels ``tx.<kind>`` / ``rx.<kind>`` and span names
         #: ``frame.<kind>``, built once per frame kind rather than once
@@ -123,7 +122,9 @@ class Mote:
         self._handlers.setdefault(kind, []).append(handler)
 
     def send(self, frame: Frame) -> None:
-        """Queue a frame for transmission (charges CPU tx cost first)."""
+        """Stamp the frame with the simulator's next frame id and queue
+        it for transmission (charges CPU tx cost first)."""
+        frame.frame_id = self.sim.next_frame_id()
         kind = frame.kind
         label = self._tx_labels.get(kind)
         if label is None:

@@ -10,8 +10,7 @@ Default sizes approximate TinyOS active-message packets (a 36-byte TOS_Msg:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 #: Broadcast destination sentinel.
@@ -20,20 +19,10 @@ BROADCAST = -1
 #: Default frame size: a full 36-byte TinyOS packet.
 DEFAULT_FRAME_BITS = 36 * 8
 
-_frame_ids = itertools.count(1)
-
 
 def reset_frame_ids() -> None:
-    """Restart frame-id numbering at 1.
-
-    Scenario drivers call this before each independent run so that frame
-    ids in trace records depend only on the run itself — never on how many
-    runs the process executed before, or on which worker process a
-    parallel sweep placed the run in.  (Ids must only be unique within one
-    simulation; nothing correlates them across runs.)
-    """
-    global _frame_ids
-    _frame_ids = itertools.count(1)
+    """No-op kept for old callers: each simulator numbers its own frames
+    (:meth:`repro.node.Mote.send`)."""
 
 
 @dataclass
@@ -53,6 +42,9 @@ class Frame:
         inspected (or serialized) by the radio layer.
     size_bits:
         On-air size used for airtime and utilization accounting.
+    frame_id:
+        0 until :meth:`repro.node.Mote.send` stamps the frame with the
+        next id of its simulator (1, 2, …).
     """
 
     src: int
@@ -60,7 +52,7 @@ class Frame:
     kind: str
     payload: Any = None
     size_bits: int = DEFAULT_FRAME_BITS
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
+    frame_id: int = 0
     sent_at: Optional[float] = None
     #: Optional per-frame transmit power control: reception range in grid
     #: units.  ``None`` uses the medium's communication radius.  The Fig. 4

@@ -16,7 +16,7 @@ scenario code stays declarative.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..node import Mote
 from ..radio import Medium
@@ -40,14 +40,14 @@ class SensorField:
     base_loss_rate / soft_edge_start / soft_edge_loss:
         Forwarded to :class:`repro.radio.Medium` (which sends at the
         MICA 50 kbps bitrate).
-    task_cost / cpu_queue_limit:
-        CPU model for every mote.
+    task_cost:
+        Every mote's CPU cost per task (its queue holds
+        :data:`repro.node.cpu.DEFAULT_QUEUE_LIMIT` tasks).
     """
 
     def __init__(self, sim: Simulator, communication_radius: float = 6.0,
                  base_loss_rate: float = 0.0,
                  task_cost: float = 0.001,
-                 cpu_queue_limit: int = 64,
                  soft_edge_start: float = 1.0,
                  soft_edge_loss: float = 0.0) -> None:
         self.sim = sim
@@ -56,7 +56,6 @@ class SensorField:
                              soft_edge_start=soft_edge_start,
                              soft_edge_loss=soft_edge_loss)
         self.task_cost = task_cost
-        self.cpu_queue_limit = cpu_queue_limit
         self.motes: Dict[int, Mote] = {}
         self.targets: List[Target] = []
         self._next_id = 0
@@ -73,8 +72,7 @@ class SensorField:
             raise ValueError(f"duplicate node id {node_id}")
         self._next_id = max(self._next_id, node_id + 1)
         mote = Mote(self.sim, node_id, position, self.medium,
-                    task_cost=self.task_cost,
-                    queue_limit=self.cpu_queue_limit)
+                    task_cost=self.task_cost)
         mote.install_sensor("position", position_sensor(position))
         self.motes[node_id] = mote
         return mote

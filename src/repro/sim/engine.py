@@ -230,6 +230,10 @@ class Simulator:
         self._heap: List[Entry] = []
         #: Draws the tie-breaking ``seq`` of every entry: 0, 1, 2, …
         self._seq: Callable[[], int] = itertools.count().__next__
+        #: Draws the id :meth:`repro.node.Mote.send` stamps on each frame:
+        #: 1, 2, … per simulator, so a run's ids never depend on what ran
+        #: before it in the process.
+        self.next_frame_id: Callable[[], int] = itertools.count(1).__next__
         self._running = False
         self._stopped = False
         #: Events that will fire (kept exact on every push, pop, cancel

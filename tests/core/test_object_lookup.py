@@ -88,8 +88,23 @@ def test_lookup_without_directory_records_drop():
     app = run_without_transport(
         lambda ctx: ctx.lookup("anything", lambda entries: None))
     drops = [r for r in app.sim.trace
-             if r.category == "etrack.app.lookup_dropped"]
+             if r.category == "etrack.lookup_dropped"]
     assert drops
+    assert all(r.detail["reason"] == "no_directory"
+               and r.detail["context_type"] == "anything" for r in drops)
+
+
+def test_lookup_drop_is_not_application_output():
+    # ctx.log writes under app.*; a dropped lookup is the middleware's
+    # record, so an object logging the same word stays apart from it.
+    def probe(ctx):
+        ctx.log("lookup_dropped")
+        ctx.lookup("anything", lambda entries: None)
+
+    app = run_without_transport(probe)
+    logged = {r.category for r in app.sim.trace
+              if r.category.endswith("lookup_dropped")}
+    assert logged == {"etrack.app.lookup_dropped", "etrack.lookup_dropped"}
 
 
 def test_invoke_without_mtp_records_drop():

@@ -8,6 +8,8 @@ from repro.analysis import BarChart, LineChart
 from repro.analysis.render import (figure3_chart, figure4_chart,
                                    figure5_chart, figure6_chart)
 from repro.cli import build_parser, main
+from repro.experiments import (chaos, figure4, figure5, figure6, table1,
+                               transport_chaos)
 from repro.experiments.figures import (Figure4Cell, Figure4Result,
                                        Figure5Point, Figure5Result,
                                        Figure6Point, Figure6Result)
@@ -134,3 +136,25 @@ class TestCli:
         lines = []
         assert main(["table1", "--quick"], out=lines.append) == 0
         assert any("Table 1" in line for line in lines)
+
+
+class TestSweepSizes:
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--repetitions", "0"],
+        ["figure4", "--repetitions", "-1"],
+        ["chaos", "--jobs", "-2"],
+    ])
+    def test_cli_rejects_bad_sizes(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv, out=lambda _: None)
+        assert exit_info.value.code == 2
+        assert "must be >=" in capsys.readouterr().err
+
+    def test_cli_accepts_jobs_zero(self):
+        assert build_parser().parse_args(["chaos", "--jobs", "0"]).jobs == 0
+
+    @pytest.mark.parametrize("sweep", [figure4, table1, figure5, figure6,
+                                       chaos, transport_chaos])
+    def test_sweeps_reject_zero_repetitions(self, sweep):
+        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+            sweep(repetitions=0)

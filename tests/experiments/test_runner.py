@@ -6,6 +6,7 @@ must never change a single trace record.
 """
 
 import pickle
+from dataclasses import replace
 
 from repro.experiments import (TankScenario, chaos, derive_run_seed,
                                parallel_map, run_scenario_outcome,
@@ -27,7 +28,7 @@ def test_outcome_digest_stable_across_repeats():
 
 
 def test_run_scenarios_parallel_equals_serial():
-    scenarios = [CANNED.with_seed(seed) for seed in (1, 2, 3, 4)]
+    scenarios = [replace(CANNED, seed=seed) for seed in (1, 2, 3, 4)]
     serial = run_scenarios(scenarios, jobs=1)
     parallel = run_scenarios(scenarios, jobs=2)
     assert [outcome.trace_digest for outcome in serial] == \

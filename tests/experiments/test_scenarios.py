@@ -5,6 +5,7 @@ import pytest
 from repro.experiments import (SPEED_33_KMH, SPEED_50_KMH, TankScenario,
                                build_app, build_tracker_definition,
                                run_tank_scenario)
+from repro.experiments.scenarios import START_MARGIN
 
 
 class TestScenarioGeometry:
@@ -14,8 +15,8 @@ class TestScenarioGeometry:
         assert SPEED_33_KMH == pytest.approx(1.0 / 15.0)
 
     def test_entry_exit_times(self):
-        scenario = TankScenario(columns=12, speed=0.1, start_margin=1.5,
-                                sensing_radius=1.0)
+        scenario = TankScenario(columns=12, speed=0.1, sensing_radius=1.0)
+        assert START_MARGIN == 1.5
         assert scenario.entry_time == pytest.approx(5.0)
         assert scenario.exit_time == pytest.approx((1.5 + 11 + 1.0) / 0.1)
         assert scenario.duration > scenario.exit_time
@@ -23,11 +24,6 @@ class TestScenarioGeometry:
     def test_track_y_between_rows(self):
         assert TankScenario(rows=2).track_y == pytest.approx(0.5)
         assert TankScenario(rows=5).track_y == pytest.approx(2.0)
-
-    def test_with_helpers(self):
-        scenario = TankScenario()
-        assert scenario.with_speed(2.0).speed == 2.0
-        assert scenario.with_seed(9).seed == 9
 
 
 class TestBuildApp:
@@ -39,7 +35,7 @@ class TestBuildApp:
         target = app.field.target("tank")
         assert target.kind == "vehicle"
         x0, y0 = target.position(0.0)
-        assert x0 == pytest.approx(-scenario.start_margin)
+        assert x0 == pytest.approx(-START_MARGIN)
         assert y0 == pytest.approx(scenario.track_y)
 
     def test_jittered_deployment(self):
@@ -51,14 +47,22 @@ class TestBuildApp:
         assert any(offset > 0.01 for offset in offsets)
 
     def test_tracker_definition_matches_scenario(self):
-        scenario = TankScenario(heartbeat_period=0.25, confidence=3,
-                                freshness=2.0, relinquish=False)
+        scenario = TankScenario(heartbeat_period=0.25, relinquish=False)
         definition = build_tracker_definition(scenario)
         assert definition.group.heartbeat_period == 0.25
         assert not definition.group.relinquish
+
+    def test_tracker_definition_is_figure_2s(self):
+        # location : avg(position) confidence=2, freshness=1s, and a
+        # report_function timer of 5 s.
+        definition = build_tracker_definition(TankScenario())
         spec = definition.aggregate("location")
-        assert spec.confidence == 3
-        assert spec.freshness == 2.0
+        assert (spec.function, spec.sensor) == ("avg", "position")
+        assert spec.confidence == 2
+        assert spec.freshness == 1.0
+        method, = definition.objects[0].methods
+        assert method.name == "report_function"
+        assert method.invocation.period == 5.0
 
 
 class TestRunResult:

@@ -3,8 +3,7 @@
 import xml.dom.minidom
 
 from repro.cli import main
-from repro.experiments import TankScenario, dump_scenario_trace
-from repro.experiments.scenarios import run_tank_scenario
+from repro.experiments import TankScenario, run_tank_scenario
 from repro.sim import load_trace, trace_digest
 
 
@@ -12,11 +11,12 @@ class TestDumpScenarioTrace:
     def test_dump_matches_a_direct_run(self, tmp_path):
         scenario = TankScenario(columns=6, rows=2, seed=11)
         path = tmp_path / "scenario.jsonl"
-        count = dump_scenario_trace(scenario, str(path))
-        assert count > 0
+        run = run_tank_scenario(scenario, str(path))
         dumped = load_trace(str(path))
-        direct = run_tank_scenario(scenario).app.sim
-        assert trace_digest(dumped) == trace_digest(direct)
+        assert len(dumped) > 0
+        assert trace_digest(dumped) == trace_digest(run.app.sim)
+        rerun = run_tank_scenario(scenario).app.sim
+        assert trace_digest(dumped) == trace_digest(rerun)
 
 
 class TestCliTraceOut:
@@ -38,7 +38,7 @@ class TestCliTraceOut:
     def test_report_from_saved_trace(self, tmp_path):
         trace_path = tmp_path / "run.jsonl"
         scenario = TankScenario(columns=6, rows=2, seed=11)
-        dump_scenario_trace(scenario, str(trace_path))
+        run_tank_scenario(scenario, str(trace_path))
         svg_path = tmp_path / "dash.svg"
         prom_path = tmp_path / "metrics.prom"
         lines = []

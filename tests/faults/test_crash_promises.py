@@ -47,13 +47,19 @@ def transmissions_while_dead(records):
 
 def chaos_quick_tasks():
     """The runs of ``repro chaos --quick``: one per sweep cell."""
-    return [(70 + 1000 * cell, heartbeat_period, 4.0, 3, 0.1, 10, 4)
-            for cell, heartbeat_period in enumerate((0.25, 0.5))]
+    cells = [(heartbeat_period, crash_period)
+             for heartbeat_period in chaos.QUICK_HEARTBEAT_PERIODS
+             for crash_period in chaos.QUICK_CRASH_PERIODS]
+    return [chaos.ChaosRun(seed=70 + 1000 * cell,
+                           heartbeat_period=heartbeat_period,
+                           crash_period=crash_period,
+                           crashes=chaos.QUICK_CRASHES)
+            for cell, (heartbeat_period, crash_period) in enumerate(cells)]
 
 
-def chaos_records(tmp_path, task):
+def chaos_records(tmp_path, run):
     path = tmp_path / "chaos.jsonl"
-    chaos._chaos_run(*task, trace_out=str(path))
+    chaos._chaos_run(run, str(path))
     return load_trace(str(path))
 
 
@@ -84,13 +90,16 @@ def storm_unit(monkeypatch, seed):
 
 
 RUNS = {}
-for _task in chaos_quick_tasks():
-    RUNS[f"chaos-quick-{_task[0]}"] = \
-        lambda tmp_path, mp, task=_task: chaos_records(tmp_path, task)
+for _run in chaos_quick_tasks():
+    RUNS[f"chaos-quick-{_run.seed}"] = \
+        lambda tmp_path, mp, run=_run: chaos_records(tmp_path, run)
 for _seed in (3, 29):
     RUNS[f"chaos-busy-{_seed}"] = \
         lambda tmp_path, mp, seed=_seed: chaos_records(
-            tmp_path, (seed, 0.05, 1.5, 6, 0.3, 16, 8))
+            tmp_path, chaos.ChaosRun(
+                seed=seed, heartbeat_period=0.05, crash_period=1.5,
+                crashes=6, base_loss_rate=0.3, mote_count=16,
+                sensing_count=8))
 for _mode in ("raw", "reliable"):
     RUNS[f"transport-chaos-{_mode}-5"] = \
         lambda tmp_path, mp, mode=_mode: transport_records(tmp_path, mode)

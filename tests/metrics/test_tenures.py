@@ -327,7 +327,9 @@ def test_recovery_matches_the_reference_on_chaos_runs(seed, monkeypatch):
         return new
 
     monkeypatch.setattr(chaos, "analyze_recovery", both)
-    chaos._chaos_run(seed, 0.25, 2.0, 4, 0.05, 8, 3)
+    chaos._chaos_run(chaos.ChaosRun(
+        seed=seed, heartbeat_period=0.25, crash_period=2.0, crashes=4,
+        base_loss_rate=0.05, mote_count=8, sensing_count=3))
     (new, old), = pairs
     assert new.crash_count == old.crash_count == 4
     for fresh, kept in zip(new.crashes, old.crashes):

@@ -25,6 +25,18 @@ def test_send_and_dispatch_by_kind():
     assert got == [{"n": 1}]
 
 
+def test_send_stamps_frame_ids_per_simulator():
+    # Each simulator numbers its own frames from 1, so a run's ids do not
+    # depend on what ran before it in the process.
+    for _ in range(2):
+        sim, _, (a, _b) = build()
+        frames = [Frame(src=0, dst=BROADCAST, kind="m") for _ in range(3)]
+        assert [frame.frame_id for frame in frames] == [0, 0, 0]
+        for frame in frames:
+            a.send(frame)
+        assert [frame.frame_id for frame in frames] == [1, 2, 3]
+
+
 def test_unicast_address_filter():
     sim, _, motes = build(n=3)
     got = []

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.groups import GroupConfig, GroupManager
 from repro.node.cpu import PeriodicTask
-from repro.radio import BROADCAST, Frame, reset_frame_ids
+from repro.radio import BROADCAST, Frame
 from repro.sensing import SensorField
 from repro.sim import Simulator, trace_digest
 
@@ -133,7 +133,6 @@ class Program:
 def run_program(direct, motes, actions, cuts, stops, profile, monkeypatch):
     if not direct:
         monkeypatch.setattr(PeriodicTask, "_fire", posted_fire)
-    reset_frame_ids()
     sim = Simulator(seed=11)
     profiler = sim.enable_profiler() if profile else None
     program = Program(sim, motes, stops)
@@ -229,7 +228,6 @@ def test_static_membership_polls_skip_batch_entries(monkeypatch):
 
     monkeypatch.setattr(PeriodicTask, "_fire", noting_fire)
     monkeypatch.setattr(Simulator, "_serve_batch", noting_serve_batch)
-    reset_frame_ids()
     sim = Simulator(seed=1)
     field = SensorField(sim, communication_radius=2.5, base_loss_rate=0.02)
     motes = field.deploy_grid(4, 2)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.node import EnergyMeter, Mote
 from repro.radio import (BROADCAST, DEFAULT_BITRATE, DEFAULT_FRAME_BITS,
-                         Frame, TransceiverPort, reset_frame_ids)
+                         Frame, TransceiverPort)
 from repro.sensing import LineTrajectory, SensorField, Target
 from repro.sim import Simulator
 
@@ -158,7 +158,6 @@ def run_program(initial_tanks, actions, boundaries, quiet, monkeypatch,
                 second_poller=False):
     if not quiet:
         monkeypatch.setattr(Mote, "periodic", _plain_periodic)
-    reset_frame_ids()
     sim = Simulator(seed=3)
     program = Program(sim, initial_tanks, second_poller)
     for when, kind, node, value in actions:

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.radio import BROADCAST, Frame, reset_frame_ids
+from repro.radio import BROADCAST, Frame
 from repro.sensing import SensorField
 from repro.sim import SimulationError, Simulator
 
@@ -121,7 +121,6 @@ class Program:
 
 
 def run_program(batched, costs, quiet, actions, cuts, stops, profile):
-    reset_frame_ids()
     sim = Simulator(seed=5)
     if not batched:
         sim.schedule_batched = unbatched.__get__(sim)
@@ -190,7 +189,6 @@ def test_batched_receptions_match_unbatched_entries(costs, quiet, actions,
 
 def test_a_broadcast_shares_one_entry_among_its_idle_receivers():
     """One frame to five idle receivers: one heap entry serves them."""
-    reset_frame_ids()
     sim = Simulator(seed=5)
     program = Program(sim, [0.001] * MOTES, [False] * MOTES, set())
     popped = []

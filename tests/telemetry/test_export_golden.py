@@ -60,7 +60,9 @@ def tank_directory_mtp():
 
 def chaos_line():
     return captured_sim(
-        chaos, lambda: chaos._chaos_run(3, 0.25, 2.0, 1, 0.05, 8, 3))
+        chaos, lambda: chaos._chaos_run(chaos.ChaosRun(
+            seed=3, heartbeat_period=0.25, crash_period=2.0, crashes=1,
+            base_loss_rate=0.05, mote_count=8, sensing_count=3)))
 
 
 def transport_chaos_reliable():

@@ -28,9 +28,7 @@ class TestFromSim:
 
     def test_profiler_section_present_when_enabled(self):
         from repro.experiments.scenarios import build_app
-        from repro.radio import reset_frame_ids
 
-        reset_frame_ids()
         scenario = TankScenario(columns=6, rows=2, seed=11)
         app = build_app(scenario)
         app.sim.enable_profiler()
@@ -73,9 +71,7 @@ class TestFromSim:
         # one and that call's numbers for ever after.
         from repro.experiments.scenarios import build_app
         from repro.node import EnergyMeter
-        from repro.radio import reset_frame_ids
 
-        reset_frame_ids()
         app = build_app(TankScenario(columns=8, rows=2, seed=1))
         app.install()
         meter = EnergyMeter(app.sim)

@@ -30,7 +30,6 @@ import pytest
 from repro.core import EnviroTrackApp
 from repro.experiments import SPEED_33_KMH, TankScenario, \
     TransportChaosSpec, run_tank_scenario
-from repro.radio import reset_frame_ids
 from repro.sensing import LineTrajectory, StaticPoint, Target
 from repro.sim import Simulator, dump_trace, trace_digest
 
@@ -109,7 +108,6 @@ def intrusion_response() -> dict:
     spec = importlib.util.spec_from_file_location("intrusion_response", path)
     example = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(example)
-    reset_frame_ids()
     app = EnviroTrackApp(seed=5, base_loss_rate=0.03)
     app.field.deploy_grid(8, 4)
     app.field.add_target(Target("gate-1", "gate", StaticPoint((6.0, 2.0)),
@@ -151,7 +149,9 @@ ROWS = {
     "figure6/ratio-probe/seed=60": lambda mp: probe(
         "ratio", 0.5, 60, sensing_radius=1.5, communication_radius=1.5),
     "chaos/line/seed=3": lambda mp: captured(
-        mp, chaos, lambda: chaos._chaos_run(3, 0.25, 2.0, 1, 0.05, 8, 3)),
+        mp, chaos, lambda: chaos._chaos_run(chaos.ChaosRun(
+            seed=3, heartbeat_period=0.25, crash_period=2.0, crashes=1,
+            base_loss_rate=0.05, mote_count=8, sensing_count=3))),
     "transport-chaos/reliable/seed=5": lambda mp: captured(
         mp, transport_chaos, lambda: transport_chaos._transport_run(
             TransportChaosSpec(mode="reliable", seed=5, crashes=1))),
@@ -195,6 +195,12 @@ def test_table_has_exactly_the_measured_rows():
 def test_leader_kill_row_differs_from_plain_row():
     table = load_table()
     assert table["tank/leader-kill/seed=11"] != table["tank/plain/seed=11"]
+
+
+def test_a_later_run_in_the_process_writes_the_same_trace():
+    # Nothing carries over from one run to the next: frame ids are
+    # numbered per simulator.
+    assert intrusion_response() == intrusion_response()
 
 
 @pytest.mark.parametrize("name", sorted(ROWS))
