@@ -253,6 +253,19 @@ def _run_trace_diff(args, out: Callable[[str], None]) -> int:
 
 def main(argv=None, out: Callable[[str], None] = print) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        status = _run(args, out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``): the rest of the output
+        # has nowhere to go.  Point stdout at the null device so that the
+        # interpreter's flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _run(args, out: Callable[[str], None]) -> int:
     if args.experiment == "compile":
         return _run_compile(args, out)
     if args.experiment == "trace-diff":

@@ -2,7 +2,7 @@
 
 from .component import Component
 from .cpu import DEFAULT_QUEUE_LIMIT, DEFAULT_TASK_COST, Cpu
-from .energy import EnergyLedger, EnergyMeter, EnergyModel
+from .energy import EnergyLedger, EnergyMeter
 from .mote import Mote
 
 __all__ = [
@@ -12,6 +12,5 @@ __all__ = [
     "DEFAULT_TASK_COST",
     "EnergyLedger",
     "EnergyMeter",
-    "EnergyModel",
     "Mote",
 ]

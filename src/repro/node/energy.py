@@ -15,8 +15,10 @@ activity       power       note
 radio transmit ~36 mW      12 mA at 3 V
 radio receive  ~14.4 mW    4.8 mA at 3 V (also idle listen)
 CPU active     ~16.5 mW    5.5 mA at 3 V
-sleep          ~30 µW      leakage
 =============  ==========  =============================
+
+Motes never sleep here (nothing duty-cycles the radio), so sleep power
+is not modelled.
 
 Energy is attributed per activity (airtime on the air × tx power,
 airtime received × rx power, CPU service time × CPU power) plus a
@@ -31,7 +33,6 @@ CPU's busy time, counting from the moment a mote is attached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..radio import DEFAULT_BITRATE
@@ -39,15 +40,11 @@ from ..sim import Simulator
 from ..telemetry.registry import Counter, Gauge, merged, summed
 
 
-@dataclass(frozen=True)
-class EnergyModel:
-    """Power levels in watts."""
-
-    tx_power: float = 0.036
-    rx_power: float = 0.0144
-    cpu_power: float = 0.0165
-    idle_listen_power: float = 0.0144
-    sleep_power: float = 0.00003
+#: Power levels in watts (the table above).
+TX_POWER = 0.036
+RX_POWER = 0.0144
+CPU_POWER = 0.0165
+IDLE_LISTEN_POWER = 0.0144
 
 
 class EnergyLedger:
@@ -58,9 +55,7 @@ class EnergyLedger:
     time) since the ledger was opened at ``started_at``.
     """
 
-    def __init__(self, model: EnergyModel, mote,
-                 started_at: float) -> None:
-        self.model = model
+    def __init__(self, mote, started_at: float) -> None:
         self.mote = mote
         self.started_at = started_at
         #: Externally injected drain (fault injection: battery leakage,
@@ -80,23 +75,15 @@ class EnergyLedger:
 
     @property
     def tx_joules(self) -> float:
-        return (self._since_start(0) / DEFAULT_BITRATE
-                * self.model.tx_power)
+        return self._since_start(0) / DEFAULT_BITRATE * TX_POWER
 
     @property
     def rx_joules(self) -> float:
-        return (self._since_start(1) / DEFAULT_BITRATE
-                * self.model.rx_power)
+        return self._since_start(1) / DEFAULT_BITRATE * RX_POWER
 
     @property
     def cpu_joules(self) -> float:
-        return self._since_start(2) * self.model.cpu_power
-
-    def on_drain(self, joules: float) -> None:
-        """Charge an externally injected energy drain."""
-        if joules < 0:
-            raise ValueError(f"drain must be >= 0: {joules}")
-        self.drain_joules += joules
+        return self._since_start(2) * CPU_POWER
 
     def idle_joules(self, now: float) -> float:
         """Baseline idle-listening drain over the whole elapsed time.
@@ -105,7 +92,7 @@ class EnergyLedger:
         baseline (it is negligible at the evaluation's <5% utilization).
         """
         elapsed = max(0.0, now - self.started_at)
-        return elapsed * self.model.idle_listen_power
+        return elapsed * IDLE_LISTEN_POWER
 
     def total_joules(self, now: float, include_idle: bool = True) -> float:
         active = (self.tx_joules + self.rx_joules + self.cpu_joules
@@ -133,10 +120,8 @@ class EnergyMeter:
     no transmit energy.
     """
 
-    def __init__(self, sim: Simulator,
-                 model: EnergyModel = EnergyModel()) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.model = model
         self.ledgers: Dict[int, EnergyLedger] = {}
         metrics = sim.metrics
         metrics.view(Counter, "repro_energy_tx_joules_total",
@@ -157,15 +142,11 @@ class EnergyMeter:
         """Start metering ``mote``."""
         if mote.node_id in self.ledgers:
             raise ValueError(f"mote {mote.node_id} already metered")
-        self.ledgers[mote.node_id] = EnergyLedger(self.model, mote,
-                                                  self.sim.now)
+        self.ledgers[mote.node_id] = EnergyLedger(mote, self.sim.now)
 
     # ------------------------------------------------------------------
     # Readouts
     # ------------------------------------------------------------------
-    def ledger(self, node_id: int) -> EnergyLedger:
-        return self.ledgers[node_id]
-
     def total_joules(self, now: float, include_idle: bool = True) -> float:
         return sum(ledger.total_joules(now, include_idle=include_idle)
                    for ledger in self.ledgers.values())
@@ -193,4 +174,6 @@ class EnergyMeter:
 
     def drain(self, node_id: int, joules: float) -> None:
         """Inject an external drain on one mote's battery."""
-        self.ledgers[node_id].on_drain(joules)
+        if joules < 0:
+            raise ValueError(f"drain must be >= 0: {joules}")
+        self.ledgers[node_id].drain_joules += joules

@@ -349,10 +349,6 @@ class Simulator:
             self._profiler = EventLoopProfiler()
         return self._profiler
 
-    def disable_profiler(self) -> None:
-        """Detach the profiler (its accumulated data is discarded)."""
-        self._profiler = None
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------

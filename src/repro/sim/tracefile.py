@@ -106,23 +106,18 @@ def first_divergence(a: Iterable[TraceRecord],
     return "\n".join(lines)
 
 
-def dump_trace(sim: Simulator, path: str,
-               categories: Optional[Iterable[str]] = None) -> int:
-    """Write the simulation trace as JSONL; returns the record count.
+def dump_trace(sim: Simulator, path: str) -> int:
+    """Write the whole simulation trace as JSONL; returns the record
+    count.
 
     Non-JSON-serializable detail values are stringified rather than
     dropped, so traces always export completely.
     """
-    wanted = None if categories is None else set(categories)
-    written = 0
     with open(path, "w", encoding="utf-8") as handle:
         for record in sim.trace:
-            if wanted is not None and record.category not in wanted:
-                continue
             handle.write(_canonical(record))
             handle.write("\n")
-            written += 1
-    return written
+    return len(sim.trace)
 
 
 def load_trace(path: str) -> List[TraceRecord]:

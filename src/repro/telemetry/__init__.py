@@ -6,12 +6,13 @@ change ``trace_digest``).  Every simulator carries a live registry and
 span tracker; there is no off switch:
 
 * :mod:`~repro.telemetry.registry` — labelled Counter/Gauge/Histogram
-  families computed from each layer's tallies when read, with
-  Prometheus text export, owned per-``Simulator``;
+  families, each built by its fill from a layer's tallies when read,
+  with Prometheus text export, owned per-``Simulator``;
 * :mod:`~repro.telemetry.spans` — causal span trees propagated across
-  frames, handlers and scheduled continuations;
+  frames, handlers and scheduled continuations, kept as one table of
+  span records from which the queries derive children and frames;
 * :mod:`~repro.telemetry.profiler` — opt-in wall-time attribution per
-  event-loop handler;
+  event-loop handler, read as one hot-handler table;
 * :mod:`~repro.telemetry.report` — the ``repro report`` renderer (text
   summary, SVG dashboard, Prometheus dump) for live runs and saved
   JSONL traces.

@@ -17,8 +17,8 @@ Caveats (see ``docs/OBSERVABILITY.md``):
 
 Labels like ``gm.heartbeat@12`` aggregate under ``gm.heartbeat`` — the
 ``@node`` suffix convention keeps per-node timers from exploding the
-table.  The part before the first ``.`` is the category (``gm``,
-``cpu``, ``radio`` …) used for the per-subsystem rollup.
+table.  The one readout is the hot-handler table
+(:meth:`EventLoopProfiler.hot`, :meth:`EventLoopProfiler.format_table`).
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ class HandlerProfile:
     @property
     def mean_seconds(self) -> float:
         return self.total_seconds / self.count if self.count else 0.0
-
-    @property
-    def category(self) -> str:
-        return self.label.split(".", 1)[0]
 
 
 def normalize_label(label: str) -> str:
@@ -85,34 +81,10 @@ class EventLoopProfiler:
     # ------------------------------------------------------------------
     # Readouts
     # ------------------------------------------------------------------
-    def profiles(self) -> List[HandlerProfile]:
-        """Every label's profile, hottest (most total wall time) first."""
-        return sorted(self._profiles.values(),
-                      key=lambda p: (-p.total_seconds, p.label))
-
-    def get(self, label: str) -> HandlerProfile:
-        return self._profiles[normalize_label(label)]
-
-    def __contains__(self, label: str) -> bool:
-        return normalize_label(label) in self._profiles
-
     def hot(self, n: int = 10) -> List[HandlerProfile]:
-        """The ``n`` hottest handlers."""
-        return self.profiles()[:n]
-
-    def by_category(self) -> Dict[str, HandlerProfile]:
-        """Rollup by label category (``gm``, ``cpu``, ``radio`` …)."""
-        out: Dict[str, HandlerProfile] = {}
-        for profile in self._profiles.values():
-            rollup = out.get(profile.category)
-            if rollup is None:
-                rollup = HandlerProfile(label=profile.category)
-                out[profile.category] = rollup
-            rollup.count += profile.count
-            rollup.total_seconds += profile.total_seconds
-            rollup.max_seconds = max(rollup.max_seconds,
-                                     profile.max_seconds)
-        return out
+        """The ``n`` hottest handlers (most total wall time first)."""
+        return sorted(self._profiles.values(),
+                      key=lambda p: (-p.total_seconds, p.label))[:n]
 
     def format_table(self, n: int = 15) -> str:
         """Human-readable hot-handler table."""

@@ -16,7 +16,9 @@ schedules an event and never writes a trace record, so a run's
 Instruments follow the Prometheus data model — a metric family has a
 name, a help string and a fixed tuple of label names; each distinct label
 value combination is a separate child series.  :meth:`MetricsRegistry.render_prometheus`
-emits the standard text exposition format.
+emits the standard text exposition format.  An instrument has one
+writer, its view's fill (``inc``, ``observe``), and is read by
+``render``, ``value``, ``total`` and ``series``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Mapping, NamedTuple,
 
 LabelValues = Tuple[str, ...]
 
-#: Default histogram buckets (seconds) — tuned for protocol latencies:
+#: Every histogram's buckets (seconds) — tuned for protocol latencies:
 #: sub-heartbeat to multi-minute recovery tails.
 DEFAULT_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
                    2.5, 5.0, 10.0, 30.0, 60.0)
@@ -42,10 +44,16 @@ def _check_labels(label_names: Sequence[str],
     return tuple(str(value) for value in label_values)
 
 
+def _escape(value: str) -> str:
+    """A label value as the text exposition format quotes it."""
+    return (value.replace("\\", "\\\\").replace('"', '\\"')
+            .replace("\n", "\\n"))
+
+
 def _format_labels(label_names: Sequence[str],
                    label_values: Sequence[str],
                    extra: Sequence[Tuple[str, str]] = ()) -> str:
-    pairs = [f'{name}="{value}"'
+    pairs = [f'{name}="{_escape(value)}"'
              for name, value in zip(label_names, label_values)]
     pairs.extend(f'{name}="{value}"' for name, value in extra)
     return "{" + ",".join(pairs) + "}" if pairs else ""
@@ -114,37 +122,24 @@ class Gauge(_Series):
 
     kind = "gauge"
 
-    def set(self, value: float, *label_values: str) -> None:
-        key = _check_labels(self.label_names, label_values)
-        self._values[key] = float(value)
-
     def inc(self, amount: float = 1.0, *label_values: str) -> None:
+        """Add ``amount`` (of either sign) to the labelled series."""
         key = _check_labels(self.label_names, label_values)
         self._values[key] = self._values.get(key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0, *label_values: str) -> None:
-        self.inc(-amount, *label_values)
-
 
 class Histogram:
-    """Cumulative-bucket distribution (Prometheus semantics).
-
-    Tracks per-series bucket counts, a running sum and the observation
-    count; ``quantile()`` interpolates from the buckets for quick
-    in-process summaries (exact enough for dashboards, not for proofs).
-    """
+    """Cumulative-bucket distribution (Prometheus semantics) over
+    :data:`DEFAULT_BUCKETS`: per-series bucket counts, a running sum and
+    the observation count."""
 
     kind = "histogram"
 
     def __init__(self, name: str, help: str,
-                 label_names: Sequence[str] = (),
-                 buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
+                 label_names: Sequence[str] = ()) -> None:
         self.name = name
         self.help = help
         self.label_names = tuple(label_names)
-        self.buckets = tuple(sorted(float(b) for b in buckets))
-        if not self.buckets:
-            raise ValueError("histogram needs at least one bucket bound")
         self._bucket_counts: Dict[LabelValues, List[int]] = {}
         self._sums: Dict[LabelValues, float] = {}
         self._counts: Dict[LabelValues, int] = {}
@@ -153,43 +148,11 @@ class Histogram:
         key = _check_labels(self.label_names, label_values)
         counts = self._bucket_counts.get(key)
         if counts is None:
-            counts = [0] * (len(self.buckets) + 1)  # +1: the +Inf bucket
+            counts = [0] * (len(DEFAULT_BUCKETS) + 1)  # +1: the +Inf bucket
             self._bucket_counts[key] = counts
-        counts[bisect.bisect_left(self.buckets, value)] += 1
+        counts[bisect.bisect_left(DEFAULT_BUCKETS, value)] += 1
         self._sums[key] = self._sums.get(key, 0.0) + float(value)
         self._counts[key] = self._counts.get(key, 0) + 1
-
-    def count(self, *label_values: str) -> int:
-        key = _check_labels(self.label_names, label_values)
-        return self._counts.get(key, 0)
-
-    def sum(self, *label_values: str) -> float:
-        key = _check_labels(self.label_names, label_values)
-        return self._sums.get(key, 0.0)
-
-    def mean(self, *label_values: str) -> float:
-        count = self.count(*label_values)
-        return self.sum(*label_values) / count if count else 0.0
-
-    def quantile(self, q: float, *label_values: str) -> float:
-        """Approximate q-quantile by linear interpolation in the buckets."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile {q!r} outside [0, 1]")
-        key = _check_labels(self.label_names, label_values)
-        counts = self._bucket_counts.get(key)
-        total = self._counts.get(key, 0)
-        if not counts or not total:
-            return 0.0
-        rank = q * total
-        seen = 0
-        lower = 0.0
-        for bound, bucket_count in zip(self.buckets, counts):
-            if seen + bucket_count >= rank and bucket_count:
-                fraction = (rank - seen) / bucket_count
-                return lower + (bound - lower) * min(max(fraction, 0.0), 1.0)
-            seen += bucket_count
-            lower = bound
-        return self.buckets[-1]  # landed in the +Inf bucket
 
     def series(self) -> Dict[LabelValues, int]:
         return dict(self._counts)
@@ -200,7 +163,7 @@ class Histogram:
         for key in sorted(self._bucket_counts):
             counts = self._bucket_counts[key]
             cumulative = 0
-            for bound, bucket_count in zip(self.buckets, counts):
+            for bound, bucket_count in zip(DEFAULT_BUCKETS, counts):
                 cumulative += bucket_count
                 labels = _format_labels(self.label_names, key,
                                         (("le", _format_value(bound)),))
@@ -274,7 +237,7 @@ class MetricsRegistry:
         """Register family ``name`` as a view over ``source``, or add
         ``source`` to the view already registered under that name.
 
-        Every read of the family (:meth:`get`, :meth:`snapshot`,
+        Every read of the family (:meth:`get`,
         :meth:`render_prometheus`) builds an empty ``kind(name, help,
         label_names)`` instrument and calls ``fill(instrument, sources)``
         to write its series, ``sources`` being each object registered
@@ -323,21 +286,9 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._views
 
-    def __iter__(self) -> Iterable[str]:
-        return iter(sorted(self._views))
-
     def render_prometheus(self) -> str:
         """The full registry in Prometheus text exposition format."""
         lines: List[str] = []
         for name in self.names():
             lines.extend(self.get(name).render())
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def snapshot(self) -> Dict[str, Dict[str, Mapping[LabelValues, float]]]:
-        """Plain-dict dump of every series, for reports and tests."""
-        out: Dict[str, Dict[str, Mapping[LabelValues, float]]] = {}
-        for name in self.names():
-            metric = self.get(name)
-            out[name] = {"kind": metric.kind,  # type: ignore[dict-item]
-                         "series": metric.series()}
-        return out

@@ -46,6 +46,10 @@ LEADERSHIP_CATEGORIES = ("gm.claim", "gm.takeover", "gm.relinquish",
 #: How many time buckets the rate chart uses across the run.
 RATE_BUCKETS = 40
 
+#: Size of each of the dashboard's four panels, in pixels.
+PANEL_WIDTH = 620
+PANEL_HEIGHT = 420
+
 
 def _tenures(records):
     return leader_tenures(records, records[-1].time if records else 0.0)
@@ -138,12 +142,6 @@ class RunReport:
         if not self.records:
             return 0.0
         return self.records[-1].time - self.records[0].time
-
-    def category_counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for record in self.records:
-            out[record.category] = out.get(record.category, 0) + 1
-        return out
 
     def subsystem_counts(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
@@ -277,17 +275,12 @@ class RunReport:
     # ------------------------------------------------------------------
     # SVG dashboard
     # ------------------------------------------------------------------
-    def dashboard_svg(self, panel_width: int = 620,
-                      panel_height: int = 420) -> str:
+    def dashboard_svg(self) -> str:
         """A 2×2 dashboard: subsystem volume, message rate over time,
         takeover timeline, and energy or hot handlers."""
-        panels = [
-            self._subsystem_chart(panel_width, panel_height),
-            self._rate_chart(panel_width, panel_height),
-            self._leadership_chart(panel_width, panel_height),
-            self._cost_chart(panel_width, panel_height),
-        ]
-        width, height = 2 * panel_width, 2 * panel_height + 28
+        panels = [self._subsystem_chart(), self._rate_chart(),
+                  self._leadership_chart(), self._cost_chart()]
+        width, height = 2 * PANEL_WIDTH, 2 * PANEL_HEIGHT + 28
         parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
             f'height="{height}" viewBox="0 0 {width} {height}" '
@@ -298,53 +291,53 @@ class RunReport:
             f'{escape(self.title)} — {escape(self.source)}</text>',
         ]
         for index, panel in enumerate(panels):
-            x = (index % 2) * panel_width
-            y = 28 + (index // 2) * panel_height
-            parts.append(f'<svg x="{x}" y="{y}" width="{panel_width}" '
-                         f'height="{panel_height}">')
+            x = (index % 2) * PANEL_WIDTH
+            y = 28 + (index // 2) * PANEL_HEIGHT
+            parts.append(f'<svg x="{x}" y="{y}" width="{PANEL_WIDTH}" '
+                         f'height="{PANEL_HEIGHT}">')
             parts.append(panel)
             parts.append('</svg>')
         parts.append('</svg>')
         return "\n".join(parts)
 
-    def _subsystem_chart(self, width: int, height: int) -> str:
+    def _subsystem_chart(self) -> str:
         counts = sorted(self.subsystem_counts().items(),
                         key=lambda item: (-item[1], item[0]))[:8]
         if not counts:
-            return _placeholder(width, height, "Trace records",
-                                "no trace records")
+            return _placeholder("Trace records", "no trace records")
         chart = BarChart(title="Trace records by subsystem",
                          groups=[name for name, _ in counts],
                          series_names=["records"],
                          values=[[float(count) for _, count in counts]],
-                         y_label="records", width=width, height=height)
+                         y_label="records", width=PANEL_WIDTH,
+                         height=PANEL_HEIGHT)
         return chart.to_svg()
 
-    def _rate_chart(self, width: int, height: int) -> str:
+    def _rate_chart(self) -> str:
         top = [name for name, _ in
                sorted(self.subsystem_counts().items(),
                       key=lambda item: (-item[1], item[0]))[:5]]
         series = self.rate_series(top)
         if not any(series.values()):
-            return _placeholder(width, height, "Message rate",
-                                "trace too short to bucket")
+            return _placeholder("Message rate", "trace too short to bucket")
         chart = LineChart(title="Trace record rate over time",
                           x_label="simulated time (s)",
-                          y_label="records/s", width=width, height=height)
+                          y_label="records/s", width=PANEL_WIDTH,
+                          height=PANEL_HEIGHT)
         for name in top:
             if series[name]:
                 chart.add_series(name, series[name], draw_markers=False)
         return chart.to_svg()
 
-    def _leadership_chart(self, width: int, height: int) -> str:
+    def _leadership_chart(self) -> str:
         events = self.leadership_events()
         if not events:
-            return _placeholder(width, height, "Takeover timeline",
+            return _placeholder("Takeover timeline",
                                 "no leadership transitions in trace")
         chart = LineChart(title="Leadership transitions (cumulative)",
                           x_label="simulated time (s)",
-                          y_label="transitions", width=width,
-                          height=height)
+                          y_label="transitions", width=PANEL_WIDTH,
+                          height=PANEL_HEIGHT)
         for category in LEADERSHIP_CATEGORIES:
             points = [(record.time, index + 1)
                       for index, record in enumerate(
@@ -354,7 +347,7 @@ class RunReport:
                                  draw_markers=len(points) <= 40)
         return chart.to_svg()
 
-    def _cost_chart(self, width: int, height: int) -> str:
+    def _cost_chart(self) -> str:
         if self.profiler is not None and self.profiler.events_profiled:
             hot = self.profiler.hot(8)
             chart = BarChart(
@@ -363,7 +356,8 @@ class RunReport:
                 series_names=["wall ms"],
                 values=[[profile.total_seconds * 1e3
                          for profile in hot]],
-                y_label="wall ms", width=width, height=height)
+                y_label="wall ms", width=PANEL_WIDTH,
+                height=PANEL_HEIGHT)
             return chart.to_svg()
         energy = self.energy_breakdown()
         if energy:
@@ -372,12 +366,11 @@ class RunReport:
                              groups=[name for name, _ in items],
                              series_names=["joules"],
                              values=[[value for _, value in items]],
-                             y_label="joules", width=width,
-                             height=height)
+                             y_label="joules", width=PANEL_WIDTH,
+                             height=PANEL_HEIGHT)
             return chart.to_svg()
-        return _placeholder(
-            width, height, "Cost",
-            "no profiler or energy data for this source")
+        return _placeholder("Cost",
+                            "no profiler or energy data for this source")
 
     # ------------------------------------------------------------------
     # Writers
@@ -386,25 +379,19 @@ class RunReport:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.dashboard_svg())
 
-    def save_text(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.format_text())
-            handle.write("\n")
-
     def save_prometheus(self, path: str) -> None:
         """Write the registry in Prometheus text exposition format."""
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.derived_registry().render_prometheus())
 
 
-def _placeholder(width: int, height: int, title: str,
-                 message: str) -> str:
+def _placeholder(title: str, message: str) -> str:
     """An empty panel that says why it is empty."""
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" font-family="sans-serif" font-size="12">'
-        f'<rect width="{width}" height="{height}" fill="white"/>'
-        f'<text x="{width / 2}" y="20" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{PANEL_WIDTH}" '
+        f'height="{PANEL_HEIGHT}" font-family="sans-serif" font-size="12">'
+        f'<rect width="{PANEL_WIDTH}" height="{PANEL_HEIGHT}" fill="white"/>'
+        f'<text x="{PANEL_WIDTH / 2}" y="20" text-anchor="middle" '
         f'font-size="14" font-weight="bold">{escape(title)}</text>'
-        f'<text x="{width / 2}" y="{height / 2}" text-anchor="middle" '
-        f'fill="#888">{escape(message)}</text></svg>')
+        f'<text x="{PANEL_WIDTH / 2}" y="{PANEL_HEIGHT / 2}" '
+        f'text-anchor="middle" fill="#888">{escape(message)}</text></svg>')

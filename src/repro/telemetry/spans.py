@@ -64,23 +64,14 @@ class SpanTracker:
 
     def __init__(self) -> None:
         self._ids = itertools.count(1)
+        #: The one table: span id -> record, in insertion (= id) order.
+        #: Child lists and the frame index are derived from it on query.
         self._spans: Dict[int, SpanRecord] = {}
-        self._children: Dict[int, List[int]] = {}
-        self._frame_spans: Dict[int, int] = {}
         #: Span id of the executing causal context, or None.  A plain
         #: attribute (not a property): the engine writes it for every
         #: event it dispatches and the mote around every frame's
         #: handlers, so it must stay cheap.
         self.current: Optional[int] = None
-
-    # ------------------------------------------------------------------
-    # Context
-    # ------------------------------------------------------------------
-    def swap(self, span_id: Optional[int]) -> Optional[int]:
-        """Set the current span; return the previous one."""
-        previous = self.current
-        self.current = span_id
-        return previous
 
     # ------------------------------------------------------------------
     # Recording
@@ -89,25 +80,20 @@ class SpanTracker:
               frame_id: Optional[int] = None) -> int:
         """Open a child of the current span (a root when there is none)
         and return its id; a frame span names the frame it sends."""
-        parent = self.current
         span_id = next(self._ids)
-        self._spans[span_id] = SpanRecord(span_id, name, node, parent,
-                                          frame_id)
-        if parent is not None:
-            self._children.setdefault(parent, []).append(span_id)
-        if frame_id is not None:
-            self._frame_spans[frame_id] = span_id
+        self._spans[span_id] = SpanRecord(span_id, name, node,
+                                          self.current, frame_id)
         return span_id
 
     @contextmanager
     def span(self, name: str, node: Optional[int] = None) -> Iterator[int]:
         """Open a child span and make it current until the block exits."""
-        span_id = self.start(name, node)
-        previous = self.swap(span_id)
+        previous = self.current
+        span_id = self.current = self.start(name, node)
         try:
             yield span_id
         finally:
-            self.swap(previous)
+            self.current = previous
 
     # ------------------------------------------------------------------
     # Queries
@@ -123,15 +109,24 @@ class SpanTracker:
 
     def spans(self) -> List[SpanRecord]:
         """Every span, in creation (= id) order."""
-        return [self._spans[sid] for sid in sorted(self._spans)]
+        return list(self._spans.values())
 
     def roots(self) -> List[SpanRecord]:
         return [record for record in self.spans()
                 if record.parent_id is None]
 
     def children(self, span_id: int) -> List[SpanRecord]:
-        return [self._spans[child]
-                for child in self._children.get(span_id, [])]
+        """The span's direct children, in id order."""
+        return [record for record in self._spans.values()
+                if record.parent_id == span_id]
+
+    def _child_ids(self) -> Dict[int, List[int]]:
+        """Each parent's child span ids, in id order."""
+        out: Dict[int, List[int]] = {}
+        for record in self._spans.values():
+            if record.parent_id is not None:
+                out.setdefault(record.parent_id, []).append(record.span_id)
+        return out
 
     def find(self, name_prefix: str) -> List[SpanRecord]:
         """Spans whose name starts with ``name_prefix``, in id order."""
@@ -140,18 +135,22 @@ class SpanTracker:
 
     def span_of_frame(self, frame_id: int) -> Optional[int]:
         """The span a frame was sent under, or None."""
-        return self._frame_spans.get(frame_id)
+        for record in self._spans.values():
+            if record.frame_id == frame_id:
+                return record.span_id
+        return None
 
     def subtree(self, span_id: int) -> List[int]:
         """Preorder span ids of the tree rooted at ``span_id``."""
         if span_id not in self._spans:
             raise KeyError(f"unknown span {span_id}")
+        children = self._child_ids()
         out: List[int] = []
         stack = [span_id]
         while stack:
             current = stack.pop()
             out.append(current)
-            stack.extend(reversed(self._children.get(current, [])))
+            stack.extend(reversed(children.get(current, [])))
         return out
 
     def ancestors(self, span_id: int) -> List[int]:
@@ -185,6 +184,7 @@ class SpanTracker:
     # ------------------------------------------------------------------
     def format_tree(self, span_id: int) -> str:
         """Indented text rendering of one span tree (for reports/REPL)."""
+        children = self._child_ids()
         lines: List[str] = []
 
         def visit(sid: int, depth: int) -> None:
@@ -194,7 +194,7 @@ class SpanTracker:
                      else f" frame={record.frame_id}")
             lines.append(f"{'  ' * depth}{record.name} "
                          f"[span {sid}, node {node}]{frame}")
-            for child in self._children.get(sid, []):
+            for child in children.get(sid, []):
                 visit(child, depth + 1)
 
         visit(span_id, 0)

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.node import EnergyMeter, EnergyModel, Mote
+from repro.node import EnergyMeter, Mote
+from repro.node.energy import (CPU_POWER, IDLE_LISTEN_POWER, RX_POWER,
+                               TX_POWER)
 from repro.radio import BROADCAST, Frame, Medium
 from repro.sim import Simulator
 
@@ -23,12 +25,9 @@ def test_transmit_energy_charged():
     a.send(frame)
     sim.run(until=1.0)
     airtime = medium.airtime(frame)
-    ledger = meter.ledger(0)
-    assert ledger.tx_joules == pytest.approx(
-        airtime * meter.model.tx_power)
+    assert meter.ledgers[0].tx_joules == pytest.approx(airtime * TX_POWER)
     # The receiver was charged rx energy.
-    assert meter.ledger(1).rx_joules == pytest.approx(
-        airtime * meter.model.rx_power)
+    assert meter.ledgers[1].rx_joules == pytest.approx(airtime * RX_POWER)
 
 
 def test_cpu_energy_tracks_busy_time():
@@ -36,8 +35,8 @@ def test_cpu_energy_tracks_busy_time():
     a.cpu.post(lambda: None, cost=0.5)
     sim.run(until=1.0)
     # 0.5s CPU busy plus the tx/rx costs of nothing.
-    assert meter.ledger(0).cpu_joules == pytest.approx(
-        0.5 * meter.model.cpu_power, rel=0.05)
+    assert meter.ledgers[0].cpu_joules == pytest.approx(
+        0.5 * CPU_POWER, rel=0.05)
 
 
 def test_idle_listening_dominates_quiet_networks():
@@ -65,20 +64,32 @@ def test_duplicate_attach_rejected():
         meter.attach(a)
 
 
+def test_drain_validates_and_charges():
+    sim, _, _, meter = build()
+    meter.drain(1, 0.25)
+    meter.drain(1, 0.5)
+    with pytest.raises(ValueError, match="drain"):
+        meter.drain(1, -0.1)
+    assert meter.ledgers[1].drain_joules == 0.75
+    assert meter.ledgers[0].drain_joules == 0.0
+    assert meter.breakdown(sim.now)["drain"] == 0.75
+
+
 def test_custom_model():
     sim = Simulator()
     medium = Medium(sim, communication_radius=5.0)
     mote = Mote(sim, 0, (0.0, 0.0), medium)
-    other = Mote(sim, 1, (1.0, 0.0), medium)
-    model = EnergyModel(tx_power=1.0, rx_power=0.0, cpu_power=0.0,
-                        idle_listen_power=0.0)
-    meter = EnergyMeter(sim, model=model)
+    Mote(sim, 1, (1.0, 0.0), medium)
+    meter = EnergyMeter(sim)
     meter.attach(mote)
     frame = Frame(src=0, dst=BROADCAST, kind="x")
     mote.send(frame)
     sim.run(until=1.0)
-    assert meter.total_joules(sim.now) == pytest.approx(
-        medium.airtime(frame))
+    # The MICA powers: only the metered mote is charged, its airtime at
+    # the transmit power and its second of listening at the idle power.
+    (ledger,) = meter.ledgers.values()
+    assert ledger.tx_joules == pytest.approx(medium.airtime(frame) * TX_POWER)
+    assert ledger.idle_joules(sim.now) == IDLE_LISTEN_POWER
 
 
 def test_energy_scales_with_heartbeat_rate():

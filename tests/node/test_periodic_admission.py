@@ -147,7 +147,7 @@ def run_program(direct, motes, actions, cuts, stops, profile, monkeypatch):
     snapshots.append(program.snapshot())
     monkeypatch.undo()
     labels = None if profiler is None else sorted(
-        (p.label, p.count) for p in profiler.profiles())
+        (p.label, p.count) for p in profiler.hot(100))
     return program.log, trace_digest(sim), snapshots, labels
 
 

@@ -124,7 +124,7 @@ class Program:
             out += [cpu.executed, cpu.busy_time, cpu.total_latency,
                     cpu.utilization(), cpu.mean_latency(), cpu.busy,
                     cpu.dropped, cpu.max_backlog, cpu.backlog,
-                    self.meter.ledger(mote.node_id).cpu_joules]
+                    self.meter.ledgers[mote.node_id].cpu_joules]
         out += [timer.fire_count for timer in self.timers]
         return out
 

@@ -143,7 +143,7 @@ def run_program(batched, costs, quiet, actions, cuts, stops, profile):
     trace = [(r.time, r.category, r.node, sorted(r.detail.items()))
              for r in sim.trace]
     labels = None if profiler is None else sorted(
-        (p.label, p.count) for p in profiler.profiles())
+        (p.label, p.count) for p in profiler.hot(100))
     return program.log, trace, snapshots, labels
 
 

@@ -272,7 +272,7 @@ def test_profiler_notes_each_batch_member_under_its_label():
     batch(sim, 1.0, 3, log, label="rx.a")
     sim.schedule_batched(1.0, log.append, "b", "rx.b", None)
     sim.run()
-    counts = {p.label: p.count for p in profiler.profiles()}
+    counts = {p.label: p.count for p in profiler.hot()}
     assert counts == {"rx.a": 3, "rx.b": 1}
 
 

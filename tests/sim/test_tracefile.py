@@ -1,10 +1,15 @@
 """Unit tests for trace export/query tooling."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.sim import (Simulator, TraceRecord, dump_trace, first_divergence,
                        load_trace, query)
@@ -37,12 +42,13 @@ class TestDumpLoad:
         assert records[0].time == pytest.approx(1.0)
 
     def test_category_filter(self, tmp_path):
+        # A dump holds the whole trace; a reader filters what it loads.
         sim = make_traced_sim()
         path = tmp_path / "trace.jsonl"
-        count = dump_trace(sim, str(path), categories=["gm.takeover"])
-        assert count == 2
-        assert all(r.category == "gm.takeover"
-                   for r in load_trace(str(path)))
+        dump_trace(sim, str(path))
+        takeovers = [r for r in load_trace(str(path))
+                     if r.category == "gm.takeover"]
+        assert [r.detail["label"] for r in takeovers] == ["L1", "L2"]
 
     def test_non_serializable_details_stringified(self, tmp_path):
         sim = Simulator()
@@ -176,15 +182,21 @@ class TestFirstDivergence:
         assert lines[-3] == "  b [3] (end of trace: 3 records)"
         assert lines[-1] == "  gm.heartbeat -5"
 
-    def test_cli_exits_non_zero_on_a_difference(self, tmp_path):
-        a, b = self.traces()
+    @staticmethod
+    def save(tmp_path, traces):
+        """Write each ``(name, records)`` trace; return the paths."""
         paths = []
-        for name, records in (("a", a), ("b", b)):
+        for name, records in traces:
             path = tmp_path / f"{name}.jsonl"
             path.write_text("".join(
                 json.dumps(record_to_dict(r), sort_keys=True) + "\n"
                 for r in records))
             paths.append(str(path))
+        return paths
+
+    def test_cli_exits_non_zero_on_a_difference(self, tmp_path):
+        a, b = self.traces()
+        paths = self.save(tmp_path, (("a", a), ("b", b)))
         out = []
         assert main(["trace-diff", paths[0], paths[1]], out=out.append) == 1
         assert out[0].startswith("first divergence at record 6")
@@ -192,3 +204,22 @@ class TestFirstDivergence:
         assert main(["trace-diff", paths[0], paths[0]], out=out.append) == 0
         assert out == ["traces are identical (8 records)"]
         assert main(["trace-diff", paths[0]], out=out.append) == 2
+
+    def test_cli_exits_quietly_when_the_reader_closes_the_pipe(
+            self, tmp_path):
+        # 20,000 categories missing from ``b`` give a count-delta listing
+        # far longer than a pipe's buffer, so the CLI is still writing
+        # when a reader that wanted one line (``| head -1``) goes away.
+        a = [TraceRecord(float(i), f"c{i}", None, {}) for i in range(20_000)]
+        paths = self.save(tmp_path, (("a", a), ("b", [])))
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "trace-diff", *paths],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"first divergence at record 0\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert stderr == b""

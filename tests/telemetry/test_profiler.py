@@ -27,32 +27,22 @@ class TestProfiler:
         p.note("gm.heartbeat@1", 0.002)
         p.note("gm.heartbeat@2", 0.004)
         p.note("radio.delivery", 0.001)
-        profile = p.get("gm.heartbeat")
+        profile, delivery = p.hot()
+        assert profile.label == "gm.heartbeat"
         assert profile.count == 2
         assert profile.total_seconds == pytest.approx(0.006)
         assert profile.max_seconds == pytest.approx(0.004)
         assert profile.mean_seconds == pytest.approx(0.003)
         assert p.events_profiled == 3
         assert p.total_seconds == pytest.approx(0.007)
-        assert "gm.heartbeat@99" in p
-        assert "never" not in p
+        assert (delivery.label, delivery.count) == ("radio.delivery", 1)
 
     def test_profiles_sorted_hottest_first(self):
         p = EventLoopProfiler()
         p.note("cold", 0.001)
         p.note("hot", 0.010)
-        assert [x.label for x in p.profiles()] == ["hot", "cold"]
+        assert [x.label for x in p.hot()] == ["hot", "cold"]
         assert [x.label for x in p.hot(1)] == ["hot"]
-
-    def test_by_category_rollup(self):
-        p = EventLoopProfiler()
-        p.note("gm.heartbeat", 0.002)
-        p.note("gm.defend", 0.001)
-        p.note("radio.delivery", 0.004)
-        rollup = p.by_category()
-        assert rollup["gm"].count == 2
-        assert rollup["gm"].total_seconds == pytest.approx(0.003)
-        assert rollup["radio"].max_seconds == pytest.approx(0.004)
 
     def test_format_table(self):
         p = EventLoopProfiler()
@@ -79,8 +69,10 @@ class TestEngineIntegration:
 
     def test_profiler_counts_events_by_label(self):
         sim = self.run_sim(profiler_on=True)
-        assert sim.profiler.get("app.tick").count == 4
+        assert [(p.label, p.count) for p in sim.profiler.hot()] == \
+            [("app.tick", 4)]
         assert sim.profiler.events_profiled == 4
+        assert sim.enable_profiler() is sim.profiler
 
     def test_profiler_does_not_perturb_the_trace(self):
         plain = self.run_sim(profiler_on=False)
@@ -89,10 +81,3 @@ class TestEngineIntegration:
         # Profiler output stays outside the trace entirely.
         assert all(not r.category.startswith("profiler")
                    for r in profiled.trace)
-
-    def test_enable_is_idempotent_disable_discards(self):
-        sim = Simulator()
-        p = sim.enable_profiler()
-        assert sim.enable_profiler() is p
-        sim.disable_profiler()
-        assert sim.profiler is None

@@ -1,12 +1,14 @@
 """Tests for the run report: text summary, SVG dashboard, Prometheus."""
 
+import re
 import xml.dom.minidom
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from repro.experiments import TankScenario, run_tank_scenario
-from repro.sim import dump_trace
+from repro.sim import Simulator, dump_trace
 from repro.telemetry.report import RunReport
 
 
@@ -91,7 +93,8 @@ class TestFromTraceFile:
         dump_trace(sim, str(path))
         loaded = RunReport.from_trace_file(str(path))
         live = RunReport.from_sim(sim)
-        assert loaded.category_counts() == live.category_counts()
+        assert Counter(r.category for r in loaded.records) == \
+            Counter(r.category for r in live.records)
         assert loaded.duration > 0
         text = loaded.format_text()
         assert "gm" in text
@@ -124,6 +127,24 @@ class TestFromTraceFile:
         loaded = RunReport.from_trace_file(str(path))
         text = loaded.derived_registry().render_prometheus()
         assert 'repro_trace_records_total{category="radio.tx"}' in text
+
+    def test_saved_categories_export_as_escaped_label_values(self,
+                                                             tmp_path):
+        # An application's ``ctx.log`` category may hold any character;
+        # each one must stay inside its quoted label value.
+        path = tmp_path / "odd.jsonl"
+        sim = Simulator()
+        for category in ('app.x"y', "app.a\\b", "app.one\ntwo"):
+            sim.record(category, node=0)
+        dump_trace(sim, str(path))
+        text = RunReport.from_trace_file(str(path)) \
+            .derived_registry().render_prometheus()
+        sample = re.compile(r'[a-z_]+(\{[a-z_]+="([^"\\\n]|\\["\\n])*"'
+                            r'(,[a-z_]+="([^"\\\n]|\\["\\n])*")*\})? \S+')
+        for line in text.splitlines():
+            assert line.startswith(("# HELP ", "# TYPE ")) \
+                or sample.fullmatch(line), line
+        assert 'repro_trace_records_total{category="app.x\\"y"} 1' in text
 
     def test_empty_trace_renders_placeholders(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -1,5 +1,7 @@
 """Unit tests for the causal span tracker."""
 
+import random
+
 import pytest
 
 from repro.telemetry.spans import SpanTracker
@@ -44,12 +46,6 @@ class TestContext:
             assert tracker.current == outer
         assert tracker.current is None
         assert tracker.get(inner).parent_id == outer
-
-    def test_swap_returns_previous(self):
-        tracker = SpanTracker()
-        sid = tracker.start("a")
-        assert tracker.swap(sid) is None
-        assert tracker.swap(None) == sid
 
 
 class TestTreeQueries:
@@ -115,3 +111,42 @@ class TestTreeQueries:
             "    c [span 4, node -] frame=5",
             "  b [span 3, node -]",
         ]
+
+    def test_queries_match_tables_kept_while_recording(self):
+        # The tracker keeps only span records; child lists and the frame
+        # index are derived on query.  Keep them here as spans are opened
+        # and compare: a random forest, some spans sending a frame.
+        rng = random.Random(3)
+        tracker = SpanTracker()
+        children = {}
+        frame_spans = {}
+        for index in range(300):
+            opened = len(tracker)
+            tracker.current = rng.choice([None] + list(range(1, opened + 1)))
+            sent = index if rng.random() < 0.5 else None
+            sid = tracker.start(f"s{index}", rng.randrange(4), sent)
+            children.setdefault(tracker.current, []).append(sid)
+            if sent is not None:
+                frame_spans[sent] = sid
+        tracker.current = None
+
+        def tree(sid, depth=0):
+            record = tracker.get(sid)
+            frame = ("" if record.frame_id is None
+                     else f" frame={record.frame_id}")
+            lines = [f"{'  ' * depth}{record.name} "
+                     f"[span {sid}, node {record.node}]{frame}"]
+            for child in children.get(sid, []):
+                lines += tree(child, depth + 1)
+            return lines
+
+        for frame_id in range(301):
+            assert tracker.span_of_frame(frame_id) == \
+                frame_spans.get(frame_id)
+        assert [r.span_id for r in tracker.roots()] == children[None]
+        for sid in range(1, len(tracker) + 1):
+            assert [r.span_id for r in tracker.children(sid)] == \
+                children.get(sid, [])
+            assert tracker.format_tree(sid).splitlines() == tree(sid)
+        assert [r.span_id for r in tracker.spans()] == \
+            list(range(1, 301))
